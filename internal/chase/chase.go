@@ -375,7 +375,8 @@ type Engine struct {
 }
 
 // New creates an engine. gamma is the ground truth Γ; the engine chases a
-// clone of it, so gamma itself is never mutated. rules is Σ.
+// clone of it, so gamma itself is never mutated. rules is Σ. env is read,
+// never written: the engine evaluates through its own copy (see below).
 func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Options) *Engine {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 100
@@ -383,8 +384,13 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
+	// The engine owns a shallow copy of the environment: the ValueOf and
+	// Orders hooks wired below read this engine's fix set and must not
+	// outlive it on the caller's env (detection reads raw values). Models,
+	// graphs and the database stay shared.
+	own := *env
 	e := &Engine{
-		env:           env,
+		env:           &own,
 		rules:         rules,
 		u:             gamma.Clone(),
 		opts:          opts,
@@ -442,7 +448,7 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	e.env.Orders = func(rel, attr string) *data.TemporalOrder {
 		return e.u.OrderIfAny(rel, attr)
 	}
-	e.exec = exec.New(env)
+	e.exec = exec.New(e.env)
 	e.exec.SetObs(e.obs)
 	if opts.MemBudget > 0 {
 		e.exec.SetSpill(opts.MemBudget, opts.SpillDir)
@@ -1031,11 +1037,11 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	// duplicated — dedupe first or the serial merge (with its conflict
 	// resolution) dominates the round.
 	applyStart := time.Now()
-	seenFix := make(map[string]bool, len(candidates))
+	seenFix := make(map[fixKey]bool, len(candidates))
 	var accepted []Fix
 	rejected := 0
 	for _, fx := range candidates {
-		key := fixKey(fx)
+		key := keyOfFix(fx)
 		if seenFix[key] {
 			continue
 		}
@@ -1155,11 +1161,19 @@ func (e *Engine) precomputePredications(rules []*ree.Rule, dirty map[string]map[
 	})
 }
 
-// fixKey canonicalises a fix for in-round deduplication (the rule id is
-// excluded: the same fix deduced by two rules applies once).
-func fixKey(fx Fix) string {
-	return fmt.Sprintf("%d\x1f%s\x1f%s\x1f%s\x1f%s\x1f%d\x1f%d\x1f%d\x1f%s\x1f%t",
-		fx.Kind, fx.Rel, fx.Attr, fx.EID1, fx.EID2, fx.TID, fx.TID1, fx.TID2, fx.Value.Key(), fx.Strict)
+// fixKey is a fix canonicalised for in-round deduplication: the rule id
+// is excluded (the same fix deduced by two rules applies once) and the
+// value enters by its canonical key, which agrees with Value.Equal.
+type fixKey struct {
+	kind                  FixKind
+	rel, attr, eid1, eid2 string
+	tid, tid1, tid2       int
+	value                 string
+	strict                bool
+}
+
+func keyOfFix(fx Fix) fixKey {
+	return fixKey{fx.Kind, fx.Rel, fx.Attr, fx.EID1, fx.EID2, fx.TID, fx.TID1, fx.TID2, fx.Value.Key(), fx.Strict}
 }
 
 // chaseUnit is one (rule, block-combination) work unit.

@@ -17,7 +17,7 @@ import (
 	"github.com/rockclean/rock/internal/workload"
 )
 
-const scaleTestN = 6000 // above the interning gate (4096 tuples)
+const scaleTestN = 6000
 
 func runScale(t *testing.T, workers int, parallel bool, budget int64, reg *obs.Registry) string {
 	t.Helper()

@@ -1,7 +1,6 @@
 package crystal
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -378,24 +377,4 @@ func (cs *ColumnStore) TIDsView(attr string, v data.Value) []int {
 		return nil
 	}
 	return p
-}
-
-// StoreRelation serialises a relation into the block store under key
-// (CSV payload split into blocks); the owning node is returned.
-func StoreRelation(st *Store, key string, rel *data.Relation) (string, error) {
-	var buf bytes.Buffer
-	if err := data.WriteCSV(&buf, rel); err != nil {
-		return "", err
-	}
-	return st.Put(key, buf.Bytes())
-}
-
-// LoadRelation fetches and parses a relation stored by StoreRelation. from
-// names the requesting node (cross-node fetches are counted).
-func LoadRelation(st *Store, key, name, from string) (*data.Relation, error) {
-	payload, err := st.Get(key, from)
-	if err != nil {
-		return nil, err
-	}
-	return data.ReadCSV(bytes.NewReader(payload), name)
 }

@@ -72,38 +72,6 @@ func TestColumnStorePostings(t *testing.T) {
 	}
 }
 
-func TestStoreLoadRelationRoundTrip(t *testing.T) {
-	ring := NewRing(16)
-	ring.AddNode("n1")
-	ring.AddNode("n2")
-	st := NewStore(ring, NewRegistry(), 64) // force multiple blocks
-	rel := sampleRel(t)
-	node, err := StoreRelation(st, "Store/part0", rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.BlocksOf("Store/part0") < 2 {
-		t.Error("expected the CSV to span blocks")
-	}
-	back, err := LoadRelation(st, "Store/part0", "Store", node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != rel.Len() {
-		t.Fatalf("len=%d", back.Len())
-	}
-	for i, orig := range rel.Tuples {
-		for j := range orig.Values {
-			if !back.Tuples[i].Values[j].Equal(orig.Values[j]) {
-				t.Errorf("cell %d/%d mismatch", i, j)
-			}
-		}
-	}
-	if _, err := LoadRelation(st, "missing", "X", node); err == nil {
-		t.Error("missing key must error")
-	}
-}
-
 func TestColumnStoreDefensiveCopy(t *testing.T) {
 	rel := sampleRel(t)
 	cs, err := BuildColumnStore(rel)

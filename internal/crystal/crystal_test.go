@@ -1,7 +1,6 @@
 package crystal
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -67,119 +66,6 @@ func TestRingEmpty(t *testing.T) {
 	r := NewRing(8)
 	if r.Owner("x") != "" {
 		t.Error("empty ring owns nothing")
-	}
-}
-
-func TestRegistryPutGetWatch(t *testing.T) {
-	g := NewRegistry()
-	ch := g.Watch()
-	rev1 := g.Put("a", "1")
-	rev2 := g.Put("a", "2")
-	if rev2 <= rev1 {
-		t.Error("revisions must increase")
-	}
-	if v, ok := g.Get("a"); !ok || v != "2" {
-		t.Error("get after put")
-	}
-	ev := <-ch
-	if ev.Key != "a" || ev.Value != "1" {
-		t.Errorf("event=%+v", ev)
-	}
-	if !g.Delete("a") || g.Delete("a") {
-		t.Error("delete semantics")
-	}
-	if _, ok := g.Get("a"); ok {
-		t.Error("deleted key visible")
-	}
-	g.Put("p/x", "1")
-	g.Put("p/y", "1")
-	g.Put("q/z", "1")
-	if ks := g.Keys("p/"); len(ks) != 2 || ks[0] != "p/x" {
-		t.Errorf("prefix keys=%v", ks)
-	}
-}
-
-func TestStoreBlocksAndAddressing(t *testing.T) {
-	ring := NewRing(32)
-	ring.AddNode("n1")
-	ring.AddNode("n2")
-	reg := NewRegistry()
-	st := NewStore(ring, reg, 8) // tiny blocks to force splitting
-	payload := []byte("0123456789abcdefXYZ")
-	node, err := st.Put("tbl/part0", payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.BlocksOf("tbl/part0") != 3 {
-		t.Errorf("blocks=%d want 3", st.BlocksOf("tbl/part0"))
-	}
-	got, err := st.Get("tbl/part0", node)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Errorf("round trip failed: %q %v", got, err)
-	}
-	if st.RemoteFetches() != 0 {
-		t.Error("local fetch must not count remote")
-	}
-	other := "n1"
-	if node == "n1" {
-		other = "n2"
-	}
-	if _, err := st.Get("tbl/part0", other); err != nil {
-		t.Fatal(err)
-	}
-	if st.RemoteFetches() != 1 {
-		t.Error("cross-node fetch must count")
-	}
-	if _, err := st.Get("missing", "n1"); err == nil {
-		t.Error("missing object must error")
-	}
-	// Placement is registered.
-	if v, ok := reg.Get("placement/tbl/part0"); !ok || v != node {
-		t.Error("placement not registered")
-	}
-}
-
-func TestStoreEmptyPayload(t *testing.T) {
-	ring := NewRing(8)
-	ring.AddNode("n1")
-	st := NewStore(ring, NewRegistry(), 8)
-	if _, err := st.Put("empty", nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Get("empty", "n1")
-	if err != nil || len(got) != 0 {
-		t.Error("empty object must round trip")
-	}
-}
-
-func TestStoreRebalance(t *testing.T) {
-	ring := NewRing(32)
-	ring.AddNode("n1")
-	st := NewStore(ring, NewRegistry(), 64)
-	for i := 0; i < 50; i++ {
-		if _, err := st.Put(fmt.Sprintf("g%d/o", i), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ring.AddNode("n2")
-	moved := st.Rebalance()
-	if moved == 0 || moved == 50 {
-		t.Errorf("rebalance moved %d of 50", moved)
-	}
-	// All objects still readable from their new owners.
-	for i := 0; i < 50; i++ {
-		key := fmt.Sprintf("g%d/o", i)
-		owner, _ := st.Owner(key)
-		if _, err := st.Get(key, owner); err != nil {
-			t.Fatalf("object %s unreadable after rebalance: %v", key, err)
-		}
-	}
-}
-
-func TestStorePutNoNodes(t *testing.T) {
-	st := NewStore(NewRing(8), NewRegistry(), 8)
-	if _, err := st.Put("k", []byte("v")); err == nil {
-		t.Error("put with no nodes must fail")
 	}
 }
 

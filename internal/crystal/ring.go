@@ -1,14 +1,14 @@
-// Package crystal simulates Crystal, Rock's distributed file system
-// (paper §5.1), in-process: a consistent hash ring assigning data objects
-// and compute nodes to positions on a virtual ring (nodes hashed by CRC-32
-// of their address), an ETCD-style registry mapping hash codes to nodes, a
-// block-partitioned object store with two-level addressing, and the
+// Package crystal holds the parts of Crystal, Rock's distributed file
+// system (paper §5.1), that the engine runs on, in-process: a consistent
+// hash ring assigning data objects and compute nodes to positions on a
+// virtual ring (nodes hashed by CRC-32 of their address), the
+// dictionary-encoded columns with their kernels and spill blocks, and the
 // work-unit scheduler of §5.2 with cost estimation and work stealing.
 //
 // Substitution note (DESIGN.md): the real Crystal spans a Kubernetes
 // cluster; this in-process version preserves the placement and scheduling
-// behaviour — remapping minimality on node churn, block addressing, load
-// balancing — which is what the scalability experiments exercise.
+// behaviour — remapping minimality on node churn, load balancing — which
+// is what the scalability experiments exercise.
 package crystal
 
 import (
@@ -129,98 +129,6 @@ func (r *Ring) Nodes() []string {
 	out := make([]string, 0, len(r.nodes))
 	for n := range r.nodes {
 		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Registry is the ETCD stand-in: a consistent, watchable key-value store
-// where the ring's hash-to-node mapping (and any other metadata) is
-// registered (paper §5.1).
-type Registry struct {
-	mu       sync.RWMutex
-	kv       map[string]string
-	revision int64
-	watchers []chan Event
-}
-
-// Event is a registry change notification.
-type Event struct {
-	Key, Value string
-	Revision   int64
-	Deleted    bool
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry { return &Registry{kv: make(map[string]string)} }
-
-// Put stores a key and notifies watchers; it returns the new revision.
-func (g *Registry) Put(key, value string) int64 {
-	g.mu.Lock()
-	g.revision++
-	rev := g.revision
-	g.kv[key] = value
-	ev := Event{Key: key, Value: value, Revision: rev}
-	watchers := append([]chan Event(nil), g.watchers...)
-	g.mu.Unlock()
-	for _, w := range watchers {
-		select {
-		case w <- ev:
-		default: // slow watcher: drop rather than block the store
-		}
-	}
-	return rev
-}
-
-// Get reads a key.
-func (g *Registry) Get(key string) (string, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	v, ok := g.kv[key]
-	return v, ok
-}
-
-// Delete removes a key and notifies watchers.
-func (g *Registry) Delete(key string) bool {
-	g.mu.Lock()
-	_, ok := g.kv[key]
-	if ok {
-		g.revision++
-		delete(g.kv, key)
-	}
-	rev := g.revision
-	watchers := append([]chan Event(nil), g.watchers...)
-	g.mu.Unlock()
-	if ok {
-		for _, w := range watchers {
-			select {
-			case w <- Event{Key: key, Revision: rev, Deleted: true}:
-			default:
-			}
-		}
-	}
-	return ok
-}
-
-// Watch returns a channel of future events (buffered; slow consumers may
-// miss events, as with a real watch under compaction).
-func (g *Registry) Watch() <-chan Event {
-	ch := make(chan Event, 64)
-	g.mu.Lock()
-	g.watchers = append(g.watchers, ch)
-	g.mu.Unlock()
-	return ch
-}
-
-// Keys lists keys with the given prefix, sorted.
-func (g *Registry) Keys(prefix string) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []string
-	for k := range g.kv {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			out = append(out, k)
-		}
 	}
 	sort.Strings(out)
 	return out

@@ -4,11 +4,19 @@
 //
 //   - constant predicates are pushed down to pre-filter each variable's
 //     candidate tuples;
-//   - equality join predicates (t.A = s.B) drive hash joins;
+//   - equality join predicates (t.A = s.B) drive the pair enumeration;
 //   - ML predicates M(t[A̅], s[B̅]) drive LSH blocking (filter-and-verify,
 //     paper §5.4) instead of the quadratic all-pairs sweep;
 //   - remaining predicates evaluate as soon as their variables are bound
 //     (predicate pushdown), so dead branches prune early.
+//
+// Joins, constant/null selections and probes each have two bodies: the
+// columnar one over dictionary-encoded columns (vector.go, intern.go),
+// used for every relation whatever its size, and a value-through
+// reference in this file that tests compare against and that takes over
+// only when a precondition the code can observe fails — a ValueOf hook
+// nobody tracks shadows for, a partition that is not TID-ascending, a
+// column that is not Complete.
 //
 // The executor is shared by error detection and the chase; the caller's
 // Env decides whether values come from raw data (detection) or from the
@@ -455,7 +463,7 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 		// this one, probe the candidate list instead of scanning; probeJoin
 		// works over the constant-pushdown candidate set of the variable, so
 		// tuples eliminated by single-variable predicates never re-enumerate.
-		idxList, fromPool := e.probeJoin(r, a, bound, h, cands, opts, fast)
+		idxList, fromPool := e.probeJoin(r, a, bound, h, cands, fast)
 		if idxList != nil {
 			list = idxList
 		}
@@ -581,65 +589,51 @@ func (e *Executor) candidates(r *ree.Rule, a ree.Atom, opts Options, fast bool) 
 	if len(preds) == 0 {
 		return base, false, nil
 	}
-	// Split into interned filters (id compares over the dense column —
-	// idFilter, vector.go) and slow predicates (full Eval). Null checks
-	// always read raw data, so they intern unconditionally; constant
-	// equality reads through the value view, so shadowed tuples
-	// re-evaluate per tuple below.
-	var fasts []idFilter
-	var slows []*predicate.Predicate
-	for _, p := range preds {
-		interned := false
-		if fast && (p.Kind != predicate.KConst || p.Op == predicate.Eq || p.Op == predicate.Neq) {
-			if col := e.internedCol(a.Rel, p.A); col != nil {
-				f := idFilter{p: p, col: col, viewed: p.Kind == predicate.KConst}
-				f.nullID, f.hasNull = col.Dict.NullID()
-				if p.Kind == predicate.KConst {
-					f.cid, f.hasCID = col.Dict.ID(p.C)
-				}
-				fasts = append(fasts, f)
-				interned = true
+	// Columnar path: every filter that is an id compare (null checks, and
+	// constant = / !=) runs over its interned column; the rest (ordered
+	// constant compares) evaluate per survivor. Null checks read raw data;
+	// constant compares read through the value view, so shadowed tuples
+	// re-evaluate per tuple (keepFasts). candidatesVec declines a partition
+	// that is not TID-ascending.
+	if fast {
+		var fasts []idFilter
+		var slows []*predicate.Predicate
+		for _, p := range preds {
+			var col *crystal.Column
+			if p.Kind != predicate.KConst || p.Op == predicate.Eq || p.Op == predicate.Neq {
+				col = e.internedCol(a.Rel, p.A)
+			}
+			if col == nil {
+				slows = append(slows, p)
+				continue
+			}
+			f := idFilter{p: p, col: col, viewed: p.Kind == predicate.KConst}
+			f.nullID, f.hasNull = col.Dict.NullID()
+			if p.Kind == predicate.KConst {
+				f.cid, f.hasCID = col.Dict.ID(p.C)
+			}
+			fasts = append(fasts, f)
+		}
+		if len(fasts) > 0 {
+			if vout, handled, verr := e.candidatesVec(a, rel, base, fasts, slows, e.shadowOf(a.Rel)); handled {
+				return vout, true, verr
 			}
 		}
-		if !interned {
-			slows = append(slows, p)
-		}
 	}
-	shadow := e.shadowOf(a.Rel)
-	// Batch kernels take over above the size gate when the partition is
-	// TID-ascending (vector.go); the scalar loop remains the oracle and
-	// the fallback for filtered or re-ordered partitions.
-	if len(fasts) > 0 && len(base) >= vecMinTuples {
-		if vout, handled, verr := e.candidatesVec(a, rel, base, fasts, slows, shadow); handled {
-			return vout, true, verr
-		}
-	}
+	// Reference: evaluate every predicate on every tuple.
 	out = getTupleBuf()
-	fromPool = true
 	h := predicate.NewValuation()
 	for _, t := range base {
-		keep := true
-		if len(fasts) > 0 {
-			var evalErr error
-			keep, evalErr = e.keepFasts(a, t, fasts, shadow, h)
-			if evalErr != nil {
-				putTupleBuf(out)
-				return nil, false, evalErr
-			}
-		}
-		if keep && len(slows) > 0 {
-			var evalErr error
-			keep, evalErr = e.evalSlows(a, t, slows, h)
-			if evalErr != nil {
-				putTupleBuf(out)
-				return nil, false, evalErr
-			}
+		keep, evalErr := e.evalAll(a, t, preds, h)
+		if evalErr != nil {
+			putTupleBuf(out)
+			return nil, false, evalErr
 		}
 		if keep {
 			out = append(out, t)
 		}
 	}
-	return out, fromPool, nil
+	return out, true, nil
 }
 
 // tidSet builds the membership set of a candidate list.
@@ -706,13 +700,15 @@ func (e *Executor) plan(r *ree.Rule, cands map[string][]*data.Tuple, opts Option
 	return pl
 }
 
-// hashJoin builds (t, s) pairs with t.A = s.B via a hash index on s.B,
-// joining the two variables' pushdown candidate lists. When interned
-// columns are available (and the fast path is sound) the index keys on
-// dictionary ids; otherwise it keys on canonical value keys, which agree
-// with Value.Equal — cross-type numeric matches (I(5) = F(5)) land in one
-// bucket either way, exactly as the probe-join path finds them. pooled
-// reports the pair slice came from the scratch pool.
+// hashJoin builds (t, s) pairs with t.A = s.B from the two variables'
+// pushdown candidate lists, t-major with s in candidate order. The
+// columnar body enumerates colB's posting lists (postingJoin, vector.go);
+// it declines when the fast path is unsound, colB is incomplete or an
+// input is not TID-ascending, and the reference below takes over: a hash
+// index on canonical value keys read through the view. Keys agree with
+// Value.Equal — cross-type numeric matches (I(5) = F(5)) land in one
+// bucket, exactly as the probe join finds them. pooled reports the pair
+// slice came from the scratch pool.
 func (e *Executor) hashJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
 	tuplesT, tuplesS []*data.Tuple, fast bool) (pairs [][2]*data.Tuple, pooled bool) {
 	relTName, relSName := r.RelOf(p.T), r.RelOf(p.S)
@@ -730,12 +726,9 @@ func (e *Executor) hashJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
 		colA := e.internedCol(relTName, p.A)
 		colB := e.internedCol(relSName, p.B)
 		if colA != nil && colB != nil {
-			// Posting-list enumeration first (vector.go); it declines when
-			// colB is incomplete or an input is not TID-ascending.
 			if out, ok := e.postingJoin(r, p, opts, tuplesT, tuplesS, colA, colB, ai, bi, relS); ok {
 				return out, true
 			}
-			return e.hashJoinInterned(r, p, opts, tuplesT, tuplesS, colA, colB, ai, bi), true
 		}
 	}
 	idx := make(map[string][]*data.Tuple, len(tuplesS))
@@ -760,126 +753,6 @@ func (e *Executor) hashJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
 		}
 	}
 	return out, true
-}
-
-// hashJoinInterned is the dictionary-encoded join: index s-tuples by their
-// interned id in colB's dictionary, probe with t ids translated from colA.
-// Shadowed tuples (view may differ from raw) read through valueThrough;
-// shadowed view values absent from colB's dictionary spill into a
-// string-keyed overflow index so no match is lost.
-func (e *Executor) hashJoinInterned(r *ree.Rule, p *predicate.Predicate, opts Options,
-	tuplesT, tuplesS []*data.Tuple, colA, colB *crystal.Column, ai, bi int) [][2]*data.Tuple {
-	relTName, relSName := r.RelOf(p.T), r.RelOf(p.S)
-	shadowT := e.shadowOf(relTName)
-	shadowS := e.shadowOf(relSName)
-	nullB, hasNullB := colB.Dict.NullID()
-	idx := make(map[crystal.ValueID][]*data.Tuple, len(tuplesS))
-	var slow map[string][]*data.Tuple // shadowed view values outside colB's dict
-	addByValue := func(s *data.Tuple, v data.Value) {
-		if v.IsNull() {
-			return
-		}
-		if id, ok := colB.Dict.ID(v); ok {
-			idx[id] = append(idx[id], s)
-			return
-		}
-		if slow == nil {
-			slow = make(map[string][]*data.Tuple)
-		}
-		slow[v.Key()] = append(slow[v.Key()], s)
-	}
-	for _, s := range tuplesS {
-		if shadowS != nil && shadowS[s.TID] {
-			addByValue(s, valueThrough(e.env, relSName, s, p.B, bi))
-			continue
-		}
-		id, ok := colB.IDAt(s.TID)
-		if !ok {
-			// TID unseen by the column (insert since last refresh): the raw
-			// value is still authoritative for a non-shadowed tuple.
-			addByValue(s, s.Values[bi])
-			continue
-		}
-		if hasNullB && id == nullB {
-			continue
-		}
-		idx[id] = append(idx[id], s)
-	}
-	sameCol := relTName == relSName && p.A == p.B
-	var trans []crystal.ValueID
-	if !sameCol {
-		trans = e.translation(relTName, p.A, colA, relSName, p.B, colB)
-	}
-	nullA, hasNullA := colA.Dict.NullID()
-	out := getPairBuf()
-	emitMatches := func(t *data.Tuple, bucket, overflow []*data.Tuple) {
-		for _, s := range bucket {
-			if dirtyOK(opts, r, p.T, t, p.S, s) {
-				out = append(out, [2]*data.Tuple{t, s})
-			}
-		}
-		for _, s := range overflow {
-			if dirtyOK(opts, r, p.T, t, p.S, s) {
-				out = append(out, [2]*data.Tuple{t, s})
-			}
-		}
-	}
-	for _, t := range tuplesT {
-		if shadowT != nil && shadowT[t.TID] {
-			v := valueThrough(e.env, relTName, t, p.A, ai)
-			if v.IsNull() {
-				continue
-			}
-			var bucket []*data.Tuple
-			if id, ok := colB.Dict.ID(v); ok {
-				bucket = idx[id]
-			}
-			var overflow []*data.Tuple
-			if slow != nil {
-				overflow = slow[v.Key()]
-			}
-			emitMatches(t, bucket, overflow)
-			continue
-		}
-		idA, ok := colA.IDAt(t.TID)
-		if !ok {
-			v := t.Values[ai]
-			if v.IsNull() {
-				continue
-			}
-			var bucket []*data.Tuple
-			if id, ok := colB.Dict.ID(v); ok {
-				bucket = idx[id]
-			}
-			var overflow []*data.Tuple
-			if slow != nil {
-				overflow = slow[v.Key()]
-			}
-			emitMatches(t, bucket, overflow)
-			continue
-		}
-		if hasNullA && idA == nullA {
-			continue
-		}
-		idB := idA
-		if !sameCol {
-			idB = trans[idA]
-		}
-		var bucket []*data.Tuple
-		if idB != crystal.NoValue {
-			bucket = idx[idB]
-		}
-		var overflow []*data.Tuple
-		if slow != nil {
-			// A shadowed s-tuple may carry a view value colB never interned
-			// yet equal to t's — check the overflow index by canonical key.
-			if v, ok := colA.Dict.Value(idA); ok {
-				overflow = slow[v.Key()]
-			}
-		}
-		emitMatches(t, bucket, overflow)
-	}
-	return out
 }
 
 // blockPairs builds candidate (t, s) pairs for an ML predicate via LSH.
@@ -1074,14 +947,14 @@ func dirtyOK(opts Options, r *ree.Rule, v1 string, t1 *data.Tuple, v2 string, t2
 
 // probeJoin, during recursive binding, returns a filtered candidate list
 // for atom a when some already-bound variable is linked to it by an
-// equality predicate. The scan runs over the variable's constant-pushdown
+// equality predicate. It filters the variable's constant-pushdown
 // candidate list, so tuples already eliminated by single-variable
-// predicates are never re-enumerated; with interned columns available the
-// per-tuple comparison is one uint32 equality instead of a Value.Equal.
-// Returns nil when no index applies; fromPool reports the returned slice
-// is pool scratch the caller must release.
+// predicates are never re-enumerated: one posting-list intersection
+// (probeJoinVec), or — when that declines — a per-tuple Equal scan through
+// the view. Returns nil when no equality applies; fromPool reports the
+// returned slice is pool scratch the caller must release.
 func (e *Executor) probeJoin(r *ree.Rule, a ree.Atom, bound map[string]bool, h *predicate.Valuation,
-	cands map[string][]*data.Tuple, opts Options, fast bool) (list []*data.Tuple, fromPool bool) {
+	cands map[string][]*data.Tuple, fast bool) (list []*data.Tuple, fromPool bool) {
 	rel := e.env.DB.Rel(a.Rel)
 	if rel == nil {
 		return nil, false
@@ -1113,35 +986,14 @@ func (e *Executor) probeJoin(r *ree.Rule, a ree.Atom, bound map[string]bool, h *
 			continue
 		}
 		base := cands[a.Var]
-		out := getTupleBuf()
 		if fast {
 			if col := e.internedCol(a.Rel, freeAttr); col != nil {
-				shadow := e.shadowOf(a.Rel)
-				if vout, ok := e.probeJoinVec(a.Rel, rel, base, col, v, freeAttr, fi, shadow); ok {
-					putTupleBuf(out)
+				if vout, ok := e.probeJoinVec(a.Rel, rel, base, col, v, freeAttr, fi); ok {
 					return vout, true
 				}
-				target, haveTarget := col.Dict.ID(v)
-				for _, t := range base {
-					if shadow != nil && shadow[t.TID] {
-						if valueThrough(e.env, a.Rel, t, freeAttr, fi).Equal(v) {
-							out = append(out, t)
-						}
-						continue
-					}
-					if id, ok := col.IDAt(t.TID); ok {
-						if haveTarget && id == target {
-							out = append(out, t)
-						}
-						continue
-					}
-					if t.Values[fi].Equal(v) {
-						out = append(out, t)
-					}
-				}
-				return out, true
 			}
 		}
+		out := getTupleBuf()
 		for _, t := range base {
 			if valueThrough(e.env, a.Rel, t, freeAttr, fi).Equal(v) {
 				out = append(out, t)

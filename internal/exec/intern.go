@@ -22,8 +22,8 @@ import (
 // of TIDs whose view may differ from raw data (seeded from Γ, extended
 // after every merge step) — and the hot paths fall back to valueThrough
 // for exactly those tuples. An executor whose env has a ValueOf hook but
-// no shadow tracking takes the slow path everywhere: safe by default for
-// direct library users installing custom hooks.
+// no shadow tracking runs the value-through reference bodies everywhere:
+// safe by default for direct library users installing custom hooks.
 type internIndex struct {
 	mu   sync.RWMutex
 	cols map[string]*crystal.Column // "rel\x1fattr" → column; nil: build failed/unknown attr
@@ -112,7 +112,7 @@ func (e *Executor) InvalidatePartitions() {
 // tidsOf returns the ascending TID array of ts — the registered
 // precomputed one, or pooled scratch (pooled true: release with
 // putIntBuf). A nil result means ts is not strictly TID-ascending and
-// the caller must take the scalar path.
+// the caller must take the reference path.
 func (e *Executor) tidsOf(ts []*data.Tuple) (tids []int, pooled bool) {
 	if k, ok := keyOfSlice(ts); ok {
 		e.in.mu.RLock()
@@ -291,15 +291,8 @@ func (e *Executor) InvalidateInterned() {
 	e.in.memBytes = 0
 }
 
-// internMinTuples gates the interned layout by cardinality: below this
-// size a dictionary build costs more than every id compare it saves (the
-// build sorts the distinct values), so small relations keep the
-// value-keyed paths. The dense layout targets the 10⁶–10⁷ tuple scale.
-const internMinTuples = 4096
-
 // internedCol returns the interned column for (rel, attr), building it on
-// first use. Returns nil when the attribute is unknown or the relation is
-// too small to be worth encoding.
+// first use. Returns nil when the relation or attribute is unknown.
 func (e *Executor) internedCol(relName, attr string) *crystal.Column {
 	key := colKey(relName, attr)
 	e.in.mu.RLock()
@@ -314,7 +307,7 @@ func (e *Executor) internedCol(relName, attr string) *crystal.Column {
 		return col
 	}
 	rel := e.env.DB.Rel(relName)
-	if rel != nil && len(rel.Tuples) >= internMinTuples {
+	if rel != nil {
 		// Over the memory budget, build straight into a flat spill block:
 		// ids + postings live on disk (mmap or chunked reads), only the
 		// dictionary and block metadata stay resident.
@@ -334,8 +327,6 @@ func (e *Executor) internedCol(relName, attr string) *crystal.Column {
 				e.in.memBytes += col.MemBytes()
 			}
 		}
-	} else {
-		rel = nil // cache the nil: too small or unknown relation
 	}
 	if e.in.cols == nil {
 		e.in.cols = make(map[string]*crystal.Column)

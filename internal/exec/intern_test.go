@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -17,8 +16,9 @@ import (
 // as floats (except every third tuple, shifted by 0.5 so it never matches
 // an integer). Cross-type equality (I(5) = F(5)) is true under
 // Value.Equal, so every index — hash join, probe join, dictionary — must
-// treat them as one value.
-func mixedNumericEnv(t *testing.T, nA, nB, mod int) *predicate.Env {
+// treat them as one value (before keys were canonicalised the hash join
+// silently dropped every int↔float match the probe join found).
+func mixedNumericEnv(t testing.TB, nA, nB, mod int) *predicate.Env {
 	t.Helper()
 	a := data.NewRelation(must.Schema("A", data.Attribute{Name: "x", Type: data.TInt}))
 	b := data.NewRelation(must.Schema("B", data.Attribute{Name: "y", Type: data.TFloat}))
@@ -36,194 +36,6 @@ func mixedNumericEnv(t *testing.T, nA, nB, mod int) *predicate.Env {
 	db.Add(a)
 	db.Add(b)
 	return predicate.NewEnv(db)
-}
-
-// TestPlanEquivalenceMixedNumeric is the regression for the Key/Equal
-// split: the same equality shape t.x = ?.y drives variable s through the
-// hash join (plan driver) and variable u through the probe join
-// (bindRest). Before keys were canonicalised, I(5).Equal(F(5)) held but
-// their map keys differed, so the hash-join-driven side silently dropped
-// every int↔float match the probe side found. Both sides must now bind
-// the same tuple set, and that set must match a brute-force Equal scan.
-// (Each A value matches exactly two B tuples here, so the s≠u constraint
-// still lets both of them appear on both sides across the enumeration.)
-func TestPlanEquivalenceMixedNumeric(t *testing.T) {
-	env := mixedNumericEnv(t, 20, 30, 10)
-	r := must.Rule("A(t) ^ B(s) ^ B(u) ^ t.x = s.y ^ t.x = u.y -> t.eid = s.eid", env.DB)
-	r.ID = "mix"
-
-	sSeen := map[int]map[int]bool{} // t.TID -> set of s TIDs
-	uSeen := map[int]map[int]bool{}
-	e := New(env)
-	_, err := e.Run(r, Options{}, func(h *predicate.Valuation) bool {
-		tt := h.Tuples["t"].Tuple.TID
-		if sSeen[tt] == nil {
-			sSeen[tt], uSeen[tt] = map[int]bool{}, map[int]bool{}
-		}
-		sSeen[tt][h.Tuples["s"].Tuple.TID] = true
-		uSeen[tt][h.Tuples["u"].Tuple.TID] = true
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Brute-force oracle: which B tuples equal each A tuple's value?
-	want := map[int]map[int]bool{}
-	relA, relB := env.DB.Rel("A"), env.DB.Rel("B")
-	for _, ta := range relA.Tuples {
-		m := map[int]bool{}
-		for _, tb := range relB.Tuples {
-			if ta.Values[0].Equal(tb.Values[0]) {
-				m[tb.TID] = true
-			}
-		}
-		if len(m) > 0 {
-			want[ta.TID] = m
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("test data should produce cross-type matches")
-	}
-	if len(sSeen) != len(want) {
-		t.Fatalf("hash-join side bound %d driver tuples, oracle says %d", len(sSeen), len(want))
-	}
-	for tt, m := range want {
-		if !sameTIDSet(sSeen[tt], m) {
-			t.Errorf("t=%d: hash-join-driven bindings %v != oracle %v", tt, keysOf(sSeen[tt]), keysOf(m))
-		}
-		if !sameTIDSet(uSeen[tt], m) {
-			t.Errorf("t=%d: probe-driven bindings %v != oracle %v", tt, keysOf(uSeen[tt]), keysOf(m))
-		}
-	}
-}
-
-func sameTIDSet(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func keysOf(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// TestInternedHashJoinMatchesOracle exercises the dictionary-encoded join
-// above the interning cardinality gate: two 5000-tuple relations of
-// different numeric types joined on equality. The interned index (colB
-// dictionary ids plus the A→B translation array) must produce exactly the
-// pairs a canonical-key grouping oracle predicts.
-func TestInternedHashJoinMatchesOracle(t *testing.T) {
-	const n = 5000
-	env := mixedNumericEnv(t, n, n, 1000)
-	r := must.Rule("A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid", env.DB)
-	r.ID = "big"
-
-	e := New(env)
-	if col := e.internedCol("A", "x"); col == nil {
-		t.Fatal("expected relation A to be interned above the cardinality gate")
-	}
-	got := map[[2]int]bool{}
-	st, err := e.Run(r, Options{}, func(h *predicate.Valuation) bool {
-		got[[2]int{h.Tuples["t"].Tuple.TID, h.Tuples["s"].Tuple.TID}] = true
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Oracle by canonical-key grouping (one pass per relation).
-	byKey := map[string][]int{}
-	for _, tb := range env.DB.Rel("B").Tuples {
-		byKey[tb.Values[0].Key()] = append(byKey[tb.Values[0].Key()], tb.TID)
-	}
-	want := 0
-	for _, ta := range env.DB.Rel("A").Tuples {
-		for _, sb := range byKey[ta.Values[0].Key()] {
-			want++
-			if !got[[2]int{ta.TID, sb}] {
-				t.Fatalf("missing interned join pair (%d, %d)", ta.TID, sb)
-			}
-		}
-	}
-	if want == 0 {
-		t.Fatal("test data should produce matches")
-	}
-	if st.Valuations != want || len(got) != want {
-		t.Fatalf("interned join emitted %d valuations (%d distinct), oracle %d", st.Valuations, len(got), want)
-	}
-}
-
-// TestInternedConstantPushdown exercises the id-compare constant filters
-// (equality, inequality, null and not-null guards) above the gate and
-// checks each against a brute-force scan.
-func TestInternedConstantPushdown(t *testing.T) {
-	const n = 5000
-	rel := data.NewRelation(must.Schema("Ev",
-		data.Attribute{Name: "region", Type: data.TString},
-		data.Attribute{Name: "code", Type: data.TString},
-	))
-	for i := 0; i < n; i++ {
-		code := data.S(fmt.Sprintf("C%d", i%10))
-		if i%31 == 0 {
-			code = data.Null(data.TString)
-		}
-		rel.Insert(fmt.Sprintf("e%d", i), data.S(fmt.Sprintf("R%d", i%10)), code)
-	}
-	db := data.NewDatabase()
-	db.Add(rel)
-	env := predicate.NewEnv(db)
-
-	cases := []struct {
-		name, src string
-		want      func(region, code data.Value) bool
-	}{
-		{"eq+null", "Ev(t) ^ t.region = 'R7' ^ null(t.code) -> t.code = 'C7'",
-			func(region, code data.Value) bool { return region.Equal(data.S("R7")) && code.IsNull() }},
-		{"neq+notnull", "Ev(t) ^ t.region != 'R0' ^ !null(t.code) -> t.code = 'C9'",
-			func(region, code data.Value) bool { return !region.Equal(data.S("R0")) && !code.IsNull() }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := must.Rule(tc.src, env.DB)
-			r.ID = tc.name
-			e := New(env)
-			if col := e.internedCol("Ev", "region"); col == nil {
-				t.Fatal("expected relation Ev to be interned above the cardinality gate")
-			}
-			got := map[int]bool{}
-			_, err := e.Run(r, Options{}, func(h *predicate.Valuation) bool {
-				got[h.Tuples["t"].Tuple.TID] = true
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := map[int]bool{}
-			for _, tp := range rel.Tuples {
-				if tc.want(tp.Values[0], tp.Values[1]) {
-					want[tp.TID] = true
-				}
-			}
-			if len(want) == 0 {
-				t.Fatal("test data should produce matches")
-			}
-			if !sameTIDSet(got, want) {
-				t.Fatalf("pushdown bound %d tuples, oracle %d", len(got), len(want))
-			}
-		})
-	}
 }
 
 // countdownCtx reports the context cancelled after its Err method has
@@ -294,79 +106,5 @@ func TestInternPoolsReusableAcrossRuns(t *testing.T) {
 	}
 	if a.Valuations == 0 || a.Valuations != b.Valuations {
 		t.Fatalf("repeated runs disagree: %d vs %d valuations", a.Valuations, b.Valuations)
-	}
-}
-
-// TestInternShadowedTuplesReadThroughView pins the fast-path soundness
-// contract: with a ValueOf hook and shadow tracking registered, a
-// shadowed tuple joins on its view value, not its stale raw value — and
-// view values absent from the build-time dictionary still match through
-// the string-keyed overflow index.
-func TestInternShadowedTuplesReadThroughView(t *testing.T) {
-	const n = 5000
-	env := mixedNumericEnv(t, n, n, 1000)
-	rawValue := func(rel string, tp *data.Tuple, attr string) (data.Value, bool) {
-		return tp.Values[env.DB.Rel(rel).Schema.Index(attr)], true
-	}
-	// The hook overrides one A tuple: its view becomes a value no B tuple
-	// carries and B's dictionary never interned.
-	shadowA := env.DB.Rel("A").Tuples[0].TID
-	env.ValueOf = func(rel string, tp *data.Tuple, attr string) (data.Value, bool) {
-		if rel == "A" && tp.TID == shadowA {
-			return data.I(1234567), true
-		}
-		return rawValue(rel, tp, attr)
-	}
-	r := must.Rule("A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid", env.DB)
-	r.ID = "shadow"
-
-	e := New(env)
-	e.SetShadowTracking(map[string]map[int]bool{"A": {shadowA: true}})
-	matchedShadow, others := 0, 0
-	_, err := e.Run(r, Options{}, func(h *predicate.Valuation) bool {
-		if h.Tuples["t"].Tuple.TID == shadowA {
-			matchedShadow++
-		} else {
-			others++
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if matchedShadow != 0 {
-		t.Fatalf("shadowed tuple %d joined %d times via its stale raw value", shadowA, matchedShadow)
-	}
-	if others == 0 {
-		t.Fatal("unshadowed tuples should still join on the interned path")
-	}
-
-	// Flip the direction: shadow a B tuple onto a brand-new value and a
-	// different A tuple onto the same value — the match must survive via
-	// the overflow index (the value exists in neither dictionary).
-	shadowA2 := env.DB.Rel("A").Tuples[1].TID
-	shadowB := env.DB.Rel("B").Tuples[2].TID
-	env.ValueOf = func(rel string, tp *data.Tuple, attr string) (data.Value, bool) {
-		if rel == "A" && tp.TID == shadowA2 {
-			return data.F(777777.25), true
-		}
-		if rel == "B" && tp.TID == shadowB {
-			return data.F(777777.25), true
-		}
-		return rawValue(rel, tp, attr)
-	}
-	e2 := New(env)
-	e2.SetShadowTracking(map[string]map[int]bool{"A": {shadowA2: true}, "B": {shadowB: true}})
-	found := false
-	if _, err := e2.Run(r, Options{}, func(h *predicate.Valuation) bool {
-		if h.Tuples["t"].Tuple.TID == shadowA2 && h.Tuples["s"].Tuple.TID == shadowB {
-			found = true
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatal("shadowed view values absent from both dictionaries must still match via the overflow index")
 	}
 }

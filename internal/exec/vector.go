@@ -1,16 +1,17 @@
 package exec
 
-// Vectorized evaluation over the interned columns: constant/null
+// Columnar evaluation over the interned columns: constant/null
 // predicates run as batch kernels producing selection bitmaps (or, when
-// every filter maps to a posting list, as sorted-set intersections), and
-// id-compare equijoins enumerate from the posting lists instead of
-// building per-unit hash indexes. Both paths preserve the deterministic
-// merge invariant exactly: selections materialize survivors in ascending
-// partition-position order (the scalar loop's order), and the posting
-// join emits pairs t-major with s ascending by position — bit-identical
-// to hashJoinInterned. Tuples the kernels cannot decide (TIDs unseen by
-// a column, view-sensitive shadowed tuples) fall back to the scalar
-// per-tuple semantics via keepFasts, never silently dropped.
+// every filter maps to a posting list, as sorted-set intersections),
+// equijoins enumerate from the posting lists instead of building per-unit
+// hash indexes, and probes intersect one posting list with the candidate
+// TIDs. Each preserves the deterministic merge invariant exactly:
+// selections materialize survivors in ascending partition-position order
+// (the reference loop's order), and the posting join emits pairs t-major
+// with s ascending by position — bit-identical to the value-keyed
+// reference in exec.go. Tuples the kernels cannot decide (TIDs unseen by
+// a column, view-sensitive shadowed tuples) take the per-tuple semantics
+// via keepFasts, never silently dropped.
 
 import (
 	mathbits "math/bits"
@@ -22,20 +23,13 @@ import (
 	"github.com/rockclean/rock/internal/ree"
 )
 
-// vecMinTuples gates the vectorized paths by input size: below it the
-// per-call setup (TID extraction, bitmap clears) costs more than the
-// scalar loop saves. A variable so equivalence tests can force both
-// paths over small fixtures.
-var vecMinTuples = 128
-
 // heavyPostingLen is the posting-list length above which the posting
 // join memoises its partition intersection: dense buckets are probed by
 // many t-tuples, so the O(|posting| ∩ |partition|) work is paid once.
 const heavyPostingLen = 64
 
 // idFilter is one interned single-variable filter: an id compare over
-// the dense column. Shared by the scalar candidates loop and the
-// vectorized kernels so both paths apply one definition.
+// the dense column.
 type idFilter struct {
 	p       *predicate.Predicate
 	col     *crystal.Column
@@ -46,11 +40,10 @@ type idFilter struct {
 	viewed  bool // reads through ValueOf: shadowed tuples fall back
 }
 
-// keepFasts applies the interned filters to one tuple exactly as the
-// scalar candidates loop always has — including the per-tuple Eval
-// fallback for TIDs the column has not seen and for view-sensitive
-// shadowed tuples. The vectorized paths call it for exactly the
-// positions their kernels cannot decide.
+// keepFasts applies the interned filters to one tuple — the per-position
+// fallback for exactly the positions the kernels cannot decide: TIDs the
+// column has not seen and view-sensitive shadowed tuples evaluate the
+// predicate itself; the rest compare ids.
 func (e *Executor) keepFasts(a ree.Atom, t *data.Tuple, fasts []idFilter,
 	shadow map[int]bool, h *predicate.Valuation) (bool, error) {
 	for fi := range fasts {
@@ -86,11 +79,12 @@ func (e *Executor) keepFasts(a ree.Atom, t *data.Tuple, fasts []idFilter,
 	return true, nil
 }
 
-// evalSlows runs the non-interned single-variable predicates on one
-// tuple.
-func (e *Executor) evalSlows(a ree.Atom, t *data.Tuple, slows []*predicate.Predicate,
+// evalAll evaluates single-variable predicates on one tuple: the whole
+// selection in the reference loop, the non-interned remainder after the
+// kernels.
+func (e *Executor) evalAll(a ree.Atom, t *data.Tuple, preds []*predicate.Predicate,
 	h *predicate.Valuation) (bool, error) {
-	for _, p := range slows {
+	for _, p := range preds {
 		h.Bind(a.Var, a.Rel, t)
 		ok, err := p.Eval(e.env, h)
 		if err != nil {
@@ -114,7 +108,7 @@ func (e *Executor) evalSlows(a ree.Atom, t *data.Tuple, slows []*predicate.Predi
 //     and compose SelectEq/SelectNe word-at-a-time kernels.
 //
 // handled=false means the partition is not TID-ascending (pooled,
-// re-sorted, or filtered by a caller) and the scalar loop must run.
+// re-sorted, or filtered by a caller) and the reference loop must run.
 func (e *Executor) candidatesVec(a ree.Atom, rel *data.Relation, base []*data.Tuple,
 	fasts []idFilter, slows []*predicate.Predicate, shadow map[int]bool) (out []*data.Tuple, handled bool, err error) {
 	tids, pooledTids := e.tidsOf(base)
@@ -190,7 +184,7 @@ func (e *Executor) candidatesVec(a ree.Atom, rel *data.Relation, base []*data.Tu
 			}
 		}
 		if !f.col.Complete(rel) {
-			// Unseen TIDs take the scalar Eval fallback below, whatever the
+			// Unseen TIDs take the per-tuple Eval fallback below, whatever the
 			// kernels decided for their bit.
 			for k := range idbuf {
 				if idbuf[k] == crystal.NoValue {
@@ -201,7 +195,7 @@ func (e *Executor) candidatesVec(a ree.Atom, rel *data.Relation, base []*data.Tu
 		switch {
 		case f.p.Kind == predicate.KNull:
 			// nullID is NoValue when the column has no null entry, so this
-			// clears every seen position — exactly the scalar outcome.
+			// clears every seen position — exactly the per-tuple outcome.
 			crystal.SelectEq(bits, idbuf, f.nullID)
 		case f.p.Kind == predicate.KNotNull:
 			crystal.SelectNe(bits, idbuf, f.nullID)
@@ -257,7 +251,7 @@ func (e *Executor) candidatesVec(a ree.Atom, rel *data.Relation, base []*data.Tu
 			t := base[pos]
 			keep := true
 			if len(slows) > 0 {
-				keep, err = e.evalSlows(a, t, slows, h)
+				keep, err = e.evalAll(a, t, slows, h)
 				if err != nil {
 					free()
 					putTupleBuf(out)
@@ -341,7 +335,7 @@ func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
 			j++
 			fromShadow = true
 			if i < len(matchPos) && matchPos[i] == pos {
-				i++ // shadowed position: the scalar semantics decide, not the posting
+				i++ // shadowed position: the view value decides, not the posting
 			}
 		}
 		t := base[pos]
@@ -351,7 +345,7 @@ func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
 			keep, err = e.keepFasts(a, t, fasts, shadow, h)
 		}
 		if err == nil && keep && len(slows) > 0 {
-			keep, err = e.evalSlows(a, t, slows, h)
+			keep, err = e.evalAll(a, t, slows, h)
 		}
 		if err != nil {
 			free()
@@ -371,14 +365,14 @@ func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
 // bucket's posting list intersected (galloping) with the s-candidates'
 // TID array — no per-unit hash index is ever built, and the partition
 // intersection of dense buckets is memoised across probes. Shadowed
-// tuples on either side keep the hashJoinInterned fallback semantics
-// (valueThrough, dictionary probe, string-keyed overflow). ok=false
-// when a precondition fails — colB incomplete, inputs too small or not
-// TID-ascending — and the caller falls back to hashJoinInterned.
+// tuples on either side read through the view (valueThrough, dictionary
+// probe, string-keyed overflow for values colB never interned). ok=false
+// when a precondition fails — colB incomplete or an input not
+// TID-ascending — and the caller runs the value-keyed reference.
 func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
 	tuplesT, tuplesS []*data.Tuple, colA, colB *crystal.Column, ai, bi int,
 	relS *data.Relation) ([][2]*data.Tuple, bool) {
-	if len(tuplesT)+len(tuplesS) < vecMinTuples || !colB.Complete(relS) {
+	if !colB.Complete(relS) {
 		return nil, false
 	}
 	tTIDs, tPooled := e.tidsOf(tuplesT)
@@ -409,7 +403,7 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 	// lists index raw values only) and classify their view values by
 	// dictionary id, with a string-keyed overflow for values colB never
 	// interned. cleanPos maps compacted index → original position so
-	// emission can restore the legacy interleaved bucket order.
+	// emission can restore the candidate order of the bucket.
 	cleanTIDs := sTIDs
 	var cleanPos []int32
 	var shadowByID map[crystal.ValueID][]int32
@@ -555,8 +549,8 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 			}
 		}
 		// Merge clean matches with shadowed bucket members ascending by
-		// original position: hashJoinInterned builds its bucket in one
-		// pass over tuplesS, so this is exactly its emission order.
+		// original position: the reference builds its bucket in one pass
+		// over tuplesS, so this is exactly its emission order.
 		shadowList := shadowByID[idB]
 		i, j := 0, 0
 		for i < len(matched) || j < len(shadowList) {
@@ -655,11 +649,11 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 
 // probeJoinVec filters base (the free variable's candidate list) to the
 // tuples whose freeAttr equals v via one posting-list intersection
-// instead of a per-tuple id scan. ok=false: caller runs the scalar scan.
+// instead of a per-tuple scan. ok=false — col incomplete or base not
+// TID-ascending — and the caller runs the value-through scan.
 func (e *Executor) probeJoinVec(aRel string, rel *data.Relation, base []*data.Tuple,
-	col *crystal.Column, v data.Value, freeAttr string, fi int,
-	shadow map[int]bool) ([]*data.Tuple, bool) {
-	if len(base) < vecMinTuples || !col.Complete(rel) {
+	col *crystal.Column, v data.Value, freeAttr string, fi int) ([]*data.Tuple, bool) {
+	if !col.Complete(rel) {
 		return nil, false
 	}
 	tids, pooled := e.tidsOf(base)
@@ -683,8 +677,8 @@ func (e *Executor) probeJoinVec(aRel string, rel *data.Relation, base []*data.Tu
 		matched = matchBuf
 	}
 	var shPos []int32
-	if shadow != nil {
-		shBuf = crystal.IntersectPositions(getPosBuf(), e.shadowSortedOf(aRel), tids)
+	if sh := e.shadowSortedOf(aRel); len(sh) > 0 {
+		shBuf = crystal.IntersectPositions(getPosBuf(), sh, tids)
 		shPos = shBuf
 	}
 	out := getTupleBuf()

@@ -1,59 +1,23 @@
 package exec
 
 import (
-	"fmt"
 	"testing"
 
-	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/must"
 	"github.com/rockclean/rock/internal/predicate"
 )
 
-// benchJoinEnv mirrors mixedNumericEnv without the *testing.T plumbing.
-func benchJoinEnv(nA, nB, mod int) *predicate.Env {
-	a := data.NewRelation(must.Schema("A", data.Attribute{Name: "x", Type: data.TInt}))
-	b := data.NewRelation(must.Schema("B", data.Attribute{Name: "y", Type: data.TFloat}))
-	for i := 0; i < nA; i++ {
-		a.Insert(fmt.Sprintf("a%d", i), data.I(int64(i%mod)))
-	}
-	for i := 0; i < nB; i++ {
-		v := float64(i % mod)
-		if i%3 == 0 {
-			v += 0.5
-		}
-		b.Insert(fmt.Sprintf("b%d", i), data.F(v))
-	}
-	db := data.NewDatabase()
-	db.Add(a)
-	db.Add(b)
-	return predicate.NewEnv(db)
-}
-
 // BenchmarkPostingJoin times the full enumeration of the 5000×5000
-// cross-type equijoin through the posting-list join; the -scalar variant
-// pins the legacy per-tuple interned hash join for comparison.
+// cross-type equijoin through the posting-list join.
 func BenchmarkPostingJoin(b *testing.B) {
-	env := benchJoinEnv(5000, 5000, 1000)
+	env := mixedNumericEnv(b, 5000, 5000, 1000)
 	r := must.Rule("A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid", env.DB)
 	r.ID = "bench-join"
-	for _, scalar := range []bool{false, true} {
-		name := "vectorized"
-		if scalar {
-			name = "scalar"
+	e := New(env)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run(r, Options{}, func(h *predicate.Valuation) bool { return true }); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			old := vecMinTuples
-			if scalar {
-				vecMinTuples = 1 << 30
-			}
-			defer func() { vecMinTuples = old }()
-			e := New(env)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(r, Options{}, func(h *predicate.Valuation) bool { return true }); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
@@ -11,35 +12,46 @@ import (
 	"github.com/rockclean/rock/internal/ree"
 )
 
-// withScalarPath disables the vectorized kernels for the duration of f by
-// raising the tuple-count gate out of reach, so the legacy scalar loops
-// serve as the oracle.
-func withScalarPath(f func()) {
-	old := vecMinTuples
-	vecMinTuples = 1 << 30
-	defer func() { vecMinTuples = old }()
-	f()
+// The executor has one columnar body and one value-through reference per
+// job (join, selection, probe). This harness runs every rule shape on
+// both and requires the same ORDERED emission — the deterministic-merge
+// invariant is about order, not just the set.
+
+// vecCounters are bumped by the columnar bodies only.
+var vecCounters = []string{"exec.vec.joins", "exec.vec.posting_selects", "exec.vec.select_batches", "exec.vec.probe_selects"}
+
+// equivSizes straddle the bitmap-word boundaries and the two size gates
+// the executor used to have (128 and 4096).
+var equivSizes = []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 4097}
+
+func rawValue(env *predicate.Env, rel string, tp *data.Tuple, attr string) data.Value {
+	return tp.Values[env.DB.Rel(rel).Schema.Index(attr)]
 }
 
-// emissionTrace runs a rule and records the ORDERED sequence of bound
-// TIDs — the deterministic-merge invariant requires the vectorized path
-// to reproduce the scalar emission order exactly, not just the set.
-func emissionTrace(t *testing.T, e *Executor, r *ree.Rule, vars []string) []string {
-	t.Helper()
-	return emissionTraceOpts(t, e, r, Options{}, vars)
+// passThrough gives env a ValueOf hook that changes nothing, unless it
+// already has one. An executor over it with no SetShadowTracking is the
+// reference: the safe default for an untracked hook keeps every job on
+// its value-through body.
+func passThrough(env *predicate.Env) *predicate.Env {
+	if env.ValueOf != nil {
+		return env
+	}
+	ref := *env
+	ref.ValueOf = func(rel string, tp *data.Tuple, attr string) (data.Value, bool) {
+		return rawValue(env, rel, tp, attr), true
+	}
+	return &ref
 }
 
-// emissionTraceOpts is emissionTrace with caller-supplied Options, for
-// the incremental (Dirty-filtered) runs.
-func emissionTraceOpts(t *testing.T, e *Executor, r *ree.Rule, opts Options, vars []string) []string {
+// emissionTrace runs a rule and records the TIDs of every emitted
+// valuation, atom by atom, in emission order.
+func emissionTrace(t testing.TB, e *Executor, r *ree.Rule, opts Options) []int {
 	t.Helper()
-	var trace []string
+	var trace []int
 	_, err := e.Run(r, opts, func(h *predicate.Valuation) bool {
-		key := ""
-		for _, v := range vars {
-			key += fmt.Sprintf("%s=%d;", v, h.Tuples[v].Tuple.TID)
+		for _, a := range r.Atoms {
+			trace = append(trace, h.Tuples[a.Var].Tuple.TID)
 		}
-		trace = append(trace, key)
 		return true
 	})
 	if err != nil {
@@ -48,19 +60,46 @@ func emissionTraceOpts(t *testing.T, e *Executor, r *ree.Rule, opts Options, var
 	return trace
 }
 
-func assertSameTrace(t *testing.T, name string, vec, scalar []string) {
+func assertSameTrace(t testing.TB, got, want []int) {
 	t.Helper()
-	if len(vec) == 0 {
-		t.Fatalf("%s: vectorized run emitted nothing", name)
+	if len(got) != len(want) {
+		t.Fatalf("emitted %d TIDs, reference %d", len(got), len(want))
 	}
-	if len(vec) != len(scalar) {
-		t.Fatalf("%s: vectorized emitted %d valuations, scalar %d", name, len(vec), len(scalar))
-	}
-	for i := range scalar {
-		if vec[i] != scalar[i] {
-			t.Fatalf("%s: emission order diverges at %d: vectorized %q, scalar %q", name, i, vec[i], scalar[i])
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("emission order diverges at %d: got TID %d, reference %d", i, got[i], want[i])
 		}
 	}
+}
+
+// equivalent runs r on the columnar executor (shadow tracking registered
+// when env carries a hook) and on the reference executor, and requires
+// identical traces, that the columnar side bumped every counter in took,
+// and that the reference side never entered a columnar body.
+func equivalent(t *testing.T, env *predicate.Env, shadow map[string]map[int]bool,
+	r *ree.Rule, opts Options, took ...string) []int {
+	t.Helper()
+	regC, regR := obs.New(), obs.New()
+	col := New(env)
+	col.SetObs(regC)
+	if env.ValueOf != nil {
+		col.SetShadowTracking(shadow)
+	}
+	ref := New(passThrough(env))
+	ref.SetObs(regR)
+	got := emissionTrace(t, col, r, opts)
+	assertSameTrace(t, got, emissionTrace(t, ref, r, opts))
+	for _, c := range took {
+		if regC.CounterValue(c) == 0 {
+			t.Fatalf("columnar executor never bumped %s", c)
+		}
+	}
+	for _, c := range vecCounters {
+		if regR.CounterValue(c) != 0 {
+			t.Fatalf("reference executor bumped %s", c)
+		}
+	}
+	return got
 }
 
 // pushdownEnv is the constant-filter fixture: region/code columns with a
@@ -83,116 +122,280 @@ func pushdownEnv(t *testing.T, n int) *predicate.Env {
 	return predicate.NewEnv(db)
 }
 
-// TestVectorSelectionMatchesScalarOrder drives every selection kernel
-// shape (equality, inequality, null, not-null, and their conjunctions)
-// through both paths and requires identical ordered traces.
-func TestVectorSelectionMatchesScalarOrder(t *testing.T) {
-	cases := []struct{ name, src string }{
-		{"eq-only", "Ev(t) ^ t.region = 'R7' -> t.code = 'C7'"},
-		{"null-only", "Ev(t) ^ null(t.code) -> t.code = 'C0'"},
-		{"notnull-only", "Ev(t) ^ !null(t.code) -> t.code = 'C0'"},
-		{"eq+null", "Ev(t) ^ t.region = 'R7' ^ null(t.code) -> t.code = 'C7'"},
-		{"neq+notnull", "Ev(t) ^ t.region != 'R0' ^ !null(t.code) -> t.code = 'C9'"},
-		{"eq+eq", "Ev(t) ^ t.region = 'R3' ^ t.code = 'C3' -> t.code = 'C3'"},
+// shadowRegions installs a hook that moves every 5th tuple into region R7
+// and every 30th-plus-7 tuple out of it, and returns the shadow set.
+func shadowRegions(env *predicate.Env) map[string]map[int]bool {
+	shadow := map[int]bool{}
+	for _, tp := range env.DB.Rel("Ev").Tuples {
+		if tp.TID%5 == 0 || tp.TID%30 == 7 {
+			shadow[tp.TID] = true
+		}
 	}
-	env := pushdownEnv(t, 5000)
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := must.Rule(tc.src, env.DB)
-			r.ID = tc.name
-			vec := emissionTrace(t, New(env), r, []string{"t"})
-			var scalar []string
-			withScalarPath(func() { scalar = emissionTrace(t, New(env), r, []string{"t"}) })
-			assertSameTrace(t, tc.name, vec, scalar)
-		})
+	env.ValueOf = func(rel string, tp *data.Tuple, attr string) (data.Value, bool) {
+		switch {
+		case attr == "region" && tp.TID%5 == 0:
+			return data.S("R7"), true
+		case attr == "region" && tp.TID%30 == 7:
+			return data.S("R1"), true
+		}
+		return rawValue(env, rel, tp, attr), true
+	}
+	return map[string]map[int]bool{"Ev": shadow}
+}
+
+// selections lists every selection kernel shape — equality, inequality,
+// null, not-null, their conjunctions, and an ordered compare the kernels
+// leave to Eval — with the predicate it must agree with on a brute-force
+// scan (region through the view, code raw: the hook never touches code).
+var selections = []struct {
+	name, src, took string
+	want            func(region, code data.Value) bool
+}{
+	{"eq", "Ev(t) ^ t.region = 'R7' -> t.code = 'C7'", "exec.vec.posting_selects",
+		func(region, code data.Value) bool { return region.Equal(data.S("R7")) }},
+	{"null", "Ev(t) ^ null(t.code) -> t.code = 'C0'", "exec.vec.posting_selects",
+		func(region, code data.Value) bool { return code.IsNull() }},
+	{"notnull", "Ev(t) ^ !null(t.code) -> t.code = 'C0'", "exec.vec.select_batches",
+		func(region, code data.Value) bool { return !code.IsNull() }},
+	{"eq+null", "Ev(t) ^ t.region = 'R7' ^ null(t.code) -> t.code = 'C7'", "exec.vec.posting_selects",
+		func(region, code data.Value) bool { return region.Equal(data.S("R7")) && code.IsNull() }},
+	{"neq+notnull", "Ev(t) ^ t.region != 'R0' ^ !null(t.code) -> t.code = 'C9'", "exec.vec.select_batches",
+		func(region, code data.Value) bool { return !region.Equal(data.S("R0")) && !code.IsNull() }},
+	{"eq+eq", "Ev(t) ^ t.region = 'R3' ^ t.code = 'C3' -> t.code = 'C3'", "exec.vec.posting_selects",
+		func(region, code data.Value) bool { return region.Equal(data.S("R3")) && code.Equal(data.S("C3")) }},
+	{"eq+gt", "Ev(t) ^ t.region = 'R7' ^ t.code > 'C5' -> t.code = 'C7'", "exec.vec.posting_selects",
+		func(region, code data.Value) bool {
+			return region.Equal(data.S("R7")) && !code.IsNull() && code.Compare(data.S("C5")) > 0
+		}},
+	{"neq+gt", "Ev(t) ^ t.region != 'R0' ^ t.code > 'C5' -> t.code = 'C7'", "exec.vec.select_batches",
+		func(region, code data.Value) bool {
+			return !region.Equal(data.S("R0")) && !code.IsNull() && code.Compare(data.S("C5")) > 0
+		}},
+}
+
+func checkSelections(t *testing.T, n int, shadowed bool) {
+	env := pushdownEnv(t, n)
+	var shadow map[string]map[int]bool
+	if shadowed {
+		shadow = shadowRegions(env)
+	}
+	view := passThrough(env)
+	for _, tc := range selections {
+		r := must.Rule(tc.src, env.DB)
+		r.ID = tc.name
+		got := equivalent(t, env, shadow, r, Options{}, tc.took)
+		var want []int
+		for _, tp := range env.DB.Rel("Ev").Tuples {
+			region, _ := view.ValueOf("Ev", tp, "region")
+			if tc.want(region, tp.Values[1]) {
+				want = append(want, tp.TID)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: selected %d tuples, brute-force scan %d", tc.name, len(got), len(want))
+		}
 	}
 }
 
-// TestVectorJoinMatchesScalarOrder pins the posting-list join to the
-// legacy interned hash join's exact pair order on the cross-type
-// equality workload.
-func TestVectorJoinMatchesScalarOrder(t *testing.T) {
-	env := mixedNumericEnv(t, 5000, 5000, 1000)
+// joinEnv sizes the cross-type fixture so buckets stay small below the
+// former gates and exceed heavyPostingLen (the intersection memo) above.
+func joinEnv(t *testing.T, nA, nB int) *predicate.Env {
+	mod := 10
+	if nB > 1000 {
+		mod = 40
+	}
+	return mixedNumericEnv(t, nA, nB, mod)
+}
+
+// shadowNumeric installs a hook over the A/B fixture: A0's view kills its
+// raw match, A1 and B2 move onto a value in neither dictionary (they match
+// only each other, through the overflow index), and B4 moves onto 3, a
+// value B's dictionary has (merged into that bucket by position).
+func shadowNumeric(env *predicate.Env) map[string]map[int]bool {
+	env.ValueOf = func(rel string, tp *data.Tuple, attr string) (data.Value, bool) {
+		switch {
+		case rel == "A" && tp.TID == 0:
+			return data.I(1234567), true
+		case rel == "A" && tp.TID == 1, rel == "B" && tp.TID == 2:
+			return data.F(777777.25), true
+		case rel == "B" && tp.TID == 4:
+			return data.F(3), true
+		}
+		return rawValue(env, rel, tp, attr), true
+	}
+	return map[string]map[int]bool{"A": {0: true, 1: true}, "B": {2: true, 4: true}}
+}
+
+// matchesOf is the brute-force join oracle: per A tuple, the B tuples
+// whose view value is Equal — cross-type (I(5) = F(5)) included, the
+// Key/Equal agreement every index depends on.
+func matchesOf(env *predicate.Env) map[int][]int {
+	view := passThrough(env)
+	out := map[int][]int{}
+	for _, ta := range env.DB.Rel("A").Tuples {
+		va, _ := view.ValueOf("A", ta, "x")
+		for _, tb := range env.DB.Rel("B").Tuples {
+			if vb, _ := view.ValueOf("B", tb, "y"); va.Equal(vb) {
+				out[ta.TID] = append(out[ta.TID], tb.TID)
+			}
+		}
+	}
+	return out
+}
+
+func checkJoin(t *testing.T, n int, shadowed bool) {
+	env := joinEnv(t, n, n)
+	var shadow map[string]map[int]bool
+	if shadowed {
+		shadow = shadowNumeric(env)
+	}
 	r := must.Rule("A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid", env.DB)
-	r.ID = "vec-join"
-	vec := emissionTrace(t, New(env), r, []string{"t", "s"})
-	var scalar []string
-	withScalarPath(func() { scalar = emissionTrace(t, New(env), r, []string{"t", "s"}) })
-	assertSameTrace(t, "join", vec, scalar)
+	r.ID = "join"
+	full := equivalent(t, env, shadow, r, Options{}, "exec.vec.joins")
+	var want []int
+	matches := matchesOf(env)
+	for _, ta := range env.DB.Rel("A").Tuples {
+		for _, s := range matches[ta.TID] {
+			want = append(want, ta.TID, s)
+		}
+	}
+	if !slices.Equal(full, want) {
+		t.Fatalf("join emitted %d pairs, brute-force Equal scan %d", len(full)/2, len(want)/2)
+	}
+	if n >= 63 && len(full) == 0 {
+		t.Fatal("fixture should produce matches")
+	}
+	if shadowed && n > 4 && !slices.Equal(matches[1], []int{2}) {
+		t.Fatalf("A1 must match exactly B2 through the overflow value, got %v", matches[1])
+	}
+
+	// Incremental runs: dirty tuples on both sides, on the driver side
+	// only (the s-side set is nil), and — when shadowed — on a shadowed s
+	// tuple, so the position merge filters too.
+	for _, dirty := range []map[string]map[int]bool{
+		{"A": {n / 2: true, n - 1: true}, "B": {n / 3: true, 2: true}},
+		{"A": {n / 2: true, n - 1: true}},
+	} {
+		got := equivalent(t, env, shadow, r, Options{Dirty: dirty}, "exec.vec.joins")
+		if n >= 63 && (len(got) == 0 || len(got) >= len(full)) {
+			t.Fatalf("dirty filter must shrink emissions: %d of %d", len(got), len(full))
+		}
+		for i := 0; i < len(got); i += 2 {
+			if !dirty["A"][got[i]] && !dirty["B"][got[i+1]] {
+				t.Fatalf("pair (%d, %d) touches no dirty tuple", got[i], got[i+1])
+			}
+		}
+	}
 }
 
-// TestVectorProbeJoinMatchesScalarOrder covers the posting-probe side:
-// the third atom binds through probeJoin, not the pair driver.
-func TestVectorProbeJoinMatchesScalarOrder(t *testing.T) {
-	env := mixedNumericEnv(t, 200, 5000, 40)
+// checkProbe drives the same equality through both drivers: s binds from
+// the pair list (hashJoin), u from probeJoin. Every A tuple with at least
+// two matches must see all of them on both sides (s ≠ u hides a lone one).
+func checkProbe(t *testing.T, n int, shadowed bool) {
+	env := mixedNumericEnv(t, min(n, 50), n, max(10, n/4))
+	var shadow map[string]map[int]bool
+	if shadowed {
+		shadow = shadowNumeric(env)
+	}
 	r := must.Rule("A(t) ^ B(s) ^ B(u) ^ t.x = s.y ^ t.x = u.y -> t.eid = s.eid", env.DB)
-	r.ID = "vec-probe"
-	vec := emissionTrace(t, New(env), r, []string{"t", "s", "u"})
-	var scalar []string
-	withScalarPath(func() { scalar = emissionTrace(t, New(env), r, []string{"t", "s", "u"}) })
-	assertSameTrace(t, "probe", vec, scalar)
+	r.ID = "probe"
+	var took []string
+	if n >= 63 {
+		took = []string{"exec.vec.joins", "exec.vec.probe_selects"}
+	}
+	got := equivalent(t, env, shadow, r, Options{}, took...)
+	var want []int
+	matches := matchesOf(env)
+	for _, ta := range env.DB.Rel("A").Tuples {
+		for _, s := range matches[ta.TID] {
+			for _, u := range matches[ta.TID] {
+				if s != u {
+					want = append(want, ta.TID, s, u)
+				}
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("probe emitted %d valuations, brute-force Equal scan %d", len(got)/3, len(want)/3)
+	}
+	if n >= 63 && len(got) == 0 {
+		t.Fatal("fixture should produce matches")
+	}
 }
 
-// TestVectorShadowMatchesScalarOrder repeats the shadow-soundness
-// scenarios under the vectorized kernels and requires order-identical
-// traces: a shadowed driver tuple whose view kills its raw match, and a
-// pair shadowed onto an overflow value absent from both dictionaries.
-func TestVectorShadowMatchesScalarOrder(t *testing.T) {
-	const n = 5000
-	build := func() (*predicate.Env, int, int, int) {
-		env := mixedNumericEnv(t, n, n, 1000)
-		shadowA := env.DB.Rel("A").Tuples[0].TID
-		shadowA2 := env.DB.Rel("A").Tuples[1].TID
-		shadowB := env.DB.Rel("B").Tuples[2].TID
-		rawValue := func(rel string, tp *data.Tuple, attr string) (data.Value, bool) {
-			return tp.Values[env.DB.Rel(rel).Schema.Index(attr)], true
+func TestColumnarMatchesReference(t *testing.T) {
+	for _, n := range equivSizes {
+		for _, shadowed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("n=%d/shadowed=%v", n, shadowed), func(t *testing.T) {
+				checkSelections(t, n, shadowed)
+				checkJoin(t, n, shadowed)
+				checkProbe(t, n, shadowed)
+			})
 		}
-		env.ValueOf = func(rel string, tp *data.Tuple, attr string) (data.Value, bool) {
-			if rel == "A" && tp.TID == shadowA {
-				return data.I(1234567), true // kills its raw join partner
-			}
-			if rel == "A" && tp.TID == shadowA2 {
-				return data.F(777777.25), true // overflow value…
-			}
-			if rel == "B" && tp.TID == shadowB {
-				return data.F(777777.25), true // …matching only each other
-			}
-			return rawValue(rel, tp, attr)
-		}
-		return env, shadowA, shadowA2, shadowB
 	}
-	run := func() []string {
-		env, shadowA, shadowA2, shadowB := build()
-		r := must.Rule("A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid", env.DB)
-		r.ID = "vec-shadow"
-		e := New(env)
-		e.SetShadowTracking(map[string]map[int]bool{
-			"A": {shadowA: true, shadowA2: true},
-			"B": {shadowB: true},
-		})
-		trace := emissionTrace(t, e, r, []string{"t", "s"})
-		// Sanity on the semantics themselves before comparing orders.
-		overflow := fmt.Sprintf("t=%d;s=%d;", shadowA2, shadowB)
-		sawOverflow := false
-		for _, k := range trace {
-			if k == overflow {
-				sawOverflow = true
-			}
-			var tt, ss int
-			fmt.Sscanf(k, "t=%d;s=%d;", &tt, &ss)
-			if tt == shadowA {
-				t.Fatalf("shadowed tuple %d joined via its stale raw value", shadowA)
-			}
-		}
-		if !sawOverflow {
-			t.Fatal("overflow-value pair missing from the trace")
-		}
-		return trace
+}
+
+// declineRule has a selection on u, a join driving (t, s) and a probe
+// binding u, so one run exercises all three jobs.
+const declineRule = "R(t) ^ R(s) ^ R(u) ^ t.k = s.k ^ s.k = u.k ^ u.flag = 'x' -> t.val = s.val"
+
+// A partition that is not TID-ascending is a precondition the columnar
+// bodies observe and decline: the same executor runs the reference bodies.
+func TestColumnarDeclinesDescendingPartition(t *testing.T) {
+	env := keyedEnv(t, 100)
+	r := must.Rule(declineRule, env.DB)
+	desc := slices.Clone(env.DB.Rel("R").Tuples)
+	slices.Reverse(desc)
+	opts := Options{Restrict: map[string][]*data.Tuple{"R": desc}}
+	reg := obs.New()
+	e := New(env)
+	e.SetObs(reg)
+	got := emissionTrace(t, e, r, opts)
+	if len(got) == 0 {
+		t.Fatal("fixture should produce matches")
 	}
-	vec := run()
-	var scalar []string
-	withScalarPath(func() { scalar = run() })
-	assertSameTrace(t, "shadow", vec, scalar)
+	assertSameTrace(t, got, emissionTrace(t, New(passThrough(env)), r, opts))
+	for _, c := range vecCounters {
+		if reg.CounterValue(c) != 0 {
+			t.Fatalf("descending partition still bumped %s", c)
+		}
+	}
+}
+
+// A column built before an insert is not Complete: join and probe decline
+// to the reference, selection keeps its kernels and settles the unseen
+// TIDs per position. RefreshTuples restores the columnar bodies.
+func TestColumnarDeclinesStaleColumn(t *testing.T) {
+	env := keyedEnv(t, 100)
+	rel := env.DB.Rel("R")
+	r := must.Rule(declineRule, env.DB)
+	reg := obs.New()
+	e := New(env)
+	e.SetObs(reg)
+	emissionTrace(t, e, r, Options{}) // builds the columns
+	added := map[int]bool{}
+	for i := 0; i < 30; i++ {
+		flag := "y"
+		if i == 3 {
+			flag = "x"
+		}
+		tp := rel.Insert(fmt.Sprintf("n%d", i), data.S(fmt.Sprintf("k%d", i%12)), data.S(flag), data.S("v"))
+		added[tp.TID] = true
+	}
+	want := emissionTrace(t, New(passThrough(env)), r, Options{})
+	joins, probes := reg.CounterValue("exec.vec.joins"), reg.CounterValue("exec.vec.probe_selects")
+	assertSameTrace(t, emissionTrace(t, e, r, Options{}), want)
+	if reg.CounterValue("exec.vec.joins") != joins || reg.CounterValue("exec.vec.probe_selects") != probes {
+		t.Fatal("join or probe ran columnar over an incomplete column")
+	}
+	if reg.CounterValue("exec.vec.select_fallbacks") == 0 {
+		t.Fatal("selection kernels must settle unseen TIDs per position")
+	}
+	e.RefreshTuples(map[string]map[int]bool{"R": added})
+	assertSameTrace(t, emissionTrace(t, e, r, Options{}), want)
+	if reg.CounterValue("exec.vec.joins") == joins || reg.CounterValue("exec.vec.probe_selects") == probes {
+		t.Fatal("refreshed columns must take the columnar bodies again")
+	}
 }
 
 // TestSpilledColumnsMatchResident forces every interned column onto disk
@@ -207,105 +410,15 @@ func TestSpilledColumnsMatchResident(t *testing.T) {
 	spilled := New(env)
 	spilled.SetObs(reg)
 	spilled.SetSpill(1, t.TempDir())
-	got := emissionTrace(t, spilled, r, []string{"t", "s"})
+	got := emissionTrace(t, spilled, r, Options{})
 	if n := reg.CounterValue("exec.spill.columns"); n == 0 {
 		t.Fatal("a 1-byte budget must spill every interned column")
 	}
 	if reg.CounterValue("exec.spill.bytes") == 0 {
 		t.Fatal("spilled columns must report on-disk bytes")
 	}
-
-	want := emissionTrace(t, New(env), r, []string{"t", "s"})
-	assertSameTrace(t, "spill", got, want)
-}
-
-// TestVectorDirtyJoinMatchesScalarOrder drives the posting join with an
-// incremental dirty set. The vectorized path hoists the per-pair
-// dirtyOK string-map lookups into two resolved int-set probes, so it
-// must agree with the scalar oracle on the emitted pairs AND their
-// order, pairs must actually shrink versus the full run, and every
-// emitted pair must touch the dirty set. Three shapes: dirty tuples on
-// both sides (dense fast path), dirty on the driver side only (the
-// dirtyS==nil guard), and a shadowed s-side forcing posting/shadow
-// compaction so the merge loop's filter is exercised too.
-func TestVectorDirtyJoinMatchesScalarOrder(t *testing.T) {
-	const n = 5000
-	src := "A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid"
-	check := func(name string, dirty map[string]map[int]bool, shadow map[string]map[int]bool) {
-		t.Run(name, func(t *testing.T) {
-			env := mixedNumericEnv(t, n, n, 1000)
-			r := must.Rule(src, env.DB)
-			r.ID = "dirty-" + name
-			opts := Options{Dirty: dirty}
-			run := func() []string {
-				e := New(env)
-				if shadow != nil {
-					e.SetShadowTracking(shadow)
-				}
-				return emissionTraceOpts(t, e, r, opts, []string{"t", "s"})
-			}
-			vec := run()
-			var scalar []string
-			withScalarPath(func() { scalar = run() })
-			assertSameTrace(t, name, vec, scalar)
-			full := emissionTrace(t, New(env), r, []string{"t", "s"})
-			if len(vec) >= len(full) {
-				t.Fatalf("dirty filter must shrink emissions: %d vs %d full", len(vec), len(full))
-			}
-			for _, k := range vec {
-				var tt, ss int
-				fmt.Sscanf(k, "t=%d;s=%d;", &tt, &ss)
-				if !dirty["A"][tt] && !dirty["B"][ss] {
-					t.Fatalf("pair %q touches no dirty tuple", k)
-				}
-			}
-		})
+	if len(got) == 0 {
+		t.Fatal("fixture should produce matches")
 	}
-	check("both-sides", map[string]map[int]bool{
-		"A": {7: true, 4321: true},
-		"B": {99: true},
-	}, nil)
-	check("driver-only", map[string]map[int]bool{
-		"A": {7: true, 4321: true},
-	}, nil)
-	check("shadow-compacted", map[string]map[int]bool{
-		"A": {7: true},
-		"B": {99: true, 2: true},
-	}, map[string]map[int]bool{
-		"B": {2: true},
-	})
-}
-
-// TestVectorCountersAccount checks the new kernels actually ran (the
-// equivalence tests above would silently pass if the gate never opened).
-func TestVectorCountersAccount(t *testing.T) {
-	env := pushdownEnv(t, 5000)
-	r := must.Rule("Ev(t) ^ t.region = 'R7' ^ null(t.code) -> t.code = 'C7'", env.DB)
-	r.ID = "counters"
-	reg := obs.New()
-	e := New(env)
-	e.SetObs(reg)
-	if _, err := e.Run(r, Options{}, func(h *predicate.Valuation) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	batches := reg.CounterValue("exec.vec.select_batches") + reg.CounterValue("exec.vec.posting_selects")
-	if batches == 0 {
-		t.Fatal("vectorized selection never engaged on a 5000-tuple relation")
-	}
-
-	envJ := mixedNumericEnv(t, 5000, 5000, 1000)
-	rj := must.Rule("A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid", envJ.DB)
-	rj.ID = "counters-join"
-	regJ := obs.New()
-	ej := New(envJ)
-	ej.SetObs(regJ)
-	if _, err := ej.Run(rj, Options{}, func(h *predicate.Valuation) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if regJ.CounterValue("exec.vec.joins") == 0 {
-		t.Fatal("posting-list join never engaged on a 5000×5000 equijoin")
-	}
-	if regJ.CounterValue("exec.vec.join_pairs") == 0 {
-		t.Fatal("posting-list join reported no pairs")
-	}
+	assertSameTrace(t, got, emissionTrace(t, New(env), r, Options{}))
 }

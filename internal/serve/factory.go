@@ -12,8 +12,8 @@ import (
 // WorkloadFactory builds every tenant from one of the named benchmark
 // workloads — the serving analogue of the paper's per-application
 // deployments. Each tenant gets its own freshly generated database and
-// a fully warmed pipeline: ER matcher, trained correlation models,
-// knowledge graph, entity references, and rules.
+// a fully warmed pipeline: the dataset's trained environment, entity
+// references, and rules.
 func WorkloadFactory(app string, wcfg workload.Config, opts rock.Options) PipelineFactory {
 	return func(tenant string, reg *obs.Registry) (*rock.Pipeline, error) {
 		ds, err := datasetFor(app, wcfg)
@@ -41,15 +41,11 @@ func datasetFor(app string, wcfg workload.Config) (*workload.Dataset, error) {
 }
 
 // PipelineFromDataset assembles a warm pipeline over a workload
-// dataset: models trained, graph and entity references registered, and
-// every rule loaded.
+// dataset: the dataset's own environment (Dataset.BuildEnv — matchers,
+// correlation models, ranker, temporal orders, graph), entity references
+// registered, and every rule loaded.
 func PipelineFromDataset(ds *workload.Dataset, opts rock.Options) (*rock.Pipeline, error) {
-	p := rock.NewPipelineWith(ds.DB, opts)
-	p.RegisterMatcher("M_ER", 0.82)
-	p.TrainCorrelationModels()
-	if ds.Graph != nil {
-		p.RegisterGraph(ds.Graph, 0.6)
-	}
+	p := rock.NewPipelineOver(ds.BuildEnv(), opts)
 	for ref := range ds.EIDRefs {
 		rel, attr, ok := strings.Cut(ref, ".")
 		if !ok {

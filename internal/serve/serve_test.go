@@ -265,3 +265,25 @@ func TestMetricsEndpoint(t *testing.T) {
 func timeoutCtx(_ *testing.T, d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
 }
+
+// TestWorkloadTenantsFirstClean builds a tenant from every named
+// workload and completes its first full clean: each application's rules
+// name models (M_addr, M_SKU, M_rank) the factory must have wired.
+func TestWorkloadTenantsFirstClean(t *testing.T) {
+	for _, app := range []string{"bank", "logistics", "sales", "ecommerce"} {
+		t.Run(app, func(t *testing.T) {
+			s := New(DefaultConfig(), WorkloadFactory(app, workload.Config{N: 300, Seed: 1}, rock.DefaultOptions()))
+			hs := httptest.NewServer(s.Handler())
+			defer hs.Close()
+			var out CleanResponse
+			if code := doJSON(t, "POST", hs.URL+"/v1/acme/clean", nil, &out); code != http.StatusOK {
+				t.Fatalf("first clean of a %s tenant: status %d (%+v)", app, code, out)
+			}
+			ctx, cancel := timeoutCtx(t, 60*time.Second)
+			defer cancel()
+			if err := s.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -75,3 +75,48 @@ func TestDeltaUpdate(t *testing.T) {
 		t.Error("update not applied")
 	}
 }
+
+// Regression: chase.New used to install its ValueOf/Orders hooks on the
+// pipeline's env and never restore them, so every detection after the
+// first clean read through the dead engine's fix set — a cell the clean
+// had repaired still read as repaired after an update broke it again.
+func TestDetectAfterCleanReadsRawValues(t *testing.T) {
+	db := NewDB()
+	trans := NewRel(MustSchema("Trans",
+		Attribute{Name: "com", Type: TString},
+		Attribute{Name: "mfg", Type: TString},
+	))
+	trans.Insert("t1", S("Mate X2"), S("Huawei"))
+	trans.Insert("t2", S("Mate X2"), S("Huawei"))
+	t3 := trans.Insert("t3", S("Mate X2"), S("Apple"))
+	db.Add(trans)
+
+	p := NewPipeline(db)
+	p.TrainCorrelationModels()
+	p.MustAddRule("Trans(t) ^ Trans(s) ^ t.com = s.com -> t.mfg = s.mfg")
+	if _, err := p.Clean(); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := trans.Value(t3.TID, "mfg"); v.Str() != "Huawei" {
+		t.Fatalf("clean should repair t3.mfg, got %q", v.Str())
+	}
+	if p.env.ValueOf != nil {
+		t.Fatal("the chase left its ValueOf hook on the pipeline's env")
+	}
+
+	d := p.NewDelta()
+	if !d.Update("Trans", t3.TID, "mfg", S("Apple")) {
+		t.Fatal("update failed")
+	}
+	inc, err := d.DetectIncremental()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := p.Detect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inc) != 1 || len(full) != 1 {
+		t.Fatalf("the re-broken cell must be detected: incremental %d errors, full %d, want 1 and 1", len(inc), len(full))
+	}
+}

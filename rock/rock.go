@@ -205,6 +205,14 @@ func NewPipeline(db *data.Database) *Pipeline {
 
 // NewPipelineWith creates a pipeline with explicit options.
 func NewPipelineWith(db *data.Database, opts Options) *Pipeline {
+	return NewPipelineOver(predicate.NewEnv(db), opts)
+}
+
+// NewPipelineOver creates a pipeline over an already wired evaluation
+// environment and its database — models, ranker, graphs and the temporal
+// orders detection reads — so a caller that has one (a workload dataset's
+// BuildEnv) does not re-register its parts one by one.
+func NewPipelineOver(env *predicate.Env, opts Options) *Pipeline {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
@@ -213,8 +221,8 @@ func NewPipelineWith(db *data.Database, opts Options) *Pipeline {
 	// incremental corrections diff covers master data added mid-stream.
 	gamma.StartTouchTracking()
 	return &Pipeline{
-		db:      db,
-		env:     predicate.NewEnv(db),
+		db:      env.DB,
+		env:     env,
 		gamma:   gamma,
 		opts:    opts,
 		eidRefs: make(map[string]bool),
