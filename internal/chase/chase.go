@@ -365,10 +365,11 @@ type Engine struct {
 	ctx       context.Context
 	cancelled bool
 
-	// mu guards the engine state that deduction may touch from worker
-	// goroutines during a parallel round: the oracle memo and the report's
-	// resolution counters/unresolved list. The fix set u is read-only
-	// during a round and mutated only by the serial merge step.
+	// mu guards the only engine state deduction writes from worker
+	// goroutines: the oracle memo and Report.OracleCalls (the user answers
+	// each question once, whichever unit asks first). Everything else a
+	// unit produces goes into its own UnitOutcome, and the fix set u is
+	// read-only during a round, mutated only by the serial merge step.
 	mu sync.Mutex
 
 	report Report
@@ -797,16 +798,19 @@ func (e *Engine) runSinglePass() (*Report, error) {
 // fixes, and the fixes are then applied in a deterministic merge step
 // (conflict resolution included).
 //
-// With Options.Parallel the units run on a real pool of Options.Workers
-// goroutines (cluster.Drain: affinity queues plus work stealing). Each
-// unit owns a private fix buffer, and the merge reads the buffers back in
-// (rule ID, unit part) generation order — exactly the serial order — so
-// the chase result is bit-identical to serial execution regardless of
-// worker interleaving. Correctness rests on the round invariant: workers
-// only read the fix set (truth.FixSet reads are compression-free), and
-// all fixes apply in the serial merge below. Unit costs are still
-// measured so the report can carry the simulated parallel makespan over
-// cluster sizes beyond this host's core count (see DESIGN.md).
+// A unit returns its outcome (runUnit) and the round keeps one slot per
+// unit, so the execution strategies differ only in who calls runUnit: the
+// serial reference loop (Options.Parallel off), the pool of
+// Options.Workers goroutines (cluster.Drain: affinity queues plus work
+// stealing), or — behind a DistRunner — worker replicas in other
+// processes. The merge folds the slots in unit-index order, which is the
+// serial generation order (rule ID, unit part), so fixes and report state
+// are bit-identical across strategies regardless of worker interleaving.
+// Correctness rests on the round invariant: units only read the fix set
+// (truth.FixSet reads are compression-free), and all fixes apply in the
+// serial merge below. Unit costs are still measured so the report can
+// carry the simulated parallel makespan over cluster sizes beyond this
+// host's core count (see DESIGN.md).
 func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]Fix, error) {
 	roundStart := time.Now()
 	round := int(e.obs.CounterValue("chase.rounds")) // caller already counted this round
@@ -814,164 +818,81 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	roundSpan.SetRound(round)
 	defer roundSpan.End()
 	e.obs.Emit(obs.Event{Kind: "round.start", Round: round, N: int64(len(rules))})
-	// Deterministic rule order for reproducibility; Church-Rosser makes
-	// the final result order-independent anyway.
-	ordered := append([]*ree.Rule(nil), rules...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	work := e.prepareRound(rules, dirty)
 
-	// Batch predication (paper §5.4): score every (model, pair) the
-	// round's blocked ML predicates will consult, in parallel, before the
-	// units fan out — deduction then reads predictions instead of
-	// computing them inside the enumeration loop.
-	if e.pred != nil && e.opts.UseBlocking {
-		e.precomputePredications(ordered, dirty)
+	// A slot is assigned whole, once per completed attempt: a unit that
+	// panics mid-enumeration leaves nothing behind, so its retry cannot
+	// double-report what the failed attempt had already found.
+	slots := make([]unitSlot, len(work))
+	run := func(w unitWork, node string) {
+		out, err := e.runUnit(e.ctx, w, dirty, node, roundSpan)
+		slots[w.index] = unitSlot{out: out, err: err, done: true}
 	}
-
-	if e.blocks == nil {
-		e.blocks = e.partition()
-		// Hand the executor the stable partition slices so its vectorized
-		// paths reuse precomputed ascending TID arrays instead of
-		// re-extracting them per work unit.
-		e.exec.InvalidatePartitions()
-		for _, rel := range e.env.DB.Relations {
-			e.exec.RegisterPartition(rel.Tuples)
-		}
-		for _, bs := range e.blocks {
-			for _, b := range bs {
-				e.exec.RegisterPartition(b)
+	drain := cluster.DrainStats{PerNode: make(map[string]int)}
+	dr, dist := e.cl.(DistRunner)
+	switch {
+	case len(work) == 0:
+		// Nothing to drain — and a coordinator's unit table is reset only
+		// by BeginRound, so draining here would re-run the last round's.
+	case dist || e.opts.Parallel:
+		if dist {
+			// Replicate this round's inputs to the worker processes (truth
+			// journal + last round's accepted fixes + active rule IDs); the
+			// units submitted below are then metadata only — a coordinator
+			// never calls RunOn — and replicas run them by index.
+			ids := make([]string, len(rules))
+			for i, r := range rules {
+				ids[i] = r.ID
+			}
+			sort.Strings(ids)
+			pre := RoundPreamble{
+				Round:    round,
+				RuleIDs:  ids,
+				Journal:  e.u.TakeJournal(),
+				Accepted: e.lastAccepted,
+				UseDirty: dirty != nil,
+				Units:    len(work),
+			}
+			if err := dr.BeginRound(e.ctx, pre); err != nil {
+				return nil, err
 			}
 		}
-	}
-	blocks := e.blocks
-	type unitResult struct {
-		fixes []Fix
-		st    exec.Stats
-		err   error
-		cost  time.Duration
-		done  bool
-	}
-	work := e.buildWork(ordered, blocks)
-	results := make([]unitResult, len(work))
-	runUnit := func(i int, node string) {
-		w := work[i]
-		res := &results[i]
-		// Reset on entry: a unit retried after a mid-run panic must not
-		// append to a half-filled buffer, or the merged fix set would
-		// diverge from a fault-free run.
-		*res = unitResult{}
-		var unitSpan *obs.Span
-		if e.obs.SpansEnabled() {
-			unitSpan = e.obs.StartSpan("unit", roundSpan)
-			unitSpan.SetRule(w.rule.ID)
-			unitSpan.SetNode(node)
-			unitSpan.SetDetail(w.unit.part)
-			defer func() {
-				unitSpan.SetN(int64(res.st.Valuations))
-				unitSpan.End()
-			}()
-		}
-		start := time.Now()
-		opts := exec.Options{Ctx: e.ctx, UseBlocking: e.opts.UseBlocking, Dirty: dirty, RestrictVar: w.unit.restrict, Span: unitSpan}
-		res.st, res.err = e.exec.Run(w.rule, opts, func(h *predicate.Valuation) bool {
-			res.fixes = e.deduceAppend(res.fixes, w.rule, h)
-			return true
-		})
-		res.cost = time.Since(start)
-		res.done = true
-	}
-	var drain cluster.DrainStats
-	if dr, ok := e.cl.(DistRunner); ok && len(work) > 0 {
-		// Distributed round: replicate this round's inputs to the worker
-		// processes (truth journal + last round's accepted fixes + active
-		// rule IDs), submit metadata-only units, and read the deduced fix
-		// buffers back by unit index. The merge below then proceeds exactly
-		// as in-process — fixes are tagged with their generation order (the
-		// unit index), so the result is bit-identical to serial.
-		ids := make([]string, len(ordered))
-		for i, r := range ordered {
-			ids[i] = r.ID
-		}
-		pre := RoundPreamble{
-			Round:    round,
-			RuleIDs:  ids,
-			Journal:  e.u.TakeJournal(),
-			Accepted: e.lastAccepted,
-			UseDirty: dirty != nil,
-			Units:    len(work),
-		}
-		if err := dr.BeginRound(e.ctx, pre); err != nil {
-			return nil, err
-		}
-		for i := range work {
-			w := work[i]
-			est := 1.0
-			for _, blk := range w.unit.restrict {
-				est *= float64(len(blk))
-			}
-			dr.Submit(&crystal.WorkUnit{ID: i, RuleID: w.rule.ID, Part: w.unit.part, EstCost: est})
-		}
-		drain = dr.DrainWithStats(e.ctx, cluster.Options{
-			Steal:        e.opts.Steal,
-			MaxRetries:   e.opts.MaxRetries,
-			RetryBackoff: e.opts.RetryBackoff,
-			Faults:       e.opts.Faults,
-		})
-		for _, out := range dr.TakeResults() {
-			if out.Unit < 0 || out.Unit >= len(results) {
-				continue
-			}
-			results[out.Unit] = unitResult{
-				fixes: out.Fixes,
-				st:    exec.Stats{Valuations: out.Valuations, MLCalls: out.MLCalls},
-				cost:  time.Duration(out.CostNs),
-				done:  true,
-			}
-			// Deduction-side report state travels with the outcome (it was
-			// recorded on the worker replica's report, not ours). TakeResults
-			// is sorted by unit index, so the appends reproduce the serial
-			// recording order.
-			e.report.Unresolved = append(e.report.Unresolved, out.Unresolved...)
-			e.report.ResolvedMI += out.ResolvedMI
-		}
-	} else if e.opts.Parallel && e.opts.Workers > 1 && len(work) > 1 {
-		cl := e.cl
-		for i := range work {
-			i := i
-			w := work[i]
-			est := 1.0
-			for _, blk := range w.unit.restrict {
-				est *= float64(len(blk))
-			}
-			cl.Submit(&crystal.WorkUnit{
-				ID:      i,
+		for _, w := range work {
+			e.cl.Submit(&crystal.WorkUnit{
+				ID:      w.index,
 				RuleID:  w.rule.ID,
-				Part:    w.unit.part,
-				EstCost: est,
-				RunOn:   func(node string) { runUnit(i, node) },
+				Part:    w.Part,
+				EstCost: w.EstCost,
+				RunOn:   func(node string) { run(w, node) },
 			})
 		}
-		drain = cl.DrainWithStats(e.ctx, cluster.Options{
+		drain = e.cl.DrainWithStats(e.ctx, cluster.Options{
 			Steal:        e.opts.Steal,
 			MaxRetries:   e.opts.MaxRetries,
 			RetryBackoff: e.opts.RetryBackoff,
 			Faults:       e.opts.Faults,
 		})
-	} else {
-		// Serial path: attribute units to their affinity owner so the
-		// per-node counters mean the same thing in both modes, with the
+		if dist {
+			for _, out := range dr.TakeResults() {
+				if out.Unit >= 0 && out.Unit < len(slots) {
+					slots[out.Unit] = unitSlot{out: out, done: true}
+				}
+			}
+		}
+	default:
+		// Serial reference: attribute units to their affinity owner so the
+		// per-node counters mean the same thing in every mode, with the
 		// same fault envelope as the drain — ctx checked between units,
 		// panics isolated and retried in place.
-		drain.PerNode = make(map[string]int)
-		for i := range work {
+		for i, w := range work {
 			if e.ctx.Err() != nil {
 				drain.Cancelled = true
 				drain.Skipped = len(work) - i
 				e.obs.Inc("chase.cancelled")
 				break
 			}
-			node := e.cl.Owner(work[i].unit.part)
-			if ue := e.runUnitShielded(i, node, work[i].rule.ID, work[i].unit.part,
-				func(j int) { runUnit(j, node) }); ue != nil {
+			node := e.cl.Owner(w.Part)
+			if ue := e.runUnitShielded(w, node, run); ue != nil {
 				drain.Panics += ue.Attempts
 				drain.Retries += ue.Attempts - 1
 				drain.Failed = append(drain.Failed, *ue)
@@ -990,42 +911,44 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	}
 	e.obs.Add("chase.units", uint64(len(work)))
 
-	// Merge the per-unit buffers back in generation order. Units a
-	// cancelled drain never ran (or that failed permanently) are skipped:
-	// the fixes of completed units are still certain and still apply.
+	// Merge the slots back in generation order. Units a cancelled drain
+	// never ran (or that failed permanently) are skipped: the fixes of
+	// completed units are still certain and still apply.
 	var candidates []Fix
 	var sims []cluster.SimUnit
 	var roundVal, roundML int
 	unitHist := e.obs.Histogram("chase.unit")
-	for i := range work {
-		res := &results[i]
-		if !res.done {
+	for i, w := range work {
+		if !slots[i].done {
 			continue
 		}
-		roundVal += res.st.Valuations
-		roundML += res.st.MLCalls
-		rc := e.ruleCost(work[i].rule.ID)
+		out, cost := &slots[i].out, time.Duration(slots[i].out.CostNs)
+		roundVal += out.Valuations
+		roundML += out.MLCalls
+		rc := e.ruleCost(w.rule.ID)
 		rc.Units++
-		rc.Wall += res.cost
-		rc.Valuations += res.st.Valuations
-		rc.MLCalls += res.st.MLCalls
-		pref := "chase.rule." + work[i].rule.ID
+		rc.Wall += cost
+		rc.Valuations += out.Valuations
+		rc.MLCalls += out.MLCalls
+		pref := "chase.rule." + w.rule.ID
 		e.obs.Inc(pref + ".units")
-		e.obs.Add(pref+".wall_ns", uint64(res.cost))
-		e.obs.Add(pref+".valuations", uint64(res.st.Valuations))
-		e.obs.Add(pref+".ml_calls", uint64(res.st.MLCalls))
-		if res.err != nil {
+		e.obs.Add(pref+".wall_ns", uint64(cost))
+		e.obs.Add(pref+".valuations", uint64(out.Valuations))
+		e.obs.Add(pref+".ml_calls", uint64(out.MLCalls))
+		if err := slots[i].err; err != nil {
 			// A context error means the unit was cut short mid-enumeration:
-			// its fixes so far are sound, keep them and latch cancellation.
-			if errors.Is(res.err, context.Canceled) || errors.Is(res.err, context.DeadlineExceeded) {
+			// what it found so far is sound, keep it and latch cancellation.
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				e.cancelled = true
 			} else {
-				return nil, res.err
+				return nil, err
 			}
 		}
-		candidates = append(candidates, res.fixes...)
-		sims = append(sims, cluster.SimUnit{Node: e.cl.Owner(work[i].unit.part), Cost: res.cost})
-		unitHist.Observe(res.cost)
+		candidates = append(candidates, out.Fixes...)
+		e.report.Unresolved = append(e.report.Unresolved, out.Unresolved...)
+		e.report.ResolvedMI += out.ResolvedMI
+		sims = append(sims, cluster.SimUnit{Node: e.cl.Owner(w.Part), Cost: cost})
+		unitHist.Observe(cost)
 	}
 	e.obs.Add("chase.valuations", uint64(roundVal))
 	e.obs.Add("chase.ml_calls", uint64(roundML))
@@ -1061,18 +984,7 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	e.obs.Add("chase.fixes.applied", uint64(len(accepted)))
 	e.obs.Add("chase.fixes.rejected", uint64(rejected))
 	e.obs.Add("chase.sim_makespan_ns", uint64(time.Since(applyStart)))
-	if len(accepted) > 0 {
-		// Accepted fixes change the values units read through env.ValueOf,
-		// so any blocker index built over them is stale — and so are the
-		// cached embeddings of exactly the touched tuples (same
-		// granularity that re-activates rules). The same tuple set is no
-		// longer safe for interned raw-id comparisons: shadow it so the
-		// executor reads those tuples through the fix set.
-		ds := e.dirtySet(accepted)
-		e.exec.InvalidateBlockers()
-		e.exec.InvalidateTuples(ds)
-		e.exec.MarkShadowed(ds)
-	}
+	e.absorb(accepted)
 	e.lastAccepted = accepted
 	if e.pred != nil {
 		e.report.Predication = e.pred.Stats()
@@ -1082,7 +994,7 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	e.obs.Add("chase.wall_ns", uint64(time.Since(roundStart)))
 	e.report.Trace = append(e.report.Trace, RoundTrace{
 		Round:      round,
-		Rules:      len(ordered),
+		Rules:      len(rules),
 		Units:      len(work),
 		Valuations: roundVal,
 		MLCalls:    roundML,
@@ -1098,18 +1010,122 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	return accepted, nil
 }
 
+// unitWork is one work unit T = (φ, D_T) of a round: a rule paired with a
+// block combination from the shared planner.
+type unitWork struct {
+	index int // position in the round's work list: the generation order
+	rule  *ree.Rule
+	crystal.BlockUnit
+}
+
+// unitSlot is where a round keeps unit i's outcome, whoever ran it. err is
+// the enumeration error of a locally run unit; a context error leaves the
+// outcome's partial content valid.
+type unitSlot struct {
+	out  UnitOutcome
+	err  error
+	done bool
+}
+
+// prepareRound readies the engine — coordinator, in-process or replica
+// alike — for a round over the given active rules and returns the round's
+// work list: rules in ID order, each rule's block combinations in index
+// order. The list is a deterministic function of (rules, data, Workers),
+// so replicas derive the identical one and unit index i names the same
+// work on every process.
+func (e *Engine) prepareRound(rules []*ree.Rule, dirty map[string]map[int]bool) []unitWork {
+	// Deterministic rule order for reproducibility; Church-Rosser makes
+	// the final result order-independent anyway.
+	ordered := append([]*ree.Rule(nil), rules...)
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+
+	// Batch predication (paper §5.4): score every (model, pair) the
+	// round's blocked ML predicates will consult, in parallel, before the
+	// units fan out — deduction then reads predictions instead of
+	// computing them inside the enumeration loop.
+	if e.pred != nil && e.opts.UseBlocking {
+		e.precomputePredications(ordered, dirty)
+	}
+	if e.blocks == nil {
+		e.blocks = crystal.Partition(e.env.DB, e.opts.Workers)
+		// Hand the executor the stable partition slices so its vectorized
+		// paths reuse precomputed ascending TID arrays instead of
+		// re-extracting them per work unit.
+		e.exec.InvalidatePartitions()
+		for _, rel := range e.env.DB.Relations {
+			e.exec.RegisterPartition(rel.Tuples)
+		}
+		for _, bs := range e.blocks {
+			for _, b := range bs {
+				e.exec.RegisterPartition(b)
+			}
+		}
+	}
+	var work []unitWork
+	for _, r := range ordered {
+		for _, u := range crystal.UnitsFor(r, e.blocks) {
+			work = append(work, unitWork{index: len(work), rule: r, BlockUnit: u})
+		}
+	}
+	return work
+}
+
+// runUnit is the one body of a work unit: enumerate the rule's valuations
+// over the unit's blocks against the start-of-round fix set and deduce
+// candidate fixes — with the report state deduction produces — into an
+// outcome of the unit's own. node is the worker actually running it
+// (a stolen unit reports the thief). On an enumeration error the outcome
+// holds what was deduced before it.
+func (e *Engine) runUnit(ctx context.Context, w unitWork, dirty map[string]map[int]bool, node string, parent *obs.Span) (out UnitOutcome, err error) {
+	out.Unit, out.Node = w.index, node
+	span := e.obs.StartSpan("unit", parent)
+	span.SetRule(w.rule.ID)
+	span.SetNode(node)
+	span.SetDetail(w.Part)
+	defer func() {
+		span.SetN(int64(out.Valuations))
+		span.End()
+	}()
+	start := time.Now()
+	opts := exec.Options{Ctx: ctx, UseBlocking: e.opts.UseBlocking, Dirty: dirty, RestrictVar: w.Restrict, Span: span}
+	st, err := e.exec.Run(w.rule, opts, func(h *predicate.Valuation) bool {
+		e.deduce(&out, w.rule, h)
+		return true
+	})
+	out.Valuations, out.MLCalls = st.Valuations, st.MLCalls
+	out.CostNs = int64(time.Since(start))
+	return out, err
+}
+
+// absorb is the bookkeeping that follows a merge, on the engine that
+// merged and on every replica following it: accepted fixes change the
+// values units read through env.ValueOf, so any blocker index built over
+// them is stale — and so are the cached embeddings of exactly the touched
+// tuples (same granularity that re-activates rules). The same tuple set
+// is no longer safe for interned raw-id comparisons: shadow it so the
+// executor reads those tuples through the fix set.
+func (e *Engine) absorb(accepted []Fix) {
+	if len(accepted) == 0 {
+		return
+	}
+	ds := e.dirtySet(accepted)
+	e.exec.InvalidateBlockers()
+	e.exec.InvalidateTuples(ds)
+	e.exec.MarkShadowed(ds)
+}
+
 // runUnitShielded runs one serial-path unit under recover(), retrying in
 // place up to Options.MaxRetries times — the single-node counterpart of
 // the drain's panic isolation. Returns a UnitError when every attempt
 // panicked, nil on success.
-func (e *Engine) runUnitShielded(i int, node, ruleID, part string, runUnit func(int)) *cluster.UnitError {
+func (e *Engine) runUnitShielded(w unitWork, node string, run func(w unitWork, node string)) *cluster.UnitError {
 	attempt := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("unit panic: %v", r)
 			}
 		}()
-		runUnit(i)
+		run(w, node)
 		return nil
 	}
 	var err error
@@ -1124,9 +1140,9 @@ func (e *Engine) runUnitShielded(i int, node, ruleID, part string, runUnit func(
 			return nil
 		}
 		e.obs.Inc("chase.unit_panics")
-		e.obs.Emit(obs.Event{Kind: "unit.panic", Node: node, Rule: ruleID, Detail: err.Error()})
+		e.obs.Emit(obs.Event{Kind: "unit.panic", Node: node, Rule: w.rule.ID, Detail: err.Error()})
 	}
-	return &cluster.UnitError{UnitID: i, RuleID: ruleID, Part: part, Node: node,
+	return &cluster.UnitError{UnitID: w.index, RuleID: w.rule.ID, Part: w.Part, Node: node,
 		Attempts: e.opts.MaxRetries + 1, Err: err}
 }
 
@@ -1176,107 +1192,38 @@ func keyOfFix(fx Fix) fixKey {
 	return fixKey{fx.Kind, fx.Rel, fx.Attr, fx.EID1, fx.EID2, fx.TID, fx.TID1, fx.TID2, fx.Value.Key(), fx.Strict}
 }
 
-// chaseUnit is one (rule, block-combination) work unit.
-type chaseUnit struct {
-	part     string
-	restrict map[string][]*data.Tuple
-}
-
-// partition splits each relation into Workers virtual blocks by TID.
-func (e *Engine) partition() map[string][][]*data.Tuple {
-	b := e.opts.Workers
-	if b < 1 {
-		b = 1
-	}
-	out := make(map[string][][]*data.Tuple)
-	for name, rel := range e.env.DB.Relations {
-		bs := make([][]*data.Tuple, b)
-		for _, t := range rel.Tuples {
-			i := t.TID % b
-			bs[i] = append(bs[i], t)
-		}
-		out[name] = bs
-	}
-	return out
-}
-
-// unitsFor builds the block-combination units of a rule (mirrors
-// detect.unitsFor).
-func (e *Engine) unitsFor(r *ree.Rule, blocks map[string][][]*data.Tuple) []chaseUnit {
-	switch len(r.Atoms) {
-	case 0:
-		return nil
-	case 1:
-		a := r.Atoms[0]
-		var units []chaseUnit
-		for i, blk := range blocks[a.Rel] {
-			if len(blk) == 0 {
-				continue
-			}
-			units = append(units, chaseUnit{
-				part:     fmt.Sprintf("%s/b%d", a.Rel, i),
-				restrict: map[string][]*data.Tuple{a.Var: blk},
-			})
-		}
-		return units
-	default:
-		a1, a2 := r.Atoms[0], r.Atoms[1]
-		var units []chaseUnit
-		for i, b1 := range blocks[a1.Rel] {
-			if len(b1) == 0 {
-				continue
-			}
-			for j, b2 := range blocks[a2.Rel] {
-				if len(b2) == 0 {
-					continue
-				}
-				units = append(units, chaseUnit{
-					part:     fmt.Sprintf("%s-%s/b%d-%d", a1.Rel, a2.Rel, i, j),
-					restrict: map[string][]*data.Tuple{a1.Var: b1, a2.Var: b2},
-				})
-			}
-		}
-		return units
-	}
-}
-
 // deduce turns the consequence p0 under valuation h into zero or more
-// concrete fixes (paper §4.1, chase-step condition (2)).
-func (e *Engine) deduce(r *ree.Rule, h *predicate.Valuation) []Fix {
-	return e.deduceAppend(nil, r, h)
-}
-
-// deduceAppend is deduce writing into a caller-owned buffer: the per-unit
-// enumeration loop appends every valuation's fixes to one growing slice
-// instead of allocating a fresh one- or two-element slice per valuation.
-func (e *Engine) deduceAppend(dst []Fix, r *ree.Rule, h *predicate.Valuation) []Fix {
+// concrete fixes (paper §4.1, chase-step condition (2)), appended to the
+// unit's outcome together with whatever report state the deduction
+// produced — a unit writes nothing but its own outcome.
+func (e *Engine) deduce(out *UnitOutcome, r *ree.Rule, h *predicate.Valuation) {
 	p := r.P0
 	switch p.Kind {
 	case predicate.KEID:
 		bt, bs := h.Tuples[p.T], h.Tuples[p.S]
 		if bt.Tuple == nil || bs.Tuple == nil {
-			return dst
+			return
 		}
 		kind := FixMerge
 		if p.Op == predicate.Neq {
 			kind = FixSeparate
 		}
-		return append(dst, Fix{Kind: kind, EID1: bt.Tuple.EID, EID2: bs.Tuple.EID, RuleID: r.ID})
+		out.Fixes = append(out.Fixes, Fix{Kind: kind, EID1: bt.Tuple.EID, EID2: bs.Tuple.EID, RuleID: r.ID})
 
 	case predicate.KConst:
 		bt := h.Tuples[p.T]
 		if bt.Tuple == nil || p.Op != predicate.Eq {
-			return dst
+			return
 		}
-		return append(dst, Fix{Kind: FixCell, Rel: bt.Rel, Attr: p.A, EID1: bt.Tuple.EID, TID: bt.Tuple.TID, Value: p.C, RuleID: r.ID})
+		out.Fixes = append(out.Fixes, Fix{Kind: FixCell, Rel: bt.Rel, Attr: p.A, EID1: bt.Tuple.EID, TID: bt.Tuple.TID, Value: p.C, RuleID: r.ID})
 
 	case predicate.KAttr:
 		if p.Op != predicate.Eq {
-			return dst
+			return
 		}
 		bt, bs := h.Tuples[p.T], h.Tuples[p.S]
 		if bt.Tuple == nil || bs.Tuple == nil {
-			return dst
+			return
 		}
 		vt, okT := e.env.ValueOf(bt.Rel, bt.Tuple, p.A)
 		vs, okS := e.env.ValueOf(bs.Rel, bs.Tuple, p.B)
@@ -1286,22 +1233,23 @@ func (e *Engine) deduceAppend(dst []Fix, r *ree.Rule, h *predicate.Valuation) []
 		// entities (ϕ1: same discount code → same buyer pid).
 		if e.opts.EIDRefs[bt.Rel+"."+p.A] && e.opts.EIDRefs[bs.Rel+"."+p.B] {
 			if nullT || nullS || vt.Equal(vs) {
-				return dst
+				return
 			}
-			return append(dst, Fix{Kind: FixMerge, EID1: vt.String(), EID2: vs.String(), RuleID: r.ID})
+			out.Fixes = append(out.Fixes, Fix{Kind: FixMerge, EID1: vt.String(), EID2: vs.String(), RuleID: r.ID})
+			return
 		}
 		mk := func(b predicate.Binding, attr string, v data.Value) Fix {
 			return Fix{Kind: FixCell, Rel: b.Rel, Attr: attr, EID1: b.Tuple.EID, TID: b.Tuple.TID, Value: v, RuleID: r.ID}
 		}
 		switch {
 		case nullT && nullS:
-			return dst
+			return
 		case nullT:
-			return append(dst, mk(bt, p.A, vs))
+			out.Fixes = append(out.Fixes, mk(bt, p.A, vs))
 		case nullS:
-			return append(dst, mk(bs, p.B, vt))
+			out.Fixes = append(out.Fixes, mk(bs, p.B, vt))
 		case vt.Equal(vs):
-			return dst
+			return
 		default:
 			// Both sides carry distinct values: the rule asserts they must
 			// be equal, but the data cannot certify which one is correct.
@@ -1309,70 +1257,68 @@ func (e *Engine) deduceAppend(dst []Fix, r *ree.Rule, h *predicate.Valuation) []
 			// value rarity → user), then assert the winner on both sides —
 			// never contaminate the clean side with an arbitrary choice
 			// (paper §4.1: fixes must be justified, not guessed).
-			winner, ok := e.resolveValuePair(bt, p.A, vt, bs, p.B, vs)
+			winner, ok := e.resolveValuePair(out, bt, p.A, vt, bs, p.B, vs)
 			if !ok {
-				return dst
+				return
 			}
 			if !vt.Equal(winner) {
-				dst = append(dst, mk(bt, p.A, winner))
+				out.Fixes = append(out.Fixes, mk(bt, p.A, winner))
 			}
 			if !vs.Equal(winner) {
-				dst = append(dst, mk(bs, p.B, winner))
+				out.Fixes = append(out.Fixes, mk(bs, p.B, winner))
 			}
-			return dst
 		}
 
 	case predicate.KTemporal:
 		bt, bs := h.Tuples[p.T], h.Tuples[p.S]
 		if bt.Tuple == nil || bs.Tuple == nil {
-			return dst
+			return
 		}
-		return append(dst, Fix{Kind: FixOrder, Rel: bt.Rel, Attr: p.A, TID1: bt.Tuple.TID, TID2: bs.Tuple.TID, Strict: p.Strict,
+		out.Fixes = append(out.Fixes, Fix{Kind: FixOrder, Rel: bt.Rel, Attr: p.A, TID1: bt.Tuple.TID, TID2: bs.Tuple.TID, Strict: p.Strict,
 			EID1: bt.Tuple.EID, EID2: bs.Tuple.EID, RuleID: r.ID})
 
 	case predicate.KVal:
 		bt := h.Tuples[p.T]
 		bx, okx := h.Vertices[p.X]
 		if bt.Tuple == nil || !okx {
-			return dst
+			return
 		}
 		g := e.env.Graphs[bx.Graph]
 		if g == nil {
-			return dst
+			return
 		}
 		val, ok := g.Val(bx.ID, p.Path)
 		if !ok {
-			return dst
+			return
 		}
 		v := coerce(e.env.DB, bt.Rel, p.A, val)
-		return append(dst, Fix{Kind: FixCell, Rel: bt.Rel, Attr: p.A, EID1: bt.Tuple.EID, TID: bt.Tuple.TID, Value: v, RuleID: r.ID})
+		out.Fixes = append(out.Fixes, Fix{Kind: FixCell, Rel: bt.Rel, Attr: p.A, EID1: bt.Tuple.EID, TID: bt.Tuple.TID, Value: v, RuleID: r.ID})
 
 	case predicate.KPredict:
 		bt := h.Tuples[p.T]
 		if bt.Tuple == nil {
-			return dst
+			return
 		}
 		md := e.env.Pred[p.Model]
 		if md == nil {
-			return dst
+			return
 		}
 		rel := e.env.DB.Rel(bt.Rel)
 		if rel == nil {
-			return dst
+			return
 		}
 		bIdx := rel.Schema.Index(p.B)
 		if bIdx < 0 {
-			return dst
+			return
 		}
 		// Suggest over the tuple as seen through validated values.
 		seen := e.viewTuple(bt.Rel, bt.Tuple)
 		v, _, ok := md.Suggest(seen, bIdx)
 		if !ok {
-			return dst
+			return
 		}
-		return append(dst, Fix{Kind: FixCell, Rel: bt.Rel, Attr: p.B, EID1: bt.Tuple.EID, TID: bt.Tuple.TID, Value: v, RuleID: r.ID})
+		out.Fixes = append(out.Fixes, Fix{Kind: FixCell, Rel: bt.Rel, Attr: p.B, EID1: bt.Tuple.EID, TID: bt.Tuple.TID, Value: v, RuleID: r.ID})
 	}
-	return dst
 }
 
 // viewTuple materialises the tuple as seen through validated cells.
@@ -1648,7 +1594,10 @@ func (e *Engine) askOracle(rel, eid, attr string, candidates []data.Value) (data
 //     the error (typos and corrupted numbers are near-unique);
 //  4. the user oracle (paper §4.2 case (1));
 //  5. otherwise the pair stays unresolved and is reported.
-func (e *Engine) resolveValuePair(bt predicate.Binding, attrT string, vt data.Value,
+//
+// It runs during deduction, possibly on many workers at once, so what it
+// has to report (steps 2 and 5) goes into the calling unit's outcome.
+func (e *Engine) resolveValuePair(out *UnitOutcome, bt predicate.Binding, attrT string, vt data.Value,
 	bs predicate.Binding, attrS string, vs data.Value) (data.Value, bool) {
 
 	_, validT := e.u.Cell(bt.Rel, bt.Tuple.EID, attrT)
@@ -1688,15 +1637,11 @@ func (e *Engine) resolveValuePair(bt predicate.Binding, attrT string, vt data.Va
 	// (certain-fix discipline, paper §4.1).
 	const margin = 0.25
 	if st-ss > margin {
-		e.mu.Lock()
-		e.report.ResolvedMI++
-		e.mu.Unlock()
+		out.ResolvedMI++
 		return vt, true
 	}
 	if ss-st > margin {
-		e.mu.Lock()
-		e.report.ResolvedMI++
-		e.mu.Unlock()
+		out.ResolvedMI++
 		return vs, true
 	}
 
@@ -1706,11 +1651,9 @@ func (e *Engine) resolveValuePair(bt predicate.Binding, attrT string, vt data.Va
 	if answer, ok := e.askOracle(bs.Rel, bs.Tuple.EID, attrS, []data.Value{vt, vs}); ok {
 		return answer, true
 	}
-	e.mu.Lock()
-	e.report.Unresolved = append(e.report.Unresolved, UnresolvedConflict{
+	out.Unresolved = append(out.Unresolved, UnresolvedConflict{
 		Conflict: &truth.Conflict{Kind: truth.ValueConflict, Rel: bt.Rel, Attr: attrT, EID: bt.Tuple.EID, Old: vt, New: vs},
 	})
-	e.mu.Unlock()
 	return data.Value{}, false
 }
 

@@ -3,13 +3,8 @@ package chase
 import (
 	"context"
 	"fmt"
-	"sort"
-	"time"
 
 	"github.com/rockclean/rock/internal/cluster"
-	"github.com/rockclean/rock/internal/data"
-	"github.com/rockclean/rock/internal/exec"
-	"github.com/rockclean/rock/internal/predicate"
 	"github.com/rockclean/rock/internal/ree"
 	"github.com/rockclean/rock/internal/truth"
 )
@@ -53,13 +48,13 @@ type RoundPreamble struct {
 	Units int
 }
 
-// UnitOutcome is one executed unit's deduction buffer plus its stats,
-// shipped back tagged with the unit index (the generation order).
-// Unresolved and ResolvedMI are report state produced during deduction
-// (resolveValuePair escalations and M_c-decided imputation conflicts)
-// — they live on the worker's engine report and would be lost without
-// shipping them; the coordinator folds them back in unit order so the
-// distributed report matches the serial one.
+// UnitOutcome is everything one executed work unit produces, tagged with
+// the unit index (the generation order): its deduction buffer, its stats,
+// and the report state deduction produced (resolveValuePair escalations
+// and M_c-decided imputation conflicts). Units write nowhere else, so an
+// outcome means the same whether a local goroutine returned it or a
+// replica shipped it back, and the round's merge folds outcomes in unit
+// order — which makes every strategy's report match the serial one.
 type UnitOutcome struct {
 	Unit       int
 	Fixes      []Fix
@@ -74,7 +69,8 @@ type UnitOutcome struct {
 // DistRunner is the cluster surface of a distributed round: the plain
 // Runner drain/submit contract plus the round barrier (BeginRound) and
 // result collection (TakeResults). internal/cluster/remote.Coordinator
-// implements it; the engine type-switches on it in runRound.
+// implements it; runRound asserts it to decide whether a round needs the
+// preamble broadcast before its drain and the result pick-up after.
 type DistRunner interface {
 	cluster.Runner
 	// BeginRound ships the preamble to every live worker and waits for
@@ -83,27 +79,6 @@ type DistRunner interface {
 	// TakeResults returns the outcomes received during the last drain and
 	// resets the collection buffer.
 	TakeResults() []UnitOutcome
-}
-
-// unitWork is one (rule, block-combination) work unit of a round.
-type unitWork struct {
-	rule *ree.Rule
-	unit chaseUnit
-}
-
-// buildWork expands the ordered active rules into the round's work-unit
-// list. Deterministic: rule order is the caller's (sorted by ID), and
-// unitsFor enumerates block combinations in index order — so replicas
-// derive the identical list and unit index i means the same work on
-// every process.
-func (e *Engine) buildWork(ordered []*ree.Rule, blocks map[string][][]*data.Tuple) []unitWork {
-	var work []unitWork
-	for _, r := range ordered {
-		for _, u := range e.unitsFor(r, blocks) {
-			work = append(work, unitWork{rule: r, unit: u})
-		}
-	}
-	return work
 }
 
 // FollowRound prepares a worker replica for one distributed round: it
@@ -117,12 +92,7 @@ func (e *Engine) FollowRound(pre RoundPreamble) (int, error) {
 	if err := e.u.Replay(pre.Journal); err != nil {
 		return 0, err
 	}
-	if len(pre.Accepted) > 0 {
-		ds := e.dirtySet(pre.Accepted)
-		e.exec.InvalidateBlockers()
-		e.exec.InvalidateTuples(ds)
-		e.exec.MarkShadowed(ds)
-	}
+	e.absorb(pre.Accepted)
 	var dirty map[string]map[int]bool
 	if pre.UseDirty {
 		dirty = e.dirtySet(pre.Accepted)
@@ -131,31 +101,15 @@ func (e *Engine) FollowRound(pre RoundPreamble) (int, error) {
 	for _, r := range e.rules {
 		byID[r.ID] = r
 	}
-	ordered := make([]*ree.Rule, 0, len(pre.RuleIDs))
+	active := make([]*ree.Rule, 0, len(pre.RuleIDs))
 	for _, id := range pre.RuleIDs {
 		r := byID[id]
 		if r == nil {
 			return 0, fmt.Errorf("chase follow: unknown rule %q (replica rule set diverged)", id)
 		}
-		ordered = append(ordered, r)
+		active = append(active, r)
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-	if e.pred != nil && e.opts.UseBlocking {
-		e.precomputePredications(ordered, dirty)
-	}
-	if e.blocks == nil {
-		e.blocks = e.partition()
-		e.exec.InvalidatePartitions()
-		for _, rel := range e.env.DB.Relations {
-			e.exec.RegisterPartition(rel.Tuples)
-		}
-		for _, bs := range e.blocks {
-			for _, b := range bs {
-				e.exec.RegisterPartition(b)
-			}
-		}
-	}
-	e.followWork = e.buildWork(ordered, e.blocks)
+	e.followWork = e.prepareRound(active, dirty)
 	e.followDirty = dirty
 	if pre.Units != len(e.followWork) {
 		return len(e.followWork), fmt.Errorf("chase follow: derived %d units, coordinator has %d (replica diverged)",
@@ -174,32 +128,9 @@ func (e *Engine) RunFollowUnit(ctx context.Context, i int, node string) (UnitOut
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	w := e.followWork[i]
-	start := time.Now()
-	e.mu.Lock()
-	preUnresolved := len(e.report.Unresolved)
-	preResolvedMI := e.report.ResolvedMI
-	e.mu.Unlock()
-	var fixes []Fix
-	opts := exec.Options{Ctx: ctx, UseBlocking: e.opts.UseBlocking, Dirty: e.followDirty, RestrictVar: w.unit.restrict}
-	st, err := e.exec.Run(w.rule, opts, func(h *predicate.Valuation) bool {
-		fixes = e.deduceAppend(fixes, w.rule, h)
-		return true
-	})
+	out, err := e.runUnit(ctx, e.followWork[i], e.followDirty, node, nil)
 	if err != nil {
 		return UnitOutcome{}, err
 	}
-	out := UnitOutcome{
-		Unit:       i,
-		Fixes:      fixes,
-		Valuations: st.Valuations,
-		MLCalls:    st.MLCalls,
-		CostNs:     int64(time.Since(start)),
-		Node:       node,
-	}
-	e.mu.Lock()
-	out.Unresolved = append([]UnresolvedConflict(nil), e.report.Unresolved[preUnresolved:]...)
-	out.ResolvedMI = e.report.ResolvedMI - preResolvedMI
-	e.mu.Unlock()
 	return out, nil
 }

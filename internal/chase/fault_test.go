@@ -12,6 +12,7 @@ import (
 	"github.com/rockclean/rock/internal/baselines"
 	"github.com/rockclean/rock/internal/chase"
 	"github.com/rockclean/rock/internal/cluster"
+	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/obs"
 	"github.com/rockclean/rock/internal/workload"
 )
@@ -138,7 +139,10 @@ func TestDeadlineCancelParallelIsPartialNotError(t *testing.T) {
 // TestFaultyChaseMatchesCleanChase is the in-tree counterpart of the
 // rockbench faults experiment: with unit panics injected on first attempt
 // and a node killed mid-drain, bounded retry plus reassignment must land
-// on the exact fix set of a fault-free run.
+// on the exact fix set of a fault-free run. The second half panics from
+// inside a unit instead (an oracle that fails once, mid-enumeration, after
+// the unit has already escalated conflicts): the retried unit must not
+// report twice what its failed attempt had found, serial or parallel.
 func TestFaultyChaseMatchesCleanChase(t *testing.T) {
 	clean := logisticsBench(4)
 	cleanEng := chase.New(clean.Env, clean.Rules, clean.DS.Gamma, faultOpts(clean, 4, true))
@@ -186,5 +190,50 @@ func TestFaultyChaseMatchesCleanChase(t *testing.T) {
 	}
 	if reg.CounterValue("chase.node_killed") != 1 {
 		t.Fatalf("expected exactly one node kill, got %d", reg.CounterValue("chase.node_killed"))
+	}
+
+	bank := baselines.NewBench(workload.Bank(workload.Config{N: 300, Seed: 7}), 8)
+	for _, parallel := range []bool{false, true} {
+		run := func(panicAt int64) (string, *chase.Report, *obs.Registry) {
+			var calls atomic.Int64
+			reg := obs.New()
+			opts := faultOpts(bank, 8, parallel)
+			opts.Obs = reg
+			// Declines every question, so each one is escalated again by
+			// every unit that meets it; fails exactly once.
+			opts.Oracle = func(string, string, string, []data.Value) (data.Value, bool) {
+				if calls.Add(1) == panicAt {
+					panic("oracle unavailable")
+				}
+				return data.Value{}, false
+			}
+			eng := chase.New(bank.Env, bank.Rules, bank.DS.Gamma, opts)
+			rep, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng.Truth().Snapshot(), rep, reg
+		}
+		wantSnap, want, _ := run(0)
+		if len(want.Unresolved) == 0 {
+			t.Fatalf("parallel=%t: nothing escalated — the test proved nothing", parallel)
+		}
+		// Several failure points: whether the unit asking the n-th question
+		// has escalated anything yet depends on n (and, in parallel, on the
+		// interleaving); serially the 120th and 200th have.
+		for _, panicAt := range []int64{40, 120, 200} {
+			gotSnap, got, reg := run(panicAt)
+			if reg.CounterValue("chase.unit_panics") != 1 || got.Partial {
+				t.Fatalf("parallel=%t panicAt=%d: want one recovered unit panic, got %d (partial=%t)",
+					parallel, panicAt, reg.CounterValue("chase.unit_panics"), got.Partial)
+			}
+			if len(got.Unresolved) != len(want.Unresolved) || got.ResolvedMI != want.ResolvedMI {
+				t.Errorf("parallel=%t panicAt=%d: retried unit reported twice: %d unresolved / %d resolved by M_c, fault-free %d / %d",
+					parallel, panicAt, len(got.Unresolved), got.ResolvedMI, len(want.Unresolved), want.ResolvedMI)
+			}
+			if gotSnap != wantSnap {
+				t.Errorf("parallel=%t panicAt=%d: truth diverged from the fault-free run", parallel, panicAt)
+			}
+		}
 	}
 }

@@ -106,9 +106,6 @@ func (c *Cluster) Owner(part string) string { return c.Ring.Owner(part) }
 // Submit assigns a work unit by partition affinity.
 func (c *Cluster) Submit(u *crystal.WorkUnit) { c.Sched.Assign(c.Ring, u) }
 
-// SubmitBalanced assigns a work unit to the least-loaded worker.
-func (c *Cluster) SubmitBalanced(u *crystal.WorkUnit) { c.Sched.AssignBalanced(u) }
-
 // Options tunes a drain run.
 type Options struct {
 	// Steal enables work stealing (on by default in Rock; the ablation

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,37 +153,6 @@ func TestDrainWithStats(t *testing.T) {
 	st2 := c2.DrainWithStats(context.Background(), Options{Steal: false})
 	if st2.Steals != 0 || reg2.CounterValue("chase.steals") != 0 {
 		t.Errorf("Steal=false must record zero steals: %d / %d", st2.Steals, reg2.CounterValue("chase.steals"))
-	}
-}
-
-func TestParallelScalability(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	if runtime.NumCPU() < 2 {
-		t.Skip("wall-clock scaling needs >1 physical core; see SimulateMakespan tests")
-	}
-	// A CPU-bound workload must speed up with more workers.
-	work := func() {
-		x := 0.0
-		for i := 0; i < 200000; i++ {
-			x += float64(i) * 1.000001
-		}
-		_ = x
-	}
-	run := func(n int) time.Duration {
-		c := New(n)
-		for i := 0; i < 32; i++ {
-			c.SubmitBalanced(&crystal.WorkUnit{ID: i, EstCost: 1, Run: work})
-		}
-		start := time.Now()
-		c.Drain(context.Background(), Options{Steal: true})
-		return time.Since(start)
-	}
-	t1 := run(1)
-	t4 := run(4)
-	if t4 >= t1 {
-		t.Errorf("4 workers not faster than 1: %v vs %v", t4, t1)
 	}
 }
 

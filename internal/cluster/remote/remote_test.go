@@ -192,7 +192,13 @@ func TestDistributedBitIdenticalToSerial(t *testing.T) {
 		t.Errorf("applied fixes: distributed %d, serial %d", len(gotRep.Applied), len(wantRep.Applied))
 	}
 	if len(gotRep.Unresolved) != len(wantRep.Unresolved) {
-		t.Errorf("unresolved conflicts: distributed %d, serial %d", len(gotRep.Unresolved), len(wantRep.Unresolved))
+		t.Fatalf("unresolved conflicts: distributed %d, serial %d", len(gotRep.Unresolved), len(wantRep.Unresolved))
+	}
+	for i, u := range gotRep.Unresolved {
+		w := wantRep.Unresolved[i]
+		if u.Conflict.Error() != w.Conflict.Error() || u.Fix.String() != w.Fix.String() {
+			t.Fatalf("unresolved conflict %d: distributed %v / %v, serial %v / %v", i, u.Conflict, u.Fix, w.Conflict, w.Fix)
+		}
 	}
 	if gotRep.ResolvedMI != wantRep.ResolvedMI {
 		t.Errorf("resolved MI: distributed %d, serial %d", gotRep.ResolvedMI, wantRep.ResolvedMI)

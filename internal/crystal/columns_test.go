@@ -203,7 +203,7 @@ func TestSchedulerStealZeroCostUnits(t *testing.T) {
 	// keys on a non-empty queue; load is only the preference order.
 	s := NewScheduler([]string{"a", "b"})
 	for i := 0; i < 4; i++ {
-		s.AssignBalanced(&WorkUnit{ID: i, RuleID: "r", Part: "p", EstCost: 0})
+		s.AssignExcluding(&WorkUnit{ID: i, RuleID: "r", Part: "p", EstCost: 0}, nil)
 	}
 	if got := s.Next("b", false); got != nil {
 		t.Fatalf("no-steal Next must respect queue ownership, got unit %d", got.ID)

@@ -104,7 +104,7 @@ func TestSchedulerAffinityAndStealing(t *testing.T) {
 func TestSchedulerBalancedAssignment(t *testing.T) {
 	s := NewScheduler([]string{"a", "b"})
 	for i := 0; i < 10; i++ {
-		s.AssignBalanced(&WorkUnit{ID: i, EstCost: 1})
+		s.AssignExcluding(&WorkUnit{ID: i, EstCost: 1}, nil)
 	}
 	if la, lb := s.Load("a"), s.Load("b"); la != lb {
 		t.Errorf("balanced assign skewed: %f vs %f", la, lb)

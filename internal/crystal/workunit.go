@@ -1,8 +1,12 @@
 package crystal
 
 import (
+	"fmt"
 	"sort"
 	"sync"
+
+	"github.com/rockclean/rock/internal/data"
+	"github.com/rockclean/rock/internal/ree"
 )
 
 // WorkUnit is T = (φ, D_T): a (partial) REE++ paired with a data partition
@@ -30,6 +34,71 @@ func (u *WorkUnit) Exec(node string) {
 	if u.Run != nil {
 		u.Run()
 	}
+}
+
+// Partition splits every relation of db into b virtual blocks by TID — the
+// HyperCube partitioning of paper §5.3. Detection and the chase plan their
+// work units over the same blocks, and so does every replica of a
+// distributed run: the result depends on db and b alone.
+func Partition(db *data.Database, b int) map[string][][]*data.Tuple {
+	if b < 1 {
+		b = 1
+	}
+	blocks := make(map[string][][]*data.Tuple, len(db.Relations))
+	for name, rel := range db.Relations {
+		bs := make([][]*data.Tuple, b)
+		for _, t := range rel.Tuples {
+			i := t.TID % b
+			bs[i] = append(bs[i], t)
+		}
+		blocks[name] = bs
+	}
+	return blocks
+}
+
+// BlockUnit is the data half D_T of a work unit: one block (single-variable
+// rule) or one block combination of the rule's first two tuple variables.
+type BlockUnit struct {
+	Part     string                   // partition key, e.g. "Trans/b3" or "Trans-Store/b3-0"
+	Restrict map[string][]*data.Tuple // tuple variable -> the block it ranges over
+	EstCost  float64                  // product of the block sizes
+}
+
+// UnitsFor plans rule r over blocks: one unit per non-empty block
+// combination, in block-index order, so the i-th unit of a rule names the
+// same work on every process that partitioned the same data. A rule
+// without tuple atoms yields no units.
+func UnitsFor(r *ree.Rule, blocks map[string][][]*data.Tuple) []BlockUnit {
+	if len(r.Atoms) == 0 {
+		return nil
+	}
+	var units []BlockUnit
+	a1 := r.Atoms[0]
+	for i, b1 := range blocks[a1.Rel] {
+		if len(b1) == 0 {
+			continue
+		}
+		if len(r.Atoms) == 1 {
+			units = append(units, BlockUnit{
+				Part:     fmt.Sprintf("%s/b%d", a1.Rel, i),
+				Restrict: map[string][]*data.Tuple{a1.Var: b1},
+				EstCost:  float64(len(b1)),
+			})
+			continue
+		}
+		a2 := r.Atoms[1]
+		for j, b2 := range blocks[a2.Rel] {
+			if len(b2) == 0 {
+				continue
+			}
+			units = append(units, BlockUnit{
+				Part:     fmt.Sprintf("%s-%s/b%d-%d", a1.Rel, a2.Rel, i, j),
+				Restrict: map[string][]*data.Tuple{a1.Var: b1, a2.Var: b2},
+				EstCost:  float64(len(b1)) * float64(len(b2)),
+			})
+		}
+	}
+	return units
 }
 
 // Scheduler distributes work units over nodes with the three load-balancing
@@ -77,17 +146,6 @@ func (s *Scheduler) Assign(ring *Ring, u *WorkUnit) string {
 	if _, ok := s.queues[node]; !ok || node == "" {
 		node = s.leastLoadedLocked()
 	}
-	s.queues[node] = append(s.queues[node], u)
-	s.loads[node] += u.EstCost
-	return node
-}
-
-// AssignBalanced ignores placement and puts the unit on the least-loaded
-// node; used when partitions have no affinity.
-func (s *Scheduler) AssignBalanced(u *WorkUnit) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	node := s.leastLoadedLocked()
 	s.queues[node] = append(s.queues[node], u)
 	s.loads[node] += u.EstCost
 	return node

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/rockclean/rock/internal/cluster"
@@ -59,9 +58,6 @@ func (e *Error) Key() string {
 type Options struct {
 	// Workers is the simulated cluster size n (paper Figure 4(h)).
 	Workers int
-	// Blocks is the HyperCube block count per dimension; 0 picks
-	// max(Workers, 4).
-	Blocks int
 	// UseBlocking enables LSH blocking for ML predicates.
 	UseBlocking bool
 	// Steal enables work stealing between workers.
@@ -91,6 +87,11 @@ type Options struct {
 	Span *obs.Span
 }
 
+// minBlocks is the floor of the HyperCube block count per dimension
+// (otherwise Workers): small clusters still get block-granular units to
+// balance and steal.
+const minBlocks = 4
+
 // DefaultOptions is Rock's shipped configuration.
 func DefaultOptions() Options {
 	return Options{Workers: 4, UseBlocking: true, Steal: true}
@@ -112,12 +113,6 @@ type Detector struct {
 func New(env *predicate.Env, rules []*ree.Rule, opts Options) *Detector {
 	if opts.Workers < 1 {
 		opts.Workers = 1
-	}
-	if opts.Blocks <= 0 {
-		opts.Blocks = opts.Workers
-		if opts.Blocks < 4 {
-			opts.Blocks = 4
-		}
 	}
 	d := &Detector{env: env, rules: rules, opts: opts, ex: exec.New(env)}
 	d.ex.SetObs(opts.Obs)
@@ -203,28 +198,37 @@ func (d *Detector) runMode(ctx context.Context, dirty map[string]map[int]bool, s
 	}
 	phase := d.opts.Obs.StartSpan(phaseName, d.opts.Span)
 	defer phase.End()
-	var mu sync.Mutex
-	seen := make(map[string]bool)
-	var out []*Error
-	var firstErr error
 
-	blocks := d.partition()
+	// Plan: one unit per (rule, block combination), in (rule, block)
+	// order, each with a result slot of its own, assigned whole when the
+	// unit completes — workers share nothing, and the merge below reads
+	// the slots back in plan order, so the result does not depend on
+	// which worker ran what, or when.
+	blocks := crystal.Partition(d.env.DB, max(d.opts.Workers, minBlocks))
+	type result struct {
+		errs []*Error
+		err  error
+	}
 	var all []*crystal.WorkUnit
+	var results []*result
 	for _, r := range d.rules {
-		units, err := d.unitsFor(r, blocks, dirty, phase, func(errs []*Error) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, e := range errs {
-				if !seen[e.Key()] {
-					seen[e.Key()] = true
-					out = append(out, e)
-				}
-			}
-		}, &mu, &firstErr)
-		if err != nil {
+		if err := r.Validate(d.env.DB); err != nil {
 			return nil, 0, false, err
 		}
-		all = append(all, units...)
+		if len(r.Atoms) == 0 {
+			return nil, 0, false, fmt.Errorf("detect: rule %s has no tuple atoms", r.ID)
+		}
+		for _, b := range crystal.UnitsFor(r, blocks) {
+			res := &result{}
+			results = append(results, res)
+			all = append(all, &crystal.WorkUnit{
+				ID:      len(all),
+				RuleID:  r.ID,
+				Part:    b.Part,
+				EstCost: b.EstCost,
+				RunOn:   func(node string) { res.errs, res.err = d.runUnit(r, b, dirty, node, phase) },
+			})
+		}
 	}
 	d.opts.Obs.Add("detect.units", uint64(len(all)))
 	var makespan time.Duration
@@ -262,11 +266,17 @@ func (d *Detector) runMode(ctx context.Context, dirty map[string]map[int]bool, s
 		// incomplete but sound: every error found so far stands.
 		partial = st.Cancelled || len(st.Failed) > 0
 	}
-	if firstErr != nil {
-		d.opts.Obs.Inc("detect.errors.run")
-		return nil, 0, partial, firstErr
+	// Merge in plan order: the first rule (and block) to find an error
+	// reports it, so RuleID is as reproducible as the key set.
+	var out []*Error
+	for _, res := range results {
+		if res.err != nil {
+			d.opts.Obs.Inc("detect.errors.run")
+			return nil, 0, partial, res.err
+		}
+		out = append(out, res.errs...)
 	}
-	out = AttributeCulpritsFreq(out, d.culpritScore())
+	out = AttributeCulpritsFreq(uniqueByKey(out), d.culpritScore())
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	phase.SetN(int64(len(out)))
 	d.opts.Obs.Add("detect.errors.found", uint64(len(out)))
@@ -275,6 +285,44 @@ func (d *Detector) runMode(ctx context.Context, dirty map[string]map[int]bool, s
 		d.opts.Pred.PublishTo(d.opts.Obs)
 	}
 	return out, makespan, partial, nil
+}
+
+// runUnit is the body of one detection work unit: run the local executor
+// for rule r over the unit's blocks and return the errors its violations
+// implicate, or the first evaluation error.
+func (d *Detector) runUnit(r *ree.Rule, b crystal.BlockUnit, dirty map[string]map[int]bool, node string, phase *obs.Span) ([]*Error, error) {
+	reg := d.opts.Obs
+	unitSpan := reg.StartSpan("unit", phase)
+	unitSpan.SetRule(r.ID)
+	unitSpan.SetNode(node)
+	unitSpan.SetDetail(b.Part)
+	defer unitSpan.End()
+	unitStart := time.Now()
+	var local []*Error
+	var evalErr error
+	st, err := d.ex.Run(r, exec.Options{
+		UseBlocking: d.opts.UseBlocking,
+		Dirty:       dirty,
+		RestrictVar: b.Restrict,
+		Span:        unitSpan,
+	}, func(h *predicate.Valuation) bool {
+		var ok bool
+		if ok, evalErr = r.P0.Eval(d.env, h); evalErr != nil {
+			return false
+		}
+		if !ok {
+			local = append(local, implicate(r, h))
+		}
+		return true
+	})
+	unitSpan.SetN(int64(st.Valuations))
+	reg.Inc("detect.rule." + r.ID + ".units")
+	reg.Add("detect.rule."+r.ID+".wall_ns", uint64(time.Since(unitStart)))
+	if err != nil {
+		reg.Inc("detect.rule." + r.ID + ".errors")
+		return nil, err
+	}
+	return local, evalErr
 }
 
 // culpritScore returns the tie-break signal for culprit attribution: the
@@ -378,7 +426,9 @@ func AttributeCulprits(errs []*Error) []*Error {
 // hypergraph-cover heuristic for dependency violations). Degree ties —
 // e.g. a group with exactly one clean and one dirty member — are broken by
 // value rarity when freq is supplied: the cell whose value is rarer in its
-// column is the culprit. One-cell and ER errors pass through unchanged.
+// column is the culprit. One-cell and ER errors pass through unchanged,
+// ahead of the culprits, and the result holds each Key once — a culprit
+// that a one-cell rule already reported is the same error.
 func AttributeCulpritsFreq(errs []*Error, freq func(data.CellRef) float64) []*Error {
 	var out []*Error
 	type edge struct{ a, b string }
@@ -405,18 +455,15 @@ func AttributeCulpritsFreq(errs []*Error, freq func(data.CellRef) float64) []*Er
 	remaining := len(edges)
 	// Pre-pass: null cells (score < 0) are culprits outright.
 	if freq != nil {
-		flagged := map[string]bool{}
-		for i, ed := range edges {
-			if covered[i] {
+		cells := make([]string, 0, len(meta))
+		for cellKey := range meta {
+			cells = append(cells, cellKey)
+		}
+		sort.Strings(cells)
+		for _, cellKey := range cells {
+			if freq(meta[cellKey]) >= 0 {
 				continue
 			}
-			for _, cellKey := range []string{ed.a, ed.b} {
-				if !flagged[cellKey] && freq(meta[cellKey]) < 0 {
-					flagged[cellKey] = true
-				}
-			}
-		}
-		for cellKey := range flagged {
 			for i, ed := range edges {
 				if !covered[i] && (ed.a == cellKey || ed.b == cellKey) {
 					covered[i] = true
@@ -466,131 +513,20 @@ func AttributeCulpritsFreq(errs []*Error, freq func(data.CellRef) float64) []*Er
 		src := byCellErr[best]
 		out = append(out, &Error{RuleID: src.RuleID, Task: src.Task, Cells: []data.CellRef{meta[best]}})
 	}
-	return out
+	return uniqueByKey(out)
 }
 
-// partition divides each relation into virtual blocks by TID hash.
-func (d *Detector) partition() map[string][][]*data.Tuple {
-	blocks := make(map[string][][]*data.Tuple)
-	for name, rel := range d.env.DB.Relations {
-		bs := make([][]*data.Tuple, d.opts.Blocks)
-		for _, t := range rel.Tuples {
-			i := t.TID % d.opts.Blocks
-			bs[i] = append(bs[i], t)
-		}
-		blocks[name] = bs
-	}
-	return blocks
-}
-
-// unitsFor builds the HyperCube work units of rule r: one per block
-// combination of its first two tuple variables (or per block for
-// single-variable rules). Each unit runs the local executor on its
-// partition and reports implicated errors through sink.
-func (d *Detector) unitsFor(r *ree.Rule, blocks map[string][][]*data.Tuple,
-	dirty map[string]map[int]bool, phase *obs.Span, sink func([]*Error), mu *sync.Mutex, firstErr *error) ([]*crystal.WorkUnit, error) {
-
-	if err := r.Validate(d.env.DB); err != nil {
-		return nil, err
-	}
-	reg := d.opts.Obs
-	mkRun := func(part string, restrictVar map[string][]*data.Tuple, estRows int) func(node string) {
-		return func(node string) {
-			var unitSpan *obs.Span
-			if reg.SpansEnabled() {
-				unitSpan = reg.StartSpan("unit", phase)
-				unitSpan.SetRule(r.ID)
-				unitSpan.SetNode(node)
-				unitSpan.SetDetail(part)
-				defer unitSpan.End()
-			}
-			unitStart := time.Now()
-			var local []*Error
-			st, err := d.ex.Run(r, exec.Options{
-				UseBlocking: d.opts.UseBlocking,
-				Dirty:       dirty,
-				RestrictVar: restrictVar,
-				Span:        unitSpan,
-			}, func(h *predicate.Valuation) bool {
-				ok, evalErr := r.P0.Eval(d.env, h)
-				if evalErr != nil {
-					mu.Lock()
-					if *firstErr == nil {
-						*firstErr = evalErr
-					}
-					mu.Unlock()
-					return false
-				}
-				if !ok {
-					local = append(local, implicate(r, h))
-				}
-				return true
-			})
-			unitSpan.SetN(int64(st.Valuations))
-			reg.Inc("detect.rule." + r.ID + ".units")
-			reg.Add("detect.rule."+r.ID+".wall_ns", uint64(time.Since(unitStart)))
-			if err != nil {
-				reg.Inc("detect.rule." + r.ID + ".errors")
-				mu.Lock()
-				if *firstErr == nil {
-					*firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			if len(local) > 0 {
-				sink(local)
-			}
+// uniqueByKey keeps the first error of every Key, in place and in order.
+func uniqueByKey(errs []*Error) []*Error {
+	seen := make(map[string]bool, len(errs))
+	uniq := errs[:0]
+	for _, e := range errs {
+		if k := e.Key(); !seen[k] {
+			seen[k] = true
+			uniq = append(uniq, e)
 		}
 	}
-
-	var units []*crystal.WorkUnit
-	uid := 0
-	switch len(r.Atoms) {
-	case 0:
-		return nil, fmt.Errorf("detect: rule %s has no tuple atoms", r.ID)
-	case 1:
-		a := r.Atoms[0]
-		for i, blk := range blocks[a.Rel] {
-			if len(blk) == 0 {
-				continue
-			}
-			part := fmt.Sprintf("%s/b%d", a.Rel, i)
-			units = append(units, &crystal.WorkUnit{
-				ID:      uid,
-				RuleID:  r.ID,
-				Part:    part,
-				EstCost: float64(len(blk)),
-				RunOn:   mkRun(part, map[string][]*data.Tuple{a.Var: blk}, len(blk)),
-			})
-			uid++
-		}
-	default:
-		a1, a2 := r.Atoms[0], r.Atoms[1]
-		for i, b1 := range blocks[a1.Rel] {
-			if len(b1) == 0 {
-				continue
-			}
-			for j, b2 := range blocks[a2.Rel] {
-				if len(b2) == 0 {
-					continue
-				}
-				part := fmt.Sprintf("%s-%s/b%d-%d", a1.Rel, a2.Rel, i, j)
-				units = append(units, &crystal.WorkUnit{
-					ID:      uid,
-					RuleID:  r.ID,
-					Part:    part,
-					EstCost: float64(len(b1) * len(b2)),
-					RunOn: mkRun(part, map[string][]*data.Tuple{
-						a1.Var: b1,
-						a2.Var: b2,
-					}, len(b1)*len(b2)),
-				})
-				uid++
-			}
-		}
-	}
-	return units, nil
+	return uniq
 }
 
 // implicate derives the error evidence from a violation of r under h

@@ -2,12 +2,14 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/must"
 	"github.com/rockclean/rock/internal/predicate"
 	"github.com/rockclean/rock/internal/ree"
+	"github.com/rockclean/rock/internal/workload"
 )
 
 // dirtyTransEnv builds a Trans relation with known injected errors: every
@@ -67,32 +69,58 @@ func TestDetectFindsInjectedErrors(t *testing.T) {
 	}
 }
 
+// TestDetectDeterministicAcrossWorkerCounts: the error list — keys, the
+// rule each error is attributed to, and their order — is a function of
+// rules and data. It does not depend on the worker count (which changes
+// the block count), nor, run after run at Workers=8, on which worker
+// finished first; and no key appears twice. The application datasets have
+// several rules implicating the same cell, which a first-arrival dedup and
+// a map-ordered attribution pass used to report differently every run.
 func TestDetectDeterministicAcrossWorkerCounts(t *testing.T) {
-	keysFor := func(workers int) []string {
-		env, _, _ := dirtyTransEnv(t, 80)
-		o := DefaultOptions()
-		o.Workers = workers
-		d := New(env, []*ree.Rule{crRule(t, env)}, o)
-		errs, err := d.Detect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]string, len(errs))
-		for i, e := range errs {
-			out[i] = e.Key()
-		}
-		return out
+	cfg := workload.Config{N: 300, Seed: 7}
+	cases := []struct {
+		name string
+		mk   func() (*predicate.Env, []*ree.Rule)
+	}{
+		{"trans", func() (*predicate.Env, []*ree.Rule) {
+			env, _, _ := dirtyTransEnv(t, 80)
+			return env, []*ree.Rule{crRule(t, env)}
+		}},
+		{"logistics", func() (*predicate.Env, []*ree.Rule) { ds := workload.Logistics(cfg); return ds.BuildEnv(), ds.Rules }},
+		{"bank", func() (*predicate.Env, []*ree.Rule) { ds := workload.Bank(cfg); return ds.BuildEnv(), ds.Rules }},
+		{"sales", func() (*predicate.Env, []*ree.Rule) { ds := workload.Sales(cfg); return ds.BuildEnv(), ds.Rules }},
 	}
-	a := keysFor(1)
-	b := keysFor(4)
-	c := keysFor(9)
-	if len(a) != len(b) || len(b) != len(c) {
-		t.Fatalf("worker count changed result size: %d %d %d", len(a), len(b), len(c))
-	}
-	for i := range a {
-		if a[i] != b[i] || b[i] != c[i] {
-			t.Fatalf("results differ at %d", i)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env, rules := tc.mk()
+			listFor := func(workers int) []string {
+				o := DefaultOptions()
+				o.Workers = workers
+				errs, err := New(env, rules, o).Detect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make([]string, len(errs))
+				seen := map[string]bool{}
+				for i, e := range errs {
+					if seen[e.Key()] {
+						t.Errorf("workers=%d: %s reported twice", workers, e.Key())
+					}
+					seen[e.Key()] = true
+					out[i] = e.Key() + " by " + e.RuleID
+				}
+				return out
+			}
+			want := listFor(1)
+			if len(want) == 0 {
+				t.Fatal("nothing detected")
+			}
+			for _, workers := range []int{4, 9, 8, 8, 8, 8, 8} {
+				if got := listFor(workers); !slices.Equal(got, want) {
+					t.Fatalf("workers=%d: error list differs from workers=1 (%d vs %d errors)", workers, len(got), len(want))
+				}
+			}
+		})
 	}
 }
 

@@ -113,11 +113,7 @@ func (d *Delta) DetectIncrementalCtx(ctx context.Context) ([]DetectedError, bool
 	if err != nil {
 		return nil, partial, err
 	}
-	out := make([]DetectedError, len(errs))
-	for i, e := range errs {
-		out[i] = DetectedError{RuleID: e.RuleID, Task: e.Task.String(), Cells: e.Cells, DupEIDs: e.DupEIDs}
-	}
-	return out, partial, nil
+	return detectedErrors(errs), partial, nil
 }
 
 // CleanIncremental chases only from this delta's tuples (fixes propagate
@@ -168,18 +164,7 @@ func (d *Delta) CleanIncrementalReport(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		Partial:             chaseRep.Partial,
-		UnitErrors:          chaseRep.UnitErrors,
-		ChaseRounds:         chaseRep.Rounds,
-		UnresolvedConflicts: len(chaseRep.Unresolved),
-		OracleCalls:         chaseRep.OracleCalls,
-		Predication:         chaseRep.Predication,
-		PredicationByRound:  chaseRep.PredicationByRound,
-		RoundTrace:          chaseRep.Trace,
-		RuleProfile:         chaseRep.RuleProfile,
-		MLProfile:           chaseRep.MLProfile,
-	}
+	rep := reportOf(chaseRep)
 	rep.Corrections = d.corrections(eng, u, append(u.TouchedCells(), pending...))
 	eng.Materialize()
 	// The diff consumed the pending validations; restart the window.

@@ -529,11 +529,16 @@ func (p *Pipeline) detectWith(ctx context.Context, pred *ml.Predication, reg *ob
 	if err != nil {
 		return nil, partial, err
 	}
+	return detectedErrors(errs), partial, nil
+}
+
+// detectedErrors converts the detector's errors to the public type.
+func detectedErrors(errs []*detect.Error) []DetectedError {
 	out := make([]DetectedError, len(errs))
 	for i, e := range errs {
 		out[i] = DetectedError{RuleID: e.RuleID, Task: e.Task.String(), Cells: e.Cells, DupEIDs: e.DupEIDs}
 	}
-	return out, partial, nil
+	return out
 }
 
 // Correction is one applied repair.
@@ -669,19 +674,9 @@ func (p *Pipeline) CleanCtx(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		Errors:              errs,
-		Partial:             detPartial || chaseRep.Partial,
-		UnitErrors:          chaseRep.UnitErrors,
-		ChaseRounds:         chaseRep.Rounds,
-		UnresolvedConflicts: len(chaseRep.Unresolved),
-		OracleCalls:         chaseRep.OracleCalls,
-		Predication:         chaseRep.Predication,
-		PredicationByRound:  chaseRep.PredicationByRound,
-		RoundTrace:          chaseRep.Trace,
-		RuleProfile:         chaseRep.RuleProfile,
-		MLProfile:           chaseRep.MLProfile,
-	}
+	rep := reportOf(chaseRep)
+	rep.Errors = errs
+	rep.Partial = rep.Partial || detPartial
 	// Collect corrections before materialising.
 	u := eng.Truth()
 	for relName, rel := range p.db.Relations {
@@ -722,6 +717,23 @@ func (p *Pipeline) CleanCtx(ctx context.Context) (*Report, error) {
 	root.End()
 	rep.Metrics = reg.Snapshot()
 	return rep, nil
+}
+
+// reportOf starts a Report from the chase's: the fields both the batch
+// and the incremental clean carry over as they are.
+func reportOf(c *chase.Report) *Report {
+	return &Report{
+		Partial:             c.Partial,
+		UnitErrors:          c.UnitErrors,
+		ChaseRounds:         c.Rounds,
+		UnresolvedConflicts: len(c.Unresolved),
+		OracleCalls:         c.OracleCalls,
+		Predication:         c.Predication,
+		PredicationByRound:  c.PredicationByRound,
+		RoundTrace:          c.Trace,
+		RuleProfile:         c.RuleProfile,
+		MLProfile:           c.MLProfile,
+	}
 }
 
 // ParseRules parses one rule per line (comments with '#') against the
