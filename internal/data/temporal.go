@@ -1,8 +1,8 @@
 package data
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 )
 
 // CellRef identifies the A-attribute of a tuple: the unit that timestamps
@@ -14,7 +14,7 @@ type CellRef struct {
 }
 
 // String renders the cell as Rel[tid].Attr.
-func (c CellRef) String() string { return fmt.Sprintf("%s[%d].%s", c.Rel, c.TID, c.Attr) }
+func (c CellRef) String() string { return c.Rel + "[" + strconv.Itoa(c.TID) + "]." + c.Attr }
 
 // TemporalRelation is (D, T): a relation plus a partial function T that
 // associates a timestamp with the A-attribute of a tuple (paper §2.2). A

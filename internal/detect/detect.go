@@ -9,9 +9,11 @@
 package detect
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/rockclean/rock/internal/cluster"
@@ -42,16 +44,18 @@ func (e *Error) Key() string {
 	if e.Task == ree.TaskER {
 		return "dup:" + e.DupEIDs[0] + "|" + e.DupEIDs[1]
 	}
-	s := "cell:"
 	ks := make([]string, len(e.Cells))
 	for i, c := range e.Cells {
 		ks[i] = c.String()
 	}
 	sort.Strings(ks)
+	var b strings.Builder
+	b.WriteString("cell:")
 	for _, k := range ks {
-		s += k + ";"
+		b.WriteString(k)
+		b.WriteByte(';')
 	}
-	return s
+	return b.String()
 }
 
 // Options tunes a detection run.
@@ -190,14 +194,37 @@ func (d *Detector) runMode(ctx context.Context, dirty map[string]map[int]bool, s
 		d.ex.RefreshTuples(dirty)
 	}
 	start := time.Now()
-	cl := cluster.New(d.opts.Workers)
-	cl.SetObs(d.opts.Obs, "detect")
 	phaseName := "detect"
 	if dirty != nil {
 		phaseName = "detect.incremental"
 	}
 	phase := d.opts.Obs.StartSpan(phaseName, d.opts.Span)
 	defer phase.End()
+	found, makespan, partial, err := d.violations(ctx, dirty, simulate, phase)
+	if err != nil {
+		return nil, 0, partial, err
+	}
+	// The tail costs what the enumeration produced: O(E log E) for E
+	// violations, each keyed once.
+	attributed := attributeCulprits(found.errs, found.keys, CulpritScoreFn(d.env.DB))
+	sort.Sort(attributed)
+	out := attributed.errs
+	phase.SetN(int64(len(out)))
+	d.opts.Obs.Add("detect.errors.found", uint64(len(out)))
+	d.opts.Obs.Add("detect.wall_ns", uint64(time.Since(start)))
+	if d.opts.Pred != nil {
+		d.opts.Pred.PublishTo(d.opts.Obs)
+	}
+	return out, makespan, partial, nil
+}
+
+// violations enumerates the rule violations (over the dirty tuples only,
+// when dirty is non-nil) as HyperCube work units on the cluster — or one
+// after another, timed, when simulate is set — and returns them in plan
+// order, each Key once.
+func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool, simulate bool, phase *obs.Span) (*errorSet, time.Duration, bool, error) {
+	cl := cluster.New(d.opts.Workers)
+	cl.SetObs(d.opts.Obs, "detect")
 
 	// Plan: one unit per (rule, block combination), in (rule, block)
 	// order, each with a result slot of its own, assigned whole when the
@@ -268,23 +295,17 @@ func (d *Detector) runMode(ctx context.Context, dirty map[string]map[int]bool, s
 	}
 	// Merge in plan order: the first rule (and block) to find an error
 	// reports it, so RuleID is as reproducible as the key set.
-	var out []*Error
+	merged := &errorSet{}
 	for _, res := range results {
 		if res.err != nil {
 			d.opts.Obs.Inc("detect.errors.run")
 			return nil, 0, partial, res.err
 		}
-		out = append(out, res.errs...)
+		for _, e := range res.errs {
+			merged.add(e, e.Key())
+		}
 	}
-	out = AttributeCulpritsFreq(uniqueByKey(out), d.culpritScore())
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	phase.SetN(int64(len(out)))
-	d.opts.Obs.Add("detect.errors.found", uint64(len(out)))
-	d.opts.Obs.Add("detect.wall_ns", uint64(time.Since(start)))
-	if d.opts.Pred != nil {
-		d.opts.Pred.PublishTo(d.opts.Obs)
-	}
-	return out, makespan, partial, nil
+	return merged, makespan, partial, nil
 }
 
 // runUnit is the body of one detection work unit: run the local executor
@@ -325,23 +346,20 @@ func (d *Detector) runUnit(r *ree.Rule, b crystal.BlockUnit, dirty map[string]ma
 	return local, evalErr
 }
 
-// culpritScore returns the tie-break signal for culprit attribution: the
+// CulpritScoreFn builds the culprit tie-break score over one database
+// (shared with the SQL-engine baselines, which run the same rules): the
 // cell's column value frequency plus a character-bigram plausibility term
 // in [0, 1). Typos and corrupted numbers are rare in their columns and
 // contain bigrams the column has never seen elsewhere, so lower scores
-// mark the likelier culprit.
-func (d *Detector) culpritScore() func(data.CellRef) float64 {
-	return CulpritScoreFn(d.env.DB)
-}
-
-// CulpritScoreFn builds the culprit tie-break score over one database
-// (shared with the SQL-engine baselines, which run the same rules).
+// mark the likelier culprit. A column's statistics are built on the first
+// score asked of it.
 func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 	type colKey struct{ rel, attr string }
 	type colStats struct {
-		freq    map[string]int
-		bigrams map[string]int
-		total   int
+		freq      map[string]int
+		bigrams   map[string]int
+		total     int
+		maxBigram int
 	}
 	cache := map[colKey]*colStats{}
 	stats := func(c data.CellRef) *colStats {
@@ -368,6 +386,9 @@ func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 				st.total++
 			}
 		}
+		for _, cnt := range st.bigrams {
+			st.maxBigram = max(st.maxBigram, cnt)
+		}
 		cache[k] = st
 		return st
 	}
@@ -392,14 +413,8 @@ func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 		s := v.String()
 		if st.total > 0 && len(s) >= 2 {
 			sum, n := 0.0, 0.0
-			max := 0
-			for _, cnt := range st.bigrams {
-				if cnt > max {
-					max = cnt
-				}
-			}
 			for i := 0; i+2 <= len(s); i++ {
-				sum += float64(st.bigrams[s[i:i+2]]) / float64(max)
+				sum += float64(st.bigrams[s[i:i+2]]) / float64(st.maxBigram)
 				n++
 			}
 			if n > 0 {
@@ -408,13 +423,6 @@ func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 		}
 		return score
 	}
-}
-
-// AttributeCulprits refines two-cell violations into single-cell errors by
-// greedy vertex cover over the violation graph (see AttributeCulpritsFreq,
-// which it calls without a frequency tie-break).
-func AttributeCulprits(errs []*Error) []*Error {
-	return AttributeCulpritsFreq(errs, nil)
 }
 
 // AttributeCulpritsFreq refines two-cell violations into single-cell errors
@@ -426,107 +434,173 @@ func AttributeCulprits(errs []*Error) []*Error {
 // hypergraph-cover heuristic for dependency violations). Degree ties —
 // e.g. a group with exactly one clean and one dirty member — are broken by
 // value rarity when freq is supplied: the cell whose value is rarer in its
-// column is the culprit. One-cell and ER errors pass through unchanged,
-// ahead of the culprits, and the result holds each Key once — a culprit
-// that a one-cell rule already reported is the same error.
+// column is the culprit; remaining ties go to the smaller cell key. A cell
+// freq scores below zero (a null) is a culprit outright. One-cell and ER
+// errors pass through unchanged, ahead of the culprits, and the result
+// holds each Key once — a culprit that a one-cell rule already reported is
+// the same error.
+//
+// freq is called once per distinct cell and the cover is driven by a heap
+// over maintained degrees: O(E log E + K log K) for E violations over K
+// cells.
 func AttributeCulpritsFreq(errs []*Error, freq func(data.CellRef) float64) []*Error {
-	var out []*Error
-	type edge struct{ a, b string }
-	var edges []edge
-	meta := map[string]data.CellRef{}
-	byCellErr := map[string]*Error{}
-	for _, e := range errs {
-		if e.Task != ree.TaskER && len(e.Cells) == 2 {
-			a, b := e.Cells[0], e.Cells[1]
-			edges = append(edges, edge{a.String(), b.String()})
-			meta[a.String()] = a
-			meta[b.String()] = b
-			if byCellErr[a.String()] == nil {
-				byCellErr[a.String()] = e
-			}
-			if byCellErr[b.String()] == nil {
-				byCellErr[b.String()] = e
+	return attributeCulprits(errs, nil, freq).errs
+}
+
+// attributeCulprits is AttributeCulpritsFreq returning the errors together
+// with their keys. keys, when non-nil, holds errs[i].Key() at i, so the
+// errors passed through are not keyed a second time.
+func attributeCulprits(errs []*Error, keys []string, freq func(data.CellRef) float64) *errorSet {
+	out := &errorSet{}
+	// The violation graph: its vertices are the cells of the two-cell
+	// violations, ranked in key order so that index order is key order.
+	type cell struct {
+		ref data.CellRef
+		key string
+		src *Error // the first violation to implicate the cell: its rule takes the blame
+	}
+	var cells []cell
+	var graph []*Error
+	rank := map[data.CellRef]int{}
+	for i, e := range errs {
+		if e.Task == ree.TaskER || len(e.Cells) != 2 {
+			if keys != nil {
+				out.add(e, keys[i])
+			} else {
+				out.add(e, e.Key())
 			}
 			continue
 		}
-		out = append(out, e)
+		graph = append(graph, e)
+		for _, c := range e.Cells {
+			if _, ok := rank[c]; !ok {
+				rank[c] = len(cells)
+				cells = append(cells, cell{ref: c, key: c.String(), src: e})
+			}
+		}
 	}
-	covered := make([]bool, len(edges))
-	remaining := len(edges)
-	// Pre-pass: null cells (score < 0) are culprits outright.
+	sort.Slice(cells, func(i, j int) bool { return cells[i].key < cells[j].key })
+	for i, c := range cells {
+		rank[c.ref] = i
+	}
+	// Per cell: the edges at it (a self-edge twice), how many of them are
+	// uncovered, and its score.
+	ends := make([][2]int, len(graph))
+	adj := make([][]int, len(cells))
+	deg := make([]int, len(cells))
+	for i, e := range graph {
+		ends[i] = [2]int{rank[e.Cells[0]], rank[e.Cells[1]]}
+		for _, c := range ends[i] {
+			adj[c] = append(adj[c], i)
+			deg[c]++
+		}
+	}
+	score := make([]float64, len(cells))
 	if freq != nil {
-		cells := make([]string, 0, len(meta))
-		for cellKey := range meta {
-			cells = append(cells, cellKey)
-		}
-		sort.Strings(cells)
-		for _, cellKey := range cells {
-			if freq(meta[cellKey]) >= 0 {
-				continue
-			}
-			for i, ed := range edges {
-				if !covered[i] && (ed.a == cellKey || ed.b == cellKey) {
-					covered[i] = true
-					remaining--
-				}
-			}
-			src := byCellErr[cellKey]
-			out = append(out, &Error{RuleID: src.RuleID, Task: src.Task, Cells: []data.CellRef{meta[cellKey]}})
+		for i, c := range cells {
+			score[i] = freq(c.ref)
 		}
 	}
-	for remaining > 0 {
-		// Pick the cell covering the most uncovered edges; ties prefer the
-		// rarer value, then the key, for determinism.
-		best, bestDeg := "", 0
-		bestFreq := 0.0
-		deg := map[string]int{}
-		for i, ed := range edges {
+	// An entry is live while its degree is the cell's current one; a cell
+	// whose degree drops gets a new entry and the old one is skipped when
+	// it surfaces.
+	h := make(culpritHeap, 0, len(cells))
+	for c, d := range deg {
+		h = append(h, culpritEntry{deg: d, score: score[c], cell: c})
+	}
+	heap.Init(&h)
+	covered := make([]bool, len(ends))
+	remaining := len(ends)
+	blame := func(c int) {
+		for _, i := range adj[c] {
 			if covered[i] {
 				continue
 			}
-			deg[ed.a]++
-			deg[ed.b]++
-		}
-		keys := make([]string, 0, len(deg))
-		for k := range deg {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			f := 0.0
-			if freq != nil {
-				f = freq(meta[k])
-			}
-			if deg[k] > bestDeg || (deg[k] == bestDeg && freq != nil && f < bestFreq) {
-				best, bestDeg, bestFreq = k, deg[k], f
+			covered[i] = true
+			remaining--
+			for _, n := range ends[i] {
+				deg[n]--
+				if n != c && deg[n] > 0 {
+					heap.Push(&h, culpritEntry{deg: deg[n], score: score[n], cell: n})
+				}
 			}
 		}
-		if best == "" {
-			break
-		}
-		for i, ed := range edges {
-			if !covered[i] && (ed.a == best || ed.b == best) {
-				covered[i] = true
-				remaining--
-			}
-		}
-		src := byCellErr[best]
-		out = append(out, &Error{RuleID: src.RuleID, Task: src.Task, Cells: []data.CellRef{meta[best]}})
+		src := cells[c].src
+		culprit := &Error{RuleID: src.RuleID, Task: src.Task, Cells: []data.CellRef{cells[c].ref}}
+		out.add(culprit, culprit.Key())
 	}
-	return uniqueByKey(out)
+	// Null cells are culprits outright, whether or not an earlier one
+	// already covered their violations.
+	for c := range cells {
+		if score[c] < 0 {
+			blame(c)
+		}
+	}
+	for remaining > 0 {
+		if top := heap.Pop(&h).(culpritEntry); top.deg == deg[top.cell] {
+			blame(top.cell)
+		}
+	}
+	return out
 }
 
-// uniqueByKey keeps the first error of every Key, in place and in order.
-func uniqueByKey(errs []*Error) []*Error {
-	seen := make(map[string]bool, len(errs))
-	uniq := errs[:0]
-	for _, e := range errs {
-		if k := e.Key(); !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, e)
-		}
+// culpritEntry is a cell as the cover saw it when the entry was pushed.
+type culpritEntry struct {
+	deg   int // uncovered violations at the cell
+	score float64
+	cell  int // rank in key order
+}
+
+// culpritHeap yields the next culprit: the most uncovered violations, then
+// the lower score, then the smaller key.
+type culpritHeap []culpritEntry
+
+func (h culpritHeap) Len() int { return len(h) }
+func (h culpritHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.deg != b.deg {
+		return a.deg > b.deg
 	}
-	return uniq
+	if a.score != b.score {
+		return a.score < b.score
+	}
+	return a.cell < b.cell
+}
+func (h culpritHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *culpritHeap) Push(x any)   { *h = append(*h, x.(culpritEntry)) }
+func (h *culpritHeap) Pop() any {
+	old := *h
+	top := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return top
+}
+
+// errorSet holds the first error of every Key, in arrival order, in step
+// with the keys: a key is built once, however often it is compared.
+// Sorting orders the set by key.
+type errorSet struct {
+	errs []*Error
+	keys []string
+	seen map[string]bool
+}
+
+// add appends e, whose Key is key, unless the set holds that key already.
+func (s *errorSet) add(e *Error, key string) {
+	if s.seen == nil {
+		s.seen = map[string]bool{}
+	}
+	if !s.seen[key] {
+		s.seen[key] = true
+		s.errs = append(s.errs, e)
+		s.keys = append(s.keys, key)
+	}
+}
+
+func (s *errorSet) Len() int           { return len(s.errs) }
+func (s *errorSet) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s *errorSet) Swap(i, j int) {
+	s.errs[i], s.errs[j] = s.errs[j], s.errs[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // implicate derives the error evidence from a violation of r under h

@@ -1,8 +1,11 @@
 package detect
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
@@ -250,12 +253,16 @@ func TestDetectSimulatedMatchesBatch(t *testing.T) {
 
 func TestAttributeCulpritsNoFreq(t *testing.T) {
 	// The no-tie-break variant still covers every violation.
+	cellOf := func(tid int) data.CellRef { return data.CellRef{Rel: "R", TID: tid, Attr: "a"} }
+	pair := func(a, b int) *Error {
+		return &Error{RuleID: "r", Task: ree.TaskCR, Cells: []data.CellRef{cellOf(a), cellOf(b)}}
+	}
 	errs := []*Error{
-		{RuleID: "r", Task: ree.TaskCR, Cells: []data.CellRef{{Rel: "R", TID: 1, Attr: "a"}, {Rel: "R", TID: 2, Attr: "a"}}},
-		{RuleID: "r", Task: ree.TaskCR, Cells: []data.CellRef{{Rel: "R", TID: 1, Attr: "a"}, {Rel: "R", TID: 3, Attr: "a"}}},
+		pair(1, 2),
+		pair(1, 3),
 		{RuleID: "r", Task: ree.TaskER, DupEIDs: [2]string{"x", "y"}},
 	}
-	out := AttributeCulprits(errs)
+	out := AttributeCulpritsFreq(errs, nil)
 	// TID 1 covers both edges: one culprit + the ER error pass through.
 	if len(out) != 2 {
 		t.Fatalf("out=%d: %+v", len(out), out)
@@ -271,6 +278,263 @@ func TestAttributeCulpritsNoFreq(t *testing.T) {
 	}
 	if !foundCell || !foundDup {
 		t.Errorf("culprits wrong: %+v", out)
+	}
+	// Without scores a degree tie goes to the smaller key, and a self-edge
+	// counts twice at its cell: 7 (self-edge + one neighbour, degree 3)
+	// is blamed before 4 and 5 (degree 2 each), and of those two, 4.
+	tied := []*Error{pair(5, 6), pair(4, 8), pair(7, 7), pair(4, 9), pair(5, 7)}
+	var order []int
+	for _, e := range AttributeCulpritsFreq(tied, nil) {
+		order = append(order, e.Cells[0].TID)
+	}
+	if !slices.Equal(order, []int{7, 4, 5}) {
+		t.Errorf("culprit order %v, want [7 4 5]", order)
+	}
+	if got, want := keyAndRule(AttributeCulpritsFreq(tied, nil)), keyAndRule(refAttributeCulpritsFreq(tied, nil)); !slices.Equal(got, want) {
+		t.Errorf("differs from the reference: %v vs %v", got, want)
+	}
+}
+
+// refAttributeCulpritsFreq is the attribution body this package shipped
+// before the heap-driven cover, kept verbatim as the semantics the cover
+// is held to: it recomputes every degree, every score and a full sort of
+// the cell keys once per culprit picked.
+func refAttributeCulpritsFreq(errs []*Error, freq func(data.CellRef) float64) []*Error {
+	var out []*Error
+	type edge struct{ a, b string }
+	var edges []edge
+	meta := map[string]data.CellRef{}
+	byCellErr := map[string]*Error{}
+	for _, e := range errs {
+		if e.Task != ree.TaskER && len(e.Cells) == 2 {
+			a, b := e.Cells[0], e.Cells[1]
+			edges = append(edges, edge{a.String(), b.String()})
+			meta[a.String()] = a
+			meta[b.String()] = b
+			if byCellErr[a.String()] == nil {
+				byCellErr[a.String()] = e
+			}
+			if byCellErr[b.String()] == nil {
+				byCellErr[b.String()] = e
+			}
+			continue
+		}
+		out = append(out, e)
+	}
+	covered := make([]bool, len(edges))
+	remaining := len(edges)
+	// Pre-pass: null cells (score < 0) are culprits outright.
+	if freq != nil {
+		cells := make([]string, 0, len(meta))
+		for cellKey := range meta {
+			cells = append(cells, cellKey)
+		}
+		sort.Strings(cells)
+		for _, cellKey := range cells {
+			if freq(meta[cellKey]) >= 0 {
+				continue
+			}
+			for i, ed := range edges {
+				if !covered[i] && (ed.a == cellKey || ed.b == cellKey) {
+					covered[i] = true
+					remaining--
+				}
+			}
+			src := byCellErr[cellKey]
+			out = append(out, &Error{RuleID: src.RuleID, Task: src.Task, Cells: []data.CellRef{meta[cellKey]}})
+		}
+	}
+	for remaining > 0 {
+		// Pick the cell covering the most uncovered edges; ties prefer the
+		// rarer value, then the key, for determinism.
+		best, bestDeg := "", 0
+		bestFreq := 0.0
+		deg := map[string]int{}
+		for i, ed := range edges {
+			if covered[i] {
+				continue
+			}
+			deg[ed.a]++
+			deg[ed.b]++
+		}
+		keys := make([]string, 0, len(deg))
+		for k := range deg {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			f := 0.0
+			if freq != nil {
+				f = freq(meta[k])
+			}
+			if deg[k] > bestDeg || (deg[k] == bestDeg && freq != nil && f < bestFreq) {
+				best, bestDeg, bestFreq = k, deg[k], f
+			}
+		}
+		if best == "" {
+			break
+		}
+		for i, ed := range edges {
+			if !covered[i] && (ed.a == best || ed.b == best) {
+				covered[i] = true
+				remaining--
+			}
+		}
+		src := byCellErr[best]
+		out = append(out, &Error{RuleID: src.RuleID, Task: src.Task, Cells: []data.CellRef{meta[best]}})
+	}
+	return refUniqueByKey(out)
+}
+
+// refUniqueByKey keeps the first error of every Key, in place and in order.
+func refUniqueByKey(errs []*Error) []*Error {
+	seen := make(map[string]bool, len(errs))
+	uniq := errs[:0]
+	for _, e := range errs {
+		if k := e.Key(); !seen[k] {
+			seen[k] = true
+			uniq = append(uniq, e)
+		}
+	}
+	return uniq
+}
+
+// keyAndRule renders an error list as the ordered (Key, RuleID) pairs two
+// attributions must agree on.
+func keyAndRule(errs []*Error) []string {
+	out := make([]string, len(errs))
+	for i, e := range errs {
+		out[i] = e.Key() + " by " + e.RuleID
+	}
+	return out
+}
+
+// TestAttributeCulpritsMatchesReference: on random violation graphs the
+// heap-driven cover returns the reference's (Key, RuleID) list, in its
+// order. Scores come from a small set so that degree and score ties both
+// occur; about a quarter of the cells are null (score < 0); self-edges,
+// repeated edges, one-cell errors (some on a cell the cover also blames)
+// and ER errors are mixed in; freq is nil on every third graph.
+func TestAttributeCulpritsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	selfEdges := 0
+	for g := 0; g < 400; g++ {
+		nCells, nErrs := 1+rng.Intn(30), rng.Intn(81)
+		cellOf := func(i int) data.CellRef {
+			return data.CellRef{Rel: "R" + fmt.Sprint(i%2), TID: i, Attr: "a"}
+		}
+		scores := make(map[data.CellRef]float64, nCells)
+		for i := 0; i < nCells; i++ {
+			scores[cellOf(i)] = []float64{-1, 1, 1.5, 2}[rng.Intn(4)]
+		}
+		var errs []*Error
+		for i := 0; i < nErrs; i++ {
+			e := &Error{RuleID: fmt.Sprintf("r%d", rng.Intn(4)), Task: ree.TaskCR}
+			switch k := rng.Intn(10); {
+			case k == 0:
+				e.Task = ree.TaskER
+				e.DupEIDs = [2]string{fmt.Sprint("e", rng.Intn(5)), fmt.Sprint("f", rng.Intn(5))}
+			case k == 1:
+				e.Cells = []data.CellRef{cellOf(rng.Intn(nCells))}
+			case k == 2:
+				c := cellOf(rng.Intn(nCells))
+				e.Cells = []data.CellRef{c, c}
+				selfEdges++
+			default:
+				e.Cells = []data.CellRef{cellOf(rng.Intn(nCells)), cellOf(rng.Intn(nCells))}
+			}
+			errs = append(errs, e)
+		}
+		var freq func(data.CellRef) float64
+		if g%3 != 0 {
+			freq = func(c data.CellRef) float64 { return scores[c] }
+		}
+		want := keyAndRule(refAttributeCulpritsFreq(errs, freq))
+		got := keyAndRule(AttributeCulpritsFreq(errs, freq))
+		if !slices.Equal(got, want) {
+			t.Fatalf("graph %d (%d cells, %d errors, freq nil: %v):\n got %v\nwant %v", g, nCells, nErrs, freq == nil, got, want)
+		}
+	}
+	if selfEdges == 0 {
+		t.Fatal("no self-edge generated")
+	}
+}
+
+// TestAttributeCulpritsScoresEachCellOnce is the complexity guard: freq is
+// called at most once per distinct cell, however many culprits are picked
+// (the reference calls it once per live cell per culprit).
+func TestAttributeCulpritsScoresEachCellOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var errs []*Error
+	cells := map[data.CellRef]bool{}
+	for i := 0; i < 2000; i++ {
+		a := data.CellRef{Rel: "R", TID: rng.Intn(600), Attr: "a"}
+		b := data.CellRef{Rel: "R", TID: rng.Intn(600), Attr: "b"}
+		cells[a], cells[b] = true, true
+		errs = append(errs, &Error{RuleID: "r", Task: ree.TaskCR, Cells: []data.CellRef{a, b}})
+	}
+	calls := map[data.CellRef]int{}
+	out := AttributeCulpritsFreq(errs, func(c data.CellRef) float64 {
+		calls[c]++
+		return float64(c.TID % 5)
+	})
+	if len(out) < 100 {
+		t.Fatalf("only %d culprits on a 2000-edge graph: the guard needs many picks", len(out))
+	}
+	if len(calls) != len(cells) {
+		t.Errorf("freq saw %d cells, the graph has %d", len(calls), len(cells))
+	}
+	for c, n := range calls {
+		if n > 1 {
+			t.Fatalf("freq called %d times for %s (%d culprits picked)", n, c, len(out))
+		}
+	}
+}
+
+// TestDetectMatchesReferenceAttribution: what DetectCtx returns is the
+// reference attribution of the detector's merged violation list, sorted by
+// key — same keys, same rules, same order — on the application datasets
+// and on Scale, at several worker counts.
+func TestDetectMatchesReferenceAttribution(t *testing.T) {
+	cases := []struct {
+		name string
+		gen  func(workload.Config) *workload.Dataset
+		n    int
+	}{
+		{"bank", workload.Bank, 300},
+		{"logistics", workload.Logistics, 300},
+		{"sales", workload.Sales, 300},
+		{"bank", workload.Bank, 1000},
+		{"logistics", workload.Logistics, 1000},
+		{"sales", workload.Sales, 1000},
+		{"scale", workload.Scale, 20000},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s-%d", tc.name, tc.n), func(t *testing.T) {
+			ds := tc.gen(workload.Config{N: tc.n, Seed: 2024})
+			env := ds.BuildEnv()
+			for _, workers := range []int{1, 2, 8} {
+				o := DefaultOptions()
+				o.Workers = workers
+				d := New(env, ds.Rules, o)
+				got, err := d.Detect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				violations, _, _, err := d.violations(context.Background(), nil, false, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := refAttributeCulpritsFreq(violations.errs, CulpritScoreFn(env.DB))
+				sort.Slice(want, func(i, j int) bool { return want[i].Key() < want[j].Key() })
+				if len(got) == 0 {
+					t.Fatal("nothing detected")
+				}
+				if !slices.Equal(keyAndRule(got), keyAndRule(want)) {
+					t.Fatalf("workers=%d: %d errors, the reference gives %d, or the lists differ", workers, len(got), len(want))
+				}
+			}
+		})
 	}
 }
 
@@ -293,3 +557,22 @@ func TestDetectSingleVariableRule(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAttributeCulprits: attribution alone, on the violation graph
+// detection hands it for Logistics at N = 1000 (about 14k edges over 1.6k
+// cells), column statistics included.
+func BenchmarkAttributeCulprits(b *testing.B) {
+	ds := workload.Logistics(workload.Config{N: 1000, Seed: 2024})
+	env := ds.BuildEnv()
+	violations, _, _, err := New(env, ds.Rules, DefaultOptions()).violations(context.Background(), nil, false, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		attributedSink = AttributeCulpritsFreq(violations.errs, CulpritScoreFn(env.DB))
+	}
+}
+
+var attributedSink []*Error

@@ -307,8 +307,14 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 		stop = true
 	}
 
+	// needs[i] lists the tuple and vertex variables r.X[i] reads, resolved
+	// once: checkAt runs at every binding depth of every valuation.
+	needs := make([][]string, len(r.X))
+	for i, p := range r.X {
+		needs[i] = append(p.Vars(), p.VertexVars()...)
+	}
 	checkAt := func() (bool, error) {
-		for _, p := range r.X {
+		for i, p := range r.X {
 			if plan.covered[p] {
 				continue
 			}
@@ -316,13 +322,7 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 				continue
 			}
 			ready := true
-			for _, v := range p.Vars() {
-				if !bound[v] {
-					ready = false
-					break
-				}
-			}
-			for _, v := range p.VertexVars() {
+			for _, v := range needs[i] {
 				if !bound[v] {
 					ready = false
 					break

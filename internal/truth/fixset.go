@@ -9,6 +9,7 @@ package truth
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"github.com/rockclean/rock/internal/data"
 )
@@ -505,18 +506,15 @@ func (f *FixSet) Snapshot() string {
 	}
 	var lines []string
 	for _, members := range classes {
-		if len(members) < 2 {
-			continue
-		}
 		sort.Strings(members)
-		lines = append(lines, "class{"+join(members)+"}")
+		if len(members) >= 2 {
+			lines = append(lines, "class{"+strings.Join(members, ";")+"}")
+		}
 	}
 	for k, v := range f.cells {
 		// Use a representative member-independent key: smallest EID in class.
-		members := classes[k.eidRoot]
 		rep := k.eidRoot
-		if len(members) > 0 {
-			sort.Strings(members)
+		if members := classes[k.eidRoot]; len(members) > 0 {
 			rep = members[0]
 		}
 		lines = append(lines, "cell{"+k.rel+"."+k.attr+"@"+rep+"="+v.Key()+"}")
@@ -531,16 +529,5 @@ func (f *FixSet) Snapshot() string {
 		}
 	}
 	sort.Strings(lines)
-	return join(lines)
-}
-
-func join(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ";"
-		}
-		out += s
-	}
-	return out
+	return strings.Join(lines, ";")
 }

@@ -1,6 +1,9 @@
 package truth
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -194,9 +197,61 @@ func TestSnapshotEquality(t *testing.T) {
 	if a.Snapshot() != b.Snapshot() {
 		t.Errorf("snapshots differ:\n a=%s\n b=%s", a.Snapshot(), b.Snapshot())
 	}
+	// The digest's bytes are compared across processes and versions: sorted
+	// lines joined by ";", a cell named by its class's smallest member.
+	if want := "cell{R.x@p1=" + data.I(1).Key() + "};class{p1;p2};ord{R.x:1s2}"; a.Snapshot() != want {
+		t.Errorf("snapshot %q, want %q", a.Snapshot(), want)
+	}
 	c := NewFixSet()
 	c.MergeEIDs("p1", "p3")
 	if a.Snapshot() == c.Snapshot() {
 		t.Error("different content must differ")
 	}
 }
+
+// snapshotFixture is a fix set whose snapshot has about n lines: n/2
+// two-member classes, a cell on every class and on n/2 singletons, and a
+// strict order chain.
+func snapshotFixture(n int) *FixSet {
+	f := NewFixSet()
+	// All merges first: MergeEIDs scans the validated cells.
+	for i := 0; i < n/2; i++ {
+		f.MergeEIDs(fmt.Sprintf("p%d", i), fmt.Sprintf("q%d", i))
+	}
+	for i := 0; i < n/2; i++ {
+		f.SetCell("R", fmt.Sprintf("q%d", i), "x", data.I(int64(i)))
+		f.SetCell("R", fmt.Sprintf("s%d", i), "y", data.S("v"))
+	}
+	for i := 0; i < 10; i++ {
+		f.AddOrder("R", "x", i, i+1, true)
+	}
+	return f
+}
+
+// TestSnapshotAllocatesLinearly: building the digest costs memory in
+// proportion to its length (appending line by line to one string cost the
+// square: gigabytes for a snapshot of a quarter megabyte).
+func TestSnapshotAllocatesLinearly(t *testing.T) {
+	f := snapshotFixture(20000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := f.Snapshot()
+	runtime.ReadMemStats(&after)
+	if lines := strings.Count(s, ";") + 1; lines < 20000 {
+		t.Fatalf("fixture too small: %d lines", lines)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(s)); got > limit {
+		t.Errorf("a %d-byte snapshot allocated %d bytes, over %d", len(s), got, limit)
+	}
+}
+
+func BenchmarkSnapshot(b *testing.B) {
+	f := snapshotFixture(20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = f.Snapshot()
+	}
+}
+
+var snapshotSink string
