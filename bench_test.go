@@ -11,7 +11,9 @@
 package rockbench
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/rockclean/rock/internal/baselines"
@@ -96,17 +98,18 @@ func BenchmarkFig4gDetectionTimeRB(b *testing.B) {
 	benchDetect(b, workload.Bank(benchConfig()), baselines.NewRB())
 }
 
-// BenchmarkFig4hScaleDetect times the simulated-makespan pipeline behind
-// Figure 4(h); the per-n series prints via `rockbench -exp fig4h`.
+// BenchmarkFig4hScaleDetect times the detection behind Figure 4(h) on
+// GOMAXPROCS workers; the per-n series prints via `rockbench -exp fig4h`.
 func BenchmarkFig4hScaleDetect(b *testing.B) {
 	ds := workload.Logistics(benchConfig())
-	bench := baselines.NewBench(ds, 20)
+	n := runtime.GOMAXPROCS(0)
+	bench := baselines.NewBench(ds, n)
 	o := detect.DefaultOptions()
-	o.Workers = 20
+	o.Workers = n
 	d := detect.New(bench.Env, bench.Rules, o)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := d.DetectSimulated(); err != nil {
+		if _, _, err := d.DetectCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,10 +169,9 @@ func BenchmarkFig4lScaleCorrect(b *testing.B) {
 
 // BenchmarkChaseParallel measures the real wall-clock of the chase with
 // work units executed on a goroutine pool of 1, 2, 4, and 8 workers
-// (Figure 4(l), but genuinely parallel rather than simulated). The
-// speedup observed scales with the physical cores of the host: on a
-// single-core machine the variants only measure pool overhead, so the
-// simulated SimMakespan metric remains the cluster-scaling proxy.
+// (Figure 4(l)). The speedup observed scales with the physical cores of
+// the host: variants with more workers than cores only measure pool
+// overhead.
 func BenchmarkChaseParallel(b *testing.B) {
 	workloads := []struct {
 		name string

@@ -2,27 +2,12 @@
 // DESIGN.md for the experiment index and EXPERIMENTS.md for paper-vs-
 // measured numbers):
 //
-//	rockbench -exp all                          # every panel
-//	rockbench -exp fig4h -n 2000                # one panel at a larger scale
-//	rockbench -exp predication -json BENCH.json # machine-readable output
-//	rockbench -exp scale -workers 8             # 10⁶-tuple throughput curve
+//	rockbench -exp all                    # every panel
+//	rockbench -exp fig4h -n 2000          # one panel at a larger scale
+//	rockbench -exp fig4k -json fig4k.json # machine-readable output
 //
-// Experiments: fig4a..fig4l (the panels of Figure 4), rules (discovered
-// rule counts), ablation (the design-choice ablations), predication (the
-// §5.4 ML predication layer), steal (the §5.2 work-stealing ablation,
-// asserted against the obs steal counters), profile (the per-rule /
-// per-ML-model cost-attribution table of a span-traced chase, its Σ row
-// asserted equal to the phase totals), scale (the §5.1 interned
-// hot-path throughput curve at 10⁶ tuples by default — excluded from
-// `-exp all` because of its size; -n moves the top of the curve),
-// serve (the rockd serving-path load test: 64 concurrent HTTP sessions
-// against a warm tenant, reporting cleans/sec and the p95
-// ingest→fix-visible latency — also excluded from `-exp all` since it
-// spins up a live server), distributed (serial vs cross-process chase
-// over a TCP coordinator and worker replicas, asserting the distributed
-// fix set is bit-identical to serial — excluded from `-exp all` since
-// it binds sockets; `rockbench -exp distributed -json
-// BENCH_distributed.json` records the comparison).
+// `rockbench -h` lists the experiment ids (benchkit.IDs). Performance is
+// measured by the benchmark ledger, not here: go run -C bench .
 package main
 
 import (
@@ -30,22 +15,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"github.com/rockclean/rock/internal/benchkit"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: fig4a..fig4l, rules, poly, ablation, predication, steal, faults, profile, scale, serve, distributed, all")
+		exp      = flag.String("exp", "all", "experiment id: "+strings.Join(benchkit.IDs(), ", ")+", all")
 		n        = flag.Int("n", 400, "base tuples per application dataset")
 		seed     = flag.Int64("seed", 2024, "generator seed")
-		workers  = flag.Int("workers", 4, "default simulated cluster size")
-		budget   = flag.Int64("membudget", 0, "interned-column memory budget in bytes for the scale experiment (0 = no cap; a small budget forces the spill-to-disk path)")
+		workers  = flag.Int("workers", 4, "worker-pool size (fig4h and fig4l sweep it up to GOMAXPROCS instead)")
 		jsonPath = flag.String("json", "", "also write the result tables as JSON to this file")
 	)
 	flag.Parse()
 
-	cfg := benchkit.Config{N: *n, Seed: *seed, Workers: *workers, MemBudget: *budget}
+	cfg := benchkit.Config{N: *n, Seed: *seed, Workers: *workers}
 	var tables []*benchkit.Table
 	var err error
 	if *exp == "all" {
@@ -72,7 +57,7 @@ func main() {
 	}
 }
 
-// benchFile is the BENCH_*.json document: the result tables plus the
+// benchFile is the -json document: the result tables plus the
 // environment they were measured in, so numbers stay comparable across
 // machines and CI runners.
 type benchFile struct {

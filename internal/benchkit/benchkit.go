@@ -9,7 +9,6 @@ package benchkit
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -28,11 +27,6 @@ type Table struct {
 	Cells   map[string]map[string]float64 // row -> col -> value
 	Missing map[string]map[string]bool    // NA cells (unsupported combos)
 	Notes   []string
-	// Metrics carries the obs-registry counters of the experiment's
-	// instrumented runs (keys prefixed with the run's row label), so the
-	// BENCH_*.json rows ship the same numbers `rock clean -metrics-out`
-	// reports. Nil for experiments that don't thread a registry.
-	Metrics map[string]uint64 `json:",omitempty"`
 }
 
 // NewTable creates an empty table.
@@ -128,12 +122,9 @@ type Config struct {
 	N int
 	// Seed drives the generators.
 	Seed int64
-	// Workers is the default cluster size.
+	// Workers is the worker-pool size of every panel but the two scaling
+	// ones (fig4h, fig4l), which sweep it.
 	Workers int
-	// MemBudget, when positive, caps the chase executor's resident
-	// interned-column bytes in the scale experiment — columns above it
-	// spill to flat on-disk blocks (the 10⁷–10⁸ tuple configurations).
-	MemBudget int64
 }
 
 // DefaultConfig keeps experiments laptop-fast.
@@ -271,9 +262,3 @@ func taskBench(ds *workload.Dataset, task string, workers int) *baselines.Bench 
 
 // sortedApps is the canonical application order.
 var sortedApps = []string{"Bank", "Logistics", "Sales"}
-
-func sortStrings(s []string) []string {
-	out := append([]string(nil), s...)
-	sort.Strings(out)
-	return out
-}

@@ -33,8 +33,8 @@ func chaseApplied(t *testing.T, cfg Config, parallel bool) []string {
 	return out
 }
 
-// TestChaseDeterminism guards the reproducibility the faults experiment
-// leans on: the same seed must yield the same applied-fix sequence across
+// TestChaseDeterminism guards the reproducibility every panel leans on:
+// the same seed must yield the same applied-fix sequence across
 // runs and across serial vs parallel execution. This regressed once
 // through rng consumption in map-iteration order (SeedGamma).
 func TestChaseDeterminism(t *testing.T) {

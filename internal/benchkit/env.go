@@ -7,8 +7,8 @@ import (
 )
 
 // EnvInfo captures the machine and runtime a benchmark table was
-// measured on; rockbench embeds it in every BENCH_*.json so numbers are
-// comparable across checkouts and CI runners.
+// measured on; rockbench -json and the bench/ ledger embed it so numbers
+// are comparable across checkouts and CI runners.
 type EnvInfo struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`

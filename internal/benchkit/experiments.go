@@ -1,17 +1,17 @@
 package benchkit
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"strings"
+	"time"
 
 	"github.com/rockclean/rock/internal/baselines"
 	"github.com/rockclean/rock/internal/chase"
-	"github.com/rockclean/rock/internal/cluster"
 	"github.com/rockclean/rock/internal/detect"
 	"github.com/rockclean/rock/internal/discovery"
-	"github.com/rockclean/rock/internal/obs"
-	"github.com/rockclean/rock/internal/predicate"
 	"github.com/rockclean/rock/internal/quality"
-	"github.com/rockclean/rock/internal/workload"
 )
 
 // Fig4Discovery reproduces Figures 4(a)/(b)/(c): rule-discovery (or model
@@ -117,43 +117,74 @@ func Fig4gDetectTime(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Fig4hScaleDetect reproduces Figure 4(h): Logistics detection time
-// varying the worker count n ∈ {4, 8, 12, 16, 20} (paper: 3.36× from 4 to
-// 20 workers). Work-unit costs are measured for real; their parallel
-// overlap is simulated (cluster.SimulateMakespan), since the host's
-// physical core count cannot express a 20-node cluster.
-func Fig4hScaleDetect(cfg Config) (*Table, error) {
-	t := NewTable("fig4h", "Logistics-ED: varying n (simulated makespan)", "ms", []string{"Rock"})
-	// The paper scales on the full 16M-tuple dataset; use 4x the base size
-	// so each virtual worker holds meaningful work.
-	cfg.N *= 4
-	var t4, t20 float64
-	for _, n := range []int{4, 8, 12, 16, 20} {
-		ds, err := appDataset("Logistics", cfg)
+// workerSweep is the worker counts the scaling panels measure: powers of
+// two up to GOMAXPROCS, plus GOMAXPROCS itself — more workers than cores
+// would time the Go scheduler, not the cluster.
+func workerSweep() []int {
+	nproc := runtime.GOMAXPROCS(0)
+	var out []int
+	for n := 1; n < nproc; n *= 2 {
+		out = append(out, n)
+	}
+	return append(out, nproc)
+}
+
+// scalePanel builds one scaling panel: run(n) reports the wall clock at n
+// workers, once per worker count of the sweep, and the notes carry the
+// measured 1 → nproc speed-up next to the paper's 4 → 20 figure.
+func scalePanel(id, what, paper string, run func(n int) (time.Duration, error)) (*Table, error) {
+	t := NewTable(id, what+": varying n (measured, workers ≤ nproc)", "ms", []string{"Rock"})
+	sweep := workerSweep()
+	var first, last float64
+	for i, n := range sweep {
+		wall, err := run(n)
 		if err != nil {
 			return nil, err
+		}
+		last = float64(wall.Microseconds()) / 1000.0
+		if i == 0 {
+			first = last
+		}
+		t.Set(fmt.Sprintf("n=%d", n), "Rock", last)
+	}
+	nproc := sweep[len(sweep)-1]
+	if nproc > 1 && last > 0 {
+		t.Note("measured speedup 1→%d workers: %.2fx", nproc, first/last)
+	}
+	t.Note("paper: %s from 4 to 20 workers on a 21-node cluster — that sweep needs a ≥20-core host; this one has GOMAXPROCS=%d", paper, nproc)
+	return t, nil
+}
+
+// Fig4hScaleDetect reproduces Figure 4(h): Logistics detection wall clock
+// varying the worker count n (paper: 3.36× from 4 to 20 workers),
+// measured on this host's cores. Every row must find the same number of
+// errors, or the panel errors.
+func Fig4hScaleDetect(cfg Config) (*Table, error) {
+	// The paper scales on the full 16M-tuple dataset; use 4x the base size
+	// so each worker holds meaningful work.
+	cfg.N *= 4
+	found := -1
+	return scalePanel("fig4h", "Logistics-ED", "3.36x", func(n int) (time.Duration, error) {
+		ds, err := appDataset("Logistics", cfg)
+		if err != nil {
+			return 0, err
 		}
 		b := baselines.NewBench(ds, n)
 		o := detect.DefaultOptions()
 		o.Workers = n
 		d := detect.New(b.Env, b.Rules, o)
-		_, makespan, err := d.DetectSimulated()
+		start := time.Now()
+		errs, _, err := d.DetectCtx(context.Background())
+		wall := time.Since(start)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		ms := float64(makespan.Microseconds()) / 1000.0
-		t.Set(fmt.Sprintf("n=%d", n), "Rock", ms)
-		if n == 4 {
-			t4 = ms
+		if found >= 0 && len(errs) != found {
+			return 0, fmt.Errorf("fig4h: %d workers found %d errors, fewer workers found %d", n, len(errs), found)
 		}
-		if n == 20 {
-			t20 = ms
-		}
-	}
-	if t20 > 0 {
-		t.Note("speedup 4→20 workers: %.2fx (paper: 3.36x on a 21-node cluster)", t4/t20)
-	}
-	return t, nil
+		found = len(errs)
+		return wall, nil
+	})
 }
 
 // Fig4iCorrectF1 reproduces Figure 4(i): error-correction F-measure per
@@ -275,45 +306,31 @@ func Fig4kCorrectTime(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Fig4lScaleCorrect reproduces Figure 4(l): Logistics correction time
-// varying n (paper: 3.12× from 4 to 20 workers). The chase partitions
-// each round into HyperCube work units whose costs are measured for real;
-// their overlap over n workers is simulated, and the serial merge step
-// (fix application + conflict resolution) is charged in full — hence the
-// sublinear scaling, as in the paper.
+// Fig4lScaleCorrect reproduces Figure 4(l): Logistics correction wall
+// clock varying n (paper: 3.12× from 4 to 20 workers), measured on this
+// host's cores: Report.WallClock of a chase whose rounds run on a pool of
+// n goroutines (serially at n = 1). The merge step (fix application +
+// conflict resolution) is serial in every row — hence the sublinear
+// scaling, as in the paper.
 func Fig4lScaleCorrect(cfg Config) (*Table, error) {
-	t := NewTable("fig4l", "Logistics-EC: varying n (simulated makespan)", "ms", []string{"Rock"})
 	cfg.N *= 4 // the paper scales on the full dataset; see Fig4hScaleDetect
-	var t4, t20 float64
-	for _, n := range []int{4, 8, 12, 16, 20} {
+	return scalePanel("fig4l", "Logistics-EC", "3.12x", func(n int) (time.Duration, error) {
 		ds, err := appDataset("Logistics", cfg)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		b := baselines.NewBench(ds, n)
-		gamma := b.DS.Gamma
 		opts := chase.DefaultOptions()
 		opts.Workers = n
+		opts.Parallel = n > 1
 		opts.Oracle = b.GoldOracle()
 		opts.EIDRefs = b.DS.EIDRefs
-		eng := chase.New(b.Env, b.Rules, gamma, opts)
-		rep, err := eng.Run()
+		rep, err := chase.New(b.Env, b.Rules, b.DS.Gamma, opts).Run()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		ms := float64(rep.SimMakespan.Microseconds()) / 1000.0
-		t.Set(fmt.Sprintf("n=%d", n), "Rock", ms)
-		if n == 4 {
-			t4 = ms
-		}
-		if n == 20 {
-			t20 = ms
-		}
-	}
-	if t20 > 0 {
-		t.Note("speedup 4→20 workers: %.2fx (paper: 3.12x)", t4/t20)
-	}
-	return t, nil
+		return rep.WallClock, nil
+	})
 }
 
 // RuleCounts reproduces the §6 text: the number of REE++s discovered per
@@ -460,357 +477,6 @@ func Ablations(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Predication measures the §5.4 "ML predication is precomputed" layer:
-// chase wall-clock with the layer off vs on, plus the layer's cache
-// counters from the on run (hit rate excludes warm fills — the batch
-// precompute is not a lookup). Chase-phase rate isolates rounds after
-// the caches warm (PredicationByRound deltas).
-func Predication(cfg Config) (*Table, error) {
-	t := NewTable("predication", "ML predication layer (§5.4)", "",
-		[]string{"off ms", "on ms", "hit rate %", "warmed", "invalidations"})
-	t.Metrics = make(map[string]uint64)
-	for _, wl := range []struct {
-		name string
-		mk   func() *workload.Dataset
-	}{
-		{"Ecommerce", workload.Ecommerce},
-		{"Logistics", func() *workload.Dataset { return workload.Logistics(cfg.wl()) }},
-	} {
-		var lastRep *chase.Report
-		reg := obs.New()
-		run := func(pred bool) (float64, error) {
-			return timeIt(func() error {
-				b := baselines.NewBench(wl.mk(), cfg.Workers)
-				opts := chase.DefaultOptions()
-				opts.Workers = cfg.Workers
-				opts.Parallel = cfg.Workers > 1
-				opts.Predication = pred
-				if pred {
-					opts.Obs = reg
-				}
-				opts.Oracle = b.GoldOracle()
-				opts.EIDRefs = b.DS.EIDRefs
-				eng := chase.New(b.Env, b.Rules, b.DS.Gamma, opts)
-				rep, err := eng.Run()
-				lastRep = rep
-				return err
-			})
-		}
-		msOff, err := run(false)
-		if err != nil {
-			return nil, err
-		}
-		msOn, err := run(true)
-		if err != nil {
-			return nil, err
-		}
-		ps := lastRep.Predication
-		t.Set(wl.name, "off ms", msOff)
-		t.Set(wl.name, "on ms", msOn)
-		t.Set(wl.name, "hit rate %", 100*ps.HitRate())
-		t.Set(wl.name, "warmed", float64(ps.Warmed))
-		t.Set(wl.name, "invalidations", float64(ps.Invalidations))
-		for k, v := range reg.Snapshot().Counters {
-			t.Metrics[wl.name+"."+k] = v
-		}
-	}
-	t.Note("counters from the predication=on run; results are bit-identical either way")
-	return t, nil
-}
-
-// Steal reproduces the work-stealing ablation (paper §5.2, load-balancing
-// strategy (3)): chase simulated makespan with stealing on vs off. The
-// obs steal counter asserts the ablation is real — the off run must
-// record exactly zero chase-phase steals, or the experiment errors.
-func Steal(cfg Config) (*Table, error) {
-	t := NewTable("steal", "work-stealing ablation (§5.2)", "",
-		[]string{"makespan ms", "steals"})
-	t.Metrics = make(map[string]uint64)
-	for _, mode := range []struct {
-		name  string
-		steal bool
-	}{{"steal=on", true}, {"steal=off", false}} {
-		ds, err := appDataset("Logistics", cfg)
-		if err != nil {
-			return nil, err
-		}
-		b := baselines.NewBench(ds, cfg.Workers)
-		reg := obs.New()
-		opts := chase.DefaultOptions()
-		opts.Workers = cfg.Workers
-		opts.Steal = mode.steal
-		opts.Obs = reg
-		opts.Oracle = b.GoldOracle()
-		opts.EIDRefs = b.DS.EIDRefs
-		eng := chase.New(b.Env, b.Rules, b.DS.Gamma, opts)
-		rep, err := eng.Run()
-		if err != nil {
-			return nil, err
-		}
-		steals := reg.CounterValue("chase.steals")
-		if !mode.steal && steals != 0 {
-			return nil, fmt.Errorf("steal ablation: chase recorded %d steals with Steal=false", steals)
-		}
-		t.Set(mode.name, "makespan ms", float64(rep.SimMakespan.Microseconds())/1000.0)
-		t.Set(mode.name, "steals", float64(steals))
-		for k, v := range reg.Snapshot().Counters {
-			t.Metrics[mode.name+"."+k] = v
-		}
-	}
-	t.Note("chase results are identical either way — stealing only re-assigns work units; the off row's steal counter is asserted zero")
-	return t, nil
-}
-
-// Faults runs the fault-injection experiment: the same Logistics chase
-// twice on the same seed — once fault-free, once with several work units
-// panicking on their first attempt and one node killed mid-drain — and
-// asserts the two runs deduce the exact same fix set. Recovery (bounded
-// retry with reassignment to a surviving node) must make faults invisible
-// to the result; only the recovery counters differ.
-func Faults(cfg Config) (*Table, error) {
-	t := NewTable("faults", "fault-injection recovery (§5.2)", "",
-		[]string{"ms", "panics", "retries", "reassigned", "killed", "failed", "fixes"})
-	t.Metrics = make(map[string]uint64)
-	fixSets := make(map[string][]string)
-	for _, mode := range []struct {
-		name   string
-		faulty bool
-	}{{"clean", false}, {"faulty", true}} {
-		ds, err := appDataset("Logistics", cfg)
-		if err != nil {
-			return nil, err
-		}
-		b := baselines.NewBench(ds, cfg.Workers)
-		reg := obs.New()
-		opts := chase.DefaultOptions()
-		opts.Workers = cfg.Workers
-		opts.Parallel = cfg.Workers > 1
-		opts.Obs = reg
-		opts.Oracle = b.GoldOracle()
-		opts.EIDRefs = b.DS.EIDRefs
-		if mode.faulty {
-			f := cluster.NewFaultInjector()
-			f.PanicUnit(0, 1)
-			f.PanicUnit(1, 1)
-			f.PanicUnit(5, 1)
-			if cfg.Workers > 1 {
-				// Stealing off makes the kill deterministic: each worker
-				// drains exactly its own queue, so the owner of a part
-				// every two-atom rule emits is certain to execute two
-				// units and die. Fix sets are steal-invariant, so the
-				// clean run stays comparable.
-				opts.Steal = false
-				f.KillNode(cluster.New(cfg.Workers).Ring.Owner("Order-Order/b0-0"), 2)
-			}
-			opts.Faults = f
-		}
-		eng := chase.New(b.Env, b.Rules, b.DS.Gamma, opts)
-		var rep *chase.Report
-		ms, err := timeIt(func() error {
-			var runErr error
-			rep, runErr = eng.Run()
-			return runErr
-		})
-		if err != nil {
-			return nil, err
-		}
-		if rep.Partial {
-			return nil, fmt.Errorf("faults: %s run came back partial (%d unit errors) — recovery failed", mode.name, len(rep.UnitErrors))
-		}
-		fixes := make([]string, len(rep.Applied))
-		for i, f := range rep.Applied {
-			fixes[i] = f.String()
-		}
-		fixes = sortStrings(fixes)
-		fixSets[mode.name] = fixes
-		t.Set(mode.name, "ms", ms)
-		t.Set(mode.name, "panics", float64(reg.CounterValue("chase.unit_panics")))
-		t.Set(mode.name, "retries", float64(reg.CounterValue("chase.retries")))
-		t.Set(mode.name, "reassigned", float64(reg.CounterValue("chase.reassigned")))
-		t.Set(mode.name, "killed", float64(reg.CounterValue("chase.node_killed")))
-		t.Set(mode.name, "failed", float64(len(rep.UnitErrors)))
-		t.Set(mode.name, "fixes", float64(len(fixes)))
-		for k, v := range reg.Snapshot().Counters {
-			t.Metrics[mode.name+"."+k] = v
-		}
-	}
-	clean, faulty := fixSets["clean"], fixSets["faulty"]
-	if len(clean) != len(faulty) {
-		return nil, fmt.Errorf("faults: fix sets diverge: clean %d fixes, faulty %d", len(clean), len(faulty))
-	}
-	for i := range clean {
-		if clean[i] != faulty[i] {
-			return nil, fmt.Errorf("faults: fix sets diverge at %d: clean %q vs faulty %q", i, clean[i], faulty[i])
-		}
-	}
-	if v := t.Metrics["faulty.chase.unit_panics"]; v == 0 {
-		return nil, fmt.Errorf("faults: faulty run recorded zero unit panics — injection did not fire")
-	}
-	if cfg.Workers > 1 {
-		if v := t.Metrics["faulty.chase.node_killed"]; v != 1 {
-			return nil, fmt.Errorf("faults: expected exactly one node kill, recorded %d", v)
-		}
-	}
-	t.Note("fix sets asserted bit-identical: every injected panic and the killed node were absorbed by retry/reassignment")
-	return t, nil
-}
-
-// Profile runs one span-traced Bank chase and publishes the per-rule
-// cost-attribution table: one row per rule — work units, wall clock,
-// valuations, ML calls, fixes applied/rejected — plus a Σ row that is
-// asserted to reconcile with the run's phase totals (the same obs
-// counters `rock clean -metrics-out` reports), so attribution can never
-// silently drift from the numbers it decomposes.
-func Profile(cfg Config) (*Table, error) {
-	ds, err := appDataset("Bank", cfg)
-	if err != nil {
-		return nil, err
-	}
-	b := baselines.NewBench(ds, cfg.Workers)
-	reg := obs.New()
-	reg.EnableSpans(0)
-	opts := chase.DefaultOptions()
-	opts.Workers = cfg.Workers
-	opts.Parallel = cfg.Workers > 1
-	opts.Obs = reg
-	opts.Oracle = b.GoldOracle()
-	opts.EIDRefs = b.DS.EIDRefs
-	eng := chase.New(b.Env, b.Rules, b.DS.Gamma, opts)
-	rep, err := eng.Run()
-	if err != nil {
-		return nil, err
-	}
-	t := NewTable("profile", "per-rule cost attribution (traced Bank chase)", "",
-		[]string{"units", "wall_ms", "valuations", "ml_calls", "applied", "rejected"})
-	t.Metrics = make(map[string]uint64)
-	var sum chase.RuleCost
-	for _, rc := range rep.RuleProfile {
-		t.Set(rc.Rule, "units", float64(rc.Units))
-		t.Set(rc.Rule, "wall_ms", float64(rc.Wall.Microseconds())/1000.0)
-		t.Set(rc.Rule, "valuations", float64(rc.Valuations))
-		t.Set(rc.Rule, "ml_calls", float64(rc.MLCalls))
-		t.Set(rc.Rule, "applied", float64(rc.Applied))
-		t.Set(rc.Rule, "rejected", float64(rc.Rejected))
-		sum.Units += rc.Units
-		sum.Wall += rc.Wall
-		sum.Valuations += rc.Valuations
-		sum.MLCalls += rc.MLCalls
-		sum.Applied += rc.Applied
-		sum.Rejected += rc.Rejected
-	}
-	t.Set("Σ", "units", float64(sum.Units))
-	t.Set("Σ", "wall_ms", float64(sum.Wall.Microseconds())/1000.0)
-	t.Set("Σ", "valuations", float64(sum.Valuations))
-	t.Set("Σ", "ml_calls", float64(sum.MLCalls))
-	t.Set("Σ", "applied", float64(sum.Applied))
-	t.Set("Σ", "rejected", float64(sum.Rejected))
-	// Reconcile the Σ row against the run's phase totals.
-	if got, want := uint64(sum.Units), reg.CounterValue("chase.units"); got != want {
-		return nil, fmt.Errorf("profile: per-rule units sum to %d, phase total is %d", got, want)
-	}
-	if got, want := uint64(sum.Valuations), reg.CounterValue("chase.valuations"); got != want {
-		return nil, fmt.Errorf("profile: per-rule valuations sum to %d, phase total is %d", got, want)
-	}
-	if got, want := uint64(sum.MLCalls), reg.CounterValue("chase.ml_calls"); got != want {
-		return nil, fmt.Errorf("profile: per-rule ml_calls sum to %d, phase total is %d", got, want)
-	}
-	if got, want := sum.Applied, len(rep.Applied); got != want {
-		return nil, fmt.Errorf("profile: per-rule applied sum to %d, report has %d fixes", got, want)
-	}
-	for _, mc := range rep.MLProfile {
-		t.Metrics["ml."+mc.Model+".calls"] = mc.Calls
-		t.Metrics["ml."+mc.Model+".wall_ns"] = uint64(mc.Wall)
-		t.Metrics["ml."+mc.Model+".cache_hits"] = mc.CacheHits
-		t.Metrics["ml."+mc.Model+".cache_misses"] = mc.CacheMisses
-	}
-	snap := reg.Snapshot()
-	t.Metrics["spans.retained"] = uint64(len(snap.Spans))
-	t.Metrics["spans.dropped"] = snap.DroppedSpans
-	t.Note("Σ row asserted equal to the chase.units/valuations/ml_calls phase counters and the report's fix count")
-	t.Note("span tracing was enabled for the run: %d spans retained, %d dropped", len(snap.Spans), snap.DroppedSpans)
-	return t, nil
-}
-
-// Scale measures chase throughput on the dictionary-encoded hot path at
-// 10⁶–10⁸ tuples: the Scale workload (one Events relation, an interned
-// equality self-join plus an interned constant rule, null-only errors) is
-// chased at four sizes up to cfg.N, publishing a tuples-vs-wallclock
-// curve. The total defaults to 10⁷ tuples when cfg.N is left at the
-// laptop-scale default; pass -n to move it (CI smoke runs use small -n,
-// the 10⁸ configuration is run manually with a MemBudget so the interned
-// columns spill to disk instead of residing in memory). ML, blocking and
-// predication are off — the workload has no ML predicates, so the
-// engine's enumeration and join machinery (the vectorized selection and
-// posting-join kernels) is the only thing on the clock. At the smallest
-// size the experiment also chases serially and asserts the fix-set
-// snapshot is bit-identical to the parallel run's. Excluded from -exp
-// all.
-func Scale(cfg Config) (*Table, error) {
-	total := cfg.N
-	if total <= DefaultConfig().N {
-		total = 10_000_000
-	}
-	t := NewTable("scale", "chase throughput at scale (§5.1 interning)", "",
-		[]string{"tuples", "ms", "rounds", "valuations", "fixes", "ktuples/s"})
-	t.Metrics = make(map[string]uint64)
-	for i, n := range []int{total / 8, total / 4, total / 2, total} {
-		if n < 1 {
-			n = 1
-		}
-		ds := workload.Scale(workload.Config{N: n, Seed: cfg.Seed})
-		env := predicate.NewEnv(ds.DB)
-		reg := obs.New()
-		opts := chase.DefaultOptions()
-		opts.Workers = cfg.Workers
-		opts.UseBlocking = false
-		opts.Predication = false
-		opts.MemBudget = cfg.MemBudget
-		opts.Obs = reg
-		eng := chase.New(env, ds.Rules, ds.Gamma, opts)
-		ms, err := timeIt(func() error {
-			_, err := eng.Run()
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep := eng.Report()
-		applied := len(rep.Applied)
-		missing := len(ds.Gold.MissingCells)
-		if applied < missing {
-			return nil, fmt.Errorf("scale: n=%d applied %d fixes, want at least the %d gold nulls", n, applied, missing)
-		}
-		if i == 0 {
-			// Determinism gate at the smallest size: a serial chase over a
-			// fresh environment must land on the bit-identical fix set.
-			sOpts := opts
-			sOpts.Parallel = false
-			sOpts.Obs = obs.New()
-			sEng := chase.New(predicate.NewEnv(ds.DB), ds.Rules, ds.Gamma, sOpts)
-			if _, err := sEng.Run(); err != nil {
-				return nil, err
-			}
-			if a, b := eng.Truth().Snapshot(), sEng.Truth().Snapshot(); a != b {
-				return nil, fmt.Errorf("scale: parallel and serial fix sets diverge at n=%d", n)
-			}
-		}
-		row := fmt.Sprintf("n=%d", n)
-		t.Set(row, "tuples", float64(n))
-		t.Set(row, "ms", ms)
-		t.Set(row, "rounds", float64(len(rep.Trace)))
-		t.Set(row, "valuations", float64(reg.CounterValue("chase.valuations")))
-		t.Set(row, "fixes", float64(applied))
-		if ms > 0 {
-			t.Set(row, "ktuples/s", float64(n)/ms)
-		}
-		for k, v := range reg.Snapshot().Counters {
-			t.Metrics[row+"."+k] = v
-		}
-	}
-	t.Note("workers fixed at cfg.Workers; serial-vs-parallel snapshot asserted bit-identical at the smallest size")
-	return t, nil
-}
-
 // Poly reproduces §5.4's polynomial-expression learning: the stump
 // ensemble ranks numeric attributes, LASSO fits the expression, and the
 // learned arithmetic (total ≈ amount + fee; price_no_tax ≈ price/rate per
@@ -898,115 +564,75 @@ func systemByName(name string) (baselines.System, error) {
 	return nil, fmt.Errorf("benchkit: unknown system %q (valid: Rock, Rock_noML, Rock_seq, Rock_noC, ES, T5s, RB, SparkSQL, Presto)", name)
 }
 
+// panels is the one table of experiment ids, in paper order: All ranges
+// over it, ByID looks an id up in it, and cmd/rockbench's help is IDs().
+var panels = []struct {
+	id  string
+	run func(Config) (*Table, error)
+}{
+	{"fig4a", func(c Config) (*Table, error) { return Fig4Discovery("Bank", c) }},
+	{"fig4b", func(c Config) (*Table, error) { return Fig4Discovery("Logistics", c) }},
+	{"fig4c", func(c Config) (*Table, error) { return Fig4Discovery("Sales", c) }},
+	{"fig4d", func(c Config) (*Table, error) { return Fig4DetectF1("Bank", c) }},
+	{"fig4e", func(c Config) (*Table, error) { return Fig4DetectF1("Logistics", c) }},
+	{"fig4f", func(c Config) (*Table, error) { return Fig4DetectF1("Sales", c) }},
+	{"fig4g", Fig4gDetectTime},
+	{"fig4h", Fig4hScaleDetect},
+	{"fig4i", Fig4iCorrectF1},
+	{"fig4j", Fig4jSalesTasks},
+	{"fig4k", Fig4kCorrectTime},
+	{"fig4l", Fig4lScaleCorrect},
+	{"rules", RuleCounts},
+	{"poly", Poly},
+	{"ablation", Ablations},
+}
+
+// retired are the experiments the benchmark ledger (bench/) replaced.
+var retired = []string{"predication", "steal", "faults", "profile", "scale", "serve", "distributed"}
+
+// IDs lists the experiment ids in paper order.
+func IDs() []string {
+	ids := make([]string, len(panels))
+	for i, p := range panels {
+		ids[i] = p.id
+	}
+	return ids
+}
+
 // All runs every experiment in paper order.
 func All(cfg Config) ([]*Table, error) {
 	var out []*Table
-	run := func(t *Table, err error) error {
+	for _, p := range panels {
+		t, err := p.run(cfg)
 		if err != nil {
-			return err
+			return out, err
 		}
 		out = append(out, t)
-		return nil
-	}
-	for _, app := range sortedApps {
-		if err := run(Fig4Discovery(app, cfg)); err != nil {
-			return out, err
-		}
-	}
-	for _, app := range sortedApps {
-		if err := run(Fig4DetectF1(app, cfg)); err != nil {
-			return out, err
-		}
-	}
-	if err := run(Fig4gDetectTime(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(Fig4hScaleDetect(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(Fig4iCorrectF1(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(Fig4jSalesTasks(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(Fig4kCorrectTime(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(Fig4lScaleCorrect(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(RuleCounts(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(Poly(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(Ablations(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(Predication(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(Steal(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(Faults(cfg)); err != nil {
-		return out, err
-	}
-	if err := run(Profile(cfg)); err != nil {
-		return out, err
 	}
 	return out, nil
 }
 
 // ByID dispatches one experiment.
 func ByID(id string, cfg Config) (*Table, error) {
-	switch id {
-	case "fig4a":
-		return Fig4Discovery("Bank", cfg)
-	case "fig4b":
-		return Fig4Discovery("Logistics", cfg)
-	case "fig4c":
-		return Fig4Discovery("Sales", cfg)
-	case "fig4d":
-		return Fig4DetectF1("Bank", cfg)
-	case "fig4e":
-		return Fig4DetectF1("Logistics", cfg)
-	case "fig4f":
-		return Fig4DetectF1("Sales", cfg)
-	case "fig4g":
-		return Fig4gDetectTime(cfg)
-	case "fig4h":
-		return Fig4hScaleDetect(cfg)
-	case "fig4i":
-		return Fig4iCorrectF1(cfg)
-	case "fig4j":
-		return Fig4jSalesTasks(cfg)
-	case "fig4k":
-		return Fig4kCorrectTime(cfg)
-	case "fig4l":
-		return Fig4lScaleCorrect(cfg)
-	case "rules":
-		return RuleCounts(cfg)
-	case "poly":
-		return Poly(cfg)
-	case "ablation":
-		return Ablations(cfg)
-	case "predication":
-		return Predication(cfg)
-	case "steal":
-		return Steal(cfg)
-	case "faults":
-		return Faults(cfg)
-	case "profile":
-		return Profile(cfg)
-	case "scale":
-		return Scale(cfg)
-	case "serve":
-		return ServeLoad(cfg)
-	case "distributed":
-		return Distributed(cfg)
+	run, err := lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("benchkit: unknown experiment %q (want fig4a..fig4l, rules, poly, ablation, predication, steal, faults, profile, scale, serve, distributed, all)", id)
+	return run(cfg)
+}
+
+// lookup resolves an id to its panel; a retired id's error says where
+// that measurement lives now.
+func lookup(id string) (func(Config) (*Table, error), error) {
+	for _, p := range panels {
+		if p.id == id {
+			return p.run, nil
+		}
+	}
+	for _, r := range retired {
+		if r == id {
+			return nil, fmt.Errorf("benchkit: experiment %q was retired — the benchmark ledger measures it now: go run -C bench .", id)
+		}
+	}
+	return nil, fmt.Errorf("benchkit: unknown experiment %q (want %s, all)", id, strings.Join(IDs(), ", "))
 }

@@ -46,9 +46,8 @@ type Options struct {
 	Mode Mode
 	// MaxRounds bounds the fixpoint loop (safety valve; 0 = default 100).
 	MaxRounds int
-	// Workers is the cluster size: it sets the HyperCube block count, the
-	// simulated-makespan parallelism (Report.SimMakespan) and — with
-	// Parallel — the size of the real goroutine worker pool.
+	// Workers is the cluster size: it sets the HyperCube block count and
+	// — with Parallel — the size of the goroutine worker pool.
 	Workers int
 	// Parallel executes each round's work units on a pool of Workers
 	// goroutines (with work stealing when Steal is set) instead of a
@@ -59,12 +58,11 @@ type Options struct {
 	// the serial apply step.
 	Parallel bool
 	// Steal enables work stealing between the pool's workers during a
-	// parallel round, and drives the stolen-overlap model of the
-	// simulated makespan (Report.SimMakespan). On in Rock proper; the
-	// work-stealing ablation (paper §5.2/§6) turns it off for the chase
-	// phase exactly as detect.Options.Steal does for detection. The
-	// chase result is identical either way — stealing only re-assigns
-	// units between workers — which the obs steal counters verify.
+	// parallel round. On in Rock proper; the work-stealing ablation
+	// (paper §5.2/§6) turns it off for the chase phase exactly as
+	// detect.Options.Steal does for detection. The chase result is
+	// identical either way — stealing only re-assigns units between
+	// workers — which the obs steal counters verify.
 	Steal bool
 	// Lazy enables the lazy-activation machinery (rule activation by fix
 	// kind + dirty-tuple filtering). Off, every round re-enumerates every
@@ -121,13 +119,13 @@ type Options struct {
 	// MaxRetries bounds how many times a panicking work unit is retried
 	// (reassigned to a different node when one is alive) before it is
 	// given up and surfaced on Report.UnitErrors. Fault tolerance for the
-	// simulated cluster; see cluster.Options.MaxRetries.
+	// worker pool; see cluster.Options.MaxRetries.
 	MaxRetries int
 	// RetryBackoff is the base backoff before a unit retry (attempt k
 	// sleeps k*RetryBackoff).
 	RetryBackoff time.Duration
 	// Faults, when non-nil, injects failures into every parallel round's
-	// drain (tests and the rockbench "faults" experiment only).
+	// drain (tests only).
 	Faults *cluster.FaultInjector
 	// Cluster, when non-nil, replaces the engine-private in-process worker
 	// pool with a caller-supplied one. When it additionally implements
@@ -224,10 +222,6 @@ type Report struct {
 	Valuations  int
 	MLCalls     int
 	RetractedTD int
-	// SimMakespan is the simulated parallel runtime over Options.Workers
-	// workers (measured unit costs, simulated overlap) — the substitute
-	// metric for cluster sizes beyond this host's core count.
-	SimMakespan time.Duration
 	// WallClock is the real elapsed time of the chase rounds (enumeration
 	// plus merge); with Options.Parallel the enumeration phase genuinely
 	// overlaps on the worker pool.
@@ -260,9 +254,9 @@ type Report struct {
 	MLProfile []MLCost
 	// Metrics is the engine's observability snapshot, taken when Run or
 	// RunIncremental returns. The scalar fields above (Rounds,
-	// Valuations, MLCalls, WallClock, SimMakespan) are views over the
-	// same registry, so Metrics.Counters["chase.rounds"] == Rounds etc.
-	// — exactly one source of truth.
+	// Valuations, MLCalls, WallClock) are views over the same registry,
+	// so Metrics.Counters["chase.rounds"] == Rounds etc. — exactly one
+	// source of truth.
 	Metrics obs.Snapshot
 }
 
@@ -320,10 +314,8 @@ type Engine struct {
 	// when the incremental path absorbs inserts.
 	blocks map[string][][]*data.Tuple
 	// cl is the run-wide worker pool (in-process by default, the remote
-	// coordinator when Options.Cluster supplies one); nodes (borrowed
-	// from cl) simulate work-unit placement for makespan accounting.
-	cl    cluster.Runner
-	nodes []string
+	// coordinator when Options.Cluster supplies one).
+	cl cluster.Runner
 	// lastAccepted carries the previous round's accepted fixes into the
 	// next distributed round's preamble (workers derive their dirty set
 	// and invalidations from it, mirroring the post-merge bookkeeping).
@@ -416,7 +408,6 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 		e.cl = cluster.New(opts.Workers)
 	}
 	e.cl.SetObs(e.obs, "chase")
-	e.nodes = e.cl.Nodes()
 	if _, ok := e.cl.(DistRunner); ok {
 		// Distributed: journal every truth mutation so the next round's
 		// preamble can replicate it to the workers.
@@ -531,7 +522,6 @@ func (e *Engine) syncReport() {
 	e.report.Valuations = int(e.obs.CounterValue("chase.valuations"))
 	e.report.MLCalls = int(e.obs.CounterValue("chase.ml_calls"))
 	e.report.WallClock = time.Duration(e.obs.CounterValue("chase.wall_ns"))
-	e.report.SimMakespan = time.Duration(e.obs.CounterValue("chase.sim_makespan_ns"))
 	ids := make([]string, 0, len(e.ruleCosts))
 	for id := range e.ruleCosts {
 		ids = append(ids, id)
@@ -801,16 +791,14 @@ func (e *Engine) runSinglePass() (*Report, error) {
 // A unit returns its outcome (runUnit) and the round keeps one slot per
 // unit, so the execution strategies differ only in who calls runUnit: the
 // serial reference loop (Options.Parallel off), the pool of
-// Options.Workers goroutines (cluster.Drain: affinity queues plus work
-// stealing), or — behind a DistRunner — worker replicas in other
+// Options.Workers goroutines (cluster.DrainWithStats: affinity queues
+// plus work stealing), or — behind a DistRunner — worker replicas in other
 // processes. The merge folds the slots in unit-index order, which is the
 // serial generation order (rule ID, unit part), so fixes and report state
 // are bit-identical across strategies regardless of worker interleaving.
 // Correctness rests on the round invariant: units only read the fix set
 // (truth.FixSet reads are compression-free), and all fixes apply in the
-// serial merge below. Unit costs are still measured so the report can
-// carry the simulated parallel makespan over cluster sizes beyond this
-// host's core count (see DESIGN.md).
+// serial merge below. Unit costs are measured for Report.RuleProfile.
 func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]Fix, error) {
 	roundStart := time.Now()
 	round := int(e.obs.CounterValue("chase.rounds")) // caller already counted this round
@@ -915,7 +903,6 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	// never ran (or that failed permanently) are skipped: the fixes of
 	// completed units are still certain and still apply.
 	var candidates []Fix
-	var sims []cluster.SimUnit
 	var roundVal, roundML int
 	unitHist := e.obs.Histogram("chase.unit")
 	for i, w := range work {
@@ -947,19 +934,14 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 		candidates = append(candidates, out.Fixes...)
 		e.report.Unresolved = append(e.report.Unresolved, out.Unresolved...)
 		e.report.ResolvedMI += out.ResolvedMI
-		sims = append(sims, cluster.SimUnit{Node: e.cl.Owner(w.Part), Cost: cost})
 		unitHist.Observe(cost)
 	}
 	e.obs.Add("chase.valuations", uint64(roundVal))
 	e.obs.Add("chase.ml_calls", uint64(roundML))
-	if len(sims) > 0 {
-		e.obs.Add("chase.sim_makespan_ns", uint64(cluster.SimulateMakespan(sims, e.nodes, e.opts.Steal)))
-	}
 	// Merge step: apply the deduced fixes in deterministic order. Every
 	// matching valuation deduces the same fix, so candidates are heavily
 	// duplicated — dedupe first or the serial merge (with its conflict
 	// resolution) dominates the round.
-	applyStart := time.Now()
 	seenFix := make(map[fixKey]bool, len(candidates))
 	var accepted []Fix
 	rejected := 0
@@ -983,7 +965,6 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	}
 	e.obs.Add("chase.fixes.applied", uint64(len(accepted)))
 	e.obs.Add("chase.fixes.rejected", uint64(rejected))
-	e.obs.Add("chase.sim_makespan_ns", uint64(time.Since(applyStart)))
 	e.absorb(accepted)
 	e.lastAccepted = accepted
 	if e.pred != nil {

@@ -144,22 +144,6 @@ func (funcRanker) RankLeq(rel string, older, newer *data.Tuple, attr string) flo
 	return 0.1
 }
 
-func TestSimMakespanAccounted(t *testing.T) {
-	env, rel := personEnv(t)
-	rel.Insert("a", data.S("X"), data.S("Y"), data.S("h"), data.S("s"), data.Null(data.TString))
-	rel.Insert("b", data.S("X"), data.S("Y"), data.S("h"), data.S("s"), data.Null(data.TString))
-	r := must.Rule("Person(t) ^ Person(s) ^ t.LN = s.LN ^ t.FN = s.FN ^ t.home = s.home -> t.eid = s.eid", env.DB)
-	r.ID = "er"
-	eng := New(env, []*ree.Rule{r}, truth.NewFixSet(), DefaultOptions())
-	rep, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SimMakespan <= 0 {
-		t.Error("simulated makespan must be accounted")
-	}
-}
-
 func TestUnresolvedWithoutOracleOrModels(t *testing.T) {
 	// Two tuples disagree 1-1 with no models, no gamma, no oracle: the
 	// certain-fix discipline refuses to guess.

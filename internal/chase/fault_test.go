@@ -136,10 +136,10 @@ func TestDeadlineCancelParallelIsPartialNotError(t *testing.T) {
 	}
 }
 
-// TestFaultyChaseMatchesCleanChase is the in-tree counterpart of the
-// rockbench faults experiment: with unit panics injected on first attempt
-// and a node killed mid-drain, bounded retry plus reassignment must land
-// on the exact fix set of a fault-free run. The second half panics from
+// TestFaultyChaseMatchesCleanChase holds fault recovery to the result:
+// with unit panics injected on first attempt and a node killed mid-drain,
+// bounded retry plus reassignment must land on the exact fix set of a
+// fault-free run. The second half panics from
 // inside a unit instead (an oracle that fails once, mid-enumeration, after
 // the unit has already escalated conflicts): the retried unit must not
 // report twice what its failed attempt had found, serial or parallel.

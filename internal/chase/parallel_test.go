@@ -275,9 +275,6 @@ func TestObsMetricsAgreeWithReport(t *testing.T) {
 	if m["chase.wall_ns"] != uint64(rep.WallClock) {
 		t.Errorf("chase.wall_ns = %d, but Report.WallClock = %d", m["chase.wall_ns"], rep.WallClock)
 	}
-	if m["chase.sim_makespan_ns"] != uint64(rep.SimMakespan) {
-		t.Errorf("chase.sim_makespan_ns = %d, but Report.SimMakespan = %d", m["chase.sim_makespan_ns"], rep.SimMakespan)
-	}
 	// The engine recorded into the registry the caller passed in.
 	if reg.CounterValue("chase.rounds") != uint64(rep.Rounds) {
 		t.Error("Options.Obs registry not the one the engine recorded into")

@@ -70,8 +70,9 @@ func TestScaleWorkloadSpillPreservesFixes(t *testing.T) {
 	}
 }
 
-// BenchmarkScaleChase times one full chase over the scale workload —
-// the wall-clock the `-exp scale` curve reports, minus data generation.
+// BenchmarkScaleChase times one full chase over the scale workload;
+// SCALE_BENCH_N moves its size (the n-sweep behind EXPERIMENTS.md's
+// historical 1.25×10⁶ → 10⁷ curve).
 func BenchmarkScaleChase(b *testing.B) {
 	n := scaleTestN
 	if s := os.Getenv("SCALE_BENCH_N"); s != "" {

@@ -1,8 +1,8 @@
-// Package cluster simulates the n-worker compute cluster Rock runs on
-// (paper §6 uses 21 Kubernetes nodes): each worker is a goroutine with its
-// own work manager that drains the crystal scheduler, stealing from peers
-// when idle. The parallel-scalability experiments (Figures 4(h) and 4(l))
-// drive this package with varying n.
+// Package cluster is the in-process worker pool Rock's chase and
+// detection run on (paper §6 uses 21 Kubernetes nodes; here a worker is
+// a goroutine): each worker has its own work manager that drains the
+// crystal scheduler, stealing from peers when idle. Runner is the surface
+// it shares with the cross-process coordinator in internal/cluster/remote.
 package cluster
 
 import (
@@ -23,13 +23,13 @@ import (
 // submission, the barrier drain, and observability routing — goes
 // through this interface so the two are interchangeable.
 type Runner interface {
-	Size() int
-	Nodes() []string
 	Owner(part string) string
 	Submit(u *crystal.WorkUnit)
 	DrainWithStats(ctx context.Context, opts Options) DrainStats
 	SetObs(reg *obs.Registry, prefix string)
 }
+
+var _ Runner = (*Cluster)(nil)
 
 // Cluster is a set of named workers sharing a ring and scheduler.
 type Cluster struct {
@@ -44,7 +44,6 @@ type Cluster struct {
 
 	mu       sync.Mutex
 	executed map[string]int // node -> units run in the CURRENT drain
-	total    map[string]int // node -> units run since cluster creation
 }
 
 // New creates a cluster of n workers named node-0..node-(n-1).
@@ -71,7 +70,6 @@ func New(n int) *Cluster {
 		Sched:    crystal.NewScheduler(nodes),
 		nodes:    nodes,
 		executed: make(map[string]int, n),
-		total:    make(map[string]int, n),
 	}
 }
 
@@ -94,12 +92,6 @@ func (c *Cluster) SetObs(reg *obs.Registry, prefix string) {
 	}
 }
 
-// Size returns the number of workers.
-func (c *Cluster) Size() int { return len(c.nodes) }
-
-// Nodes returns the worker names.
-func (c *Cluster) Nodes() []string { return append([]string(nil), c.nodes...) }
-
 // Owner returns the consistent-hash owner of a partition.
 func (c *Cluster) Owner(part string) string { return c.Ring.Owner(part) }
 
@@ -120,7 +112,7 @@ type Options struct {
 	RetryBackoff time.Duration
 	// Faults, when non-nil, injects failures (panicking units,
 	// stragglers, node kills) into this drain. Production runs leave it
-	// nil; tests and the rockbench "faults" experiment set it.
+	// nil; the fault-tolerance tests set it.
 	Faults *FaultInjector
 }
 
@@ -191,21 +183,16 @@ func (d *drainRun) bumpLocked() {
 	d.cond.Broadcast()
 }
 
-// Drain runs every queued unit to completion across all workers and
-// returns per-node unit counts for this drain. Each worker loops: pop
+// DrainWithStats runs every queued unit to completion across all
+// workers and returns this drain's statistics. Each worker loops: pop
 // (or steal) a unit, run it, repeat until no units remain outstanding,
-// the context is cancelled, or the (simulated) node dies.
+// the context is cancelled, or fault injection kills the node.
 //
-// The counts are per-drain (reset on entry): the chase drains the same
-// shared cluster once per round, and utilization stats derived from
+// PerNode counts are per-drain (reset on entry): the chase drains the
+// same shared cluster once per round, and utilization stats derived from
 // cumulative counts would inflate every round after the first.
-// Executed() keeps the cumulative view.
-func (c *Cluster) Drain(ctx context.Context, opts Options) map[string]int {
-	return c.DrainWithStats(ctx, opts).PerNode
-}
-
-// DrainWithStats is Drain returning the full per-drain statistics. A
-// panicking unit is recovered, retried with backoff up to
+//
+// A panicking unit is recovered, retried with backoff up to
 // opts.MaxRetries times (reassigned to a different live node when one
 // exists), and surfaced as a UnitError once retries are exhausted —
 // other units keep running either way. Cancelling ctx stops the drain
@@ -349,7 +336,6 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 	if err == nil {
 		c.mu.Lock()
 		c.executed[node]++
-		c.total[node]++
 		c.mu.Unlock()
 		if c.reg != nil {
 			c.reg.Inc(c.prefix + ".node." + node + ".units")
@@ -493,122 +479,6 @@ func (c *Cluster) killNode(node string, d *drainRun) {
 			c.reg.Add(c.prefix+".reassigned", uint64(moved))
 		}
 	}
-}
-
-// Executed returns the cumulative per-node unit counts across every
-// drain since the cluster was created.
-func (c *Cluster) Executed() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int, len(c.total))
-	for k, v := range c.total {
-		out[k] = v
-	}
-	return out
-}
-
-// SimUnit is one executed work unit with its measured cost, used by the
-// makespan simulation.
-type SimUnit struct {
-	// Node is the affinity assignment (consistent-hash owner).
-	Node string
-	// Cost is the measured serial execution time.
-	Cost time.Duration
-}
-
-// SimulateMakespan schedules measured unit costs over the named workers —
-// affinity queues first, work stealing when idle — and returns the
-// parallel makespan. This is the discrete-event counterpart of Drain for
-// hosts whose physical core count cannot express the paper's cluster
-// sizes: per-unit costs are measured for real, only their overlap is
-// simulated, so the scheduling and balancing behaviour under evaluation
-// (Figures 4(h)/(l)) is exactly what determines the result.
-func SimulateMakespan(units []SimUnit, nodes []string, steal bool) time.Duration {
-	queues := make(map[string][]time.Duration, len(nodes))
-	remaining := make(map[string]time.Duration, len(nodes))
-	for _, n := range nodes {
-		queues[n] = nil
-		remaining[n] = 0
-	}
-	fallback := nodes[0]
-	for _, u := range units {
-		n := u.Node
-		if _, ok := queues[n]; !ok {
-			n = fallback
-		}
-		queues[n] = append(queues[n], u.Cost)
-		remaining[n] += u.Cost
-	}
-	clock := make(map[string]time.Duration, len(nodes))
-	pending := len(units)
-	for pending > 0 {
-		// The node with the earliest clock acts next.
-		var node string
-		first := true
-		for _, n := range nodes {
-			if first || clock[n] < clock[node] || (clock[n] == clock[node] && n < node) {
-				node, first = n, false
-			}
-		}
-		if q := queues[node]; len(q) > 0 {
-			cost := q[len(q)-1]
-			queues[node] = q[:len(q)-1]
-			remaining[node] -= cost
-			clock[node] += cost
-			pending--
-			continue
-		}
-		if !steal {
-			// Idle forever: jump its clock past everyone so it never acts
-			// again; find max busy clock + pending work upper bound.
-			var max time.Duration
-			for _, n := range nodes {
-				if c := clock[n] + remaining[n]; c > max {
-					max = c
-				}
-			}
-			clock[node] = max
-			continue
-		}
-		// Steal the costliest unit from the most loaded peer.
-		victim := ""
-		for _, n := range nodes {
-			if n != node && len(queues[n]) > 0 && (victim == "" || remaining[n] > remaining[victim]) {
-				victim = n
-			}
-		}
-		if victim == "" {
-			var max time.Duration
-			for _, n := range nodes {
-				if c := clock[n] + remaining[n]; c > max {
-					max = c
-				}
-			}
-			clock[node] = max
-			continue
-		}
-		q := queues[victim]
-		bi := 0
-		for i, c := range q {
-			if c > q[bi] {
-				bi = i
-			}
-		}
-		cost := q[bi]
-		queues[victim] = append(q[:bi], q[bi+1:]...)
-		remaining[victim] -= cost
-		// Stealing cannot happen before the victim enqueued the work; the
-		// thief resumes at its own clock.
-		clock[node] += cost
-		pending--
-	}
-	var makespan time.Duration
-	for _, n := range nodes {
-		if clock[n] > makespan {
-			makespan = clock[n]
-		}
-	}
-	return makespan
 }
 
 // ParallelMap partitions items into per-worker chunks and applies fn

@@ -8,9 +8,8 @@ import (
 
 // FaultInjector injects controlled failures into a drain, standing in
 // for the node crashes and stragglers a real 21-node Kubernetes
-// deployment (paper §6) experiences. It drives the recovery tests and
-// the rockbench "faults" experiment; production runs leave
-// Options.Faults nil.
+// deployment (paper §6) experiences. It drives the recovery tests;
+// production runs leave Options.Faults nil.
 //
 // All injections are keyed by WorkUnit.ID or node name and are
 // one-shot state machines: a scheduled panic is consumed per attempt,

@@ -271,16 +271,7 @@ func (c *Coordinator) markDead(name string) bool {
 
 // --- cluster.Runner ---
 
-// Size returns the configured worker count.
-func (c *Coordinator) Size() int { return c.opts.Workers }
-
-// Nodes returns the worker names in connection order (the stable node
-// set; deaths do not shrink it — placement just avoids dead workers).
-func (c *Coordinator) Nodes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
-}
+var _ cluster.Runner = (*Coordinator)(nil)
 
 // Owner returns the live worker owning the partition by consistent
 // hash, or "" when every worker is dead.

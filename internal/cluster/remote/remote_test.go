@@ -147,7 +147,7 @@ func distributedRun(t *testing.T, n int, seed int64, nWorkers int, faults *clust
 	for _, cmd := range cmds {
 		pidToCmd[cmd.Process.Pid] = cmd
 	}
-	for _, node := range coord.Nodes() {
+	for _, node := range coord.order {
 		if pid, err := strconv.Atoi(coord.WorkerMeta(node)); err == nil {
 			byNode[node] = pidToCmd[pid]
 		}

@@ -3,9 +3,9 @@
 // D as violations of the rules. For data-partitioned parallelism it
 // extends the HyperCube partitioning of [41]: the data is divided into
 // virtual blocks and each rule gets one work unit per block combination,
-// distributed over the simulated cluster with consistent hashing and work
-// stealing. A batch mode scans all of D; an incremental mode restricts to
-// valuations touching changed tuples (ΔD).
+// distributed over the worker pool (internal/cluster) with consistent
+// hashing and work stealing. A batch mode scans all of D; an incremental
+// mode restricts to valuations touching changed tuples (ΔD).
 package detect
 
 import (
@@ -60,7 +60,8 @@ func (e *Error) Key() string {
 
 // Options tunes a detection run.
 type Options struct {
-	// Workers is the simulated cluster size n (paper Figure 4(h)).
+	// Workers is the worker-pool size n (paper Figure 4(h)): that many
+	// goroutines drain the detection units.
 	Workers int
 	// UseBlocking enables LSH blocking for ML predicates.
 	UseBlocking bool
@@ -83,7 +84,7 @@ type Options struct {
 	MaxRetries   int
 	RetryBackoff time.Duration
 	// Faults, when non-nil, injects failures into the detection drain
-	// (tests and the fault experiments only).
+	// (tests only).
 	Faults *cluster.FaultInjector
 	// Span, when non-nil, parents the detection phase span (rock threads
 	// its root "clean" span here). Observed only while the registry has
@@ -168,21 +169,6 @@ func (d *Detector) DetectIncrementalCtx(ctx context.Context, dirty map[string]ma
 }
 
 func (d *Detector) runCtx(ctx context.Context, dirty map[string]map[int]bool) ([]*Error, bool, error) {
-	errs, _, partial, err := d.runMode(ctx, dirty, false)
-	return errs, partial, err
-}
-
-// DetectSimulated runs batch detection measuring each work unit's cost
-// serially, then returns the detected errors together with the simulated
-// parallel makespan over the configured worker count (see
-// cluster.SimulateMakespan — the substitution used on hosts without
-// enough physical cores to express the paper's cluster sizes).
-func (d *Detector) DetectSimulated() ([]*Error, time.Duration, error) {
-	errs, makespan, _, err := d.runMode(context.Background(), nil, true)
-	return errs, makespan, err
-}
-
-func (d *Detector) runMode(ctx context.Context, dirty map[string]map[int]bool, simulate bool) ([]*Error, time.Duration, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -200,9 +186,9 @@ func (d *Detector) runMode(ctx context.Context, dirty map[string]map[int]bool, s
 	}
 	phase := d.opts.Obs.StartSpan(phaseName, d.opts.Span)
 	defer phase.End()
-	found, makespan, partial, err := d.violations(ctx, dirty, simulate, phase)
+	found, partial, err := d.violations(ctx, dirty, phase)
 	if err != nil {
-		return nil, 0, partial, err
+		return nil, partial, err
 	}
 	// The tail costs what the enumeration produced: O(E log E) for E
 	// violations, each keyed once.
@@ -215,14 +201,13 @@ func (d *Detector) runMode(ctx context.Context, dirty map[string]map[int]bool, s
 	if d.opts.Pred != nil {
 		d.opts.Pred.PublishTo(d.opts.Obs)
 	}
-	return out, makespan, partial, nil
+	return out, partial, nil
 }
 
 // violations enumerates the rule violations (over the dirty tuples only,
-// when dirty is non-nil) as HyperCube work units on the cluster — or one
-// after another, timed, when simulate is set — and returns them in plan
-// order, each Key once.
-func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool, simulate bool, phase *obs.Span) (*errorSet, time.Duration, bool, error) {
+// when dirty is non-nil) as HyperCube work units on the cluster and
+// returns them in plan order, each Key once.
+func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool, phase *obs.Span) (*errorSet, bool, error) {
 	cl := cluster.New(d.opts.Workers)
 	cl.SetObs(d.opts.Obs, "detect")
 
@@ -240,10 +225,10 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 	var results []*result
 	for _, r := range d.rules {
 		if err := r.Validate(d.env.DB); err != nil {
-			return nil, 0, false, err
+			return nil, false, err
 		}
 		if len(r.Atoms) == 0 {
-			return nil, 0, false, fmt.Errorf("detect: rule %s has no tuple atoms", r.ID)
+			return nil, false, fmt.Errorf("detect: rule %s has no tuple atoms", r.ID)
 		}
 		for _, b := range crystal.UnitsFor(r, blocks) {
 			res := &result{}
@@ -258,54 +243,31 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 		}
 	}
 	d.opts.Obs.Add("detect.units", uint64(len(all)))
-	var makespan time.Duration
-	partial := false
-	if simulate {
-		hist := d.opts.Obs.Histogram("detect.unit")
-		sims := make([]cluster.SimUnit, 0, len(all))
-		for _, u := range all {
-			if ctx.Err() != nil {
-				partial = true
-				d.opts.Obs.Inc("detect.cancelled")
-				break
-			}
-			node := cl.Ring.Owner(u.Part)
-			unitStart := time.Now()
-			u.Exec(node)
-			cost := time.Since(unitStart)
-			sims = append(sims, cluster.SimUnit{Node: node, Cost: cost})
-			hist.Observe(cost)
-			d.opts.Obs.Inc("detect.node." + node + ".units")
-		}
-		makespan = cluster.SimulateMakespan(sims, cl.Nodes(), d.opts.Steal)
-		d.opts.Obs.Add("detect.sim_makespan_ns", uint64(makespan))
-	} else {
-		for _, u := range all {
-			cl.Submit(u)
-		}
-		st := cl.DrainWithStats(ctx, cluster.Options{
-			Steal:        d.opts.Steal,
-			MaxRetries:   d.opts.MaxRetries,
-			RetryBackoff: d.opts.RetryBackoff,
-			Faults:       d.opts.Faults,
-		})
-		// A cancelled drain (or permanently failed units) leaves detection
-		// incomplete but sound: every error found so far stands.
-		partial = st.Cancelled || len(st.Failed) > 0
+	for _, u := range all {
+		cl.Submit(u)
 	}
+	st := cl.DrainWithStats(ctx, cluster.Options{
+		Steal:        d.opts.Steal,
+		MaxRetries:   d.opts.MaxRetries,
+		RetryBackoff: d.opts.RetryBackoff,
+		Faults:       d.opts.Faults,
+	})
+	// A cancelled drain (or permanently failed units) leaves detection
+	// incomplete but sound: every error found so far stands.
+	partial := st.Cancelled || len(st.Failed) > 0
 	// Merge in plan order: the first rule (and block) to find an error
 	// reports it, so RuleID is as reproducible as the key set.
 	merged := &errorSet{}
 	for _, res := range results {
 		if res.err != nil {
 			d.opts.Obs.Inc("detect.errors.run")
-			return nil, 0, partial, res.err
+			return nil, partial, res.err
 		}
 		for _, e := range res.errs {
 			merged.add(e, e.Key())
 		}
 	}
-	return merged, makespan, partial, nil
+	return merged, partial, nil
 }
 
 // runUnit is the body of one detection work unit: run the local executor

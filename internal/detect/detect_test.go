@@ -213,44 +213,6 @@ func TestDetectInvalidRule(t *testing.T) {
 	}
 }
 
-func TestDetectSimulatedMatchesBatch(t *testing.T) {
-	env, _, _ := dirtyTransEnv(t, 60)
-	o := DefaultOptions()
-	o.Workers = 8
-	d := New(env, []*ree.Rule{crRule(t, env)}, o)
-	batch, err := d.Detect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, makespan, err := d.DetectSimulated()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if makespan <= 0 {
-		t.Error("simulated makespan must be positive")
-	}
-	if len(sim) != len(batch) {
-		t.Fatalf("simulated run found %d errors, batch %d", len(sim), len(batch))
-	}
-	for i := range sim {
-		if sim[i].Key() != batch[i].Key() {
-			t.Fatalf("result %d differs between modes", i)
-		}
-	}
-	// More workers shrink (or hold) the simulated makespan.
-	o2 := DefaultOptions()
-	o2.Workers = 1
-	d1 := New(env, []*ree.Rule{crRule(t, env)}, o2)
-	_, m1, err := d1.DetectSimulated()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Timing noise allowed, but 8 workers should not cost 3x one worker.
-	if makespan > 3*m1 {
-		t.Errorf("8-worker makespan %v vs 1-worker %v", makespan, m1)
-	}
-}
-
 func TestAttributeCulpritsNoFreq(t *testing.T) {
 	// The no-tie-break variant still covers every violation.
 	cellOf := func(tid int) data.CellRef { return data.CellRef{Rel: "R", TID: tid, Attr: "a"} }
@@ -521,7 +483,7 @@ func TestDetectMatchesReferenceAttribution(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				violations, _, _, err := d.violations(context.Background(), nil, false, nil)
+				violations, _, err := d.violations(context.Background(), nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -564,7 +526,7 @@ func TestDetectSingleVariableRule(t *testing.T) {
 func BenchmarkAttributeCulprits(b *testing.B) {
 	ds := workload.Logistics(workload.Config{N: 1000, Seed: 2024})
 	env := ds.BuildEnv()
-	violations, _, _, err := New(env, ds.Rules, DefaultOptions()).violations(context.Background(), nil, false, nil)
+	violations, _, err := New(env, ds.Rules, DefaultOptions()).violations(context.Background(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 // worker utilization and steal rates — and this package is the single
 // source of truth those measurements are read from: chase.Report and
 // rock.Report fields are views over a Registry, the -metrics-out flag
-// dumps its Snapshot, and benchkit tables carry the same counters.
+// dumps its Snapshot, and the bench/ ledger reads the same counters.
 //
 // Every recording path is safe for concurrent use (atomic counters and
 // gauges, lock-striped maps are unnecessary at this fan-in: handle

@@ -109,8 +109,8 @@ type Options struct {
 	Workers int
 	// Parallel runs chase work units on a real goroutine worker pool of
 	// size Workers (results are bit-identical to serial execution; see
-	// internal/chase). When false, chase units run serially and
-	// parallelism is only simulated for the makespan metric. Detection
+	// internal/chase). When false, chase units run serially — the
+	// reference every other strategy is compared against. Detection
 	// always executes its units on the worker pool.
 	Parallel bool
 	// UseBlocking enables LSH blocking for ML predicates.
@@ -124,9 +124,9 @@ type Options struct {
 	// Lazy enables lazy rule activation in the chase.
 	Lazy bool
 	// Steal enables work stealing between workers in both the detection
-	// and chase phases (and in the simulated-makespan model). On in Rock
-	// proper; the work-stealing ablation turns it off. Results are
-	// identical either way — stealing only re-assigns work units.
+	// and chase phases. On in Rock proper; the work-stealing ablation
+	// turns it off. Results are identical either way — stealing only
+	// re-assigns work units.
 	Steal bool
 	// MaxRounds bounds the chase fixpoint loop.
 	MaxRounds int
@@ -594,8 +594,7 @@ type Report struct {
 	// RuleProfile attributes the chase's cost to individual rules (wall
 	// clock, work units, valuations, ML calls, fixes applied/rejected);
 	// the Valuations/MLCalls columns sum exactly to the chase phase
-	// totals. rock clean -v renders it; rockbench's "profile" experiment
-	// tables it.
+	// totals. rock clean -v renders it.
 	RuleProfile []RuleCost
 	// MLProfile attributes ML cost to individual models (calls, wall
 	// clock, predication-cache hits/misses).
