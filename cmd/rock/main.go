@@ -150,7 +150,7 @@ func cmdClean(args []string, correct bool) error {
 	in := fs.String("in", "./rockdata", "dataset directory")
 	rulesFile := fs.String("rules", "", "rules file (default: <in>/rules.ree)")
 	workers := fs.Int("workers", 4, "cluster size (HyperCube blocks and worker goroutines)")
-	parallel := fs.Bool("parallel", true, "run chase work units on a real worker pool (false: the serial reference)")
+	parallel := fs.Bool("parallel", true, "run chase work units on a pool of -workers goroutines (false: a pool of one worker, the serial reference)")
 	predication := fs.Bool("predication", true, "precompute ML predications per chase round (versioned embedding store + sharded prediction cache, paper §5.4)")
 	steal := fs.Bool("steal", true, "enable work stealing between workers (off: the §5.2 load-balancing ablation)")
 	timeout := fs.Duration("timeout", 0, "deadline for the whole run (e.g. 30s); on expiry the fixes established so far are kept and the report is marked partial")

@@ -21,7 +21,10 @@
 package baselines
 
 import (
+	"context"
+
 	"github.com/rockclean/rock/internal/chase"
+	"github.com/rockclean/rock/internal/cluster"
 	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/detect"
 	"github.com/rockclean/rock/internal/discovery"
@@ -158,29 +161,39 @@ type System interface {
 type RockVariant struct {
 	VariantName string
 	NoML        bool
-	Mode        chase.Mode
 	Lazy        bool
 	Blocking    bool
+	// taskRounds, when positive, chases the four tasks one after another
+	// (ER→CR→MI→TD), each for at most taskRounds rounds, instead of one
+	// fixpoint over every rule; cycle repeats that pass until one deduces
+	// nothing. Rock_seq runs each task to its fixpoint and cycles; Rock_noC
+	// runs each task for one round, once.
+	taskRounds int
+	cycle      bool
 }
+
+// maxRounds bounds every fixpoint of a variant's chase, and Rock_seq's
+// cycles too: chase.New's default.
+const maxRounds = 100
 
 // Rock returns the full system.
 func Rock() *RockVariant {
-	return &RockVariant{VariantName: "Rock", Mode: chase.Unified, Lazy: true, Blocking: true}
+	return &RockVariant{VariantName: "Rock", Lazy: true, Blocking: true}
 }
 
 // RockNoML returns Rock without ML predicates.
 func RockNoML() *RockVariant {
-	return &RockVariant{VariantName: "Rock_noML", NoML: true, Mode: chase.Unified, Lazy: true, Blocking: true}
+	return &RockVariant{VariantName: "Rock_noML", NoML: true, Lazy: true, Blocking: true}
 }
 
 // RockSeq returns the task-sequential variant.
 func RockSeq() *RockVariant {
-	return &RockVariant{VariantName: "Rock_seq", Mode: chase.Sequential, Lazy: true, Blocking: true}
+	return &RockVariant{VariantName: "Rock_seq", taskRounds: maxRounds, cycle: true, Lazy: true, Blocking: true}
 }
 
 // RockNoC returns the single-pass variant.
 func RockNoC() *RockVariant {
-	return &RockVariant{VariantName: "Rock_noC", Mode: chase.SinglePass, Lazy: true, Blocking: true}
+	return &RockVariant{VariantName: "Rock_noC", taskRounds: 1, Lazy: true, Blocking: true}
 }
 
 // Name implements System.
@@ -247,12 +260,43 @@ func (v *RockVariant) Correct(b *Bench) (*quality.Corrections, error) {
 	if gamma == nil {
 		gamma = truth.NewFixSet()
 	}
-	opts := chase.Options{Mode: v.Mode, Lazy: v.Lazy, UseBlocking: v.Blocking, Predication: v.Blocking, Steal: true, Oracle: b.GoldOracle(), EIDRefs: b.DS.EIDRefs}
-	eng := chase.New(b.Env, v.rules(b), gamma, opts)
-	if _, err := eng.Run(); err != nil {
+	opts := chase.Options{Lazy: v.Lazy, UseBlocking: v.Blocking, Predication: v.Blocking, MaxRounds: maxRounds,
+		Drain: cluster.Options{Steal: true}, Oracle: b.GoldOracle(), EIDRefs: b.DS.EIDRefs}
+	rules := v.rules(b)
+	eng := chase.New(b.Env, rules, gamma, opts)
+	if err := v.chase(eng, rules); err != nil {
 		return nil, err
 	}
 	return ExtractCorrections(eng.Truth(), b.Env.DB, gamma), nil
+}
+
+// chase runs the variant's schedule on one engine, so the fix set, the
+// order log, the resolved cells and the oracle memo carry from task to
+// task.
+func (v *RockVariant) chase(eng *chase.Engine, rules []*ree.Rule) error {
+	if v.taskRounds == 0 {
+		_, err := eng.Run()
+		return err
+	}
+	byTask := map[ree.Task][]*ree.Rule{}
+	for _, r := range rules {
+		byTask[r.TaskOf()] = append(byTask[r.TaskOf()], r)
+	}
+	for pass := 0; pass < maxRounds; pass++ {
+		applied := len(eng.Report().Applied)
+		for _, task := range []ree.Task{ree.TaskER, ree.TaskCR, ree.TaskMI, ree.TaskTD} {
+			if len(byTask[task]) == 0 {
+				continue
+			}
+			if _, err := eng.RunRules(context.Background(), byTask[task], v.taskRounds); err != nil {
+				return err
+			}
+		}
+		if !v.cycle || len(eng.Report().Applied) == applied {
+			break
+		}
+	}
+	return nil
 }
 
 // collectDetection folds detector errors into score inputs.

@@ -28,42 +28,27 @@ import (
 	"github.com/rockclean/rock/internal/truth"
 )
 
-// Mode selects how the four cleaning tasks are scheduled.
-type Mode int
-
-// Scheduling modes corresponding to Rock and its ablation variants
-// (paper §6, baselines): Unified is Rock proper; Sequential is Rock_seq
-// (cycle ER→CR→MI→TD until no change); SinglePass is Rock_noC (each task
-// once, no recursion).
-const (
-	Unified Mode = iota
-	Sequential
-	SinglePass
-)
-
 // Options tunes a chase run.
 type Options struct {
-	Mode Mode
 	// MaxRounds bounds the fixpoint loop (safety valve; 0 = default 100).
 	MaxRounds int
 	// Workers is the cluster size: it sets the HyperCube block count and
 	// — with Parallel — the size of the goroutine worker pool.
 	Workers int
 	// Parallel executes each round's work units on a pool of Workers
-	// goroutines (with work stealing when Steal is set) instead of a
-	// serial loop. The result
-	// is bit-identical to serial execution: units enumerate against the
-	// immutable start-of-round fix set, buffer their candidate fixes, and
-	// the buffers merge in deterministic (rule ID, unit part) order before
-	// the serial apply step.
+	// goroutines instead of a pool of one — the serial reference. The
+	// block count is Workers either way, so both plan the same units, and
+	// the result is bit-identical: units enumerate against the immutable
+	// start-of-round fix set, buffer their candidate fixes, and the buffers
+	// merge in deterministic (rule ID, unit part) order before the serial
+	// apply step.
 	Parallel bool
-	// Steal enables work stealing between the pool's workers during a
-	// parallel round. On in Rock proper; the work-stealing ablation
-	// (paper §5.2/§6) turns it off for the chase phase exactly as
-	// detect.Options.Steal does for detection. The chase result is
-	// identical either way — stealing only re-assigns units between
-	// workers — which the obs steal counters verify.
-	Steal bool
+	// Drain is handed unchanged to every round's drain: work stealing (on
+	// in Rock proper, off in the §5.2/§6 work-stealing ablation — the fix
+	// set is identical either way), the retry policy for panicking units
+	// (cluster.Retry; failures land on Report.UnitErrors) and, in tests,
+	// fault injection.
+	Drain cluster.Options
 	// Lazy enables the lazy-activation machinery (rule activation by fix
 	// kind + dirty-tuple filtering). Off, every round re-enumerates every
 	// rule over all data — the ablation baseline (DESIGN.md §ablations).
@@ -116,19 +101,9 @@ type Options struct {
 	// the paper's ϕ1 ("t.pid = s.pid ... identifies two persons") — rather
 	// than overwriting either value.
 	EIDRefs map[string]bool
-	// MaxRetries bounds how many times a panicking work unit is retried
-	// (reassigned to a different node when one is alive) before it is
-	// given up and surfaced on Report.UnitErrors. Fault tolerance for the
-	// worker pool; see cluster.Options.MaxRetries.
-	MaxRetries int
-	// RetryBackoff is the base backoff before a unit retry (attempt k
-	// sleeps k*RetryBackoff).
-	RetryBackoff time.Duration
-	// Faults, when non-nil, injects failures into every parallel round's
-	// drain (tests only).
-	Faults *cluster.FaultInjector
 	// Cluster, when non-nil, replaces the engine-private in-process worker
-	// pool with a caller-supplied one. When it additionally implements
+	// pool with a caller-supplied one, used as given whatever Parallel
+	// says. When it additionally implements
 	// DistRunner (the remote coordinator does), rounds run distributed:
 	// the engine journals its truth mutations, ships a round preamble to
 	// the worker replicas, submits metadata-only units, and reads the
@@ -147,9 +122,8 @@ type Options struct {
 // DefaultOptions is the configuration Rock ships with.
 func DefaultOptions() Options {
 	return Options{
-		Mode: Unified, Lazy: true, UseBlocking: true, Workers: 4,
-		Parallel: true, Steal: true, Predication: true,
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
+		Lazy: true, UseBlocking: true, Workers: 4, Parallel: true, Predication: true,
+		Drain: cluster.Options{Steal: true, MaxRetries: 2, RetryBackoff: time.Millisecond},
 	}
 }
 
@@ -252,8 +226,8 @@ type Report struct {
 	// time measured at the predicate-evaluation site, cache hits/misses
 	// from the predication layer when it is on. Sorted by model name.
 	MLProfile []MLCost
-	// Metrics is the engine's observability snapshot, taken when Run or
-	// RunIncremental returns. The scalar fields above (Rounds,
+	// Metrics is the engine's observability snapshot, taken when a run
+	// returns. The scalar fields above (Rounds,
 	// Valuations, MLCalls, WallClock) are views over the same registry,
 	// so Metrics.Counters["chase.rounds"] == Rounds etc. — exactly one
 	// source of truth.
@@ -314,8 +288,10 @@ type Engine struct {
 	// when the incremental path absorbs inserts.
 	blocks map[string][][]*data.Tuple
 	// cl is the run-wide worker pool (in-process by default, the remote
-	// coordinator when Options.Cluster supplies one).
-	cl cluster.Runner
+	// coordinator when Options.Cluster supplies one); dist is cl when it
+	// runs rounds distributed, nil otherwise.
+	cl   cluster.Runner
+	dist DistRunner
 	// lastAccepted carries the previous round's accepted fixes into the
 	// next distributed round's preamble (workers derive their dirty set
 	// and invalidations from it, mirroring the post-merge bookkeeping).
@@ -399,18 +375,23 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 		e.obs = obs.New()
 	}
 	// One worker pool for the whole run: the consistent-hash ring and
-	// scheduler are built once here and drained by every parallel round
-	// (a drain leaves the scheduler empty, so rounds can reuse it). A
-	// caller-supplied Runner (the remote coordinator) takes its place.
-	if opts.Cluster != nil {
+	// scheduler are built once here and drained by every round (a drain
+	// leaves the scheduler empty, so rounds can reuse it). The serial
+	// reference is a pool of one; a caller-supplied Runner (the remote
+	// coordinator) takes the pool's place.
+	switch {
+	case opts.Cluster != nil:
 		e.cl = opts.Cluster
-	} else {
+	case opts.Parallel:
 		e.cl = cluster.New(opts.Workers)
+	default:
+		e.cl = cluster.New(1)
 	}
 	e.cl.SetObs(e.obs, "chase")
-	if _, ok := e.cl.(DistRunner); ok {
+	if dr, ok := e.cl.(DistRunner); ok {
 		// Distributed: journal every truth mutation so the next round's
 		// preamble can replicate it to the workers.
+		e.dist = dr
 		e.u.StartJournal()
 	}
 	for name, rel := range env.DB.Relations {
@@ -600,8 +581,8 @@ func (e *Engine) markPartial(reason string) {
 	e.report.Partial = true
 }
 
-// finish seals the report at the end of a Run/RunIncremental: sync the
-// view fields and snapshot the full registry into Report.Metrics.
+// finish seals the report at the end of a run: sync the view fields and
+// snapshot the full registry into Report.Metrics.
 func (e *Engine) finish() {
 	e.phaseSpan.End()
 	e.phaseSpan = nil
@@ -620,39 +601,32 @@ func (e *Engine) Run() (*Report, error) { return e.RunCtx(context.Background()) 
 // an enumeration — and returns the certain fixes accumulated so far with
 // Report.Partial=true and a nil error.
 func (e *Engine) RunCtx(ctx context.Context) (*Report, error) {
+	return e.RunRules(ctx, e.rules, e.opts.MaxRounds)
+}
+
+// RunRules chases with a subset of Σ for at most maxRounds rounds, on the
+// engine's own fix set and with RunCtx's graceful degradation. Successive
+// calls continue one run: fixes, the order log, resolved cells and the
+// oracle memo carry over, and the report accumulates — so a caller can
+// schedule the cleaning tasks itself (baselines' Rock_seq and Rock_noC).
+func (e *Engine) RunRules(ctx context.Context, rules []*ree.Rule, maxRounds int) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e.ctx = ctx
 	e.phaseSpan = e.obs.StartSpan("chase", e.opts.Span)
-	var (
-		rep *Report
-		err error
-	)
-	switch e.opts.Mode {
-	case Sequential:
-		rep, err = e.runSequential()
-	case SinglePass:
-		rep, err = e.runSinglePass()
-	default:
-		rep, err = e.runUnified(e.rules, nil)
-	}
+	err := e.fixpoint(rules, nil, maxRounds)
 	e.finish()
-	return rep, err
+	return &e.report, err
 }
 
-// RunIncremental chases in response to updates ΔD (paper §3: "Rock
+// RunIncrementalCtx chases in response to updates ΔD (paper §3: "Rock
 // corrects errors in batch and incremental modes"): the caller applies the
 // inserts/updates to the database first and passes the changed TIDs per
 // relation; only valuations touching a changed tuple are enumerated in the
 // first round, and the normal lazy-activation machinery propagates from
 // there. Call after Run (or on a fresh engine over already-clean data).
-func (e *Engine) RunIncremental(dirty map[string]map[int]bool) (*Report, error) {
-	return e.RunIncrementalCtx(context.Background(), dirty)
-}
-
-// RunIncrementalCtx is RunIncremental under a cancellation context, with
-// the same graceful degradation as RunCtx.
+// Cancellation degrades gracefully, as in RunCtx.
 func (e *Engine) RunIncrementalCtx(ctx context.Context, dirty map[string]map[int]bool) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -682,15 +656,16 @@ func (e *Engine) RunIncrementalCtx(ctx context.Context, dirty map[string]map[int
 	// state), the embedding store may hold vectors computed from the
 	// tuples' pre-update values — retire them before enumeration.
 	e.exec.InvalidateTuples(dirty)
-	rep, err := e.runUnified(e.rules, dirty)
+	err := e.fixpoint(e.rules, dirty, e.opts.MaxRounds)
 	e.finish()
-	return rep, err
+	return &e.report, err
 }
 
-// runUnified is the main fixpoint loop over the given rule subset.
-// initialDirty restricts the first round to valuations touching the given
-// tuples (the incremental mode); nil means batch (everything considered).
-func (e *Engine) runUnified(rules []*ree.Rule, initialDirty map[string]map[int]bool) (*Report, error) {
+// fixpoint is the main chase loop over the given rule subset, for at most
+// maxRounds rounds. initialDirty restricts the first round to valuations
+// touching the given tuples (the incremental mode); nil means batch
+// (everything considered).
+func (e *Engine) fixpoint(rules []*ree.Rule, initialDirty map[string]map[int]bool, maxRounds int) error {
 	active := append([]*ree.Rule(nil), rules...)
 	dirty := initialDirty // nil on batch round 0: everything dirty
 	if e.pred != nil && len(e.report.PredicationByRound) == 0 {
@@ -699,7 +674,7 @@ func (e *Engine) runUnified(rules []*ree.Rule, initialDirty map[string]map[int]b
 		// between consecutive snapshots isolate each chase round.
 		e.report.PredicationByRound = append(e.report.PredicationByRound, e.pred.Stats())
 	}
-	for round := 0; round < e.opts.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		if len(active) == 0 {
 			break
 		}
@@ -718,7 +693,7 @@ func (e *Engine) runUnified(rules []*ree.Rule, initialDirty map[string]map[int]b
 		e.obs.Inc("chase.rounds")
 		newFixes, err := e.runRound(active, dirty)
 		if err != nil {
-			return &e.report, err
+			return err
 		}
 		if e.cancelled {
 			e.markPartial("cancelled mid-round")
@@ -735,50 +710,7 @@ func (e *Engine) runUnified(rules []*ree.Rule, initialDirty map[string]map[int]b
 			dirty = nil
 		}
 	}
-	return &e.report, nil
-}
-
-// runSequential cycles the four tasks until a full cycle deduces nothing.
-func (e *Engine) runSequential() (*Report, error) {
-	byTask := map[ree.Task][]*ree.Rule{}
-	for _, r := range e.rules {
-		byTask[r.TaskOf()] = append(byTask[r.TaskOf()], r)
-	}
-	taskOrder := []ree.Task{ree.TaskER, ree.TaskCR, ree.TaskMI, ree.TaskTD}
-	for cycle := 0; cycle < e.opts.MaxRounds; cycle++ {
-		before := len(e.report.Applied)
-		for _, task := range taskOrder {
-			if len(byTask[task]) == 0 {
-				continue
-			}
-			if _, err := e.runUnified(byTask[task], nil); err != nil {
-				return &e.report, err
-			}
-		}
-		if len(e.report.Applied) == before {
-			break
-		}
-	}
-	return &e.report, nil
-}
-
-// runSinglePass runs each task exactly once (Rock_noC).
-func (e *Engine) runSinglePass() (*Report, error) {
-	byTask := map[ree.Task][]*ree.Rule{}
-	for _, r := range e.rules {
-		byTask[r.TaskOf()] = append(byTask[r.TaskOf()], r)
-	}
-	for _, task := range []ree.Task{ree.TaskER, ree.TaskCR, ree.TaskMI, ree.TaskTD} {
-		rules := byTask[task]
-		if len(rules) == 0 {
-			continue
-		}
-		e.obs.Inc("chase.rounds")
-		if _, err := e.runRound(rules, nil); err != nil {
-			return &e.report, err
-		}
-	}
-	return &e.report, nil
+	return nil
 }
 
 // runRound runs one chase round the way §5.3 describes error correction:
@@ -789,16 +721,16 @@ func (e *Engine) runSinglePass() (*Report, error) {
 // (conflict resolution included).
 //
 // A unit returns its outcome (runUnit) and the round keeps one slot per
-// unit, so the execution strategies differ only in who calls runUnit: the
-// serial reference loop (Options.Parallel off), the pool of
-// Options.Workers goroutines (cluster.DrainWithStats: affinity queues
-// plus work stealing), or — behind a DistRunner — worker replicas in other
-// processes. The merge folds the slots in unit-index order, which is the
-// serial generation order (rule ID, unit part), so fixes and report state
-// are bit-identical across strategies regardless of worker interleaving.
-// Correctness rests on the round invariant: units only read the fix set
-// (truth.FixSet reads are compression-free), and all fixes apply in the
-// serial merge below. Unit costs are measured for Report.RuleProfile.
+// unit, so executors differ only in who calls runUnit: the in-process pool
+// (cluster.DrainWithStats: affinity queues plus work stealing; one worker
+// for the serial reference) or — behind a DistRunner — worker replicas in
+// other processes. The merge folds the slots in unit-index order, which is
+// the serial generation order (rule ID, unit part), so fixes and report
+// state are bit-identical across executors regardless of worker
+// interleaving. Correctness rests on the round invariant: units only read
+// the fix set (truth.FixSet reads are compression-free), and all fixes
+// apply in the serial merge below. Unit costs are measured for
+// Report.RuleProfile.
 func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]Fix, error) {
 	roundStart := time.Now()
 	round := int(e.obs.CounterValue("chase.rounds")) // caller already counted this round
@@ -812,22 +744,15 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	// panics mid-enumeration leaves nothing behind, so its retry cannot
 	// double-report what the failed attempt had already found.
 	slots := make([]unitSlot, len(work))
-	run := func(w unitWork, node string) {
-		out, err := e.runUnit(e.ctx, w, dirty, node, roundSpan)
-		slots[w.index] = unitSlot{out: out, err: err, done: true}
-	}
 	drain := cluster.DrainStats{PerNode: make(map[string]int)}
-	dr, dist := e.cl.(DistRunner)
-	switch {
-	case len(work) == 0:
-		// Nothing to drain — and a coordinator's unit table is reset only
-		// by BeginRound, so draining here would re-run the last round's.
-	case dist || e.opts.Parallel:
-		if dist {
+	// A zero-unit round skips the drain: a coordinator's unit table is
+	// reset only by BeginRound, so draining would re-run the last round's.
+	if len(work) > 0 {
+		if e.dist != nil {
 			// Replicate this round's inputs to the worker processes (truth
 			// journal + last round's accepted fixes + active rule IDs); the
 			// units submitted below are then metadata only — a coordinator
-			// never calls RunOn — and replicas run them by index.
+			// never calls Run — and replicas run them by index.
 			ids := make([]string, len(rules))
 			for i, r := range rules {
 				ids[i] = r.ID
@@ -841,7 +766,7 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 				UseDirty: dirty != nil,
 				Units:    len(work),
 			}
-			if err := dr.BeginRound(e.ctx, pre); err != nil {
+			if err := e.dist.BeginRound(e.ctx, pre); err != nil {
 				return nil, err
 			}
 		}
@@ -851,43 +776,19 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 				RuleID:  w.rule.ID,
 				Part:    w.Part,
 				EstCost: w.EstCost,
-				RunOn:   func(node string) { run(w, node) },
+				Run: func(node string) {
+					out, err := e.runUnit(e.ctx, w, dirty, node, roundSpan)
+					slots[w.index] = unitSlot{out: out, err: err, done: true}
+				},
 			})
 		}
-		drain = e.cl.DrainWithStats(e.ctx, cluster.Options{
-			Steal:        e.opts.Steal,
-			MaxRetries:   e.opts.MaxRetries,
-			RetryBackoff: e.opts.RetryBackoff,
-			Faults:       e.opts.Faults,
-		})
-		if dist {
-			for _, out := range dr.TakeResults() {
+		drain = e.cl.DrainWithStats(e.ctx, e.opts.Drain)
+		if e.dist != nil {
+			for _, out := range e.dist.TakeResults() {
 				if out.Unit >= 0 && out.Unit < len(slots) {
 					slots[out.Unit] = unitSlot{out: out, done: true}
 				}
 			}
-		}
-	default:
-		// Serial reference: attribute units to their affinity owner so the
-		// per-node counters mean the same thing in every mode, with the
-		// same fault envelope as the drain — ctx checked between units,
-		// panics isolated and retried in place.
-		for i, w := range work {
-			if e.ctx.Err() != nil {
-				drain.Cancelled = true
-				drain.Skipped = len(work) - i
-				e.obs.Inc("chase.cancelled")
-				break
-			}
-			node := e.cl.Owner(w.Part)
-			if ue := e.runUnitShielded(w, node, run); ue != nil {
-				drain.Panics += ue.Attempts
-				drain.Retries += ue.Attempts - 1
-				drain.Failed = append(drain.Failed, *ue)
-				continue
-			}
-			drain.PerNode[node]++
-			e.obs.Inc("chase.node." + node + ".units")
 		}
 	}
 	if drain.Cancelled {
@@ -1093,38 +994,6 @@ func (e *Engine) absorb(accepted []Fix) {
 	e.exec.InvalidateBlockers()
 	e.exec.InvalidateTuples(ds)
 	e.exec.MarkShadowed(ds)
-}
-
-// runUnitShielded runs one serial-path unit under recover(), retrying in
-// place up to Options.MaxRetries times — the single-node counterpart of
-// the drain's panic isolation. Returns a UnitError when every attempt
-// panicked, nil on success.
-func (e *Engine) runUnitShielded(w unitWork, node string, run func(w unitWork, node string)) *cluster.UnitError {
-	attempt := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("unit panic: %v", r)
-			}
-		}()
-		run(w, node)
-		return nil
-	}
-	var err error
-	for a := 0; a <= e.opts.MaxRetries; a++ {
-		if a > 0 {
-			e.obs.Inc("chase.retries")
-			if e.opts.RetryBackoff > 0 {
-				time.Sleep(time.Duration(a) * e.opts.RetryBackoff)
-			}
-		}
-		if err = attempt(); err == nil {
-			return nil
-		}
-		e.obs.Inc("chase.unit_panics")
-		e.obs.Emit(obs.Event{Kind: "unit.panic", Node: node, Rule: w.rule.ID, Detail: err.Error()})
-	}
-	return &cluster.UnitError{UnitID: w.index, RuleID: w.rule.ID, Part: w.Part, Node: node,
-		Attempts: e.opts.MaxRetries + 1, Err: err}
 }
 
 // precomputePredications warms the prediction cache with this round's

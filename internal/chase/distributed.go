@@ -69,8 +69,9 @@ type UnitOutcome struct {
 // DistRunner is the cluster surface of a distributed round: the plain
 // Runner drain/submit contract plus the round barrier (BeginRound) and
 // result collection (TakeResults). internal/cluster/remote.Coordinator
-// implements it; runRound asserts it to decide whether a round needs the
-// preamble broadcast before its drain and the result pick-up after.
+// implements it; New asserts it once on Options.Cluster, and every round
+// of an engine holding one broadcasts the preamble before its drain and
+// picks the results up after.
 type DistRunner interface {
 	cluster.Runner
 	// BeginRound ships the preamble to every live worker and waits for
@@ -128,9 +129,5 @@ func (e *Engine) RunFollowUnit(ctx context.Context, i int, node string) (UnitOut
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out, err := e.runUnit(ctx, e.followWork[i], e.followDirty, node, nil)
-	if err != nil {
-		return UnitOutcome{}, err
-	}
-	return out, nil
+	return e.runUnit(ctx, e.followWork[i], e.followDirty, node, nil)
 }

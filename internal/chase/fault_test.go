@@ -137,12 +137,13 @@ func TestDeadlineCancelParallelIsPartialNotError(t *testing.T) {
 }
 
 // TestFaultyChaseMatchesCleanChase holds fault recovery to the result:
-// with unit panics injected on first attempt and a node killed mid-drain,
-// bounded retry plus reassignment must land on the exact fix set of a
-// fault-free run. The second half panics from
-// inside a unit instead (an oracle that fails once, mid-enumeration, after
-// the unit has already escalated conflicts): the retried unit must not
-// report twice what its failed attempt had found, serial or parallel.
+// with unit panics injected on first attempt (and, on the parallel pool, a
+// node killed mid-drain), bounded retry plus reassignment must land on the
+// exact fix set of a fault-free run, serial or parallel. The second half
+// panics from inside a unit instead (an oracle that fails once,
+// mid-enumeration, after the unit has already escalated conflicts): the
+// retried unit must not report twice what its failed attempt had found,
+// serial or parallel.
 func TestFaultyChaseMatchesCleanChase(t *testing.T) {
 	clean := logisticsBench(4)
 	cleanEng := chase.New(clean.Env, clean.Rules, clean.DS.Gamma, faultOpts(clean, 4, true))
@@ -151,45 +152,51 @@ func TestFaultyChaseMatchesCleanChase(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	faulty := logisticsBench(4)
-	reg := obs.New()
-	opts := faultOpts(faulty, 4, true)
-	opts.Obs = reg
-	// Deterministic kill: without stealing every worker drains exactly its
-	// own queue, so the ring owner of a block-combination part that every
-	// two-atom rule emits is guaranteed to execute at least two units. The
-	// chase builds its ring exactly like cluster.New(4), so the owner can
-	// be computed here.
-	opts.Steal = false
-	victim := cluster.New(4).Ring.Owner("Order-Order/b0-0")
-	inj := cluster.NewFaultInjector()
-	inj.PanicUnit(0, 1)
-	inj.PanicUnit(2, 1)
-	inj.PanicUnit(9, 1)
-	inj.KillNode(victim, 2)
-	opts.Faults = inj
-	eng := chase.New(faulty.Env, faulty.Rules, faulty.DS.Gamma, opts)
-	rep, err := eng.RunCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Partial {
-		t.Fatalf("recovery failed: faulty run partial with %d unit errors", len(rep.UnitErrors))
-	}
-	if got, want := eng.Truth().Snapshot(), cleanEng.Truth().Snapshot(); got != want {
-		t.Fatal("faulty run's truth diverged from fault-free run")
-	}
-	if len(rep.Applied) != len(cleanRep.Applied) {
-		t.Fatalf("applied-fix counts diverge: faulty %d vs clean %d", len(rep.Applied), len(cleanRep.Applied))
-	}
-	if reg.CounterValue("chase.unit_panics") == 0 {
-		t.Fatal("injection never fired — the test proved nothing")
-	}
-	if reg.CounterValue("chase.retries") == 0 {
-		t.Fatal("no retries recorded despite injected panics")
-	}
-	if reg.CounterValue("chase.node_killed") != 1 {
-		t.Fatalf("expected exactly one node kill, got %d", reg.CounterValue("chase.node_killed"))
+	for _, parallel := range []bool{false, true} {
+		faulty := logisticsBench(4)
+		reg := obs.New()
+		opts := faultOpts(faulty, 4, parallel)
+		opts.Obs = reg
+		inj := cluster.NewFaultInjector()
+		inj.PanicUnit(0, 1)
+		inj.PanicUnit(2, 1)
+		inj.PanicUnit(9, 1)
+		kills := uint64(0)
+		if parallel {
+			// Deterministic kill: without stealing every worker drains exactly
+			// its own queue, so the ring owner of a block-combination part that
+			// every two-atom rule emits is guaranteed to execute at least two
+			// units. The chase builds its ring exactly like cluster.New(4), so
+			// the owner can be computed here. The serial pool of one has no
+			// survivor to kill a node for.
+			opts.Drain.Steal = false
+			inj.KillNode(cluster.New(4).Ring.Owner("Order-Order/b0-0"), 2)
+			kills = 1
+		}
+		opts.Drain.Faults = inj
+		eng := chase.New(faulty.Env, faulty.Rules, faulty.DS.Gamma, opts)
+		rep, err := eng.RunCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Partial {
+			t.Fatalf("parallel=%t: recovery failed: faulty run partial with %d unit errors", parallel, len(rep.UnitErrors))
+		}
+		if got, want := eng.Truth().Snapshot(), cleanEng.Truth().Snapshot(); got != want {
+			t.Fatalf("parallel=%t: faulty run's truth diverged from fault-free run", parallel)
+		}
+		if len(rep.Applied) != len(cleanRep.Applied) {
+			t.Fatalf("parallel=%t: applied-fix counts diverge: faulty %d vs clean %d", parallel, len(rep.Applied), len(cleanRep.Applied))
+		}
+		if reg.CounterValue("chase.unit_panics") == 0 {
+			t.Fatalf("parallel=%t: injection never fired — the test proved nothing", parallel)
+		}
+		if reg.CounterValue("chase.retries") == 0 {
+			t.Fatalf("parallel=%t: no retries recorded despite injected panics", parallel)
+		}
+		if got := reg.CounterValue("chase.node_killed"); got != kills {
+			t.Fatalf("parallel=%t: expected %d node kill(s), got %d", parallel, kills, got)
+		}
 	}
 
 	bank := baselines.NewBench(workload.Bank(workload.Config{N: 300, Seed: 7}), 8)
@@ -235,5 +242,36 @@ func TestFaultyChaseMatchesCleanChase(t *testing.T) {
 				t.Errorf("parallel=%t panicAt=%d: truth diverged from the fault-free run", parallel, panicAt)
 			}
 		}
+	}
+}
+
+// TestSerialRetryBackoffYieldsToCancellation: the serial reference retries
+// under the pool's policy, so a backoff far longer than the run is cut
+// short by cancellation and the run comes back partial, not after the
+// sleep.
+func TestSerialRetryBackoffYieldsToCancellation(t *testing.T) {
+	bank := baselines.NewBench(workload.Bank(workload.Config{N: 300, Seed: 7}), 8)
+	reg := obs.New()
+	opts := faultOpts(bank, 8, false)
+	opts.Obs = reg
+	opts.Drain.MaxRetries = 5
+	opts.Drain.RetryBackoff = 30 * time.Second
+	opts.Oracle = func(string, string, string, []data.Value) (data.Value, bool) { panic("oracle unavailable") }
+	eng := chase.New(bank.Env, bank.Rules, bank.DS.Gamma, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	rep, err := eng.RunCtx(ctx)
+	if err != nil {
+		t.Fatalf("cancelled run must degrade, not fail: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("cancelled run took %v: the retry backoff ignored cancellation", elapsed)
+	}
+	if !rep.Partial {
+		t.Fatal("cancelled run must report Partial")
+	}
+	if reg.CounterValue("chase.unit_panics") == 0 {
+		t.Fatal("the oracle never panicked — no backoff was entered, the test proved nothing")
 	}
 }

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
@@ -31,7 +32,7 @@ func TestRunIncremental(t *testing.T) {
 	// ΔD: a new namesake with a missing home arrives.
 	nt := rel.Insert("p9", data.S("Jones"), data.S("C"), data.Null(data.TString), data.S("single"), data.Null(data.TString))
 	dirty := map[string]map[int]bool{"Person": {nt.TID: true}}
-	if _, err := eng.RunIncremental(dirty); err != nil {
+	if _, err := eng.RunIncrementalCtx(context.Background(), dirty); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := eng.Truth().Cell("Person", "p9", "home"); !ok || v.Str() != "addr one" {
@@ -46,7 +47,7 @@ func TestRunIncremental(t *testing.T) {
 		t.Error("incremental run must enumerate the dirty tuple's pairs")
 	}
 	// Empty delta is a no-op.
-	if _, err := eng.RunIncremental(nil); err != nil {
+	if _, err := eng.RunIncrementalCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@
 package chase_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -136,7 +137,7 @@ func firstDiff(a, b []string) int {
 
 // TestIncrementalMatchesBatchMatrix pins the incremental mode's dirty-set
 // propagation across rounds: for every combination of Parallel ×
-// Predication × Steal, chasing the base data and then RunIncremental over
+// Predication × Steal, chasing the base data and then RunIncrementalCtx over
 // ΔD must land on exactly the fix set a batch chase over base+ΔD
 // produces. ΔD is built so fixes cascade (imputation in round 1 enables
 // an ER merge in round 2), exercising activation across rounds.
@@ -191,7 +192,7 @@ func TestIncrementalMatchesBatchMatrix(t *testing.T) {
 					opts.Workers = 4
 					opts.Parallel = parallel
 					opts.Predication = predication
-					opts.Steal = steal
+					opts.Drain.Steal = steal
 
 					// Batch reference over base + ΔD.
 					envB, relB := mkEnv()
@@ -217,7 +218,7 @@ func TestIncrementalMatchesBatchMatrix(t *testing.T) {
 						nt := relI.Insert(r.eid, r.values...)
 						dirty["Person"][nt.TID] = true
 					}
-					if _, err := engI.RunIncremental(dirty); err != nil {
+					if _, err := engI.RunIncrementalCtx(context.Background(), dirty); err != nil {
 						t.Fatal(err)
 					}
 
@@ -331,7 +332,7 @@ func TestChaseStealAblation(t *testing.T) {
 		reg := obs.New()
 		opts := chase.DefaultOptions()
 		opts.Workers = 8
-		opts.Steal = steal
+		opts.Drain.Steal = steal
 		opts.Obs = reg
 		opts.Oracle = bench.GoldOracle()
 		opts.EIDRefs = bench.DS.EIDRefs

@@ -19,11 +19,10 @@ import (
 // Runner is the drain/submit surface the chase engine schedules on.
 // The in-process Cluster implements it with goroutine workers; the
 // remote coordinator (internal/cluster/remote) implements it over TCP
-// worker processes. Everything the engine needs — placement (Owner),
-// submission, the barrier drain, and observability routing — goes
-// through this interface so the two are interchangeable.
+// worker processes. Everything the engine needs — submission, the
+// barrier drain, and observability routing — goes through this interface
+// so the two are interchangeable.
 type Runner interface {
-	Owner(part string) string
 	Submit(u *crystal.WorkUnit)
 	DrainWithStats(ctx context.Context, opts Options) DrainStats
 	SetObs(reg *obs.Registry, prefix string)
@@ -41,9 +40,6 @@ type Cluster struct {
 	// phase's registry ("detect" or "chase"); nil records nothing.
 	reg    *obs.Registry
 	prefix string
-
-	mu       sync.Mutex
-	executed map[string]int // node -> units run in the CURRENT drain
 }
 
 // New creates a cluster of n workers named node-0..node-(n-1).
@@ -65,12 +61,7 @@ func New(n int) *Cluster {
 		nodes[i] = fmt.Sprintf("node-%d", i)
 		ring.AddNode(nodes[i])
 	}
-	return &Cluster{
-		Ring:     ring,
-		Sched:    crystal.NewScheduler(nodes),
-		nodes:    nodes,
-		executed: make(map[string]int, n),
-	}
+	return &Cluster{Ring: ring, Sched: crystal.NewScheduler(nodes), nodes: nodes}
 }
 
 // SetObs routes the cluster's metrics and events into reg under the
@@ -92,9 +83,6 @@ func (c *Cluster) SetObs(reg *obs.Registry, prefix string) {
 	}
 }
 
-// Owner returns the consistent-hash owner of a partition.
-func (c *Cluster) Owner(part string) string { return c.Ring.Owner(part) }
-
 // Submit assigns a work unit by partition affinity.
 func (c *Cluster) Submit(u *crystal.WorkUnit) { c.Sched.Assign(c.Ring, u) }
 
@@ -107,8 +95,10 @@ type Options struct {
 	// on a different node when one is alive — before it is given up and
 	// reported as a UnitError. 0 means the first panic fails the unit.
 	MaxRetries int
-	// RetryBackoff is the base backoff before a retry; attempt k sleeps
-	// k*RetryBackoff. Zero retries immediately.
+	// RetryBackoff is the base backoff before a retry; attempt k waits
+	// k*RetryBackoff, cut short when the drain's context is cancelled.
+	// Zero retries immediately. The in-process pool and the remote
+	// coordinator apply the same policy (see Retry).
 	RetryBackoff time.Duration
 	// Faults, when non-nil, injects failures (panicking units,
 	// stragglers, node kills) into this drain. Production runs leave it
@@ -134,6 +124,33 @@ func (e *UnitError) Error() string {
 }
 
 func (e *UnitError) Unwrap() error { return e.Err }
+
+// Retry is the one retry policy of every executor (the in-process pool
+// and the remote coordinator): it decides the fate of unit u after its
+// attempt-th attempt failed with err on node. Past opts.MaxRetries
+// attempts the unit is given up and the UnitError is returned. Otherwise
+// Retry waits attempt × opts.RetryBackoff — cut short when ctx is
+// cancelled — and returns the node the retry must avoid: node itself
+// when others, asked after the wait, reports a live node besides it; ""
+// when node is the only survivor and the retry may run where it failed.
+// The caller only chooses where the retry runs.
+func Retry(ctx context.Context, opts Options, u *crystal.WorkUnit, node string, attempt int, err error, others func() bool) (avoid string, failed *UnitError) {
+	if attempt > opts.MaxRetries {
+		return "", &UnitError{UnitID: u.ID, RuleID: u.RuleID, Part: u.Part, Node: node, Attempts: attempt, Err: err}
+	}
+	if opts.RetryBackoff > 0 {
+		t := time.NewTimer(time.Duration(attempt) * opts.RetryBackoff)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+		}
+	}
+	if others() {
+		return node, nil
+	}
+	return "", nil
+}
 
 // errNoSurvivor marks units stranded when every node has been killed.
 var errNoSurvivor = errors.New("no surviving node to run unit")
@@ -166,7 +183,8 @@ type drainRun struct {
 	cond *sync.Cond
 
 	version     int
-	outstanding int // units not yet completed or permanently failed
+	outstanding int            // units not yet completed or permanently failed
+	perNode     map[string]int // units each node completed in this drain
 	cancelled   bool
 	dead        map[string]bool
 	attempts    map[*crystal.WorkUnit]int // panics per unit so far
@@ -188,14 +206,14 @@ func (d *drainRun) bumpLocked() {
 // (or steal) a unit, run it, repeat until no units remain outstanding,
 // the context is cancelled, or fault injection kills the node.
 //
-// PerNode counts are per-drain (reset on entry): the chase drains the
-// same shared cluster once per round, and utilization stats derived from
-// cumulative counts would inflate every round after the first.
+// PerNode counts this drain only: the chase drains the same shared
+// cluster once per round, and utilization stats derived from cumulative
+// counts would inflate every round after the first.
 //
-// A panicking unit is recovered, retried with backoff up to
-// opts.MaxRetries times (reassigned to a different live node when one
-// exists), and surfaced as a UnitError once retries are exhausted —
-// other units keep running either way. Cancelling ctx stops the drain
+// A panicking unit is recovered and settled by Retry: retried with
+// backoff up to opts.MaxRetries times (reassigned to a different live
+// node when one exists), then surfaced as a UnitError — other units keep
+// running either way. Cancelling ctx stops the drain
 // between units: in-flight units finish, the rest are reclaimed from
 // the scheduler and counted in Skipped, and Cancelled is set.
 func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
@@ -204,15 +222,13 @@ func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
 	}
 	st := DrainStats{Queued: c.Sched.Pending()}
 	stealsBefore := c.Sched.Steals()
-	c.mu.Lock()
-	c.executed = make(map[string]int, len(c.nodes))
-	c.mu.Unlock()
 	if c.reg != nil {
 		c.reg.SetGauge(c.prefix+".queue_depth", int64(st.Queued))
 	}
 	d := &drainRun{
 		ctx:         ctx,
 		outstanding: st.Queued,
+		perNode:     make(map[string]int, len(c.nodes)),
 		dead:        make(map[string]bool, len(c.nodes)),
 		attempts:    make(map[*crystal.WorkUnit]int),
 	}
@@ -248,6 +264,7 @@ func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
 	watch.Wait()
 
 	d.mu.Lock()
+	st.PerNode = d.perNode
 	st.Cancelled = d.cancelled
 	st.Panics = d.panics
 	st.Retries = d.retries
@@ -283,12 +300,6 @@ func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
 	}
 
 	st.Steals = c.Sched.Steals() - stealsBefore
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st.PerNode = make(map[string]int, len(c.executed))
-	for k, v := range c.executed {
-		st.PerNode[k] = v
-	}
 	return st
 }
 
@@ -297,6 +308,15 @@ func (c *Cluster) workerLoop(node string, d *drainRun, opts Options) {
 	d.mu.Lock()
 	for {
 		if d.cancelled || d.outstanding == 0 || d.dead[node] {
+			d.mu.Unlock()
+			return
+		}
+		// Poll the context before taking each unit: a context that is
+		// only polled, never closing Done, still stops the drain between
+		// units.
+		if d.ctx.Err() != nil {
+			d.cancelled = true
+			d.bumpLocked()
 			d.mu.Unlock()
 			return
 		}
@@ -334,14 +354,12 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 	}
 	err := runShielded(opts.Faults, u, node)
 	if err == nil {
-		c.mu.Lock()
-		c.executed[node]++
-		c.mu.Unlock()
 		if c.reg != nil {
 			c.reg.Inc(c.prefix + ".node." + node + ".units")
 			c.reg.Emit(obs.Event{Kind: "unit.executed", Node: node, Rule: u.RuleID, Detail: u.Part})
 		}
 		d.mu.Lock()
+		d.perNode[node]++
 		d.outstanding--
 		d.bumpLocked()
 		d.mu.Unlock()
@@ -351,8 +369,8 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 		return
 	}
 
-	// The unit panicked (recovered into err): retry with backoff on a
-	// different live node, or give up with a typed UnitError.
+	// The unit panicked (recovered into err): Retry gives it up or
+	// decides which node the retry avoids.
 	if c.reg != nil {
 		c.reg.Inc(c.prefix + ".unit_panics")
 		c.reg.Emit(obs.Event{Kind: "unit.panic", Node: node, Rule: u.RuleID, Detail: err.Error()})
@@ -361,11 +379,16 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 	d.panics++
 	d.attempts[u]++
 	attempt := d.attempts[u]
-	if attempt > opts.MaxRetries {
-		d.failed = append(d.failed, UnitError{
-			UnitID: u.ID, RuleID: u.RuleID, Part: u.Part,
-			Node: node, Attempts: attempt, Err: err,
-		})
+	d.mu.Unlock()
+	// node is alive: a node is only killed after a unit it completed.
+	avoid, failed := Retry(d.ctx, opts, u, node, attempt, err, func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.dead) < len(c.nodes)-1
+	})
+	if failed != nil {
+		d.mu.Lock()
+		d.failed = append(d.failed, *failed)
 		d.outstanding--
 		d.bumpLocked()
 		d.mu.Unlock()
@@ -374,24 +397,19 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 		}
 		return
 	}
-	d.retries++
-	d.mu.Unlock()
 	if c.reg != nil {
 		c.reg.Inc(c.prefix + ".retries")
 	}
-	if opts.RetryBackoff > 0 {
-		// Backoff must yield to cancellation: a cancelled drain with many
-		// retried units would otherwise serialize the full per-unit sleeps
-		// before returning. The unit is still requeued below either way —
-		// the drain's leftover reclaim counts it as Skipped.
-		t := time.NewTimer(time.Duration(attempt) * opts.RetryBackoff)
-		select {
-		case <-t.C:
-		case <-d.ctx.Done():
-			t.Stop()
-		}
+	// A cancelled wait still requeues the unit: the drain's leftover
+	// reclaim counts it as Skipped.
+	d.mu.Lock()
+	d.retries++
+	exclude := d.deadSetLocked()
+	d.mu.Unlock()
+	if avoid != "" {
+		exclude[avoid] = true
 	}
-	target := c.Sched.AssignExcluding(u, c.retryExclusion(node, d))
+	target := c.Sched.AssignExcluding(u, exclude)
 	d.mu.Lock()
 	if target != node {
 		d.reassigned++
@@ -418,27 +436,15 @@ func runShielded(f *FaultInjector, u *crystal.WorkUnit, node string) (err error)
 	if f != nil {
 		f.maybePanic(u.ID)
 	}
-	u.Exec(node)
+	u.Run(node)
 	return nil
 }
 
-// retryExclusion builds the node set a retried unit must avoid: every
-// dead node, plus the node it just failed on — unless that node is the
-// only survivor, in which case it has to try again locally.
-func (c *Cluster) retryExclusion(node string, d *drainRun) map[string]bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// deadSetLocked copies the dead-node set (d.mu held) for AssignExcluding.
+func (d *drainRun) deadSetLocked() map[string]bool {
 	ex := make(map[string]bool, len(d.dead)+1)
-	aliveOthers := 0
-	for _, n := range c.nodes {
-		if d.dead[n] {
-			ex[n] = true
-		} else if n != node {
-			aliveOthers++
-		}
-	}
-	if aliveOthers > 0 {
-		ex[node] = true
+	for n := range d.dead {
+		ex[n] = true
 	}
 	return ex
 }
@@ -453,10 +459,7 @@ func (c *Cluster) killNode(node string, d *drainRun) {
 	}
 	d.dead[node] = true
 	d.killed = append(d.killed, node)
-	exclude := make(map[string]bool, len(d.dead))
-	for n := range d.dead {
-		exclude[n] = true
-	}
+	exclude := d.deadSetLocked()
 	d.bumpLocked()
 	d.mu.Unlock()
 	if c.reg != nil {

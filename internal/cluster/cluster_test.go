@@ -20,7 +20,7 @@ func TestClusterDrainsAllUnits(t *testing.T) {
 			ID:      i,
 			Part:    fmt.Sprintf("p%d/b", i),
 			EstCost: 1,
-			Run:     func() { atomic.AddInt64(&ran, 1) },
+			Run:     func(string) { atomic.AddInt64(&ran, 1) },
 		})
 	}
 	per := c.DrainWithStats(context.Background(), Options{Steal: true}).PerNode
@@ -47,7 +47,7 @@ func TestStealingBalancesSkew(t *testing.T) {
 			ID:      i,
 			Part:    "hot/block", // same partition => same owner
 			EstCost: 1,
-			Run: func() {
+			Run: func(string) {
 				time.Sleep(200 * time.Microsecond)
 			},
 		})
@@ -68,7 +68,7 @@ func TestStealingBalancesSkew(t *testing.T) {
 	// Without stealing, only the owner runs them.
 	c2 := New(4)
 	for i := 0; i < 16; i++ {
-		c2.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1, Run: func() {}})
+		c2.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1, Run: func(string) {}})
 	}
 	counts2 := c2.DrainWithStats(context.Background(), Options{Steal: false}).PerNode
 	busy2 := 0
@@ -90,7 +90,7 @@ func TestDrainPerDrainCounts(t *testing.T) {
 	c := New(3)
 	submit := func(n int) {
 		for i := 0; i < n; i++ {
-			c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1, Run: func() {}})
+			c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1, Run: func(string) {}})
 		}
 	}
 	sum := func(m map[string]int) int {
@@ -118,7 +118,7 @@ func TestDrainWithStats(t *testing.T) {
 	c.SetObs(reg, "chase")
 	for i := 0; i < 32; i++ {
 		c.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1,
-			Run: func() { time.Sleep(100 * time.Microsecond) }})
+			Run: func(string) { time.Sleep(100 * time.Microsecond) }})
 	}
 	st := c.DrainWithStats(context.Background(), Options{Steal: true})
 	if st.Queued != 32 {
@@ -145,7 +145,7 @@ func TestDrainWithStats(t *testing.T) {
 	reg2 := obs.New()
 	c2.SetObs(reg2, "chase")
 	for i := 0; i < 16; i++ {
-		c2.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1, Run: func() {}})
+		c2.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1, Run: func(string) {}})
 	}
 	st2 := c2.DrainWithStats(context.Background(), Options{Steal: false})
 	if st2.Steals != 0 || reg2.CounterValue("chase.steals") != 0 {

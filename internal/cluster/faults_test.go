@@ -27,7 +27,7 @@ func TestPanicIsolationAndRetry(t *testing.T) {
 	var ran int64
 	for i := 0; i < 40; i++ {
 		c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
-			Run: func() { atomic.AddInt64(&ran, 1) }})
+			Run: func(string) { atomic.AddInt64(&ran, 1) }})
 	}
 	f := NewFaultInjector()
 	f.PanicUnit(7, 1)  // first attempt panics, retry succeeds
@@ -66,7 +66,7 @@ func TestRetriesExhaustedYieldTypedUnitError(t *testing.T) {
 	var ran int64
 	for i := 0; i < 10; i++ {
 		c.Submit(&crystal.WorkUnit{ID: i, RuleID: fmt.Sprintf("r%d", i), Part: fmt.Sprintf("p%d/b", i),
-			EstCost: 1, Run: func() { atomic.AddInt64(&ran, 1) }})
+			EstCost: 1, Run: func(string) { atomic.AddInt64(&ran, 1) }})
 	}
 	f := NewFaultInjector()
 	f.PanicUnit(4, 100) // panics forever
@@ -95,7 +95,7 @@ func TestSingleNodeRetriesLocally(t *testing.T) {
 	c := New(1)
 	var ran int64
 	c.Submit(&crystal.WorkUnit{ID: 0, Part: "p/b", EstCost: 1,
-		Run: func() { atomic.AddInt64(&ran, 1) }})
+		Run: func(string) { atomic.AddInt64(&ran, 1) }})
 	f := NewFaultInjector()
 	f.PanicUnit(0, 1)
 	st := c.DrainWithStats(context.Background(), Options{MaxRetries: 1, Faults: f})
@@ -115,7 +115,7 @@ func TestKillNodeMidDrainReassignsQueue(t *testing.T) {
 	var ran int64
 	for i := 0; i < 50; i++ {
 		c.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1,
-			Run: func() { atomic.AddInt64(&ran, 1) }})
+			Run: func(string) { atomic.AddInt64(&ran, 1) }})
 	}
 	f := NewFaultInjector()
 	f.KillNode(owner, 3) // owner dies after 3 units; 47 orphans re-homed
@@ -146,7 +146,7 @@ func TestAllNodesDeadStrandsRemainder(t *testing.T) {
 	var ran int64
 	for i := 0; i < 5; i++ {
 		c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
-			Run: func() { atomic.AddInt64(&ran, 1) }})
+			Run: func(string) { atomic.AddInt64(&ran, 1) }})
 	}
 	f := NewFaultInjector()
 	f.KillNode("node-0", 2)
@@ -167,7 +167,7 @@ func TestStragglerStillCompletes(t *testing.T) {
 	var ran int64
 	for i := 0; i < 20; i++ {
 		c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
-			Run: func() { atomic.AddInt64(&ran, 1) }})
+			Run: func(string) { atomic.AddInt64(&ran, 1) }})
 	}
 	f := NewFaultInjector()
 	f.SlowUnit(11, 20*time.Millisecond)
@@ -188,7 +188,7 @@ func TestCancelledDrainStopsEarlyAndSkips(t *testing.T) {
 	var ran int64
 	for i := 0; i < 400; i++ {
 		c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
-			Run: func() { atomic.AddInt64(&ran, 1); time.Sleep(300 * time.Microsecond) }})
+			Run: func(string) { atomic.AddInt64(&ran, 1); time.Sleep(300 * time.Microsecond) }})
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
 	defer cancel()
@@ -216,7 +216,7 @@ func TestCancelledDrainStopsEarlyAndSkips(t *testing.T) {
 	var again int64
 	for i := 0; i < 8; i++ {
 		c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("q%d/b", i), EstCost: 1,
-			Run: func() { atomic.AddInt64(&again, 1) }})
+			Run: func(string) { atomic.AddInt64(&again, 1) }})
 	}
 	st2 := c.DrainWithStats(context.Background(), Options{Steal: true})
 	if again != 8 || st2.Cancelled {
@@ -233,7 +233,7 @@ func TestCancelledDrainsLeakNoGoroutines(t *testing.T) {
 		c := New(4)
 		for i := 0; i < 100; i++ {
 			c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
-				Run: func() { time.Sleep(200 * time.Microsecond) }})
+				Run: func(string) { time.Sleep(200 * time.Microsecond) }})
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 1*time.Millisecond)
 		c.DrainWithStats(ctx, Options{Steal: true})
@@ -285,7 +285,7 @@ func TestRetryBackoffYieldsToCancellation(t *testing.T) {
 	c := New(2)
 	f := NewFaultInjector()
 	f.PanicUnit(0, 100) // panics on every attempt, forcing backoffs
-	c.Submit(&crystal.WorkUnit{ID: 0, Part: "p/b", EstCost: 1, Run: func() {}})
+	c.Submit(&crystal.WorkUnit{ID: 0, Part: "p/b", EstCost: 1, Run: func(string) {}})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

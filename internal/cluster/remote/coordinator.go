@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -273,12 +274,8 @@ func (c *Coordinator) markDead(name string) bool {
 
 var _ cluster.Runner = (*Coordinator)(nil)
 
-// Owner returns the live worker owning the partition by consistent
-// hash, or "" when every worker is dead.
-func (c *Coordinator) Owner(part string) string { return c.ring.Owner(part) }
-
 // Submit buffers one work unit's metadata for the current round. The
-// unit's Run/RunOn closures are never invoked — execution happens on
+// unit's Run closure is never invoked — execution happens on
 // the worker replica, addressed by the unit's ID (its index in the
 // round's deterministic work list).
 func (c *Coordinator) Submit(u *crystal.WorkUnit) {
@@ -362,7 +359,9 @@ func (c *Coordinator) TakeResults() []chase.UnitOutcome {
 // affinity and consumes results until every unit is resolved, the
 // context is cancelled, or no workers survive. Worker deaths —
 // heartbeat timeouts, connection errors, or fault-injected kills —
-// redistribute the dead worker's incomplete queue across survivors.
+// redistribute the dead worker's incomplete queue across survivors; a
+// unit that panicked on its worker is retried or given up by
+// cluster.Retry, as in the in-process pool.
 func (c *Coordinator) DrainWithStats(ctx context.Context, opts cluster.Options) cluster.DrainStats {
 	stats := cluster.DrainStats{PerNode: map[string]int{}, Queued: len(c.units)}
 
@@ -448,11 +447,15 @@ func (c *Coordinator) DrainWithStats(ctx context.Context, opts cluster.Options) 
 	}
 
 	for pending() > 0 {
-		select {
-		case <-ctx.Done():
+		// Cancellation wins over results already queued, so a drain that
+		// was cancelled during a retry backoff stops at once.
+		if ctx.Err() != nil {
 			stats.Cancelled = true
 			stats.Skipped = pending()
 			return stats
+		}
+		select {
+		case <-ctx.Done():
 		case ev := <-c.events:
 			if ev.err != nil {
 				if c.markDead(ev.node) {
@@ -470,19 +473,8 @@ func (c *Coordinator) DrainWithStats(ctx context.Context, opts cluster.Options) 
 			}
 			if res.Err != "" {
 				attempts[res.Unit]++
-				u := c.units[res.Unit]
 				stats.Panics++
-				if attempts[res.Unit] <= opts.MaxRetries {
-					if c.retryElsewhere(res.Unit, ev.node, unitHome, &stats) {
-						stats.Retries++
-						continue
-					}
-				}
-				stats.Failed = append(stats.Failed, cluster.UnitError{
-					UnitID: res.Unit, RuleID: u.RuleID, Part: u.Part, Node: ev.node,
-					Attempts: attempts[res.Unit], Err: fmt.Errorf("%s", res.Err),
-				})
-				done[res.Unit] = true
+				c.retry(ctx, opts, res.Unit, ev.node, attempts[res.Unit], errors.New(res.Err), unitHome, done, &stats)
 				continue
 			}
 			done[res.Unit] = true
@@ -570,27 +562,48 @@ func (c *Coordinator) reassignFrom(deadNode string, unitHome map[int]string, don
 	}
 }
 
-// retryElsewhere re-sends a failed unit to a live worker other than
-// the one it failed on; it reports whether a retry was scheduled.
-func (c *Coordinator) retryElsewhere(unit int, failedOn string, unitHome map[int]string, stats *cluster.DrainStats) bool {
-	for _, w := range c.liveWorkers() {
-		if w.name == failedOn {
-			continue
+// retry settles a unit whose attempt-th attempt failed on failedOn by
+// cluster.Retry, the policy the in-process pool applies too: the unit is
+// given up, or re-sent to the first live worker (in connection order) the
+// decision does not rule out. A worker the send fails on is dead, and its
+// queue — the retried unit included — moves to the survivors.
+func (c *Coordinator) retry(ctx context.Context, opts cluster.Options, unit int, failedOn string, attempt int, err error,
+	unitHome map[int]string, done map[int]bool, stats *cluster.DrainStats) {
+	u := c.units[unit]
+	avoid, failed := cluster.Retry(ctx, opts, u, failedOn, attempt, err, func() bool {
+		for _, w := range c.liveWorkers() {
+			if w.name != failedOn {
+				return true
+			}
 		}
-		if err := w.send(envelope{Type: mtAssign, Assign: &assignMsg{Round: c.round, Units: []int{unit}}}); err != nil {
-			continue
+		return false
+	})
+	var target *workerConn
+	if failed == nil {
+		for _, w := range c.liveWorkers() {
+			if w.name != avoid {
+				target = w
+				break
+			}
 		}
-		unitHome[unit] = w.name
+	}
+	if target == nil {
+		if failed == nil {
+			failed = &cluster.UnitError{UnitID: unit, RuleID: u.RuleID, Part: u.Part, Node: failedOn,
+				Attempts: attempt, Err: fmt.Errorf("no surviving worker to retry on: %w", err)}
+		}
+		stats.Failed = append(stats.Failed, *failed)
+		done[unit] = true
+		return
+	}
+	stats.Retries++
+	unitHome[unit] = target.name
+	if target.name != failedOn {
 		stats.Reassigned++
-		return true
 	}
-	// Sole survivor: retry on the same node (a panic may be transient).
-	if w := c.worker(failedOn); w != nil && w.alive {
-		if err := w.send(envelope{Type: mtAssign, Assign: &assignMsg{Round: c.round, Units: []int{unit}}}); err == nil {
-			return true
-		}
+	if err := target.send(envelope{Type: mtAssign, Assign: &assignMsg{Round: c.round, Units: []int{unit}}}); err != nil {
+		c.deadAndReassign(target.name, unitHome, done, stats)
 	}
-	return false
 }
 
 // Close tears down every worker connection and the listener; workers

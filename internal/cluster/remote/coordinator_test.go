@@ -1,0 +1,131 @@
+package remote
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/rockclean/rock/internal/chase"
+	"github.com/rockclean/rock/internal/cluster"
+	"github.com/rockclean/rock/internal/crystal"
+)
+
+// panicFollower is a replica whose unit 0 panics on its first `panics`
+// attempts (every attempt when panics < 0); other units succeed at once.
+type panicFollower struct {
+	panics   int64
+	attempts atomic.Int64
+	mu       sync.Mutex
+	failedOn []string // nodes unit 0 panicked on
+}
+
+func (f *panicFollower) FollowRound(pre chase.RoundPreamble) (int, error) { return pre.Units, nil }
+
+func (f *panicFollower) RunFollowUnit(_ context.Context, i int, node string) (chase.UnitOutcome, error) {
+	if i == 0 {
+		if n := f.attempts.Add(1); f.panics < 0 || n <= f.panics {
+			f.mu.Lock()
+			f.failedOn = append(f.failedOn, node)
+			f.mu.Unlock()
+			panic("unit 0 fails")
+		}
+	}
+	return chase.UnitOutcome{Unit: i, Valuations: 1}, nil
+}
+
+// drainOnLoopback runs one round of units over two in-process workers
+// serving f through a real loopback coordinator, and returns the drain's
+// stats, the outcomes and how long the drain took. cancelAfter, when
+// positive, cancels the drain's context that long after the drain starts.
+func drainOnLoopback(t *testing.T, f *panicFollower, units int, opts cluster.Options, cancelAfter time.Duration) (cluster.DrainStats, []chase.UnitOutcome, time.Duration) {
+	t.Helper()
+	const fp = "retry-test"
+	coord := NewCoordinator(CoordOptions{Addr: "127.0.0.1:0", Workers: 2, Fingerprint: fp})
+	addr, err := coord.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var workers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			if err := RunWorker(context.Background(), f, WorkerOptions{Coord: addr, Fingerprint: fp}); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+	defer func() {
+		coord.Close()
+		workers.Wait()
+	}()
+	if err := coord.WaitWorkers(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.BeginRound(context.Background(), chase.RoundPreamble{Round: 1, Units: units}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < units; i++ {
+		coord.Submit(&crystal.WorkUnit{ID: i, RuleID: "r", Part: fmt.Sprintf("p%d/b", i), EstCost: 1})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if cancelAfter > 0 {
+		time.AfterFunc(cancelAfter, cancel)
+	}
+	start := time.Now()
+	st := coord.DrainWithStats(ctx, opts)
+	return st, coord.TakeResults(), time.Since(start)
+}
+
+// TestCoordinatorRetryPolicy pins the coordinator to cluster.Retry, the
+// policy the in-process pool applies: a panicked unit retries on another
+// worker, a unit that always panics is given up after MaxRetries+1
+// attempts, and the retry backoff yields to cancellation.
+func TestCoordinatorRetryPolicy(t *testing.T) {
+	t.Run("retries on the other worker", func(t *testing.T) {
+		f := &panicFollower{panics: 1}
+		st, outs, _ := drainOnLoopback(t, f, 6, cluster.Options{MaxRetries: 2, RetryBackoff: time.Millisecond}, 0)
+		if st.Panics != 1 || st.Retries != 1 || st.Reassigned != 1 || len(st.Failed) != 0 {
+			t.Fatalf("Panics/Retries/Reassigned/Failed = %d/%d/%d/%d, want 1/1/1/0", st.Panics, st.Retries, st.Reassigned, len(st.Failed))
+		}
+		if len(outs) != 6 || outs[0].Unit != 0 {
+			t.Fatalf("want all 6 outcomes, unit 0 first; got %d", len(outs))
+		}
+		if outs[0].Node == f.failedOn[0] {
+			t.Errorf("unit 0 retried on %s, the worker it panicked on", outs[0].Node)
+		}
+	})
+	t.Run("gives up after MaxRetries+1 attempts", func(t *testing.T) {
+		const maxRetries = 2
+		st, outs, _ := drainOnLoopback(t, &panicFollower{panics: -1}, 4, cluster.Options{MaxRetries: maxRetries}, 0)
+		if len(st.Failed) != 1 {
+			t.Fatalf("want one UnitError, got %v", st.Failed)
+		}
+		if ue := st.Failed[0]; ue.UnitID != 0 || ue.Attempts != maxRetries+1 || ue.Err == nil {
+			t.Errorf("UnitError = %+v, want unit 0 after %d attempts", ue, maxRetries+1)
+		}
+		if st.Panics != maxRetries+1 || st.Retries != maxRetries {
+			t.Errorf("Panics/Retries = %d/%d, want %d/%d", st.Panics, st.Retries, maxRetries+1, maxRetries)
+		}
+		if len(outs) != 3 {
+			t.Errorf("the 3 healthy units must still complete: %d outcomes", len(outs))
+		}
+	})
+	t.Run("backoff yields to cancellation", func(t *testing.T) {
+		f := &panicFollower{panics: -1}
+		st, _, took := drainOnLoopback(t, f, 4, cluster.Options{MaxRetries: 5, RetryBackoff: 30 * time.Second}, 50*time.Millisecond)
+		if !st.Cancelled {
+			t.Errorf("drain not marked cancelled: %+v", st)
+		}
+		if took > 5*time.Second {
+			t.Fatalf("cancelled drain took %v; the retry backoff ignored cancellation", took)
+		}
+		if f.attempts.Load() == 0 {
+			t.Error("unit 0 never ran — no backoff was entered, the test proved nothing")
+		}
+	})
+}

@@ -50,8 +50,8 @@ func replica(n int, seed int64) (*predicate.Env, []*ree.Rule, *truth.FixSet, map
 
 func replicaOpts(refs map[string]bool) chase.Options {
 	return chase.Options{
-		Mode: chase.Unified, Lazy: true, UseBlocking: true,
-		Workers: 4, Steal: true, MaxRetries: 2, MaxRounds: 30,
+		Lazy: true, UseBlocking: true, Workers: 4, MaxRounds: 30,
+		Drain:   cluster.Options{Steal: true, MaxRetries: 2},
 		EIDRefs: refs,
 	}
 }
@@ -163,7 +163,7 @@ func distributedRun(t *testing.T, n int, seed int64, nWorkers int, faults *clust
 	env, rules, gamma, refs := replica(n, seed)
 	opts := replicaOpts(refs)
 	opts.Cluster = coord
-	opts.Faults = faults
+	opts.Drain.Faults = faults
 	eng := chase.New(env, rules, gamma, opts)
 	rep, err := eng.RunCtx(ctx)
 	if err != nil {

@@ -17,23 +17,10 @@ type WorkUnit struct {
 	RuleID  string
 	Part    string // partition key, e.g. "Trans/block3"
 	EstCost float64
-	Run     func() // executed by a worker
-	// RunOn, when set, is invoked instead of Run with the name of the
-	// worker actually executing the unit (a stolen unit reports the
-	// thief, not the affinity owner) — span tracing attributes work to
-	// the lane that really ran it.
-	RunOn func(node string)
-}
-
-// Exec runs the unit on behalf of node, preferring RunOn when set.
-func (u *WorkUnit) Exec(node string) {
-	if u.RunOn != nil {
-		u.RunOn(node)
-		return
-	}
-	if u.Run != nil {
-		u.Run()
-	}
+	// Run executes the unit on the named worker — the one actually running
+	// it (a stolen unit reports the thief, not the affinity owner), so span
+	// tracing attributes work to the lane that really ran it.
+	Run func(node string)
 }
 
 // Partition splits every relation of db into b virtual blocks by TID — the

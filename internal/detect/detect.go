@@ -65,8 +65,6 @@ type Options struct {
 	Workers int
 	// UseBlocking enables LSH blocking for ML predicates.
 	UseBlocking bool
-	// Steal enables work stealing between workers.
-	Steal bool
 	// Pred, when set, is a predication layer shared with later pipeline
 	// phases: detection's ML calls fill its content-keyed prediction
 	// cache, so the chase serves the same (model, pair) scores as hits
@@ -79,13 +77,10 @@ type Options struct {
 	// "detect.*" prefix (units, wall clock, per-node counts, steals,
 	// blocker cache hits). Nil records nothing.
 	Obs *obs.Registry
-	// MaxRetries / RetryBackoff bound the retry-with-reassignment policy
-	// for panicking work units (see cluster.Options).
-	MaxRetries   int
-	RetryBackoff time.Duration
-	// Faults, when non-nil, injects failures into the detection drain
-	// (tests only).
-	Faults *cluster.FaultInjector
+	// Drain is handed unchanged to the detection drain: work stealing
+	// between workers, the retry policy for panicking units
+	// (cluster.Retry) and, in tests, fault injection.
+	Drain cluster.Options
 	// Span, when non-nil, parents the detection phase span (rock threads
 	// its root "clean" span here). Observed only while the registry has
 	// spans enabled; tracing never changes detection results.
@@ -99,7 +94,7 @@ const minBlocks = 4
 
 // DefaultOptions is Rock's shipped configuration.
 func DefaultOptions() Options {
-	return Options{Workers: 4, UseBlocking: true, Steal: true}
+	return Options{Workers: 4, UseBlocking: true, Drain: cluster.Options{Steal: true}}
 }
 
 // Detector detects violations of a rule set over a database.
@@ -153,17 +148,10 @@ func (d *Detector) DetectCtx(ctx context.Context) (errs []*Error, partial bool, 
 	return d.runCtx(ctx, nil)
 }
 
-// DetectIncremental runs incremental detection: only violations involving
-// at least one dirty tuple are found (paper §3, "incrementally detects
-// errors in response to updates"). dirty maps relation name to changed
-// TIDs.
-func (d *Detector) DetectIncremental(dirty map[string]map[int]bool) ([]*Error, error) {
-	errs, _, err := d.runCtx(context.Background(), dirty)
-	return errs, err
-}
-
-// DetectIncrementalCtx is DetectIncremental under a cancellation context,
-// with the same graceful degradation as DetectCtx.
+// DetectIncrementalCtx runs incremental detection: only violations
+// involving at least one dirty tuple are found (paper §3, "incrementally
+// detects errors in response to updates"). dirty maps relation name to
+// changed TIDs. Cancellation degrades gracefully, as in DetectCtx.
 func (d *Detector) DetectIncrementalCtx(ctx context.Context, dirty map[string]map[int]bool) ([]*Error, bool, error) {
 	return d.runCtx(ctx, dirty)
 }
@@ -238,7 +226,7 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 				RuleID:  r.ID,
 				Part:    b.Part,
 				EstCost: b.EstCost,
-				RunOn:   func(node string) { res.errs, res.err = d.runUnit(r, b, dirty, node, phase) },
+				Run:     func(node string) { res.errs, res.err = d.runUnit(r, b, dirty, node, phase) },
 			})
 		}
 	}
@@ -246,12 +234,7 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 	for _, u := range all {
 		cl.Submit(u)
 	}
-	st := cl.DrainWithStats(ctx, cluster.Options{
-		Steal:        d.opts.Steal,
-		MaxRetries:   d.opts.MaxRetries,
-		RetryBackoff: d.opts.RetryBackoff,
-		Faults:       d.opts.Faults,
-	})
+	st := cl.DrainWithStats(ctx, d.opts.Drain)
 	// A cancelled drain (or permanently failed units) leaves detection
 	// incomplete but sound: every error found so far stands.
 	partial := st.Cancelled || len(st.Failed) > 0

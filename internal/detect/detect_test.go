@@ -137,7 +137,7 @@ func TestDetectIncrementalOnlyTouchesDirty(t *testing.T) {
 	// Insert one fresh erroneous tuple and detect incrementally.
 	nt := rel.Insert("eNew", data.S("line 0"), data.S("ALSO WRONG"))
 	dirty := map[string]map[int]bool{"Trans": {nt.TID: true}}
-	inc, err := d.DetectIncremental(dirty)
+	inc, _, err := d.DetectIncrementalCtx(context.Background(), dirty)
 	if err != nil {
 		t.Fatal(err)
 	}

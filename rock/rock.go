@@ -109,9 +109,9 @@ type Options struct {
 	Workers int
 	// Parallel runs chase work units on a real goroutine worker pool of
 	// size Workers (results are bit-identical to serial execution; see
-	// internal/chase). When false, chase units run serially — the
-	// reference every other strategy is compared against. Detection
-	// always executes its units on the worker pool.
+	// internal/chase). When false, chase units run on a pool of one
+	// worker — the serial reference every other executor is compared
+	// against. Detection always executes its units on the full pool.
 	Parallel bool
 	// UseBlocking enables LSH blocking for ML predicates.
 	UseBlocking bool
@@ -157,7 +157,8 @@ type Options struct {
 	// unit is given up and surfaced on Report.UnitErrors.
 	MaxRetries int
 	// RetryBackoff is the base backoff before a unit retry (attempt k
-	// sleeps k*RetryBackoff).
+	// waits k*RetryBackoff, cut short by cancellation); the same policy
+	// applies in process and on a remote Cluster.
 	RetryBackoff time.Duration
 	// Cluster, when set, replaces the in-process worker pool with an
 	// external drain/submit implementation — in particular a
@@ -482,24 +483,21 @@ func (p *Pipeline) FollowerEngine() *chase.Engine {
 // and span may be nil (layer off / spans disabled).
 func (p *Pipeline) chaseOptions(pred *ml.Predication, reg *obs.Registry, span *obs.Span) chase.Options {
 	return chase.Options{
-		Span:         span,
-		Mode:         chase.Unified,
-		Lazy:         p.opts.Lazy,
-		UseBlocking:  p.opts.UseBlocking,
-		Predication:  p.opts.Predication,
-		Pred:         pred,
-		MaxRounds:    p.opts.MaxRounds,
-		Workers:      p.opts.Workers,
-		Parallel:     p.opts.Parallel,
-		Steal:        p.opts.Steal,
-		Obs:          reg,
-		Oracle:       p.opts.Oracle,
-		EIDRefs:      p.eidRefs,
-		MemBudget:    p.opts.MemBudget,
-		SpillDir:     p.opts.SpillDir,
-		MaxRetries:   p.opts.MaxRetries,
-		RetryBackoff: p.opts.RetryBackoff,
-		Cluster:      p.opts.Cluster,
+		Span:        span,
+		Lazy:        p.opts.Lazy,
+		UseBlocking: p.opts.UseBlocking,
+		Predication: p.opts.Predication,
+		Pred:        pred,
+		MaxRounds:   p.opts.MaxRounds,
+		Workers:     p.opts.Workers,
+		Parallel:    p.opts.Parallel,
+		Drain:       p.drain(),
+		Obs:         reg,
+		Oracle:      p.opts.Oracle,
+		EIDRefs:     p.eidRefs,
+		MemBudget:   p.opts.MemBudget,
+		SpillDir:    p.opts.SpillDir,
+		Cluster:     p.opts.Cluster,
 	}
 }
 
@@ -508,12 +506,15 @@ func (p *Pipeline) detectOptions(pred *ml.Predication, reg *obs.Registry) detect
 	o := detect.DefaultOptions()
 	o.Workers = p.opts.Workers
 	o.UseBlocking = p.opts.UseBlocking
-	o.Steal = p.opts.Steal
+	o.Drain = p.drain()
 	o.Pred = pred
 	o.Obs = reg
-	o.MaxRetries = p.opts.MaxRetries
-	o.RetryBackoff = p.opts.RetryBackoff
 	return o
+}
+
+// drain is the one drain configuration detection and the chase share.
+func (p *Pipeline) drain() cluster.Options {
+	return cluster.Options{Steal: p.opts.Steal, MaxRetries: p.opts.MaxRetries, RetryBackoff: p.opts.RetryBackoff}
 }
 
 // detectWith runs detection, optionally filling a predication layer that
