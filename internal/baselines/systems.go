@@ -318,9 +318,10 @@ func collectDetection(errs []*detect.Error) (map[string]bool, map[[2]string]bool
 // ExtractCorrections diffs a chased fix set against the raw database:
 // every validated cell differing from the stored value is a repair, every
 // entity class yields its merge pairs, and every validated order pair is a
-// TD deduction. Pairs/cells already present in gamma (the seeded ground
-// truth) are excluded — they were given, not deduced.
-func ExtractCorrections(u *truth.FixSet, db *data.Database, gamma *truth.FixSet) *quality.Corrections {
+// TD deduction. What the seeded ground truth Γ already held counts too —
+// the paper's ground truth is part of the fix process — so the third
+// argument, Γ itself, is not consulted.
+func ExtractCorrections(u *truth.FixSet, db *data.Database, _ *truth.FixSet) *quality.Corrections {
 	c := quality.NewCorrections()
 	for relName, rel := range db.Relations {
 		for _, t := range rel.Tuples {
@@ -328,14 +329,6 @@ func ExtractCorrections(u *truth.FixSet, db *data.Database, gamma *truth.FixSet)
 				v, ok := u.Cell(relName, t.EID, a.Name)
 				if !ok || v.Equal(t.Values[i]) {
 					continue
-				}
-				if gamma != nil {
-					if gv, had := gamma.Cell(relName, t.EID, a.Name); had && gv.Equal(v) {
-						// Seeded, not deduced... still a correction the
-						// system applied; count it (the paper's ground
-						// truth is part of the fix process).
-						_ = gv
-					}
 				}
 				c.AddCell(relName, t.TID, a.Name, v)
 			}

@@ -105,8 +105,8 @@ type Options struct {
 	// pool with a caller-supplied one, used as given whatever Parallel
 	// says. When it additionally implements
 	// DistRunner (the remote coordinator does), rounds run distributed:
-	// the engine journals its truth mutations, ships a round preamble to
-	// the worker replicas, submits metadata-only units, and reads the
+	// each round ships a preamble (the fix-set journal since the last one)
+	// to the worker replicas, submits metadata-only units, and reads the
 	// deduced fixes back from TakeResults — the merge/apply step stays
 	// local and serial, so the result is bit-identical to the in-process
 	// run. Distributed runs require replicas built from the same
@@ -280,7 +280,8 @@ type Engine struct {
 	// can be retracted by rebuilding the order.
 	orderLog map[string][]Fix
 	// tuplesByEID indexes tuples by their raw EID per relation for dirty
-	// propagation.
+	// propagation and the corrections diff. Built in New, rebuilt when
+	// RunIncrementalCtx absorbs a delta.
 	tuplesByEID map[string]map[string][]*data.Tuple
 	// blocks caches the TID-partition of every relation across rounds:
 	// relations never gain or lose tuples during a run, so the round loop
@@ -294,8 +295,10 @@ type Engine struct {
 	dist DistRunner
 	// lastAccepted carries the previous round's accepted fixes into the
 	// next distributed round's preamble (workers derive their dirty set
-	// and invalidations from it, mirroring the post-merge bookkeeping).
+	// and invalidations from it, mirroring the post-merge bookkeeping);
+	// shipped is the fix-set journal mark the last preamble ended at.
 	lastAccepted []Fix
+	shipped      int
 	// follow* hold a worker replica's prepared round (see FollowRound).
 	followWork  []unitWork
 	followDirty map[string]map[int]bool
@@ -388,12 +391,7 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 		e.cl = cluster.New(1)
 	}
 	e.cl.SetObs(e.obs, "chase")
-	if dr, ok := e.cl.(DistRunner); ok {
-		// Distributed: journal every truth mutation so the next round's
-		// preamble can replicate it to the workers.
-		e.dist = dr
-		e.u.StartJournal()
-	}
+	e.dist, _ = e.cl.(DistRunner)
 	for name, rel := range env.DB.Relations {
 		idx := make(map[string][]*data.Tuple)
 		for _, t := range rel.Tuples {
@@ -474,18 +472,6 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 
 // Truth exposes the engine's fix set U (read-mostly; mutate via the chase).
 func (e *Engine) Truth() *truth.FixSet { return e.u }
-
-// TuplesByEID returns rel's tuples carrying the given EID, from the
-// engine's index (refreshed on RunIncrementalCtx entry, so inserts made
-// through a Delta are covered). The incremental corrections diff uses it
-// to expand touched truth cells to tuples without scanning the database.
-func (e *Engine) TuplesByEID(rel, eid string) []*data.Tuple {
-	idx := e.tuplesByEID[rel]
-	if idx == nil {
-		return nil
-	}
-	return idx[eid]
-}
 
 // Report returns the run summary; valid after Run.
 func (e *Engine) Report() *Report {
@@ -761,11 +747,12 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 			pre := RoundPreamble{
 				Round:    round,
 				RuleIDs:  ids,
-				Journal:  e.u.TakeJournal(),
+				Journal:  e.u.OpsSince(e.shipped),
 				Accepted: e.lastAccepted,
 				UseDirty: dirty != nil,
 				Units:    len(work),
 			}
+			e.shipped = e.u.Mark()
 			if err := e.dist.BeginRound(e.ctx, pre); err != nil {
 				return nil, err
 			}
@@ -856,12 +843,10 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 			accepted = append(accepted, fx)
 			e.ruleCost(fx.RuleID).Applied++
 			e.obs.Inc("chase.rule." + fx.RuleID + ".applied")
-			e.obs.Emit(obs.Event{Kind: "fix.applied", Round: round, Rule: fx.RuleID, Detail: fx.String()})
 		} else {
 			rejected++
 			e.ruleCost(fx.RuleID).Rejected++
 			e.obs.Inc("chase.rule." + fx.RuleID + ".rejected")
-			e.obs.Emit(obs.Event{Kind: "fix.rejected", Round: round, Rule: fx.RuleID, Detail: fx.String()})
 		}
 	}
 	e.obs.Add("chase.fixes.applied", uint64(len(accepted)))
@@ -982,7 +967,7 @@ func (e *Engine) runUnit(ctx context.Context, w unitWork, dirty map[string]map[i
 // absorb is the bookkeeping that follows a merge, on the engine that
 // merged and on every replica following it: accepted fixes change the
 // values units read through env.ValueOf, so any blocker index built over
-// them is stale — and so are the cached embeddings of exactly the touched
+// them is stale — and so are the cached embeddings of exactly the affected
 // tuples (same granularity that re-activates rules). The same tuple set
 // is no longer safe for interned raw-id comparisons: shadow it so the
 // executor reads those tuples through the fix set.
@@ -1608,7 +1593,7 @@ func (e *Engine) ruleFeeds(r *ree.Rule, cells, orders map[string]bool, merged bo
 	return false
 }
 
-// dirtySet computes which tuples the fixes touched: every tuple of every
+// dirtySet computes which tuples the fixes affect: every tuple of every
 // entity class involved.
 func (e *Engine) dirtySet(fixes []Fix) map[string]map[int]bool {
 	out := make(map[string]map[int]bool)
@@ -1642,27 +1627,4 @@ func (e *Engine) dirtySet(fixes []Fix) map[string]map[int]bool {
 		}
 	}
 	return out
-}
-
-// Materialize writes validated cells back into the database (the
-// user-visible "corrected" dataset) and returns the number of changed
-// cells.
-func (e *Engine) Materialize() int {
-	n := 0
-	for relName, rel := range e.env.DB.Relations {
-		for _, t := range rel.Tuples {
-			for i, a := range rel.Schema.Attrs {
-				if v, ok := e.u.Cell(relName, t.EID, a.Name); ok && !v.Equal(t.Values[i]) {
-					t.Values[i] = v
-					n++
-				}
-			}
-		}
-	}
-	if n > 0 {
-		// Raw data changed underneath the interned columns; drop them so
-		// any further Run (incremental mode) rebuilds from current values.
-		e.exec.InvalidateInterned()
-	}
-	return n
 }

@@ -100,15 +100,18 @@ func TestKPredictConsequenceUsesValuePredictor(t *testing.T) {
 	}
 }
 
-func TestTDConflictRetractsLosingEdge(t *testing.T) {
+// tdRetractInput orders two tuples both ways on R.v, the wrong way first
+// (rule IDs sort "a-bad" before "b-good"), under a ranker preferring
+// ascending v: resolving the conflict retracts an accepted edge.
+func tdRetractInput() (env *predicate.Env, rules []*ree.Rule, lo, hi *data.Tuple) {
 	schema := must.Schema("R", data.Attribute{Name: "v", Type: data.TFloat},
 		data.Attribute{Name: "tag", Type: data.TString})
 	rel := data.NewRelation(schema)
-	lo := rel.Insert("a", data.F(1), data.S("lo"))
-	hi := rel.Insert("b", data.F(2), data.S("hi"))
+	lo = rel.Insert("a", data.F(1), data.S("lo"))
+	hi = rel.Insert("b", data.F(2), data.S("hi"))
 	db := data.NewDatabase()
 	db.Add(rel)
-	env := predicate.NewEnv(db)
+	env = predicate.NewEnv(db)
 	// Ranker: higher v is newer.
 	env.Ranker = &funcRanker{}
 
@@ -116,7 +119,12 @@ func TestTDConflictRetractsLosingEdge(t *testing.T) {
 	rBad.ID = "a-bad"
 	rGood := must.Rule("R(t) ^ R(s) ^ t.tag = 'lo' ^ s.tag = 'hi' -> t <[v] s", db)
 	rGood.ID = "b-good"
-	eng := New(env, []*ree.Rule{rBad, rGood}, truth.NewFixSet(), DefaultOptions())
+	return env, []*ree.Rule{rBad, rGood}, lo, hi
+}
+
+func TestTDConflictRetractsLosingEdge(t *testing.T) {
+	env, rules, lo, hi := tdRetractInput()
+	eng := New(env, rules, truth.NewFixSet(), DefaultOptions())
 	rep, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)

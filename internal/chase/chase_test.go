@@ -183,10 +183,12 @@ func TestConflictResolutionMI(t *testing.T) {
 	}
 }
 
-func TestConflictResolutionTD(t *testing.T) {
+// tdResolutionInput has two TD rules ordering two Person tuples both ways
+// on status, and a trained ranker favouring the status order.
+func tdResolutionInput(t *testing.T) (env *predicate.Env, rules []*ree.Rule, a, b *data.Tuple) {
 	env, rel := personEnv(t)
-	a := rel.Insert("a", data.S("X"), data.S("F"), data.S("h1"), data.S("single"), data.Null(data.TString))
-	b := rel.Insert("b", data.S("X"), data.S("F"), data.S("h2"), data.S("married"), data.Null(data.TString))
+	a = rel.Insert("a", data.S("X"), data.S("F"), data.S("h1"), data.S("single"), data.Null(data.TString))
+	b = rel.Insert("b", data.S("X"), data.S("F"), data.S("h2"), data.S("married"), data.Null(data.TString))
 	// Conflicting TD rules: one orders by status (a before b), the other
 	// claims the reverse. A ranker favouring the status order decides.
 	r1 := must.Rule("Person(t) ^ Person(s) ^ t.status = 'single' ^ s.status = 'married' -> t <[status] s", env.DB)
@@ -200,8 +202,12 @@ func TestConflictResolutionTD(t *testing.T) {
 		ml.NewMonotoneValueConstraint(rel.Schema, "status", []string{"single", "married"}),
 	}, 2)
 	env.Ranker = ranker
+	return env, []*ree.Rule{r1, r2}, a, b
+}
 
-	eng := New(env, []*ree.Rule{r1, r2}, truth.NewFixSet(), DefaultOptions())
+func TestConflictResolutionTD(t *testing.T) {
+	env, rules, a, b := tdResolutionInput(t)
+	eng := New(env, rules, truth.NewFixSet(), DefaultOptions())
 	rep, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,9 @@ import (
 // hold full engine replicas built from the same deterministic pipeline
 // (same data, same rules and rule IDs, same trained models, same
 // Workers partition count), so only three things ever cross the wire —
-// the round preamble (truth journal + last round's accepted fixes +
-// active rule IDs), unit index assignments, and per-unit deduction
-// buffers. Replaying the journal makes every replica's FixSet
+// the round preamble (the truth journal since the last preamble + last
+// round's accepted fixes + active rule IDs), unit index assignments,
+// and per-unit deduction buffers. Replaying the journal makes every replica's FixSet
 // bit-identical to the coordinator's; the unit list is a deterministic
 // function of (rules, partition, FixSet), so unit index i names the
 // same work everywhere; and the coordinator's merge consumes buffers
@@ -24,7 +24,7 @@ import (
 // env.ValueOf, deterministically trained models), so a distributed run
 // is bit-identical to the serial in-process run. Conflict resolution
 // state that is NOT replicated (resolvedCells, the oracle memo) is
-// only touched by the coordinator-side apply step, never during
+// only written by the coordinator-side apply step, never during
 // deduction — with the one caveat that resolveValuePair may consult
 // Options.Oracle during deduction, so distributed runs require a nil
 // (or replica-identical deterministic) oracle.
@@ -34,8 +34,12 @@ import (
 // fixes the coordinator accepted last round (source of the dirty set
 // and executor invalidations), and the active rule IDs.
 type RoundPreamble struct {
-	Round    int
-	RuleIDs  []string
+	Round   int
+	RuleIDs []string
+	// Journal holds the ops the coordinator's fix set recorded since the
+	// previous preamble (since the engine cloned Γ, for the first one):
+	// OpsSince the mark that preamble ended at. A replica Replays it over
+	// its own clone of the same Γ.
 	Journal  []truth.Op
 	Accepted []Fix
 	// UseDirty distinguishes "restrict enumeration to the dirty set
@@ -85,7 +89,7 @@ type DistRunner interface {
 // FollowRound prepares a worker replica for one distributed round: it
 // replays the coordinator's truth journal, mirrors the coordinator's
 // post-merge executor bookkeeping (blocker/embedding invalidation and
-// shadow marking for the tuples last round's fixes touched), selects
+// shadow marking for the tuples last round's fixes affected), selects
 // the active rules by ID, and derives the round's work-unit list. It
 // returns the unit count for the ack. Units are then executed on
 // demand via RunFollowUnit.

@@ -1,0 +1,74 @@
+package chase
+
+import (
+	"sort"
+
+	"github.com/rockclean/rock/internal/data"
+)
+
+// Change is one correction: a tuple cell whose validated value in U
+// differs from the value the database stores.
+type Change struct {
+	Cell     data.CellRef
+	Old, New data.Value
+
+	t   *data.Tuple
+	col int // Cell.Attr's position in the relation schema
+}
+
+// changes diffs the fix set against the database. A correction needs a
+// validated cell, so the scope is U's validated cells, each expanded
+// through its entity class to the tuples carrying a member EID (the
+// engine's index). Each (tuple, attribute) belongs to at most one cell,
+// so no tuple cell is compared twice and none outside U is compared at
+// all. Sorted by the cell's rendering, the order corrections are
+// reported in.
+func (e *Engine) changes() []Change {
+	var out []Change
+	e.u.ForEachCell(func(relName, root, attr string, v data.Value) {
+		rel := e.env.DB.Rel(relName)
+		if rel == nil {
+			return
+		}
+		col := rel.Schema.Index(attr)
+		if col < 0 {
+			return
+		}
+		byEID := e.tuplesByEID[relName]
+		for _, eid := range e.u.ClassMembers(root) {
+			for _, t := range byEID[eid] {
+				if !v.Equal(t.Values[col]) {
+					out = append(out, Change{
+						Cell: data.CellRef{Rel: relName, TID: t.TID, Attr: attr},
+						Old:  t.Values[col], New: v,
+						t: t, col: col,
+					})
+				}
+			}
+		}
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Cell.String() < out[j].Cell.String() })
+	return out
+}
+
+// MaterializeChanges writes the validated cells back into the database —
+// the user-visible "corrected" dataset — and returns exactly the changes
+// it wrote, with the values they replaced. It covers the tuples the
+// engine has indexed: those present at New, plus a delta's inserts once
+// RunIncrementalCtx has absorbed them.
+func (e *Engine) MaterializeChanges() []Change {
+	out := e.changes()
+	for _, c := range out {
+		c.t.Values[c.col] = c.New
+	}
+	if len(out) > 0 {
+		// Raw data changed underneath the interned columns; drop them so
+		// any further Run (incremental mode) rebuilds from current values.
+		e.exec.InvalidateInterned()
+	}
+	return out
+}
+
+// Materialize is MaterializeChanges returning only the number of changed
+// cells.
+func (e *Engine) Materialize() int { return len(e.MaterializeChanges()) }

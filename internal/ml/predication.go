@@ -314,7 +314,7 @@ type embedKey struct {
 // invalidation. Unlike PredCache its entries are keyed by tuple
 // *identity*, and the value an embedding reflects changes when the chase
 // applies a fix to the tuple — so consumers must call Invalidate for
-// each touched tuple (the chase derives the set from its dirty-tuple
+// each changed tuple (the chase derives the set from its dirty-tuple
 // tracking, the same granularity that re-activates rules).
 type EmbedStore struct {
 	intern      *interner

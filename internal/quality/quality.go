@@ -279,19 +279,19 @@ func ScoreCorrection(g *Gold, c *Corrections, rawValue func(cellKey string) (dat
 			}
 			continue
 		}
-		// Correction touched a clean cell: FP unless it reasserted the
+		// Correction hit a clean cell: FP unless it reasserted the
 		// existing value.
 		if raw, ok := rawValue(key); !ok || !raw.Equal(v) {
 			s.CR.FP++
 		}
 	}
 	for key := range g.WrongCells {
-		if _, touched := c.Cells[key]; !touched {
+		if _, fixed := c.Cells[key]; !fixed {
 			s.CR.FN++
 		}
 	}
 	for key := range g.MissingCells {
-		if _, touched := c.Cells[key]; !touched {
+		if _, fixed := c.Cells[key]; !fixed {
 			s.MI.FN++
 		}
 	}

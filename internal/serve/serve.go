@@ -467,17 +467,10 @@ type CleanResponse struct {
 func (s *Server) handleClean(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	ctx, cancel := context.WithTimeout(r.Context(), t.cfg.CleanTimeout)
 	defer cancel()
-	rep, err := t.cleanFull(ctx)
+	rep, fixes, err := t.cleanFull(ctx)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
-	}
-	fixes := make([]FixRecord, 0, len(rep.Corrections))
-	for _, c := range rep.Corrections {
-		fixes = append(fixes, FixRecord{
-			Cell: c.Cell.String(), Rel: c.Cell.Rel, TID: c.Cell.TID, Attr: c.Cell.Attr,
-			Old: c.Old.String(), New: c.New.String(), Rule: c.Rule, IsNew: c.IsNew,
-		})
 	}
 	writeJSON(w, http.StatusOK, CleanResponse{
 		Corrections: len(rep.Corrections),

@@ -287,3 +287,38 @@ func TestWorkloadTenantsFirstClean(t *testing.T) {
 		})
 	}
 }
+
+// TestCleanResponseCarriesEID: POST /clean answers with the records it
+// appended to the fix ledger, so each fix names the entity of the tuple
+// it corrected, exactly as GET /fixes reports it.
+func TestCleanResponseCarriesEID(t *testing.T) {
+	s, hs := testServer(t, DefaultConfig())
+	base := hs.URL + "/v1/acme"
+	var out CleanResponse
+	if code := doJSON(t, http.MethodPost, base+"/clean", nil, &out); code != http.StatusOK {
+		t.Fatalf("clean: status %d", code)
+	}
+	if len(out.Fixes) == 0 || len(out.Fixes) != out.Corrections {
+		t.Fatalf("clean returned %d fixes for %d corrections", len(out.Fixes), out.Corrections)
+	}
+	var ledger FixesResponse
+	if code := doJSON(t, http.MethodGet, base+"/fixes", nil, &ledger); code != http.StatusOK {
+		t.Fatalf("fixes: status %d", code)
+	}
+	if len(ledger.Fixes) != len(out.Fixes) {
+		t.Fatalf("ledger holds %d fixes, clean returned %d", len(ledger.Fixes), len(out.Fixes))
+	}
+	for i, f := range out.Fixes {
+		if f.EID == "" {
+			t.Fatalf("fix %s carries no eid", f.Cell)
+		}
+		if f != ledger.Fixes[i] {
+			t.Fatalf("fix %d: clean returned %+v, ledger holds %+v", i, f, ledger.Fixes[i])
+		}
+	}
+	ctx, cancel := timeoutCtx(t, 60*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}

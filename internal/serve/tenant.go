@@ -41,7 +41,6 @@ type FixRecord struct {
 	Attr  string `json:"attr"`
 	Old   string `json:"old"`
 	New   string `json:"new"`
-	Rule  string `json:"rule,omitempty"`
 	IsNew bool   `json:"is_new"`
 }
 
@@ -280,7 +279,6 @@ func (t *Tenant) renderFixes(seq uint64, cs []rock.Correction) []FixRecord {
 			Attr:  c.Cell.Attr,
 			Old:   c.Old.String(),
 			New:   c.New.String(),
-			Rule:  c.Rule,
 			IsNew: c.IsNew,
 		})
 	}
@@ -305,8 +303,9 @@ func (t *Tenant) appendFixes(recs []FixRecord) {
 }
 
 // cleanFull runs a whole-database batch clean (POST /clean), serialized
-// against batch flushes through the run lock.
-func (t *Tenant) cleanFull(ctx context.Context) (*rock.Report, error) {
+// against batch flushes through the run lock. It returns the report and
+// its corrections rendered as the ledger records it appended.
+func (t *Tenant) cleanFull(ctx context.Context) (*rock.Report, []FixRecord, error) {
 	t.runMu.Lock()
 	start := time.Now()
 	rep, err := t.p.CleanCtx(ctx)
@@ -316,14 +315,14 @@ func (t *Tenant) cleanFull(ctx context.Context) (*rock.Report, error) {
 	}
 	t.runMu.Unlock()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	t.mu.Lock()
 	t.reg.Inc("serve.clean.full")
 	t.reg.Observe("serve.clean.full.latency", time.Since(start))
 	t.appendFixes(recs)
 	t.mu.Unlock()
-	return rep, nil
+	return rep, recs, nil
 }
 
 // waitApplied blocks until the watermark covers token (the

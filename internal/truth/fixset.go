@@ -163,20 +163,10 @@ type FixSet struct {
 	// orders records [A]⪯ per relation.attr.
 	orders map[string]*data.TemporalOrder
 
-	// touched, when non-nil, records every cell whose validated value was
-	// set, replaced, or extended to new entity members (a merge re-roots
-	// the class, so every cell of the merged class counts as touched).
-	// The incremental clean diffs only these cells against raw data
-	// instead of scanning the whole database (see rock.CleanIncremental).
-	touched map[cellKey]bool
-
-	// journal, when non-nil, records every successful mutation as a
-	// replayable Op (see journal.go) — the replication log of the
-	// distributed chase.
+	// journal records every successful mutation as a replayable Op, in
+	// order (see journal.go) — the fix set's one change log, which the
+	// distributed chase replicates.
 	journal []Op
-
-	// counters for reporting
-	merges, cellFixes, orderFixes int
 }
 
 // NewFixSet creates an empty fix set.
@@ -186,51 +176,6 @@ func NewFixSet() *FixSet {
 		neq:    make(map[eidPair]bool),
 		cells:  make(map[cellKey]data.Value),
 		orders: make(map[string]*data.TemporalOrder),
-	}
-}
-
-// StartTouchTracking begins (or resets) touched-cell tracking: from now
-// on every cell fix, replacement, and merge-extended cell is recorded
-// until the next call.
-func (f *FixSet) StartTouchTracking() {
-	f.touched = make(map[cellKey]bool)
-}
-
-// TouchedCell locates one validated cell recorded by touch tracking;
-// EIDRoot is the entity-class representative at observation time (expand
-// with ClassMembers).
-type TouchedCell struct {
-	Rel, EIDRoot, Attr string
-}
-
-// TouchedCells returns every cell touched since StartTouchTracking, in
-// deterministic order. Nil when tracking is off.
-func (f *FixSet) TouchedCells() []TouchedCell {
-	if f.touched == nil {
-		return nil
-	}
-	out := make([]TouchedCell, 0, len(f.touched))
-	for k := range f.touched {
-		// Re-root stale keys: a merge after the touch may have absorbed
-		// the recorded root into a larger class.
-		out = append(out, TouchedCell{Rel: k.rel, EIDRoot: f.eids.FindRO(k.eidRoot), Attr: k.attr})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Rel != b.Rel {
-			return a.Rel < b.Rel
-		}
-		if a.EIDRoot != b.EIDRoot {
-			return a.EIDRoot < b.EIDRoot
-		}
-		return a.Attr < b.Attr
-	})
-	return out
-}
-
-func (f *FixSet) touch(k cellKey) {
-	if f.touched != nil {
-		f.touched[k] = true
 	}
 }
 
@@ -299,17 +244,6 @@ func (f *FixSet) MergeEIDs(a, b string) (changed bool, conflict *Conflict) {
 			}
 		}
 	}
-	if f.touched != nil {
-		// A merge extends every validated cell of the combined class to the
-		// members absorbed from the other side, so all of them may now
-		// disagree with raw data.
-		for k := range f.cells {
-			if k.eidRoot == root {
-				f.touched[k] = true
-			}
-		}
-	}
-	f.merges++
 	f.record(Op{Kind: OpMergeEIDs, A: a, B: b})
 	return true, nil
 }
@@ -340,8 +274,6 @@ func (f *FixSet) SetCell(rel, eid, attr string, v data.Value) (changed bool, con
 		return false, &Conflict{Kind: ValueConflict, Rel: rel, Attr: attr, EID: eid, Old: old, New: v}
 	}
 	f.cells[k] = v
-	f.touch(k)
-	f.cellFixes++
 	f.record(Op{Kind: OpSetCell, Rel: rel, Attr: attr, A: eid, Value: v})
 	return true, nil
 }
@@ -357,8 +289,9 @@ func (f *FixSet) Cell(rel, eid, attr string) (data.Value, bool) {
 // ForEachCell visits every validated cell [EID.A]= of the fix set, in
 // unspecified order; eidRoot is the entity-class representative (use
 // ClassMembers to expand it). Read-only: safe while no fix is being
-// applied. The chase seeds its shadow-tuple tracking from it — every
-// tuple whose fix-set view may differ from raw data.
+// applied. The chase seeds its shadow-tuple tracking from it and diffs
+// the database against it — a tuple's view can differ from raw data only
+// at a validated cell.
 func (f *FixSet) ForEachCell(fn func(rel, eidRoot, attr string, v data.Value)) {
 	for k, v := range f.cells {
 		fn(k.rel, k.eidRoot, k.attr, v)
@@ -371,7 +304,6 @@ func (f *FixSet) ForEachCell(fn func(rel, eidRoot, attr string, v data.Value)) {
 func (f *FixSet) ReplaceCell(rel, eid, attr string, v data.Value) {
 	k := cellKey{rel, attr, f.eids.Find(eid)}
 	f.cells[k] = v
-	f.touch(k)
 	f.record(Op{Kind: OpReplaceCell, Rel: rel, Attr: attr, A: eid, Value: v})
 }
 
@@ -384,10 +316,8 @@ func (f *FixSet) ClassMembers(eid string) []string { return f.eids.Members(eid) 
 // TD conflict resolution to rebuild an order after retracting a losing fix.
 func (f *FixSet) ReplaceOrder(rel, attr string, o *data.TemporalOrder) {
 	f.orders[rel+"."+attr] = o
-	if f.journal != nil {
-		pairs, strict := encodeOrder(o)
-		f.record(Op{Kind: OpReplaceOrder, Rel: rel, Attr: attr, OrderPairs: pairs, OrderStrict: strict})
-	}
+	pairs, strict := encodeOrder(o)
+	f.record(Op{Kind: OpReplaceOrder, Rel: rel, Attr: attr, OrderPairs: pairs, OrderStrict: strict})
 }
 
 // Order returns (creating if needed) the validated order for rel.attr.
@@ -422,7 +352,6 @@ func (f *FixSet) AddOrder(rel, attr string, olderTID, newerTID int, strict bool)
 			return false, nil
 		}
 		o.AddStrict(olderTID, newerTID)
-		f.orderFixes++
 		f.record(Op{Kind: OpAddOrder, Rel: rel, Attr: attr, TID1: olderTID, TID2: newerTID, Strict: true})
 		return true, nil
 	}
@@ -433,14 +362,8 @@ func (f *FixSet) AddOrder(rel, attr string, olderTID, newerTID int, strict bool)
 		return false, nil
 	}
 	o.AddWeak(olderTID, newerTID)
-	f.orderFixes++
 	f.record(Op{Kind: OpAddOrder, Rel: rel, Attr: attr, TID1: olderTID, TID2: newerTID, Strict: false})
 	return true, nil
-}
-
-// Stats reports the number of accepted fixes by kind.
-func (f *FixSet) Stats() (merges, cellFixes, orderFixes int) {
-	return f.merges, f.cellFixes, f.orderFixes
 }
 
 // Classes returns every entity class with at least two members, each
@@ -472,8 +395,10 @@ func (f *FixSet) Orders() map[string]*data.TemporalOrder {
 	return out
 }
 
-// Clone deep-copies the fix set; the chase uses copies for trial steps and
-// Church-Rosser tests compare independent runs.
+// Clone deep-copies the fix set's content; the chase uses copies for trial
+// steps and Church-Rosser tests compare independent runs. The clone's
+// journal starts empty: it records the clone's own mutations, so replaying
+// it over another copy of f reproduces the clone.
 func (f *FixSet) Clone() *FixSet {
 	c := NewFixSet()
 	c.eids = f.eids.Clone()
@@ -486,10 +411,6 @@ func (f *FixSet) Clone() *FixSet {
 	for k, o := range f.orders {
 		c.orders[k] = o.Clone()
 	}
-	// Touch tracking deliberately does NOT survive Clone: clones serve
-	// trial steps and batch chases, which never read TouchedCells — the
-	// incremental path opts in on its own copy via StartTouchTracking.
-	c.merges, c.cellFixes, c.orderFixes = f.merges, f.cellFixes, f.orderFixes
 	return c
 }
 

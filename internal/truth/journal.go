@@ -6,14 +6,16 @@ import (
 	"github.com/rockclean/rock/internal/data"
 )
 
-// The journal is the replication primitive of the distributed chase
-// (internal/cluster/remote): the coordinator owns the authoritative
-// FixSet, records every primitive mutation its merge/apply phase
-// performs, and ships the op log to worker replicas at the next round
-// barrier. A replica that replays the log over an identical starting
-// FixSet ends in an identical state — union-find roots, cell keys and
-// order closures are all deterministic functions of the op sequence —
-// so workers deduce against exactly the truth the coordinator holds.
+// The journal is the fix set's change log: every FixSet records each
+// primitive mutation that succeeds, in order, from its creation (or
+// Clone) on. It is also the replication primitive of the distributed
+// chase (internal/cluster/remote): the coordinator owns the
+// authoritative FixSet and ships the ops since its last round barrier to
+// the worker replicas. A replica that replays the log over an identical
+// starting FixSet ends in an identical state — union-find roots, cell
+// keys and order closures are all deterministic functions of the op
+// sequence — so workers deduce against exactly the truth the coordinator
+// holds.
 
 // OpKind enumerates the six primitive FixSet mutations.
 type OpKind int
@@ -45,25 +47,19 @@ type Op struct {
 	OrderStrict []bool
 }
 
-// StartJournal begins (or resets) mutation recording.
-func (f *FixSet) StartJournal() { f.journal = []Op{} }
+// Mark returns the journal's current position: OpsSince(Mark()) holds
+// exactly the mutations made after the call.
+func (f *FixSet) Mark() int { return len(f.journal) }
 
-// TakeJournal returns the ops recorded since the last call (or
-// StartJournal) and resets the log. Nil when journaling is off.
-func (f *FixSet) TakeJournal() []Op {
-	if f.journal == nil {
-		return nil
-	}
-	out := f.journal
-	f.journal = []Op{}
-	return out
+// OpsSince returns the ops recorded after mark, in order. The slice ends
+// at its capacity, so a caller may append to it without writing into the
+// journal; the ops themselves are shared and read-only.
+func (f *FixSet) OpsSince(mark int) []Op {
+	n := len(f.journal)
+	return f.journal[mark:n:n]
 }
 
-func (f *FixSet) record(op Op) {
-	if f.journal != nil {
-		f.journal = append(f.journal, op)
-	}
-}
+func (f *FixSet) record(op Op) { f.journal = append(f.journal, op) }
 
 // encodeOrder serializes a temporal order as its covering pairs plus
 // per-pair strictness; rebuilding via AddStrict/AddWeak reproduces the

@@ -3,27 +3,40 @@ package truth
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
 )
 
+// opKinds renders an op sequence by kind, for compact assertions.
+func opKinds(ops []Op) string {
+	names := []string{"merge", "separate", "cell", "replace-cell", "order", "replace-order"}
+	out := make([]string, len(ops))
+	for i, op := range ops {
+		out[i] = names[op.Kind]
+	}
+	return strings.Join(out, " ")
+}
+
 // TestJournalReplayEquivalence is the replication property the
-// distributed chase depends on: a random mutation sequence recorded on
-// a journaled FixSet, replayed over a fresh replica, must end in a
-// Snapshot-identical state. Conflicting and no-op mutations are not
-// recorded, so the replayed log must also be conflict-free.
+// distributed chase depends on: a random mutation sequence, shipped at
+// random barriers as the ops since the last mark and replayed over a
+// fresh replica, must end in a Snapshot-identical state. Conflicting and
+// no-op mutations are not recorded, so the replayed log must also be
+// conflict-free — and the replica's own journal must hold exactly the
+// ops it replayed.
 func TestJournalReplayEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		primary := NewFixSet()
-		primary.StartJournal()
 
 		eid := func() string { return fmt.Sprintf("e%d", rng.Intn(12)) }
 		attrs := []string{"a", "b", "c"}
 		var ops []Op
+		shipped := primary.Mark()
 		for i := 0; i < 200; i++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				primary.MergeEIDs(eid(), eid())
 			case 1:
@@ -35,12 +48,20 @@ func TestJournalReplayEquivalence(t *testing.T) {
 			case 4:
 				primary.AddOrder("R", "ts", rng.Intn(8), rng.Intn(8), rng.Intn(2) == 0)
 			case 5:
-				// Round barrier: ship what is recorded so far, as the
-				// coordinator does between chase rounds.
-				ops = append(ops, primary.TakeJournal()...)
+				o := data.NewTemporalOrder("R", "ts2")
+				o.AddStrict(rng.Intn(8), rng.Intn(8))
+				primary.ReplaceOrder("R", "ts2", o)
+			case 6:
+				// Round barrier: ship what was recorded since the last one,
+				// as the coordinator does between chase rounds.
+				ops = append(ops, primary.OpsSince(shipped)...)
+				shipped = primary.Mark()
 			}
 		}
-		ops = append(ops, primary.TakeJournal()...)
+		ops = append(ops, primary.OpsSince(shipped)...)
+		if len(ops) != len(primary.OpsSince(0)) {
+			t.Fatalf("seed %d: shipped %d ops, journal holds %d", seed, len(ops), len(primary.OpsSince(0)))
+		}
 
 		replica := NewFixSet()
 		if err := replica.Replay(ops); err != nil {
@@ -50,23 +71,40 @@ func TestJournalReplayEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: replica diverged after replay:\nprimary %d bytes\nreplica %d bytes",
 				seed, len(want), len(got))
 		}
-		m1, c1, o1 := primary.Stats()
-		m2, c2, o2 := replica.Stats()
-		if m1 != m2 || c1 != c2 || o1 != o2 {
-			t.Fatalf("seed %d: stats diverged: primary %d/%d/%d, replica %d/%d/%d",
-				seed, m1, c1, o1, m2, c2, o2)
+		if got, want := opKinds(replica.OpsSince(0)), opKinds(ops); got != want {
+			t.Fatalf("seed %d: replica journal differs from the replayed ops:\nreplayed %s\njournal  %s", seed, want, got)
 		}
 	}
 }
 
-// TestJournalOffByDefault: a FixSet without StartJournal records
-// nothing and pays nothing.
-func TestJournalOffByDefault(t *testing.T) {
+// TestOpsSinceDoesNotAliasTheJournal: a caller appending to what
+// OpsSince returned must not overwrite ops the fix set records later,
+// and Mark advances only on a successful mutation.
+func TestOpsSinceDoesNotAliasTheJournal(t *testing.T) {
 	f := NewFixSet()
 	f.MergeEIDs("a", "b")
+	mark := f.Mark()
 	f.SetCell("R", "a", "x", data.I(1))
-	if ops := f.TakeJournal(); ops != nil {
-		t.Fatalf("journal off: TakeJournal = %v, want nil", ops)
+	f.SetCell("R", "a", "x", data.I(1)) // no-op: not recorded
+	f.SetCell("R", "a", "x", data.I(2)) // conflict: not recorded
+	f.AddOrder("R", "t", 1, 2, true)
+	if f.Mark() != mark+2 {
+		t.Fatalf("mark advanced by %d, want 2", f.Mark()-mark)
+	}
+	// Three ops leave the journal room to grow in place, which is where an
+	// aliased slice would let the caller's append and the next recorded op
+	// overwrite each other.
+	got := f.OpsSince(mark)
+	got = append(got, Op{Kind: OpSeparateEIDs, A: "x", B: "y"})
+	f.AddOrder("R", "t", 2, 3, true)
+	if k := opKinds(f.OpsSince(0)); k != "merge cell order order" {
+		t.Fatalf("journal = %q after a caller appended to OpsSince", k)
+	}
+	if k := opKinds(got); k != "cell order separate" {
+		t.Fatalf("caller's slice = %q", k)
+	}
+	if len(f.OpsSince(f.Mark())) != 0 {
+		t.Fatal("OpsSince(Mark()) must be empty")
 	}
 }
 
@@ -75,14 +113,13 @@ func TestJournalOffByDefault(t *testing.T) {
 // error, not silently fork the truth.
 func TestReplayDetectsDivergence(t *testing.T) {
 	primary := NewFixSet()
-	primary.StartJournal()
 	if changed, conflict := primary.MergeEIDs("a", "b"); !changed || conflict != nil {
 		t.Fatal("merge on primary should succeed")
 	}
 
 	replica := NewFixSet()
 	replica.SeparateEIDs("a", "b") // diverged: replica validated a ≠ b
-	if err := replica.Replay(primary.TakeJournal()); err == nil {
+	if err := replica.Replay(primary.OpsSince(0)); err == nil {
 		t.Fatal("replay over a diverged replica should error")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/ree"
 )
 
@@ -85,7 +86,8 @@ func TestSeedGammaConsistentWithGold(t *testing.T) {
 	if ds.Gamma == nil {
 		t.Fatal("gamma not seeded")
 	}
-	_, cells, _ := ds.Gamma.Stats()
+	cells := 0
+	ds.Gamma.ForEachCell(func(_, _, _ string, _ data.Value) { cells++ })
 	if cells == 0 {
 		t.Fatal("gamma must contain validated cells")
 	}

@@ -2,13 +2,11 @@ package rock
 
 import (
 	"context"
-	"sort"
 
 	"github.com/rockclean/rock/internal/chase"
 	"github.com/rockclean/rock/internal/detect"
 	"github.com/rockclean/rock/internal/ml"
 	"github.com/rockclean/rock/internal/obs"
-	"github.com/rockclean/rock/internal/truth"
 )
 
 // Delta tracks a batch of updates to the pipeline's database for the
@@ -142,7 +140,10 @@ func (d *Delta) CleanIncrementalCtx(ctx context.Context) ([]Correction, bool, er
 // rockd reads it to attribute per-batch cost and cache behaviour. The
 // incremental chase shares the batch path's whole option set (one
 // builder, see Pipeline.chaseOptions), including the §5.4 predication
-// layer and the root trace span.
+// layer and the root trace span. Its corrections are, as in the batch
+// path, the cells Materialize writes: U's validated cells compared with
+// the stored values — so a cell validated since the last clean counts
+// even when the delta never reaches it.
 func (d *Delta) CleanIncrementalReport(ctx context.Context) (*Report, error) {
 	ctx, cancel := d.p.withDeadline(ctx)
 	defer cancel()
@@ -153,91 +154,14 @@ func (d *Delta) CleanIncrementalReport(ctx context.Context) (*Report, error) {
 	pred := d.p.predication()
 	root := reg.StartSpan("clean.incremental", nil)
 	defer root.End()
-	// Cells validated through Pipeline.Validate since the last clean:
-	// this run didn't touch them, but no prior scan reported them either,
-	// so they join the diff set below.
-	pending := d.p.gamma.TouchedCells()
 	eng := chase.New(d.p.env, d.p.rules, d.p.gamma, d.p.chaseOptions(pred, reg, root))
-	u := eng.Truth()
-	u.StartTouchTracking()
 	chaseRep, err := eng.RunIncrementalCtx(ctx, d.dirty)
 	if err != nil {
 		return nil, err
 	}
 	rep := reportOf(chaseRep)
-	rep.Corrections = d.corrections(eng, u, append(u.TouchedCells(), pending...))
-	eng.Materialize()
-	// The diff consumed the pending validations; restart the window.
-	d.p.gamma.StartTouchTracking()
+	rep.Corrections = correctionsOf(eng.MaterializeChanges())
 	root.End()
 	rep.Metrics = reg.Snapshot()
 	return rep, nil
-}
-
-// corrections diffs exactly the cells this run may have changed — the
-// delta's dirty tuples plus every touched validated cell expanded over
-// its entity class — rather than scanning the whole database per delta
-// (the old O(|D|) hot-spot once small batches stream in). The result is
-// provably the same set: a correction needs a validated cell differing
-// from raw data, and such a discrepancy can only appear at a tuple whose
-// raw values changed (dirty) or whose class gained/extended a validated
-// cell (touched).
-func (d *Delta) corrections(eng *chase.Engine, u *truth.FixSet, touched []truth.TouchedCell) []Correction {
-	seen := make(map[CellRef]bool)
-	var out []Correction
-	diffCell := func(relName string, t *Tuple, i int, attr string) {
-		ref := CellRef{Rel: relName, TID: t.TID, Attr: attr}
-		if seen[ref] {
-			return
-		}
-		seen[ref] = true
-		v, ok := u.Cell(relName, t.EID, attr)
-		if !ok || v.Equal(t.Values[i]) {
-			return
-		}
-		out = append(out, Correction{
-			Cell:  ref,
-			Old:   t.Values[i],
-			New:   v,
-			IsNew: t.Values[i].IsNull(),
-		})
-	}
-	// 1. The delta's own tuples: fresh raw values may disagree with any
-	// validated cell of their class, touched or not.
-	for relName, tids := range d.dirty {
-		rel := d.p.db.Rel(relName)
-		if rel == nil {
-			continue
-		}
-		for tid := range tids {
-			t := rel.Get(tid)
-			if t == nil {
-				continue
-			}
-			for i, a := range rel.Schema.Attrs {
-				diffCell(relName, t, i, a.Name)
-			}
-		}
-	}
-	// 2. Touched validated cells, expanded to every member tuple of their
-	// entity class through the engine's EID index.
-	for _, tc := range touched {
-		rel := d.p.db.Rel(tc.Rel)
-		if rel == nil {
-			continue
-		}
-		i := rel.Schema.Index(tc.Attr)
-		if i < 0 {
-			continue
-		}
-		for _, member := range u.ClassMembers(tc.EIDRoot) {
-			for _, t := range eng.TuplesByEID(tc.Rel, member) {
-				diffCell(tc.Rel, t, i, tc.Attr)
-			}
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		return out[a].Cell.String() < out[b].Cell.String()
-	})
-	return out
 }

@@ -106,12 +106,12 @@ func TestIncrementalPredicationOffMatchesOn(t *testing.T) {
 	}
 }
 
-// TestIncrementalCorrectionsMatchFullScan is the regression test for
-// the O(|D|) diff replacement: the touched-cell diff must report
-// exactly the cells Materialize rewrites — which is what the old
-// whole-database scan returned. A master-data validation between
-// cleans (Pipeline.Validate) is included because the run itself never
-// touches that cell; the pending-validation window must cover it.
+// TestIncrementalCorrectionsMatchFullScan: an incremental clean must
+// report exactly the cells Materialize rewrites — which is what a
+// whole-database scan returns — without scanning the database. A
+// master-data validation between cleans (Pipeline.Validate) is included
+// because the run itself never reaches that cell; the diff over the
+// fix set's validated cells must still cover it.
 func TestIncrementalCorrectionsMatchFullScan(t *testing.T) {
 	p := ecommercePipeline(t, DefaultOptions())
 	if _, err := p.Clean(); err != nil {

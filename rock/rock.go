@@ -217,14 +217,10 @@ func NewPipelineOver(env *predicate.Env, opts Options) *Pipeline {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	gamma := truth.NewFixSet()
-	// Track cells validated between cleans (Pipeline.Validate) so the
-	// incremental corrections diff covers master data added mid-stream.
-	gamma.StartTouchTracking()
 	return &Pipeline{
 		db:      env.DB,
 		env:     env,
-		gamma:   gamma,
+		gamma:   truth.NewFixSet(),
 		opts:    opts,
 		eidRefs: make(map[string]bool),
 	}
@@ -542,13 +538,23 @@ func detectedErrors(errs []*detect.Error) []DetectedError {
 	return out
 }
 
-// Correction is one applied repair.
+// Correction is one applied repair: a cell the clean wrote into the
+// database, with the value it replaced.
 type Correction struct {
 	Cell  CellRef
 	Old   Value
 	New   Value
-	Rule  string
 	IsNew bool // true when the old value was null (imputation)
+}
+
+// correctionsOf renders the cells an engine's Materialize wrote, in the
+// engine's order (sorted by cell).
+func correctionsOf(changes []chase.Change) []Correction {
+	var out []Correction
+	for _, c := range changes {
+		out = append(out, Correction{Cell: c.Cell, Old: c.Old, New: c.New, IsNew: c.Old.IsNull()})
+	}
+	return out
 }
 
 // UnitError re-exports the cluster layer's typed work-unit failure: a
@@ -566,7 +572,9 @@ type Report struct {
 	UnitErrors []UnitError
 	// Errors are the detected errors (pre-correction).
 	Errors []DetectedError
-	// Corrections are the applied cell repairs.
+	// Corrections are exactly the cells the run wrote into the database:
+	// every tuple cell whose validated value in the chase's fix set
+	// differs from the stored one, sorted by cell.
 	Corrections []Correction
 	// MergedEntities lists identified duplicate EID groups.
 	MergedEntities [][]string
@@ -677,40 +685,17 @@ func (p *Pipeline) CleanCtx(ctx context.Context) (*Report, error) {
 	rep := reportOf(chaseRep)
 	rep.Errors = errs
 	rep.Partial = rep.Partial || detPartial
-	// Collect corrections before materialising.
 	u := eng.Truth()
-	for relName, rel := range p.db.Relations {
-		for _, t := range rel.Tuples {
-			for i, a := range rel.Schema.Attrs {
-				v, ok := u.Cell(relName, t.EID, a.Name)
-				if !ok || v.Equal(t.Values[i]) {
-					continue
-				}
-				rep.Corrections = append(rep.Corrections, Correction{
-					Cell:  CellRef{Rel: relName, TID: t.TID, Attr: a.Name},
-					Old:   t.Values[i],
-					New:   v,
-					IsNew: t.Values[i].IsNull(),
-				})
-			}
-		}
-	}
-	sort.Slice(rep.Corrections, func(i, j int) bool {
-		return rep.Corrections[i].Cell.String() < rep.Corrections[j].Cell.String()
-	})
 	rep.MergedEntities = u.Classes()
 	for _, o := range u.Orders() {
 		rep.OrderedPairs += len(o.Pairs())
 	}
-	eng.Materialize()
+	rep.Corrections = correctionsOf(eng.MaterializeChanges())
 	violating := 0
 	for _, e := range errs {
 		violating += len(e.Cells)
 	}
 	rep.Assessment = quality.Assess(p.db, violating-len(rep.Corrections))
-	// The full scan above covered every pending validation; restart the
-	// between-cleans tracking window.
-	p.gamma.StartTouchTracking()
 	// Close the root span before snapshotting so Report.Metrics carries
 	// the complete trace (End is idempotent; the defer covers error
 	// paths).
