@@ -20,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -60,7 +59,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   rock gen    -app bank|logistics|sales -n N -out DIR   generate a demo dataset (+ curated rules)
   rock clean  -in DIR -rules FILE [-workers N] [-parallel=bool] [-steal=bool]
-              [-timeout D] [-retries N] [-mem-budget SIZE] [-spill-dir DIR]
+              [-timeout D] [-retries N]
               [-distributed N] [-workers-addr ADDR]
               [-v] [-metrics-out FILE]
               [-trace-out FILE] [-telemetry ADDR] [-pprof ADDR]
@@ -155,8 +154,6 @@ func cmdClean(args []string, correct bool) error {
 	steal := fs.Bool("steal", true, "enable work stealing between workers (off: the §5.2 load-balancing ablation)")
 	timeout := fs.Duration("timeout", 0, "deadline for the whole run (e.g. 30s); on expiry the fixes established so far are kept and the report is marked partial")
 	retries := fs.Int("retries", 2, "max retries for a panicking work unit before it is reported as failed")
-	memBudget := fs.String("mem-budget", "", "cap resident bytes of the chase's interned columns (e.g. 256MB, 2GB); above it columns spill to flat on-disk blocks. Empty: no cap")
-	spillDir := fs.String("spill-dir", "", "directory for spill block files (default: the system temp directory)")
 	verbose := fs.Bool("v", false, "print the per-round chase trace table")
 	metricsOut := fs.String("metrics-out", "", "write the run's observability snapshot (counters, histograms, event log) as JSON to FILE")
 	traceOut := fs.String("trace-out", "", "write the run's span tree as Chrome trace-event JSON to FILE (load in Perfetto or chrome://tracing)")
@@ -203,14 +200,6 @@ func cmdClean(args []string, correct bool) error {
 	opts.Obs = reg
 	opts.Deadline = *timeout
 	opts.MaxRetries = *retries
-	if *memBudget != "" {
-		b, err := parseBytes(*memBudget)
-		if err != nil {
-			return err
-		}
-		opts.MemBudget = b
-		opts.SpillDir = *spillDir
-	}
 	p := rock.NewPipelineWith(db, opts)
 	p.RegisterMatcher("M_ER", 0.82)
 	p.RegisterMatcher("M_addr", 0.82)
@@ -481,31 +470,4 @@ func cmdDemo() error {
 		fmt.Printf("    identified entities: %v\n", g)
 	}
 	return nil
-}
-
-// parseBytes parses a human byte size: a plain integer (bytes) or an
-// integer with a KB/MB/GB (decimal) or KiB/MiB/GiB (binary) suffix.
-func parseBytes(s string) (int64, error) {
-	t := strings.TrimSpace(s)
-	mult := int64(1)
-	upper := strings.ToUpper(t)
-	switch {
-	case strings.HasSuffix(upper, "KIB"):
-		mult, t = 1<<10, t[:len(t)-3]
-	case strings.HasSuffix(upper, "MIB"):
-		mult, t = 1<<20, t[:len(t)-3]
-	case strings.HasSuffix(upper, "GIB"):
-		mult, t = 1<<30, t[:len(t)-3]
-	case strings.HasSuffix(upper, "KB"):
-		mult, t = 1_000, t[:len(t)-2]
-	case strings.HasSuffix(upper, "MB"):
-		mult, t = 1_000_000, t[:len(t)-2]
-	case strings.HasSuffix(upper, "GB"):
-		mult, t = 1_000_000_000, t[:len(t)-2]
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid byte size %q", s)
-	}
-	return n * mult, nil
 }

@@ -85,16 +85,6 @@ type Options struct {
 	// Share a registry across detection and chase (as rock.Pipeline
 	// does) to get one run-wide metrics dump.
 	Obs *obs.Registry
-	// MemBudget caps the resident bytes of the executor's interned
-	// columns (dictionaries, id vectors, posting lists). Once a build
-	// would exceed it, later columns spill to flat on-disk blocks read
-	// back through mmap (or chunked reads), so the 10⁷–10⁸ tuple scale
-	// runs without holding every column in memory. 0 disables spilling.
-	MemBudget int64
-	// SpillDir receives the spill block files (empty: the system temp
-	// directory). Files are unlinked at creation, so space reclaims
-	// automatically even on crash.
-	SpillDir string
 	// EIDRefs declares foreign entity references: "Rel.Attr" keys whose
 	// values are EIDs of another relation's entities. A rule consequence
 	// equating two such attributes identifies the referenced entities —
@@ -421,9 +411,6 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	}
 	e.exec = exec.New(e.env)
 	e.exec.SetObs(e.obs)
-	if opts.MemBudget > 0 {
-		e.exec.SetSpill(opts.MemBudget, opts.SpillDir)
-	}
 	// Interned fast path: the executor compares dictionary ids of raw
 	// values, while ValueOf reads validated cells first — so it must know
 	// which tuples' view may differ from raw data. Seed that shadow set

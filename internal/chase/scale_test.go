@@ -1,9 +1,8 @@
 // External test package: the vectorized hot path under the full chase.
 // The scale workload (null-imputing equality self-join plus constant
-// pushdown, no ML) drives the posting-join and selection kernels above
-// the interning gate; every cell of the workers × parallel matrix must
-// land on the bit-identical fix-set snapshot, and a starved memory
-// budget must spill columns to disk without changing a single fix.
+// pushdown, no ML) drives the posting-join and selection kernels over
+// the interned columns; every cell of the workers × parallel matrix must
+// land on the bit-identical fix-set snapshot.
 package chase_test
 
 import (
@@ -12,14 +11,13 @@ import (
 	"testing"
 
 	"github.com/rockclean/rock/internal/chase"
-	"github.com/rockclean/rock/internal/obs"
 	"github.com/rockclean/rock/internal/predicate"
 	"github.com/rockclean/rock/internal/workload"
 )
 
 const scaleTestN = 6000
 
-func runScale(t *testing.T, workers int, parallel bool, budget int64, reg *obs.Registry) string {
+func runScale(t *testing.T, workers int, parallel bool) string {
 	t.Helper()
 	ds := workload.Scale(workload.Config{N: scaleTestN, Seed: 77})
 	opts := chase.DefaultOptions()
@@ -27,46 +25,29 @@ func runScale(t *testing.T, workers int, parallel bool, budget int64, reg *obs.R
 	opts.Parallel = parallel
 	opts.UseBlocking = false
 	opts.Predication = false
-	opts.MemBudget = budget
-	if budget > 0 {
-		opts.SpillDir = t.TempDir()
-	}
-	opts.Obs = reg
 	eng := chase.New(predicate.NewEnv(ds.DB), ds.Rules, ds.Gamma, opts)
 	rep, err := eng.Run()
 	if err != nil {
-		t.Fatalf("workers=%d parallel=%v budget=%d: %v", workers, parallel, budget, err)
+		t.Fatalf("workers=%d parallel=%v: %v", workers, parallel, err)
 	}
 	if len(rep.Applied) == 0 {
-		t.Fatalf("workers=%d parallel=%v budget=%d: chase applied no fixes", workers, parallel, budget)
+		t.Fatalf("workers=%d parallel=%v: chase applied no fixes", workers, parallel)
 	}
 	return eng.Truth().Snapshot()
 }
 
 func TestScaleWorkloadDeterministicAcrossMatrix(t *testing.T) {
-	want := runScale(t, 1, false, 0, nil)
+	want := runScale(t, 1, false)
 	for _, workers := range []int{1, 4} {
 		for _, parallel := range []bool{false, true} {
 			if workers == 1 && !parallel {
 				continue // the reference cell
 			}
-			got := runScale(t, workers, parallel, 0, nil)
+			got := runScale(t, workers, parallel)
 			if got != want {
 				t.Errorf("workers=%d parallel=%v: fix-set snapshot diverges from the serial reference", workers, parallel)
 			}
 		}
-	}
-}
-
-func TestScaleWorkloadSpillPreservesFixes(t *testing.T) {
-	want := runScale(t, 4, true, 0, nil)
-	reg := obs.New()
-	got := runScale(t, 4, true, 1, reg) // 1-byte budget: every column spills
-	if got != want {
-		t.Fatal("spilled run diverges from the resident run")
-	}
-	if reg.CounterValue("exec.spill.columns") == 0 {
-		t.Fatal("a 1-byte budget must force columns onto disk")
 	}
 }
 

@@ -40,12 +40,12 @@ func BuildDictionary(rel *data.Relation, attr string) (*Dictionary, error) {
 	return d, err
 }
 
-// buildEncoded is the shared single-pass build behind BuildDictionary,
-// BuildColumn and BuildColumnSpilled: each tuple's value keys exactly
-// once, distinct values collect in first-sight order, ids re-rank into
-// sorted value order, and the per-tuple id assignment (parallel to
-// rel.Tuples) comes back with the dictionary so callers never pay a
-// second Key-and-probe pass over the data.
+// buildEncoded is the shared single-pass build behind BuildDictionary
+// and BuildColumn: each tuple's value keys exactly once, distinct values
+// collect in first-sight order, ids re-rank into sorted value order, and
+// the per-tuple id assignment (parallel to rel.Tuples) comes back with
+// the dictionary so callers never pay a second Key-and-probe pass over
+// the data.
 func buildEncoded(rel *data.Relation, attr string) (*Dictionary, []ValueID, error) {
 	ai := rel.Schema.Index(attr)
 	if ai < 0 {
@@ -167,21 +167,18 @@ type Column struct {
 	Dict *Dictionary
 	// IDs maps TID → value id; NoValue marks TIDs the column has no tuple
 	// for (holes from deletions, or inserts after the last Refresh).
-	// Access via IDVec/IDAt — a spilled column keeps this nil.
+	// Read-only outside Refresh.
 	IDs []ValueID
 	// Postings maps value id → sorted TIDs carrying it — the "similar
 	// values gathered together" layout that accelerates hash joins and
-	// blocking. Indexed by dictionary id. Access via PostingList — a
-	// spilled column keeps this nil.
+	// blocking. Indexed by dictionary id; PostingList bounds-checks the
+	// id.
 	Postings [][]int
 
 	// holes counts NoValue entries in IDs: zero holes plus full TID
 	// coverage means no tuple can be unseen (Complete), which lets the
 	// executor's posting-driven paths skip per-tuple fallback scans.
 	holes int
-	// spill, when set, holds the column's storage in a flat on-disk
-	// block (spill.go); IDs/Postings are nil until Unspill.
-	spill *spillFile
 }
 
 // BuildColumn encodes one attribute of a relation.
@@ -257,16 +254,31 @@ func (c *Column) setID(tid int, id ValueID) {
 
 // IDAt returns the interned id of the tuple's value; ok is false when the
 // column holds no entry for the TID (the caller should fall back to the
-// row-oriented value). Works on spilled columns through the block view.
+// row-oriented value).
 func (c *Column) IDAt(tid int) (ValueID, bool) {
-	ids := c.IDs
-	if c.spill != nil {
-		ids = c.spill.ids
-	}
-	if tid < 0 || tid >= len(ids) || ids[tid] == NoValue {
+	if tid < 0 || tid >= len(c.IDs) || c.IDs[tid] == NoValue {
 		return NoValue, false
 	}
-	return ids[tid], true
+	return c.IDs[tid], true
+}
+
+// PostingList returns the sorted TIDs carrying value id — a read-only
+// view; callers must not mutate or retain it across a Refresh. Unknown
+// ids return nil.
+func (c *Column) PostingList(id ValueID) []int {
+	if int(id) >= len(c.Postings) {
+		return nil
+	}
+	return c.Postings[id]
+}
+
+// Complete reports that the column covers every live tuple of rel: the
+// dense vector spans all assigned TIDs and has no NoValue holes, so no
+// tuple of rel can be unseen by the posting lists. Deleted tuples may
+// retain stale entries — posting-driven readers intersect against live
+// TID sets, which drops them.
+func (c *Column) Complete(rel *data.Relation) bool {
+	return c.holes == 0 && len(c.IDs) == rel.NextTID()
 }
 
 // Refresh re-interns the raw values of the given TIDs (nil: every tuple),
@@ -277,9 +289,6 @@ func (c *Column) Refresh(rel *data.Relation, tids map[int]bool) {
 	if ai < 0 {
 		return
 	}
-	// A spilled block is immutable: reload it into memory first. The
-	// caller's budget accounting treats a refresh as a reload.
-	c.Unspill()
 	for _, t := range rel.Tuples {
 		if tids != nil && !tids[t.TID] {
 			continue
@@ -359,10 +368,9 @@ func (cs *ColumnStore) TIDsWithValue(attr string, v data.Value) []int {
 }
 
 // TIDsView is the allocation-free counterpart of TIDsWithValue for
-// executor-internal use: it returns the posting list itself (sorted,
-// possibly a view into a spilled block). The result is strictly
-// read-only and must not be retained across a Refresh; external callers
-// wanting an owned slice use TIDsWithValue.
+// executor-internal use: it returns the posting list itself (sorted).
+// The result is strictly read-only and must not be retained across a
+// Refresh; external callers wanting an owned slice use TIDsWithValue.
 func (cs *ColumnStore) TIDsView(attr string, v data.Value) []int {
 	col := cs.Columns[attr]
 	if col == nil {

@@ -1,6 +1,8 @@
 package crystal
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
@@ -220,5 +222,111 @@ func TestSchedulerStealZeroCostUnits(t *testing.T) {
 	}
 	if s.Steals() != stolen {
 		t.Errorf("steal counter %d != %d observed", s.Steals(), stolen)
+	}
+}
+
+// skuFixture builds n tuples over 97 distinct skus with a null every 41st.
+func skuFixture(t *testing.T, n int) *data.Relation {
+	t.Helper()
+	rel := data.NewRelation(must.Schema("Ev",
+		data.Attribute{Name: "sku", Type: data.TString},
+		data.Attribute{Name: "qty", Type: data.TInt},
+	))
+	for i := 0; i < n; i++ {
+		sku := data.S(fmt.Sprintf("S%d", i%97))
+		if i%41 == 0 {
+			sku = data.Null(data.TString)
+		}
+		rel.Insert(fmt.Sprintf("e%d", i), sku, data.I(int64(i%13)))
+	}
+	return rel
+}
+
+// checkPostingSorted verifies a posting list is strictly ascending.
+func checkPostingSorted(p []int) error {
+	if !sort.IntsAreSorted(p) {
+		return fmt.Errorf("crystal: posting list not sorted")
+	}
+	for i := 1; i < len(p); i++ {
+		if p[i] == p[i-1] {
+			return fmt.Errorf("crystal: duplicate TID %d in posting list", p[i])
+		}
+	}
+	return nil
+}
+
+// TestRefreshEmptiesPostingBucket moves every carrier of one value to
+// another: the vacated bucket must come back empty with no stale TIDs,
+// the receiving bucket stays sorted, and dictionary lookups of the
+// vacated value yield an empty posting view.
+func TestRefreshEmptiesPostingBucket(t *testing.T) {
+	rel := data.NewRelation(must.Schema("R", data.Attribute{Name: "a", Type: data.TString}))
+	for i := 0; i < 30; i++ {
+		v := "keep"
+		if i%3 == 0 {
+			v = "gone"
+		}
+		rel.Insert(fmt.Sprintf("e%d", i), data.S(v))
+	}
+	cs, err := BuildColumnStore(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := cs.Columns["a"]
+	goneID, ok := col.Dict.ID(data.S("gone"))
+	if !ok || len(col.PostingList(goneID)) == 0 {
+		t.Fatal("fixture must intern 'gone' with carriers")
+	}
+	dirty := map[int]bool{}
+	for _, tp := range rel.Tuples {
+		if tp.Values[0].Equal(data.S("gone")) {
+			rel.SetValue(tp.TID, "a", data.S("keep"))
+			dirty[tp.TID] = true
+		}
+	}
+	cs.Refresh(dirty)
+
+	if p := col.PostingList(goneID); len(p) != 0 {
+		t.Fatalf("vacated bucket still holds %v", p)
+	}
+	if view := cs.TIDsView("a", data.S("gone")); view != nil {
+		t.Fatalf("TIDsView of the vacated value must be nil, got %v", view)
+	}
+	keep := cs.TIDsView("a", data.S("keep"))
+	if len(keep) != rel.Len() {
+		t.Fatalf("receiving bucket has %d TIDs, want every one of %d", len(keep), rel.Len())
+	}
+	if err := checkPostingSorted(keep); err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range rel.Tuples {
+		id, ok := col.IDAt(tp.TID)
+		if !ok || id == goneID {
+			t.Fatalf("TID %d still maps to the vacated id", tp.TID)
+		}
+	}
+}
+
+func TestCompleteTracksHolesAndInserts(t *testing.T) {
+	rel := skuFixture(t, 100)
+	col, _ := BuildColumn(rel, "sku")
+	if !col.Complete(rel) {
+		t.Fatal("fresh build must be Complete")
+	}
+	// An insert after the build leaves the new TID unseen.
+	rel.Insert("late", data.S("S1"), data.I(1))
+	if col.Complete(rel) {
+		t.Fatal("column must not be Complete after an unseen insert")
+	}
+	col.Refresh(rel, map[int]bool{rel.Tuples[len(rel.Tuples)-1].TID: true})
+	if !col.Complete(rel) {
+		t.Fatal("refreshing the inserted TID must restore completeness")
+	}
+	// A delete leaves a stale dense slot but no hole — the TID is simply
+	// no longer live; completeness is about coverage of assigned TIDs.
+	tid := rel.Tuples[0].TID
+	rel.Delete(tid)
+	if !col.Complete(rel) {
+		t.Fatal("Complete tracks assigned-TID coverage, not liveness")
 	}
 }

@@ -2,8 +2,8 @@
 // system (paper §5.1), that the engine runs on, in-process: a consistent
 // hash ring assigning data objects and compute nodes to positions on a
 // virtual ring (nodes hashed by CRC-32 of their address), the
-// dictionary-encoded columns with their kernels and spill blocks, and the
-// work-unit scheduler of §5.2 with cost estimation and work stealing.
+// dictionary-encoded columns with their kernels, and the work-unit
+// scheduler of §5.2 with cost estimation and work stealing.
 //
 // Substitution note (DESIGN.md): the real Crystal spans a Kubernetes
 // cluster; this in-process version preserves the placement and scheduling

@@ -44,11 +44,6 @@ type internIndex struct {
 	// parts maps registered stable tuple slices (chase partition blocks,
 	// full relation slices) to their precomputed ascending TID arrays.
 	parts map[partKey]*partEntry
-	// Spill budget (SetSpill): above budget resident bytes, newly built
-	// columns go straight to flat on-disk blocks.
-	spillBudget int64
-	spillOpts   crystal.SpillOptions
-	memBytes    int64
 }
 
 // partKey identifies a tuple slice by its backing window — data pointer
@@ -133,17 +128,6 @@ func (e *Executor) tidsOf(ts []*data.Tuple) (tids []int, pooled bool) {
 		buf = append(buf, t.TID)
 	}
 	return buf, true
-}
-
-// SetSpill installs the interned-column memory budget: once the resident
-// bytes of built columns exceed budget, later builds write flat spill
-// blocks under dir (empty: the system temp directory) and read them back
-// through mmap or chunked ReadAt. Call before the first Run.
-func (e *Executor) SetSpill(budget int64, dir string) {
-	e.in.mu.Lock()
-	e.in.spillBudget = budget
-	e.in.spillOpts = crystal.SpillOptions{Dir: dir}
-	e.in.mu.Unlock()
 }
 
 func colKey(rel, attr string) string { return rel + "\x1f" + attr }
@@ -260,14 +244,7 @@ func (e *Executor) RefreshTuples(dirty map[string]map[int]bool) {
 		if len(tids) == 0 {
 			continue
 		}
-		wasSpilled := col.Spilled()
-		col.Refresh(rel, tids) // unspills first: spilled blocks are immutable
-		if wasSpilled {
-			e.in.memBytes += col.MemBytes()
-			if e.reg != nil {
-				e.reg.Inc("exec.spill.reloads")
-			}
-		}
+		col.Refresh(rel, tids)
 	}
 	e.in.trans = nil
 	e.in.parts = nil // raw tuples changed shape: partition TIDs may be stale
@@ -279,16 +256,10 @@ func (e *Executor) RefreshTuples(dirty map[string]map[int]bool) {
 func (e *Executor) InvalidateInterned() {
 	e.in.mu.Lock()
 	defer e.in.mu.Unlock()
-	for _, col := range e.in.cols {
-		if col != nil {
-			col.Close() // release spill blocks and mappings
-		}
-	}
 	e.in.cols = nil
 	e.in.rels = nil
 	e.in.trans = nil
 	e.in.parts = nil
-	e.in.memBytes = 0
 }
 
 // internedCol returns the interned column for (rel, attr), building it on
@@ -308,25 +279,7 @@ func (e *Executor) internedCol(relName, attr string) *crystal.Column {
 	}
 	rel := e.env.DB.Rel(relName)
 	if rel != nil {
-		// Over the memory budget, build straight into a flat spill block:
-		// ids + postings live on disk (mmap or chunked reads), only the
-		// dictionary and block metadata stay resident.
-		if e.in.spillBudget > 0 && e.in.memBytes+int64(12*len(rel.Tuples)) > e.in.spillBudget {
-			col, _ = crystal.BuildColumnSpilled(rel, attr, e.in.spillOpts)
-			if col != nil {
-				e.in.memBytes += col.MemBytes()
-				if e.reg != nil {
-					e.reg.Inc("exec.spill.columns")
-					e.reg.Add("exec.spill.bytes", uint64(col.SpillBytes()))
-				}
-			}
-		}
-		if col == nil {
-			col, _ = crystal.BuildColumn(rel, attr) // nil on unknown attr
-			if col != nil {
-				e.in.memBytes += col.MemBytes()
-			}
-		}
+		col, _ = crystal.BuildColumn(rel, attr) // nil on unknown attr
 	}
 	if e.in.cols == nil {
 		e.in.cols = make(map[string]*crystal.Column)

@@ -175,7 +175,7 @@ func (e *Executor) candidatesVec(a ree.Atom, rel *data.Relation, base []*data.Tu
 	crystal.BitmapSetAll(bits, n)
 	for fi := range fasts {
 		f := &fasts[fi]
-		vec := f.col.IDVec()
+		vec := f.col.IDs
 		for k, tid := range tids {
 			if tid < len(vec) {
 				idbuf[k] = vec[tid]
@@ -579,7 +579,7 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 		emitOverflow(t, overflow)
 	}
 
-	vecA := colA.IDVec()
+	vecA := colA.IDs
 	next := 0
 	for i, t := range tuplesT {
 		curTDirty = filtered && dirtyT != nil && dirtyT[t.TID]

@@ -397,28 +397,3 @@ func TestColumnarDeclinesStaleColumn(t *testing.T) {
 		t.Fatal("refreshed columns must take the columnar bodies again")
 	}
 }
-
-// TestSpilledColumnsMatchResident forces every interned column onto disk
-// with a 1-byte budget and requires the identical ordered trace — the
-// spill layer must be invisible to enumeration.
-func TestSpilledColumnsMatchResident(t *testing.T) {
-	env := mixedNumericEnv(t, 5000, 5000, 1000)
-	r := must.Rule("A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid", env.DB)
-	r.ID = "spilled"
-
-	reg := obs.New()
-	spilled := New(env)
-	spilled.SetObs(reg)
-	spilled.SetSpill(1, t.TempDir())
-	got := emissionTrace(t, spilled, r, Options{})
-	if n := reg.CounterValue("exec.spill.columns"); n == 0 {
-		t.Fatal("a 1-byte budget must spill every interned column")
-	}
-	if reg.CounterValue("exec.spill.bytes") == 0 {
-		t.Fatal("spilled columns must report on-disk bytes")
-	}
-	if len(got) == 0 {
-		t.Fatal("fixture should produce matches")
-	}
-	assertSameTrace(t, got, emissionTrace(t, New(env), r, Options{}))
-}

@@ -144,14 +144,6 @@ type Options struct {
 	// Partial=true instead of an error. Equivalent to passing CleanCtx a
 	// context.WithTimeout.
 	Deadline time.Duration
-	// MemBudget caps the resident bytes of the chase executor's interned
-	// columns; above it, newly built columns spill to flat on-disk blocks
-	// (mmap-backed) so 10⁷–10⁸ tuple runs stay within memory. 0 disables
-	// spilling.
-	MemBudget int64
-	// SpillDir receives spill block files (empty: the system temp
-	// directory).
-	SpillDir string
 	// MaxRetries bounds how many times a panicking work unit is retried
 	// (reassigned to a different worker when one is alive) before the
 	// unit is given up and surfaced on Report.UnitErrors.
@@ -491,8 +483,6 @@ func (p *Pipeline) chaseOptions(pred *ml.Predication, reg *obs.Registry, span *o
 		Obs:         reg,
 		Oracle:      p.opts.Oracle,
 		EIDRefs:     p.eidRefs,
-		MemBudget:   p.opts.MemBudget,
-		SpillDir:    p.opts.SpillDir,
 		Cluster:     p.opts.Cluster,
 	}
 }
