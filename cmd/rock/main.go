@@ -157,7 +157,7 @@ func cmdClean(args []string, correct bool) error {
 	verbose := fs.Bool("v", false, "print the per-round chase trace table")
 	metricsOut := fs.String("metrics-out", "", "write the run's observability snapshot (counters, histograms, event log) as JSON to FILE")
 	traceOut := fs.String("trace-out", "", "write the run's span tree as Chrome trace-event JSON to FILE (load in Perfetto or chrome://tracing)")
-	telemetry := fs.String("telemetry", "", "serve live telemetry on ADDR (/metrics Prometheus text, /events, /spans, /snapshot JSON) for the duration of the run; use :0 for an ephemeral port")
+	telemetry := fs.String("telemetry", "", "serve live telemetry on ADDR (/metrics Prometheus text, /spans, /snapshot, /trace JSON) for the duration of the run; use :0 for an ephemeral port")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on ADDR (e.g. localhost:6060) for the duration of the run; shares the -telemetry server when both are set")
 	distributed := fs.Int("distributed", 0, "distribute the chase across N external rockworker processes; the coordinator prints its address, then waits for N workers to connect (launch them with: rockworker -coord ADDR -in DIR -workers W)")
 	workersAddr := fs.String("workers-addr", "127.0.0.1:0", "TCP listen address for worker connections (with -distributed); :0 picks a free port")

@@ -16,7 +16,7 @@
 //	GET  /v1/{tenant}/query      ?rel=&tid=&token=
 //	POST /v1/{tenant}/clean      full batch clean
 //	GET  /v1/{tenant}/metrics    Prometheus exposition
-//	GET  /v1/{tenant}/telemetry/ spans, events, snapshot, trace
+//	GET  /v1/{tenant}/telemetry/ spans, snapshot, trace
 //	GET  /healthz
 //
 // SIGTERM/SIGINT drains: new ingests get 503, queued batches flush,

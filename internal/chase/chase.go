@@ -546,14 +546,6 @@ func mlProfileFrom(snap obs.Snapshot) []MLCost {
 	return out
 }
 
-// markPartial flags the run as gracefully degraded and records why.
-func (e *Engine) markPartial(reason string) {
-	if !e.report.Partial {
-		e.obs.Emit(obs.Event{Kind: "chase.partial", Detail: reason})
-	}
-	e.report.Partial = true
-}
-
 // finish seals the report at the end of a run: sync the view fields and
 // snapshot the full registry into Report.Metrics.
 func (e *Engine) finish() {
@@ -660,7 +652,7 @@ func (e *Engine) fixpoint(rules []*ree.Rule, initialDirty map[string]map[int]boo
 				e.cancelled = true
 				e.obs.Inc("chase.cancelled")
 			}
-			e.markPartial("cancelled between rounds: " + e.ctx.Err().Error())
+			e.report.Partial = true
 			break
 		}
 		e.obs.Inc("chase.rounds")
@@ -669,7 +661,7 @@ func (e *Engine) fixpoint(rules []*ree.Rule, initialDirty map[string]map[int]boo
 			return err
 		}
 		if e.cancelled {
-			e.markPartial("cancelled mid-round")
+			e.report.Partial = true
 			break
 		}
 		if len(newFixes) == 0 {
@@ -710,7 +702,6 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	roundSpan := e.obs.StartSpan("round", e.phaseSpan)
 	roundSpan.SetRound(round)
 	defer roundSpan.End()
-	e.obs.Emit(obs.Event{Kind: "round.start", Round: round, N: int64(len(rules))})
 	work := e.prepareRound(rules, dirty)
 
 	// A slot is assigned whole, once per completed attempt: a unit that
@@ -770,7 +761,7 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	}
 	if len(drain.Failed) > 0 {
 		e.report.UnitErrors = append(e.report.UnitErrors, drain.Failed...)
-		e.markPartial(fmt.Sprintf("%d work unit(s) failed permanently", len(drain.Failed)))
+		e.report.Partial = true
 	}
 	e.obs.Add("chase.units", uint64(len(work)))
 
@@ -859,7 +850,6 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 		Duration:   time.Since(roundStart),
 	})
 	roundSpan.SetN(int64(len(accepted)))
-	e.obs.Emit(obs.Event{Kind: "round.end", Round: round, N: int64(len(accepted))})
 	e.syncReport()
 	return accepted, nil
 }
@@ -1514,7 +1504,6 @@ func (e *Engine) activate(all []*ree.Rule, fixes []Fix) []*ree.Rule {
 	for _, r := range all {
 		if e.ruleFeeds(r, cellTouched, orderTouched, merged) {
 			out = append(out, r)
-			e.obs.Emit(obs.Event{Kind: "rule.activated", Rule: r.ID})
 		}
 	}
 	return out

@@ -64,11 +64,10 @@ func New(n int) *Cluster {
 	return &Cluster{Ring: ring, Sched: crystal.NewScheduler(nodes), nodes: nodes}
 }
 
-// SetObs routes the cluster's metrics and events into reg under the
-// given name prefix (e.g. "chase" yields "chase.steals",
-// "chase.node.node-0.units", "chase.queue_depth"). A nil registry (the
-// default) records nothing. Steal events are reported as they happen
-// via the scheduler's OnSteal hook.
+// SetObs routes the cluster's metrics into reg under the given name
+// prefix (e.g. "chase" yields "chase.steals", "chase.node.node-0.units",
+// "chase.queue_depth"). A nil registry (the default) records nothing.
+// Steals are counted as they happen via the scheduler's OnSteal hook.
 func (c *Cluster) SetObs(reg *obs.Registry, prefix string) {
 	c.reg = reg
 	c.prefix = prefix
@@ -77,10 +76,7 @@ func (c *Cluster) SetObs(reg *obs.Registry, prefix string) {
 		return
 	}
 	steals := reg.Counter(prefix + ".steals")
-	c.Sched.OnSteal = func(thief, victim string, u *crystal.WorkUnit) {
-		steals.Inc()
-		reg.Emit(obs.Event{Kind: "steal", Node: thief, Rule: u.RuleID, Detail: "from " + victim})
-	}
+	c.Sched.OnSteal = func(string, string, *crystal.WorkUnit) { steals.Inc() }
 }
 
 // Submit assigns a work unit by partition affinity.
@@ -88,8 +84,9 @@ func (c *Cluster) Submit(u *crystal.WorkUnit) { c.Sched.Assign(c.Ring, u) }
 
 // Options tunes a drain run.
 type Options struct {
-	// Steal enables work stealing (on by default in Rock; the ablation
-	// benchmark turns it off).
+	// Steal enables work stealing in the in-process pool (on by default
+	// in Rock; the ablation benchmark turns it off). The remote
+	// coordinator ignores it: it splits units evenly over its workers.
 	Steal bool
 	// MaxRetries bounds how many times a panicking unit is retried —
 	// on a different node when one is alive — before it is given up and
@@ -295,8 +292,6 @@ func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
 	}
 	if st.Cancelled && c.reg != nil {
 		c.reg.Inc(c.prefix + ".cancelled")
-		c.reg.Emit(obs.Event{Kind: "drain.cancelled",
-			Detail: fmt.Sprintf("%d units skipped", st.Skipped)})
 	}
 
 	st.Steals = c.Sched.Steals() - stealsBefore
@@ -356,7 +351,6 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 	if err == nil {
 		if c.reg != nil {
 			c.reg.Inc(c.prefix + ".node." + node + ".units")
-			c.reg.Emit(obs.Event{Kind: "unit.executed", Node: node, Rule: u.RuleID, Detail: u.Part})
 		}
 		d.mu.Lock()
 		d.perNode[node]++
@@ -373,7 +367,6 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 	// decides which node the retry avoids.
 	if c.reg != nil {
 		c.reg.Inc(c.prefix + ".unit_panics")
-		c.reg.Emit(obs.Event{Kind: "unit.panic", Node: node, Rule: u.RuleID, Detail: err.Error()})
 	}
 	d.mu.Lock()
 	d.panics++
@@ -416,12 +409,8 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 	}
 	d.bumpLocked()
 	d.mu.Unlock()
-	if c.reg != nil {
-		if target != node {
-			c.reg.Inc(c.prefix + ".reassigned")
-		}
-		c.reg.Emit(obs.Event{Kind: "unit.retry", Node: target, Rule: u.RuleID,
-			Detail: fmt.Sprintf("attempt %d after panic on %s", attempt+1, node)})
+	if c.reg != nil && target != node {
+		c.reg.Inc(c.prefix + ".reassigned")
 	}
 }
 
@@ -464,7 +453,6 @@ func (c *Cluster) killNode(node string, d *drainRun) {
 	d.mu.Unlock()
 	if c.reg != nil {
 		c.reg.Inc(c.prefix + ".node_killed")
-		c.reg.Emit(obs.Event{Kind: "node.killed", Node: node})
 	}
 	orphans := c.Sched.Reclaim(node)
 	moved := 0

@@ -5,7 +5,11 @@
 // see the package comment in internal/chase/distributed.go — so the
 // wire only ever carries round preambles (truth journal + accepted
 // fixes + rule IDs), unit index assignments, and per-unit deduction
-// buffers tagged with generation order. The coordinator's merge
+// buffers tagged with generation order. Each frame is one gob-encoded
+// envelope whose round and result payloads are chase.RoundPreamble and
+// chase.UnitOutcome themselves (data.Value encodes itself through
+// MarshalBinary). The coordinator splits each round's sorted unit IDs
+// into contiguous even chunks over the live workers, and its merge
 // consumes buffers in unit-index order, keeping distributed runs
 // bit-identical to serial ones.
 package remote
@@ -35,7 +39,7 @@ var (
 // CRC32 (IEEE) of the payload, then the payload bytes. The checksum
 // catches corruption that TCP's 16-bit checksum can miss on long
 // drains, and — more practically — turns a desynchronized stream into
-// an immediate error instead of garbage JSON.
+// an immediate error instead of a garbage envelope.
 const frameHeader = 8
 
 // WriteFrame writes one framed payload. A single Write call is used

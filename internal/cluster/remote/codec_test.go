@@ -7,8 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"testing"
-
-	"github.com/rockclean/rock/internal/data"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -139,28 +137,4 @@ func FuzzReadFrameGarbage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		ReadFrame(bytes.NewReader(raw), 1<<20)
 	})
-}
-
-func TestWireValueRoundTrip(t *testing.T) {
-	vals := []data.Value{
-		data.S(""), data.S("hello"), data.S("\x00null"), // the null sentinel as a real string
-		data.I(0), data.I(-42), data.I(1 << 60),
-		data.F(0), data.F(-3.25), data.F(1e300),
-		data.B(true), data.B(false),
-		data.TS(0), data.TS(1722470400),
-		data.Null(data.TString), data.Null(data.TInt), data.Null(data.TFloat),
-		data.Null(data.TBool), data.Null(data.TTime),
-	}
-	for _, v := range vals {
-		got := fromWireValue(toWireValue(v))
-		if !got.Equal(v) {
-			t.Errorf("value %v: round-trip gave %v", v, got)
-		}
-		if got.Key() != v.Key() {
-			t.Errorf("value %v: Key %q round-tripped to %q", v, v.Key(), got.Key())
-		}
-		if got.Kind() != v.Kind() {
-			t.Errorf("value %v: kind %v round-tripped to %v", v, v.Kind(), got.Kind())
-		}
-	}
 }

@@ -74,15 +74,16 @@ type workerConn struct {
 	alive   bool
 }
 
-func (w *workerConn) send(env envelope) error {
+// send writes one encoded envelope as a frame.
+func (w *workerConn) send(payload []byte) error {
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
-	return writeMsg(w.conn, env)
+	return WriteFrame(w.conn, payload)
 }
 
 // Coordinator owns the truth ledger side of a distributed chase: it
 // accepts worker connections, runs the round barrier (BeginRound),
-// assigns work units to workers by partition affinity, collects
+// splits each round's work units evenly over the workers, collects
 // deduction buffers, and survives worker deaths by redistributing
 // their queues. It implements both cluster.Runner and chase.DistRunner
 // — hand it to rock.Options.Cluster (or Pipeline.SetCluster) and the
@@ -90,7 +91,6 @@ func (w *workerConn) send(env envelope) error {
 type Coordinator struct {
 	opts CoordOptions
 	ln   net.Listener
-	ring *crystal.Ring
 
 	mu      sync.Mutex
 	workers map[string]*workerConn
@@ -111,7 +111,6 @@ func NewCoordinator(opts CoordOptions) *Coordinator {
 	opts = opts.withDefaults()
 	return &Coordinator{
 		opts:    opts,
-		ring:    crystal.NewRing(32),
 		workers: make(map[string]*workerConn),
 		events:  make(chan event, 256),
 		units:   make(map[int]*crystal.WorkUnit),
@@ -171,7 +170,6 @@ func (c *Coordinator) WaitWorkers(ctx context.Context) error {
 		c.workers[name] = w
 		c.order = append(c.order, name)
 		c.mu.Unlock()
-		c.ring.AddNode(name)
 		go c.reader(w)
 		c.opts.Logf("remote: %s joined from %s", name, conn.RemoteAddr())
 	}
@@ -261,7 +259,6 @@ func (c *Coordinator) markDead(name string) bool {
 	c.mu.Unlock()
 	if dead {
 		w.conn.Close()
-		c.ring.RemoveNode(name)
 		if c.reg != nil {
 			c.reg.Counter(c.prefix + ".remote.worker_deaths").Inc()
 		}
@@ -298,11 +295,13 @@ func (c *Coordinator) BeginRound(ctx context.Context, pre chase.RoundPreamble) e
 	c.units = make(map[int]*crystal.WorkUnit)
 	c.outcomes = nil
 
-	rm := toWirePreamble(pre)
-	env := envelope{Type: mtRound, Round: &rm}
+	payload, err := encodeMsg(envelope{Type: mtRound, Round: &pre})
+	if err != nil {
+		return err
+	}
 	waiting := map[string]bool{}
 	for _, w := range c.liveWorkers() {
-		if err := w.send(env); err != nil {
+		if err := w.send(payload); err != nil {
 			c.markDead(w.name)
 			continue
 		}
@@ -355,26 +354,23 @@ func (c *Coordinator) TakeResults() []chase.UnitOutcome {
 	return out
 }
 
-// DrainWithStats assigns the submitted units to workers by partition
-// affinity and consumes results until every unit is resolved, the
-// context is cancelled, or no workers survive. Worker deaths —
-// heartbeat timeouts, connection errors, or fault-injected kills —
-// redistribute the dead worker's incomplete queue across survivors; a
-// unit that panicked on its worker is retried or given up by
-// cluster.Retry, as in the in-process pool.
+// DrainWithStats splits the submitted units over the live workers and
+// consumes results until every unit is resolved, the context is
+// cancelled, or no workers survive. Worker deaths — heartbeat timeouts,
+// connection errors, or fault-injected kills — redistribute the dead
+// worker's incomplete queue across survivors; a unit that panicked on
+// its worker is retried or given up by cluster.Retry, as in the
+// in-process pool.
 func (c *Coordinator) DrainWithStats(ctx context.Context, opts cluster.Options) cluster.DrainStats {
 	stats := cluster.DrainStats{PerNode: map[string]int{}, Queued: len(c.units)}
 
-	// Deterministic assignment pass: sorted unit IDs, each placed on its
-	// partition's ring owner (ring holds live workers only).
 	ids := make([]int, 0, len(c.units))
 	for id := range c.units {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 
-	assigned := map[string][]int{} // worker -> unit IDs
-	unitHome := map[int]string{}   // unit ID -> current worker
+	unitHome := map[int]string{} // unit ID -> current worker
 	done := map[int]bool{}
 	attempts := map[int]int{}
 	live := c.liveWorkers()
@@ -388,49 +384,19 @@ func (c *Coordinator) DrainWithStats(ctx context.Context, opts cluster.Options) 
 		}
 		return stats
 	}
-	rr := 0
-	for _, id := range ids {
-		owner := c.ring.Owner(c.units[id].Part)
-		if owner == "" || c.worker(owner) == nil || !c.worker(owner).alive {
-			owner = live[rr%len(live)].name
-			rr++
-		}
-		assigned[owner] = append(assigned[owner], id)
-		unitHome[id] = owner
+	// Live worker k (in connection order) gets the k-th contiguous chunk
+	// of the sorted unit IDs. Every replica holds all the data, so
+	// placement only decides which replica computes a buffer, never what
+	// the buffer holds.
+	chunk := (len(ids) + len(live) - 1) / len(live)
+	for i, id := range ids {
+		unitHome[id] = live[i/chunk].name
 	}
-	// Rebalance pass — the remote analogue of work stealing. HashObject
-	// co-locates every unit of a relation on one ring owner, which is
-	// right for cache locality but can leave workers idle on datasets
-	// with few relations; with stealing enabled, excess units above an
-	// even share move (deterministically: donors shed their tail, takers
-	// fill in connection order) to under-loaded live workers. Placement
-	// never affects results — only which replica computes a buffer.
-	if opts.Steal && len(live) > 1 {
-		target := (len(ids) + len(live) - 1) / len(live)
-		var excess []int
-		for _, w := range live {
-			if n := len(assigned[w.name]); n > target {
-				excess = append(excess, assigned[w.name][target:]...)
-				assigned[w.name] = assigned[w.name][:target]
+	for k, w := range live {
+		if us := ids[min(k*chunk, len(ids)):min((k+1)*chunk, len(ids))]; len(us) > 0 {
+			if err := c.assign(w, us); err != nil {
+				c.deadAndReassign(w.name, unitHome, done, &stats)
 			}
-		}
-		sort.Ints(excess)
-		stats.Steals = len(excess)
-		for _, w := range live {
-			for len(assigned[w.name]) < target && len(excess) > 0 {
-				id := excess[0]
-				excess = excess[1:]
-				assigned[w.name] = append(assigned[w.name], id)
-				unitHome[id] = w.name
-			}
-		}
-	}
-	for _, w := range live {
-		if len(assigned[w.name]) == 0 {
-			continue
-		}
-		if err := w.send(envelope{Type: mtAssign, Assign: &assignMsg{Round: c.round, Units: assigned[w.name]}}); err != nil {
-			c.deadAndReassign(w.name, unitHome, done, &stats)
 		}
 	}
 
@@ -468,23 +434,20 @@ func (c *Coordinator) DrainWithStats(ctx context.Context, opts cluster.Options) 
 				continue
 			}
 			res := ev.env.Result
-			if res.Round != c.round || done[res.Unit] {
-				continue // stale round, or duplicate after a reassignment race
+			out := res.Outcome
+			if _, ok := c.units[out.Unit]; !ok || res.Round != c.round || done[out.Unit] {
+				continue // unknown unit, stale round, or duplicate after a reassignment race
 			}
 			if res.Err != "" {
-				attempts[res.Unit]++
+				attempts[out.Unit]++
 				stats.Panics++
-				c.retry(ctx, opts, res.Unit, ev.node, attempts[res.Unit], errors.New(res.Err), unitHome, done, &stats)
+				c.retry(ctx, opts, out.Unit, ev.node, attempts[out.Unit], errors.New(res.Err), unitHome, done, &stats)
 				continue
 			}
-			done[res.Unit] = true
+			done[out.Unit] = true
 			stats.PerNode[ev.node]++
-			c.outcomes = append(c.outcomes, chase.UnitOutcome{
-				Unit: res.Unit, Fixes: fromWireFixes(res.Fixes),
-				Unresolved: fromWireUnres(res.Unresolved), ResolvedMI: res.ResolvedMI,
-				Valuations: res.Valuations, MLCalls: res.MLCalls,
-				CostNs: res.CostNs, Node: ev.node,
-			})
+			out.Node = ev.node
+			c.outcomes = append(c.outcomes, out)
 			if c.reg != nil {
 				c.reg.Counter(c.prefix + ".remote.results").Inc()
 			}
@@ -506,6 +469,15 @@ func (c *Coordinator) DrainWithStats(ctx context.Context, opts cluster.Options) 
 	c.opts.Logf("remote: round %d drained: per-node %v, reassigned %d, killed %v",
 		c.round, stats.PerNode, stats.Reassigned, stats.Killed)
 	return stats
+}
+
+// assign sends w units of the current round to execute.
+func (c *Coordinator) assign(w *workerConn, units []int) error {
+	payload, err := encodeMsg(envelope{Type: mtAssign, Assign: &assignMsg{Round: c.round, Units: units}})
+	if err != nil {
+		return err
+	}
+	return w.send(payload)
 }
 
 // deadAndReassign marks a worker dead and moves its incomplete units.
@@ -549,8 +521,7 @@ func (c *Coordinator) reassignFrom(deadNode string, unitHome map[int]string, don
 		unitHome[id] = w.name
 	}
 	for name, us := range moved {
-		w := c.worker(name)
-		if err := w.send(envelope{Type: mtAssign, Assign: &assignMsg{Round: c.round, Units: us}}); err != nil {
+		if err := c.assign(c.worker(name), us); err != nil {
 			c.deadAndReassign(name, unitHome, done, stats)
 			continue
 		}
@@ -601,7 +572,7 @@ func (c *Coordinator) retry(ctx context.Context, opts cluster.Options, unit int,
 	if target.name != failedOn {
 		stats.Reassigned++
 	}
-	if err := target.send(envelope{Type: mtAssign, Assign: &assignMsg{Round: c.round, Units: []int{unit}}}); err != nil {
+	if err := c.assign(target, []int{unit}); err != nil {
 		c.deadAndReassign(target.name, unitHome, done, stats)
 	}
 }

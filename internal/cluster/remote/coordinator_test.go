@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,4 +129,56 @@ func TestCoordinatorRetryPolicy(t *testing.T) {
 			t.Error("unit 0 never ran — no backoff was entered, the test proved nothing")
 		}
 	})
+}
+
+// TestCoordinatorIgnoresUnknownUnit has a worker report a failed result
+// for a unit the round never had: the coordinator must drop it rather
+// than look the unit up to retry it.
+func TestCoordinatorIgnoresUnknownUnit(t *testing.T) {
+	const fp = "unknown-unit"
+	coord := NewCoordinator(CoordOptions{Addr: "127.0.0.1:0", Workers: 1, Fingerprint: fp})
+	addr, err := coord.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	go func() { // a worker that answers every assignment with one bogus result first
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		writeMsg(conn, envelope{Type: mtHello, Hello: &helloMsg{Fingerprint: fp}})
+		for {
+			env, err := readMsg(conn, 0)
+			if err != nil {
+				return
+			}
+			switch {
+			case env.Round != nil:
+				writeMsg(conn, envelope{Type: mtRoundAck, RAck: &roundAckMsg{Round: env.Round.Round, Units: env.Round.Units}})
+			case env.Assign != nil:
+				r := env.Assign.Round
+				writeMsg(conn, envelope{Type: mtResult, Result: &resultMsg{Round: r, Err: "bogus", Outcome: chase.UnitOutcome{Unit: 999}}})
+				for _, u := range env.Assign.Units {
+					writeMsg(conn, envelope{Type: mtResult, Result: &resultMsg{Round: r, Outcome: chase.UnitOutcome{Unit: u}}})
+				}
+			}
+		}
+	}()
+	if err := coord.WaitWorkers(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.BeginRound(context.Background(), chase.RoundPreamble{Round: 1, Units: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		coord.Submit(&crystal.WorkUnit{ID: i, RuleID: "r", Part: fmt.Sprintf("p%d/b", i)})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st := coord.DrainWithStats(ctx, cluster.Options{MaxRetries: 1})
+	if outs := coord.TakeResults(); st.Cancelled || st.Panics != 0 || len(st.Failed) != 0 || len(outs) != 2 {
+		t.Fatalf("drain = %+v with %d outcomes; want the 2 real units and the bogus one dropped", st, len(outs))
+	}
 }

@@ -1,16 +1,15 @@
 package remote
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"io"
 
 	"github.com/rockclean/rock/internal/chase"
-	"github.com/rockclean/rock/internal/data"
-	"github.com/rockclean/rock/internal/truth"
 )
 
-// Message types. Every frame payload is one JSON envelope.
+// Message types. Every frame payload is one gob-encoded envelope.
 type msgType string
 
 const (
@@ -24,15 +23,17 @@ const (
 )
 
 // envelope is the single wire message shape; exactly one payload
-// pointer is set according to Type (heartbeats carry none).
+// pointer is set according to Type (heartbeats carry none). The round
+// and result payloads are the engine's own types, so the wire cannot
+// drift from what the engine produces.
 type envelope struct {
-	Type   msgType      `json:"t"`
-	Hello  *helloMsg    `json:"hello,omitempty"`
-	Ack    *helloAckMsg `json:"ack,omitempty"`
-	Round  *roundMsg    `json:"round,omitempty"`
-	RAck   *roundAckMsg `json:"rack,omitempty"`
-	Assign *assignMsg   `json:"assign,omitempty"`
-	Result *resultMsg   `json:"result,omitempty"`
+	Type   msgType
+	Hello  *helloMsg
+	Ack    *helloAckMsg
+	Round  *chase.RoundPreamble
+	RAck   *roundAckMsg
+	Assign *assignMsg
+	Result *resultMsg
 }
 
 type helloMsg struct {
@@ -40,274 +41,47 @@ type helloMsg struct {
 	// tuple counts, rule IDs, partition count); the coordinator rejects a
 	// worker whose fingerprint differs from its own, since a diverged
 	// replica would fail the first round barrier anyway.
-	Fingerprint string `json:"fp"`
-	Name        string `json:"name,omitempty"`
+	Fingerprint string
+	Name        string
 }
 
 type helloAckMsg struct {
-	Name string `json:"name"`
-	Err  string `json:"err,omitempty"`
-}
-
-type roundMsg struct {
-	Round    int       `json:"round"`
-	RuleIDs  []string  `json:"rules"`
-	Journal  []wireOp  `json:"journal,omitempty"`
-	Accepted []wireFix `json:"accepted,omitempty"`
-	UseDirty bool      `json:"dirty,omitempty"`
-	Units    int       `json:"units"`
+	Name string
+	Err  string
 }
 
 type roundAckMsg struct {
-	Round int    `json:"round"`
-	Units int    `json:"units"`
-	Err   string `json:"err,omitempty"`
+	Round int
+	Units int
+	Err   string
 }
 
 type assignMsg struct {
-	Round int   `json:"round"`
-	Units []int `json:"units"`
+	Round int
+	Units []int
 }
 
 type resultMsg struct {
 	// Round lets the coordinator drop stale results arriving after a
 	// reassignment has already moved the barrier on.
-	Round      int        `json:"round"`
-	Unit       int        `json:"unit"`
-	Fixes      []wireFix  `json:"fixes,omitempty"`
-	Unresolved []wireUnre `json:"unres,omitempty"`
-	ResolvedMI int        `json:"rmi,omitempty"`
-	Valuations int        `json:"vals,omitempty"`
-	MLCalls    int        `json:"ml,omitempty"`
-	CostNs     int64      `json:"cost,omitempty"`
-	Err        string     `json:"err,omitempty"`
+	Round   int
+	Err     string
+	Outcome chase.UnitOutcome
 }
 
-// wireUnre mirrors chase.UnresolvedConflict: a deduction-time conflict
-// escalation recorded on the worker's report.
-type wireUnre struct {
-	Conflict *wireConflict `json:"c,omitempty"`
-	Fix      wireFix       `json:"fix"`
-}
-
-// wireConflict mirrors truth.Conflict.
-type wireConflict struct {
-	Kind int       `json:"kind"`
-	Rel  string    `json:"rel,omitempty"`
-	Attr string    `json:"attr,omitempty"`
-	EID  string    `json:"eid,omitempty"`
-	Old  wireValue `json:"old"`
-	New  wireValue `json:"new"`
-	A    string    `json:"a,omitempty"`
-	B    string    `json:"b,omitempty"`
-}
-
-func toWireUnres(us []chase.UnresolvedConflict) []wireUnre {
-	if len(us) == 0 {
-		return nil
+// encodeMsg gob-encodes one envelope with a fresh encoder, so every
+// frame carries its own type descriptions and decodes on its own.
+func encodeMsg(env envelope) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+		return nil, fmt.Errorf("remote: encode %s: %w", env.Type, err)
 	}
-	out := make([]wireUnre, len(us))
-	for i, u := range us {
-		w := wireUnre{Fix: toWireFix(u.Fix)}
-		if c := u.Conflict; c != nil {
-			w.Conflict = &wireConflict{
-				Kind: int(c.Kind), Rel: c.Rel, Attr: c.Attr, EID: c.EID,
-				Old: toWireValue(c.Old), New: toWireValue(c.New), A: c.A, B: c.B,
-			}
-		}
-		out[i] = w
-	}
-	return out
-}
-
-func fromWireUnres(ws []wireUnre) []chase.UnresolvedConflict {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := make([]chase.UnresolvedConflict, len(ws))
-	for i, w := range ws {
-		u := chase.UnresolvedConflict{Fix: fromWireFix(w.Fix)}
-		if c := w.Conflict; c != nil {
-			u.Conflict = &truth.Conflict{
-				Kind: truth.ConflictKind(c.Kind), Rel: c.Rel, Attr: c.Attr, EID: c.EID,
-				Old: fromWireValue(c.Old), New: fromWireValue(c.New), A: c.A, B: c.B,
-			}
-		}
-		out[i] = u
-	}
-	return out
-}
-
-// wireValue serializes data.Value, whose fields are unexported. Null
-// values round-trip as (Kind, N) so typed nulls keep their Key()
-// identity.
-type wireValue struct {
-	K int     `json:"k"`
-	N bool    `json:"n,omitempty"`
-	S string  `json:"s,omitempty"`
-	I int64   `json:"i,omitempty"`
-	F float64 `json:"f,omitempty"`
-	B bool    `json:"b,omitempty"`
-}
-
-func toWireValue(v data.Value) wireValue {
-	w := wireValue{K: int(v.Kind())}
-	if v.IsNull() {
-		w.N = true
-		return w
-	}
-	switch v.Kind() {
-	case data.TString:
-		w.S = v.Str()
-	case data.TInt, data.TTime:
-		w.I = v.Int()
-	case data.TFloat:
-		w.F = v.Float()
-	case data.TBool:
-		w.B = v.Bool()
-	}
-	return w
-}
-
-func fromWireValue(w wireValue) data.Value {
-	k := data.Type(w.K)
-	if w.N {
-		return data.Null(k)
-	}
-	switch k {
-	case data.TString:
-		return data.S(w.S)
-	case data.TInt:
-		return data.I(w.I)
-	case data.TTime:
-		return data.TS(w.I)
-	case data.TFloat:
-		return data.F(w.F)
-	case data.TBool:
-		return data.B(w.B)
-	}
-	return data.Null(k)
-}
-
-// wireFix mirrors chase.Fix with a serializable value.
-type wireFix struct {
-	Kind   int       `json:"kind"`
-	Rel    string    `json:"rel,omitempty"`
-	Attr   string    `json:"attr,omitempty"`
-	EID1   string    `json:"e1,omitempty"`
-	EID2   string    `json:"e2,omitempty"`
-	TID    int       `json:"tid,omitempty"`
-	TID1   int       `json:"t1,omitempty"`
-	TID2   int       `json:"t2,omitempty"`
-	Value  wireValue `json:"v"`
-	Strict bool      `json:"strict,omitempty"`
-	RuleID string    `json:"rule,omitempty"`
-}
-
-func toWireFix(f chase.Fix) wireFix {
-	return wireFix{
-		Kind: int(f.Kind), Rel: f.Rel, Attr: f.Attr,
-		EID1: f.EID1, EID2: f.EID2,
-		TID: f.TID, TID1: f.TID1, TID2: f.TID2,
-		Value: toWireValue(f.Value), Strict: f.Strict, RuleID: f.RuleID,
-	}
-}
-
-func fromWireFix(w wireFix) chase.Fix {
-	return chase.Fix{
-		Kind: chase.FixKind(w.Kind), Rel: w.Rel, Attr: w.Attr,
-		EID1: w.EID1, EID2: w.EID2,
-		TID: w.TID, TID1: w.TID1, TID2: w.TID2,
-		Value: fromWireValue(w.Value), Strict: w.Strict, RuleID: w.RuleID,
-	}
-}
-
-func toWireFixes(fs []chase.Fix) []wireFix {
-	if len(fs) == 0 {
-		return nil
-	}
-	out := make([]wireFix, len(fs))
-	for i, f := range fs {
-		out[i] = toWireFix(f)
-	}
-	return out
-}
-
-func fromWireFixes(ws []wireFix) []chase.Fix {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := make([]chase.Fix, len(ws))
-	for i, w := range ws {
-		out[i] = fromWireFix(w)
-	}
-	return out
-}
-
-// wireOp mirrors truth.Op with a serializable value.
-type wireOp struct {
-	Kind        int       `json:"kind"`
-	A           string    `json:"a,omitempty"`
-	B           string    `json:"b,omitempty"`
-	Rel         string    `json:"rel,omitempty"`
-	Attr        string    `json:"attr,omitempty"`
-	Value       wireValue `json:"v"`
-	TID1        int       `json:"t1,omitempty"`
-	TID2        int       `json:"t2,omitempty"`
-	Strict      bool      `json:"strict,omitempty"`
-	OrderPairs  [][2]int  `json:"pairs,omitempty"`
-	OrderStrict []bool    `json:"pstrict,omitempty"`
-}
-
-func toWireOps(ops []truth.Op) []wireOp {
-	if len(ops) == 0 {
-		return nil
-	}
-	out := make([]wireOp, len(ops))
-	for i, op := range ops {
-		out[i] = wireOp{
-			Kind: int(op.Kind), A: op.A, B: op.B, Rel: op.Rel, Attr: op.Attr,
-			Value: toWireValue(op.Value), TID1: op.TID1, TID2: op.TID2,
-			Strict: op.Strict, OrderPairs: op.OrderPairs, OrderStrict: op.OrderStrict,
-		}
-	}
-	return out
-}
-
-func fromWireOps(ws []wireOp) []truth.Op {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := make([]truth.Op, len(ws))
-	for i, w := range ws {
-		out[i] = truth.Op{
-			Kind: truth.OpKind(w.Kind), A: w.A, B: w.B, Rel: w.Rel, Attr: w.Attr,
-			Value: fromWireValue(w.Value), TID1: w.TID1, TID2: w.TID2,
-			Strict: w.Strict, OrderPairs: w.OrderPairs, OrderStrict: w.OrderStrict,
-		}
-	}
-	return out
-}
-
-func toWirePreamble(pre chase.RoundPreamble) roundMsg {
-	return roundMsg{
-		Round: pre.Round, RuleIDs: pre.RuleIDs,
-		Journal: toWireOps(pre.Journal), Accepted: toWireFixes(pre.Accepted),
-		UseDirty: pre.UseDirty, Units: pre.Units,
-	}
-}
-
-func fromWirePreamble(m roundMsg) chase.RoundPreamble {
-	return chase.RoundPreamble{
-		Round: m.Round, RuleIDs: m.RuleIDs,
-		Journal: fromWireOps(m.Journal), Accepted: fromWireFixes(m.Accepted),
-		UseDirty: m.UseDirty, Units: m.Units,
-	}
+	return buf.Bytes(), nil
 }
 
 // writeMsg frames and writes one envelope.
 func writeMsg(w io.Writer, env envelope) error {
-	payload, err := json.Marshal(env)
+	payload, err := encodeMsg(env)
 	if err != nil {
 		return err
 	}
@@ -321,7 +95,7 @@ func readMsg(r io.Reader, max int) (envelope, error) {
 		return envelope{}, err
 	}
 	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
 		return envelope{}, fmt.Errorf("remote: decode frame: %w", err)
 	}
 	return env, nil

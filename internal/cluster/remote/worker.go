@@ -135,8 +135,11 @@ func RunWorker(ctx context.Context, eng Follower, opts WorkerOptions) error {
 		}
 		switch env.Type {
 		case mtRound:
-			pre := fromWirePreamble(*env.Round)
-			units, ferr := eng.FollowRound(pre)
+			pre := env.Round
+			if pre == nil {
+				return fmt.Errorf("remote: %s: round message without a preamble", name)
+			}
+			units, ferr := eng.FollowRound(*pre)
 			ack := roundAckMsg{Round: pre.Round, Units: units}
 			if ferr != nil {
 				ack.Err = ferr.Error()
@@ -146,6 +149,9 @@ func RunWorker(ctx context.Context, eng Follower, opts WorkerOptions) error {
 			}
 			opts.Logf("remote: %s round %d: %d units", name, pre.Round, units)
 		case mtAssign:
+			if env.Assign == nil {
+				return fmt.Errorf("remote: %s: assign message without units", name)
+			}
 			for _, i := range env.Assign.Units {
 				res := runShielded(ctx, eng, i, name)
 				res.Round = env.Assign.Round
@@ -164,7 +170,7 @@ func RunWorker(ctx context.Context, eng Follower, opts WorkerOptions) error {
 // coordinator then retries it elsewhere, mirroring the in-process
 // pool's panic recovery.
 func runShielded(ctx context.Context, eng Follower, i int, node string) (res resultMsg) {
-	res.Unit = i
+	res.Outcome.Unit = i
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Sprintf("unit %d panicked: %v", i, r)
@@ -175,12 +181,7 @@ func runShielded(ctx context.Context, eng Follower, i int, node string) (res res
 		res.Err = err.Error()
 		return res
 	}
-	res.Fixes = toWireFixes(out.Fixes)
-	res.Unresolved = toWireUnres(out.Unresolved)
-	res.ResolvedMI = out.ResolvedMI
-	res.Valuations = out.Valuations
-	res.MLCalls = out.MLCalls
-	res.CostNs = out.CostNs
+	res.Outcome = out
 	return res
 }
 

@@ -5,7 +5,9 @@
 package data
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -261,4 +263,89 @@ func (v Value) Key() string {
 		return "N\x1f" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	}
 	return string(rune('0'+int(v.kind))) + "\x1f" + v.String()
+}
+
+// Binary form of a Value: one kind byte, one flags byte (bit 0 null,
+// bit 1 valid), then the payload of a valid non-null value — the string
+// bytes, a varint for int and time, the IEEE-754 bits for float, one
+// byte for bool. The zero Value encodes as two zero bytes.
+const (
+	flagNull  = 1 << 0
+	flagValid = 1 << 1
+)
+
+// MarshalBinary writes the value's full state, so UnmarshalBinary gives
+// back a value with the same Kind, IsNull and Key — a typed null stays
+// typed and the zero Value stays the zero Value.
+func (v Value) MarshalBinary() ([]byte, error) {
+	var flags byte
+	if v.null {
+		flags |= flagNull
+	}
+	if v.valid {
+		flags |= flagValid
+	}
+	b := []byte{byte(v.kind), flags}
+	if v.null || !v.valid {
+		return b, nil
+	}
+	switch v.kind {
+	case TString:
+		b = append(b, v.s...)
+	case TInt, TTime:
+		b = binary.AppendVarint(b, v.i)
+	case TFloat:
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.f))
+	case TBool:
+		if v.b {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes MarshalBinary's form. The bytes may come from
+// another process, so anything malformed — a short buffer, an unknown
+// kind or flag, a payload of the wrong size — is an error.
+func (v *Value) UnmarshalBinary(b []byte) error {
+	if len(b) < 2 {
+		return fmt.Errorf("data: value: %d bytes, want at least 2", len(b))
+	}
+	kind, flags, rest := Type(b[0]), b[1], b[2:]
+	if kind > TTime {
+		return fmt.Errorf("data: value: unknown kind %d", b[0])
+	}
+	if flags&^(flagNull|flagValid) != 0 {
+		return fmt.Errorf("data: value: unknown flags %#x", flags)
+	}
+	out := Value{kind: kind, null: flags&flagNull != 0, valid: flags&flagValid != 0}
+	bad := func() error { return fmt.Errorf("data: value: bad %v payload of %d bytes", kind, len(rest)) }
+	switch {
+	case out.null || !out.valid:
+		if len(rest) != 0 {
+			return bad()
+		}
+	case kind == TString:
+		out.s = string(rest)
+	case kind == TInt || kind == TTime:
+		i, n := binary.Varint(rest)
+		if n <= 0 || n != len(rest) {
+			return bad()
+		}
+		out.i = i
+	case kind == TFloat:
+		if len(rest) != 8 {
+			return bad()
+		}
+		out.f = math.Float64frombits(binary.BigEndian.Uint64(rest))
+	case kind == TBool:
+		if len(rest) != 1 || rest[0] > 1 {
+			return bad()
+		}
+		out.b = rest[0] == 1
+	}
+	*v = out
+	return nil
 }

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -219,6 +220,73 @@ func TestValueKeyAgreesWithEqual(t *testing.T) {
 				t.Errorf("%v vs %v: Equal=%v but key equality=%v (keys %q, %q)",
 					a, b, eq, keq, a.Key(), b.Key())
 			}
+		}
+	}
+}
+
+func TestValueBinaryRoundTrip(t *testing.T) {
+	vals := []Value{
+		{},                               // the zero Value
+		S(""), S("hello"), S("\x00null"), // the null sentinel as a real string
+		I(0), I(-42), I(1 << 60), I(math.MaxInt64), I(math.MinInt64),
+		F(0), F(-3.25), F(1e300), F(math.NaN()), F(math.Inf(1)), F(math.Inf(-1)),
+		B(true), B(false),
+		TS(0), TS(1722470400), TS(-86400),
+		Null(TString), Null(TInt), Null(TFloat), Null(TBool), Null(TTime),
+	}
+	for _, v := range vals {
+		b, err := v.MarshalBinary()
+		if err != nil {
+			t.Fatalf("value %v: MarshalBinary: %v", v, err)
+		}
+		var got Value
+		if err := got.UnmarshalBinary(b); err != nil {
+			t.Fatalf("value %v: UnmarshalBinary(%x): %v", v, b, err)
+		}
+		nan := math.IsNaN(v.Float()) && math.IsNaN(got.Float())
+		if !got.Equal(v) && !nan {
+			t.Errorf("value %v: round-trip gave %v", v, got)
+		}
+		if got.Key() != v.Key() {
+			t.Errorf("value %v: Key %q round-tripped to %q", v, v.Key(), got.Key())
+		}
+		if got.Kind() != v.Kind() {
+			t.Errorf("value %v: kind %v round-tripped to %v", v, v.Kind(), got.Kind())
+		}
+		if got.IsNull() != v.IsNull() {
+			t.Errorf("value %v: IsNull %v round-tripped to %v", v, v.IsNull(), got.IsNull())
+		}
+	}
+	var zero Value
+	if err := zero.UnmarshalBinary([]byte{0, 0}); err != nil || zero != (Value{}) {
+		t.Errorf("two zero bytes decode to %#v (%v), want the zero Value", zero, err)
+	}
+}
+
+func TestValueBinaryMalformed(t *testing.T) {
+	bad := map[string][]byte{
+		"empty":              nil,
+		"short":              {byte(TInt)},
+		"unknown kind":       {byte(TTime) + 1, flagValid},
+		"unknown flag":       {byte(TInt), 1 << 2},
+		"null with payload":  {byte(TString), flagValid | flagNull, 'x'},
+		"zero with payload":  {0, 0, 'x'},
+		"int missing":        {byte(TInt), flagValid},
+		"int trailing":       {byte(TInt), flagValid, 2, 0},
+		"int overflow":       {byte(TInt), flagValid, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"time truncated":     {byte(TTime), flagValid, 0x80},
+		"float short":        {byte(TFloat), flagValid, 1, 2, 3},
+		"float long":         {byte(TFloat), flagValid, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		"bool missing":       {byte(TBool), flagValid},
+		"bool out of range":  {byte(TBool), flagValid, 2},
+		"bool trailing byte": {byte(TBool), flagValid, 1, 0},
+	}
+	for name, b := range bad {
+		v := S("untouched")
+		if err := v.UnmarshalBinary(b); err == nil {
+			t.Errorf("%s (%x): decoded to %#v, want an error", name, b, v)
+		} else if !v.Equal(S("untouched")) {
+			t.Errorf("%s: failed decode overwrote the value with %#v", name, v)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package obs is Rock's unified observability layer: one Registry of
-// named counters, gauges and duration histograms plus a bounded
-// structured event log, threaded through every execution layer (detect,
+// named counters, gauges and duration histograms plus an opt-in span
+// ring (span.go), threaded through every execution layer (detect,
 // chase, exec, ml predication, cluster/crystal). The paper's evaluation
 // (§6, Figures 4(h)/4(l)) is driven by per-phase, per-round measurements
 // — detection vs. chase wall clock, rounds to fixpoint, ML-call counts,
@@ -150,29 +150,6 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// Event is one entry of the structured event log: a round starting, a
-// rule activating, a unit executing on a node, a fix applied or
-// rejected, a steal. Fields not meaningful for a kind stay zero.
-type Event struct {
-	Seq  uint64        `json:"seq"`
-	At   time.Duration `json:"at_ns"` // since registry creation
-	Kind string        `json:"kind"`
-	// Node is the worker that the event concerns (unit execution, steals).
-	Node string `json:"node,omitempty"`
-	// Rule is the REE++ involved, when any.
-	Rule string `json:"rule,omitempty"`
-	// Round is the 1-based chase round, when the event is round-scoped.
-	Round int `json:"round,omitempty"`
-	// N is a kind-specific magnitude (units submitted, fixes applied, ...).
-	N int64 `json:"n,omitempty"`
-	// Detail is free-form context (fix description, steal victim, ...).
-	Detail string `json:"detail,omitempty"`
-}
-
-// defaultEventCap bounds the event log; the oldest events are dropped
-// (and counted) once the ring is full.
-const defaultEventCap = 4096
-
 // Registry is the metric/trace store one run threads through its layers.
 // The zero value is not usable; call New. A nil *Registry is a valid
 // no-op sink for every method.
@@ -184,33 +161,18 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
-	evMu    sync.Mutex
-	events  []Event
-	evNext  int
-	evCap   int
-	evSeq   uint64
-	dropped uint64
-
 	// sp is the hierarchical span ring (span.go); disabled until
 	// EnableSpans, so default runs pay one atomic load per StartSpan.
 	sp spanRing
 }
 
-// New creates a registry with the default event-log capacity.
-func New() *Registry { return NewCap(defaultEventCap) }
-
-// NewCap creates a registry whose event log keeps at most evCap entries
-// (evCap <= 0 selects the default).
-func NewCap(evCap int) *Registry {
-	if evCap <= 0 {
-		evCap = defaultEventCap
-	}
+// New creates an empty registry.
+func New() *Registry {
 	return &Registry{
 		start:    time.Now(),
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		evCap:    evCap,
 	}
 }
 
@@ -309,59 +271,19 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Observe records a duration under the named histogram.
 func (r *Registry) Observe(name string, d time.Duration) { r.Histogram(name).Observe(d) }
 
-// Emit appends ev to the bounded event log, stamping Seq and At. The
-// oldest entry is dropped (and counted) when the log is full.
-func (r *Registry) Emit(ev Event) {
-	if r == nil {
-		return
-	}
-	at := time.Since(r.start)
-	r.evMu.Lock()
-	r.evSeq++
-	ev.Seq = r.evSeq
-	ev.At = at
-	if len(r.events) < r.evCap {
-		r.events = append(r.events, ev)
-	} else {
-		r.events[r.evNext] = ev
-		r.evNext = (r.evNext + 1) % r.evCap
-		r.dropped++
-	}
-	r.evMu.Unlock()
-}
-
-// Events returns the retained events in emission order.
-func (r *Registry) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.evMu.Lock()
-	defer r.evMu.Unlock()
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.evNext:]...)
-	out = append(out, r.events[:r.evNext]...)
-	return out
-}
-
 // Snapshot is a point-in-time, JSON-serialisable export of a registry:
 // what -metrics-out writes and what Report.Metrics carries.
 type Snapshot struct {
-	Counters      map[string]uint64        `json:"counters"`
-	Gauges        map[string]int64         `json:"gauges,omitempty"`
-	Histograms    map[string]HistogramStat `json:"histograms,omitempty"`
-	Events        []Event                  `json:"events,omitempty"`
-	DroppedEvents uint64                   `json:"dropped_events,omitempty"`
-	// OldestEventSeq is the sequence number of the oldest RETAINED event:
-	// everything below it (1..OldestEventSeq-1, exactly DroppedEvents
-	// entries) was evicted by the bounded ring. 0 when no events exist.
-	OldestEventSeq uint64 `json:"oldest_event_seq,omitempty"`
+	Counters   map[string]uint64        `json:"counters"`
+	Gauges     map[string]int64         `json:"gauges,omitempty"`
+	Histograms map[string]HistogramStat `json:"histograms,omitempty"`
 	// Spans are the retained completed trace spans (EnableSpans runs
 	// only; empty otherwise) and DroppedSpans counts ring evictions.
 	Spans        []SpanRecord `json:"spans,omitempty"`
 	DroppedSpans uint64       `json:"dropped_spans,omitempty"`
 }
 
-// Snapshot exports every metric and the retained events. Safe to call
+// Snapshot exports every metric and the retained spans. Safe to call
 // concurrently with recording; the result is internally consistent per
 // metric (not across metrics). Returns the zero Snapshot for nil.
 func (r *Registry) Snapshot() Snapshot {
@@ -395,13 +317,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, h := range hists {
 		snap.Histograms[k] = h.Stat()
-	}
-	snap.Events = r.Events()
-	r.evMu.Lock()
-	snap.DroppedEvents = r.dropped
-	r.evMu.Unlock()
-	if len(snap.Events) > 0 {
-		snap.OldestEventSeq = snap.Events[0].Seq
 	}
 	snap.Spans = r.Spans()
 	snap.DroppedSpans = r.DroppedSpans()

@@ -75,45 +75,17 @@ func TestHistogramWindowBound(t *testing.T) {
 	}
 }
 
-func TestEventRingBound(t *testing.T) {
-	r := NewCap(4)
-	for i := 0; i < 10; i++ {
-		r.Emit(Event{Kind: "k", N: int64(i)})
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	// Oldest dropped: the survivors are 6..9 in emission order.
-	for i, ev := range evs {
-		if want := int64(6 + i); ev.N != want {
-			t.Fatalf("event[%d].N = %d, want %d", i, ev.N, want)
-		}
-		if i > 0 && evs[i].Seq <= evs[i-1].Seq {
-			t.Fatalf("events out of order: %v", evs)
-		}
-	}
-	snap := r.Snapshot()
-	if snap.DroppedEvents != 6 {
-		t.Fatalf("dropped = %d, want 6", snap.DroppedEvents)
-	}
-}
-
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
 	r.Inc("x")
 	r.Add("x", 2)
 	r.SetGauge("g", 1)
 	r.Observe("h", time.Second)
-	r.Emit(Event{Kind: "k"})
 	r.Counter("x").Inc()
 	r.Gauge("g").Set(2)
 	r.Histogram("h").Observe(time.Second)
 	if r.CounterValue("x") != 0 || r.GaugeValue("g") != 0 {
 		t.Fatal("nil registry should read zero")
-	}
-	if r.Events() != nil {
-		t.Fatal("nil registry should have no events")
 	}
 	snap := r.Snapshot()
 	if snap.Counters != nil {
@@ -136,7 +108,6 @@ func TestConcurrentRecording(t *testing.T) {
 				r.SetGauge("g", int64(i))
 				r.Observe("h", time.Duration(i))
 				if i%100 == 0 {
-					r.Emit(Event{Kind: "tick", N: int64(w)})
 					r.Snapshot()
 				}
 			}
@@ -156,7 +127,6 @@ func TestSnapshotJSON(t *testing.T) {
 	r.Add("chase.rounds", 3)
 	r.SetGauge("chase.queue_depth", 12)
 	r.Observe("chase.unit", 5*time.Millisecond)
-	r.Emit(Event{Kind: "round.start", Round: 1})
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -173,8 +143,5 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if back.Histograms["chase.unit"].Count != 1 {
 		t.Fatalf("histograms round-trip = %v", back.Histograms)
-	}
-	if len(back.Events) != 1 || back.Events[0].Kind != "round.start" {
-		t.Fatalf("events round-trip = %v", back.Events)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // This file renders a Snapshot in the Prometheus text exposition format
 // (version 0.0.4), entirely with the standard library — Rock carries no
 // dependencies, so the format is written by hand. Every counter, gauge
-// and histogram of the registry is exposed, plus the event/span ring
+// and histogram of the registry is exposed, plus the span ring
 // bookkeeping, under a "rock_" namespace with metric names sanitised to
 // the [a-zA-Z0-9_] charset Prometheus requires ("chase.node.node-0.units"
 // becomes "rock_chase_node_node_0_units"). Output is sorted by name, so
@@ -57,10 +57,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		add("gauge", p+"_p50_ns", int64(h.P50))
 		add("gauge", p+"_p95_ns", int64(h.P95))
 	}
-	// Ring bookkeeping: how much of the bounded logs survived.
-	add("counter", "rock_events_dropped", s.DroppedEvents)
-	add("gauge", "rock_events_retained", len(s.Events))
-	add("gauge", "rock_events_oldest_seq", s.OldestEventSeq)
+	// Ring bookkeeping: how much of the bounded span log survived.
 	add("counter", "rock_spans_dropped", s.DroppedSpans)
 	add("gauge", "rock_spans_retained", len(s.Spans))
 	sort.Strings(lines)

@@ -13,7 +13,6 @@ import (
 // stack (see DESIGN.md's substitution table):
 //
 //	/metrics   Prometheus text exposition of every counter/gauge/histogram
-//	/events    the bounded event ring as JSON (plus drop bookkeeping)
 //	/spans     completed trace spans as JSON
 //	/snapshot  the full Snapshot, exactly what -metrics-out writes
 //	/trace     the Chrome trace-event export of /spans
@@ -28,14 +27,6 @@ func (r *Registry) AttachHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.Snapshot().WritePrometheus(w)
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, _ *http.Request) {
-		snap := r.Snapshot()
-		writeJSON(w, struct {
-			Events         []Event `json:"events"`
-			DroppedEvents  uint64  `json:"dropped_events"`
-			OldestEventSeq uint64  `json:"oldest_event_seq"`
-		}{snap.Events, snap.DroppedEvents, snap.OldestEventSeq})
 	})
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, struct {

@@ -135,40 +135,6 @@ func TestSpanRingOverflow(t *testing.T) {
 	}
 }
 
-// TestEventRingOverflow pins the event ring's drop bookkeeping exposed
-// by Snapshot (satellite: dropped count + oldest retained sequence).
-func TestEventRingOverflow(t *testing.T) {
-	r := NewCap(4)
-	for i := 1; i <= 10; i++ {
-		r.Emit(Event{Kind: "tick", N: int64(i)})
-	}
-	snap := r.Snapshot()
-	if snap.DroppedEvents != 6 {
-		t.Fatalf("dropped %d events, want 6", snap.DroppedEvents)
-	}
-	if len(snap.Events) != 4 {
-		t.Fatalf("retained %d events, want 4", len(snap.Events))
-	}
-	// 10 emitted, 4 retained: seqs 1..6 evicted, oldest retained is 7.
-	if snap.OldestEventSeq != 7 {
-		t.Fatalf("oldest retained seq %d, want 7", snap.OldestEventSeq)
-	}
-	for i, ev := range snap.Events {
-		if want := uint64(7 + i); ev.Seq != want {
-			t.Fatalf("events[%d].Seq = %d, want %d", i, ev.Seq, want)
-		}
-	}
-	var buf bytes.Buffer
-	if err := snap.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"rock_events_dropped 6\n", "rock_events_retained 4\n", "rock_events_oldest_seq 7\n"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
 // TestSpanConcurrency hammers the span API from many goroutines while
 // readers snapshot concurrently; run under -race this pins the layer's
 // race-cleanliness.
@@ -295,7 +261,6 @@ func TestTelemetryEndpoints(t *testing.T) {
 			}
 			r.Inc("chase.valuations")
 			r.Observe("unit_ns", time.Duration(i)*time.Microsecond)
-			r.Emit(Event{Kind: "unit_done", Node: "node-0"})
 			s := r.StartSpan("unit", nil)
 			s.End()
 		}
@@ -333,7 +298,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 		}
 	}
 
-	for _, path := range []string{"/events", "/spans", "/snapshot", "/trace"} {
+	for _, path := range []string{"/spans", "/snapshot", "/trace"} {
 		ct, body := get(path)
 		if !strings.HasPrefix(ct, "application/json") {
 			t.Fatalf("%s content type %q", path, ct)

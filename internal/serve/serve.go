@@ -11,7 +11,7 @@
 //	GET  /v1/{tenant}/query      read one cleaned tuple (?token= as above)
 //	POST /v1/{tenant}/clean      full batch clean
 //	GET  /v1/{tenant}/metrics    per-tenant Prometheus exposition
-//	GET  /v1/{tenant}/telemetry/ per-tenant obs endpoints (spans, events)
+//	GET  /v1/{tenant}/telemetry/ per-tenant obs endpoints (spans, snapshot, trace)
 //	GET  /healthz                liveness (503 while draining)
 //
 // Ingests coalesce per tenant for up to Config.BatchWindow (or

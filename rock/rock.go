@@ -123,10 +123,11 @@ type Options struct {
 	Predication bool
 	// Lazy enables lazy rule activation in the chase.
 	Lazy bool
-	// Steal enables work stealing between workers in both the detection
-	// and chase phases. On in Rock proper; the work-stealing ablation
-	// turns it off. Results are identical either way — stealing only
-	// re-assigns work units.
+	// Steal enables work stealing between the in-process pool's workers
+	// in both the detection and chase phases. On in Rock proper; the
+	// work-stealing ablation turns it off. Results are identical either
+	// way — stealing only re-assigns work units. A remote coordinator
+	// (Cluster) ignores it: it splits units evenly over its workers.
 	Steal bool
 	// MaxRounds bounds the chase fixpoint loop.
 	MaxRounds int
