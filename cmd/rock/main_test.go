@@ -164,6 +164,14 @@ func TestCleanMetricsOut(t *testing.T) {
 			t.Errorf("counter %s = %d, want %d (API reference run)", name, got, want)
 		}
 	}
+	// Column work is counted where it happens: detection encodes the
+	// columns, the chase reuses them, Materialize refreshes what it wrote.
+	if snap.Counters["exec.columns.built"] == 0 {
+		t.Error("exec.columns.built missing from -metrics-out")
+	}
+	if _, ok := snap.Counters["exec.columns.refreshed"]; !ok {
+		t.Error("exec.columns.refreshed missing from -metrics-out")
+	}
 }
 
 func TestGenUnknownApp(t *testing.T) {

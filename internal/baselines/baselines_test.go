@@ -217,3 +217,35 @@ func TestBenchIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestSQLCorrectSeesItsOwnWrites: the SQL engine corrects across rounds on
+// one executor, writing through SetValue. Round 1's second rule sets
+// R[0].b = B2; round 2's join on b must see that write and equate c across
+// the two rows, not compare the interned ids of the old values.
+func TestSQLCorrectSeesItsOwnWrites(t *testing.T) {
+	rel := data.NewRelation(must.Schema("R",
+		data.Attribute{Name: "k", Type: data.TString},
+		data.Attribute{Name: "b", Type: data.TString},
+		data.Attribute{Name: "c", Type: data.TString},
+	))
+	rel.Insert("x", data.S("x"), data.S("B1"), data.S("C1"))
+	rel.Insert("y", data.S("y"), data.S("B2"), data.S("C2"))
+	db := data.NewDatabase()
+	db.Add(rel)
+	b := &Bench{Env: predicate.NewEnv(db), Rules: []*ree.Rule{
+		must.Rule("R(t) ^ R(s) ^ t.b = s.b -> t.c = s.c", db),
+		must.Rule("R(t) ^ t.k = 'x' -> t.b = 'B2'", db),
+	}}
+	out, err := NewSparkSQL().Correct(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := out.Cells[quality.CellKey("R", 0, "b")]; !ok {
+		t.Fatal("the constant rule never wrote R[0].b")
+	}
+	_, c0 := out.Cells[quality.CellKey("R", 0, "c")]
+	_, c1 := out.Cells[quality.CellKey("R", 1, "c")]
+	if !c0 && !c1 {
+		t.Fatalf("the join on b never saw R[0].b = B2: corrections %v", out.Cells)
+	}
+}

@@ -270,9 +270,12 @@ type Engine struct {
 	// can be retracted by rebuilding the order.
 	orderLog map[string][]Fix
 	// tuplesByEID indexes tuples by their raw EID per relation for dirty
-	// propagation and the corrections diff. Built in New, rebuilt when
-	// RunIncrementalCtx absorbs a delta.
+	// propagation and the corrections diff (indexEIDs).
 	tuplesByEID map[string]map[string][]*data.Tuple
+	// eidShape is each relation's (NextTID, Len) when its tuplesByEID
+	// entry was built. Updates rewrite values, never EIDs, so a relation
+	// whose shape has not moved keeps its entry.
+	eidShape map[string][2]int
 	// blocks caches the TID-partition of every relation across rounds:
 	// relations never gain or lose tuples during a run, so the round loop
 	// reuses one partition instead of rebuilding it every round. Reset
@@ -358,6 +361,7 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 		opts:          opts,
 		orderLog:      make(map[string][]Fix),
 		tuplesByEID:   make(map[string]map[string][]*data.Tuple),
+		eidShape:      make(map[string][2]int),
 		oracleMemo:    make(map[string]data.Value),
 		resolvedCells: make(map[string]bool),
 		ruleCosts:     make(map[string]*RuleCost),
@@ -382,13 +386,7 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	}
 	e.cl.SetObs(e.obs, "chase")
 	e.dist, _ = e.cl.(DistRunner)
-	for name, rel := range env.DB.Relations {
-		idx := make(map[string][]*data.Tuple)
-		for _, t := range rel.Tuples {
-			idx[t.EID] = append(idx[t.EID], t)
-		}
-		e.tuplesByEID[name] = idx
-	}
+	e.indexEIDs()
 	// Wire the chase semantics into the environment: values read through
 	// the fix set (validated first, raw otherwise) and temporal predicates
 	// read the validated orders.
@@ -455,6 +453,23 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 		e.exec.SetEmbedStore(e.pred.Embeds)
 	}
 	return e
+}
+
+// indexEIDs (re)builds the EID index of every relation whose NextTID or
+// Len moved since it was last indexed — every relation, the first time.
+func (e *Engine) indexEIDs() {
+	for name, rel := range e.env.DB.Relations {
+		shape := [2]int{rel.NextTID(), rel.Len()}
+		if _, ok := e.tuplesByEID[name]; ok && e.eidShape[name] == shape {
+			continue
+		}
+		idx := make(map[string][]*data.Tuple)
+		for _, t := range rel.Tuples {
+			idx[t.EID] = append(idx[t.EID], t)
+		}
+		e.tuplesByEID[name] = idx
+		e.eidShape[name] = shape
+	}
 }
 
 // Truth exposes the engine's fix set U (read-mostly; mutate via the chase).
@@ -602,20 +617,15 @@ func (e *Engine) RunIncrementalCtx(ctx context.Context, dirty map[string]map[int
 		return &e.report, nil
 	}
 	e.phaseSpan = e.obs.StartSpan("chase.incremental", e.opts.Span)
-	// Refresh the EID index for tuples inserted since construction.
-	for name, rel := range e.env.DB.Relations {
-		idx := make(map[string][]*data.Tuple)
-		for _, t := range rel.Tuples {
-			idx[t.EID] = append(idx[t.EID], t)
-		}
-		e.tuplesByEID[name] = idx
-	}
-	// The caller mutated raw data: re-intern the changed TIDs, rebuild the
-	// partition (inserts need a block), and shadow the dirty tuples — an
-	// updated tuple may sit in an entity class with validated cells, so
-	// its view can differ from its new raw value.
+	// Index the EIDs of tuples inserted since the index was built.
+	e.indexEIDs()
+	// The caller mutated raw data: rebuild the partition (inserts need a
+	// block) and shadow the dirty tuples — an updated tuple may sit in an
+	// entity class with validated cells, so its view can differ from its
+	// new raw value. The env's columns keep themselves current: a pipeline
+	// delta refreshed them, and a column stamped before a write it was not
+	// told about is rebuilt on its next read.
 	e.blocks = nil
-	e.exec.RefreshTuples(dirty)
 	e.exec.MarkShadowed(dirty)
 	// With a predication layer shared across runs (rockd's warm per-tenant
 	// state), the embedding store may hold vectors computed from the
@@ -907,7 +917,7 @@ func (e *Engine) prepareRound(rules []*ree.Rule, dirty map[string]map[int]bool) 
 	}
 	var work []unitWork
 	for _, r := range ordered {
-		for _, u := range crystal.UnitsFor(r, e.blocks) {
+		for _, u := range crystal.UnitsFor(exec.PlanAtoms(r), e.blocks) {
 			work = append(work, unitWork{index: len(work), rule: r, BlockUnit: u})
 		}
 	}

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"github.com/rockclean/rock/internal/chase"
+	"github.com/rockclean/rock/internal/detect"
+	"github.com/rockclean/rock/internal/obs"
 	"github.com/rockclean/rock/internal/predicate"
 	"github.com/rockclean/rock/internal/workload"
 )
@@ -48,6 +50,47 @@ func TestScaleWorkloadDeterministicAcrossMatrix(t *testing.T) {
 				t.Errorf("workers=%d parallel=%v: fix-set snapshot diverges from the serial reference", workers, parallel)
 			}
 		}
+	}
+}
+
+// TestDetectThenChaseBuildsEachColumnOnce: detection and a chase over one
+// env share its column cache. Scale's three columns (sku, region, code)
+// are encoded once between them, by detection, where each used to build
+// its own; Materialize refreshes what it wrote, so detecting again
+// afterwards encodes nothing and finds the data clean.
+func TestDetectThenChaseBuildsEachColumnOnce(t *testing.T) {
+	ds := workload.Scale(workload.Config{N: 20000, Seed: 77})
+	env := predicate.NewEnv(ds.DB)
+	reg := obs.New()
+	dOpts := detect.DefaultOptions()
+	dOpts.UseBlocking = false
+	dOpts.Obs = reg
+	if _, err := detect.New(env, ds.Rules, dOpts).Detect(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.CounterValue("exec.columns.built"); got != 3 {
+		t.Fatalf("detection built %d columns, want 3", got)
+	}
+	opts := chase.DefaultOptions()
+	opts.UseBlocking = false
+	opts.Predication = false
+	opts.Obs = reg
+	eng := chase.New(env, ds.Rules, ds.Gamma, opts)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.CounterValue("exec.columns.built"); got != 3 {
+		t.Fatalf("the chase built %d more columns, want none", got-3)
+	}
+	if eng.Materialize() == 0 || reg.CounterValue("exec.columns.refreshed") == 0 {
+		t.Fatal("Materialize wrote nothing or refreshed no column")
+	}
+	errs, err := detect.New(env, ds.Rules, dOpts).Detect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(errs) != 0 || reg.CounterValue("exec.columns.built") != 3 {
+		t.Fatalf("detection after Materialize: %d errors and %d builds, want 0 and 3", len(errs), reg.CounterValue("exec.columns.built"))
 	}
 }
 

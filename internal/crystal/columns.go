@@ -282,30 +282,55 @@ func (c *Column) Complete(rel *data.Relation) bool {
 }
 
 // Refresh re-interns the raw values of the given TIDs (nil: every tuple),
-// absorbing in-place updates and inserts since the column was built. New
-// values intern with appended ids; postings stay sorted.
+// absorbing updates, inserts and deletes since the column was built. It
+// walks the TIDs in ascending order through rel.Get, so it costs the TIDs
+// it is given, not the relation, and values new to the dictionary get
+// their appended ids in a deterministic order. Postings stay sorted.
 func (c *Column) Refresh(rel *data.Relation, tids map[int]bool) {
 	ai := rel.Schema.Index(c.Attr)
 	if ai < 0 {
 		return
 	}
-	for _, t := range rel.Tuples {
-		if tids != nil && !tids[t.TID] {
-			continue
+	if tids == nil {
+		for _, t := range rel.Tuples {
+			c.refreshTID(t.TID, t, ai)
 		}
-		id := c.Dict.Intern(t.Values[ai])
-		for int(id) >= len(c.Postings) {
-			c.Postings = append(c.Postings, nil)
-		}
-		if old, ok := c.IDAt(t.TID); ok {
-			if old == id {
-				continue
-			}
-			c.Postings[old] = removeSorted(c.Postings[old], t.TID)
-		}
-		c.setID(t.TID, id)
-		c.Postings[id] = insertSorted(c.Postings[id], t.TID)
+		return
 	}
+	order := make([]int, 0, len(tids))
+	for tid, dirty := range tids {
+		if dirty {
+			order = append(order, tid)
+		}
+	}
+	sort.Ints(order)
+	for _, tid := range order {
+		c.refreshTID(tid, rel.Get(tid), ai)
+	}
+}
+
+// refreshTID re-interns one TID; t is its tuple, nil when none is live.
+func (c *Column) refreshTID(tid int, t *data.Tuple, ai int) {
+	old, had := c.IDAt(tid)
+	if t == nil {
+		if had {
+			c.Postings[old] = removeSorted(c.Postings[old], tid)
+			c.setID(tid, NoValue)
+		}
+		return
+	}
+	id := c.Dict.Intern(t.Values[ai])
+	for int(id) >= len(c.Postings) {
+		c.Postings = append(c.Postings, nil)
+	}
+	if had {
+		if old == id {
+			return
+		}
+		c.Postings[old] = removeSorted(c.Postings[old], tid)
+	}
+	c.setID(tid, id)
+	c.Postings[id] = insertSorted(c.Postings[id], tid)
 }
 
 func removeSorted(s []int, x int) []int {
@@ -325,64 +350,4 @@ func insertSorted(s []int, x int) []int {
 	copy(s[i+1:], s[i:])
 	s[i] = x
 	return s
-}
-
-// ColumnStore is the column-oriented copy of a relation (the row-oriented
-// copy is the relation itself) — the per-relation interning layer.
-type ColumnStore struct {
-	Rel     string
-	Columns map[string]*Column
-
-	rel *data.Relation // source relation, for Refresh
-}
-
-// BuildColumnStore encodes every attribute of the relation.
-func BuildColumnStore(rel *data.Relation) (*ColumnStore, error) {
-	cs := &ColumnStore{Rel: rel.Schema.Name, Columns: make(map[string]*Column), rel: rel}
-	for _, a := range rel.Schema.Attrs {
-		col, err := BuildColumn(rel, a.Name)
-		if err != nil {
-			return nil, err
-		}
-		cs.Columns[a.Name] = col
-	}
-	return cs, nil
-}
-
-// Refresh re-interns the given TIDs (nil: all) across every column.
-func (cs *ColumnStore) Refresh(tids map[int]bool) {
-	for _, col := range cs.Columns {
-		col.Refresh(cs.rel, tids)
-	}
-}
-
-// TIDsWithValue returns the tuples carrying value v in attr, sorted. The
-// result is a defensive copy: callers may append, sort or mutate it
-// without corrupting the store's posting lists.
-func (cs *ColumnStore) TIDsWithValue(attr string, v data.Value) []int {
-	view := cs.TIDsView(attr, v)
-	if view == nil {
-		return nil
-	}
-	return append([]int(nil), view...)
-}
-
-// TIDsView is the allocation-free counterpart of TIDsWithValue for
-// executor-internal use: it returns the posting list itself (sorted).
-// The result is strictly read-only and must not be retained across a
-// Refresh; external callers wanting an owned slice use TIDsWithValue.
-func (cs *ColumnStore) TIDsView(attr string, v data.Value) []int {
-	col := cs.Columns[attr]
-	if col == nil {
-		return nil
-	}
-	id, ok := col.Dict.ID(v)
-	if !ok {
-		return nil
-	}
-	p := col.PostingList(id)
-	if len(p) == 0 {
-		return nil
-	}
-	return p
 }

@@ -2,16 +2,17 @@ package crystal
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
-	"github.com/rockclean/rock/internal/must"
 )
 
 func sampleRel(t *testing.T) *data.Relation {
 	t.Helper()
-	rel := data.NewRelation(must.Schema("Store",
+	rel := data.NewRelation(schemaOf("Store",
 		data.Attribute{Name: "city", Type: data.TString},
 		data.Attribute{Name: "sales", Type: data.TFloat},
 	))
@@ -228,7 +229,7 @@ func TestSchedulerStealZeroCostUnits(t *testing.T) {
 // skuFixture builds n tuples over 97 distinct skus with a null every 41st.
 func skuFixture(t *testing.T, n int) *data.Relation {
 	t.Helper()
-	rel := data.NewRelation(must.Schema("Ev",
+	rel := data.NewRelation(schemaOf("Ev",
 		data.Attribute{Name: "sku", Type: data.TString},
 		data.Attribute{Name: "qty", Type: data.TInt},
 	))
@@ -260,7 +261,7 @@ func checkPostingSorted(p []int) error {
 // the receiving bucket stays sorted, and dictionary lookups of the
 // vacated value yield an empty posting view.
 func TestRefreshEmptiesPostingBucket(t *testing.T) {
-	rel := data.NewRelation(must.Schema("R", data.Attribute{Name: "a", Type: data.TString}))
+	rel := data.NewRelation(schemaOf("R", data.Attribute{Name: "a", Type: data.TString}))
 	for i := 0; i < 30; i++ {
 		v := "keep"
 		if i%3 == 0 {
@@ -329,4 +330,108 @@ func TestCompleteTracksHolesAndInserts(t *testing.T) {
 	if !col.Complete(rel) {
 		t.Fatal("Complete tracks assigned-TID coverage, not liveness")
 	}
+}
+
+// schemaOf is must.Schema for this package, which must cannot serve: its
+// rule parser imports predicate, and predicate imports crystal.
+func schemaOf(name string, attrs ...data.Attribute) *data.Schema {
+	s, err := data.NewSchema(name, attrs...)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// TestRefreshMatchesFreshBuild: on seeded random deltas — updates to
+// existing and to new values, a value left with no tuples, inserts and
+// deletes — a refreshed column holds the same value at every TID and the
+// same posting lists, by value, as a column built afresh.
+func TestRefreshMatchesFreshBuild(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rel := skuFixture(t, 400)
+		col, err := BuildColumn(rel, "sku")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := map[int]bool{}
+		set := func(tid int, v data.Value) {
+			if rel.SetValue(tid, "sku", v) {
+				dirty[tid] = true
+			}
+		}
+		for i := 0; i < 60; i++ {
+			tid := rng.Intn(rel.NextTID())
+			switch rng.Intn(3) {
+			case 0:
+				set(tid, data.S(fmt.Sprintf("S%d", rng.Intn(97))))
+			case 1:
+				set(tid, data.S(fmt.Sprintf("new%d", rng.Intn(4))))
+			default:
+				set(tid, data.Null(data.TString))
+			}
+		}
+		gone := data.S(fmt.Sprintf("S%d", 1+rng.Intn(96)))
+		for _, tp := range rel.Tuples {
+			if tp.Values[0].Equal(gone) {
+				set(tp.TID, data.S("S0"))
+			}
+		}
+		for i := 0; i < 20; i++ {
+			tp := rel.Insert(fmt.Sprintf("n%d", i), data.S(fmt.Sprintf("S%d", rng.Intn(120))), data.I(1))
+			dirty[tp.TID] = true
+		}
+		for i := 0; i < 3; i++ {
+			tid := rel.Tuples[rng.Intn(rel.Len())].TID
+			rel.Delete(tid)
+			dirty[tid] = true
+		}
+		col.Refresh(rel, dirty)
+		fresh, err := BuildColumn(rel, "sku")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameByValue(col, fresh, rel); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// sameByValue compares two columns of one relation by the values they
+// hold: a refreshed dictionary numbers its new values differently.
+func sameByValue(got, want *Column, rel *data.Relation) error {
+	if len(got.IDs) != len(want.IDs) || got.Complete(rel) != want.Complete(rel) {
+		return fmt.Errorf("covers %d TIDs (complete %v), the fresh build %d (complete %v)",
+			len(got.IDs), got.Complete(rel), len(want.IDs), want.Complete(rel))
+	}
+	key := func(c *Column, tid int) string {
+		id, ok := c.IDAt(tid)
+		if !ok {
+			return "<none>"
+		}
+		v, _ := c.Dict.Value(id)
+		return v.Key()
+	}
+	for tid := range want.IDs {
+		if g, w := key(got, tid), key(want, tid); g != w {
+			return fmt.Errorf("TID %d holds %q, the fresh build %q", tid, g, w)
+		}
+	}
+	for id := ValueID(0); int(id) < want.Dict.Size(); id++ {
+		v, _ := want.Dict.Value(id)
+		gid, ok := got.Dict.ID(v)
+		if !ok {
+			return fmt.Errorf("value %q missing from the refreshed dictionary", v.Key())
+		}
+		if !slices.Equal(got.PostingList(gid), want.PostingList(id)) {
+			return fmt.Errorf("value %q: postings %v, the fresh build %v", v.Key(), got.PostingList(gid), want.PostingList(id))
+		}
+	}
+	for id := ValueID(0); int(id) < got.Dict.Size(); id++ {
+		v, _ := got.Dict.Value(id)
+		if _, ok := want.Dict.ID(v); !ok && len(got.PostingList(id)) > 0 {
+			return fmt.Errorf("value %q still has carriers %v", v.Key(), got.PostingList(id))
+		}
+	}
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/rockclean/rock/internal/data"
-	"github.com/rockclean/rock/internal/ree"
 )
 
 // WorkUnit is T = (φ, D_T): a (partial) REE++ paired with a data partition
@@ -51,21 +50,26 @@ type BlockUnit struct {
 	EstCost  float64                  // product of the block sizes
 }
 
-// UnitsFor plans rule r over blocks: one unit per non-empty block
-// combination, in block-index order, so the i-th unit of a rule names the
-// same work on every process that partitioned the same data. A rule
-// without tuple atoms yields no units.
-func UnitsFor(r *ree.Rule, blocks map[string][][]*data.Tuple) []BlockUnit {
-	if len(r.Atoms) == 0 {
+// Atom is one tuple atom R(t) of a rule as the planner reads it: the
+// relation and the tuple variable ranging over it.
+type Atom struct{ Rel, Var string }
+
+// UnitsFor plans a rule over blocks from its tuple atoms, of which the
+// first two partition the work: one unit per non-empty block combination,
+// in block-index order, so the i-th unit of a rule names the same work on
+// every process that partitioned the same data. A rule without tuple
+// atoms yields no units.
+func UnitsFor(atoms []Atom, blocks map[string][][]*data.Tuple) []BlockUnit {
+	if len(atoms) == 0 {
 		return nil
 	}
 	var units []BlockUnit
-	a1 := r.Atoms[0]
+	a1 := atoms[0]
 	for i, b1 := range blocks[a1.Rel] {
 		if len(b1) == 0 {
 			continue
 		}
-		if len(r.Atoms) == 1 {
+		if len(atoms) == 1 {
 			units = append(units, BlockUnit{
 				Part:     fmt.Sprintf("%s/b%d", a1.Rel, i),
 				Restrict: map[string][]*data.Tuple{a1.Var: b1},
@@ -73,7 +77,7 @@ func UnitsFor(r *ree.Rule, blocks map[string][][]*data.Tuple) []BlockUnit {
 			})
 			continue
 		}
-		a2 := r.Atoms[1]
+		a2 := atoms[1]
 		for j, b2 := range blocks[a2.Rel] {
 			if len(b2) == 0 {
 				continue

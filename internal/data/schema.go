@@ -107,6 +107,8 @@ type Relation struct {
 	Tuples []*Tuple
 	byTID  map[int]*Tuple
 	nextID int
+	// version counts the mutations Insert, SetValue and Delete made.
+	version uint64
 }
 
 // NewRelation creates an empty relation of the given schema.
@@ -127,6 +129,7 @@ func (r *Relation) Insert(eid string, values ...Value) *Tuple {
 	}
 	t := &Tuple{TID: r.nextID, EID: eid, Values: vs}
 	r.nextID++
+	r.version++
 	r.Tuples = append(r.Tuples, t)
 	r.byTID[t.TID] = t
 	return t
@@ -139,6 +142,12 @@ func (r *Relation) Get(tid int) *Tuple { return r.byTID[tid] }
 // upper bound of every TID ever assigned. Dense TID-indexed structures
 // (crystal columns) use it to tell full coverage from stale builds.
 func (r *Relation) NextTID() int { return r.nextID }
+
+// Version counts the mutations Insert, SetValue and Delete have made to
+// the relation. Copies derived from its tuples (crystal's columns) stamp
+// themselves with it and count as current only while it has not moved; a
+// write that bypasses these methods (t.Values[i] = v) is invisible to it.
+func (r *Relation) Version() uint64 { return r.version }
 
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.Tuples) }
@@ -168,6 +177,7 @@ func (r *Relation) SetValue(tid int, attr string, v Value) bool {
 		return false
 	}
 	t.Values[i] = v
+	r.version++
 	return true
 }
 
@@ -179,6 +189,7 @@ func (r *Relation) Delete(tid int) bool {
 		return false
 	}
 	delete(r.byTID, tid)
+	r.version++
 	for i, u := range r.Tuples {
 		if u.TID == tid {
 			r.Tuples = append(r.Tuples[:i], r.Tuples[i+1:]...)
@@ -236,6 +247,16 @@ func (d *Database) Clone() *Database {
 		c.Add(r.Clone())
 	}
 	return c
+}
+
+// Versions returns every relation's Version by name: the counts a batch
+// of writes starts from.
+func (d *Database) Versions() map[string]uint64 {
+	out := make(map[string]uint64, len(d.Relations))
+	for name, r := range d.Relations {
+		out[name] = r.version
+	}
+	return out
 }
 
 // TupleCount returns the total number of tuples across relations.

@@ -151,7 +151,9 @@ func (d *Detector) DetectCtx(ctx context.Context) (errs []*Error, partial bool, 
 // DetectIncrementalCtx runs incremental detection: only violations
 // involving at least one dirty tuple are found (paper §3, "incrementally
 // detects errors in response to updates"). dirty maps relation name to
-// changed TIDs. Cancellation degrades gracefully, as in DetectCtx.
+// changed TIDs. The env's columns need nothing from the caller: one
+// stamped before the caller's writes is rebuilt on its next read.
+// Cancellation degrades gracefully, as in DetectCtx.
 func (d *Detector) DetectIncrementalCtx(ctx context.Context, dirty map[string]map[int]bool) ([]*Error, bool, error) {
 	return d.runCtx(ctx, dirty)
 }
@@ -159,13 +161,6 @@ func (d *Detector) DetectIncrementalCtx(ctx context.Context, dirty map[string]ma
 func (d *Detector) runCtx(ctx context.Context, dirty map[string]map[int]bool) ([]*Error, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if dirty != nil {
-		// Incremental detection runs after the caller mutated raw data:
-		// re-intern the changed TIDs so the executor's id comparisons see
-		// current values (fresh detectors build columns lazily anyway; this
-		// matters for a detector reused across update batches).
-		d.ex.RefreshTuples(dirty)
 	}
 	start := time.Now()
 	phaseName := "detect"
@@ -218,7 +213,7 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 		if len(r.Atoms) == 0 {
 			return nil, false, fmt.Errorf("detect: rule %s has no tuple atoms", r.ID)
 		}
-		for _, b := range crystal.UnitsFor(r, blocks) {
+		for _, b := range crystal.UnitsFor(exec.PlanAtoms(r), blocks) {
 			res := &result{}
 			results = append(results, res)
 			all = append(all, &crystal.WorkUnit{

@@ -110,9 +110,10 @@ type Executor struct {
 	mu       sync.Mutex
 	blockers map[string]*blockerEntry
 
-	// in is the dictionary-encoded hot path (intern.go): lazily built
-	// interned columns, cross-column id translations, and the shadow-TID
-	// sets that keep interned comparisons sound under a ValueOf hook.
+	// in is this executor's view over the env's dictionary-encoded
+	// columns (intern.go): the shadow-TID sets that keep interned
+	// comparisons sound under a ValueOf hook, and the registered partition
+	// TID arrays.
 	in internIndex
 }
 
@@ -1023,4 +1024,14 @@ func valueThrough(env *predicate.Env, rel string, t *data.Tuple, attr string, id
 // callers building Restrict partitions.
 func SortTuplesByTID(ts []*data.Tuple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].TID < ts[j].TID })
+}
+
+// PlanAtoms returns r's tuple atoms as the HyperCube planner
+// (crystal.UnitsFor) reads them.
+func PlanAtoms(r *ree.Rule) []crystal.Atom {
+	atoms := make([]crystal.Atom, len(r.Atoms))
+	for i, a := range r.Atoms {
+		atoms[i] = crystal.Atom(a)
+	}
+	return atoms
 }

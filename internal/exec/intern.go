@@ -9,12 +9,16 @@ import (
 	"github.com/rockclean/rock/internal/data"
 )
 
-// internIndex is the executor's dictionary-encoded view of the database
-// (paper §5.1: Crystal "transforms attribute values to unique ids" so the
-// engine compares integers, not values). Columns build lazily per
-// (relation, attribute) on first use and are shared by every concurrent
-// Run; equality joins and constant predicates then compare uint32 ids
-// over dense TID-indexed slices instead of hashing data.Value keys.
+// internIndex is the executor's own part of the dictionary-encoded hot
+// path (paper §5.1: Crystal "transforms attribute values to unique ids" so
+// the engine compares integers, not values). The columns themselves belong
+// to the environment (predicate.Env.Columns): each (relation, attribute)
+// is encoded on first use, shared by every executor over the env —
+// detection, the chase and every later delta — and served only at the
+// relation's current mutation count. Equality joins and constant
+// predicates compare uint32 ids over dense TID-indexed slices instead of
+// hashing data.Value keys. What stays here describes one engine's view:
+// its shadow sets and its registered partition TID arrays.
 //
 // Correctness with the chase's fix-set view: interned ids encode RAW
 // tuple values, but the chase reads values through env.ValueOf (validated
@@ -25,13 +29,7 @@ import (
 // no shadow tracking runs the value-through reference bodies everywhere:
 // safe by default for direct library users installing custom hooks.
 type internIndex struct {
-	mu   sync.RWMutex
-	cols map[string]*crystal.Column // "rel\x1fattr" → column; nil: build failed/unknown attr
-	rels map[string]*data.Relation  // built columns' source relations, for refresh
-	// trans caches cross-column id translations: ids of column A mapped
-	// into the dictionary of column B ("relA\x1fattrA\x1frelB\x1fattrB").
-	// NoValue marks A-values absent from B's dictionary.
-	trans map[string][]crystal.ValueID
+	mu sync.RWMutex
 	// shadow[rel] is the TID set whose ValueOf view may differ from raw
 	// data; track is true once a caller claims to maintain it.
 	shadow map[string]map[int]bool
@@ -48,9 +46,8 @@ type internIndex struct {
 
 // partKey identifies a tuple slice by its backing window — data pointer
 // plus length. A slice is a contiguous window, so an equal key implies
-// identical content as long as the backing elements are unmodified: the
-// same invalidate-after-structural-mutation contract the interned
-// columns themselves live under (RefreshTuples / InvalidateInterned).
+// identical content as long as the backing elements are unmodified,
+// which RegisterPartition asks of its callers.
 type partKey struct {
 	p unsafe.Pointer
 	n int
@@ -72,7 +69,7 @@ func keyOfSlice(ts []*data.Tuple) (partKey, bool) {
 // tuple slice (a chase partition block or a full relation slice), so
 // the vectorized selection and join paths skip their per-call TID
 // extraction pass. The slice must stay alive and unchanged until
-// InvalidatePartitions / RefreshTuples / InvalidateInterned.
+// InvalidatePartitions.
 func (e *Executor) RegisterPartition(ts []*data.Tuple) {
 	k, ok := keyOfSlice(ts)
 	if !ok {
@@ -129,8 +126,6 @@ func (e *Executor) tidsOf(ts []*data.Tuple) (tids []int, pooled bool) {
 	}
 	return buf, true
 }
-
-func colKey(rel, attr string) string { return rel + "\x1f" + attr }
 
 // fastPathOK reports whether interned comparisons are sound for this run:
 // either values are read raw (no ValueOf hook — detection semantics), or
@@ -221,105 +216,20 @@ func (e *Executor) shadowOf(rel string) map[int]bool {
 	return m
 }
 
-// RefreshTuples re-interns the raw values of the given dirty TIDs into
-// every built column (absorbing SetValue updates and inserts), and drops
-// the translation cache. Call between Runs after mutating raw relation
-// data — the incremental chase and detection paths do this for their
-// dirty sets; InvalidateInterned is the blunt alternative.
-func (e *Executor) RefreshTuples(dirty map[string]map[int]bool) {
-	e.in.mu.Lock()
-	defer e.in.mu.Unlock()
-	if len(e.in.cols) == 0 {
-		return
-	}
-	for key, col := range e.in.cols {
-		if col == nil {
-			continue
-		}
-		rel := e.in.rels[key]
-		if rel == nil {
-			continue
-		}
-		tids := dirty[rel.Schema.Name]
-		if len(tids) == 0 {
-			continue
-		}
-		col.Refresh(rel, tids)
-	}
-	e.in.trans = nil
-	e.in.parts = nil // raw tuples changed shape: partition TIDs may be stale
-}
-
-// InvalidateInterned drops every interned column and translation; the
-// next Run rebuilds lazily from current raw data. Call after bulk raw
-// mutations (e.g. materialising fixes into the database).
-func (e *Executor) InvalidateInterned() {
-	e.in.mu.Lock()
-	defer e.in.mu.Unlock()
-	e.in.cols = nil
-	e.in.rels = nil
-	e.in.trans = nil
-	e.in.parts = nil
-}
-
-// internedCol returns the interned column for (rel, attr), building it on
-// first use. Returns nil when the relation or attribute is unknown.
+// internedCol returns the env's column for (rel, attr), current at the
+// relation's mutation count: the cache encodes it on first use, and again
+// after a write it was not told about, counting the build here. Nil when
+// the relation or attribute is unknown or the env has no column cache.
 func (e *Executor) internedCol(relName, attr string) *crystal.Column {
-	key := colKey(relName, attr)
-	e.in.mu.RLock()
-	col, ok := e.in.cols[key]
-	e.in.mu.RUnlock()
-	if ok {
-		return col
-	}
-	e.in.mu.Lock()
-	defer e.in.mu.Unlock()
-	if col, ok = e.in.cols[key]; ok { // lost the build race
-		return col
-	}
 	rel := e.env.DB.Rel(relName)
-	if rel != nil {
-		col, _ = crystal.BuildColumn(rel, attr) // nil on unknown attr
+	if rel == nil {
+		return nil
 	}
-	if e.in.cols == nil {
-		e.in.cols = make(map[string]*crystal.Column)
-		e.in.rels = make(map[string]*data.Relation)
-	}
-	e.in.cols[key] = col
-	if col != nil {
-		e.in.rels[key] = rel
+	col, built := e.env.Columns.Column(rel, attr)
+	if built {
+		e.reg.Inc("exec.columns.built")
 	}
 	return col
-}
-
-// translation maps ids of colA into colB's dictionary, cached per column
-// pair: one O(|dictA|) value lookup pass instead of per-tuple Key()
-// hashing on every join. Entry i is the colB id of colA's value i, or
-// NoValue when colB never saw that value.
-func (e *Executor) translation(relA, attrA string, colA *crystal.Column, relB, attrB string, colB *crystal.Column) []crystal.ValueID {
-	key := colKey(relA, attrA) + "\x1f" + colKey(relB, attrB)
-	e.in.mu.RLock()
-	tr, ok := e.in.trans[key]
-	e.in.mu.RUnlock()
-	if ok {
-		return tr
-	}
-	tr = make([]crystal.ValueID, colA.Dict.Size())
-	for i := range tr {
-		v, _ := colA.Dict.Value(crystal.ValueID(i))
-		if id, ok := colB.Dict.ID(v); ok {
-			tr[i] = id
-		} else {
-			tr[i] = crystal.NoValue
-		}
-	}
-	e.in.mu.Lock()
-	if e.in.trans == nil {
-		e.in.trans = make(map[string][]crystal.ValueID)
-	}
-	e.in.trans[key] = tr
-	e.in.mu.Unlock()
-	return tr
 }
 
 // --- per-binding scratch pools (the deduction path's GC relief) ---

@@ -362,9 +362,11 @@ func TestColumnarDeclinesDescendingPartition(t *testing.T) {
 	}
 }
 
-// A column built before an insert is not Complete: join and probe decline
-// to the reference, selection keeps its kernels and settles the unseen
-// TIDs per position. RefreshTuples restores the columnar bodies.
+// A stale column is never served: after an insert the executor's next
+// read rebuilds each column the rule reads (exec.columns.built), and join
+// and probe run columnar again. Complete still governs a column with
+// holes: after a delete the rebuilt column does not cover every assigned
+// TID, so join and probe decline to the reference.
 func TestColumnarDeclinesStaleColumn(t *testing.T) {
 	env := keyedEnv(t, 100)
 	rel := env.DB.Rel("R")
@@ -373,27 +375,29 @@ func TestColumnarDeclinesStaleColumn(t *testing.T) {
 	e := New(env)
 	e.SetObs(reg)
 	emissionTrace(t, e, r, Options{}) // builds the columns
-	added := map[int]bool{}
+	built := reg.CounterValue("exec.columns.built")
+	if built == 0 {
+		t.Fatal("the first run built no column")
+	}
 	for i := 0; i < 30; i++ {
 		flag := "y"
 		if i == 3 {
 			flag = "x"
 		}
-		tp := rel.Insert(fmt.Sprintf("n%d", i), data.S(fmt.Sprintf("k%d", i%12)), data.S(flag), data.S("v"))
-		added[tp.TID] = true
+		rel.Insert(fmt.Sprintf("n%d", i), data.S(fmt.Sprintf("k%d", i%12)), data.S(flag), data.S("v"))
 	}
-	want := emissionTrace(t, New(passThrough(env)), r, Options{})
 	joins, probes := reg.CounterValue("exec.vec.joins"), reg.CounterValue("exec.vec.probe_selects")
-	assertSameTrace(t, emissionTrace(t, e, r, Options{}), want)
-	if reg.CounterValue("exec.vec.joins") != joins || reg.CounterValue("exec.vec.probe_selects") != probes {
-		t.Fatal("join or probe ran columnar over an incomplete column")
+	assertSameTrace(t, emissionTrace(t, e, r, Options{}), emissionTrace(t, New(passThrough(env)), r, Options{}))
+	if got := reg.CounterValue("exec.columns.built"); got != 2*built {
+		t.Fatalf("%d column builds after the insert, want %d: each column the rule reads, once", got-built, built)
 	}
-	if reg.CounterValue("exec.vec.select_fallbacks") == 0 {
-		t.Fatal("selection kernels must settle unseen TIDs per position")
-	}
-	e.RefreshTuples(map[string]map[int]bool{"R": added})
-	assertSameTrace(t, emissionTrace(t, e, r, Options{}), want)
 	if reg.CounterValue("exec.vec.joins") == joins || reg.CounterValue("exec.vec.probe_selects") == probes {
-		t.Fatal("refreshed columns must take the columnar bodies again")
+		t.Fatal("rebuilt columns must take the columnar bodies")
+	}
+	rel.Delete(rel.Tuples[10].TID)
+	joins, probes = reg.CounterValue("exec.vec.joins"), reg.CounterValue("exec.vec.probe_selects")
+	assertSameTrace(t, emissionTrace(t, e, r, Options{}), emissionTrace(t, New(passThrough(env)), r, Options{}))
+	if reg.CounterValue("exec.vec.joins") != joins || reg.CounterValue("exec.vec.probe_selects") != probes {
+		t.Fatal("join or probe ran columnar over a column with holes")
 	}
 }

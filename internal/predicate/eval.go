@@ -3,6 +3,7 @@ package predicate
 import (
 	"fmt"
 
+	"github.com/rockclean/rock/internal/crystal"
 	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/kg"
 	"github.com/rockclean/rock/internal/ml"
@@ -67,18 +68,26 @@ type Env struct {
 	// means the value is not available/validated. When nil, the raw tuple
 	// value is used (detection semantics).
 	ValueOf func(rel string, t *data.Tuple, attr string) (data.Value, bool)
+
+	// Columns is the environment's dictionary-encoded column cache. Every
+	// executor over this env, or over a shallow copy of it, reads and
+	// fills it, so detection, the chase and every later delta encode a
+	// column once. Nil serves no column: executors then run their
+	// value-through bodies.
+	Columns *crystal.Cache
 }
 
 // NewEnv creates an evaluation environment over a database with empty
 // model tables.
 func NewEnv(db *data.Database) *Env {
 	return &Env{
-		DB:     db,
-		Models: ml.NewRegistry(),
-		Corr:   make(map[string]*ml.CorrelationModel),
-		Pred:   make(map[string]*ml.ValuePredictor),
-		HER:    make(map[string]*ml.HERMatcher),
-		Graphs: make(map[string]*kg.Graph),
+		DB:      db,
+		Models:  ml.NewRegistry(),
+		Corr:    make(map[string]*ml.CorrelationModel),
+		Pred:    make(map[string]*ml.ValuePredictor),
+		HER:     make(map[string]*ml.HERMatcher),
+		Graphs:  make(map[string]*kg.Graph),
+		Columns: crystal.NewCache(),
 	}
 }
 
