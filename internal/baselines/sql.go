@@ -46,7 +46,8 @@ func (s *SQLEngine) Name() string { return s.EngineName }
 // (paper §6: "SparkSQL and Presto do not discover rules/SQL themselves").
 func (s *SQLEngine) Discover(b *Bench) ([]*ree.Rule, error) { return nil, nil }
 
-// uncachedEnv strips the model cache: each UDF call pays full inference.
+// uncachedEnv strips the model caches, HER matchers' included: each UDF
+// call pays full inference.
 func (s *SQLEngine) uncachedEnv(b *Bench) *predicate.Env {
 	env := *b.Env
 	models := ml.NewRegistry()
@@ -58,14 +59,6 @@ func (s *SQLEngine) uncachedEnv(b *Bench) *predicate.Env {
 		models.Register(ml.Unwrap(m))
 	}
 	env.Models = models
-	// Strip HER memoisation: every UDF call pays full inference.
-	if len(b.Env.HER) > 0 {
-		her := make(map[string]*ml.HERMatcher, len(b.Env.HER))
-		for k, h := range b.Env.HER {
-			her[k] = h.Uncached()
-		}
-		env.HER = her
-	}
 	return &env
 }
 

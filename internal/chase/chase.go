@@ -56,9 +56,9 @@ type Options struct {
 	// UseBlocking enables LSH blocking for ML predicates.
 	UseBlocking bool
 	// Predication enables the precomputed ML predication layer (paper
-	// §5.4): per-tuple embeddings cache in a versioned store invalidated
-	// at tuple granularity, model predictions serve from a sharded
-	// bounded cache, and each round batch-scores its candidate (model,
+	// §5.4): embeddings and model predictions (pair models and HER) serve
+	// from sharded bounded caches keyed by the values they were computed
+	// from, and each round batch-scores its candidate (model,
 	// pair) predications across the worker pool before work units fan
 	// out — so ML access during deduction is read-mostly. Results are
 	// bit-identical with the layer on or off (the caches memoise pure
@@ -67,9 +67,8 @@ type Options struct {
 	// Pred, when set (and Predication is on), is a shared predication
 	// layer instead of an engine-private one — the pipeline passes the
 	// layer its detection phase already filled, so chase rounds serve
-	// detection-scored pairs as hits. The embedding store is still
-	// engine-scoped in effect: entries key by (tuple, version) and the
-	// engine invalidates versions as it applies fixes.
+	// detection-scored pairs as hits. Every entry is keyed by value, so
+	// the layer needs nothing from the engine as fixes land.
 	Pred *ml.Predication
 	// Oracle simulates the user to whom Rock presents ER/CR conflicts
 	// (paper §4.2, case (1)): given the conflicting cell and the candidate
@@ -191,8 +190,8 @@ type Report struct {
 	// overlaps on the worker pool.
 	WallClock time.Duration
 	// Predication carries the ML predication layer's cumulative cache
-	// counters (prediction hits/misses/evictions, embedding reuse, tuple
-	// invalidations); zero when Options.Predication is off.
+	// counters (prediction hits/misses/evictions, embedding reuse); zero
+	// when Options.Predication is off.
 	Predication ml.PredStats
 	// PredicationByRound snapshots the cumulative Predication counters
 	// once before the first chase round (the baseline: with a shared
@@ -288,7 +287,8 @@ type Engine struct {
 	dist DistRunner
 	// lastAccepted carries the previous round's accepted fixes into the
 	// next distributed round's preamble (workers derive their dirty set
-	// and invalidations from it, mirroring the post-merge bookkeeping);
+	// and blocker invalidation from it, mirroring the post-merge
+	// bookkeeping);
 	// shipped is the fix-set journal mark the last preamble ended at.
 	lastAccepted []Fix
 	shipped      int
@@ -306,7 +306,8 @@ type Engine struct {
 
 	// pred is the §5.4 predication layer (nil when Options.Predication is
 	// off): its EmbedStore backs the executor's blocking vectors and its
-	// PredCache backs every registered model via PredicatedModel.
+	// PredCache backs every registered model — pair models and HER
+	// matchers — via PredicatedModel.
 	pred *ml.Predication
 
 	// obs is the run's observability registry (Options.Obs or an
@@ -441,10 +442,10 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 			e.pred = ml.NewPredication()
 		}
 		// Re-register every model read through the shared prediction
-		// cache. Unwrap first so stacked memo layers (CachedModel) don't
-		// double-key the same pair; the wrapped models are pure memoisers,
-		// so engines sharing the env (with the layer on or off) see
-		// identical predictions.
+		// cache. Unwrap first so a model's private memo (NewCachedModel)
+		// doesn't double-key the same pair; the wrapped models are pure
+		// memoisers, so engines sharing the env (with the layer on or off)
+		// see identical predictions.
 		for _, name := range env.Models.Names() {
 			if m, err := env.Models.Get(name); err == nil {
 				env.Models.Register(e.pred.Wrap(ml.Unwrap(m)))
@@ -627,10 +628,6 @@ func (e *Engine) RunIncrementalCtx(ctx context.Context, dirty map[string]map[int
 	// told about is rebuilt on its next read.
 	e.blocks = nil
 	e.exec.MarkShadowed(dirty)
-	// With a predication layer shared across runs (rockd's warm per-tenant
-	// state), the embedding store may hold vectors computed from the
-	// tuples' pre-update values — retire them before enumeration.
-	e.exec.InvalidateTuples(dirty)
 	err := e.fixpoint(e.rules, dirty, e.opts.MaxRounds)
 	e.finish()
 	return &e.report, err
@@ -954,18 +951,15 @@ func (e *Engine) runUnit(ctx context.Context, w unitWork, dirty map[string]map[i
 // absorb is the bookkeeping that follows a merge, on the engine that
 // merged and on every replica following it: accepted fixes change the
 // values units read through env.ValueOf, so any blocker index built over
-// them is stale — and so are the cached embeddings of exactly the affected
-// tuples (same granularity that re-activates rules). The same tuple set
-// is no longer safe for interned raw-id comparisons: shadow it so the
-// executor reads those tuples through the fix set.
+// them is stale. The affected tuples (same granularity that re-activates
+// rules) are no longer safe for interned raw-id comparisons: shadow them
+// so the executor reads those tuples through the fix set.
 func (e *Engine) absorb(accepted []Fix) {
 	if len(accepted) == 0 {
 		return
 	}
-	ds := e.dirtySet(accepted)
 	e.exec.InvalidateBlockers()
-	e.exec.InvalidateTuples(ds)
-	e.exec.MarkShadowed(ds)
+	e.exec.MarkShadowed(e.dirtySet(accepted))
 }
 
 // precomputePredications warms the prediction cache with this round's

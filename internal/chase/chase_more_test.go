@@ -58,7 +58,7 @@ func TestKValConsequenceExtractsFromGraph(t *testing.T) {
 	beijing := g.AddVertex("Beijing")
 	must.Edge(g, apple, "LocationAt", beijing)
 	env.Graphs["Wiki"] = g
-	env.HER["Store"] = ml.NewHERMatcher("HER", g, schema, 0.6, "name")
+	env.Models.Register(ml.NewHERMatcher("Store", g, schema, 0.6, "name"))
 	env.PathM = ml.NewPathMatcher(g, 0.3)
 
 	r := must.Rule("Store(t) ^ vertex(x, Wiki) ^ HER(t, x) ^ match(t.location, x.(LocationAt)) ^ null(t.location) -> t.location = val(x.(LocationAt))", db)

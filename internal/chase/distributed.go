@@ -31,8 +31,8 @@ import (
 
 // RoundPreamble is everything a worker replica needs to reconstruct a
 // round's inputs: the truth mutations since the previous preamble, the
-// fixes the coordinator accepted last round (source of the dirty set
-// and executor invalidations), and the active rule IDs.
+// fixes the coordinator accepted last round (source of the dirty set,
+// blocker invalidation and shadow marking), and the active rule IDs.
 type RoundPreamble struct {
 	Round   int
 	RuleIDs []string
@@ -88,8 +88,8 @@ type DistRunner interface {
 
 // FollowRound prepares a worker replica for one distributed round: it
 // replays the coordinator's truth journal, mirrors the coordinator's
-// post-merge executor bookkeeping (blocker/embedding invalidation and
-// shadow marking for the tuples last round's fixes affected), selects
+// post-merge executor bookkeeping (blocker invalidation and shadow
+// marking for the tuples last round's fixes affected), selects
 // the active rules by ID, and derives the round's work-unit list. It
 // returns the unit count for the ack. Units are then executed on
 // demand via RunFollowUnit.

@@ -116,19 +116,20 @@ func New(env *predicate.Env, rules []*ree.Rule, opts Options) *Detector {
 	}
 	d := &Detector{env: env, rules: rules, opts: opts, ex: exec.New(env)}
 	d.ex.SetObs(opts.Obs)
-	// Detection reads raw values (no ValueOf hook) and a Detector is
-	// created per call over an immutable snapshot, so a per-detector
-	// embedding store needs no invalidation: cross-relation ML probes and
-	// cross-rule blocker rebuilds embed each tuple once instead of once
-	// per rule per unit.
-	d.ex.SetEmbedStore(ml.NewEmbedStore(0))
-	if opts.Pred != nil {
-		// Route registry models through the shared prediction cache so
-		// scores computed during detection carry over to the chase.
-		for _, name := range env.Models.Names() {
-			if m, err := env.Models.Get(name); err == nil {
-				env.Models.Register(opts.Pred.Wrap(ml.Unwrap(m)))
-			}
+	// Cross-relation ML probes and cross-rule blocker rebuilds embed each
+	// value vector once instead of once per rule per unit. The store is
+	// keyed by value, so the layer's one serves detection and the chase
+	// alike; without a layer the detector keeps a store of its own.
+	if opts.Pred == nil {
+		d.ex.SetEmbedStore(ml.NewEmbedStore(0))
+		return d
+	}
+	d.ex.SetEmbedStore(opts.Pred.Embeds)
+	// Route registry models through the shared prediction cache so
+	// scores computed during detection carry over to the chase.
+	for _, name := range env.Models.Names() {
+		if m, err := env.Models.Get(name); err == nil {
+			env.Models.Register(opts.Pred.Wrap(ml.Unwrap(m)))
 		}
 	}
 	return d

@@ -95,9 +95,9 @@ type Executor struct {
 	env *predicate.Env
 	lsh *ml.LSH
 
-	// embeds, when set, memoises per-tuple blocking vectors across rules
-	// and rounds with versioned invalidation (the §5.4 predication
-	// layer). Installed once before any Run; nil means embed on demand.
+	// embeds, when set, memoises blocking vectors by value across rules
+	// and rounds (the §5.4 predication layer). Installed once before any
+	// Run; nil means embed on demand.
 	embeds *ml.EmbedStore
 
 	// reg, when set, receives blocker-cache hit/miss/invalidation
@@ -129,30 +129,13 @@ func New(env *predicate.Env) *Executor {
 // Env returns the executor's environment.
 func (e *Executor) Env() *predicate.Env { return e.env }
 
-// SetEmbedStore installs the versioned per-tuple embedding store. Call
-// before the first Run; the store itself is safe for concurrent use.
+// SetEmbedStore installs the value-keyed embedding store. Call before the
+// first Run; the store itself is safe for concurrent use.
 func (e *Executor) SetEmbedStore(s *ml.EmbedStore) { e.embeds = s }
 
 // SetObs routes the executor's cache counters into reg. Call before the
 // first Run; nil (the default) records nothing.
 func (e *Executor) SetObs(reg *obs.Registry) { e.reg = reg }
-
-// EmbedStore returns the installed store (nil when embedding on demand).
-func (e *Executor) EmbedStore() *ml.EmbedStore { return e.embeds }
-
-// InvalidateTuples retires the cached embeddings of exactly the given
-// tuples (dirty[rel] is a TID set) — the tuple-granular counterpart of
-// InvalidateBlockers. No-op without a store.
-func (e *Executor) InvalidateTuples(dirty map[string]map[int]bool) {
-	if e.embeds == nil {
-		return
-	}
-	for rel, tids := range dirty {
-		for tid := range tids {
-			e.embeds.Invalidate(rel, tid)
-		}
-	}
-}
 
 // InvalidateBlockers drops cached blockers; call after mutating relations
 // or the value view they were embedded through (the chase calls it after
@@ -767,27 +750,20 @@ func (e *Executor) blockPairs(r *ree.Rule, p *predicate.Predicate, opts Options)
 	tuplesS := partitionOf(relS, relSName, p.S, opts)
 	sameSide := relTName == relSName && sameAttrs(p.As, p.Bs)
 
-	// Reads go through the embedding store when installed: a tuple probed
-	// by many rules (or re-probed across rounds) embeds once per version
+	// Reads go through the embedding store when installed: a value vector
+	// probed by many rules (or re-probed across rounds) embeds once
 	// instead of once per probe.
-	sigAs, sigBs := strings.Join(p.As, ","), strings.Join(p.Bs, ",")
-	embed := func(rel *data.Relation, relName string, t *data.Tuple, attrs []string, sig string) ml.Vector {
-		compute := func() ml.Vector {
-			vals := make([]data.Value, len(attrs))
-			for i, a := range attrs {
-				vals[i] = valueThrough(e.env, relName, t, a, rel.Schema.Index(a))
-			}
-			return ml.EmbedValues(vals)
+	embed := func(rel *data.Relation, relName string, t *data.Tuple, attrs []string) ml.Vector {
+		vals := make([]data.Value, len(attrs))
+		for i, a := range attrs {
+			vals[i] = valueThrough(e.env, relName, t, a, rel.Schema.Index(a))
 		}
-		if e.embeds != nil {
-			return e.embeds.Embed(relName, t.TID, sig, compute)
-		}
-		return compute()
+		return e.embeds.Embed(vals)
 	}
 
 	if sameSide {
 		ent := e.blockerFor(relTName, p.As, tuplesT, func(t *data.Tuple) ml.Vector {
-			return embed(relT, relTName, t, p.As, sigAs)
+			return embed(relT, relTName, t, p.As)
 		})
 		out := make([][2]*data.Tuple, 0)
 		for _, pr := range ent.b.CandidatePairs() {
@@ -805,11 +781,11 @@ func (e *Executor) blockPairs(r *ree.Rule, p *predicate.Predicate, opts Options)
 	}
 	// Cross-relation: index S, probe with T.
 	ent := e.blockerFor(relSName, p.Bs, tuplesS, func(s *data.Tuple) ml.Vector {
-		return embed(relS, relSName, s, p.Bs, sigBs)
+		return embed(relS, relSName, s, p.Bs)
 	})
 	out := make([][2]*data.Tuple, 0)
 	for _, t := range tuplesT {
-		for _, sid := range ent.b.CandidatesOf(embed(relT, relTName, t, p.As, sigAs), -1) {
+		for _, sid := range ent.b.CandidatesOf(embed(relT, relTName, t, p.As), -1) {
 			s := ent.byID[sid]
 			if dirtyOK(opts, r, p.T, t, p.S, s) {
 				out = append(out, [2]*data.Tuple{t, s})

@@ -26,7 +26,7 @@ func TestExecutorVertexAtoms(t *testing.T) {
 	bj := g.AddVertex("Beijing")
 	must.Edge(g, hv, "LocationAt", bj)
 	env.Graphs["Wiki"] = g
-	env.HER["Store"] = ml.NewHERMatcher("HER", g, schema, 0.6, "name")
+	env.Models.Register(ml.NewHERMatcher("Store", g, schema, 0.6, "name"))
 	env.PathM = ml.NewPathMatcher(g, 0.3)
 
 	r := must.Rule("Store(t) ^ vertex(x, Wiki) ^ HER(t, x) ^ match(t.location, x.(LocationAt)) -> t.location = val(x.(LocationAt))", db)

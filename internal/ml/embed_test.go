@@ -116,8 +116,7 @@ func TestCachedModel(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("inner model called %d times, want 1", calls)
 	}
-	total, hits := c.Stats()
-	if total != 3 || hits != 2 {
-		t.Errorf("stats=%d/%d", hits, total)
+	if h, m := c.hits.Load(), c.misses.Load(); h+m != 3 || h != 2 {
+		t.Errorf("stats=%d/%d", h, h+m)
 	}
 }

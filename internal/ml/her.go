@@ -1,8 +1,6 @@
 package ml
 
 import (
-	"sync"
-
 	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/kg"
 )
@@ -13,6 +11,11 @@ import (
 // an LSTM; this substitute compares the tuple's attribute values with the
 // vertex's label and neighbourhood features via embedding similarity,
 // honouring the same Boolean contract.
+//
+// A matcher is a Model over the tuple's raw values (left) and the vertex
+// (right, HERVertex): its score depends on nothing else, so the
+// predication layer caches it by value like any pair model, and a tuple
+// whose values change keys a fresh score.
 type HERMatcher struct {
 	ModelName string
 	Graph     *kg.Graph
@@ -21,61 +24,48 @@ type HERMatcher struct {
 	// KeyAttrs are the attributes compared against the vertex label (the
 	// entity name); when empty, all string attributes are used.
 	KeyAttrs []string
-	// Memo caches per-(tuple, vertex) confidences — Rock pre-computes ML
-	// predictions once predicates are ready (paper §5.4); the SQL-engine
-	// baselines run without it. Nil disables caching.
-	Memo map[memoKey]float64
-
-	mu sync.Mutex
 }
 
-type memoKey struct {
-	tid int
-	v   kg.VertexID
-}
+// HERName is the registry name of the HER matcher serving relation rel;
+// HERName("") names one serving every relation without a matcher of its
+// own. One name per relation gives each matcher its own cache entries.
+func HERName(rel string) string { return "HER:" + rel }
 
-// NewHERMatcher builds a matcher for one schema against one graph, with
-// memoisation enabled.
-func NewHERMatcher(name string, g *kg.Graph, schema *data.Schema, threshold float64, keyAttrs ...string) *HERMatcher {
+// HERVertex is the right-hand vector of a HER model call on vertex v.
+func HERVertex(v kg.VertexID) []data.Value { return []data.Value{data.I(int64(v))} }
+
+// NewHERMatcher builds the matcher of relation rel (named HERName(rel))
+// against one graph.
+func NewHERMatcher(rel string, g *kg.Graph, schema *data.Schema, threshold float64, keyAttrs ...string) *HERMatcher {
 	return &HERMatcher{
-		ModelName: name, Graph: g, Schema: schema, Threshold: threshold,
-		KeyAttrs: keyAttrs, Memo: make(map[memoKey]float64),
+		ModelName: HERName(rel), Graph: g, Schema: schema, Threshold: threshold,
+		KeyAttrs: keyAttrs,
 	}
 }
 
-// Uncached returns a copy without memoisation (the per-call inference cost
-// every time — the SQL-engine baseline configuration).
-func (h *HERMatcher) Uncached() *HERMatcher {
-	c := &HERMatcher{ModelName: h.ModelName, Graph: h.Graph, Schema: h.Schema,
-		Threshold: h.Threshold, KeyAttrs: h.KeyAttrs}
-	return c
-}
-
-// Name identifies the matcher inside rule text, e.g. "HER".
+// Name implements Model.
 func (h *HERMatcher) Name() string { return h.ModelName }
 
-// Confidence scores tuple-vertex correspondence: the max similarity of any
-// key attribute to the vertex label, blended with neighbourhood overlap.
-// Scores are memoised per (tuple, vertex) when Memo is enabled.
-func (h *HERMatcher) Confidence(t *data.Tuple, v kg.VertexID) float64 {
-	if h.Memo != nil {
-		h.mu.Lock()
-		if s, ok := h.Memo[memoKey{t.TID, v}]; ok {
-			h.mu.Unlock()
-			return s
-		}
-		h.mu.Unlock()
+// Confidence implements Model: it scores the correspondence of the tuple
+// values left with the vertex HERVertex encodes in right, as the max
+// similarity of any key attribute to the vertex label, blended with
+// neighbourhood overlap.
+func (h *HERMatcher) Confidence(left, right []data.Value) float64 {
+	if len(right) != 1 {
+		return 0
 	}
-	s := h.confidence(t, v)
-	if h.Memo != nil {
-		h.mu.Lock()
-		h.Memo[memoKey{t.TID, v}] = s
-		h.mu.Unlock()
-	}
-	return s
+	return h.confidence(left, kg.VertexID(right[0].Int()))
 }
 
-func (h *HERMatcher) confidence(t *data.Tuple, v kg.VertexID) float64 {
+// Predict implements Model.
+func (h *HERMatcher) Predict(left, right []data.Value) bool {
+	return h.Confidence(left, right) >= h.Threshold
+}
+
+// DecisionThreshold implements Thresholder.
+func (h *HERMatcher) DecisionThreshold() float64 { return h.Threshold }
+
+func (h *HERMatcher) confidence(vals []data.Value, v kg.VertexID) float64 {
 	label := h.Graph.Label(v)
 	if label == "" {
 		return 0
@@ -91,10 +81,10 @@ func (h *HERMatcher) confidence(t *data.Tuple, v kg.VertexID) float64 {
 	best := 0.0
 	for _, a := range attrs {
 		i := h.Schema.Index(a)
-		if i < 0 || i >= len(t.Values) || t.Values[i].IsNull() {
+		if i < 0 || i >= len(vals) || vals[i].IsNull() {
 			continue
 		}
-		if s := StringSim(t.Values[i].Str(), label); s > best {
+		if s := StringSim(vals[i].Str(), label); s > best {
 			best = s
 		}
 	}
@@ -106,7 +96,7 @@ func (h *HERMatcher) confidence(t *data.Tuple, v kg.VertexID) float64 {
 		for _, f := range neigh {
 			// f is "label=value"; compare the value part with tuple cells.
 			eq := 0.0
-			for _, val := range t.Values {
+			for _, val := range vals {
 				if val.IsNull() {
 					continue
 				}
@@ -119,28 +109,6 @@ func (h *HERMatcher) confidence(t *data.Tuple, v kg.VertexID) float64 {
 		best = 0.7*best + 0.3*(match/float64(len(neigh)))
 	}
 	return clamp01(best)
-}
-
-// Match returns HER(t, x): whether confidence clears the threshold.
-func (h *HERMatcher) Match(t *data.Tuple, v kg.VertexID) bool {
-	return h.Confidence(t, v) >= h.Threshold
-}
-
-// BestMatch scans the graph for the best-matching vertex for a tuple; ok is
-// false when nothing clears the threshold. Candidate generation first
-// narrows to vertices whose label shares a token with a key attribute, so
-// the scan stays sub-linear on realistic graphs.
-func (h *HERMatcher) BestMatch(t *data.Tuple) (kg.VertexID, float64, bool) {
-	bestID, bestScore := kg.VertexID(-1), -1.0
-	for _, v := range h.Graph.VertexIDs() {
-		if s := h.Confidence(t, v); s > bestScore {
-			bestID, bestScore = v, s
-		}
-	}
-	if bestScore < h.Threshold {
-		return -1, bestScore, false
-	}
-	return bestID, bestScore, true
 }
 
 func afterEq(s string) string {

@@ -27,17 +27,18 @@ func TestHERMatcher(t *testing.T) {
 	rel := data.NewRelation(schema)
 	hTuple := rel.Insert("s3", data.S("Huawei Flagship"), data.S("Beijing"))
 	nTuple := rel.Insert("s5", data.S("Nike China"), data.Null(data.TString))
-	h := NewHERMatcher("HER", g, schema, 0.6, "name")
-
-	if !h.Match(hTuple, huawei) {
-		t.Errorf("huawei tuple/vertex must match: conf=%f", h.Confidence(hTuple, huawei))
+	h := NewHERMatcher("Store", g, schema, 0.6, "name")
+	if h.Name() != HERName("Store") {
+		t.Errorf("name %q", h.Name())
 	}
-	if h.Match(hTuple, nike) {
-		t.Errorf("huawei tuple must not match nike vertex: conf=%f", h.Confidence(hTuple, nike))
+	if c := h.Confidence(hTuple.Values, HERVertex(huawei)); c < h.Threshold {
+		t.Errorf("huawei tuple/vertex must match: conf=%f", c)
 	}
-	best, conf, ok := h.BestMatch(nTuple)
-	if !ok || best != nike {
-		t.Errorf("best match for nike tuple: id=%d conf=%f ok=%v", best, conf, ok)
+	if c := h.Confidence(hTuple.Values, HERVertex(nike)); c >= h.Threshold {
+		t.Errorf("huawei tuple must not match nike vertex: conf=%f", c)
+	}
+	if !h.Predict(nTuple.Values, HERVertex(nike)) || h.Predict(nTuple.Values, HERVertex(huawei)) {
+		t.Error("nike tuple must match the nike vertex only")
 	}
 }
 
@@ -46,8 +47,8 @@ func TestHERMatcherAllStringFallback(t *testing.T) {
 	schema := mustSchema("Store", data.Attribute{Name: "name", Type: data.TString})
 	rel := data.NewRelation(schema)
 	tp := rel.Insert("s", data.S("Huawei Flagship"))
-	h := NewHERMatcher("HER", g, schema, 0.6) // no key attrs: use all strings
-	if !h.Match(tp, huawei) {
+	h := NewHERMatcher("Store", g, schema, 0.6) // no key attrs: use all strings
+	if !h.Predict(tp.Values, HERVertex(huawei)) {
 		t.Error("fallback attrs must still match")
 	}
 }

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"github.com/rockclean/rock/internal/data"
@@ -22,9 +21,9 @@ type Model interface {
 }
 
 // Thresholder is implemented by models whose Boolean decision is
-// "Confidence >= threshold". Caching layers (CachedModel,
-// PredicatedModel) use it to serve Predict straight from the confidence
-// cache for any such model, not just the built-in ones.
+// "Confidence >= threshold". PredicatedModel uses it to serve Predict
+// straight from the confidence cache for any such model, not just the
+// built-in ones.
 type Thresholder interface {
 	// DecisionThreshold returns the confidence cut-off for Predict.
 	DecisionThreshold() float64
@@ -138,102 +137,8 @@ func (m *FuncModel) Predict(left, right []data.Value) bool {
 // DecisionThreshold implements Thresholder.
 func (m *FuncModel) DecisionThreshold() float64 { return m.Threshold }
 
-// CachedModel memoises Predict/Confidence results keyed by the value
-// vectors. Rock pre-computes ML predictions once the predicates are ready
-// (paper §5.4, "ML predication"); the cache is the in-process realisation.
-type CachedModel struct {
-	Inner Model
-
-	mu    sync.Mutex
-	cache map[string]float64
-	preds map[string]bool
-	hits  int
-	calls int
-}
-
-// NewCachedModel wraps a model with a memo cache.
-func NewCachedModel(inner Model) *CachedModel {
-	return &CachedModel{Inner: inner, cache: make(map[string]float64), preds: make(map[string]bool)}
-}
-
-// Name implements Model.
-func (c *CachedModel) Name() string { return c.Inner.Name() }
-
-// Confidence implements Model with memoisation.
-func (c *CachedModel) Confidence(left, right []data.Value) float64 {
-	key := pairKey(left, right)
-	c.mu.Lock()
-	c.calls++
-	if v, ok := c.cache[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return v
-	}
-	c.mu.Unlock()
-	v := c.Inner.Confidence(left, right)
-	c.mu.Lock()
-	c.cache[key] = v
-	c.mu.Unlock()
-	return v
-}
-
-// Predict implements Model. Thresholder models derive the decision from
-// the (cached) confidence; other models get their Boolean decisions
-// memoised directly, so no model type ever bypasses the cache.
-func (c *CachedModel) Predict(left, right []data.Value) bool {
-	if th, ok := c.Inner.(Thresholder); ok {
-		return c.Confidence(left, right) >= th.DecisionThreshold()
-	}
-	key := pairKey(left, right)
-	c.mu.Lock()
-	c.calls++
-	if v, ok := c.preds[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return v
-	}
-	c.mu.Unlock()
-	v := c.Inner.Predict(left, right)
-	c.mu.Lock()
-	c.preds[key] = v
-	c.mu.Unlock()
-	return v
-}
-
-// Stats reports cache effectiveness: total calls and hits.
-func (c *CachedModel) Stats() (calls, hits int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.calls, c.hits
-}
-
-// pairKey renders both value vectors into one canonical key. It sizes a
-// strings.Builder upfront so the whole key is a single allocation
-// (naive += concatenation copies O(n²) bytes; see BenchmarkPairKey).
-func pairKey(left, right []data.Value) string {
-	keys := make([]string, 0, len(left)+len(right))
-	n := 1 + len(left) + len(right) // separators
-	for _, v := range left {
-		k := v.Key()
-		keys = append(keys, k)
-		n += len(k)
-	}
-	for _, v := range right {
-		k := v.Key()
-		keys = append(keys, k)
-		n += len(k)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, k := range keys {
-		if i == len(left) {
-			b.WriteByte(0x1d)
-		}
-		b.WriteString(k)
-		b.WriteByte(0x1e)
-	}
-	if len(right) == 0 {
-		b.WriteByte(0x1d)
-	}
-	return b.String()
-}
+// NewCachedModel wraps a model with a private value-keyed memo: a
+// registry model keeps its scores across calls even when no predication
+// layer serves it. Detection and the chase Unwrap it and re-Wrap the
+// model in their own layer.
+func NewCachedModel(inner Model) *PredicatedModel { return NewPredication().Wrap(inner) }

@@ -1,7 +1,7 @@
 package ml
 
 import (
-	"strings"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -17,21 +17,19 @@ import (
 //
 // Three tiers cooperate:
 //
-//   - EmbedStore caches per-tuple attribute embeddings keyed by
-//     (relation, tuple ID, attr set, version). The chase bumps a tuple's
-//     version when it applies a fix to the tuple's class, so entries
-//     invalidate precisely instead of whole partitions being rebuilt.
+//   - EmbedStore caches attribute-vector embeddings keyed by the interned
+//     value vector they embed.
 //   - PredCache memoises model Confidence/Predict results under compact
-//     interned keys across 2^predShardBits lock-striped shards, replacing
-//     CachedModel's single mutex + O(n²) string-concat keys.
-//   - PredicatedModel wraps a Model so Predict/Confidence read through
-//     PredCache; the chase batch-scores all (model, pair) predications
-//     for a round in parallel before fanning work units out, making model
-//     access during deduction read-mostly.
-
-// Thresholded predictions are keyed by content (the value vectors), so
-// cached entries are pure and never go stale; only the tuple-identity
-// keyed EmbedStore needs invalidation.
+//     interned keys across 2^predShardBits lock-striped shards.
+//   - PredicatedModel wraps a Model — a pair model or a HER matcher — so
+//     Predict/Confidence read through PredCache; the chase batch-scores
+//     all (model, pair) predications for a round in parallel before
+//     fanning work units out, making model access during deduction
+//     read-mostly.
+//
+// Every entry is keyed by the values it was computed from, never by a
+// tuple's identity, so no entry goes stale when a tuple changes: the
+// changed tuple keys a different entry, and nothing needs invalidating.
 
 const (
 	internShards   = 16
@@ -96,22 +94,19 @@ func (in *interner) ID(s string) uint32 {
 	return id
 }
 
-// sideKey renders one attribute-value vector as a canonical string for
-// interning (one side of CachedModel's pairKey).
+// sideKey renders one value vector as an exact canonical string for
+// interning: each value's MarshalBinary form behind its length. Two
+// vectors share a key only when every value has the same kind and
+// payload; Value.Key would let I(5) and TS(5) share one, which models
+// reading String tell apart.
 func sideKey(vals []data.Value) string {
-	keys := make([]string, len(vals))
-	n := len(vals)
-	for i, v := range vals {
-		keys[i] = v.Key()
-		n += len(keys[i])
+	b := make([]byte, 0, 16*len(vals))
+	for _, v := range vals {
+		enc, _ := v.MarshalBinary()
+		b = binary.AppendUvarint(b, uint64(len(enc)))
+		b = append(b, enc...)
 	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte(0x1e)
-	}
-	return b.String()
+	return string(b)
 }
 
 // predKey identifies one (model, left vector, right vector) predication.
@@ -294,28 +289,11 @@ func (c *PredCache) Len() int {
 	return n
 }
 
-// tupleKey identifies a tuple by interned relation name + tuple ID.
-type tupleKey struct {
-	rel uint32
-	tid int32
-}
-
-// embedKey is tupleKey plus the interned attribute-set signature and the
-// tuple's version at compute time. Bumping the version retires every
-// entry of the tuple at once without touching the map (stale entries age
-// out through capacity eviction).
-type embedKey struct {
-	t     tupleKey
-	attrs uint32
-	ver   uint32
-}
-
-// EmbedStore caches per-tuple attribute embeddings with versioned
-// invalidation. Unlike PredCache its entries are keyed by tuple
-// *identity*, and the value an embedding reflects changes when the chase
-// applies a fix to the tuple — so consumers must call Invalidate for
-// each changed tuple (the chase derives the set from its dirty-tuple
-// tracking, the same granularity that re-activates rules).
+// EmbedStore caches EmbedValues results keyed by the interned value
+// vector they embed. EmbedValues reads nothing but the values, so an
+// entry never goes stale: a tuple whose values change (a raw update, or a
+// fix read through the chase's value view) keys a different entry, and
+// equal vectors on different tuples share one.
 type EmbedStore struct {
 	intern      *interner
 	capPerShard int
@@ -324,10 +302,9 @@ type EmbedStore struct {
 
 type embedShard struct {
 	mu     sync.Mutex
-	vers   map[tupleKey]uint32
-	embeds map[embedKey]Vector
+	embeds map[uint32]Vector
 
-	hits, misses, invalidations, evictions uint64
+	hits, misses, evictions uint64
 }
 
 // NewEmbedStore creates a store bounded to roughly capacity vectors in
@@ -344,37 +321,30 @@ func newEmbedStore(in *interner, capacity int) *EmbedStore {
 	}
 	s := &EmbedStore{intern: in, capPerShard: per}
 	for i := range s.shards {
-		s.shards[i].vers = make(map[tupleKey]uint32)
-		s.shards[i].embeds = make(map[embedKey]Vector)
+		s.shards[i].embeds = make(map[uint32]Vector)
 	}
 	return s
 }
 
-func (s *EmbedStore) shardOf(tk tupleKey) *embedShard {
-	h := uint32(tk.tid)*0x9e3779b1 ^ tk.rel*0x85ebca77
-	h ^= h >> 15
-	return &s.shards[h&(1<<embedShardBits-1)]
-}
-
-// Embed returns the cached embedding for (rel, tid, attrsSig) at the
-// tuple's current version, calling compute on a miss. attrsSig is any
-// canonical rendering of the attribute set (e.g. strings.Join(attrs,
-// ",")). compute runs outside the shard lock; concurrent misses may
-// compute twice, which is benign because compute is deterministic.
-func (s *EmbedStore) Embed(rel string, tid int, attrsSig string, compute func() Vector) Vector {
-	tk := tupleKey{rel: s.intern.ID(rel), tid: int32(tid)}
-	aid := s.intern.ID(attrsSig)
-	sh := s.shardOf(tk)
+// Embed returns EmbedValues(vals), cached. A nil store embeds on every
+// call. EmbedValues runs outside the shard lock; concurrent misses may
+// compute twice, which is benign because it is deterministic.
+func (s *EmbedStore) Embed(vals []data.Value) Vector {
+	if s == nil {
+		return EmbedValues(vals)
+	}
+	id := s.intern.ID(sideKey(vals))
+	h := id * 0x9e3779b1
+	sh := &s.shards[(h^h>>15)&(1<<embedShardBits-1)]
 	sh.mu.Lock()
-	k := embedKey{t: tk, attrs: aid, ver: sh.vers[tk]}
-	if v, ok := sh.embeds[k]; ok {
+	if v, ok := sh.embeds[id]; ok {
 		sh.hits++
 		sh.mu.Unlock()
 		return v
 	}
 	sh.misses++
 	sh.mu.Unlock()
-	v := compute()
+	v := EmbedValues(vals)
 	sh.mu.Lock()
 	if len(sh.embeds) >= s.capPerShard {
 		target := s.capPerShard * 3 / 4
@@ -386,31 +356,18 @@ func (s *EmbedStore) Embed(rel string, tid int, attrsSig string, compute func() 
 			sh.evictions++
 		}
 	}
-	sh.embeds[k] = v
+	sh.embeds[id] = v
 	sh.mu.Unlock()
 	return v
 }
 
-// Invalidate retires every cached embedding of (rel, tid) by bumping the
-// tuple's version. O(1): stale entries are unreachable immediately and
-// reclaimed by capacity eviction.
-func (s *EmbedStore) Invalidate(rel string, tid int) {
-	tk := tupleKey{rel: s.intern.ID(rel), tid: int32(tid)}
-	sh := s.shardOf(tk)
-	sh.mu.Lock()
-	sh.vers[tk]++
-	sh.invalidations++
-	sh.mu.Unlock()
-}
-
-// Stats returns cumulative hit/miss/invalidation/eviction counters.
-func (s *EmbedStore) Stats() (hits, misses, invalidations, evictions uint64) {
+// Stats returns cumulative hit/miss/eviction counters.
+func (s *EmbedStore) Stats() (hits, misses, evictions uint64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		hits += sh.hits
 		misses += sh.misses
-		invalidations += sh.invalidations
 		evictions += sh.evictions
 		sh.mu.Unlock()
 	}
@@ -431,7 +388,6 @@ type PredStats struct {
 	EmbedHits      uint64
 	EmbedMisses    uint64
 	EmbedEvictions uint64
-	Invalidations  uint64
 }
 
 // Lookups is the total number of prediction-cache probes.
@@ -454,10 +410,9 @@ type Predication struct {
 	Embeds *EmbedStore
 	Preds  *PredCache
 
-	// mu guards wrapped: every PredicatedModel built by Wrap, kept so
-	// PublishTo can aggregate per-model hit/miss counters by model name
-	// (the same model may be wrapped more than once — detection and the
-	// chase each re-register registry models).
+	// mu guards wrapped: the one PredicatedModel Wrap built per model,
+	// kept so a later Wrap of the model returns it and PublishTo can
+	// report per-model hit/miss counters.
 	mu      sync.Mutex
 	wrapped []*PredicatedModel
 }
@@ -475,7 +430,7 @@ func NewPredication() *Predication {
 func (p *Predication) Stats() PredStats {
 	var st PredStats
 	st.Hits, st.Misses, st.Evictions, st.Warmed = p.Preds.Stats()
-	st.EmbedHits, st.EmbedMisses, st.Invalidations, st.EmbedEvictions = p.Embeds.Stats()
+	st.EmbedHits, st.EmbedMisses, st.EmbedEvictions = p.Embeds.Stats()
 	return st
 }
 
@@ -496,7 +451,6 @@ func (p *Predication) PublishTo(reg *obs.Registry) {
 	reg.SetGauge("pred.embed.hits", int64(st.EmbedHits))
 	reg.SetGauge("pred.embed.misses", int64(st.EmbedMisses))
 	reg.SetGauge("pred.embed.evictions", int64(st.EmbedEvictions))
-	reg.SetGauge("pred.invalidations", int64(st.Invalidations))
 	for name, hm := range p.ModelStats() {
 		reg.SetGauge("pred.model."+name+".hits", int64(hm[0]))
 		reg.SetGauge("pred.model."+name+".misses", int64(hm[1]))
@@ -504,8 +458,8 @@ func (p *Predication) PublishTo(reg *obs.Registry) {
 }
 
 // ModelStats aggregates deduction-time cache lookups per model name:
-// map value is {hits, misses}. Wrappers of the same underlying model
-// (e.g. one per pipeline phase) sum into one row.
+// map value is {hits, misses}. Distinct models under one name (a model
+// re-registered with new parameters) sum into one row.
 func (p *Predication) ModelStats() map[string][2]uint64 {
 	if p == nil {
 		return nil
@@ -523,21 +477,26 @@ func (p *Predication) ModelStats() map[string][2]uint64 {
 	return out
 }
 
-// Wrap returns m reading through the layer's prediction cache. Callers
-// normally Unwrap first so stacked caches don't double-memoise.
+// Wrap returns m reading through the layer's prediction cache. A model
+// (compared by identity) is wrapped once per layer: every detection and
+// chase over a kept layer re-wraps the registry's models, and gets back
+// the wrapper the first one built. Each wrapped model keys its own cache
+// entries, so two models never share a score, even under one name.
+// Callers normally Unwrap first so stacked caches don't double-memoise.
 func (p *Predication) Wrap(m Model) *PredicatedModel {
-	pm := &PredicatedModel{
-		Inner: m,
-		cache: p.Preds,
-		id:    p.Preds.intern.ID("model\x00" + m.Name()),
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, pm := range p.wrapped {
+		if pm.Inner == m {
+			return pm
+		}
 	}
+	pm := &PredicatedModel{Inner: m, cache: p.Preds, id: uint32(len(p.wrapped))}
 	if th, ok := m.(Thresholder); ok {
 		pm.threshold = th.DecisionThreshold()
 		pm.thresholded = true
 	}
-	p.mu.Lock()
 	p.wrapped = append(p.wrapped, pm)
-	p.mu.Unlock()
 	return pm
 }
 
@@ -613,17 +572,14 @@ func (m *PredicatedModel) Warm(left, right []data.Value) {
 	m.cache.warmPred(k, func() bool { return m.Inner.Predict(left, right) })
 }
 
-// Unwrap strips memoisation wrappers (CachedModel, PredicatedModel) and
-// returns the underlying scoring model.
+// Unwrap strips PredicatedModel wrappers and returns the underlying
+// scoring model.
 func Unwrap(m Model) Model {
 	for {
-		switch w := m.(type) {
-		case *CachedModel:
-			m = w.Inner
-		case *PredicatedModel:
-			m = w.Inner
-		default:
+		pm, ok := m.(*PredicatedModel)
+		if !ok {
 			return m
 		}
+		m = pm.Inner
 	}
 }

@@ -39,7 +39,7 @@ func TestPredicatedModelThresholded(t *testing.T) {
 }
 
 // opaqueModel has no DecisionThreshold: its Boolean decisions must still
-// be memoised (the bug CachedModel used to have).
+// be memoised.
 type opaqueModel struct {
 	predicts int
 }
@@ -121,72 +121,34 @@ func TestPredCacheEvictionBounded(t *testing.T) {
 	}
 }
 
-func TestEmbedStoreVersioning(t *testing.T) {
+func TestEmbedStoreContentKeyed(t *testing.T) {
 	s := NewEmbedStore(0)
-	computes := 0
-	compute := func() Vector {
-		computes++
-		var v Vector
-		v[0] = float64(computes)
-		return v
+	a := s.Embed(vals("Huawei", "Beijing"))
+	if a != EmbedValues(vals("Huawei", "Beijing")) {
+		t.Fatal("cached vector differs from EmbedValues")
 	}
-	a := s.Embed("R", 7, "name", compute)
-	b := s.Embed("R", 7, "name", compute)
-	if computes != 1 || a != b {
-		t.Fatalf("expected one compute and a cached vector, got %d", computes)
+	if _, misses, _ := s.Stats(); misses != 1 {
+		t.Fatalf("first embed: %d misses, want 1", misses)
 	}
-	// A different attr set keys separately.
-	s.Embed("R", 7, "name,addr", compute)
-	if computes != 2 {
-		t.Fatalf("attr-set signature not part of the key: %d computes", computes)
+	// A changed vector (a tuple updated in place) keys a fresh entry: no
+	// invalidation call, and the old vector is not served.
+	if b := s.Embed(vals("Nike", "Beijing")); b == a || b != EmbedValues(vals("Nike", "Beijing")) {
+		t.Error("changed vector served a stale embedding")
 	}
-	// Invalidation retires every entry of the tuple at once.
-	s.Invalidate("R", 7)
-	c := s.Embed("R", 7, "name", compute)
-	if computes != 3 {
-		t.Fatalf("invalidated entry still served: %d computes", computes)
+	// Equal vectors on any two tuples share one entry.
+	s.Embed(vals("Huawei", "Beijing"))
+	hits, misses, _ := s.Stats()
+	if hits != 1 || misses != 2 {
+		t.Errorf("hits=%d misses=%d, want 1/2", hits, misses)
 	}
-	if c == a {
-		t.Error("stale vector returned after invalidation")
+	// Keys are exact: I(5) and TS(5) embed differently ("5" against a
+	// date), so they must not share an entry.
+	if s.Embed([]data.Value{data.I(5)}) == s.Embed([]data.Value{data.TS(5)}) {
+		t.Error("an int and a timestamp of equal value shared an embedding")
 	}
-	// Other tuples are untouched.
-	s.Embed("R", 8, "name", compute)
-	before := computes
-	s.Embed("R", 8, "name", compute)
-	if computes != before {
-		t.Error("unrelated tuple invalidated")
-	}
-	hits, misses, invals, _ := s.Stats()
-	if invals != 1 || hits == 0 || misses == 0 {
-		t.Errorf("stats hits=%d misses=%d invals=%d", hits, misses, invals)
-	}
-}
-
-func TestPairKeyFormat(t *testing.T) {
-	// pairKey must keep CachedModel's historical format: each value key
-	// followed by 0x1e, with 0x1d between the sides.
-	naive := func(left, right []data.Value) string {
-		key := ""
-		for _, v := range left {
-			key += v.Key() + "\x1e"
-		}
-		key += "\x1d"
-		for _, v := range right {
-			key += v.Key() + "\x1e"
-		}
-		return key
-	}
-	cases := [][2][]data.Value{
-		{vals("a", "b"), vals("c")},
-		{vals(), vals("x")},
-		{vals("x"), vals()},
-		{vals(), vals()},
-		{vals("has\x1esep"), vals("and\x1dmore")},
-	}
-	for i, c := range cases {
-		if got, want := pairKey(c[0], c[1]), naive(c[0], c[1]); got != want {
-			t.Errorf("case %d: pairKey=%q, naive=%q", i, got, want)
-		}
+	var nilStore *EmbedStore
+	if nilStore.Embed(vals("Huawei", "Beijing")) != a {
+		t.Error("a nil store must embed on demand")
 	}
 }
 
@@ -230,10 +192,7 @@ func TestPredicationConcurrent(t *testing.T) {
 				if pm, ok := m.(*PredicatedModel); ok && i%7 == 0 {
 					pm.Warm(l, r)
 				}
-				p.Embeds.Embed("R", i%17, "attrs", func() Vector { return Embed(l[0].Str()) })
-				if i%31 == 0 {
-					p.Embeds.Invalidate("R", i%17)
-				}
+				p.Embeds.Embed(vals("attr-" + strconv.Itoa(i%17)))
 				if i%13 == 0 {
 					// Concurrent re-registration (the chase rewraps shared
 					// registries); readers must keep resolving.
@@ -282,36 +241,6 @@ func BenchmarkStringSim(b *testing.B) {
 	})
 }
 
-func BenchmarkPairKey(b *testing.B) {
-	left := vals("Smith", "Christine", "5 Beijing West Road")
-	right := vals("Smith", "Christine", "12 Beijing Road")
-	b.Run("builder", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pairKey(left, right)
-		}
-	})
-	// The pre-optimisation += version, kept for comparison: each +=
-	// reallocates and copies the whole prefix.
-	naive := func(left, right []data.Value) string {
-		key := ""
-		for _, v := range left {
-			key += v.Key() + "\x1e"
-		}
-		key += "\x1d"
-		for _, v := range right {
-			key += v.Key() + "\x1e"
-		}
-		return key
-	}
-	b.Run("naive-concat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			naive(left, right)
-		}
-	})
-}
-
 func BenchmarkPredicationStore(b *testing.B) {
 	mk := func() (*Predication, *PredicatedModel) {
 		p := NewPredication()
@@ -340,30 +269,16 @@ func BenchmarkPredicationStore(b *testing.B) {
 			m.Predict(pr[0], pr[1])
 		}
 	})
-	b.Run("invalidation", func(b *testing.B) {
+	b.Run("embed", func(b *testing.B) {
 		p, _ := mk()
-		var v Vector
-		compute := func() Vector { return v }
+		vecs := make([][]data.Value, 64)
+		for i := range vecs {
+			vecs[i] = vals("value-" + strconv.Itoa(i))
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.Embeds.Embed("R", i%64, "sig", compute)
-			if i%8 == 0 {
-				p.Embeds.Invalidate("R", i%64)
-			}
+			p.Embeds.Embed(vecs[i%len(vecs)])
 		}
 	})
-}
-
-func BenchmarkCachedModelPredict(b *testing.B) {
-	// The pre-layer global-mutex cache, for comparison with
-	// BenchmarkPredicationStore/hit.
-	c := NewCachedModel(NewSimilarityMatcher("M_ER", 0.8))
-	left, right := vals("IPhone 14 (Discount ID 41)"), vals("IPhone 14 (Discount Code 41)")
-	c.Predict(left, right)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Predict(left, right)
-	}
 }

@@ -56,7 +56,6 @@ type Env struct {
 	Ranker ml.Ranker
 	Corr   map[string]*ml.CorrelationModel
 	Pred   map[string]*ml.ValuePredictor
-	HER    map[string]*ml.HERMatcher
 	PathM  *ml.PathMatcher
 	Graphs map[string]*kg.Graph
 
@@ -85,7 +84,6 @@ func NewEnv(db *data.Database) *Env {
 		Models:  ml.NewRegistry(),
 		Corr:    make(map[string]*ml.CorrelationModel),
 		Pred:    make(map[string]*ml.ValuePredictor),
-		HER:     make(map[string]*ml.HERMatcher),
 		Graphs:  make(map[string]*kg.Graph),
 		Columns: crystal.NewCache(),
 	}
@@ -274,17 +272,17 @@ func (p *Predicate) Eval(env *Env, h *Valuation) (bool, error) {
 		if !ok {
 			return false, unbound(p.X)
 		}
-		her := env.HER[bt.Rel]
-		if her == nil {
-			her = env.HER[p.Model]
+		// HER matchers are registry models over the tuple's raw values
+		// and the vertex: ml.HERName(rel) for the tuple's relation, else
+		// ml.HERName("") for any relation.
+		her, err := env.Models.Get(ml.HERName(bt.Rel))
+		if err != nil {
+			her, err = env.Models.Get(ml.HERName(""))
 		}
-		if her == nil {
-			her = env.HER[""]
-		}
-		if her == nil {
+		if err != nil {
 			return false, fmt.Errorf("predicate %s: no HER matcher registered", p)
 		}
-		return her.Match(bt.Tuple, bx.ID), nil
+		return her.Predict(bt.Tuple.Values, ml.HERVertex(bx.ID)), nil
 
 	case KMatch:
 		bt, ok := h.Tuples[p.T]

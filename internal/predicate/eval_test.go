@@ -137,7 +137,7 @@ func TestEvalExtraction(t *testing.T) {
 	store := g.AddVertex("Huawei Flagship")
 	city := g.AddVertex("Beijing")
 	mustEdge(g, store, "LocationAt", city)
-	env.HER[""] = ml.NewHERMatcher("HER", g, rel.Schema, 0.6, "name")
+	env.Models.Register(ml.NewHERMatcher("", g, rel.Schema, 0.6, "name"))
 	env.PathM = ml.NewPathMatcher(g, 0.3)
 
 	tp := rel.Insert("s3", data.S("Huawei Flagship"), data.S("Beijing"), data.F(11))

@@ -37,7 +37,7 @@ func TestReferenceSemanticsWithVertexAtoms(t *testing.T) {
 	beijing := g.AddVertex("Beijing")
 	mustEdge(g, store, "LocationAt", beijing)
 	env.Graphs["Wiki"] = g
-	env.HER["Store"] = ml.NewHERMatcher("HER", g, schema, 0.6, "name")
+	env.Models.Register(ml.NewHERMatcher("Store", g, schema, 0.6, "name"))
 	env.PathM = ml.NewPathMatcher(g, 0.3)
 
 	r := MustParse("Store(t) ^ vertex(x, Wiki) ^ HER(t, x) ^ match(t.location, x.(LocationAt)) -> t.location = val(x.(LocationAt))", db)

@@ -138,7 +138,7 @@ func (d *Dataset) BuildEnv() *predicate.Env {
 		env.Graphs[d.Graph.Name] = d.Graph
 		env.PathM = ml.NewPathMatcher(d.Graph, 0.3)
 		for name, rel := range d.DB.Relations {
-			env.HER[name] = ml.NewHERMatcher("HER", d.Graph, rel.Schema, 0.6)
+			env.Models.Register(ml.NewCachedModel(ml.NewHERMatcher(name, d.Graph, rel.Schema, 0.6)))
 		}
 	}
 	return env

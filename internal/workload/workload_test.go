@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
+	"github.com/rockclean/rock/internal/ml"
 	"github.com/rockclean/rock/internal/ree"
 )
 
@@ -60,7 +61,7 @@ func TestLogisticsGenerator(t *testing.T) {
 		t.Error("RR task needs missing areas")
 	}
 	env := ds.BuildEnv()
-	if env.Graphs["GeoKG"] == nil || env.PathM == nil || env.HER["Order"] == nil {
+	if _, err := env.Models.Get(ml.HERName("Order")); env.Graphs["GeoKG"] == nil || env.PathM == nil || err != nil {
 		t.Error("env must wire the graph machinery")
 	}
 }

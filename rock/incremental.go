@@ -6,7 +6,6 @@ import (
 	"github.com/rockclean/rock/internal/chase"
 	"github.com/rockclean/rock/internal/crystal"
 	"github.com/rockclean/rock/internal/detect"
-	"github.com/rockclean/rock/internal/ml"
 	"github.com/rockclean/rock/internal/obs"
 )
 
@@ -59,22 +58,6 @@ func (d *Delta) Size() int {
 	return n
 }
 
-// invalidateEmbeddings retires the warm predication layer's cached
-// vectors for the delta's tuples: their raw values just changed, and a
-// layer shared across runs (the pipeline keeps one for its lifetime)
-// would otherwise serve embeddings of the old content. No-op with the
-// layer off.
-func (d *Delta) invalidateEmbeddings(pred *ml.Predication) {
-	if pred == nil {
-		return
-	}
-	for rel, tids := range d.w.Dirty {
-		for tid := range tids {
-			pred.Embeds.Invalidate(rel, tid)
-		}
-	}
-}
-
 // refreshColumns brings the env's dictionary-encoded columns current for
 // the delta's writes — O(|Δ|) per column instead of a rebuild — and counts
 // the columns refreshed into reg. A write to the database the delta did not
@@ -102,12 +85,10 @@ func (d *Delta) DetectIncrementalCtx(ctx context.Context) ([]DetectedError, bool
 	if reg == nil {
 		reg = obs.New()
 	}
-	pred := d.p.predication()
-	d.invalidateEmbeddings(pred)
 	d.refreshColumns(reg)
 	root := reg.StartSpan("detect.incremental", nil)
 	defer root.End()
-	dOpts := d.p.detectOptions(pred, reg)
+	dOpts := d.p.detectOptions(d.p.predication(), reg)
 	dOpts.Span = root
 	det := detect.New(d.p.env, d.p.rules, dOpts)
 	errs, partial, err := det.DetectIncrementalCtx(ctx, d.w.Dirty)

@@ -1,8 +1,10 @@
 package rock
 
 import (
+	"fmt"
 	"testing"
 
+	"github.com/rockclean/rock/internal/ml"
 	"github.com/rockclean/rock/internal/obs"
 )
 
@@ -183,5 +185,46 @@ func TestIncrementalCorrectionsMatchFullScan(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("pending Validate() cell missing from incremental corrections")
+	}
+}
+
+// TestKeptLayerWrapsEachModelOnce: every detection and chase over the
+// pipeline's kept predication layer re-wraps the registry's models. Each
+// model must keep the one wrapper the first clean built — the layer's
+// wrapper list would otherwise grow with every delta — and the per-model
+// counters must still add up to the layer's own.
+func TestKeptLayerWrapsEachModelOnce(t *testing.T) {
+	p := ecommercePipeline(t, DefaultOptions())
+	if _, err := p.Clean(); err != nil {
+		t.Fatal(err)
+	}
+	names := p.env.Models.Names()
+	first := make(map[string]ml.Model, len(names))
+	for _, n := range names {
+		first[n], _ = p.env.Models.Get(n)
+	}
+	for i := 0; i < 50; i++ {
+		d := mateX2Delta(t, p, fmt.Sprintf("w%d", i))
+		if i%5 == 0 {
+			if _, err := d.DetectIncremental(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := d.CleanIncremental(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range names {
+		if m, _ := p.env.Models.Get(n); m != first[n] {
+			t.Errorf("model %s was re-wrapped by a later run", n)
+		}
+	}
+	var hits, misses uint64
+	for _, hm := range p.pred.ModelStats() {
+		hits += hm[0]
+		misses += hm[1]
+	}
+	if st := p.pred.Stats(); hits != st.Hits || misses != st.Misses || hits == 0 {
+		t.Errorf("per-model totals %d/%d, layer %d/%d", hits, misses, st.Hits, st.Misses)
 	}
 }

@@ -116,8 +116,9 @@ type Options struct {
 	// UseBlocking enables LSH blocking for ML predicates.
 	UseBlocking bool
 	// Predication enables the precomputed ML predication layer (paper
-	// §5.4): versioned per-tuple embedding store, sharded prediction
-	// cache, and round-level batch scoring across the worker pool.
+	// §5.4): value-keyed embedding store and sharded prediction cache
+	// (pair models and HER), and round-level batch scoring across the
+	// worker pool.
 	// Results are bit-identical with the layer on or off;
 	// Report.Predication carries the cache counters.
 	Predication bool
@@ -184,9 +185,9 @@ type Pipeline struct {
 	// when Options.Predication is on and shared across every Clean and
 	// CleanIncremental of the pipeline — so a long-lived pipeline (rockd's
 	// per-tenant state) serves later runs from caches earlier runs filled.
-	// Both caches memoise pure computations (the embedding store is
-	// invalidated per tuple as raw data or fixes change), so results stay
-	// bit-identical to a cold layer.
+	// Both caches are keyed by the values they were computed from, so a
+	// tuple that changes keys fresh entries and results stay bit-identical
+	// to a cold layer.
 	pred *ml.Predication
 
 	ruleSeq int
@@ -242,12 +243,13 @@ func (p *Pipeline) RegisterMatcher(name string, threshold float64) {
 }
 
 // RegisterGraph registers a knowledge graph and enables the extraction
-// predicates vertex/HER/match/val against it.
+// predicates vertex/HER/match/val against it: each relation gets a HER
+// matcher, registered as model ml.HERName(relation).
 func (p *Pipeline) RegisterGraph(g *kg.Graph, herThreshold float64) {
 	p.env.Graphs[g.Name] = g
 	p.env.PathM = ml.NewPathMatcher(g, 0.3)
 	for name, rel := range p.db.Relations {
-		p.env.HER[name] = ml.NewHERMatcher("HER", g, rel.Schema, herThreshold)
+		p.env.Models.Register(ml.NewCachedModel(ml.NewHERMatcher(name, g, rel.Schema, herThreshold)))
 	}
 }
 
@@ -617,8 +619,8 @@ type RuleCost = chase.RuleCost
 type MLCost = chase.MLCost
 
 // PredicationStats re-exports the predication layer's counter snapshot:
-// prediction-cache hits/misses/evictions, embedding-store reuse, and
-// tuple invalidations (see ml.PredStats).
+// prediction-cache hits/misses/evictions and embedding-store reuse (see
+// ml.PredStats).
 type PredicationStats = ml.PredStats
 
 // Clean detects and corrects: it chases the database with the registered
@@ -655,9 +657,9 @@ func (p *Pipeline) CleanCtx(ctx context.Context) (*Report, error) {
 		reg = obs.New()
 	}
 	// One predication layer spans the whole run (and, on a long-lived
-	// pipeline, every later run): detection fills the content-keyed
-	// prediction cache, the chase serves from it (and from its
-	// tuple-versioned embedding store) during deduction.
+	// pipeline, every later run): detection fills the value-keyed
+	// prediction cache and embedding store, and the chase serves from
+	// them during deduction.
 	pred := p.predication()
 	// Root span of the hierarchical trace (recorded only when the
 	// registry has spans enabled): clean → detect/chase → round → unit →
