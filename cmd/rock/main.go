@@ -26,6 +26,8 @@ import (
 	"github.com/rockclean/rock/internal/cluster/remote"
 	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/obs"
+	"github.com/rockclean/rock/internal/predicate"
+	"github.com/rockclean/rock/internal/ree"
 	"github.com/rockclean/rock/internal/workload"
 	"github.com/rockclean/rock/rock"
 )
@@ -104,17 +106,43 @@ func cmdGen(args []string) error {
 			return err
 		}
 	}
+	// The directory holds CSVs and rules only: no knowledge graph, and no
+	// cell timestamps to train a ranker from. `rock clean` could evaluate
+	// neither kind of rule, so those stay out of rules.ree.
 	var rulesText strings.Builder
 	rulesText.WriteString("# curated REE++ rules for the " + ds.Name + " application\n")
+	kept, needGraph, needRanker := 0, 0, 0
 	for _, r := range ds.Rules {
-		rulesText.WriteString(r.String() + "\n")
+		switch {
+		case len(r.VertexAtoms) > 0:
+			needGraph++
+		case usesRanker(r):
+			needRanker++
+		default:
+			rulesText.WriteString(r.String() + "\n")
+			kept++
+		}
 	}
 	if err := os.WriteFile(filepath.Join(*out, "rules.ree"), []byte(rulesText.String()), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d relations (%d tuples, %d injected errors) and %d rules to %s\n",
-		len(ds.DB.Relations), ds.DB.TupleCount(), ds.Gold.Total(), len(ds.Rules), *out)
+		len(ds.DB.Relations), ds.DB.TupleCount(), ds.Gold.Total(), kept, *out)
+	if left := needGraph + needRanker; left > 0 {
+		fmt.Printf("left out %d rules the files cannot carry: %d over a knowledge graph, %d over a ranker trained from timestamps\n",
+			left, needGraph, needRanker)
+	}
 	return nil
+}
+
+// usesRanker reports whether r reads the temporal ranker M_rank.
+func usesRanker(r *ree.Rule) bool {
+	for _, p := range r.X {
+		if p.Kind == predicate.KRank {
+			return true
+		}
+	}
+	return r.P0.Kind == predicate.KRank
 }
 
 func loadDB(dir string) (*data.Database, error) {

@@ -11,53 +11,68 @@ import (
 	"github.com/rockclean/rock/rock"
 )
 
-// TestGenCleanRoundTrip drives the CLI flow end to end: generate a Bank
-// dataset to CSV, load it back, clean it in place, and verify the written
-// files changed and still parse.
+// TestGenCleanRoundTrip drives the CLI flow end to end for every
+// application: generate a dataset to CSV, load it back, clean it in
+// place, and verify the written files changed and still parse. Logistics
+// and Sales carry rules over a knowledge graph and a trained ranker that
+// the files cannot hold; gen must leave those out for clean to run.
 func TestGenCleanRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	if err := cmdGen([]string{"-app", "bank", "-n", "150", "-seed", "3", "-out", dir}); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{"Customer.csv", "Company.csv", "Payment.csv", "rules.ree"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Fatalf("missing %s: %v", f, err)
-		}
-	}
-	before, err := os.ReadFile(filepath.Join(dir, "Payment.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		app   string
+		files []string
+		watch string // a relation with injected nulls for clean to impute
+	}{
+		{"bank", []string{"Customer.csv", "Company.csv", "Payment.csv"}, "Payment.csv"},
+		{"logistics", []string{"Order.csv"}, "Order.csv"},
+		{"sales", []string{"SalesOrder.csv", "CustomerInfo.csv"}, "SalesOrder.csv"},
+	} {
+		t.Run(tc.app, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := cmdGen([]string{"-app", tc.app, "-n", "150", "-seed", "3", "-out", dir}); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range append(tc.files, "rules.ree") {
+				if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+					t.Fatalf("missing %s: %v", f, err)
+				}
+			}
+			watched := filepath.Join(dir, tc.watch)
+			before, err := os.ReadFile(watched)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Detect only: must not modify files.
-	if err := cmdClean([]string{"-in", dir}, false); err != nil {
-		t.Fatal(err)
-	}
-	mid, _ := os.ReadFile(filepath.Join(dir, "Payment.csv"))
-	if string(mid) != string(before) {
-		t.Fatal("detect must not modify the dataset")
-	}
+			// Detect only: must not modify files.
+			if err := cmdClean([]string{"-in", dir}, false); err != nil {
+				t.Fatal(err)
+			}
+			mid, _ := os.ReadFile(watched)
+			if string(mid) != string(before) {
+				t.Fatal("detect must not modify the dataset")
+			}
 
-	// Clean: corrects in place.
-	if err := cmdClean([]string{"-in", dir}, true); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := os.ReadFile(filepath.Join(dir, "Payment.csv"))
-	if string(after) == string(before) {
-		t.Fatal("clean must write corrections back")
-	}
-	// The corrected files still load.
-	db, err := loadDB(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.TupleCount() == 0 {
-		t.Fatal("reloaded database empty")
-	}
-	// Fewer nulls after cleaning (imputation ran).
-	countNulls := func(b []byte) int { return strings.Count(string(b), ",null") }
-	if countNulls(after) >= countNulls(before) {
-		t.Errorf("imputation should reduce nulls: %d -> %d", countNulls(before), countNulls(after))
+			// Clean: corrects in place.
+			if err := cmdClean([]string{"-in", dir}, true); err != nil {
+				t.Fatal(err)
+			}
+			after, _ := os.ReadFile(watched)
+			if string(after) == string(before) {
+				t.Fatal("clean must write corrections back")
+			}
+			// The corrected files still load.
+			db, err := loadDB(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db.TupleCount() == 0 {
+				t.Fatal("reloaded database empty")
+			}
+			// Fewer nulls after cleaning (imputation ran).
+			countNulls := func(b []byte) int { return strings.Count(string(b), ",null") }
+			if countNulls(after) >= countNulls(before) {
+				t.Errorf("imputation should reduce nulls: %d -> %d", countNulls(before), countNulls(after))
+			}
+		})
 	}
 }
 

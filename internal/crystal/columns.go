@@ -165,20 +165,14 @@ func (d *Dictionary) Size() int { return len(d.values) }
 type Column struct {
 	Attr string
 	Dict *Dictionary
-	// IDs maps TID → value id; NoValue marks TIDs the column has no tuple
-	// for (holes from deletions, or inserts after the last Refresh).
-	// Read-only outside Refresh.
+	// IDs maps TID → value id; NoValue marks TIDs the column has no live
+	// tuple for (deleted ones). Read-only outside Refresh.
 	IDs []ValueID
 	// Postings maps value id → sorted TIDs carrying it — the "similar
 	// values gathered together" layout that accelerates hash joins and
 	// blocking. Indexed by dictionary id; PostingList bounds-checks the
 	// id.
 	Postings [][]int
-
-	// holes counts NoValue entries in IDs: zero holes plus full TID
-	// coverage means no tuple can be unseen (Complete), which lets the
-	// executor's posting-driven paths skip per-tuple fallback scans.
-	holes int
 }
 
 // BuildColumn encodes one attribute of a relation.
@@ -232,22 +226,13 @@ func BuildColumn(rel *data.Relation, attr string) (*Column, error) {
 			sort.Ints(post[id])
 		}
 	}
-	return &Column{Attr: attr, Dict: dict, IDs: ids, Postings: post, holes: len(ids) - len(rel.Tuples)}, nil
+	return &Column{Attr: attr, Dict: dict, IDs: ids, Postings: post}, nil
 }
 
-// setID stores id at tid, growing the dense slice with NoValue holes and
-// keeping the hole count (the Complete invariant) exact.
+// setID stores id at tid, growing the dense slice with NoValue holes.
 func (c *Column) setID(tid int, id ValueID) {
 	for len(c.IDs) <= tid {
 		c.IDs = append(c.IDs, NoValue)
-		c.holes++
-	}
-	if c.IDs[tid] == NoValue {
-		if id != NoValue {
-			c.holes--
-		}
-	} else if id == NoValue {
-		c.holes++
 	}
 	c.IDs[tid] = id
 }
@@ -270,15 +255,6 @@ func (c *Column) PostingList(id ValueID) []int {
 		return nil
 	}
 	return c.Postings[id]
-}
-
-// Complete reports that the column covers every live tuple of rel: the
-// dense vector spans all assigned TIDs and has no NoValue holes, so no
-// tuple of rel can be unseen by the posting lists. Deleted tuples may
-// retain stale entries — posting-driven readers intersect against live
-// TID sets, which drops them.
-func (c *Column) Complete(rel *data.Relation) bool {
-	return c.holes == 0 && len(c.IDs) == rel.NextTID()
 }
 
 // Refresh re-interns the raw values of the given TIDs (nil: every tuple),

@@ -308,27 +308,78 @@ func TestRefreshEmptiesPostingBucket(t *testing.T) {
 	}
 }
 
-func TestCompleteTracksHolesAndInserts(t *testing.T) {
+// liveEncoded checks the invariant the executor's columnar jobs rely on
+// instead of a completeness gate: every live TID has the id of its value,
+// and every posting list holds only live TIDs carrying that id, sorted.
+func liveEncoded(col *Column, rel *data.Relation) error {
+	ai := rel.Schema.Index(col.Attr)
+	for _, tp := range rel.Tuples {
+		id, ok := col.IDAt(tp.TID)
+		if !ok {
+			return fmt.Errorf("live TID %d has no id", tp.TID)
+		}
+		if v, _ := col.Dict.Value(id); !v.Equal(tp.Values[ai]) {
+			return fmt.Errorf("TID %d holds %q, its value is %q", tp.TID, v.Key(), tp.Values[ai].Key())
+		}
+	}
+	for id, p := range col.Postings {
+		if err := checkPostingSorted(p); err != nil {
+			return err
+		}
+		for _, tid := range p {
+			if rel.Get(tid) == nil {
+				return fmt.Errorf("posting list %d holds deleted TID %d", id, tid)
+			}
+			if got, _ := col.IDAt(tid); got != ValueID(id) {
+				return fmt.Errorf("posting list %d holds TID %d of id %d", id, tid, got)
+			}
+		}
+	}
+	return nil
+}
+
+// TestRefreshKeepsEveryLiveTIDEncoded: after an insert, an update or a
+// delete, a Refresh of the written TIDs leaves every live TID with an id
+// and every posting list with live TIDs only — on the column itself and
+// on a Cache's column refreshed through a batch of Writes.
+func TestRefreshKeepsEveryLiveTIDEncoded(t *testing.T) {
 	rel := skuFixture(t, 100)
 	col, _ := BuildColumn(rel, "sku")
-	if !col.Complete(rel) {
-		t.Fatal("fresh build must be Complete")
+	if err := liveEncoded(col, rel); err != nil {
+		t.Fatalf("fresh build: %v", err)
 	}
-	// An insert after the build leaves the new TID unseen.
-	rel.Insert("late", data.S("S1"), data.I(1))
-	if col.Complete(rel) {
-		t.Fatal("column must not be Complete after an unseen insert")
-	}
-	col.Refresh(rel, map[int]bool{rel.Tuples[len(rel.Tuples)-1].TID: true})
-	if !col.Complete(rel) {
-		t.Fatal("refreshing the inserted TID must restore completeness")
-	}
-	// A delete leaves a stale dense slot but no hole — the TID is simply
-	// no longer live; completeness is about coverage of assigned TIDs.
-	tid := rel.Tuples[0].TID
-	rel.Delete(tid)
-	if !col.Complete(rel) {
-		t.Fatal("Complete tracks assigned-TID coverage, not liveness")
+	db := data.NewDatabase()
+	db.Add(rel)
+	cache := NewCache()
+	cached, _ := cache.Column(rel, "sku")
+	for _, step := range []struct {
+		name  string
+		write func() int
+	}{
+		{"insert", func() int { return rel.Insert("late", data.S("S1"), data.I(1)).TID }},
+		{"insert new value", func() int { return rel.Insert("later", data.S("fresh"), data.I(1)).TID }},
+		{"update", func() int { tid := rel.Tuples[5].TID; rel.SetValue(tid, "sku", data.S("S2")); return tid }},
+		{"update to null", func() int { tid := rel.Tuples[6].TID; rel.SetValue(tid, "sku", data.Null(data.TString)); return tid }},
+		{"delete", func() int { tid := rel.Tuples[0].TID; rel.Delete(tid); return tid }},
+		{"delete the newest", func() int { tid := rel.Tuples[rel.Len()-1].TID; rel.Delete(tid); return tid }},
+	} {
+		w := NewWrites(db)
+		tid := step.write()
+		w.Wrote("Ev", tid)
+		col.Refresh(rel, map[int]bool{tid: true})
+		if err := liveEncoded(col, rel); err != nil {
+			t.Fatalf("after %s and Refresh: %v", step.name, err)
+		}
+		if n := cache.Refresh(db, w); n != 1 {
+			t.Fatalf("after %s: Cache.Refresh refreshed %d columns, want 1", step.name, n)
+		}
+		got, built := cache.Column(rel, "sku")
+		if built || got != cached {
+			t.Fatalf("after %s: the cache rebuilt a column its batch accounted for", step.name)
+		}
+		if err := liveEncoded(got, rel); err != nil {
+			t.Fatalf("after %s and Cache.Refresh: %v", step.name, err)
+		}
 	}
 }
 
@@ -400,9 +451,8 @@ func TestRefreshMatchesFreshBuild(t *testing.T) {
 // sameByValue compares two columns of one relation by the values they
 // hold: a refreshed dictionary numbers its new values differently.
 func sameByValue(got, want *Column, rel *data.Relation) error {
-	if len(got.IDs) != len(want.IDs) || got.Complete(rel) != want.Complete(rel) {
-		return fmt.Errorf("covers %d TIDs (complete %v), the fresh build %d (complete %v)",
-			len(got.IDs), got.Complete(rel), len(want.IDs), want.Complete(rel))
+	if len(got.IDs) != len(want.IDs) {
+		return fmt.Errorf("covers %d TIDs, the fresh build %d", len(got.IDs), len(want.IDs))
 	}
 	key := func(c *Column, tid int) string {
 		id, ok := c.IDAt(tid)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"github.com/rockclean/rock/internal/data"
 )
 
 func TestRingPlacementStable(t *testing.T) {
@@ -123,4 +125,75 @@ func TestRingOwnerTotal(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// ascendingBlock reports a block that is not strictly TID-ascending.
+func ascendingBlock(block []*data.Tuple) error {
+	for i := 1; i < len(block); i++ {
+		if block[i].TID <= block[i-1].TID {
+			return fmt.Errorf("TID %d follows TID %d", block[i].TID, block[i-1].TID)
+		}
+	}
+	return nil
+}
+
+// TestColumnarPartitionsAreTIDAscending: the executor's columnar jobs
+// take every partition to be strictly TID-ascending and treat any other
+// as an error. Every block Partition returns is, before and after inserts
+// and a delete, and every UnitsFor unit restricts its variables to such
+// blocks.
+func TestColumnarPartitionsAreTIDAscending(t *testing.T) {
+	rel := skuFixture(t, 200)
+	other := data.NewRelation(schemaOf("Other", data.Attribute{Name: "a", Type: data.TString}))
+	for i := 0; i < 37; i++ {
+		other.Insert(fmt.Sprintf("o%d", i), data.S(fmt.Sprintf("a%d", i%5)))
+	}
+	db := data.NewDatabase()
+	db.Add(rel)
+	db.Add(other)
+	atoms := [][]Atom{
+		{{Rel: "Ev", Var: "t"}},
+		{{Rel: "Ev", Var: "t"}, {Rel: "Ev", Var: "s"}},
+		{{Rel: "Ev", Var: "t"}, {Rel: "Other", Var: "s"}, {Rel: "Ev", Var: "u"}},
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, b := range []int{1, 3, 8} {
+			blocks := Partition(db, b)
+			live := 0
+			for name, bs := range blocks {
+				for i, block := range bs {
+					if err := ascendingBlock(block); err != nil {
+						t.Fatalf("%s: %s block %d of %d: %v", stage, name, i, b, err)
+					}
+					if name == "Ev" {
+						live += len(block)
+					}
+				}
+			}
+			if live != rel.Len() {
+				t.Fatalf("%s: blocks of %d hold %d Ev tuples, the relation %d", stage, b, live, rel.Len())
+			}
+			for _, as := range atoms {
+				units := UnitsFor(as, blocks)
+				if len(units) == 0 {
+					t.Fatalf("%s: no units over %d blocks", stage, b)
+				}
+				for _, u := range units {
+					for v, block := range u.Restrict {
+						if err := ascendingBlock(block); err != nil {
+							t.Fatalf("%s: unit %s restricts %s: %v", stage, u.Part, v, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	check("fresh")
+	for i := 0; i < 25; i++ {
+		rel.Insert(fmt.Sprintf("late%d", i), data.S("S1"), data.I(1))
+	}
+	check("after inserts")
+	rel.Delete(rel.Tuples[17].TID)
+	check("after a delete")
 }

@@ -10,13 +10,14 @@
 //   - remaining predicates evaluate as soon as their variables are bound
 //     (predicate pushdown), so dead branches prune early.
 //
-// Joins, constant/null selections and probes each have two bodies: the
-// columnar one over dictionary-encoded columns (vector.go, intern.go),
-// used for every relation whatever its size, and a value-through
-// reference in this file that tests compare against and that takes over
-// only when a precondition the code can observe fails — a ValueOf hook
-// nobody tracks shadows for, a partition that is not TID-ascending, a
-// column that is not Complete.
+// Joins, constant/null selections and probes each have one body, over
+// the environment's dictionary-encoded columns (vector.go, intern.go),
+// whatever the relation's size. Its preconditions are invariants, and Run
+// reports an error when one fails: a ValueOf hook must come with the
+// shadow set of the tuples it may change (SetShadowTracking), and every
+// partition a job walks must be TID-ascending. The third, an id for every
+// live TID, holds by construction: the column cache serves a column only
+// at its relation's current mutation count.
 //
 // The executor is shared by error detection and the chase; the caller's
 // Env decides whether values come from raw data (detection) or from the
@@ -27,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -110,24 +110,29 @@ type Executor struct {
 	mu       sync.Mutex
 	blockers map[string]*blockerEntry
 
-	// in is this executor's view over the env's dictionary-encoded
-	// columns (intern.go): the shadow-TID sets that keep interned
-	// comparisons sound under a ValueOf hook, and the registered partition
-	// TID arrays.
+	// cols is the env's column cache, or a private one when the env has
+	// none.
+	cols *crystal.Cache
+
+	// in is this executor's view over the dictionary-encoded columns
+	// (intern.go): the shadow-TID sets that keep interned comparisons
+	// sound under a ValueOf hook, and the registered partition TID arrays.
 	in internIndex
 }
 
 // New creates an executor over the environment.
 func New(env *predicate.Env) *Executor {
+	cols := env.Columns
+	if cols == nil {
+		cols = crystal.NewCache()
+	}
 	return &Executor{
 		env:      env,
+		cols:     cols,
 		blockers: make(map[string]*blockerEntry),
 		lsh:      ml.NewLSH(8, 6, 17),
 	}
 }
-
-// Env returns the executor's environment.
-func (e *Executor) Env() *predicate.Env { return e.env }
 
 // SetEmbedStore installs the value-keyed embedding store. Call before the
 // first Run; the store itself is safe for concurrent use.
@@ -206,6 +211,9 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 	if len(r.Atoms) == 0 {
 		return st, fmt.Errorf("exec: rule %s has no tuple atoms", r.ID)
 	}
+	if e.env.ValueOf != nil && !e.in.tracking() {
+		return st, fmt.Errorf("exec: rule %s: the env has a ValueOf hook but no shadow set (SetShadowTracking)", r.ID)
+	}
 	spansOn := e.reg.SpansEnabled()
 	var execSpan *obs.Span
 	if spansOn {
@@ -234,7 +242,6 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 	// candidate lists come from the scratch pool and are released when the
 	// run finishes; unfiltered variables alias the partition slice itself
 	// (zero copies on the common no-constant-predicate rule).
-	fast := e.fastPathOK()
 	cands := make(map[string][]*data.Tuple, len(r.Atoms))
 	var pooled [][]*data.Tuple
 	defer func() {
@@ -243,7 +250,7 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 		}
 	}()
 	for _, a := range r.Atoms {
-		ts, fromPool, err := e.candidates(r, a, opts, fast)
+		ts, fromPool, err := e.candidates(r, a, opts)
 		if err != nil {
 			return st, err
 		}
@@ -255,7 +262,10 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 
 	// Pick a driver pair: an equality join or a blocked ML predicate over
 	// the first two variables.
-	plan := e.plan(r, cands, opts, fast)
+	plan, err := e.plan(r, cands, opts)
+	if err != nil {
+		return st, err
+	}
 	if plan.pooledPairs {
 		defer putPairBuf(plan.pairs)
 	}
@@ -447,8 +457,12 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 		// this one, probe the candidate list instead of scanning; probeJoin
 		// works over the constant-pushdown candidate set of the variable, so
 		// tuples eliminated by single-variable predicates never re-enumerate.
-		idxList, fromPool := e.probeJoin(r, a, bound, h, cands, fast)
-		if idxList != nil {
+		idxList, probed, err := e.probeJoin(r, a, bound, h, cands)
+		if err != nil {
+			fail(err)
+			return
+		}
+		if probed {
 			list = idxList
 		}
 		for _, t := range list {
@@ -473,7 +487,7 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 				break
 			}
 		}
-		if fromPool {
+		if probed {
 			putTupleBuf(idxList)
 		}
 	}
@@ -553,71 +567,43 @@ func selfPair(h *predicate.Valuation, a ree.Atom, t *data.Tuple) bool {
 // that the returned slice came from the scratch pool (the caller releases
 // it); false means it aliases the partition itself and must not be
 // mutated or pooled.
-func (e *Executor) candidates(r *ree.Rule, a ree.Atom, opts Options, fast bool) (out []*data.Tuple, fromPool bool, err error) {
+func (e *Executor) candidates(r *ree.Rule, a ree.Atom, opts Options) (out []*data.Tuple, fromPool bool, err error) {
 	rel := e.env.DB.Rel(a.Rel)
 	if rel == nil {
 		return nil, false, fmt.Errorf("exec: rule %s references unknown relation %q", r.ID, a.Rel)
 	}
 	base := partitionOf(rel, a.Rel, a.Var, opts)
-	// Collect the single-variable constant/null predicates on this var.
-	var preds []*predicate.Predicate
+	// Every filter that is an id compare (null checks, and constant = / !=)
+	// runs over its interned column; the rest (ordered constant compares)
+	// evaluate per survivor. Null checks read raw data; constant compares
+	// read through the value view, so shadowed tuples re-evaluate per tuple
+	// (keepFasts).
+	var fasts []idFilter
+	var slows []*predicate.Predicate
 	for _, p := range r.X {
-		if p.Kind != predicate.KConst && p.Kind != predicate.KNull && p.Kind != predicate.KNotNull {
+		if p.T != a.Var || (p.Kind != predicate.KConst && p.Kind != predicate.KNull && p.Kind != predicate.KNotNull) {
 			continue
 		}
-		if p.T != a.Var {
+		var col *crystal.Column
+		if p.Kind != predicate.KConst || p.Op == predicate.Eq || p.Op == predicate.Neq {
+			col = e.internedCol(a.Rel, p.A)
+		}
+		if col == nil {
+			slows = append(slows, p)
 			continue
 		}
-		preds = append(preds, p)
+		f := idFilter{p: p, col: col, viewed: p.Kind == predicate.KConst}
+		f.nullID, f.hasNull = col.Dict.NullID()
+		if p.Kind == predicate.KConst {
+			f.cid, f.hasCID = col.Dict.ID(p.C)
+		}
+		fasts = append(fasts, f)
 	}
-	if len(preds) == 0 {
+	if len(fasts) == 0 && len(slows) == 0 {
 		return base, false, nil
 	}
-	// Columnar path: every filter that is an id compare (null checks, and
-	// constant = / !=) runs over its interned column; the rest (ordered
-	// constant compares) evaluate per survivor. Null checks read raw data;
-	// constant compares read through the value view, so shadowed tuples
-	// re-evaluate per tuple (keepFasts). candidatesVec declines a partition
-	// that is not TID-ascending.
-	if fast {
-		var fasts []idFilter
-		var slows []*predicate.Predicate
-		for _, p := range preds {
-			var col *crystal.Column
-			if p.Kind != predicate.KConst || p.Op == predicate.Eq || p.Op == predicate.Neq {
-				col = e.internedCol(a.Rel, p.A)
-			}
-			if col == nil {
-				slows = append(slows, p)
-				continue
-			}
-			f := idFilter{p: p, col: col, viewed: p.Kind == predicate.KConst}
-			f.nullID, f.hasNull = col.Dict.NullID()
-			if p.Kind == predicate.KConst {
-				f.cid, f.hasCID = col.Dict.ID(p.C)
-			}
-			fasts = append(fasts, f)
-		}
-		if len(fasts) > 0 {
-			if vout, handled, verr := e.candidatesVec(a, rel, base, fasts, slows, e.shadowOf(a.Rel)); handled {
-				return vout, true, verr
-			}
-		}
-	}
-	// Reference: evaluate every predicate on every tuple.
-	out = getTupleBuf()
-	h := predicate.NewValuation()
-	for _, t := range base {
-		keep, evalErr := e.evalAll(a, t, preds, h)
-		if evalErr != nil {
-			putTupleBuf(out)
-			return nil, false, evalErr
-		}
-		if keep {
-			out = append(out, t)
-		}
-	}
-	return out, true, nil
+	out, err = e.candidatesVec(a, base, fasts, slows, e.shadowOf(a.Rel))
+	return out, true, err
 }
 
 // tidSet builds the membership set of a candidate list.
@@ -644,10 +630,10 @@ type execPlan struct {
 
 // plan inspects the rule and builds pair candidates via hash join or LSH
 // blocking when profitable.
-func (e *Executor) plan(r *ree.Rule, cands map[string][]*data.Tuple, opts Options, fast bool) execPlan {
+func (e *Executor) plan(r *ree.Rule, cands map[string][]*data.Tuple, opts Options) (execPlan, error) {
 	pl := execPlan{covered: map[*predicate.Predicate]bool{}}
 	if len(r.Atoms) < 2 {
-		return pl
+		return pl, nil
 	}
 	// Prefer an equality join between two distinct variables.
 	for _, p := range r.X {
@@ -657,13 +643,16 @@ func (e *Executor) plan(r *ree.Rule, cands map[string][]*data.Tuple, opts Option
 			if !okT || !okS {
 				continue
 			}
-			pairs, pooledPairs := e.hashJoin(r, p, opts, tuplesT, tuplesS, fast)
+			pairs, err := e.hashJoin(r, p, opts, tuplesT, tuplesS)
+			if err != nil {
+				return pl, err
+			}
 			if pairs != nil {
 				pl.var1, pl.var2, pl.pairs = p.T, p.S, pairs
 				pl.covered[p] = true
 				pl.prefiltered = true
-				pl.pooledPairs = pooledPairs
-				return pl
+				pl.pooledPairs = true
+				return pl, nil
 			}
 		}
 	}
@@ -676,67 +665,34 @@ func (e *Executor) plan(r *ree.Rule, cands map[string][]*data.Tuple, opts Option
 					pl.var1, pl.var2, pl.pairs = p.T, p.S, pairs
 					// Not covered: the model still verifies each candidate.
 					// Not prefiltered: LSH pairs come from the raw partition.
-					return pl
+					return pl, nil
 				}
 			}
 		}
 	}
-	return pl
+	return pl, nil
 }
 
 // hashJoin builds (t, s) pairs with t.A = s.B from the two variables'
-// pushdown candidate lists, t-major with s in candidate order. The
-// columnar body enumerates colB's posting lists (postingJoin, vector.go);
-// it declines when the fast path is unsound, colB is incomplete or an
-// input is not TID-ascending, and the reference below takes over: a hash
-// index on canonical value keys read through the view. Keys agree with
-// Value.Equal — cross-type numeric matches (I(5) = F(5)) land in one
-// bucket, exactly as the probe join finds them. pooled reports the pair
-// slice came from the scratch pool.
+// pushdown candidate lists, t-major with s in candidate order, by
+// enumerating colB's posting lists (postingJoin, vector.go). The pairs
+// are pool scratch; nil means the schema does not resolve the join.
 func (e *Executor) hashJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
-	tuplesT, tuplesS []*data.Tuple, fast bool) (pairs [][2]*data.Tuple, pooled bool) {
+	tuplesT, tuplesS []*data.Tuple) ([][2]*data.Tuple, error) {
 	relTName, relSName := r.RelOf(p.T), r.RelOf(p.S)
 	relT := e.env.DB.Rel(relTName)
 	relS := e.env.DB.Rel(relSName)
 	if relT == nil || relS == nil {
-		return nil, false
+		return nil, nil
 	}
 	bi := relS.Schema.Index(p.B)
 	ai := relT.Schema.Index(p.A)
 	if ai < 0 || bi < 0 {
-		return nil, false
+		return nil, nil
 	}
-	if fast {
-		colA := e.internedCol(relTName, p.A)
-		colB := e.internedCol(relSName, p.B)
-		if colA != nil && colB != nil {
-			if out, ok := e.postingJoin(r, p, opts, tuplesT, tuplesS, colA, colB, ai, bi, relS); ok {
-				return out, true
-			}
-		}
-	}
-	idx := make(map[string][]*data.Tuple, len(tuplesS))
-	for _, s := range tuplesS {
-		v := valueThrough(e.env, relSName, s, p.B, bi)
-		if v.IsNull() {
-			continue
-		}
-		idx[v.Key()] = append(idx[v.Key()], s)
-	}
-	out := getPairBuf()
-	for _, t := range tuplesT {
-		v := valueThrough(e.env, relTName, t, p.A, ai)
-		if v.IsNull() {
-			continue
-		}
-		for _, s := range idx[v.Key()] {
-			if !dirtyOK(opts, r, p.T, t, p.S, s) {
-				continue
-			}
-			out = append(out, [2]*data.Tuple{t, s})
-		}
-	}
-	return out, true
+	colA := e.internedCol(relTName, p.A)
+	colB := e.internedCol(relSName, p.B)
+	return e.postingJoin(r, p, opts, tuplesT, tuplesS, colA, colB, ai, bi, relS)
 }
 
 // blockPairs builds candidate (t, s) pairs for an ML predicate via LSH.
@@ -925,16 +881,15 @@ func dirtyOK(opts Options, r *ree.Rule, v1 string, t1 *data.Tuple, v2 string, t2
 // probeJoin, during recursive binding, returns a filtered candidate list
 // for atom a when some already-bound variable is linked to it by an
 // equality predicate. It filters the variable's constant-pushdown
-// candidate list, so tuples already eliminated by single-variable
-// predicates are never re-enumerated: one posting-list intersection
-// (probeJoinVec), or — when that declines — a per-tuple Equal scan through
-// the view. Returns nil when no equality applies; fromPool reports the
-// returned slice is pool scratch the caller must release.
+// candidate list with one posting-list intersection (probeJoinVec), so
+// tuples already eliminated by single-variable predicates are never
+// re-enumerated. probed is false when no equality applies; otherwise
+// list is pool scratch the caller must release.
 func (e *Executor) probeJoin(r *ree.Rule, a ree.Atom, bound map[string]bool, h *predicate.Valuation,
-	cands map[string][]*data.Tuple, fast bool) (list []*data.Tuple, fromPool bool) {
+	cands map[string][]*data.Tuple) (list []*data.Tuple, probed bool, err error) {
 	rel := e.env.DB.Rel(a.Rel)
 	if rel == nil {
-		return nil, false
+		return nil, false, nil
 	}
 	for _, p := range r.X {
 		if p.Kind != predicate.KAttr || p.Op != predicate.Eq {
@@ -962,23 +917,10 @@ func (e *Executor) probeJoin(r *ree.Rule, a ree.Atom, bound map[string]bool, h *
 		if fi < 0 {
 			continue
 		}
-		base := cands[a.Var]
-		if fast {
-			if col := e.internedCol(a.Rel, freeAttr); col != nil {
-				if vout, ok := e.probeJoinVec(a.Rel, rel, base, col, v, freeAttr, fi); ok {
-					return vout, true
-				}
-			}
-		}
-		out := getTupleBuf()
-		for _, t := range base {
-			if valueThrough(e.env, a.Rel, t, freeAttr, fi).Equal(v) {
-				out = append(out, t)
-			}
-		}
-		return out, true
+		list, err = e.probeJoinVec(a.Rel, cands[a.Var], e.internedCol(a.Rel, freeAttr), v, freeAttr, fi)
+		return list, err == nil, err
 	}
-	return nil, false
+	return nil, false, nil
 }
 
 // valueThrough reads t[attr] through the env's ValueOf hook when present.
@@ -994,12 +936,6 @@ func valueThrough(env *predicate.Env, rel string, t *data.Tuple, attr string, id
 		return data.Value{}
 	}
 	return t.Values[idx]
-}
-
-// SortTuplesByTID orders a tuple slice deterministically; helpers for
-// callers building Restrict partitions.
-func SortTuplesByTID(ts []*data.Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].TID < ts[j].TID })
 }
 
 // PlanAtoms returns r's tuple atoms as the HyperCube planner

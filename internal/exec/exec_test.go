@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
@@ -209,9 +210,9 @@ func TestExecutorErrors(t *testing.T) {
 	}
 }
 
-func TestValueOfHookRespected(t *testing.T) {
-	env, rel := transEnv(t, 10)
-	// Hook makes every mfg read as "Fixed" — the CR rule then has no violations.
+// fixedMfg makes every mfg read as "Fixed" through a ValueOf hook and
+// returns the shadow set of the tuples it changes: all of them.
+func fixedMfg(env *predicate.Env, rel *data.Relation) map[string]map[int]bool {
 	env.ValueOf = func(relName string, tp *data.Tuple, attr string) (data.Value, bool) {
 		if attr == "mfg" {
 			return data.S("Fixed"), true
@@ -219,8 +220,52 @@ func TestValueOfHookRespected(t *testing.T) {
 		i := rel.Schema.Index(attr)
 		return tp.Values[i], true
 	}
+	shadow := map[int]bool{}
+	for _, tp := range rel.Tuples {
+		shadow[tp.TID] = true
+	}
+	return map[string]map[int]bool{"Trans": shadow}
+}
+
+func TestValueOfHookRespected(t *testing.T) {
+	env, rel := transEnv(t, 10)
+	shadow := fixedMfg(env, rel)
+	e := New(env)
+	e.SetShadowTracking(shadow)
+	// With every mfg read as "Fixed" the CR rule has no violations...
 	r := must.Rule("Trans(t) ^ Trans(s) ^ t.com = s.com -> t.mfg = s.mfg", env.DB)
-	if n := countViolations(t, env, r, Options{}); n != 0 {
-		t.Errorf("hooked values must remove violations, got %d", n)
+	violations := 0
+	if _, err := e.Run(r, Options{}, func(h *predicate.Valuation) bool {
+		if ok, err := r.P0.Eval(env, h); err != nil || !ok {
+			violations++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if violations != 0 {
+		t.Errorf("hooked values must remove violations, got %d", violations)
+	}
+	// ...and a selection on the hooked value keeps every tuple.
+	sel := must.Rule("Trans(t) ^ t.mfg = 'Fixed' -> t.sid = 'x'", env.DB)
+	st, err := e.Run(sel, Options{}, func(*predicate.Valuation) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Valuations != rel.Len() {
+		t.Errorf("selection on the hooked value kept %d of %d tuples", st.Valuations, rel.Len())
+	}
+}
+
+// A ValueOf hook without the shadow set of the tuples it changes is an
+// error: the columns encode raw values, and Run cannot tell which of them
+// the hook overrides.
+func TestColumnarHookWithoutShadowSetIsAnError(t *testing.T) {
+	env, rel := transEnv(t, 10)
+	fixedMfg(env, rel)
+	r := must.Rule("Trans(t) ^ Trans(s) ^ t.com = s.com -> t.mfg = s.mfg", env.DB)
+	_, err := New(env).Run(r, Options{}, func(*predicate.Valuation) bool { return true })
+	if err == nil || !strings.Contains(err.Error(), "shadow set") {
+		t.Fatalf("hook without a shadow set gave error %v", err)
 	}
 }

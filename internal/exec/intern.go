@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"unsafe"
@@ -24,10 +25,9 @@ import (
 // tuple values, but the chase reads values through env.ValueOf (validated
 // cells first). The chase therefore registers shadow tracking — the set
 // of TIDs whose view may differ from raw data (seeded from Γ, extended
-// after every merge step) — and the hot paths fall back to valueThrough
-// for exactly those tuples. An executor whose env has a ValueOf hook but
-// no shadow tracking runs the value-through reference bodies everywhere:
-// safe by default for direct library users installing custom hooks.
+// after every merge step) — and the hot paths read exactly those tuples
+// through valueThrough. A ValueOf hook without shadow tracking is an
+// error: Run cannot tell which tuples the hook changes.
 type internIndex struct {
 	mu sync.RWMutex
 	// shadow[rel] is the TID set whose ValueOf view may differ from raw
@@ -79,7 +79,7 @@ func (e *Executor) RegisterPartition(ts []*data.Tuple) {
 	last := -1
 	for _, t := range ts {
 		if t.TID <= last {
-			tids = nil // not ascending: cache the miss, callers fall back
+			tids = nil // not ascending: tidsOf reports it
 			break
 		}
 		last = t.TID
@@ -103,15 +103,19 @@ func (e *Executor) InvalidatePartitions() {
 
 // tidsOf returns the ascending TID array of ts — the registered
 // precomputed one, or pooled scratch (pooled true: release with
-// putIntBuf). A nil result means ts is not strictly TID-ascending and
-// the caller must take the reference path.
-func (e *Executor) tidsOf(ts []*data.Tuple) (tids []int, pooled bool) {
+// putIntBuf). Every partition is TID-ascending by construction
+// (crystal.Partition blocks, Relation.Tuples); one that is not is an
+// error.
+func (e *Executor) tidsOf(ts []*data.Tuple) (tids []int, pooled bool, err error) {
 	if k, ok := keyOfSlice(ts); ok {
 		e.in.mu.RLock()
 		ent := e.in.parts[k]
 		e.in.mu.RUnlock()
 		if ent != nil {
-			return ent.tids, false
+			if ent.tids == nil {
+				return nil, false, errNotAscending
+			}
+			return ent.tids, false, nil
 		}
 	}
 	buf := getIntBuf()
@@ -119,28 +123,25 @@ func (e *Executor) tidsOf(ts []*data.Tuple) (tids []int, pooled bool) {
 	for _, t := range ts {
 		if t.TID <= last {
 			putIntBuf(buf)
-			return nil, false
+			return nil, false, errNotAscending
 		}
 		last = t.TID
 		buf = append(buf, t.TID)
 	}
-	return buf, true
+	return buf, true, nil
 }
 
-// fastPathOK reports whether interned comparisons are sound for this run:
-// either values are read raw (no ValueOf hook — detection semantics), or
-// the caller maintains the shadow set (the chase).
-func (e *Executor) fastPathOK() bool {
-	if e.env.ValueOf == nil {
-		return true
-	}
-	e.in.mu.RLock()
-	defer e.in.mu.RUnlock()
-	return e.in.track
+var errNotAscending = errors.New("exec: partition is not TID-ascending")
+
+// tracking reports whether a caller registered the shadow set.
+func (in *internIndex) tracking() bool {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return in.track
 }
 
-// SetShadowTracking installs the shadow TID sets and enables the interned
-// fast path under a ValueOf hook. The caller owns the contract: every
+// SetShadowTracking installs the shadow TID sets; an env with a ValueOf
+// hook needs them before its first Run. The caller owns the contract: every
 // tuple whose ValueOf view may differ from the raw relation value must be
 // in shadow (MarkShadowed extends it). The maps are retained, not copied.
 func (e *Executor) SetShadowTracking(shadow map[string]map[int]bool) {
@@ -216,16 +217,16 @@ func (e *Executor) shadowOf(rel string) map[int]bool {
 	return m
 }
 
-// internedCol returns the env's column for (rel, attr), current at the
+// internedCol returns the column for (rel, attr), current at the
 // relation's mutation count: the cache encodes it on first use, and again
 // after a write it was not told about, counting the build here. Nil when
-// the relation or attribute is unknown or the env has no column cache.
+// the relation or attribute is unknown.
 func (e *Executor) internedCol(relName, attr string) *crystal.Column {
 	rel := e.env.DB.Rel(relName)
 	if rel == nil {
 		return nil
 	}
-	col, built := e.env.Columns.Column(rel, attr)
+	col, built := e.cols.Column(rel, attr)
 	if built {
 		e.reg.Inc("exec.columns.built")
 	}

@@ -80,19 +80,6 @@ func TestExecutorThreeVariableProbeJoin(t *testing.T) {
 	}
 }
 
-func TestSortTuplesByTID(t *testing.T) {
-	schema := must.Schema("R", data.Attribute{Name: "a", Type: data.TString})
-	rel := data.NewRelation(schema)
-	a := rel.Insert("x", data.S("1"))
-	b := rel.Insert("y", data.S("2"))
-	c := rel.Insert("z", data.S("3"))
-	ts := []*data.Tuple{c, a, b}
-	SortTuplesByTID(ts)
-	if ts[0] != a || ts[1] != b || ts[2] != c {
-		t.Error("sort order wrong")
-	}
-}
-
 func TestExecutorCrossRelationBlocking(t *testing.T) {
 	left := data.NewRelation(must.Schema("L", data.Attribute{Name: "name", Type: data.TString}))
 	right := data.NewRelation(must.Schema("R", data.Attribute{Name: "title", Type: data.TString}))

@@ -1,18 +1,18 @@
 package exec
 
-// Columnar evaluation over the interned columns: constant/null
-// predicates run as batch kernels producing selection bitmaps (or, when
-// every filter maps to a posting list, as sorted-set intersections),
-// equijoins enumerate from the posting lists instead of building per-unit
-// hash indexes, and probes intersect one posting list with the candidate
-// TIDs. Each preserves the deterministic merge invariant exactly:
-// selections materialize survivors in ascending partition-position order
-// (the reference loop's order), and the posting join emits pairs t-major
-// with s ascending by position — bit-identical to the value-keyed
-// reference in exec.go. Columns are served only at their relation's
-// current mutation count, so every live TID has an id; the tuples the
-// kernels cannot decide are the view-sensitive shadowed ones, which take
-// the per-tuple semantics via keepFasts, never silently dropped.
+// Columnar evaluation over the interned columns, the executor's one body
+// per job: constant/null predicates run as batch kernels producing
+// selection bitmaps (or, when every filter maps to a posting list, as
+// sorted-set intersections), equijoins enumerate from the posting lists
+// instead of building per-unit hash indexes, and probes intersect one
+// posting list with the candidate TIDs. Each preserves the deterministic
+// merge invariant exactly: selections materialize survivors in ascending
+// partition-position order, and the posting join emits pairs t-major
+// with s ascending by position. Columns are served only at their
+// relation's current mutation count, so every live TID has an id and no
+// posting list holds a deleted TID; the tuples the kernels cannot decide
+// are the view-sensitive shadowed ones, which take the per-tuple
+// semantics (keepFasts, valueThrough), never silently dropped.
 
 import (
 	mathbits "math/bits"
@@ -38,13 +38,13 @@ type idFilter struct {
 	hasCID  bool
 	nullID  crystal.ValueID
 	hasNull bool
-	viewed  bool // reads through ValueOf: shadowed tuples fall back
+	viewed  bool // reads through ValueOf: shadowed tuples evaluate per tuple
 }
 
-// keepFasts applies the interned filters to one tuple — the per-position
-// fallback for exactly the positions the kernels cannot decide:
-// view-sensitive shadowed tuples (and any TID without an id) evaluate the
-// predicate itself; the rest compare ids.
+// keepFasts applies the interned filters to one shadowed tuple, the one
+// kind of position the kernels cannot decide: view-sensitive filters (and
+// a TID without an id) evaluate the predicate itself; the rest compare
+// ids.
 func (e *Executor) keepFasts(a ree.Atom, t *data.Tuple, fasts []idFilter,
 	shadow map[int]bool, h *predicate.Valuation) (bool, error) {
 	for fi := range fasts {
@@ -80,9 +80,8 @@ func (e *Executor) keepFasts(a ree.Atom, t *data.Tuple, fasts []idFilter,
 	return true, nil
 }
 
-// evalAll evaluates single-variable predicates on one tuple: the whole
-// selection in the reference loop, the non-interned remainder after the
-// kernels.
+// evalAll evaluates the non-interned single-variable predicates on one
+// kernel survivor.
 func (e *Executor) evalAll(a ree.Atom, t *data.Tuple, preds []*predicate.Predicate,
 	h *predicate.Valuation) (bool, error) {
 	for _, p := range preds {
@@ -98,23 +97,22 @@ func (e *Executor) evalAll(a ree.Atom, t *data.Tuple, preds []*predicate.Predica
 	return true, nil
 }
 
-// candidatesVec is the batch form of the candidates filter loop. It
-// picks one of two kernels:
+// candidatesVec filters the partition base by a variable's single-variable
+// predicates. It picks one of two kernels:
 //
 //   - posting path: every filter is an equality (= constant, or null
-//     check) over a Complete column, so the survivors are exactly the
-//     intersection of the filters' posting lists with the partition's
-//     TID array — no per-tuple work at all;
+//     check), so the survivors are exactly the intersection of the
+//     filters' posting lists with the partition's TID array — no
+//     per-tuple work at all;
 //   - bitmap path: gather each column's id vector over the partition
-//     and compose SelectEq/SelectNe word-at-a-time kernels.
-//
-// handled=false means the partition is not TID-ascending (pooled,
-// re-sorted, or filtered by a caller) and the reference loop must run.
-func (e *Executor) candidatesVec(a ree.Atom, rel *data.Relation, base []*data.Tuple,
-	fasts []idFilter, slows []*predicate.Predicate, shadow map[int]bool) (out []*data.Tuple, handled bool, err error) {
-	tids, pooledTids := e.tidsOf(base)
-	if tids == nil {
-		return nil, false, nil
+//     and compose SelectEq/SelectNe word-at-a-time kernels. With no
+//     interned filter at all every bit stays set and the ordered
+//     compares in slows decide each tuple.
+func (e *Executor) candidatesVec(a ree.Atom, base []*data.Tuple,
+	fasts []idFilter, slows []*predicate.Predicate, shadow map[int]bool) (out []*data.Tuple, err error) {
+	tids, pooledTids, err := e.tidsOf(base)
+	if err != nil {
+		return nil, err
 	}
 	if pooledTids {
 		defer putIntBuf(tids)
@@ -123,16 +121,11 @@ func (e *Executor) candidatesVec(a ree.Atom, rel *data.Relation, base []*data.Tu
 	h := predicate.NewValuation()
 
 	viewed := false
-	postingOK := true
+	postingOK := len(fasts) > 0
 	for i := range fasts {
 		f := &fasts[i]
 		if f.viewed {
 			viewed = true
-		}
-		if !f.col.Complete(rel) {
-			// An incomplete column cannot drive posting selection: tuples it
-			// has never seen would be silently dropped.
-			postingOK = false
 		}
 		if f.p.Kind == predicate.KNotNull || (f.p.Kind == predicate.KConst && f.p.Op != predicate.Eq) {
 			postingOK = false
@@ -156,12 +149,12 @@ func (e *Executor) candidatesVec(a ree.Atom, rel *data.Relation, base []*data.Tu
 	if postingOK {
 		out, err = e.postingSelect(a, base, tids, fasts, slows, shadowPos, shadow, h)
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
 		e.reg.Inc("exec.vec.posting_selects")
 		e.reg.Add("exec.vec.select_input", uint64(n))
 		e.reg.Add("exec.vec.select_kept", uint64(len(out)))
-		return out, true, nil
+		return out, nil
 	}
 
 	words := crystal.BitmapWords(n)
@@ -210,7 +203,7 @@ func (e *Executor) candidatesVec(a ree.Atom, rel *data.Relation, base []*data.Tu
 		keep, kerr := e.keepFasts(a, base[pos], fasts, shadow, h)
 		if kerr != nil {
 			free()
-			return nil, true, kerr
+			return nil, kerr
 		}
 		wi, off := int(pos)/64, uint(pos)%64
 		if keep {
@@ -232,7 +225,7 @@ func (e *Executor) candidatesVec(a ree.Atom, rel *data.Relation, base []*data.Tu
 				if err != nil {
 					free()
 					putTupleBuf(out)
-					return nil, true, err
+					return nil, err
 				}
 			}
 			if keep {
@@ -245,13 +238,13 @@ func (e *Executor) candidatesVec(a ree.Atom, rel *data.Relation, base []*data.Tu
 	e.reg.Add("exec.vec.select_input", uint64(n))
 	e.reg.Add("exec.vec.select_kept", uint64(len(out)))
 	e.reg.Add("exec.vec.select_fallbacks", uint64(len(shadowPos)))
-	return out, true, nil
+	return out, nil
 }
 
 // postingSelect intersects the filters' posting lists with the
 // partition TID array and merges shadowed positions back in ascending
-// position order. Preconditions (checked by candidatesVec): every
-// filter is KNull or KConst-Eq over a Complete column.
+// position order. Precondition (checked by candidatesVec): every filter
+// is KNull or KConst-Eq.
 func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
 	fasts []idFilter, slows []*predicate.Predicate, shadowPos []int32,
 	shadow map[int]bool, h *predicate.Valuation) ([]*data.Tuple, error) {
@@ -343,25 +336,21 @@ func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
 // TID array — no per-unit hash index is ever built, and the partition
 // intersection of dense buckets is memoised across probes. Shadowed
 // tuples on either side read through the view (valueThrough, dictionary
-// probe, string-keyed overflow for values colB never interned). ok=false
-// when a precondition fails — colB incomplete or an input not
-// TID-ascending — and the caller runs the value-keyed reference.
+// probe, string-keyed overflow for values colB never interned). The
+// pairs are pool scratch.
 func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
 	tuplesT, tuplesS []*data.Tuple, colA, colB *crystal.Column, ai, bi int,
-	relS *data.Relation) ([][2]*data.Tuple, bool) {
-	if !colB.Complete(relS) {
-		return nil, false
+	relS *data.Relation) ([][2]*data.Tuple, error) {
+	tTIDs, tPooled, err := e.tidsOf(tuplesT)
+	if err != nil {
+		return nil, err
 	}
-	tTIDs, tPooled := e.tidsOf(tuplesT)
-	if tTIDs == nil {
-		return nil, false
-	}
-	sTIDs, sPooled := e.tidsOf(tuplesS)
-	if sTIDs == nil {
+	sTIDs, sPooled, err := e.tidsOf(tuplesS)
+	if err != nil {
 		if tPooled {
 			putIntBuf(tTIDs)
 		}
-		return nil, false
+		return nil, err
 	}
 	defer func() {
 		if tPooled {
@@ -445,7 +434,7 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 	sameCol := relTName == relSName && p.A == p.B
 	var trans []crystal.ValueID
 	if !sameCol {
-		trans = e.env.Columns.Translation(relTName, p.A, colA, relSName, p.B, colB)
+		trans = e.cols.Translation(relTName, p.A, colA, relSName, p.B, colB)
 	}
 	nullA, hasNullA := colA.Dict.NullID()
 
@@ -526,8 +515,7 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 			}
 		}
 		// Merge clean matches with shadowed bucket members ascending by
-		// original position: the reference builds its bucket in one pass
-		// over tuplesS, so this is exactly its emission order.
+		// original position, so s keeps its candidate order within t.
 		shadowList := shadowByID[idB]
 		i, j := 0, 0
 		for i < len(matched) || j < len(shadowList) {
@@ -560,31 +548,20 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 	next := 0
 	for i, t := range tuplesT {
 		curTDirty = filtered && dirtyT != nil && dirtyT[t.TID]
-		if next < len(tShadowPos) && int(tShadowPos[next]) == i {
+		shadowed := next < len(tShadowPos) && int(tShadowPos[next]) == i
+		idA := crystal.NoValue
+		if shadowed {
 			next++
-			v := valueThrough(e.env, relTName, t, p.A, ai)
-			if v.IsNull() {
-				continue
-			}
-			var overflow []*data.Tuple
-			if slow != nil {
-				overflow = slow[v.Key()]
-			}
-			if id, ok := colB.Dict.ID(v); ok {
-				emitID(t, id, overflow)
-			} else {
-				emitOverflow(t, overflow)
-			}
-			continue
-		}
-		var idA = crystal.NoValue
-		if t.TID < len(vecA) {
+		} else if t.TID < len(vecA) {
 			idA = vecA[t.TID]
 		}
 		if idA == crystal.NoValue {
-			// A TID without an id in colA (a tuple not in the relation):
-			// the raw value is authoritative for a non-shadowed tuple.
+			// A shadowed tuple joins on its view value; a TID without an id
+			// in colA (a tuple not in the relation) on its raw value.
 			v := t.Values[ai]
+			if shadowed {
+				v = valueThrough(e.env, relTName, t, p.A, ai)
+			}
 			if v.IsNull() {
 				continue
 			}
@@ -621,21 +598,18 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 	e.reg.Inc("exec.vec.joins")
 	e.reg.Add("exec.vec.join_probes", uint64(probes))
 	e.reg.Add("exec.vec.join_pairs", uint64(len(out)))
-	return out, true
+	return out, nil
 }
 
 // probeJoinVec filters base (the free variable's candidate list) to the
 // tuples whose freeAttr equals v via one posting-list intersection
-// instead of a per-tuple scan. ok=false — col incomplete or base not
-// TID-ascending — and the caller runs the value-through scan.
-func (e *Executor) probeJoinVec(aRel string, rel *data.Relation, base []*data.Tuple,
-	col *crystal.Column, v data.Value, freeAttr string, fi int) ([]*data.Tuple, bool) {
-	if !col.Complete(rel) {
-		return nil, false
-	}
-	tids, pooled := e.tidsOf(base)
-	if tids == nil {
-		return nil, false
+// instead of a per-tuple scan; shadowed tuples compare their view value.
+// The result is pool scratch.
+func (e *Executor) probeJoinVec(aRel string, base []*data.Tuple,
+	col *crystal.Column, v data.Value, freeAttr string, fi int) ([]*data.Tuple, error) {
+	tids, pooled, err := e.tidsOf(base)
+	if err != nil {
+		return nil, err
 	}
 	if pooled {
 		defer putIntBuf(tids)
@@ -689,5 +663,5 @@ func (e *Executor) probeJoinVec(aRel string, rel *data.Relation, base []*data.Tu
 		out = append(out, t)
 	}
 	e.reg.Inc("exec.vec.probe_selects")
-	return out, true
+	return out, nil
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
@@ -12,13 +13,10 @@ import (
 	"github.com/rockclean/rock/internal/ree"
 )
 
-// The executor has one columnar body and one value-through reference per
-// job (join, selection, probe). This harness runs every rule shape on
-// both and requires the same ORDERED emission — the deterministic-merge
+// The executor has one columnar body per job (join, selection, probe).
+// This harness runs every rule shape on it and compares the ORDERED
+// emission with a brute-force scan in TID order — the deterministic-merge
 // invariant is about order, not just the set.
-
-// vecCounters are bumped by the columnar bodies only.
-var vecCounters = []string{"exec.vec.joins", "exec.vec.posting_selects", "exec.vec.select_batches", "exec.vec.probe_selects"}
 
 // equivSizes straddle the bitmap-word boundaries and the two size gates
 // the executor used to have (128 and 4096).
@@ -28,19 +26,14 @@ func rawValue(env *predicate.Env, rel string, tp *data.Tuple, attr string) data.
 	return tp.Values[env.DB.Rel(rel).Schema.Index(attr)]
 }
 
-// passThrough gives env a ValueOf hook that changes nothing, unless it
-// already has one. An executor over it with no SetShadowTracking is the
-// reference: the safe default for an untracked hook keeps every job on
-// its value-through body.
-func passThrough(env *predicate.Env) *predicate.Env {
+// viewValue reads tp[attr] as the executor must see it: through the
+// env's ValueOf hook when it has one, raw otherwise.
+func viewValue(env *predicate.Env, rel string, tp *data.Tuple, attr string) data.Value {
 	if env.ValueOf != nil {
-		return env
+		v, _ := env.ValueOf(rel, tp, attr)
+		return v
 	}
-	ref := *env
-	ref.ValueOf = func(rel string, tp *data.Tuple, attr string) (data.Value, bool) {
-		return rawValue(env, rel, tp, attr), true
-	}
-	return &ref
+	return rawValue(env, rel, tp, attr)
 }
 
 // emissionTrace runs a rule and records the TIDs of every emitted
@@ -60,43 +53,22 @@ func emissionTrace(t testing.TB, e *Executor, r *ree.Rule, opts Options) []int {
 	return trace
 }
 
-func assertSameTrace(t testing.TB, got, want []int) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("emitted %d TIDs, reference %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("emission order diverges at %d: got TID %d, reference %d", i, got[i], want[i])
-		}
-	}
-}
-
-// equivalent runs r on the columnar executor (shadow tracking registered
-// when env carries a hook) and on the reference executor, and requires
-// identical traces, that the columnar side bumped every counter in took,
-// and that the reference side never entered a columnar body.
-func equivalent(t *testing.T, env *predicate.Env, shadow map[string]map[int]bool,
+// columnar runs r on a fresh executor (shadow tracking registered when
+// env carries a hook), requires that it bumped every counter in took, and
+// returns its trace.
+func columnar(t *testing.T, env *predicate.Env, shadow map[string]map[int]bool,
 	r *ree.Rule, opts Options, took ...string) []int {
 	t.Helper()
-	regC, regR := obs.New(), obs.New()
-	col := New(env)
-	col.SetObs(regC)
+	reg := obs.New()
+	e := New(env)
+	e.SetObs(reg)
 	if env.ValueOf != nil {
-		col.SetShadowTracking(shadow)
+		e.SetShadowTracking(shadow)
 	}
-	ref := New(passThrough(env))
-	ref.SetObs(regR)
-	got := emissionTrace(t, col, r, opts)
-	assertSameTrace(t, got, emissionTrace(t, ref, r, opts))
+	got := emissionTrace(t, e, r, opts)
 	for _, c := range took {
-		if regC.CounterValue(c) == 0 {
+		if reg.CounterValue(c) == 0 {
 			t.Fatalf("columnar executor never bumped %s", c)
-		}
-	}
-	for _, c := range vecCounters {
-		if regR.CounterValue(c) != 0 {
-			t.Fatalf("reference executor bumped %s", c)
 		}
 	}
 	return got
@@ -179,15 +151,13 @@ func checkSelections(t *testing.T, n int, shadowed bool) {
 	if shadowed {
 		shadow = shadowRegions(env)
 	}
-	view := passThrough(env)
 	for _, tc := range selections {
 		r := must.Rule(tc.src, env.DB)
 		r.ID = tc.name
-		got := equivalent(t, env, shadow, r, Options{}, tc.took)
+		got := columnar(t, env, shadow, r, Options{}, tc.took)
 		var want []int
 		for _, tp := range env.DB.Rel("Ev").Tuples {
-			region, _ := view.ValueOf("Ev", tp, "region")
-			if tc.want(region, tp.Values[1]) {
+			if tc.want(viewValue(env, "Ev", tp, "region"), tp.Values[1]) {
 				want = append(want, tp.TID)
 			}
 		}
@@ -230,12 +200,11 @@ func shadowNumeric(env *predicate.Env) map[string]map[int]bool {
 // whose view value is Equal — cross-type (I(5) = F(5)) included, the
 // Key/Equal agreement every index depends on.
 func matchesOf(env *predicate.Env) map[int][]int {
-	view := passThrough(env)
 	out := map[int][]int{}
 	for _, ta := range env.DB.Rel("A").Tuples {
-		va, _ := view.ValueOf("A", ta, "x")
+		va := viewValue(env, "A", ta, "x")
 		for _, tb := range env.DB.Rel("B").Tuples {
-			if vb, _ := view.ValueOf("B", tb, "y"); va.Equal(vb) {
+			if va.Equal(viewValue(env, "B", tb, "y")) {
 				out[ta.TID] = append(out[ta.TID], tb.TID)
 			}
 		}
@@ -251,7 +220,7 @@ func checkJoin(t *testing.T, n int, shadowed bool) {
 	}
 	r := must.Rule("A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid", env.DB)
 	r.ID = "join"
-	full := equivalent(t, env, shadow, r, Options{}, "exec.vec.joins")
+	full := columnar(t, env, shadow, r, Options{}, "exec.vec.joins")
 	var want []int
 	matches := matchesOf(env)
 	for _, ta := range env.DB.Rel("A").Tuples {
@@ -276,14 +245,18 @@ func checkJoin(t *testing.T, n int, shadowed bool) {
 		{"A": {n / 2: true, n - 1: true}, "B": {n / 3: true, 2: true}},
 		{"A": {n / 2: true, n - 1: true}},
 	} {
-		got := equivalent(t, env, shadow, r, Options{Dirty: dirty}, "exec.vec.joins")
+		got := columnar(t, env, shadow, r, Options{Dirty: dirty}, "exec.vec.joins")
+		var wantDirty []int
+		for i := 0; i < len(want); i += 2 {
+			if dirty["A"][want[i]] || dirty["B"][want[i+1]] {
+				wantDirty = append(wantDirty, want[i], want[i+1])
+			}
+		}
+		if !slices.Equal(got, wantDirty) {
+			t.Fatalf("dirty join emitted %d pairs, brute-force Equal scan %d", len(got)/2, len(wantDirty)/2)
+		}
 		if n >= 63 && (len(got) == 0 || len(got) >= len(full)) {
 			t.Fatalf("dirty filter must shrink emissions: %d of %d", len(got), len(full))
-		}
-		for i := 0; i < len(got); i += 2 {
-			if !dirty["A"][got[i]] && !dirty["B"][got[i+1]] {
-				t.Fatalf("pair (%d, %d) touches no dirty tuple", got[i], got[i+1])
-			}
 		}
 	}
 }
@@ -303,7 +276,7 @@ func checkProbe(t *testing.T, n int, shadowed bool) {
 	if n >= 63 {
 		took = []string{"exec.vec.joins", "exec.vec.probe_selects"}
 	}
-	got := equivalent(t, env, shadow, r, Options{}, took...)
+	got := columnar(t, env, shadow, r, Options{}, took...)
 	var want []int
 	matches := matchesOf(env)
 	for _, ta := range env.DB.Rel("A").Tuples {
@@ -335,46 +308,84 @@ func TestColumnarMatchesReference(t *testing.T) {
 	}
 }
 
-// declineRule has a selection on u, a join driving (t, s) and a probe
+// threeJobRule has a selection on u, a join driving (t, s) and a probe
 // binding u, so one run exercises all three jobs.
-const declineRule = "R(t) ^ R(s) ^ R(u) ^ t.k = s.k ^ s.k = u.k ^ u.flag = 'x' -> t.val = s.val"
+const threeJobRule = "R(t) ^ R(s) ^ R(u) ^ t.k = s.k ^ s.k = u.k ^ u.flag = 'x' -> t.val = s.val"
 
-// A partition that is not TID-ascending is a precondition the columnar
-// bodies observe and decline: the same executor runs the reference bodies.
-func TestColumnarDeclinesDescendingPartition(t *testing.T) {
-	env := keyedEnv(t, 100)
-	r := must.Rule(declineRule, env.DB)
-	desc := slices.Clone(env.DB.Rel("R").Tuples)
-	slices.Reverse(desc)
-	opts := Options{Restrict: map[string][]*data.Tuple{"R": desc}}
-	reg := obs.New()
-	e := New(env)
-	e.SetObs(reg)
-	got := emissionTrace(t, e, r, opts)
-	if len(got) == 0 {
-		t.Fatal("fixture should produce matches")
-	}
-	assertSameTrace(t, got, emissionTrace(t, New(passThrough(env)), r, opts))
-	for _, c := range vecCounters {
-		if reg.CounterValue(c) != 0 {
-			t.Fatalf("descending partition still bumped %s", c)
+// threeJobTrace is threeJobRule's brute-force oracle: every (t, s, u) of
+// pairwise distinct tuples with t.k = s.k = u.k and u.flag = 'x', in the
+// executor's emission order (t, then s, then u ascending by TID).
+func threeJobTrace(rel *data.Relation) []int {
+	var out []int
+	for _, t := range rel.Tuples {
+		for _, s := range rel.Tuples {
+			if s == t || !s.Values[0].Equal(t.Values[0]) {
+				continue
+			}
+			for _, u := range rel.Tuples {
+				if u != t && u != s && u.Values[0].Equal(s.Values[0]) && u.Values[1].Equal(data.S("x")) {
+					out = append(out, t.TID, s.TID, u.TID)
+				}
+			}
 		}
+	}
+	return out
+}
+
+// Every partition is TID-ascending by construction, so one that is not is
+// an error of the caller — for each job: the selection (u's candidates),
+// the join (t's side) and the probe (u's candidates, without a selection).
+func TestColumnarDescendingPartitionIsAnError(t *testing.T) {
+	env := keyedEnv(t, 100)
+	tuples := env.DB.Rel("R").Tuples
+	desc := slices.Clone(tuples)
+	slices.Reverse(desc)
+	probeOnly := must.Rule("R(t) ^ R(s) ^ R(u) ^ t.k = s.k ^ s.k = u.k -> t.val = s.val", env.DB)
+	for _, tc := range []struct {
+		name string
+		rule *ree.Rule
+		opts Options
+	}{
+		{"selection", must.Rule("R(u) ^ u.flag = 'x' -> u.val = 'v0'", env.DB), Options{Restrict: map[string][]*data.Tuple{"R": desc}}},
+		{"join", must.Rule("R(t) ^ R(s) ^ t.k = s.k -> t.val = s.val", env.DB), Options{RestrictVar: map[string][]*data.Tuple{"t": desc}}},
+		{"probe", probeOnly, Options{RestrictVar: map[string][]*data.Tuple{"t": tuples, "s": tuples, "u": desc}}},
+		{"all", must.Rule(threeJobRule, env.DB), Options{Restrict: map[string][]*data.Tuple{"R": desc}}},
+	} {
+		_, err := New(env).Run(tc.rule, tc.opts, func(*predicate.Valuation) bool { return true })
+		if err == nil || !strings.Contains(err.Error(), "TID-ascending") {
+			t.Fatalf("%s: descending partition gave error %v", tc.name, err)
+		}
+	}
+	// The same rules over the ascending relation run.
+	if got := emissionTrace(t, New(env), probeOnly, Options{}); len(got) == 0 {
+		t.Fatal("fixture should produce matches")
 	}
 }
 
-// A stale column is never served: after an insert the executor's next
-// read rebuilds each column the rule reads (exec.columns.built), and join
-// and probe run columnar again. Complete still governs a column with
-// holes: after a delete the rebuilt column does not cover every assigned
-// TID, so join and probe decline to the reference.
-func TestColumnarDeclinesStaleColumn(t *testing.T) {
+// A stale column is never served: after inserts the executor's next read
+// rebuilds each column the rule reads (exec.columns.built), and after a
+// delete the rebuilt column has a hole at the deleted TID, which no
+// partition and no posting list holds. Either way join and probe run
+// columnar and match a brute-force scan.
+func TestColumnarAfterInsertsAndDeletes(t *testing.T) {
 	env := keyedEnv(t, 100)
 	rel := env.DB.Rel("R")
-	r := must.Rule(declineRule, env.DB)
+	r := must.Rule(threeJobRule, env.DB)
 	reg := obs.New()
 	e := New(env)
 	e.SetObs(reg)
-	emissionTrace(t, e, r, Options{}) // builds the columns
+	check := func(stage string) {
+		t.Helper()
+		joins, probes := reg.CounterValue("exec.vec.joins"), reg.CounterValue("exec.vec.probe_selects")
+		got := emissionTrace(t, e, r, Options{})
+		if want := threeJobTrace(rel); len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("%s: emitted %d valuations, brute-force scan %d", stage, len(got)/3, len(want)/3)
+		}
+		if reg.CounterValue("exec.vec.joins") == joins || reg.CounterValue("exec.vec.probe_selects") == probes {
+			t.Fatalf("%s: join or probe did not run columnar", stage)
+		}
+	}
+	check("fresh")
 	built := reg.CounterValue("exec.columns.built")
 	if built == 0 {
 		t.Fatal("the first run built no column")
@@ -386,18 +397,11 @@ func TestColumnarDeclinesStaleColumn(t *testing.T) {
 		}
 		rel.Insert(fmt.Sprintf("n%d", i), data.S(fmt.Sprintf("k%d", i%12)), data.S(flag), data.S("v"))
 	}
-	joins, probes := reg.CounterValue("exec.vec.joins"), reg.CounterValue("exec.vec.probe_selects")
-	assertSameTrace(t, emissionTrace(t, e, r, Options{}), emissionTrace(t, New(passThrough(env)), r, Options{}))
+	check("after inserts")
 	if got := reg.CounterValue("exec.columns.built"); got != 2*built {
 		t.Fatalf("%d column builds after the insert, want %d: each column the rule reads, once", got-built, built)
 	}
-	if reg.CounterValue("exec.vec.joins") == joins || reg.CounterValue("exec.vec.probe_selects") == probes {
-		t.Fatal("rebuilt columns must take the columnar bodies")
-	}
 	rel.Delete(rel.Tuples[10].TID)
-	joins, probes = reg.CounterValue("exec.vec.joins"), reg.CounterValue("exec.vec.probe_selects")
-	assertSameTrace(t, emissionTrace(t, e, r, Options{}), emissionTrace(t, New(passThrough(env)), r, Options{}))
-	if reg.CounterValue("exec.vec.joins") != joins || reg.CounterValue("exec.vec.probe_selects") != probes {
-		t.Fatal("join or probe ran columnar over a column with holes")
-	}
+	rel.Delete(rel.Tuples[0].TID) // a flag = 'x' tuple
+	check("after deletes")
 }

@@ -71,8 +71,7 @@ type Env struct {
 	// Columns is the environment's dictionary-encoded column cache. Every
 	// executor over this env, or over a shallow copy of it, reads and
 	// fills it, so detection, the chase and every later delta encode a
-	// column once. Nil serves no column: executors then run their
-	// value-through bodies.
+	// column once. Nil gives each executor a private cache.
 	Columns *crystal.Cache
 }
 
