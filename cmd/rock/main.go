@@ -178,7 +178,7 @@ func cmdClean(args []string, correct bool) error {
 	rulesFile := fs.String("rules", "", "rules file (default: <in>/rules.ree)")
 	workers := fs.Int("workers", 4, "cluster size (HyperCube blocks and worker goroutines)")
 	parallel := fs.Bool("parallel", true, "run chase work units on a pool of -workers goroutines (false: a pool of one worker, the serial reference)")
-	predication := fs.Bool("predication", true, "precompute ML predications per chase round (value-keyed embedding store + sharded prediction cache, paper §5.4)")
+	predication := fs.Bool("predication", true, "serve ML predications from caches detection fills and the chase reuses (value-keyed embedding store + sharded prediction cache, paper §5.4)")
 	steal := fs.Bool("steal", true, "enable work stealing between workers (off: the §5.2 load-balancing ablation)")
 	timeout := fs.Duration("timeout", 0, "deadline for the whole run (e.g. 30s); on expiry the fixes established so far are kept and the report is marked partial")
 	retries := fs.Int("retries", 2, "max retries for a panicking work unit before it is reported as failed")
@@ -309,8 +309,8 @@ func cmdClean(args []string, correct bool) error {
 	fmt.Printf("quality: completeness=%.3f consistency=%.3f\n",
 		rep.Assessment.Completeness, rep.Assessment.Consistency)
 	if ps := rep.Predication; ps.Lookups() > 0 {
-		fmt.Printf("ml predication: %.1f%% hit rate (%d hits / %d lookups), %d warmed, %d evictions; embeddings: %d reused / %d computed\n",
-			100*ps.HitRate(), ps.Hits, ps.Lookups(), ps.Warmed, ps.Evictions,
+		fmt.Printf("ml predication: %.1f%% hit rate (%d hits / %d lookups), %d evictions; embeddings: %d reused / %d computed\n",
+			100*ps.HitRate(), ps.Hits, ps.Lookups(), ps.Evictions,
 			ps.EmbedHits, ps.EmbedMisses)
 		if br := rep.PredicationByRound; len(br) > 1 {
 			first, last := br[0], br[len(br)-1]

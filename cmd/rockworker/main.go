@@ -42,7 +42,7 @@ func run(args []string) error {
 	in := fs.String("in", "./rockdata", "dataset directory — must be the coordinator's dataset")
 	rulesFile := fs.String("rules", "", "rules file (default: <in>/rules.ree) — must be the coordinator's rules")
 	workers := fs.Int("workers", 4, "partition count — must match the coordinator's -workers")
-	predication := fs.Bool("predication", true, "precompute ML predications (mirror of rock clean -predication)")
+	predication := fs.Bool("predication", true, "serve ML predications from the value-keyed caches (mirror of rock clean -predication)")
 	dialTimeout := fs.Duration("dial-timeout", 30*time.Second, "total budget for connecting to the coordinator (dials are retried)")
 	verbose := fs.Bool("v", false, "log rounds and unit counts")
 	if err := fs.Parse(args); err != nil {

@@ -55,12 +55,11 @@ type Options struct {
 	Lazy bool
 	// UseBlocking enables LSH blocking for ML predicates.
 	UseBlocking bool
-	// Predication enables the precomputed ML predication layer (paper
-	// §5.4): embeddings and model predictions (pair models and HER) serve
-	// from sharded bounded caches keyed by the values they were computed
-	// from, and each round batch-scores its candidate (model,
-	// pair) predications across the worker pool before work units fan
-	// out — so ML access during deduction is read-mostly. Results are
+	// Predication enables the ML predication layer (paper §5.4):
+	// embeddings and model confidences (pair models and HER) serve from
+	// sharded bounded caches keyed by the values they were computed
+	// from, so a pair detection scored is a hit here, and a pair one
+	// round scored is a hit in every later one. Results are
 	// bit-identical with the layer on or off (the caches memoise pure
 	// computations); Report.Predication carries the cache counters.
 	Predication bool
@@ -287,8 +286,7 @@ type Engine struct {
 	dist DistRunner
 	// lastAccepted carries the previous round's accepted fixes into the
 	// next distributed round's preamble (workers derive their dirty set
-	// and blocker invalidation from it, mirroring the post-merge
-	// bookkeeping);
+	// and shadow marking from it, mirroring the post-merge bookkeeping);
 	// shipped is the fix-set journal mark the last preamble ended at.
 	lastAccepted []Fix
 	shipped      int
@@ -341,8 +339,11 @@ type Engine struct {
 }
 
 // New creates an engine. gamma is the ground truth Γ; the engine chases a
-// clone of it, so gamma itself is never mutated. rules is Σ. env is read,
-// never written: the engine evaluates through its own copy (see below).
+// clone of it, so gamma itself is never mutated. rules is Σ. The engine
+// evaluates through its own copy of env (see below); the one write to the
+// shared env is that, with Options.Predication on, New re-registers every
+// model in env.Models wrapped in the predication layer, as detect.New
+// does.
 func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Options) *Engine {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 100
@@ -709,7 +710,7 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	roundSpan := e.obs.StartSpan("round", e.phaseSpan)
 	roundSpan.SetRound(round)
 	defer roundSpan.End()
-	work := e.prepareRound(rules, dirty)
+	work := e.prepareRound(rules)
 
 	// A slot is assigned whole, once per completed attempt: a unit that
 	// panics mid-enumeration leaves nothing behind, so its retry cannot
@@ -884,19 +885,12 @@ type unitSlot struct {
 // order. The list is a deterministic function of (rules, data, Workers),
 // so replicas derive the identical one and unit index i names the same
 // work on every process.
-func (e *Engine) prepareRound(rules []*ree.Rule, dirty map[string]map[int]bool) []unitWork {
+func (e *Engine) prepareRound(rules []*ree.Rule) []unitWork {
 	// Deterministic rule order for reproducibility; Church-Rosser makes
 	// the final result order-independent anyway.
 	ordered := append([]*ree.Rule(nil), rules...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 
-	// Batch predication (paper §5.4): score every (model, pair) the
-	// round's blocked ML predicates will consult, in parallel, before the
-	// units fan out — deduction then reads predictions instead of
-	// computing them inside the enumeration loop.
-	if e.pred != nil && e.opts.UseBlocking {
-		e.precomputePredications(ordered, dirty)
-	}
 	if e.blocks == nil {
 		e.blocks = crystal.Partition(e.env.DB, e.opts.Workers)
 		// Hand the executor the stable partition slices so its vectorized
@@ -950,47 +944,15 @@ func (e *Engine) runUnit(ctx context.Context, w unitWork, dirty map[string]map[i
 
 // absorb is the bookkeeping that follows a merge, on the engine that
 // merged and on every replica following it: accepted fixes change the
-// values units read through env.ValueOf, so any blocker index built over
-// them is stale. The affected tuples (same granularity that re-activates
-// rules) are no longer safe for interned raw-id comparisons: shadow them
-// so the executor reads those tuples through the fix set.
+// values units read through env.ValueOf, so the affected tuples (same
+// granularity that re-activates rules) are no longer safe for interned
+// raw-id comparisons: shadow them so the executor reads those tuples
+// through the fix set.
 func (e *Engine) absorb(accepted []Fix) {
 	if len(accepted) == 0 {
 		return
 	}
-	e.exec.InvalidateBlockers()
 	e.exec.MarkShadowed(e.dirtySet(accepted))
-}
-
-// precomputePredications warms the prediction cache with this round's
-// candidate (model, pair) scores, spread across the worker pool
-// (cluster.ParallelMap). Warming is pure memoisation of deterministic
-// model calls, so the parallel fill cannot perturb chase results; any
-// pair it misses still computes lazily during deduction.
-func (e *Engine) precomputePredications(rules []*ree.Rule, dirty map[string]map[int]bool) {
-	var jobs []exec.MLJob
-	opts := exec.Options{UseBlocking: true, Dirty: dirty}
-	for _, r := range rules {
-		jobs = append(jobs, e.exec.MLJobs(r, opts)...)
-	}
-	if len(jobs) == 0 {
-		return
-	}
-	workers := e.opts.Workers
-	if !e.opts.Parallel {
-		workers = 1
-	}
-	cluster.ParallelMap(workers, jobs, func(_ int, j exec.MLJob) {
-		m, err := e.env.Models.Get(j.Model)
-		if err != nil {
-			return
-		}
-		if pm, ok := m.(*ml.PredicatedModel); ok {
-			pm.Warm(j.Left, j.Right)
-		} else {
-			m.Predict(j.Left, j.Right)
-		}
-	})
 }
 
 // fixKey is a fix canonicalised for in-round deduplication: the rule id

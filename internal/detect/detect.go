@@ -69,13 +69,13 @@ type Options struct {
 	// phases: detection's ML calls fill its content-keyed prediction
 	// cache, so the chase serves the same (model, pair) scores as hits
 	// instead of recomputing them (paper §5.4, "ML predication is
-	// precomputed"). The layer's embedding store is NOT used here —
-	// embeddings are keyed by tuple identity and detection reads raw
-	// values while the chase reads through accumulated fixes.
+	// precomputed"), and its value-keyed embedding store serves the
+	// blocking vectors of both phases. New re-registers every model in
+	// env.Models wrapped in the layer.
 	Pred *ml.Predication
 	// Obs receives the detection phase's metrics and events under the
-	// "detect.*" prefix (units, wall clock, per-node counts, steals,
-	// blocker cache hits). Nil records nothing.
+	// "detect.*" prefix (units, wall clock, per-node counts, steals) and
+	// the executor's "exec.*" counters. Nil records nothing.
 	Obs *obs.Registry
 	// Drain is handed unchanged to the detection drain: work stealing
 	// between workers, the retry policy for panicking units
@@ -103,9 +103,8 @@ type Detector struct {
 	rules []*ree.Rule
 	opts  Options
 	// ex is shared by every work unit of every rule (exec.Executor is safe
-	// for concurrent use), so LSH blocker indexes built for one rule's
-	// partition are reused by every other rule blocking on the same
-	// (relation, attrs, partition).
+	// for concurrent use), and with it the column cache and the embedding
+	// store.
 	ex *exec.Executor
 }
 
@@ -116,10 +115,10 @@ func New(env *predicate.Env, rules []*ree.Rule, opts Options) *Detector {
 	}
 	d := &Detector{env: env, rules: rules, opts: opts, ex: exec.New(env)}
 	d.ex.SetObs(opts.Obs)
-	// Cross-relation ML probes and cross-rule blocker rebuilds embed each
-	// value vector once instead of once per rule per unit. The store is
-	// keyed by value, so the layer's one serves detection and the chase
-	// alike; without a layer the detector keeps a store of its own.
+	// LSH blocking embeds each value vector once instead of once per
+	// rule per unit. The store is keyed by value, so the layer's one
+	// serves detection and the chase alike; without a layer the detector
+	// keeps a store of its own.
 	if opts.Pred == nil {
 		d.ex.SetEmbedStore(ml.NewEmbedStore(0))
 		return d

@@ -27,9 +27,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"strings"
-	"sync"
 	"time"
 
 	"github.com/rockclean/rock/internal/crystal"
@@ -79,18 +76,11 @@ type Stats struct {
 	MLCalls    int // ML predicate evaluations (post-blocking)
 }
 
-// blockerEntry is one cached LSH index: the blocker plus the id→tuple map
-// needed to resolve its candidate ids back to tuples.
-type blockerEntry struct {
-	b    *ml.Blocker
-	byID map[int]*data.Tuple
-}
-
-// Executor caches per-relation indexes and blockers across rules. Run is
-// safe for concurrent use by multiple goroutines: the environment and LSH
-// planes are read-only, all enumeration state is per-call, and the blocker
-// cache is guarded by a mutex — the parallel chase and detector share one
-// executor across their worker pools.
+// Executor evaluates rules over one environment. Run is safe for
+// concurrent use by multiple goroutines: the environment, the column
+// cache and the LSH planes are shared read-mostly, and all enumeration
+// state — LSH blocker indexes included — is per call, so the parallel
+// chase and detector share one executor across their worker pools.
 type Executor struct {
 	env *predicate.Env
 	lsh *ml.LSH
@@ -100,15 +90,10 @@ type Executor struct {
 	// Run; nil means embed on demand.
 	embeds *ml.EmbedStore
 
-	// reg, when set, receives blocker-cache hit/miss/invalidation
-	// counters ("exec.blocker.*"); nil records nothing (obs methods are
-	// nil-safe).
+	// reg, when set, receives the executor's spans and its "exec.*"
+	// counters (columns built, vectorized jobs, per-model ML calls); nil
+	// records nothing (obs methods are nil-safe).
 	reg *obs.Registry
-
-	// mu guards blockers; key: rel + attrs signature + partition
-	// fingerprint (see blockerKey).
-	mu       sync.Mutex
-	blockers map[string]*blockerEntry
 
 	// cols is the env's column cache, or a private one when the env has
 	// none.
@@ -127,10 +112,9 @@ func New(env *predicate.Env) *Executor {
 		cols = crystal.NewCache()
 	}
 	return &Executor{
-		env:      env,
-		cols:     cols,
-		blockers: make(map[string]*blockerEntry),
-		lsh:      ml.NewLSH(8, 6, 17),
+		env:  env,
+		cols: cols,
+		lsh:  ml.NewLSH(8, 6, 17),
 	}
 }
 
@@ -138,71 +122,9 @@ func New(env *predicate.Env) *Executor {
 // first Run; the store itself is safe for concurrent use.
 func (e *Executor) SetEmbedStore(s *ml.EmbedStore) { e.embeds = s }
 
-// SetObs routes the executor's cache counters into reg. Call before the
-// first Run; nil (the default) records nothing.
+// SetObs routes the executor's spans and counters into reg. Call before
+// the first Run; nil (the default) records nothing.
 func (e *Executor) SetObs(reg *obs.Registry) { e.reg = reg }
-
-// InvalidateBlockers drops cached blockers; call after mutating relations
-// or the value view they were embedded through (the chase calls it after
-// every merge step that changes validated values).
-func (e *Executor) InvalidateBlockers() {
-	e.mu.Lock()
-	e.blockers = make(map[string]*blockerEntry)
-	e.mu.Unlock()
-	e.reg.Inc("exec.blocker.invalidations")
-}
-
-// blockerKey fingerprints one blocking request: relation, the embedded
-// attribute list, and the exact tuple partition (FNV-1a over TIDs). Two
-// work units over the same block therefore share one LSH index, while
-// different HyperCube blocks never collide.
-func blockerKey(relName string, attrs []string, tuples []*data.Tuple) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, t := range tuples {
-		v := uint64(t.TID)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return relName + "\x1f" + strings.Join(attrs, ",") + "\x1f" +
-		fmt.Sprintf("%d:%x", len(tuples), h.Sum64())
-}
-
-// blockerFor returns the cached LSH index for (relName, attrs, tuples),
-// building and caching it on a miss. embed turns one tuple into its
-// blocking vector. Concurrent misses on the same key may build twice; the
-// last store wins and both results are equivalent.
-func (e *Executor) blockerFor(relName string, attrs []string, tuples []*data.Tuple,
-	embed func(t *data.Tuple) ml.Vector) *blockerEntry {
-
-	key := blockerKey(relName, attrs, tuples)
-	e.mu.Lock()
-	if ent, ok := e.blockers[key]; ok {
-		e.mu.Unlock()
-		e.reg.Inc("exec.blocker.hits")
-		return ent
-	}
-	e.mu.Unlock()
-	e.reg.Inc("exec.blocker.misses")
-	ent := &blockerEntry{b: ml.NewBlocker(e.lsh), byID: make(map[int]*data.Tuple, len(tuples))}
-	for _, t := range tuples {
-		ent.byID[t.TID] = t
-		ent.b.Add(t.TID, embed(t))
-	}
-	e.mu.Lock()
-	e.blockers[key] = ent
-	e.mu.Unlock()
-	return ent
-}
-
-// CachedBlockers reports the number of live blocker cache entries.
-func (e *Executor) CachedBlockers() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.blockers)
-}
 
 // Run enumerates valuations h of rule r with h |= X, invoking fn for each.
 // fn returns false to stop early. The returned stats describe the run.
@@ -695,17 +617,17 @@ func (e *Executor) hashJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
 	return e.postingJoin(r, p, opts, tuplesT, tuplesS, colA, colB, ai, bi, relS)
 }
 
-// blockPairs builds candidate (t, s) pairs for an ML predicate via LSH.
+// blockPairs builds candidate (t, s) pairs for an ML predicate by LSH
+// (filter-and-verify, paper §5.4): it indexes the s-side block and probes
+// it with each t of the t-side block, t-major. The index is built per
+// call from the current value view, so no index outlives the values it
+// embeds; a same-relation pair (t, t) is skipped by the pairs loop.
 func (e *Executor) blockPairs(r *ree.Rule, p *predicate.Predicate, opts Options) [][2]*data.Tuple {
 	relTName, relSName := r.RelOf(p.T), r.RelOf(p.S)
 	relT, relS := e.env.DB.Rel(relTName), e.env.DB.Rel(relSName)
 	if relT == nil || relS == nil {
 		return nil
 	}
-	tuplesT := partitionOf(relT, relTName, p.T, opts)
-	tuplesS := partitionOf(relS, relSName, p.S, opts)
-	sameSide := relTName == relSName && sameAttrs(p.As, p.Bs)
-
 	// Reads go through the embedding store when installed: a value vector
 	// probed by many rules (or re-probed across rounds) embeds once
 	// instead of once per probe.
@@ -716,137 +638,23 @@ func (e *Executor) blockPairs(r *ree.Rule, p *predicate.Predicate, opts Options)
 		}
 		return e.embeds.Embed(vals)
 	}
-
-	if sameSide {
-		ent := e.blockerFor(relTName, p.As, tuplesT, func(t *data.Tuple) ml.Vector {
-			return embed(relT, relTName, t, p.As)
-		})
-		out := make([][2]*data.Tuple, 0)
-		for _, pr := range ent.b.CandidatePairs() {
-			t, s := ent.byID[pr[0]], ent.byID[pr[1]]
-			if dirtyOK(opts, r, p.T, t, p.S, s) {
-				out = append(out, [2]*data.Tuple{t, s})
-			}
-			// Symmetric valuation: the reverse binding may matter for
-			// asymmetric consequences.
-			if dirtyOK(opts, r, p.T, s, p.S, t) {
-				out = append(out, [2]*data.Tuple{s, t})
-			}
-		}
-		return out
+	tuplesS := partitionOf(relS, relSName, p.S, opts)
+	b := ml.NewBlocker(e.lsh)
+	byID := make(map[int]*data.Tuple, len(tuplesS))
+	for _, s := range tuplesS {
+		byID[s.TID] = s
+		b.Add(s.TID, embed(relS, relSName, s, p.Bs))
 	}
-	// Cross-relation: index S, probe with T.
-	ent := e.blockerFor(relSName, p.Bs, tuplesS, func(s *data.Tuple) ml.Vector {
-		return embed(relS, relSName, s, p.Bs)
-	})
 	out := make([][2]*data.Tuple, 0)
-	for _, t := range tuplesT {
-		for _, sid := range ent.b.CandidatesOf(embed(relT, relTName, t, p.As), -1) {
-			s := ent.byID[sid]
+	for _, t := range partitionOf(relT, relTName, p.T, opts) {
+		for _, sid := range b.CandidatesOf(embed(relT, relTName, t, p.As), -1) {
+			s := byID[sid]
 			if dirtyOK(opts, r, p.T, t, p.S, s) {
 				out = append(out, [2]*data.Tuple{t, s})
 			}
 		}
 	}
 	return out
-}
-
-// MLJob is one (model, pair) predication to precompute: the attribute
-// value vectors an ML predicate will score during rule evaluation.
-type MLJob struct {
-	Model string
-	Left  []data.Value
-	Right []data.Value
-}
-
-// MLJobs enumerates the predications rule r will need this round: when
-// the planner drives enumeration with a blocked ML predicate
-// (filter-and-verify), the model verifies exactly one (left, right)
-// vector pair per LSH candidate pair — that is the set returned here.
-// The chase scores it in parallel before fanning work units out (paper
-// §5.4, "ML predication is precomputed"), so deduction reads
-// predictions instead of computing them. Join-driven rules return nil:
-// their ML predicates score only the pairs surviving the join and
-// earlier predicates, a subset not worth over-computing. Work-unit
-// candidate pairs are a subset of the full-relation pairs returned here
-// (an LSH bucket hash depends only on the vector), and any residual
-// miss during evaluation still computes correctly — precompute is an
-// optimisation, never a correctness dependency.
-func (e *Executor) MLJobs(r *ree.Rule, opts Options) []MLJob {
-	if !opts.UseBlocking {
-		return nil
-	}
-	p := e.mlDriverOf(r)
-	if p == nil {
-		return nil
-	}
-	pairs := e.blockPairs(r, p, opts)
-	if len(pairs) == 0 {
-		return nil
-	}
-	relTName, relSName := r.RelOf(p.T), r.RelOf(p.S)
-	out := make([]MLJob, 0, len(pairs))
-	for _, pr := range pairs {
-		out = append(out, MLJob{
-			Model: p.Model,
-			Left:  e.mlValues(relTName, pr[0], p.As),
-			Right: e.mlValues(relSName, pr[1], p.Bs),
-		})
-	}
-	return out
-}
-
-// mlDriverOf mirrors plan's driver selection without materialising any
-// pairs: it returns the ML predicate blocking would drive rule r with,
-// or nil when an equality hash join takes precedence (plan prefers it)
-// or no two-variable ML predicate resolves.
-func (e *Executor) mlDriverOf(r *ree.Rule) *predicate.Predicate {
-	if len(r.Atoms) < 2 {
-		return nil
-	}
-	for _, p := range r.X {
-		if p.Kind == predicate.KAttr && p.Op == predicate.Eq && p.T != p.S {
-			relT, relS := e.env.DB.Rel(r.RelOf(p.T)), e.env.DB.Rel(r.RelOf(p.S))
-			if relT != nil && relS != nil && relT.Schema.Index(p.A) >= 0 && relS.Schema.Index(p.B) >= 0 {
-				return nil // join-driven
-			}
-		}
-	}
-	for _, p := range r.X {
-		if p.Kind == predicate.KML && p.T != p.S {
-			if e.env.DB.Rel(r.RelOf(p.T)) != nil && e.env.DB.Rel(r.RelOf(p.S)) != nil {
-				return p
-			}
-		}
-	}
-	return nil
-}
-
-// mlValues reads the attribute vector an ML predicate scores, through
-// the env's value view (fix set U during chasing, raw data otherwise).
-func (e *Executor) mlValues(relName string, t *data.Tuple, attrs []string) []data.Value {
-	rel := e.env.DB.Rel(relName)
-	vals := make([]data.Value, len(attrs))
-	for i, a := range attrs {
-		idx := -1
-		if rel != nil {
-			idx = rel.Schema.Index(a)
-		}
-		vals[i] = valueThrough(e.env, relName, t, a, idx)
-	}
-	return vals
-}
-
-func sameAttrs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func partitionOf(rel *data.Relation, name, varName string, opts Options) []*data.Tuple {

@@ -96,34 +96,3 @@ func TestProbeJoinRespectsConstantPushdown(t *testing.T) {
 		t.Error("expected matching valuations through the probed join")
 	}
 }
-
-// The blocker cache must be populated by blocked runs, hit on repeats, and
-// emptied by InvalidateBlockers.
-func TestBlockerCacheReuseAndInvalidate(t *testing.T) {
-	env, _ := transEnv(t, 80)
-	r := must.Rule("Trans(t) ^ Trans(s) ^ M_ER(t[com], s[com]) -> t.mfg = s.mfg", env.DB)
-
-	e := New(env)
-	first, err := e.Run(r, Options{UseBlocking: true}, func(h *predicate.Valuation) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := e.CachedBlockers()
-	if cached == 0 {
-		t.Fatal("blocked run must populate the blocker cache")
-	}
-	second, err := e.Run(r, Options{UseBlocking: true}, func(h *predicate.Valuation) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.CachedBlockers() != cached {
-		t.Errorf("repeat run over identical partitions grew the cache: %d -> %d", cached, e.CachedBlockers())
-	}
-	if second.Valuations != first.Valuations {
-		t.Errorf("cached blocker changed results: %d vs %d", second.Valuations, first.Valuations)
-	}
-	e.InvalidateBlockers()
-	if e.CachedBlockers() != 0 {
-		t.Errorf("InvalidateBlockers left %d entries", e.CachedBlockers())
-	}
-}

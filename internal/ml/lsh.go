@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // LSH implements random-hyperplane locality-sensitive hashing over the
 // package's embeddings: Rock uses it to block candidate pairs for ML
@@ -54,8 +51,9 @@ func (l *LSH) Signatures(v Vector) []uint64 {
 }
 
 // Blocker groups items (identified by int ids) into LSH buckets and
-// enumerates candidate pairs. It is the filter of the filter-and-verify
-// paradigm of paper §5.4 ("ML predication").
+// returns the candidates a probe vector shares a bucket with. It is the
+// filter of the filter-and-verify paradigm of paper §5.4 ("ML
+// predication"): the model then verifies only the candidates.
 type Blocker struct {
 	lsh     *LSH
 	buckets []map[uint64][]int // per band
@@ -80,47 +78,9 @@ func (b *Blocker) Add(id int, v Vector) {
 	b.n++
 }
 
-// CandidatePairs enumerates the deduplicated (i, j) pairs, i < j, that
-// share at least one band bucket. The verify step then runs the actual ML
-// model only on these. Buckets are visited in sorted signature order so
-// the pair order — and everything downstream that is sensitive to
-// enumeration order, like oracle consultation order — is deterministic
-// across runs.
-func (b *Blocker) CandidatePairs() [][2]int {
-	seen := make(map[[2]int]bool)
-	var out [][2]int
-	for _, band := range b.buckets {
-		sigs := make([]uint64, 0, len(band))
-		for sig := range band {
-			sigs = append(sigs, sig)
-		}
-		sort.Slice(sigs, func(i, j int) bool { return sigs[i] < sigs[j] })
-		for _, sig := range sigs {
-			ids := band[sig]
-			for x := 0; x < len(ids); x++ {
-				for y := x + 1; y < len(ids); y++ {
-					i, j := ids[x], ids[y]
-					if i == j {
-						continue
-					}
-					if i > j {
-						i, j = j, i
-					}
-					p := [2]int{i, j}
-					if !seen[p] {
-						seen[p] = true
-						out = append(out, p)
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // CandidatesOf returns the ids sharing at least one bucket with v,
-// excluding exclude. Used for probe-side blocking (new tuple against an
-// indexed relation) in the incremental modes.
+// excluding exclude, in band order and, within a bucket, in insertion
+// order — so a probe's candidate order is deterministic.
 func (b *Blocker) CandidatesOf(v Vector, exclude int) []int {
 	sigs := b.lsh.Signatures(v)
 	seen := make(map[int]bool)

@@ -9,26 +9,34 @@ func TestLSHRecallAndFiltering(t *testing.T) {
 	lsh := NewLSH(8, 6, 1)
 	b := NewBlocker(lsh)
 	// 30 near-duplicate pairs plus 60 random strings.
-	n := 0
+	var vecs []Vector
 	wantPairs := map[[2]int]bool{}
 	for i := 0; i < 30; i++ {
 		s := fmt.Sprintf("ACME Global Trading Co branch %d", i)
-		b.Add(n, Embed(s))
-		b.Add(n+1, Embed(s+" ltd"))
-		wantPairs[[2]int{n, n + 1}] = true
-		n += 2
+		wantPairs[[2]int{len(vecs), len(vecs) + 1}] = true
+		vecs = append(vecs, Embed(s), Embed(s+" ltd"))
 	}
 	for i := 0; i < 60; i++ {
-		b.Add(n, Embed(fmt.Sprintf("totally unrelated %d %d xyz", i*17, i*i)))
-		n++
+		vecs = append(vecs, Embed(fmt.Sprintf("totally unrelated %d %d xyz", i*17, i*i)))
 	}
-	cands := b.CandidatePairs()
+	for id, v := range vecs {
+		b.Add(id, v)
+	}
+	// Probe the index with every item, as the executor probes one block
+	// with the tuples of another; an unordered pair is one candidate.
+	cands := map[[2]int]bool{}
+	for id, v := range vecs {
+		for _, other := range b.CandidatesOf(v, id) {
+			cands[[2]int{min(id, other), max(id, other)}] = true
+		}
+	}
 	found := 0
-	for _, p := range cands {
-		if wantPairs[p] {
+	for p := range wantPairs {
+		if cands[p] {
 			found++
 		}
 	}
+	n := len(vecs)
 	recall := float64(found) / float64(len(wantPairs))
 	if recall < 0.9 {
 		t.Errorf("LSH recall=%f want >= 0.9", recall)

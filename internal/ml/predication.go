@@ -19,13 +19,12 @@ import (
 //
 //   - EmbedStore caches attribute-vector embeddings keyed by the interned
 //     value vector they embed.
-//   - PredCache memoises model Confidence/Predict results under compact
-//     interned keys across 2^predShardBits lock-striped shards.
+//   - PredCache memoises model confidences under compact interned keys
+//     across 2^predShardBits lock-striped shards.
 //   - PredicatedModel wraps a Model — a pair model or a HER matcher — so
-//     Predict/Confidence read through PredCache; the chase batch-scores
-//     all (model, pair) predications for a round in parallel before
-//     fanning work units out, making model access during deduction
-//     read-mostly.
+//     Predict/Confidence read through PredCache. A model is scored when a
+//     valuation first asks for a pair; detection fills the cache, and the
+//     chase, over the same layer, serves the pairs detection scored.
 //
 // Every entry is keyed by the values it was computed from, never by a
 // tuple's identity, so no entry goes stale when a tuple changes: the
@@ -121,9 +120,8 @@ func (k predKey) shard() uint32 {
 }
 
 // PredCache is the sharded, bounded prediction store: Confidence scores
-// and Boolean decisions memoised under interned predKeys. All methods
-// are safe for concurrent use; contention is spread across
-// 2^predShardBits lock-striped shards.
+// memoised under interned predKeys. All methods are safe for concurrent
+// use; contention is spread across 2^predShardBits lock-striped shards.
 type PredCache struct {
 	intern      *interner
 	capPerShard int
@@ -133,9 +131,8 @@ type PredCache struct {
 type predShard struct {
 	mu   sync.Mutex
 	conf map[predKey]float64
-	pred map[predKey]bool
 
-	hits, misses, evictions, warmed uint64
+	hits, misses, evictions uint64
 }
 
 // NewPredCache creates a cache bounded to roughly capacity entries in
@@ -153,7 +150,6 @@ func newPredCache(in *interner, capacity int) *PredCache {
 	c := &PredCache{intern: in, capPerShard: per}
 	for i := range c.shards {
 		c.shards[i].conf = make(map[predKey]float64)
-		c.shards[i].pred = make(map[predKey]bool)
 	}
 	return c
 }
@@ -179,99 +175,32 @@ func (c *PredCache) putConf(k predKey, v float64) {
 	sh.mu.Unlock()
 }
 
-func (c *PredCache) getPred(k predKey) (bool, bool) {
-	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	v, ok := sh.pred[k]
-	if ok {
-		sh.hits++
-	} else {
-		sh.misses++
-	}
-	sh.mu.Unlock()
-	return v, ok
-}
-
-func (c *PredCache) putPred(k predKey, v bool) {
-	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	sh.evict(c.capPerShard)
-	sh.pred[k] = v
-	sh.mu.Unlock()
-}
-
 // evict makes room for one more entry; called with sh.mu held. Victims
 // are arbitrary (map order): entries are pure memoisation, so any
 // choice is correct, and counting beats bookkeeping an LRU list under
 // the shard lock.
 func (sh *predShard) evict(capPerShard int) {
-	if len(sh.conf)+len(sh.pred) < capPerShard {
+	if len(sh.conf) < capPerShard {
 		return
 	}
 	target := capPerShard * 3 / 4
 	for k := range sh.conf {
-		if len(sh.conf)+len(sh.pred) <= target {
+		if len(sh.conf) <= target {
 			break
 		}
 		delete(sh.conf, k)
 		sh.evictions++
 	}
-	for k := range sh.pred {
-		if len(sh.conf)+len(sh.pred) <= target {
-			break
-		}
-		delete(sh.pred, k)
-		sh.evictions++
-	}
 }
 
-// warm stores a precomputed entry without touching hit/miss counters:
-// warming is the batch precompute phase, not a lookup, so those counters
-// keep measuring deduction-time serving. Returns false when the entry was
-// already present (nothing to compute).
-func (c *PredCache) warmConf(k predKey, compute func() float64) bool {
-	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	_, ok := sh.conf[k]
-	sh.mu.Unlock()
-	if ok {
-		return false
-	}
-	v := compute()
-	sh.mu.Lock()
-	sh.evict(c.capPerShard)
-	sh.conf[k] = v
-	sh.warmed++
-	sh.mu.Unlock()
-	return true
-}
-
-func (c *PredCache) warmPred(k predKey, compute func() bool) bool {
-	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	_, ok := sh.pred[k]
-	sh.mu.Unlock()
-	if ok {
-		return false
-	}
-	v := compute()
-	sh.mu.Lock()
-	sh.evict(c.capPerShard)
-	sh.pred[k] = v
-	sh.warmed++
-	sh.mu.Unlock()
-	return true
-}
-
-// Stats returns cumulative hit/miss/eviction/warm counters.
-func (c *PredCache) Stats() (hits, misses, evictions, warmed uint64) {
+// Stats returns cumulative hit/miss/eviction counters.
+func (c *PredCache) Stats() (hits, misses, evictions uint64) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		hits += sh.hits
 		misses += sh.misses
 		evictions += sh.evictions
-		warmed += sh.warmed
 		sh.mu.Unlock()
 	}
 	return
@@ -283,7 +212,7 @@ func (c *PredCache) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += len(sh.conf) + len(sh.pred)
+		n += len(sh.conf)
 		sh.mu.Unlock()
 	}
 	return n
@@ -377,13 +306,16 @@ func (s *EmbedStore) Stats() (hits, misses, evictions uint64) {
 // PredStats is a point-in-time snapshot of the predication layer's
 // counters, surfaced through chase.Report and the rock CLI.
 type PredStats struct {
-	// Prediction cache (PredCache). Hits/Misses count deduction-time
-	// lookups only; Warmed counts entries filled by the round-level batch
-	// precompute (which is not a lookup).
+	// Prediction cache (PredCache): lookups that found a score, lookups
+	// that computed one, and entries evicted to stay under the bound.
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	Warmed    uint64
+	// Warmed is always 0: nothing precomputes predictions ahead of a
+	// lookup any more, because detection already fills the cache the
+	// chase serves from. The field stays so that existing readers of the
+	// counter (the benchmark ledger's ml.pred_warmed line) keep compiling.
+	Warmed uint64
 	// Embedding store (EmbedStore).
 	EmbedHits      uint64
 	EmbedMisses    uint64
@@ -429,7 +361,7 @@ func NewPredication() *Predication {
 // Stats snapshots both tiers.
 func (p *Predication) Stats() PredStats {
 	var st PredStats
-	st.Hits, st.Misses, st.Evictions, st.Warmed = p.Preds.Stats()
+	st.Hits, st.Misses, st.Evictions = p.Preds.Stats()
 	st.EmbedHits, st.EmbedMisses, st.EmbedEvictions = p.Embeds.Stats()
 	return st
 }
@@ -447,7 +379,6 @@ func (p *Predication) PublishTo(reg *obs.Registry) {
 	reg.SetGauge("pred.hits", int64(st.Hits))
 	reg.SetGauge("pred.misses", int64(st.Misses))
 	reg.SetGauge("pred.evictions", int64(st.Evictions))
-	reg.SetGauge("pred.warmed", int64(st.Warmed))
 	reg.SetGauge("pred.embed.hits", int64(st.EmbedHits))
 	reg.SetGauge("pred.embed.misses", int64(st.EmbedMisses))
 	reg.SetGauge("pred.embed.evictions", int64(st.EmbedEvictions))
@@ -457,7 +388,7 @@ func (p *Predication) PublishTo(reg *obs.Registry) {
 	}
 }
 
-// ModelStats aggregates deduction-time cache lookups per model name:
+// ModelStats aggregates cache lookups per model name:
 // map value is {hits, misses}. Distinct models under one name (a model
 // re-registered with new parameters) sum into one row.
 func (p *Predication) ModelStats() map[string][2]uint64 {
@@ -502,9 +433,10 @@ func (p *Predication) Wrap(m Model) *PredicatedModel {
 
 // PredicatedModel serves Predict/Confidence from a shared PredCache.
 // For Thresholder models Predict is derived from the cached confidence;
-// other models get their Boolean decisions memoised directly. The left
-// and right vectors intern separately, so a tuple appearing in many
-// candidate pairs keys its side once.
+// a model without a threshold answers Predict itself, uncached (every
+// registered model has one). The left and right vectors intern
+// separately, so a tuple appearing in many candidate pairs keys its side
+// once.
 type PredicatedModel struct {
 	Inner Model
 
@@ -513,7 +445,7 @@ type PredicatedModel struct {
 	threshold   float64
 	thresholded bool
 
-	// hits/misses count this wrapper's deduction-time cache lookups —
+	// hits/misses count this wrapper's cache lookups —
 	// the per-model slice of the shard-level counters, aggregated by
 	// Predication.ModelStats for cost attribution.
 	hits, misses atomic.Uint64
@@ -548,28 +480,7 @@ func (m *PredicatedModel) Predict(left, right []data.Value) bool {
 	if m.thresholded {
 		return m.Confidence(left, right) >= m.threshold
 	}
-	k := m.key(left, right)
-	if v, ok := m.cache.getPred(k); ok {
-		m.hits.Add(1)
-		return v
-	}
-	m.misses.Add(1)
-	v := m.Inner.Predict(left, right)
-	m.cache.putPred(k, v)
-	return v
-}
-
-// Warm precomputes the predication for (left, right) and stores it in the
-// shared cache without counting a lookup. The chase calls this for every
-// candidate (model, pair) of a round before fanning work units out
-// (paper §5.4); deduction then serves the same keys as hits.
-func (m *PredicatedModel) Warm(left, right []data.Value) {
-	k := m.key(left, right)
-	if m.thresholded {
-		m.cache.warmConf(k, func() float64 { return m.Inner.Confidence(left, right) })
-		return
-	}
-	m.cache.warmPred(k, func() bool { return m.Inner.Predict(left, right) })
+	return m.Inner.Predict(left, right)
 }
 
 // Unwrap strips PredicatedModel wrappers and returns the underlying

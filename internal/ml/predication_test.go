@@ -36,75 +36,34 @@ func TestPredicatedModelThresholded(t *testing.T) {
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("stats hits=%d misses=%d, want 2/1", st.Hits, st.Misses)
 	}
+
+	// A model without a threshold answers Predict itself, uncached: its
+	// answer is passed through, never derived from the cached confidence.
+	opaque := &opaqueModel{}
+	om := p.Wrap(opaque)
+	if om.Predict(l, r) || om.Predict(l, r) {
+		t.Error("pass-through Predict answered true; the opaque model said false")
+	}
+	if opaque.predicts != 2 {
+		t.Errorf("opaque Predict called %d times, want 2 (uncached)", opaque.predicts)
+	}
+	if om.Confidence(l, r) != 0.7 {
+		t.Error("opaque confidence wrong")
+	}
+	if st := p.Stats(); st.Hits != 2 || st.Misses != 2 {
+		t.Errorf("after the opaque model: hits=%d misses=%d, want 2/2 (only Confidence looks up)", st.Hits, st.Misses)
+	}
 }
 
-// opaqueModel has no DecisionThreshold: its Boolean decisions must still
-// be memoised.
+// opaqueModel has no DecisionThreshold, and its Predict says no despite
+// a confidence of 0.7, so an answer derived from the confidence shows.
 type opaqueModel struct {
 	predicts int
 }
 
 func (o *opaqueModel) Name() string                         { return "opaque" }
 func (o *opaqueModel) Confidence(l, r []data.Value) float64 { return 0.7 }
-func (o *opaqueModel) Predict(l, r []data.Value) bool       { o.predicts++; return true }
-
-func TestPredicatedModelOpaqueBoolCached(t *testing.T) {
-	inner := &opaqueModel{}
-	p := NewPredication()
-	m := p.Wrap(inner)
-	l, r := vals("a"), vals("b")
-	if !m.Predict(l, r) || !m.Predict(l, r) || !m.Predict(l, r) {
-		t.Error("predictions wrong")
-	}
-	if inner.predicts != 1 {
-		t.Errorf("inner Predict called %d times, want 1", inner.predicts)
-	}
-}
-
-func TestCachedModelOpaqueBoolCached(t *testing.T) {
-	inner := &opaqueModel{}
-	c := NewCachedModel(inner)
-	l, r := vals("a"), vals("b")
-	if !c.Predict(l, r) || !c.Predict(l, r) {
-		t.Error("predictions wrong")
-	}
-	if inner.predicts != 1 {
-		t.Errorf("inner Predict called %d times, want 1 (bool decisions must cache)", inner.predicts)
-	}
-}
-
-func TestWarmDoesNotCountLookups(t *testing.T) {
-	calls := 0
-	inner := &FuncModel{ModelName: "f", Threshold: 0.5, Score: func(l, r []data.Value) float64 {
-		calls++
-		return 0.6
-	}}
-	p := NewPredication()
-	m := p.Wrap(inner)
-	l, r := vals("x"), vals("y")
-	m.Warm(l, r)
-	m.Warm(l, r) // second warm finds the entry; no recompute
-	if calls != 1 {
-		t.Errorf("inner called %d times during warming, want 1", calls)
-	}
-	st := p.Stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("warming moved lookup counters: hits=%d misses=%d", st.Hits, st.Misses)
-	}
-	if st.Warmed != 1 {
-		t.Errorf("warmed=%d, want 1", st.Warmed)
-	}
-	// The warmed entry now serves lookups as hits.
-	if !m.Predict(l, r) {
-		t.Error("prediction wrong")
-	}
-	if calls != 1 {
-		t.Errorf("inner recomputed after warm: %d calls", calls)
-	}
-	if st := p.Stats(); st.Hits != 1 || st.Misses != 0 {
-		t.Errorf("post-warm lookup: hits=%d misses=%d, want 1/0", st.Hits, st.Misses)
-	}
-}
+func (o *opaqueModel) Predict(l, r []data.Value) bool       { o.predicts++; return false }
 
 func TestPredCacheEvictionBounded(t *testing.T) {
 	c := NewPredCache(256)
@@ -115,7 +74,7 @@ func TestPredCacheEvictionBounded(t *testing.T) {
 	if n := c.Len(); n > 256+32 {
 		t.Errorf("cache grew past its bound: %d entries", n)
 	}
-	_, _, ev, _ := c.Stats()
+	_, _, ev := c.Stats()
 	if ev == 0 {
 		t.Error("no evictions counted despite overflow")
 	}
@@ -189,9 +148,6 @@ func TestPredicationConcurrent(t *testing.T) {
 				r := vals("right-" + strconv.Itoa((i+g)%41))
 				m.Predict(l, r)
 				m.Confidence(l, r)
-				if pm, ok := m.(*PredicatedModel); ok && i%7 == 0 {
-					pm.Warm(l, r)
-				}
 				p.Embeds.Embed(vals("attr-" + strconv.Itoa(i%17)))
 				if i%13 == 0 {
 					// Concurrent re-registration (the chase rewraps shared

@@ -115,10 +115,9 @@ type Options struct {
 	Parallel bool
 	// UseBlocking enables LSH blocking for ML predicates.
 	UseBlocking bool
-	// Predication enables the precomputed ML predication layer (paper
-	// §5.4): value-keyed embedding store and sharded prediction cache
-	// (pair models and HER), and round-level batch scoring across the
-	// worker pool.
+	// Predication enables the ML predication layer (paper §5.4): a
+	// value-keyed embedding store and a sharded prediction cache (pair
+	// models and HER) that detection fills and the chase serves from.
 	// Results are bit-identical with the layer on or off;
 	// Report.Predication carries the cache counters.
 	Predication bool
