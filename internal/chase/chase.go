@@ -267,18 +267,6 @@ type Engine struct {
 	// orderLog records accepted order fixes per rel.attr so a losing fix
 	// can be retracted by rebuilding the order.
 	orderLog map[string][]Fix
-	// tuplesByEID indexes tuples by their raw EID per relation for dirty
-	// propagation and the corrections diff (indexEIDs).
-	tuplesByEID map[string]map[string][]*data.Tuple
-	// eidShape is each relation's (NextTID, Len) when its tuplesByEID
-	// entry was built. Updates rewrite values, never EIDs, so a relation
-	// whose shape has not moved keeps its entry.
-	eidShape map[string][2]int
-	// blocks caches the TID-partition of every relation across rounds:
-	// relations never gain or lose tuples during a run, so the round loop
-	// reuses one partition instead of rebuilding it every round. Reset
-	// when the incremental path absorbs inserts.
-	blocks map[string][][]*data.Tuple
 	// cl is the run-wide worker pool (in-process by default, the remote
 	// coordinator when Options.Cluster supplies one); dist is cl when it
 	// runs rounds distributed, nil otherwise.
@@ -354,16 +342,20 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	// The engine owns a shallow copy of the environment: the ValueOf and
 	// Orders hooks wired below read this engine's fix set and must not
 	// outlive it on the caller's env (detection reads raw values). Models,
-	// graphs and the database stay shared.
+	// graphs, the database and the column cache stay shared; the cache
+	// also keeps the EID index and the TID % b blocks (TuplesOfEID,
+	// Blocks), so an engine over an env that has them builds neither. An
+	// env without a cache gets one of the engine's own.
 	own := *env
+	if own.Columns == nil {
+		own.Columns = crystal.NewCache()
+	}
 	e := &Engine{
 		env:           &own,
 		rules:         rules,
 		u:             gamma.Clone(),
 		opts:          opts,
 		orderLog:      make(map[string][]Fix),
-		tuplesByEID:   make(map[string]map[string][]*data.Tuple),
-		eidShape:      make(map[string][2]int),
 		oracleMemo:    make(map[string]data.Value),
 		resolvedCells: make(map[string]bool),
 		ruleCosts:     make(map[string]*RuleCost),
@@ -388,7 +380,6 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	}
 	e.cl.SetObs(e.obs, "chase")
 	e.dist, _ = e.cl.(DistRunner)
-	e.indexEIDs()
 	// Wire the chase semantics into the environment: values read through
 	// the fix set (validated first, raw otherwise) and temporal predicates
 	// read the validated orders.
@@ -420,12 +411,8 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	// predicates run interned for the (vast) unshadowed majority.
 	shadow := make(map[string]map[int]bool)
 	e.u.ForEachCell(func(rel, eidRoot, _ string, _ data.Value) {
-		idx := e.tuplesByEID[rel]
-		if idx == nil {
-			return
-		}
 		for _, member := range e.u.ClassMembers(eidRoot) {
-			for _, t := range idx[member] {
+			for _, t := range e.tuplesOfEID(rel, member) {
 				m := shadow[rel]
 				if m == nil {
 					m = make(map[int]bool)
@@ -457,21 +444,15 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	return e
 }
 
-// indexEIDs (re)builds the EID index of every relation whose NextTID or
-// Len moved since it was last indexed — every relation, the first time.
-func (e *Engine) indexEIDs() {
-	for name, rel := range e.env.DB.Relations {
-		shape := [2]int{rel.NextTID(), rel.Len()}
-		if _, ok := e.tuplesByEID[name]; ok && e.eidShape[name] == shape {
-			continue
-		}
-		idx := make(map[string][]*data.Tuple)
-		for _, t := range rel.Tuples {
-			idx[t.EID] = append(idx[t.EID], t)
-		}
-		e.tuplesByEID[name] = idx
-		e.eidShape[name] = shape
+// tuplesOfEID returns the tuples of relation rel carrying eid, in TID
+// order, from the env's EID index: built on its first lookup, extended by
+// a delta's inserts, never rebuilt per engine.
+func (e *Engine) tuplesOfEID(rel, eid string) []*data.Tuple {
+	r := e.env.DB.Rel(rel)
+	if r == nil {
+		return nil
 	}
+	return e.env.Columns.TuplesOfEID(r, eid)
 }
 
 // Truth exposes the engine's fix set U (read-mostly; mutate via the chase).
@@ -619,15 +600,12 @@ func (e *Engine) RunIncrementalCtx(ctx context.Context, dirty map[string]map[int
 		return &e.report, nil
 	}
 	e.phaseSpan = e.obs.StartSpan("chase.incremental", e.opts.Span)
-	// Index the EIDs of tuples inserted since the index was built.
-	e.indexEIDs()
-	// The caller mutated raw data: rebuild the partition (inserts need a
-	// block) and shadow the dirty tuples — an updated tuple may sit in an
-	// entity class with validated cells, so its view can differ from its
-	// new raw value. The env's columns keep themselves current: a pipeline
-	// delta refreshed them, and a column stamped before a write it was not
-	// told about is rebuilt on its next read.
-	e.blocks = nil
+	// The caller mutated raw data: shadow the dirty tuples — an updated
+	// tuple may sit in an entity class with validated cells, so its view
+	// can differ from its new raw value. The env's cache keeps itself
+	// current: a pipeline delta refreshed the columns, a column stamped
+	// before a write it was not told about is rebuilt on its next read,
+	// and the EID index and the blocks extend by the inserts on theirs.
 	e.exec.MarkShadowed(dirty)
 	err := e.fixpoint(e.rules, dirty, e.opts.MaxRounds)
 	e.finish()
@@ -891,24 +869,12 @@ func (e *Engine) prepareRound(rules []*ree.Rule) []unitWork {
 	ordered := append([]*ree.Rule(nil), rules...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 
-	if e.blocks == nil {
-		e.blocks = crystal.Partition(e.env.DB, e.opts.Workers)
-		// Hand the executor the stable partition slices so its vectorized
-		// paths reuse precomputed ascending TID arrays instead of
-		// re-extracting them per work unit.
-		e.exec.InvalidatePartitions()
-		for _, rel := range e.env.DB.Relations {
-			e.exec.RegisterPartition(rel.Tuples)
-		}
-		for _, bs := range e.blocks {
-			for _, b := range bs {
-				e.exec.RegisterPartition(b)
-			}
-		}
-	}
+	// The blocks and their TID arrays live in the env's cache: kept across
+	// rounds and deltas, extended by inserts.
+	blocks := e.env.Columns.Partition(e.env.DB, e.opts.Workers)
 	var work []unitWork
 	for _, r := range ordered {
-		for _, u := range crystal.UnitsFor(exec.PlanAtoms(r), e.blocks) {
+		for _, u := range crystal.UnitsFor(exec.PlanAtoms(r), blocks) {
 			work = append(work, unitWork{index: len(work), rule: r, BlockUnit: u})
 		}
 	}
@@ -1221,11 +1187,8 @@ func (e *Engine) resolveCellConflict(fx Fix, conflict *truth.Conflict) bool {
 	// Score both candidates against any tuple of the entity class.
 	var probe *data.Tuple
 	for _, eid := range e.u.ClassMembers(fx.EID1) {
-		for _, t := range e.tuplesByEID[fx.Rel][eid] {
-			probe = t
-			break
-		}
-		if probe != nil {
+		if ts := e.tuplesOfEID(fx.Rel, eid); len(ts) > 0 {
+			probe = ts[0]
 			break
 		}
 	}
@@ -1541,11 +1504,11 @@ func (e *Engine) dirtySet(fixes []Fix) map[string]map[int]bool {
 	out := make(map[string]map[int]bool)
 	mark := func(rel, eid string) {
 		for _, member := range e.u.ClassMembers(eid) {
-			for relName, idx := range e.tuplesByEID {
+			for relName := range e.env.DB.Relations {
 				if rel != "" && relName != rel {
 					continue
 				}
-				for _, t := range idx[member] {
+				for _, t := range e.tuplesOfEID(relName, member) {
 					m := out[relName]
 					if m == nil {
 						m = make(map[int]bool)

@@ -17,7 +17,7 @@ type Change struct {
 // changes diffs the fix set against the database. A correction needs a
 // validated cell, so the scope is U's validated cells, each expanded
 // through its entity class to the tuples carrying a member EID (the
-// engine's index). Each (tuple, attribute) belongs to at most one cell,
+// env's EID index). Each (tuple, attribute) belongs to at most one cell,
 // so no tuple cell is compared twice and none outside U is compared at
 // all. Sorted by the cell's rendering, the order corrections are
 // reported in.
@@ -32,9 +32,8 @@ func (e *Engine) changes() []Change {
 		if col < 0 {
 			return
 		}
-		byEID := e.tuplesByEID[relName]
 		for _, eid := range e.u.ClassMembers(root) {
-			for _, t := range byEID[eid] {
+			for _, t := range e.env.Columns.TuplesOfEID(rel, eid) {
 				if !v.Equal(t.Values[col]) {
 					out = append(out, Change{
 						Cell: data.CellRef{Rel: relName, TID: t.TID, Attr: attr},
@@ -50,9 +49,9 @@ func (e *Engine) changes() []Change {
 
 // MaterializeChanges writes the validated cells back into the database —
 // the user-visible "corrected" dataset — and returns exactly the changes
-// it wrote, with the values they replaced. It covers the tuples the
-// engine has indexed: those present at New, plus a delta's inserts once
-// RunIncrementalCtx has absorbed them. The writes go through
+// it wrote, with the values they replaced. It covers every tuple of the
+// database as it stands: the env's EID index lists a tuple inserted after
+// New as well as one present at it. The writes go through
 // Relation.SetValue, so they move the relations' mutation counts, and the
 // env's columns are refreshed for exactly the TIDs written instead of
 // being rebuilt by their next reader.

@@ -24,6 +24,14 @@ type ColumnStore struct {
 
 	rel     *data.Relation
 	entries map[string]*entry // one per schema attribute, fixed at creation
+
+	// tmu guards the indexes over the relation's tuples rather than its
+	// values (tuples.go): the EID index and the TID % b blocks by b. They
+	// are stamped with the relation's shape, not its mutation count, as a
+	// value write moves neither.
+	tmu   sync.Mutex
+	eids  *eidIndex
+	parts map[int]*partition
 }
 
 // entry is one attribute's slot: the current column behind an atomic
@@ -154,7 +162,9 @@ func (cs *ColumnStore) TIDsView(attr string, v data.Value) []int {
 // Cache is the column cache of one evaluation environment: a ColumnStore
 // per relation, shared by every executor over the environment — detection,
 // the chase and every later delta — plus the cross-column id translations
-// equality joins read. A store serves only the exact *data.Relation it was
+// equality joins read. Each store also keeps the relation's EID index and
+// its TID % b blocks (tuples.go), so a delta extends them instead of
+// rebuilding them. A store serves only the exact *data.Relation it was
 // made for: a relation replaced under the same name gets a new store. A
 // nil Cache serves no column.
 type Cache struct {

@@ -1,6 +1,8 @@
 package crystal
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -146,4 +148,92 @@ func TestCacheBuildsEachColumnOnceUnderContention(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCacheTupleIndexesTrackShape: the EID index a cache keeps answers
+// like a scan of the relation after every kind of write — appends extend
+// it, a delete rebuilds it, a value write leaves it — listing tuples in
+// TID order, and a block view a caller holds never sees a later append
+// (TestColumnarPartitionsAreTIDAscending compares the blocks themselves
+// with fresh ones).
+func TestCacheTupleIndexesTrackShape(t *testing.T) {
+	rel := skuFixture(t, 60)
+	// Repeat EIDs so chains are longer than one.
+	for i := 0; i < 20; i++ {
+		rel.Insert(fmt.Sprintf("e%d", i%7), data.S("S1"), data.I(1))
+	}
+	c := NewCache()
+	eids := []string{"e0", "e3", "e6", "e59", "late", "nobody"}
+	check := func(stage string) {
+		t.Helper()
+		for _, eid := range eids {
+			got := c.TuplesOfEID(rel, eid)
+			want := (*Cache)(nil).TuplesOfEID(rel, eid)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: TuplesOfEID(%q) = %v, a scan finds %v", stage, eid, tidsOfTuples(got), tidsOfTuples(want))
+			}
+		}
+	}
+	check("fresh")
+	held := c.Blocks(rel, 3)
+	heldLens := []int{len(held[0].Tuples), len(held[1].Tuples), len(held[2].Tuples)}
+	for i := 0; i < 9; i++ {
+		rel.Insert([]string{"late", "e3", "e0"}[i%3], data.S("S2"), data.I(2))
+	}
+	check("after appends")
+	for i, b := range held {
+		if len(b.Tuples) != heldLens[i] || cap(b.Tuples) != heldLens[i] || cap(b.TIDs) != heldLens[i] {
+			t.Fatalf("held block %d: len %d cap %d, want both %d", i, len(b.Tuples), cap(b.Tuples), heldLens[i])
+		}
+	}
+	rel.Delete(c.TuplesOfEID(rel, "e3")[1].TID)
+	check("after a delete")
+	rel.SetValue(rel.Tuples[0].TID, "sku", data.S("S9"))
+	rel.Insert("e6", data.S("S3"), data.I(3))
+	check("after a value write and an append")
+}
+
+func tidsOfTuples(ts []*data.Tuple) []int {
+	out := make([]int, len(ts))
+	for i, tu := range ts {
+		out[i] = tu.TID
+	}
+	return out
+}
+
+// TestCacheTupleIndexesConcurrentReaders: executors ask one cache for
+// blocks and EID lookups from every worker at once; the first reader
+// after the relation grew extends the kept indexes while the others wait
+// or read views they already hold.
+func TestCacheTupleIndexesConcurrentReaders(t *testing.T) {
+	rel := skuFixture(t, 300)
+	c := NewCache()
+	held := c.Blocks(rel, 4)
+	for i := 0; i < 50; i++ {
+		rel.Insert(fmt.Sprintf("e%d", i%9), data.S("S1"), data.I(1))
+	}
+	wantBlocks := (*Cache)(nil).Blocks(rel, 4)
+	wantEIDs := (*Cache)(nil).TuplesOfEID(rel, "e3")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, b := range held {
+				for i, tu := range b.Tuples {
+					if b.TIDs[i] != tu.TID {
+						t.Error("a held view changed under an extension")
+						return
+					}
+				}
+			}
+			if !reflect.DeepEqual(c.Blocks(rel, 4), wantBlocks) {
+				t.Error("concurrent Blocks differ from a fresh partition")
+			}
+			if !reflect.DeepEqual(c.TuplesOfEID(rel, "e3"), wantEIDs) {
+				t.Error("concurrent TuplesOfEID differs from a scan")
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package crystal
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -127,11 +128,18 @@ func TestRingOwnerTotal(t *testing.T) {
 	}
 }
 
-// ascendingBlock reports a block that is not strictly TID-ascending.
-func ascendingBlock(block []*data.Tuple) error {
-	for i := 1; i < len(block); i++ {
-		if block[i].TID <= block[i-1].TID {
-			return fmt.Errorf("TID %d follows TID %d", block[i].TID, block[i-1].TID)
+// ascendingBlock reports a block that is not strictly TID-ascending or
+// whose TIDs are not its tuples'.
+func ascendingBlock(block Block) error {
+	if len(block.TIDs) != len(block.Tuples) {
+		return fmt.Errorf("%d TIDs for %d tuples", len(block.TIDs), len(block.Tuples))
+	}
+	for i, tu := range block.Tuples {
+		if block.TIDs[i] != tu.TID {
+			return fmt.Errorf("TIDs[%d] = %d, the tuple's TID %d", i, block.TIDs[i], tu.TID)
+		}
+		if i > 0 && tu.TID <= block.Tuples[i-1].TID {
+			return fmt.Errorf("TID %d follows TID %d", tu.TID, block.Tuples[i-1].TID)
 		}
 	}
 	return nil
@@ -139,9 +147,10 @@ func ascendingBlock(block []*data.Tuple) error {
 
 // TestColumnarPartitionsAreTIDAscending: the executor's columnar jobs
 // take every partition to be strictly TID-ascending and treat any other
-// as an error. Every block Partition returns is, before and after inserts
-// and a delete, and every UnitsFor unit restricts its variables to such
-// blocks.
+// as an error. Every block a Cache partitions into is, before and after
+// inserts (which extend the kept blocks) and a delete (which rebuilds
+// them); it equals a fresh partition; and every UnitsFor unit restricts
+// its variables to such blocks.
 func TestColumnarPartitionsAreTIDAscending(t *testing.T) {
 	rel := skuFixture(t, 200)
 	other := data.NewRelation(schemaOf("Other", data.Attribute{Name: "a", Type: data.TString}))
@@ -156,18 +165,23 @@ func TestColumnarPartitionsAreTIDAscending(t *testing.T) {
 		{{Rel: "Ev", Var: "t"}, {Rel: "Ev", Var: "s"}},
 		{{Rel: "Ev", Var: "t"}, {Rel: "Other", Var: "s"}, {Rel: "Ev", Var: "u"}},
 	}
+	cache := NewCache()
 	check := func(stage string) {
 		t.Helper()
 		for _, b := range []int{1, 3, 8} {
-			blocks := Partition(db, b)
+			blocks := cache.Partition(db, b)
+			fresh := (*Cache)(nil).Partition(db, b)
 			live := 0
 			for name, bs := range blocks {
+				if !reflect.DeepEqual(bs, fresh[name]) {
+					t.Fatalf("%s: the kept %s blocks of %d differ from a fresh partition", stage, name, b)
+				}
 				for i, block := range bs {
 					if err := ascendingBlock(block); err != nil {
 						t.Fatalf("%s: %s block %d of %d: %v", stage, name, i, b, err)
 					}
 					if name == "Ev" {
-						live += len(block)
+						live += len(block.Tuples)
 					}
 				}
 			}

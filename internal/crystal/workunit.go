@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"github.com/rockclean/rock/internal/data"
 )
 
 // WorkUnit is T = (φ, D_T): a (partial) REE++ paired with a data partition
@@ -22,32 +20,12 @@ type WorkUnit struct {
 	Run func(node string)
 }
 
-// Partition splits every relation of db into b virtual blocks by TID — the
-// HyperCube partitioning of paper §5.3. Detection and the chase plan their
-// work units over the same blocks, and so does every replica of a
-// distributed run: the result depends on db and b alone.
-func Partition(db *data.Database, b int) map[string][][]*data.Tuple {
-	if b < 1 {
-		b = 1
-	}
-	blocks := make(map[string][][]*data.Tuple, len(db.Relations))
-	for name, rel := range db.Relations {
-		bs := make([][]*data.Tuple, b)
-		for _, t := range rel.Tuples {
-			i := t.TID % b
-			bs[i] = append(bs[i], t)
-		}
-		blocks[name] = bs
-	}
-	return blocks
-}
-
 // BlockUnit is the data half D_T of a work unit: one block (single-variable
 // rule) or one block combination of the rule's first two tuple variables.
 type BlockUnit struct {
-	Part     string                   // partition key, e.g. "Trans/b3" or "Trans-Store/b3-0"
-	Restrict map[string][]*data.Tuple // tuple variable -> the block it ranges over
-	EstCost  float64                  // product of the block sizes
+	Part     string           // partition key, e.g. "Trans/b3" or "Trans-Store/b3-0"
+	Restrict map[string]Block // tuple variable -> the block it ranges over
+	EstCost  float64          // product of the block sizes
 }
 
 // Atom is one tuple atom R(t) of a rule as the planner reads it: the
@@ -59,33 +37,33 @@ type Atom struct{ Rel, Var string }
 // in block-index order, so the i-th unit of a rule names the same work on
 // every process that partitioned the same data. A rule without tuple
 // atoms yields no units.
-func UnitsFor(atoms []Atom, blocks map[string][][]*data.Tuple) []BlockUnit {
+func UnitsFor(atoms []Atom, blocks map[string][]Block) []BlockUnit {
 	if len(atoms) == 0 {
 		return nil
 	}
 	var units []BlockUnit
 	a1 := atoms[0]
 	for i, b1 := range blocks[a1.Rel] {
-		if len(b1) == 0 {
+		if len(b1.Tuples) == 0 {
 			continue
 		}
 		if len(atoms) == 1 {
 			units = append(units, BlockUnit{
 				Part:     fmt.Sprintf("%s/b%d", a1.Rel, i),
-				Restrict: map[string][]*data.Tuple{a1.Var: b1},
-				EstCost:  float64(len(b1)),
+				Restrict: map[string]Block{a1.Var: b1},
+				EstCost:  float64(len(b1.Tuples)),
 			})
 			continue
 		}
 		a2 := atoms[1]
 		for j, b2 := range blocks[a2.Rel] {
-			if len(b2) == 0 {
+			if len(b2.Tuples) == 0 {
 				continue
 			}
 			units = append(units, BlockUnit{
 				Part:     fmt.Sprintf("%s-%s/b%d-%d", a1.Rel, a2.Rel, i, j),
-				Restrict: map[string][]*data.Tuple{a1.Var: b1, a2.Var: b2},
-				EstCost:  float64(len(b1)) * float64(len(b2)),
+				Restrict: map[string]Block{a1.Var: b1, a2.Var: b2},
+				EstCost:  float64(len(b1.Tuples)) * float64(len(b2.Tuples)),
 			})
 		}
 	}

@@ -105,7 +105,10 @@ func (t *Tuple) Clone() *Tuple {
 type Relation struct {
 	Schema *Schema
 	Tuples []*Tuple
-	byTID  map[int]*Tuple
+	// byTID[tid] is the live tuple with that TID, nil once deleted: TIDs
+	// are dense from 0, so a slice serves where a map would cost five
+	// times the memory.
+	byTID  []*Tuple
 	nextID int
 	// version counts the mutations Insert, SetValue and Delete made.
 	version uint64
@@ -113,7 +116,7 @@ type Relation struct {
 
 // NewRelation creates an empty relation of the given schema.
 func NewRelation(s *Schema) *Relation {
-	return &Relation{Schema: s, byTID: make(map[int]*Tuple)}
+	return &Relation{Schema: s}
 }
 
 // Insert appends a tuple with a fresh TID and returns it. The value slice
@@ -131,12 +134,17 @@ func (r *Relation) Insert(eid string, values ...Value) *Tuple {
 	r.nextID++
 	r.version++
 	r.Tuples = append(r.Tuples, t)
-	r.byTID[t.TID] = t
+	r.byTID = append(r.byTID, t)
 	return t
 }
 
 // Get returns the tuple with the given TID, or nil.
-func (r *Relation) Get(tid int) *Tuple { return r.byTID[tid] }
+func (r *Relation) Get(tid int) *Tuple {
+	if tid < 0 || tid >= len(r.byTID) {
+		return nil
+	}
+	return r.byTID[tid]
+}
 
 // NextTID returns the TID the next Insert will assign — the exclusive
 // upper bound of every TID ever assigned. Dense TID-indexed structures
@@ -154,7 +162,7 @@ func (r *Relation) Len() int { return len(r.Tuples) }
 
 // Value returns t[attr] for the tuple with the given TID.
 func (r *Relation) Value(tid int, attr string) (Value, bool) {
-	t := r.byTID[tid]
+	t := r.Get(tid)
 	if t == nil {
 		return Value{}, false
 	}
@@ -168,7 +176,7 @@ func (r *Relation) Value(tid int, attr string) (Value, bool) {
 // SetValue updates t[attr] in place; used by error correction when a fix is
 // applied back to the data.
 func (r *Relation) SetValue(tid int, attr string, v Value) bool {
-	t := r.byTID[tid]
+	t := r.Get(tid)
 	if t == nil {
 		return false
 	}
@@ -184,11 +192,10 @@ func (r *Relation) SetValue(tid int, attr string, v Value) bool {
 // Delete removes the tuple with the given TID; it reports whether the tuple
 // existed. Used by the incremental modes to apply ΔD deletions.
 func (r *Relation) Delete(tid int) bool {
-	t := r.byTID[tid]
-	if t == nil {
+	if r.Get(tid) == nil {
 		return false
 	}
-	delete(r.byTID, tid)
+	r.byTID[tid] = nil
 	r.version++
 	for i, u := range r.Tuples {
 		if u.TID == tid {
@@ -196,7 +203,6 @@ func (r *Relation) Delete(tid int) bool {
 			break
 		}
 	}
-	_ = t
 	return true
 }
 
@@ -205,6 +211,7 @@ func (r *Relation) Clone() *Relation {
 	c := NewRelation(r.Schema)
 	c.nextID = r.nextID
 	c.Tuples = make([]*Tuple, 0, len(r.Tuples))
+	c.byTID = make([]*Tuple, r.nextID)
 	for _, t := range r.Tuples {
 		ct := t.Clone()
 		c.Tuples = append(c.Tuples, ct)

@@ -49,39 +49,47 @@ func (t Type) String() string {
 
 // Value is a single attribute value. The zero Value is null.
 // Values are small and passed by value throughout.
+//
+// Every tuple cell is one Value, so its size is the data's: 32 bytes. The
+// string payload comes first, then one word holding the payload of every
+// other kind (n), then the kind and the flags in one byte each.
 type Value struct {
-	kind  Type
-	null  bool
 	s     string
-	i     int64
-	f     float64
-	b     bool
+	n     uint64 // an int or time as int64 bits, a float's IEEE-754 bits, 1 for true
+	kind  uint8  // a Type
+	null  bool
 	valid bool // distinguishes the zero Value (null) from constructed ones
 }
 
 // Null returns a null value of the given type.
-func Null(t Type) Value { return Value{kind: t, null: true, valid: true} }
+func Null(t Type) Value { return Value{kind: uint8(t), null: true, valid: true} }
 
 // S constructs a string value.
-func S(v string) Value { return Value{kind: TString, s: v, valid: true} }
+func S(v string) Value { return Value{kind: uint8(TString), s: v, valid: true} }
 
 // I constructs an integer value.
-func I(v int64) Value { return Value{kind: TInt, i: v, valid: true} }
+func I(v int64) Value { return Value{kind: uint8(TInt), n: uint64(v), valid: true} }
 
 // F constructs a float value.
-func F(v float64) Value { return Value{kind: TFloat, f: v, valid: true} }
+func F(v float64) Value { return Value{kind: uint8(TFloat), n: math.Float64bits(v), valid: true} }
 
 // B constructs a Boolean value.
-func B(v bool) Value { return Value{kind: TBool, b: v, valid: true} }
+func B(v bool) Value {
+	out := Value{kind: uint8(TBool), valid: true}
+	if v {
+		out.n = 1
+	}
+	return out
+}
 
 // TS constructs a timestamp value from Unix seconds.
-func TS(unix int64) Value { return Value{kind: TTime, i: unix, valid: true} }
+func TS(unix int64) Value { return Value{kind: uint8(TTime), n: uint64(unix), valid: true} }
 
 // Time constructs a timestamp value from a time.Time.
 func Time(t time.Time) Value { return TS(t.Unix()) }
 
 // Kind reports the type of the value.
-func (v Value) Kind() Type { return v.kind }
+func (v Value) Kind() Type { return Type(v.kind) }
 
 // IsNull reports whether the value is null. The zero Value is null.
 func (v Value) IsNull() bool { return v.null || !v.valid }
@@ -89,26 +97,33 @@ func (v Value) IsNull() bool { return v.null || !v.valid }
 // Str returns the string payload; only meaningful for TString values.
 func (v Value) Str() string { return v.s }
 
-// Int returns the integer payload; meaningful for TInt and TTime values.
-func (v Value) Int() int64 { return v.i }
+// Int returns the integer payload of TInt and TTime values, 0 for any
+// other kind.
+func (v Value) Int() int64 {
+	if k := v.Kind(); k == TInt || k == TTime {
+		return int64(v.n)
+	}
+	return 0
+}
 
 // Float returns the numeric payload as float64 for TInt, TFloat and TTime.
 func (v Value) Float() float64 {
-	switch v.kind {
+	switch v.Kind() {
 	case TInt, TTime:
-		return float64(v.i)
+		return float64(int64(v.n))
 	case TFloat:
-		return v.f
+		return math.Float64frombits(v.n)
 	default:
 		return 0
 	}
 }
 
-// Bool returns the Boolean payload; only meaningful for TBool values.
-func (v Value) Bool() bool { return v.b }
+// Bool returns the Boolean payload of TBool values, false for any other
+// kind.
+func (v Value) Bool() bool { return v.Kind() == TBool && v.n != 0 }
 
 // Unix returns the timestamp payload in Unix seconds for TTime values.
-func (v Value) Unix() int64 { return v.i }
+func (v Value) Unix() int64 { return v.Int() }
 
 // Equal reports deep equality between two values. Nulls are equal only to
 // nulls of any type (SQL users beware: Rock treats null = null as true when
@@ -120,20 +135,18 @@ func (v Value) Equal(w Value) bool {
 	}
 	if v.kind != w.kind {
 		// Numeric cross-type comparison.
-		if isNumeric(v.kind) && isNumeric(w.kind) {
+		if isNumeric(v.Kind()) && isNumeric(w.Kind()) {
 			return v.Float() == w.Float()
 		}
 		return false
 	}
-	switch v.kind {
+	switch v.Kind() {
 	case TString:
 		return v.s == w.s
-	case TInt, TTime:
-		return v.i == w.i
+	case TInt, TTime, TBool:
+		return v.n == w.n
 	case TFloat:
-		return v.f == w.f
-	case TBool:
-		return v.b == w.b
+		return v.Float() == w.Float()
 	}
 	return false
 }
@@ -149,7 +162,7 @@ func (v Value) Compare(w Value) int {
 	case w.IsNull():
 		return 1
 	}
-	if isNumeric(v.kind) && isNumeric(w.kind) {
+	if isNumeric(v.Kind()) && isNumeric(w.Kind()) {
 		a, b := v.Float(), w.Float()
 		switch {
 		case a < b:
@@ -160,14 +173,14 @@ func (v Value) Compare(w Value) int {
 			return 0
 		}
 	}
-	if v.kind == TString && w.kind == TString {
+	if v.Kind() == TString && w.Kind() == TString {
 		return strings.Compare(v.s, w.s)
 	}
-	if v.kind == TBool && w.kind == TBool {
+	if v.Kind() == TBool && w.Kind() == TBool {
 		switch {
-		case v.b == w.b:
+		case v.n == w.n:
 			return 0
-		case w.b:
+		case w.Bool():
 			return -1
 		default:
 			return 1
@@ -191,17 +204,17 @@ func (v Value) String() string {
 	if v.IsNull() {
 		return "null"
 	}
-	switch v.kind {
+	switch v.Kind() {
 	case TString:
 		return v.s
 	case TInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case TFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case TBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.Bool())
 	case TTime:
-		return time.Unix(v.i, 0).UTC().Format("2006-01-02T15:04:05Z")
+		return time.Unix(v.Int(), 0).UTC().Format("2006-01-02T15:04:05Z")
 	}
 	return ""
 }
@@ -259,7 +272,7 @@ func (v Value) Key() string {
 	if v.IsNull() {
 		return "\x00null"
 	}
-	if isNumeric(v.kind) {
+	if isNumeric(v.Kind()) {
 		return "N\x1f" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	}
 	return string(rune('0'+int(v.kind))) + "\x1f" + v.String()
@@ -285,23 +298,19 @@ func (v Value) MarshalBinary() ([]byte, error) {
 	if v.valid {
 		flags |= flagValid
 	}
-	b := []byte{byte(v.kind), flags}
+	b := []byte{v.kind, flags}
 	if v.null || !v.valid {
 		return b, nil
 	}
-	switch v.kind {
+	switch v.Kind() {
 	case TString:
 		b = append(b, v.s...)
 	case TInt, TTime:
-		b = binary.AppendVarint(b, v.i)
+		b = binary.AppendVarint(b, v.Int())
 	case TFloat:
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.f))
+		b = binary.BigEndian.AppendUint64(b, v.n)
 	case TBool:
-		if v.b {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = append(b, byte(v.n))
 	}
 	return b, nil
 }
@@ -320,7 +329,7 @@ func (v *Value) UnmarshalBinary(b []byte) error {
 	if flags&^(flagNull|flagValid) != 0 {
 		return fmt.Errorf("data: value: unknown flags %#x", flags)
 	}
-	out := Value{kind: kind, null: flags&flagNull != 0, valid: flags&flagValid != 0}
+	out := Value{kind: b[0], null: flags&flagNull != 0, valid: flags&flagValid != 0}
 	bad := func() error { return fmt.Errorf("data: value: bad %v payload of %d bytes", kind, len(rest)) }
 	switch {
 	case out.null || !out.valid:
@@ -334,17 +343,17 @@ func (v *Value) UnmarshalBinary(b []byte) error {
 		if n <= 0 || n != len(rest) {
 			return bad()
 		}
-		out.i = i
+		out.n = uint64(i)
 	case kind == TFloat:
 		if len(rest) != 8 {
 			return bad()
 		}
-		out.f = math.Float64frombits(binary.BigEndian.Uint64(rest))
+		out.n = binary.BigEndian.Uint64(rest)
 	case kind == TBool:
 		if len(rest) != 1 || rest[0] > 1 {
 			return bad()
 		}
-		out.b = rest[0] == 1
+		out.n = uint64(rest[0])
 	}
 	*v = out
 	return nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestValueNullness(t *testing.T) {
@@ -288,5 +289,13 @@ func TestValueBinaryMalformed(t *testing.T) {
 		} else if !v.Equal(S("untouched")) {
 			t.Errorf("%s: failed decode overwrote the value with %#v", name, v)
 		}
+	}
+}
+
+// TestValueSize pins the layout of Value: one string, one payload word,
+// three bytes. Every tuple cell is one Value.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", n)
 	}
 }

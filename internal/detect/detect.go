@@ -199,7 +199,7 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 	// unit completes — workers share nothing, and the merge below reads
 	// the slots back in plan order, so the result does not depend on
 	// which worker ran what, or when.
-	blocks := crystal.Partition(d.env.DB, max(d.opts.Workers, minBlocks))
+	blocks := d.env.Columns.Partition(d.env.DB, max(d.opts.Workers, minBlocks))
 	type result struct {
 		errs []*Error
 		err  error

@@ -52,13 +52,11 @@ type Options struct {
 	// no restriction (batch mode); non-nil implements the incremental
 	// activation of paper §4.1.
 	Dirty map[string]map[int]bool
-	// Restrict, when non-nil, limits the tuples each variable may bind to
-	// (the work unit's data partition, paper §5.2). Keyed by relation.
-	Restrict map[string][]*data.Tuple
-	// RestrictVar limits individual variables to tuple subsets — the
-	// HyperCube partitioning assigns each variable of a rule its own
-	// virtual block (paper §5.3). Takes precedence over Restrict.
-	RestrictVar map[string][]*data.Tuple
+	// RestrictVar limits individual variables to blocks of their relation
+	// — the HyperCube partitioning assigns each variable of a rule its own
+	// virtual block (paper §5.3). A variable it does not name ranges over
+	// its whole relation.
+	RestrictVar map[string]crystal.Block
 	// MaxResults stops enumeration after this many callbacks (<=0: all).
 	MaxResults int
 	// Span, when non-nil, is the parent span this run is traced under
@@ -101,7 +99,7 @@ type Executor struct {
 
 	// in is this executor's view over the dictionary-encoded columns
 	// (intern.go): the shadow-TID sets that keep interned comparisons
-	// sound under a ValueOf hook, and the registered partition TID arrays.
+	// sound under a ValueOf hook.
 	in internIndex
 }
 
@@ -162,23 +160,24 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 	}
 	// Candidate tuples per variable after constant pushdown. Filtered
 	// candidate lists come from the scratch pool and are released when the
-	// run finishes; unfiltered variables alias the partition slice itself
-	// (zero copies on the common no-constant-predicate rule).
-	cands := make(map[string][]*data.Tuple, len(r.Atoms))
-	var pooled [][]*data.Tuple
+	// run finishes; unfiltered variables alias the block itself (zero
+	// copies on the common no-constant-predicate rule).
+	cands := make(map[string]crystal.Block, len(r.Atoms))
+	var pooled []crystal.Block
 	defer func() {
 		for _, b := range pooled {
-			putTupleBuf(b)
+			putTupleBuf(b.Tuples)
+			putIntBuf(b.TIDs)
 		}
 	}()
 	for _, a := range r.Atoms {
-		ts, fromPool, err := e.candidates(r, a, opts)
+		b, fromPool, err := e.candidates(r, a, opts)
 		if err != nil {
 			return st, err
 		}
-		cands[a.Var] = ts
+		cands[a.Var] = b
 		if fromPool {
-			pooled = append(pooled, ts)
+			pooled = append(pooled, b)
 		}
 	}
 
@@ -196,8 +195,8 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 	// intersected with the pushdown survivors.
 	var allow1, allow2 map[int]bool
 	if plan.pairs != nil && !plan.prefiltered {
-		allow1 = tidSet(cands[plan.var1])
-		allow2 = tidSet(cands[plan.var2])
+		allow1 = tidSet(cands[plan.var1].Tuples)
+		allow2 = tidSet(cands[plan.var2].Tuples)
 	}
 
 	// The recursive binder: bind variables in atom order, but the first
@@ -374,7 +373,7 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 			bindRest(i + 1)
 			return
 		}
-		list := cands[a.Var]
+		list := cands[a.Var].Tuples
 		// Hash-join shortcut: if an equality predicate links a bound var to
 		// this one, probe the candidate list instead of scanning; probeJoin
 		// works over the constant-pushdown candidate set of the variable, so
@@ -485,16 +484,24 @@ func selfPair(h *predicate.Valuation, a ree.Atom, t *data.Tuple) bool {
 }
 
 // candidates lists the tuples variable a.Var may bind to after constant
-// pushdown, partition restriction and dirty filtering. fromPool reports
-// that the returned slice came from the scratch pool (the caller releases
-// it); false means it aliases the partition itself and must not be
-// mutated or pooled.
-func (e *Executor) candidates(r *ree.Rule, a ree.Atom, opts Options) (out []*data.Tuple, fromPool bool, err error) {
+// pushdown and partition restriction, with their TIDs. Under a dirty
+// filter, the one variable of a single-atom rule ranges over its dirty
+// tuples only: every valuation binds it and nothing else. fromPool
+// reports that the returned block came from the scratch pool (the caller
+// releases it); false means it aliases the partition itself and must not
+// be mutated or pooled.
+func (e *Executor) candidates(r *ree.Rule, a ree.Atom, opts Options) (out crystal.Block, fromPool bool, err error) {
 	rel := e.env.DB.Rel(a.Rel)
 	if rel == nil {
-		return nil, false, fmt.Errorf("exec: rule %s references unknown relation %q", r.ID, a.Rel)
+		return out, false, fmt.Errorf("exec: rule %s references unknown relation %q", r.ID, a.Rel)
 	}
-	base := partitionOf(rel, a.Rel, a.Var, opts)
+	base := e.partitionOf(rel, a.Var, opts)
+	basePooled := opts.Dirty != nil && len(r.Atoms) == 1
+	if basePooled {
+		if base, err = dirtyOnly(base, opts.Dirty[a.Rel]); err != nil {
+			return out, false, err
+		}
+	}
 	// Every filter that is an id compare (null checks, and constant = / !=)
 	// runs over its interned column; the rest (ordered constant compares)
 	// evaluate per survivor. Null checks read raw data; constant compares
@@ -522,10 +529,34 @@ func (e *Executor) candidates(r *ree.Rule, a ree.Atom, opts Options) (out []*dat
 		fasts = append(fasts, f)
 	}
 	if len(fasts) == 0 && len(slows) == 0 {
-		return base, false, nil
+		return base, basePooled, nil
 	}
 	out, err = e.candidatesVec(a, base, fasts, slows, e.shadowOf(a.Rel))
-	return out, true, err
+	if basePooled {
+		putTupleBuf(base.Tuples)
+		putIntBuf(base.TIDs)
+	}
+	return out, err == nil, err
+}
+
+// dirtyOnly returns the tuples of base whose TIDs are in dirty, in base
+// order, as pool scratch.
+func dirtyOnly(base crystal.Block, dirty map[int]bool) (crystal.Block, error) {
+	tids, pooled, err := tidsOf(base)
+	if err != nil {
+		return crystal.Block{}, err
+	}
+	if pooled {
+		defer putIntBuf(tids)
+	}
+	pos := appendDirtyPositions(getPosBuf(), dirty, tids)
+	out := crystal.Block{Tuples: getTupleBuf(), TIDs: getIntBuf()}
+	for _, p := range pos {
+		out.Tuples = append(out.Tuples, base.Tuples[p])
+		out.TIDs = append(out.TIDs, tids[p])
+	}
+	putPosBuf(pos)
+	return out, nil
 }
 
 // tidSet builds the membership set of a candidate list.
@@ -552,7 +583,7 @@ type execPlan struct {
 
 // plan inspects the rule and builds pair candidates via hash join or LSH
 // blocking when profitable.
-func (e *Executor) plan(r *ree.Rule, cands map[string][]*data.Tuple, opts Options) (execPlan, error) {
+func (e *Executor) plan(r *ree.Rule, cands map[string]crystal.Block, opts Options) (execPlan, error) {
 	pl := execPlan{covered: map[*predicate.Predicate]bool{}}
 	if len(r.Atoms) < 2 {
 		return pl, nil
@@ -600,7 +631,7 @@ func (e *Executor) plan(r *ree.Rule, cands map[string][]*data.Tuple, opts Option
 // enumerating colB's posting lists (postingJoin, vector.go). The pairs
 // are pool scratch; nil means the schema does not resolve the join.
 func (e *Executor) hashJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
-	tuplesT, tuplesS []*data.Tuple) ([][2]*data.Tuple, error) {
+	tuplesT, tuplesS crystal.Block) ([][2]*data.Tuple, error) {
 	relTName, relSName := r.RelOf(p.T), r.RelOf(p.S)
 	relT := e.env.DB.Rel(relTName)
 	relS := e.env.DB.Rel(relSName)
@@ -638,7 +669,7 @@ func (e *Executor) blockPairs(r *ree.Rule, p *predicate.Predicate, opts Options)
 		}
 		return e.embeds.Embed(vals)
 	}
-	tuplesS := partitionOf(relS, relSName, p.S, opts)
+	tuplesS := e.partitionOf(relS, p.S, opts).Tuples
 	b := ml.NewBlocker(e.lsh)
 	byID := make(map[int]*data.Tuple, len(tuplesS))
 	for _, s := range tuplesS {
@@ -646,7 +677,7 @@ func (e *Executor) blockPairs(r *ree.Rule, p *predicate.Predicate, opts Options)
 		b.Add(s.TID, embed(relS, relSName, s, p.Bs))
 	}
 	out := make([][2]*data.Tuple, 0)
-	for _, t := range partitionOf(relT, relTName, p.T, opts) {
+	for _, t := range e.partitionOf(relT, p.T, opts).Tuples {
 		for _, sid := range b.CandidatesOf(embed(relT, relTName, t, p.As), -1) {
 			s := byID[sid]
 			if dirtyOK(opts, r, p.T, t, p.S, s) {
@@ -657,18 +688,13 @@ func (e *Executor) blockPairs(r *ree.Rule, p *predicate.Predicate, opts Options)
 	return out
 }
 
-func partitionOf(rel *data.Relation, name, varName string, opts Options) []*data.Tuple {
-	if opts.RestrictVar != nil {
-		if part, ok := opts.RestrictVar[varName]; ok {
-			return part
-		}
+// partitionOf is the block varName ranges over: its RestrictVar block, or
+// the whole relation as the cache's one block of it.
+func (e *Executor) partitionOf(rel *data.Relation, varName string, opts Options) crystal.Block {
+	if part, ok := opts.RestrictVar[varName]; ok {
+		return part
 	}
-	if opts.Restrict != nil {
-		if part, ok := opts.Restrict[name]; ok {
-			return part
-		}
-	}
-	return rel.Tuples
+	return e.cols.Blocks(rel, 1)[0]
 }
 
 // dirtyOK applies the incremental-mode filter: at least one of the two
@@ -694,7 +720,7 @@ func dirtyOK(opts Options, r *ree.Rule, v1 string, t1 *data.Tuple, v2 string, t2
 // re-enumerated. probed is false when no equality applies; otherwise
 // list is pool scratch the caller must release.
 func (e *Executor) probeJoin(r *ree.Rule, a ree.Atom, bound map[string]bool, h *predicate.Valuation,
-	cands map[string][]*data.Tuple) (list []*data.Tuple, probed bool, err error) {
+	cands map[string]crystal.Block) (list []*data.Tuple, probed bool, err error) {
 	rel := e.env.DB.Rel(a.Rel)
 	if rel == nil {
 		return nil, false, nil

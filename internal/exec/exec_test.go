@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rockclean/rock/internal/crystal"
 	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/ml"
 	"github.com/rockclean/rock/internal/must"
@@ -157,7 +158,8 @@ func TestExecutorRestrictPartition(t *testing.T) {
 	r := must.Rule("Trans(t) ^ Trans(s) ^ t.com = s.com -> t.mfg = s.mfg", env.DB)
 	e := New(env)
 	part := rel.Tuples[:10]
-	st, err := e.Run(r, Options{Restrict: map[string][]*data.Tuple{"Trans": part}}, func(h *predicate.Valuation) bool { return true })
+	block := crystal.Block{Tuples: part}
+	st, err := e.Run(r, Options{RestrictVar: map[string]crystal.Block{"t": block, "s": block}}, func(h *predicate.Valuation) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}

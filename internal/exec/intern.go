@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"unsafe"
 
 	"github.com/rockclean/rock/internal/crystal"
 	"github.com/rockclean/rock/internal/data"
@@ -18,8 +17,9 @@ import (
 // detection, the chase and every later delta — and served only at the
 // relation's current mutation count. Equality joins and constant
 // predicates compare uint32 ids over dense TID-indexed slices instead of
-// hashing data.Value keys. What stays here describes one engine's view:
-// its shadow sets and its registered partition TID arrays.
+// hashing data.Value keys. The blocks jobs walk, with their TID arrays,
+// belong to the environment's cache too (crystal.Cache.Blocks). What
+// stays here describes one engine's view: its shadow sets.
 //
 // Correctness with the chase's fix-set view: interned ids encode RAW
 // tuple values, but the chase reads values through env.ValueOf (validated
@@ -39,88 +39,20 @@ type internIndex struct {
 	// TID arrays instead of probing the map per tuple. Entries drop when
 	// MarkShadowed touches the relation.
 	shadowSorted map[string][]int
-	// parts maps registered stable tuple slices (chase partition blocks,
-	// full relation slices) to their precomputed ascending TID arrays.
-	parts map[partKey]*partEntry
 }
 
-// partKey identifies a tuple slice by its backing window — data pointer
-// plus length. A slice is a contiguous window, so an equal key implies
-// identical content as long as the backing elements are unmodified,
-// which RegisterPartition asks of its callers.
-type partKey struct {
-	p unsafe.Pointer
-	n int
-}
-
-type partEntry struct {
-	ts   []*data.Tuple // pins the backing array so the key stays unique
-	tids []int         // ascending TIDs; nil when ts was not TID-ascending
-}
-
-func keyOfSlice(ts []*data.Tuple) (partKey, bool) {
-	if len(ts) == 0 {
-		return partKey{}, false
-	}
-	return partKey{p: unsafe.Pointer(&ts[0]), n: len(ts)}, true
-}
-
-// RegisterPartition precomputes the ascending TID array of a stable
-// tuple slice (a chase partition block or a full relation slice), so
-// the vectorized selection and join paths skip their per-call TID
-// extraction pass. The slice must stay alive and unchanged until
-// InvalidatePartitions.
-func (e *Executor) RegisterPartition(ts []*data.Tuple) {
-	k, ok := keyOfSlice(ts)
-	if !ok {
-		return
-	}
-	tids := make([]int, 0, len(ts))
-	last := -1
-	for _, t := range ts {
-		if t.TID <= last {
-			tids = nil // not ascending: tidsOf reports it
-			break
-		}
-		last = t.TID
-		tids = append(tids, t.TID)
-	}
-	e.in.mu.Lock()
-	if e.in.parts == nil {
-		e.in.parts = make(map[partKey]*partEntry)
-	}
-	e.in.parts[k] = &partEntry{ts: ts, tids: tids}
-	e.in.mu.Unlock()
-}
-
-// InvalidatePartitions drops every registered partition TID array. Call
-// whenever the partition slices are rebuilt or raw data changes shape.
-func (e *Executor) InvalidatePartitions() {
-	e.in.mu.Lock()
-	e.in.parts = nil
-	e.in.mu.Unlock()
-}
-
-// tidsOf returns the ascending TID array of ts — the registered
-// precomputed one, or pooled scratch (pooled true: release with
-// putIntBuf). Every partition is TID-ascending by construction
-// (crystal.Partition blocks, Relation.Tuples); one that is not is an
-// error.
-func (e *Executor) tidsOf(ts []*data.Tuple) (tids []int, pooled bool, err error) {
-	if k, ok := keyOfSlice(ts); ok {
-		e.in.mu.RLock()
-		ent := e.in.parts[k]
-		e.in.mu.RUnlock()
-		if ent != nil {
-			if ent.tids == nil {
-				return nil, false, errNotAscending
-			}
-			return ent.tids, false, nil
-		}
+// tidsOf returns the ascending TID array of a block — its own, or pooled
+// scratch extracted from its tuples when it carries none (pooled true:
+// release with putIntBuf). The cache's blocks carry theirs, and every
+// candidate list a job filters from a block carries the survivors'; a
+// block that is not TID-ascending is an error.
+func tidsOf(b crystal.Block) (tids []int, pooled bool, err error) {
+	if b.TIDs != nil || len(b.Tuples) == 0 {
+		return b.TIDs, false, nil
 	}
 	buf := getIntBuf()
 	last := -1
-	for _, t := range ts {
+	for _, t := range b.Tuples {
 		if t.TID <= last {
 			putIntBuf(buf)
 			return nil, false, errNotAscending

@@ -16,6 +16,7 @@ package exec
 
 import (
 	mathbits "math/bits"
+	"slices"
 	"sort"
 
 	"github.com/rockclean/rock/internal/crystal"
@@ -108,15 +109,16 @@ func (e *Executor) evalAll(a ree.Atom, t *data.Tuple, preds []*predicate.Predica
 //     and compose SelectEq/SelectNe word-at-a-time kernels. With no
 //     interned filter at all every bit stays set and the ordered
 //     compares in slows decide each tuple.
-func (e *Executor) candidatesVec(a ree.Atom, base []*data.Tuple,
-	fasts []idFilter, slows []*predicate.Predicate, shadow map[int]bool) (out []*data.Tuple, err error) {
-	tids, pooledTids, err := e.tidsOf(base)
+func (e *Executor) candidatesVec(a ree.Atom, block crystal.Block,
+	fasts []idFilter, slows []*predicate.Predicate, shadow map[int]bool) (out crystal.Block, err error) {
+	tids, pooledTids, err := tidsOf(block)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	if pooledTids {
 		defer putIntBuf(tids)
 	}
+	base := block.Tuples
 	n := len(base)
 	h := predicate.NewValuation()
 
@@ -149,11 +151,11 @@ func (e *Executor) candidatesVec(a ree.Atom, base []*data.Tuple,
 	if postingOK {
 		out, err = e.postingSelect(a, base, tids, fasts, slows, shadowPos, shadow, h)
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		e.reg.Inc("exec.vec.posting_selects")
 		e.reg.Add("exec.vec.select_input", uint64(n))
-		e.reg.Add("exec.vec.select_kept", uint64(len(out)))
+		e.reg.Add("exec.vec.select_kept", uint64(len(out.Tuples)))
 		return out, nil
 	}
 
@@ -203,7 +205,7 @@ func (e *Executor) candidatesVec(a ree.Atom, base []*data.Tuple,
 		keep, kerr := e.keepFasts(a, base[pos], fasts, shadow, h)
 		if kerr != nil {
 			free()
-			return nil, kerr
+			return out, kerr
 		}
 		wi, off := int(pos)/64, uint(pos)%64
 		if keep {
@@ -212,7 +214,7 @@ func (e *Executor) candidatesVec(a ree.Atom, base []*data.Tuple,
 			bits[wi] &^= 1 << off
 		}
 	}
-	out = getTupleBuf()
+	out = crystal.Block{Tuples: getTupleBuf(), TIDs: getIntBuf()}
 	for w := 0; w < words; w++ {
 		word := bits[w]
 		for word != 0 {
@@ -224,19 +226,21 @@ func (e *Executor) candidatesVec(a ree.Atom, base []*data.Tuple,
 				keep, err = e.evalAll(a, t, slows, h)
 				if err != nil {
 					free()
-					putTupleBuf(out)
-					return nil, err
+					putTupleBuf(out.Tuples)
+					putIntBuf(out.TIDs)
+					return crystal.Block{}, err
 				}
 			}
 			if keep {
-				out = append(out, t)
+				out.Tuples = append(out.Tuples, t)
+				out.TIDs = append(out.TIDs, tids[pos])
 			}
 		}
 	}
 	free()
 	e.reg.Inc("exec.vec.select_batches")
 	e.reg.Add("exec.vec.select_input", uint64(n))
-	e.reg.Add("exec.vec.select_kept", uint64(len(out)))
+	e.reg.Add("exec.vec.select_kept", uint64(len(out.Tuples)))
 	e.reg.Add("exec.vec.select_fallbacks", uint64(len(shadowPos)))
 	return out, nil
 }
@@ -247,7 +251,7 @@ func (e *Executor) candidatesVec(a ree.Atom, base []*data.Tuple,
 // is KNull or KConst-Eq.
 func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
 	fasts []idFilter, slows []*predicate.Predicate, shadowPos []int32,
-	shadow map[int]bool, h *predicate.Valuation) ([]*data.Tuple, error) {
+	shadow map[int]bool, h *predicate.Valuation) (crystal.Block, error) {
 	lists := make([][]int, 0, len(fasts))
 	empty := false
 	for i := range fasts {
@@ -284,7 +288,7 @@ func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
 			putIntBuf(acc)
 		}
 	}
-	out := getTupleBuf()
+	out := crystal.Block{Tuples: getTupleBuf(), TIDs: getIntBuf()}
 	i, j := 0, 0
 	for i < len(matchPos) || j < len(shadowPos) {
 		var pos int32
@@ -319,11 +323,13 @@ func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
 		}
 		if err != nil {
 			free()
-			putTupleBuf(out)
-			return nil, err
+			putTupleBuf(out.Tuples)
+			putIntBuf(out.TIDs)
+			return crystal.Block{}, err
 		}
 		if keep {
-			out = append(out, t)
+			out.Tuples = append(out.Tuples, t)
+			out.TIDs = append(out.TIDs, tids[pos])
 		}
 	}
 	free()
@@ -336,22 +342,67 @@ func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
 // TID array — no per-unit hash index is ever built, and the partition
 // intersection of dense buckets is memoised across probes. Shadowed
 // tuples on either side read through the view (valueThrough, dictionary
-// probe, string-keyed overflow for values colB never interned). The
-// pairs are pool scratch.
+// probe, string-keyed overflow for values colB never interned). Under a
+// dirty filter the walk visits only the t that can pair (dirtyVisits).
+// The pairs are pool scratch.
 func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
-	tuplesT, tuplesS []*data.Tuple, colA, colB *crystal.Column, ai, bi int,
+	blockT, blockS crystal.Block, colA, colB *crystal.Column, ai, bi int,
 	relS *data.Relation) ([][2]*data.Tuple, error) {
-	tTIDs, tPooled, err := e.tidsOf(tuplesT)
+	tTIDs, tPooled, err := tidsOf(blockT)
 	if err != nil {
 		return nil, err
 	}
-	sTIDs, sPooled, err := e.tidsOf(tuplesS)
+	sTIDs, sPooled, err := tidsOf(blockS)
 	if err != nil {
 		if tPooled {
 			putIntBuf(tTIDs)
 		}
 		return nil, err
 	}
+	tuplesT, tuplesS := blockT.Tuples, blockS.Tuples
+
+	relTName, relSName := r.RelOf(p.T), r.RelOf(p.S)
+	shadowT := e.shadowOf(relTName)
+	shadowS := e.shadowOf(relSName)
+
+	// s-side: shadowed tuples leave the probe targets (posting lists index
+	// raw values only) — sShadowBits marks their positions — and their view
+	// values are classified by dictionary id, with a string-keyed overflow
+	// for values colB never interned.
+	var shadowByID map[crystal.ValueID][]int32
+	var slow map[string][]*data.Tuple
+	var sShadowBuf, tShadowPos []int32
+	var sShadowBits []uint64
+	if shadowS != nil {
+		sShadowBuf = crystal.IntersectPositions(getPosBuf(), e.shadowSortedOf(relSName), sTIDs)
+		if len(sShadowBuf) > 0 {
+			sShadowBits = getWordBuf(crystal.BitmapWords(len(tuplesS)))
+			crystal.BitmapClearAll(sShadowBits)
+		}
+		for _, pos := range sShadowBuf {
+			sShadowBits[pos/64] |= 1 << (uint(pos) % 64)
+			s := tuplesS[pos]
+			v := valueThrough(e.env, relSName, s, p.B, bi)
+			if v.IsNull() {
+				continue
+			}
+			if id, ok := colB.Dict.ID(v); ok {
+				if shadowByID == nil {
+					shadowByID = make(map[crystal.ValueID][]int32)
+				}
+				shadowByID[id] = append(shadowByID[id], pos)
+			} else {
+				if slow == nil {
+					slow = make(map[string][]*data.Tuple)
+				}
+				slow[v.Key()] = append(slow[v.Key()], s)
+			}
+		}
+	}
+	if shadowT != nil {
+		tShadowPos = crystal.IntersectPositions(getPosBuf(), e.shadowSortedOf(relTName), tTIDs)
+	}
+	matchBuf := getPosBuf()
 	defer func() {
 		if tPooled {
 			putIntBuf(tTIDs)
@@ -359,77 +410,14 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 		if sPooled {
 			putIntBuf(sTIDs)
 		}
-	}()
-
-	relTName, relSName := r.RelOf(p.T), r.RelOf(p.S)
-	shadowT := e.shadowOf(relTName)
-	shadowS := e.shadowOf(relSName)
-
-	// s-side: compact shadowed tuples out of the probe targets (posting
-	// lists index raw values only) and classify their view values by
-	// dictionary id, with a string-keyed overflow for values colB never
-	// interned. cleanPos maps compacted index → original position so
-	// emission can restore the candidate order of the bucket.
-	cleanTIDs := sTIDs
-	var cleanPos []int32
-	var shadowByID map[crystal.ValueID][]int32
-	var slow map[string][]*data.Tuple
-	var sShadowBuf, cleanPosBuf []int32
-	var cleanTIDBuf []int
-	if shadowS != nil {
-		sShadowBuf = crystal.IntersectPositions(getPosBuf(), e.shadowSortedOf(relSName), sTIDs)
-		if len(sShadowBuf) > 0 {
-			cleanTIDBuf = getIntBuf()
-			cleanPosBuf = getPosBuf()
-			k := 0
-			for i, tid := range sTIDs {
-				if k < len(sShadowBuf) && int(sShadowBuf[k]) == i {
-					k++
-					s := tuplesS[i]
-					v := valueThrough(e.env, relSName, s, p.B, bi)
-					if v.IsNull() {
-						continue
-					}
-					if id, ok := colB.Dict.ID(v); ok {
-						if shadowByID == nil {
-							shadowByID = make(map[crystal.ValueID][]int32)
-						}
-						shadowByID[id] = append(shadowByID[id], int32(i))
-					} else {
-						if slow == nil {
-							slow = make(map[string][]*data.Tuple)
-						}
-						slow[v.Key()] = append(slow[v.Key()], s)
-					}
-					continue
-				}
-				cleanTIDBuf = append(cleanTIDBuf, tid)
-				cleanPosBuf = append(cleanPosBuf, int32(i))
-			}
-			cleanTIDs, cleanPos = cleanTIDBuf, cleanPosBuf
-		}
-	}
-	var tShadowPos, tShadowBuf []int32
-	if shadowT != nil {
-		tShadowBuf = crystal.IntersectPositions(getPosBuf(), e.shadowSortedOf(relTName), tTIDs)
-		tShadowPos = tShadowBuf
-	}
-	matchBuf := getPosBuf()
-	defer func() {
-		if sShadowBuf != nil {
-			putPosBuf(sShadowBuf)
-		}
-		if cleanTIDBuf != nil {
-			putIntBuf(cleanTIDBuf)
-		}
-		if cleanPosBuf != nil {
-			putPosBuf(cleanPosBuf)
-		}
-		if tShadowBuf != nil {
-			putPosBuf(tShadowBuf)
-		}
+		putPosBuf(sShadowBuf)
+		putWordBuf(sShadowBits)
+		putPosBuf(tShadowPos)
 		putPosBuf(matchBuf)
 	}()
+	sShadowed := func(pos int32) bool {
+		return sShadowBits != nil && sShadowBits[pos/64]&(1<<(uint(pos)%64)) != 0
+	}
 
 	sameCol := relTName == relSName && p.A == p.B
 	var trans []crystal.ValueID
@@ -439,12 +427,12 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 	nullA, hasNullA := colA.Dict.NullID()
 
 	// Dense identity: when tuplesS is the whole relation in TID order with
-	// no shadow compaction and no deletions (ascending distinct TIDs from
-	// 0 to n-1 covering NextTID), every posting TID is live and equals its
-	// own position — the per-probe posting ∩ partition intersection is the
+	// no shadowed tuple and no deletions (ascending distinct TIDs from 0 to
+	// n-1 covering NextTID), every posting TID is live and equals its own
+	// position — the per-probe posting ∩ partition intersection is the
 	// identity and the galloping kernel can be skipped entirely.
-	denseS := cleanPos == nil && len(cleanTIDs) == relS.NextTID() &&
-		len(cleanTIDs) > 0 && cleanTIDs[0] == 0 && cleanTIDs[len(cleanTIDs)-1] == len(cleanTIDs)-1
+	denseS := sShadowBits == nil && len(sTIDs) == relS.NextTID() &&
+		len(sTIDs) > 0 && sTIDs[0] == 0 && sTIDs[len(sTIDs)-1] == len(sTIDs)-1
 
 	// Dirty-filter hoist: the relations are fixed for the whole join, so
 	// resolve the two dirty sets once and test pairs with at most two
@@ -452,8 +440,18 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 	// instead of per-pair rule/relation string lookups.
 	var dirtyT, dirtyS map[int]bool
 	filtered := opts.Dirty != nil
+	var visit []int32
+	sparse := false
 	if filtered {
 		dirtyT, dirtyS = opts.Dirty[relTName], opts.Dirty[relSName]
+		visit, sparse = e.dirtyVisits(tTIDs, tShadowPos, dirtyT, dirtyS, sTIDs, func(pos int32) data.Value {
+			s := tuplesS[pos]
+			if sShadowed(pos) {
+				return valueThrough(e.env, relSName, s, p.B, bi)
+			}
+			return s.Values[bi]
+		}, colA)
+		defer putPosBuf(visit)
 	}
 	curTDirty := false // dirtyT[t.TID] for the t currently enumerating
 	pairOK := func(s *data.Tuple) bool {
@@ -463,12 +461,6 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 	out := getPairBuf()
 	var memo map[crystal.ValueID][]int32
 	probes := 0
-	origPos := func(m int32) int32 {
-		if cleanPos == nil {
-			return m
-		}
-		return cleanPos[m]
-	}
 	emitOverflow := func(t *data.Tuple, overflow []*data.Tuple) {
 		for _, s := range overflow {
 			if pairOK(s) {
@@ -479,9 +471,9 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 	emitID := func(t *data.Tuple, idB crystal.ValueID, overflow []*data.Tuple) {
 		probes++
 		if denseS {
-			// cleanPos == nil implies no shadowed s tuples were compacted,
-			// so shadowByID and slow are empty: the posting list alone is
-			// the match set, already in emission (position) order.
+			// No s tuple is shadowed, so shadowByID and slow are empty: the
+			// posting list alone is the match set, already in emission
+			// (position) order.
 			if !filtered || curTDirty {
 				for _, tid := range colB.PostingList(idB) {
 					out = append(out, [2]*data.Tuple{t, tuplesS[tid]})
@@ -502,7 +494,7 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 			if len(posting) > heavyPostingLen {
 				m, ok := memo[idB]
 				if !ok {
-					m = crystal.IntersectPositions(nil, posting, cleanTIDs)
+					m = crystal.IntersectPositions(nil, posting, sTIDs)
 					if memo == nil {
 						memo = make(map[crystal.ValueID][]int32)
 					}
@@ -510,31 +502,26 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 				}
 				matched = m
 			} else {
-				matchBuf = crystal.IntersectPositions(matchBuf[:0], posting, cleanTIDs)
+				matchBuf = crystal.IntersectPositions(matchBuf[:0], posting, sTIDs)
 				matched = matchBuf
 			}
 		}
-		// Merge clean matches with shadowed bucket members ascending by
-		// original position, so s keeps its candidate order within t.
+		// Merge the raw matches with the bucket's shadowed members ascending
+		// by position, so s keeps its candidate order within t. A shadowed
+		// raw match is skipped: its view value decides, not the posting.
 		shadowList := shadowByID[idB]
 		i, j := 0, 0
 		for i < len(matched) || j < len(shadowList) {
 			var pos int32
-			switch {
-			case j >= len(shadowList):
-				pos = origPos(matched[i])
+			if j >= len(shadowList) || (i < len(matched) && matched[i] < shadowList[j]) {
+				pos = matched[i]
 				i++
-			case i >= len(matched):
+				if sShadowed(pos) {
+					continue
+				}
+			} else {
 				pos = shadowList[j]
 				j++
-			default:
-				if pi := origPos(matched[i]); pi < shadowList[j] {
-					pos = pi
-					i++
-				} else {
-					pos = shadowList[j]
-					j++
-				}
 			}
 			s := tuplesS[pos]
 			if pairOK(s) {
@@ -546,13 +533,23 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 
 	vecA := colA.IDs
 	next := 0
-	for i, t := range tuplesT {
+	n := len(tuplesT)
+	if sparse {
+		n = len(visit)
+	}
+	for k := 0; k < n; k++ {
+		i := k
+		if sparse {
+			i = int(visit[k])
+		}
+		t := tuplesT[i]
 		curTDirty = filtered && dirtyT != nil && dirtyT[t.TID]
+		for next < len(tShadowPos) && int(tShadowPos[next]) < i {
+			next++
+		}
 		shadowed := next < len(tShadowPos) && int(tShadowPos[next]) == i
 		idA := crystal.NoValue
-		if shadowed {
-			next++
-		} else if t.TID < len(vecA) {
+		if !shadowed && t.TID < len(vecA) {
 			idA = vecA[t.TID]
 		}
 		if idA == crystal.NoValue {
@@ -596,18 +593,87 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 		}
 	}
 	e.reg.Inc("exec.vec.joins")
+	if sparse {
+		e.reg.Inc("exec.vec.dirty_side_joins")
+	}
 	e.reg.Add("exec.vec.join_probes", uint64(probes))
 	e.reg.Add("exec.vec.join_pairs", uint64(len(out)))
 	return out, nil
+}
+
+// dirtyVisits lists, ascending, the positions of the t block a posting
+// join under a dirty filter visits. A pair needs a dirty side, so a clean
+// t pairs only with a dirty s whose view value has the key of t's value:
+// the list holds the dirty t, the shadowed t (which join on their view
+// value, tShadowPos), the t whose TID is past colA's end (no id: they
+// join on their raw value), and the t in colA's posting list of each
+// dirty s's view value (sView, by position in sTIDs). Any other t is a
+// clean tuple of the relation with an id in colA, so it emits no pair,
+// and visiting the list in order emits the full walk's pairs in the full
+// walk's order. The s view value needs no id in colB: colA's dictionary
+// is keyed the same way. sparse is false when the list would not be much
+// shorter than the block: the caller then walks every t. The list is
+// pool scratch.
+func (e *Executor) dirtyVisits(tTIDs []int, tShadowPos []int32, dirtyT, dirtyS map[int]bool,
+	sTIDs []int, sView func(pos int32) data.Value, colA *crystal.Column) (visit []int32, sparse bool) {
+	budget := len(tTIDs) / 4
+	if len(dirtyT)+len(dirtyS)+len(tShadowPos) > budget {
+		return nil, false
+	}
+	visit = append(getPosBuf(), tShadowPos...)
+	visit = appendDirtyPositions(visit, dirtyT, tTIDs)
+	for k := sort.SearchInts(tTIDs, len(colA.IDs)); k < len(tTIDs); k++ {
+		visit = append(visit, int32(k))
+	}
+	sPos := appendDirtyPositions(getPosBuf(), dirtyS, sTIDs)
+	defer putPosBuf(sPos)
+	var seen map[crystal.ValueID]bool
+	for _, pos := range sPos {
+		v := sView(pos)
+		if v.IsNull() {
+			continue
+		}
+		id, ok := colA.Dict.ID(v)
+		if !ok || seen[id] {
+			continue // no t holds the value raw, or its bucket is listed
+		}
+		if seen == nil {
+			seen = make(map[crystal.ValueID]bool)
+		}
+		seen[id] = true
+		posting := colA.PostingList(id)
+		if len(visit)+len(posting) > budget {
+			putPosBuf(visit)
+			return nil, false
+		}
+		visit = crystal.IntersectPositions(visit, posting, tTIDs)
+	}
+	slices.Sort(visit)
+	return slices.Compact(visit), true
+}
+
+// appendDirtyPositions appends to dst, ascending, the positions in tids
+// (ascending) of the TIDs in dirty: O(|dirty| log |tids|), no walk of
+// tids.
+func appendDirtyPositions(dst []int32, dirty map[int]bool, tids []int) []int32 {
+	want := getIntBuf()
+	for tid := range dirty {
+		want = append(want, tid)
+	}
+	slices.Sort(want)
+	dst = crystal.IntersectPositions(dst, want, tids)
+	putIntBuf(want)
+	return dst
 }
 
 // probeJoinVec filters base (the free variable's candidate list) to the
 // tuples whose freeAttr equals v via one posting-list intersection
 // instead of a per-tuple scan; shadowed tuples compare their view value.
 // The result is pool scratch.
-func (e *Executor) probeJoinVec(aRel string, base []*data.Tuple,
+func (e *Executor) probeJoinVec(aRel string, block crystal.Block,
 	col *crystal.Column, v data.Value, freeAttr string, fi int) ([]*data.Tuple, error) {
-	tids, pooled, err := e.tidsOf(base)
+	base := block.Tuples
+	tids, pooled, err := tidsOf(block)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rockclean/rock/internal/crystal"
 	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/must"
 	"github.com/rockclean/rock/internal/obs"
@@ -338,18 +339,19 @@ func threeJobTrace(rel *data.Relation) []int {
 func TestColumnarDescendingPartitionIsAnError(t *testing.T) {
 	env := keyedEnv(t, 100)
 	tuples := env.DB.Rel("R").Tuples
-	desc := slices.Clone(tuples)
-	slices.Reverse(desc)
+	reversed := slices.Clone(tuples)
+	slices.Reverse(reversed)
+	asc, desc := crystal.Block{Tuples: tuples}, crystal.Block{Tuples: reversed}
 	probeOnly := must.Rule("R(t) ^ R(s) ^ R(u) ^ t.k = s.k ^ s.k = u.k -> t.val = s.val", env.DB)
 	for _, tc := range []struct {
 		name string
 		rule *ree.Rule
 		opts Options
 	}{
-		{"selection", must.Rule("R(u) ^ u.flag = 'x' -> u.val = 'v0'", env.DB), Options{Restrict: map[string][]*data.Tuple{"R": desc}}},
-		{"join", must.Rule("R(t) ^ R(s) ^ t.k = s.k -> t.val = s.val", env.DB), Options{RestrictVar: map[string][]*data.Tuple{"t": desc}}},
-		{"probe", probeOnly, Options{RestrictVar: map[string][]*data.Tuple{"t": tuples, "s": tuples, "u": desc}}},
-		{"all", must.Rule(threeJobRule, env.DB), Options{Restrict: map[string][]*data.Tuple{"R": desc}}},
+		{"selection", must.Rule("R(u) ^ u.flag = 'x' -> u.val = 'v0'", env.DB), Options{RestrictVar: map[string]crystal.Block{"u": desc}}},
+		{"join", must.Rule("R(t) ^ R(s) ^ t.k = s.k -> t.val = s.val", env.DB), Options{RestrictVar: map[string]crystal.Block{"t": desc}}},
+		{"probe", probeOnly, Options{RestrictVar: map[string]crystal.Block{"t": asc, "s": asc, "u": desc}}},
+		{"all", must.Rule(threeJobRule, env.DB), Options{RestrictVar: map[string]crystal.Block{"t": desc, "s": desc, "u": desc}}},
 	} {
 		_, err := New(env).Run(tc.rule, tc.opts, func(*predicate.Valuation) bool { return true })
 		if err == nil || !strings.Contains(err.Error(), "TID-ascending") {
