@@ -47,26 +47,22 @@ func TestMinedRulePipeline(t *testing.T) {
 	// labels); rules whose findings the user confirms survive.
 	goldCells := ds.Gold.ErrorCells()
 	confirm := func(r *ree.Rule, h *predicate.Valuation) bool {
-		p := r.P0
-		check := func(varName, attr string) bool {
-			b, ok := h.Tuples[varName]
-			if !ok {
-				return false
-			}
-			return goldCells[quality.CellKey(b.Rel, b.Tuple.TID, attr)]
+		p := h.Frame.P0
+		check := func(slot int, attr string) bool {
+			t := h.Tuple(slot)
+			return t != nil && goldCells[quality.CellKey(h.Rel(slot), t.TID, attr)]
 		}
 		switch p.Kind {
 		case predicate.KEID:
-			bt, bs := h.Tuples[p.T], h.Tuples[p.S]
-			a, c := bt.Tuple.EID, bs.Tuple.EID
+			a, c := h.Tuples[p.TSlot].EID, h.Tuples[p.SSlot].EID
 			if a > c {
 				a, c = c, a
 			}
 			return ds.Gold.DupPairs[[2]string{a, c}]
 		case predicate.KAttr:
-			return check(p.T, p.A) || check(p.S, p.B)
+			return check(p.TSlot, p.A) || check(p.SSlot, p.B)
 		case predicate.KConst:
-			return check(p.T, p.A)
+			return check(p.TSlot, p.A)
 		}
 		return false
 	}

@@ -83,11 +83,11 @@ func (s *SQLEngine) Detect(b *Bench) (map[string]bool, map[[2]string]bool, error
 			return nil, nil, err
 		}
 		_, err := ex.Run(r, exec.Options{UseBlocking: false}, func(h *predicate.Valuation) bool {
-			ok, evalErr := r.P0.Eval(env, h)
+			ok, evalErr := h.Frame.P0.Eval(env, h)
 			if evalErr != nil || ok {
 				return true
 			}
-			e := violationError(r, h)
+			e := detect.Implicate(r, h)
 			if !seen[e.Key()] {
 				seen[e.Key()] = true
 				found = append(found, e)
@@ -111,38 +111,6 @@ func (s *SQLEngine) Detect(b *Bench) (map[string]bool, map[[2]string]bool, error
 		}
 	}
 	return cells, dups, nil
-}
-
-func violationError(r *ree.Rule, h *predicate.Valuation) *detect.Error {
-	p := r.P0
-	e := &detect.Error{RuleID: r.ID, Task: r.TaskOf()}
-	addCell := func(varName, attr string) {
-		if b, ok := h.Tuples[varName]; ok {
-			e.Cells = append(e.Cells, data.CellRef{Rel: b.Rel, TID: b.Tuple.TID, Attr: attr})
-		}
-	}
-	switch p.Kind {
-	case predicate.KEID:
-		bt, bs := h.Tuples[p.T], h.Tuples[p.S]
-		a, c := bt.Tuple.EID, bs.Tuple.EID
-		if a > c {
-			a, c = c, a
-		}
-		e.DupEIDs = [2]string{a, c}
-	case predicate.KConst:
-		addCell(p.T, p.A)
-	case predicate.KAttr:
-		addCell(p.T, p.A)
-		addCell(p.S, p.B)
-	case predicate.KTemporal, predicate.KRank:
-		addCell(p.T, p.A)
-		addCell(p.S, p.A)
-	case predicate.KVal, predicate.KML:
-		addCell(p.T, p.A)
-	case predicate.KPredict, predicate.KCorr:
-		addCell(p.T, p.B)
-	}
-	return e
 }
 
 // Correct implements System: iterate "UPDATE ... FROM join" rounds until a
@@ -175,41 +143,32 @@ func (s *SQLEngine) Correct(b *Bench) (*quality.Corrections, error) {
 			var updates []upd
 			var merges [][2]string
 			_, err := ex.Run(r, exec.Options{UseBlocking: false}, func(h *predicate.Valuation) bool {
-				p := r.P0
+				p := h.Frame.P0
+				if p.Op != predicate.Eq {
+					return true
+				}
 				switch p.Kind {
 				case predicate.KEID:
-					if p.Op != predicate.Eq {
+					a, c := h.Tuples[p.TSlot].EID, h.Tuples[p.SSlot].EID
+					if a == c {
 						return true
 					}
-					bt, bs := h.Tuples[p.T], h.Tuples[p.S]
-					if bt.Tuple.EID == bs.Tuple.EID {
-						return true
-					}
-					a, c := bt.Tuple.EID, bs.Tuple.EID
 					if a > c {
 						a, c = c, a
 					}
 					merges = append(merges, [2]string{a, c})
 				case predicate.KConst:
-					if p.Op != predicate.Eq {
-						return true
-					}
-					bt := h.Tuples[p.T]
-					cur, _ := env.DB.Rel(bt.Rel).Value(bt.Tuple.TID, p.A)
-					if !cur.Equal(p.C) {
-						updates = append(updates, upd{bt.Rel, bt.Tuple.TID, p.A, p.C})
+					t := h.Tuples[p.TSlot]
+					if !predicate.RawValue(t, p.ACol).Equal(p.C) {
+						updates = append(updates, upd{h.Rel(p.TSlot), t.TID, p.A, p.C})
 					}
 				case predicate.KAttr:
-					if p.Op != predicate.Eq {
-						return true
-					}
-					bt, bs := h.Tuples[p.T], h.Tuples[p.S]
-					vt, _ := env.DB.Rel(bt.Rel).Value(bt.Tuple.TID, p.A)
-					vs, _ := env.DB.Rel(bs.Rel).Value(bs.Tuple.TID, p.B)
+					t, s := h.Tuples[p.TSlot], h.Tuples[p.SSlot]
+					vt, vs := predicate.RawValue(t, p.ACol), predicate.RawValue(s, p.BCol)
 					if !vs.IsNull() && !vt.Equal(vs) {
-						updates = append(updates, upd{bt.Rel, bt.Tuple.TID, p.A, vs})
+						updates = append(updates, upd{h.Rel(p.TSlot), t.TID, p.A, vs})
 					} else if vs.IsNull() && !vt.IsNull() {
-						updates = append(updates, upd{bs.Rel, bs.Tuple.TID, p.B, vt})
+						updates = append(updates, upd{h.Rel(p.SSlot), s.TID, p.B, vt})
 					}
 				}
 				return true

@@ -290,6 +290,11 @@ type Engine struct {
 	// matches the certain-fix discipline and guarantees convergence.
 	resolvedCells map[string]bool
 
+	// corr is the correlation model of each relation (absent: none),
+	// resolved once in New: of the models trained for the relation's
+	// schema, the first by name.
+	corr map[string]*ml.CorrelationModel
+
 	// pred is the §5.4 predication layer (nil when Options.Predication is
 	// off): its EmbedStore backs the executor's blocking vectors and its
 	// PredCache backs every registered model — pair models and HER
@@ -383,20 +388,16 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	// Wire the chase semantics into the environment: values read through
 	// the fix set (validated first, raw otherwise) and temporal predicates
 	// read the validated orders.
-	e.env.ValueOf = func(rel string, t *data.Tuple, attr string) (data.Value, bool) {
-		if v, ok := e.u.Cell(rel, t.EID, attr); ok {
-			return v, true
+	e.env.ValueOf = func(rel *data.Relation, t *data.Tuple, col int) data.Value {
+		if col < 0 || col >= len(rel.Schema.Attrs) {
+			return data.Value{}
 		}
-		r := e.env.DB.Rel(rel)
-		if r == nil {
-			return data.Value{}, false
+		if v, ok := e.u.Cell(rel.Schema.Name, t.EID, rel.Schema.Attrs[col].Name); ok {
+			return v
 		}
-		i := r.Schema.Index(attr)
-		if i < 0 || i >= len(t.Values) {
-			return data.Value{}, false
-		}
-		return t.Values[i], true
+		return predicate.RawValue(t, col)
 	}
+	e.corr = corrByRelation(env)
 	e.env.Orders = func(rel, attr string) *data.TemporalOrder {
 		return e.u.OrderIfAny(rel, attr)
 	}
@@ -754,7 +755,6 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	// Merge the slots back in generation order. Units a cancelled drain
 	// never ran (or that failed permanently) are skipped: the fixes of
 	// completed units are still certain and still apply.
-	var candidates []Fix
 	var roundVal, roundML int
 	unitHist := e.obs.Histogram("chase.unit")
 	for i, w := range work {
@@ -783,7 +783,6 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 				return nil, err
 			}
 		}
-		candidates = append(candidates, out.Fixes...)
 		e.report.Unresolved = append(e.report.Unresolved, out.Unresolved...)
 		e.report.ResolvedMI += out.ResolvedMI
 		unitHist.Observe(cost)
@@ -794,23 +793,28 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	// matching valuation deduces the same fix, so candidates are heavily
 	// duplicated — dedupe first or the serial merge (with its conflict
 	// resolution) dominates the round.
-	seenFix := make(map[fixKey]bool, len(candidates))
+	seenFix := make(map[fixKey]bool)
 	var accepted []Fix
 	rejected := 0
-	for _, fx := range candidates {
-		key := keyOfFix(fx)
-		if seenFix[key] {
+	for i := range work {
+		if !slots[i].done {
 			continue
 		}
-		seenFix[key] = true
-		if e.apply(fx) {
-			accepted = append(accepted, fx)
-			e.ruleCost(fx.RuleID).Applied++
-			e.obs.Inc("chase.rule." + fx.RuleID + ".applied")
-		} else {
-			rejected++
-			e.ruleCost(fx.RuleID).Rejected++
-			e.obs.Inc("chase.rule." + fx.RuleID + ".rejected")
+		for _, fx := range slots[i].out.Fixes {
+			key := keyOfFix(fx)
+			if seenFix[key] {
+				continue
+			}
+			seenFix[key] = true
+			if e.apply(fx) {
+				accepted = append(accepted, fx)
+				e.ruleCost(fx.RuleID).Applied++
+				e.obs.Inc("chase.rule." + fx.RuleID + ".applied")
+			} else {
+				rejected++
+				e.ruleCost(fx.RuleID).Rejected++
+				e.obs.Inc("chase.rule." + fx.RuleID + ".rejected")
+			}
 		}
 	}
 	e.obs.Add("chase.fixes.applied", uint64(len(accepted)))
@@ -899,8 +903,11 @@ func (e *Engine) runUnit(ctx context.Context, w unitWork, dirty map[string]map[i
 	}()
 	start := time.Now()
 	opts := exec.Options{Ctx: ctx, UseBlocking: e.opts.UseBlocking, Dirty: dirty, RestrictVar: w.Restrict, Span: span}
+	p0 := w.rule.P0
+	eidRef := p0.Kind == predicate.KAttr && e.opts.EIDRefs[w.rule.RelOf(p0.T)+"."+p0.A] && e.opts.EIDRefs[w.rule.RelOf(p0.S)+"."+p0.B]
+	d := &deduction{out: &out, ruleID: w.rule.ID, eidRef: eidRef, seen: make(map[fixKey]bool)}
 	st, err := e.exec.Run(w.rule, opts, func(h *predicate.Valuation) bool {
-		e.deduce(&out, w.rule, h)
+		e.deduce(d, h)
 		return true
 	})
 	out.Valuations, out.MLCalls = st.Valuations, st.MLCalls
@@ -923,75 +930,95 @@ func (e *Engine) absorb(accepted []Fix) {
 
 // fixKey is a fix canonicalised for in-round deduplication: the rule id
 // is excluded (the same fix deduced by two rules applies once) and the
-// value enters by its canonical key, which agrees with Value.Equal.
+// value enters by its canonical form, which agrees with its Key.
 type fixKey struct {
 	kind                  FixKind
 	rel, attr, eid1, eid2 string
 	tid, tid1, tid2       int
-	value                 string
+	value                 data.Canon
 	strict                bool
 }
 
 func keyOfFix(fx Fix) fixKey {
-	return fixKey{fx.Kind, fx.Rel, fx.Attr, fx.EID1, fx.EID2, fx.TID, fx.TID1, fx.TID2, fx.Value.Key(), fx.Strict}
+	return fixKey{fx.Kind, fx.Rel, fx.Attr, fx.EID1, fx.EID2, fx.TID, fx.TID1, fx.TID2, fx.Value.Canon(), fx.Strict}
+}
+
+// deduction is one unit's deduction state: its outcome, its rule's id and
+// eidRef (the consequence equates two Options.EIDRefs), and the fixes
+// deduced so far. A unit keeps each fix once, in first-deduced order —
+// the order the merge step would keep it in.
+type deduction struct {
+	out    *UnitOutcome
+	ruleID string
+	eidRef bool
+	seen   map[fixKey]bool
+}
+
+// add appends fx to the outcome unless the unit already deduced it.
+func (d *deduction) add(fx Fix) {
+	k := keyOfFix(fx)
+	if d.seen[k] {
+		return
+	}
+	d.seen[k] = true
+	d.out.Fixes = append(d.out.Fixes, fx)
 }
 
 // deduce turns the consequence p0 under valuation h into zero or more
-// concrete fixes (paper §4.1, chase-step condition (2)), appended to the
+// concrete fixes (paper §4.1, chase-step condition (2)), added to the
 // unit's outcome together with whatever report state the deduction
 // produced — a unit writes nothing but its own outcome.
-func (e *Engine) deduce(out *UnitOutcome, r *ree.Rule, h *predicate.Valuation) {
-	p := r.P0
+func (e *Engine) deduce(d *deduction, h *predicate.Valuation) {
+	ruleID := d.ruleID
+	p := h.Frame.P0
+	t, s := h.Tuple(p.TSlot), h.Tuple(p.SSlot)
+	if t == nil {
+		return
+	}
+	rt := h.Frame.Rels[p.TSlot]
 	switch p.Kind {
 	case predicate.KEID:
-		bt, bs := h.Tuples[p.T], h.Tuples[p.S]
-		if bt.Tuple == nil || bs.Tuple == nil {
+		if s == nil {
 			return
 		}
 		kind := FixMerge
 		if p.Op == predicate.Neq {
 			kind = FixSeparate
 		}
-		out.Fixes = append(out.Fixes, Fix{Kind: kind, EID1: bt.Tuple.EID, EID2: bs.Tuple.EID, RuleID: r.ID})
+		d.add(Fix{Kind: kind, EID1: t.EID, EID2: s.EID, RuleID: ruleID})
 
 	case predicate.KConst:
-		bt := h.Tuples[p.T]
-		if bt.Tuple == nil || p.Op != predicate.Eq {
-			return
-		}
-		out.Fixes = append(out.Fixes, Fix{Kind: FixCell, Rel: bt.Rel, Attr: p.A, EID1: bt.Tuple.EID, TID: bt.Tuple.TID, Value: p.C, RuleID: r.ID})
-
-	case predicate.KAttr:
 		if p.Op != predicate.Eq {
 			return
 		}
-		bt, bs := h.Tuples[p.T], h.Tuples[p.S]
-		if bt.Tuple == nil || bs.Tuple == nil {
+		d.add(Fix{Kind: FixCell, Rel: rt.Schema.Name, Attr: p.A, EID1: t.EID, TID: t.TID, Value: p.C, RuleID: ruleID})
+
+	case predicate.KAttr:
+		if p.Op != predicate.Eq || s == nil {
 			return
 		}
-		vt, okT := e.env.ValueOf(bt.Rel, bt.Tuple, p.A)
-		vs, okS := e.env.ValueOf(bs.Rel, bs.Tuple, p.B)
-		nullT := !okT || vt.IsNull()
-		nullS := !okS || vs.IsNull()
+		rs := h.Frame.Rels[p.SSlot]
+		vt, vs := e.env.Value(rt, t, p.ACol), e.env.Value(rs, s, p.BCol)
+		nullT, nullS := vt.IsNull(), vs.IsNull()
 		// Equating two declared entity references identifies the referenced
 		// entities (ϕ1: same discount code → same buyer pid).
-		if e.opts.EIDRefs[bt.Rel+"."+p.A] && e.opts.EIDRefs[bs.Rel+"."+p.B] {
+		if d.eidRef {
 			if nullT || nullS || vt.Equal(vs) {
 				return
 			}
-			out.Fixes = append(out.Fixes, Fix{Kind: FixMerge, EID1: vt.String(), EID2: vs.String(), RuleID: r.ID})
+			d.add(Fix{Kind: FixMerge, EID1: vt.String(), EID2: vs.String(), RuleID: ruleID})
 			return
 		}
-		mk := func(b predicate.Binding, attr string, v data.Value) Fix {
-			return Fix{Kind: FixCell, Rel: b.Rel, Attr: attr, EID1: b.Tuple.EID, TID: b.Tuple.TID, Value: v, RuleID: r.ID}
+		mk := func(rel *data.Relation, tp *data.Tuple, attr string, v data.Value) Fix {
+			return Fix{Kind: FixCell, Rel: rel.Schema.Name, Attr: attr, EID1: tp.EID, TID: tp.TID, Value: v, RuleID: ruleID}
 		}
 		switch {
 		case nullT && nullS:
 			return
 		case nullT:
-			out.Fixes = append(out.Fixes, mk(bt, p.A, vs))
+			d.add(mk(rt, t, p.A, vs))
 		case nullS:
-			out.Fixes = append(out.Fixes, mk(bs, p.B, vt))
+			d.add(mk(rs, s, p.B, vt))
 		case vt.Equal(vs):
 			return
 		default:
@@ -1001,32 +1028,30 @@ func (e *Engine) deduce(out *UnitOutcome, r *ree.Rule, h *predicate.Valuation) {
 			// value rarity → user), then assert the winner on both sides —
 			// never contaminate the clean side with an arbitrary choice
 			// (paper §4.1: fixes must be justified, not guessed).
-			winner, ok := e.resolveValuePair(out, bt, p.A, vt, bs, p.B, vs)
+			winner, ok := e.resolveValuePair(d.out, side{rt, t, p.ACol, vt}, side{rs, s, p.BCol, vs})
 			if !ok {
 				return
 			}
 			if !vt.Equal(winner) {
-				out.Fixes = append(out.Fixes, mk(bt, p.A, winner))
+				d.add(mk(rt, t, p.A, winner))
 			}
 			if !vs.Equal(winner) {
-				out.Fixes = append(out.Fixes, mk(bs, p.B, winner))
+				d.add(mk(rs, s, p.B, winner))
 			}
 		}
 
 	case predicate.KTemporal:
-		bt, bs := h.Tuples[p.T], h.Tuples[p.S]
-		if bt.Tuple == nil || bs.Tuple == nil {
+		if s == nil {
 			return
 		}
-		out.Fixes = append(out.Fixes, Fix{Kind: FixOrder, Rel: bt.Rel, Attr: p.A, TID1: bt.Tuple.TID, TID2: bs.Tuple.TID, Strict: p.Strict,
-			EID1: bt.Tuple.EID, EID2: bs.Tuple.EID, RuleID: r.ID})
+		d.add(Fix{Kind: FixOrder, Rel: rt.Schema.Name, Attr: p.A, TID1: t.TID, TID2: s.TID, Strict: p.Strict,
+			EID1: t.EID, EID2: s.EID, RuleID: ruleID})
 
 	case predicate.KVal:
-		bt := h.Tuples[p.T]
-		bx, okx := h.Vertices[p.X]
-		if bt.Tuple == nil || !okx {
+		if p.XSlot < 0 || h.Vertices[p.XSlot].Graph == "" {
 			return
 		}
+		bx := h.Vertices[p.XSlot]
 		g := e.env.Graphs[bx.Graph]
 		if g == nil {
 			return
@@ -1035,62 +1060,45 @@ func (e *Engine) deduce(out *UnitOutcome, r *ree.Rule, h *predicate.Valuation) {
 		if !ok {
 			return
 		}
-		v := coerce(e.env.DB, bt.Rel, p.A, val)
-		out.Fixes = append(out.Fixes, Fix{Kind: FixCell, Rel: bt.Rel, Attr: p.A, EID1: bt.Tuple.EID, TID: bt.Tuple.TID, Value: v, RuleID: r.ID})
+		v := coerce(rt, p.ACol, val)
+		d.add(Fix{Kind: FixCell, Rel: rt.Schema.Name, Attr: p.A, EID1: t.EID, TID: t.TID, Value: v, RuleID: ruleID})
 
 	case predicate.KPredict:
-		bt := h.Tuples[p.T]
-		if bt.Tuple == nil {
-			return
-		}
 		md := e.env.Pred[p.Model]
-		if md == nil {
-			return
-		}
-		rel := e.env.DB.Rel(bt.Rel)
-		if rel == nil {
-			return
-		}
-		bIdx := rel.Schema.Index(p.B)
-		if bIdx < 0 {
+		if md == nil || p.BCol < 0 {
 			return
 		}
 		// Suggest over the tuple as seen through validated values.
-		seen := e.viewTuple(bt.Rel, bt.Tuple)
-		v, _, ok := md.Suggest(seen, bIdx)
+		v, _, ok := md.Suggest(e.viewTuple(rt, t), p.BCol)
 		if !ok {
 			return
 		}
-		out.Fixes = append(out.Fixes, Fix{Kind: FixCell, Rel: bt.Rel, Attr: p.B, EID1: bt.Tuple.EID, TID: bt.Tuple.TID, Value: v, RuleID: r.ID})
+		d.add(Fix{Kind: FixCell, Rel: rt.Schema.Name, Attr: p.B, EID1: t.EID, TID: t.TID, Value: v, RuleID: ruleID})
 	}
 }
 
-// viewTuple materialises the tuple as seen through validated cells.
-func (e *Engine) viewTuple(rel string, t *data.Tuple) *data.Tuple {
-	r := e.env.DB.Rel(rel)
-	if r == nil {
-		return t
-	}
-	vt := t.Clone()
-	for i, a := range r.Schema.Attrs {
-		if v, ok := e.u.Cell(rel, t.EID, a.Name); ok {
+// viewTuple is the tuple as seen through validated cells: t itself when
+// no validated cell differs from its raw value, else a copy.
+func (e *Engine) viewTuple(rel *data.Relation, t *data.Tuple) *data.Tuple {
+	vt := t
+	for i, a := range rel.Schema.Attrs {
+		if v, ok := e.u.Cell(rel.Schema.Name, t.EID, a.Name); ok && i < len(vt.Values) && v != vt.Values[i] {
+			if vt == t {
+				vt = t.Clone()
+			}
 			vt.Values[i] = v
 		}
 	}
 	return vt
 }
 
-func coerce(db *data.Database, rel, attr, raw string) data.Value {
-	r := db.Rel(rel)
-	if r == nil {
-		return data.S(raw)
-	}
-	want, ok := r.Schema.TypeOf(attr)
-	if !ok {
-		return data.S(raw)
-	}
-	if v, err := data.Parse(want, raw); err == nil {
-		return v
+// coerce parses a graph value into column col's type, falling back to a
+// string.
+func coerce(rel *data.Relation, col int, raw string) data.Value {
+	if col >= 0 {
+		if v, err := data.Parse(rel.Schema.Attrs[col].Type, raw); err == nil {
+			return v
+		}
 	}
 	return data.S(raw)
 }
@@ -1175,9 +1183,9 @@ func (e *Engine) resolveCellConflict(fx Fix, conflict *truth.Conflict) bool {
 	if e.resolvedCells[cellMemoKey] {
 		return toUser()
 	}
-	mc := e.corrFor(fx.Rel)
+	mc := e.corr[fx.Rel]
 	rel := e.env.DB.Rel(fx.Rel)
-	if mc == nil || rel == nil {
+	if mc == nil {
 		return toUser()
 	}
 	bIdx := rel.Schema.Index(fx.Attr)
@@ -1195,9 +1203,9 @@ func (e *Engine) resolveCellConflict(fx Fix, conflict *truth.Conflict) bool {
 	if probe == nil {
 		return toUser()
 	}
-	view := e.viewTuple(fx.Rel, probe)
-	oldScore := mc.Strength(view, nil, bIdx, conflict.Old)
-	newScore := mc.Strength(view, nil, bIdx, fx.Value)
+	anchors := mc.Anchors(e.viewTuple(rel, probe), bIdx)
+	oldScore := mc.StrengthAt(anchors, conflict.Old)
+	newScore := mc.StrengthAt(anchors, fx.Value)
 	const margin = 0.05 // below this the model cannot distinguish the candidates
 	if newScore-oldScore > margin {
 		e.report.ResolvedMI++
@@ -1324,6 +1332,14 @@ func (e *Engine) askOracle(rel, eid, attr string, candidates []data.Value) (data
 	return data.Value{}, false
 }
 
+// side is one side of a value conflict: a cell and its view value.
+type side struct {
+	rel *data.Relation
+	t   *data.Tuple
+	col int
+	v   data.Value
+}
+
 // resolveValuePair decides which of two conflicting values is correct when
 // a rule asserts t.A = s.B but both sides disagree. The decision cascade:
 //
@@ -1338,38 +1354,25 @@ func (e *Engine) askOracle(rel, eid, attr string, candidates []data.Value) (data
 //
 // It runs during deduction, possibly on many workers at once, so what it
 // has to report (steps 2 and 5) goes into the calling unit's outcome.
-func (e *Engine) resolveValuePair(out *UnitOutcome, bt predicate.Binding, attrT string, vt data.Value,
-	bs predicate.Binding, attrS string, vs data.Value) (data.Value, bool) {
-
-	_, validT := e.u.Cell(bt.Rel, bt.Tuple.EID, attrT)
-	_, validS := e.u.Cell(bs.Rel, bs.Tuple.EID, attrS)
+func (e *Engine) resolveValuePair(out *UnitOutcome, a, b side) (data.Value, bool) {
+	relT, attrT := a.rel.Schema.Name, a.rel.Schema.Attrs[a.col].Name
+	relS, attrS := b.rel.Schema.Name, b.rel.Schema.Attrs[b.col].Name
+	_, validT := e.u.Cell(relT, a.t.EID, attrT)
+	_, validS := e.u.Cell(relS, b.t.EID, attrS)
 	switch {
 	case validT && !validS:
-		return vt, true
+		return a.v, true
 	case validS && !validT:
-		return vs, true
+		return b.v, true
 	}
 
-	// Correlation model: sum each candidate's strength over both tuples.
-	score := func(v data.Value) float64 {
-		s := 0.0
-		if mc := e.corrFor(bt.Rel); mc != nil {
-			if rel := e.env.DB.Rel(bt.Rel); rel != nil {
-				if ai := rel.Schema.Index(attrT); ai >= 0 {
-					s += mc.Strength(e.viewTuple(bt.Rel, bt.Tuple), nil, ai, v)
-				}
-			}
-		}
-		if mc := e.corrFor(bs.Rel); mc != nil {
-			if rel := e.env.DB.Rel(bs.Rel); rel != nil {
-				if ai := rel.Schema.Index(attrS); ai >= 0 {
-					s += mc.Strength(e.viewTuple(bs.Rel, bs.Tuple), nil, ai, v)
-				}
-			}
-		}
-		return s
-	}
-	st, ss := score(vt), score(vs)
+	// Correlation model: sum each candidate's strength over both tuples,
+	// each seen through the fix set and anchored once for both candidates
+	// (a relation without a model scores 0).
+	mcT, mcS := e.corr[relT], e.corr[relS]
+	anchT, anchS := mcT.Anchors(e.viewTuple(a.rel, a.t), a.col), mcS.Anchors(e.viewTuple(b.rel, b.t), b.col)
+	score := func(v data.Value) float64 { return mcT.StrengthAt(anchT, v) + mcS.StrengthAt(anchS, v) }
+	st, ss := score(a.v), score(b.v)
 	// A wide margin: M_c only decides when the correlation evidence is
 	// unambiguous (deterministic associations like amount+fee→total or a
 	// clear witness majority); weakly separated candidates go to the user.
@@ -1379,37 +1382,45 @@ func (e *Engine) resolveValuePair(out *UnitOutcome, bt predicate.Binding, attrT 
 	const margin = 0.25
 	if st-ss > margin {
 		out.ResolvedMI++
-		return vt, true
+		return a.v, true
 	}
 	if ss-st > margin {
 		out.ResolvedMI++
-		return vs, true
+		return b.v, true
 	}
 
-	if answer, ok := e.askOracle(bt.Rel, bt.Tuple.EID, attrT, []data.Value{vt, vs}); ok {
+	if answer, ok := e.askOracle(relT, a.t.EID, attrT, []data.Value{a.v, b.v}); ok {
 		return answer, true
 	}
-	if answer, ok := e.askOracle(bs.Rel, bs.Tuple.EID, attrS, []data.Value{vt, vs}); ok {
+	if answer, ok := e.askOracle(relS, b.t.EID, attrS, []data.Value{a.v, b.v}); ok {
 		return answer, true
 	}
 	out.Unresolved = append(out.Unresolved, UnresolvedConflict{
-		Conflict: &truth.Conflict{Kind: truth.ValueConflict, Rel: bt.Rel, Attr: attrT, EID: bt.Tuple.EID, Old: vt, New: vs},
+		Conflict: &truth.Conflict{Kind: truth.ValueConflict, Rel: relT, Attr: attrT, EID: a.t.EID, Old: a.v, New: b.v},
 	})
 	return data.Value{}, false
 }
 
-// corrFor finds a correlation model trained for the relation's schema.
-func (e *Engine) corrFor(rel string) *ml.CorrelationModel {
-	r := e.env.DB.Rel(rel)
-	if r == nil {
-		return nil
+// corrByRelation resolves each relation's correlation model: of the
+// env's models trained for the relation's schema, the first by model
+// name, so every lookup — on any worker, in any round — picks the same
+// one.
+func corrByRelation(env *predicate.Env) map[string]*ml.CorrelationModel {
+	names := make([]string, 0, len(env.Corr))
+	for name := range env.Corr {
+		names = append(names, name)
 	}
-	for _, m := range e.env.Corr {
-		if m.Schema == r.Schema {
-			return m
+	sort.Strings(names)
+	out := make(map[string]*ml.CorrelationModel)
+	for rel, r := range env.DB.Relations {
+		for _, name := range names {
+			if m := env.Corr[name]; m.Schema == r.Schema {
+				out[rel] = m
+				break
+			}
 		}
 	}
-	return nil
+	return out
 }
 
 // activate returns the rules whose precondition may newly fire given the

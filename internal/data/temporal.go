@@ -3,6 +3,7 @@ package data
 import (
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // CellRef identifies the A-attribute of a tuple: the unit that timestamps
@@ -96,59 +97,70 @@ func addEdge(m map[int]map[int]bool, from, to int) {
 // Leq reports whether older ⪯_A newer holds in the transitive closure.
 // Reflexivity: Leq(t, t) is always true.
 func (o *TemporalOrder) Leq(older, newer int) bool {
-	if older == newer {
-		return true
-	}
-	return o.reach(o.succ, older, newer)
+	return older == newer || o.reach(older, newer, false)
 }
 
 // Less reports whether older ≺_A newer holds: a weak path from older to
 // newer that uses at least one strict edge.
 func (o *TemporalOrder) Less(older, newer int) bool {
-	if older == newer {
+	return older != newer && o.reach(older, newer, true)
+}
+
+// reach reports a path of one or more weak edges from one node to
+// another — with a strict edge on it, when strict is set. The BFS tracks
+// whether a strict edge has been used, so a node is visited at most once
+// per strictness. A node without successors answers before taking the
+// pooled scratch, and a warm query allocates nothing.
+func (o *TemporalOrder) reach(from, to int, strict bool) bool {
+	if len(o.succ[from]) == 0 {
 		return false
 	}
-	// BFS over weak edges tracking whether a strict edge has been used.
-	type state struct {
-		node   int
-		strict bool
-	}
-	seen := map[state]bool{}
-	queue := []state{{older, false}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	b := searchPool.Get().(*search)
+	defer b.release()
+	b.queue = append(b.queue, step{from, false})
+	for i := 0; i < len(b.queue); i++ {
+		cur := b.queue[i]
+		strictFrom := o.strictSucc[cur.node]
 		for next := range o.succ[cur.node] {
-			st := state{next, cur.strict || o.strictSucc[cur.node][next]}
-			if st.node == newer && st.strict {
+			st := step{next, strict && (cur.strict || strictFrom[next])}
+			if next == to && st.strict == strict {
 				return true
 			}
-			if !seen[st] {
-				seen[st] = true
-				queue = append(queue, st)
+			if !b.seen[st] {
+				b.seen[st] = true
+				b.queue = append(b.queue, st)
 			}
 		}
 	}
 	return false
 }
 
-func (o *TemporalOrder) reach(m map[int]map[int]bool, from, to int) bool {
-	seen := map[int]bool{from: true}
-	queue := []int{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for next := range m[cur] {
-			if next == to {
-				return true
-			}
-			if !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
-			}
-		}
+// search is the pooled scratch of one reach: the visited states and the
+// BFS queue.
+type search struct {
+	seen  map[step]bool
+	queue []step
+}
+
+type step struct {
+	node   int
+	strict bool // the path to node used a strict edge
+}
+
+// maxPooledSearch bounds the visited set a pooled scratch keeps: clearing
+// a map costs its capacity, so one wide query must not tax every later
+// one.
+const maxPooledSearch = 1024
+
+var searchPool = sync.Pool{New: func() any { return &search{seen: make(map[step]bool)} }}
+
+func (b *search) release() {
+	if len(b.seen) > maxPooledSearch {
+		return
 	}
-	return false
+	clear(b.seen)
+	b.queue = b.queue[:0]
+	searchPool.Put(b)
 }
 
 // HasCycleOfStrict reports whether the order is invalid: some pair with both
@@ -156,7 +168,7 @@ func (o *TemporalOrder) reach(m map[int]map[int]bool, from, to int) bool {
 func (o *TemporalOrder) HasCycleOfStrict() bool {
 	for from, tos := range o.strictSucc {
 		for to := range tos {
-			if o.reach(o.succ, to, from) || to == from {
+			if to == from || o.reach(to, from, false) {
 				return true
 			}
 		}

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -152,5 +153,86 @@ func TestCellRefString(t *testing.T) {
 	c := CellRef{Rel: "Person", TID: 7, Attr: "home"}
 	if c.String() != "Person[7].home" {
 		t.Errorf("cellref string=%q", c.String())
+	}
+}
+
+// TestTemporalOrderMatchesClosure checks Leq and Less against a
+// Floyd–Warshall closure over random DAGs: Leq(i, j) is reflexive-
+// transitive reachability, Less(i, j) a path from i to j with a strict
+// edge on it. Nodes are scattered TIDs, so the search cannot lean on
+// their order.
+func TestTemporalOrderMatchesClosure(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(11)
+		tid := rng.Perm(10 * n)[:n] // node i's TID; edges go from lower to higher i
+		o := NewTemporalOrder("R", "A")
+		var edge, strict [12][12]bool
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				switch rng.Intn(6) {
+				case 0:
+					o.AddWeak(tid[i], tid[j])
+					edge[i][j] = true
+				case 1:
+					o.AddStrict(tid[i], tid[j])
+					edge[i][j], strict[i][j] = true, true
+				}
+			}
+		}
+		reach := edge // paths of one or more edges
+		for k := 0; k < n; k++ {
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					reach[i][j] = reach[i][j] || reach[i][k] && reach[k][j]
+				}
+			}
+		}
+		upto := func(i, j int) bool { return i == j || reach[i][j] }
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				less := false
+				for k := 0; k < n && !less; k++ {
+					for l := 0; l < n; l++ {
+						if strict[k][l] && upto(i, k) && upto(l, j) {
+							less = true
+							break
+						}
+					}
+				}
+				if got, want := o.Leq(tid[i], tid[j]), upto(i, j); got != want {
+					t.Fatalf("trial %d: Leq(%d, %d) = %v, closure says %v", trial, tid[i], tid[j], got, want)
+				}
+				if got := o.Less(tid[i], tid[j]); got != less {
+					t.Fatalf("trial %d: Less(%d, %d) = %v, closure says %v", trial, tid[i], tid[j], got, less)
+				}
+			}
+		}
+	}
+}
+
+// TestTemporalOrderQueriesDoNotAllocate pins that a warm Leq or Less
+// query, hit or miss, allocates nothing: the search scratch is pooled,
+// and a node without successors answers before taking any.
+func TestTemporalOrderQueriesDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	o := NewTemporalOrder("R", "A")
+	for i := 0; i < 50; i++ {
+		o.AddWeak(i, i+1)
+	}
+	o.AddStrict(20, 21)
+	for name, q := range map[string]func() bool{
+		"Leq hit":       func() bool { return o.Leq(0, 50) },
+		"Leq miss":      func() bool { return o.Leq(50, 0) },
+		"Less hit":      func() bool { return o.Less(0, 50) },
+		"Less miss":     func() bool { return o.Less(30, 50) },
+		"no successors": func() bool { return o.Less(51, 0) },
+	} {
+		q()
+		if n := testing.AllocsPerRun(100, func() { q() }); n != 0 {
+			t.Errorf("%s: %v allocations per query, want 0", name, n)
+		}
 	}
 }

@@ -278,6 +278,32 @@ func (v Value) Key() string {
 	return string(rune('0'+int(v.kind))) + "\x1f" + v.String()
 }
 
+// Canon is a value's identity as Key draws it — two Canons are equal
+// exactly when the Keys are — in a comparable form built without
+// allocating.
+type Canon struct {
+	s    string
+	n    uint64
+	kind uint8 // a Type; 0xff for every null
+}
+
+// Canon returns the value's canonical form: the numeric kinds collapse
+// onto the bits of their float64 value, every NaN onto one (Key renders
+// them all "NaN", and keeps -0 apart from +0).
+func (v Value) Canon() Canon {
+	switch {
+	case v.IsNull():
+		return Canon{kind: 0xff}
+	case isNumeric(v.Kind()):
+		f := v.Float()
+		if f != f {
+			f = math.NaN()
+		}
+		return Canon{kind: uint8(TFloat), n: math.Float64bits(f)}
+	}
+	return Canon{kind: v.kind, s: v.s, n: v.n}
+}
+
 // Binary form of a Value: one kind byte, one flags byte (bit 0 null,
 // bit 1 valid), then the payload of a valid non-null value — the string
 // bytes, a varint for int and time, the IEEE-754 bits for float, one

@@ -299,3 +299,24 @@ func TestValueSize(t *testing.T) {
 		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", n)
 	}
 }
+
+// TestCanonAgreesWithKey checks Canon against Key over every pair of a
+// value set that covers the collisions Key makes (I(3), F(3), TS(3);
+// every null; every NaN) and the ones it does not (-0 and +0, kinds that
+// print alike).
+func TestCanonAgreesWithKey(t *testing.T) {
+	vals := []Value{
+		{}, Null(TString), Null(TInt), Null(TTime),
+		I(3), F(3), TS(3), I(-3), F(3.5), F(math.Copysign(0, -1)), F(0), I(0), TS(0),
+		F(math.NaN()), F(-math.NaN()), F(math.Inf(1)), F(math.Inf(-1)),
+		I(1 << 60), F(1 << 60), I(1<<60 + 1),
+		S(""), S("3"), S("true"), S("null"), B(true), B(false),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := a.Canon() == b.Canon(), a.Key() == b.Key(); got != want {
+				t.Errorf("%#v vs %#v: equal Canons %v, equal Keys %v", a, b, got, want)
+			}
+		}
+	}
+}

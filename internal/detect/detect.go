@@ -268,11 +268,11 @@ func (d *Detector) runUnit(r *ree.Rule, b crystal.BlockUnit, dirty map[string]ma
 		Span:        unitSpan,
 	}, func(h *predicate.Valuation) bool {
 		var ok bool
-		if ok, evalErr = r.P0.Eval(d.env, h); evalErr != nil {
+		if ok, evalErr = h.Frame.P0.Eval(d.env, h); evalErr != nil {
 			return false
 		}
 		if !ok {
-			local = append(local, implicate(r, h))
+			local = append(local, Implicate(r, h))
 		}
 		return true
 	})
@@ -543,38 +543,35 @@ func (s *errorSet) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// implicate derives the error evidence from a violation of r under h
+// Implicate derives the error evidence from a violation of r under h
 // (which cells are wrong, or which pair is an uncaught duplicate).
-func implicate(r *ree.Rule, h *predicate.Valuation) *Error {
-	p := r.P0
+func Implicate(r *ree.Rule, h *predicate.Valuation) *Error {
+	p := h.Frame.P0
 	e := &Error{RuleID: r.ID, Task: r.TaskOf()}
-	cell := func(varName, attr string) {
-		b, ok := h.Tuples[varName]
-		if !ok {
-			return
+	cell := func(slot int, attr string) {
+		if t := h.Tuple(slot); t != nil {
+			e.Cells = append(e.Cells, data.CellRef{Rel: h.Rel(slot), TID: t.TID, Attr: attr})
 		}
-		e.Cells = append(e.Cells, data.CellRef{Rel: b.Rel, TID: b.Tuple.TID, Attr: attr})
 	}
 	switch p.Kind {
 	case predicate.KEID:
-		bt, bs := h.Tuples[p.T], h.Tuples[p.S]
-		a, b := bt.Tuple.EID, bs.Tuple.EID
+		a, b := h.Tuples[p.TSlot].EID, h.Tuples[p.SSlot].EID
 		if a > b {
 			a, b = b, a
 		}
 		e.DupEIDs = [2]string{a, b}
 	case predicate.KConst:
-		cell(p.T, p.A)
+		cell(p.TSlot, p.A)
 	case predicate.KAttr:
-		cell(p.T, p.A)
-		cell(p.S, p.B)
+		cell(p.TSlot, p.A)
+		cell(p.SSlot, p.B)
 	case predicate.KTemporal, predicate.KRank:
-		cell(p.T, p.A)
-		cell(p.S, p.A)
+		cell(p.TSlot, p.A)
+		cell(p.SSlot, p.A)
 	case predicate.KVal, predicate.KML:
-		cell(p.T, p.A)
+		cell(p.TSlot, p.A)
 	case predicate.KPredict, predicate.KCorr:
-		cell(p.T, p.B)
+		cell(p.TSlot, p.B)
 	}
 	return e
 }

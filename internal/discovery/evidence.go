@@ -55,52 +55,17 @@ func BuildEvidence(env *predicate.Env, sp *Space, pair bool, opts BuildOptions) 
 	if rel == nil {
 		return nil, errUnknownRel(sp.Rel)
 	}
-	tuples := rel.Tuples
-	frac := 1.0
-	if opts.SampleRatio > 0 && opts.SampleRatio < 1 {
-		rng := rand.New(rand.NewSource(opts.Seed))
-		var sample []*data.Tuple
-		for _, t := range tuples {
-			if rng.Float64() < opts.SampleRatio {
-				sample = append(sample, t)
-			}
-		}
-		if len(sample) >= 2 {
-			frac = float64(len(sample)) / float64(len(tuples))
-			tuples = sample
-		}
+	tuples, frac := sampleOf(rel.Tuples, opts, opts.Seed)
+	vars, rels := []string{"t"}, []*data.Relation{rel}
+	if pair {
+		vars, rels = []string{"t", "s"}, []*data.Relation{rel, rel}
 	}
-	nPred := len(sp.Pre) + len(sp.Cons)
-	words := (nPred + 63) / 64
-	ev := &Evidence{Space: sp, Pair: pair, words: words, SampledFraction: frac}
-
-	all := make([]*predicate.Predicate, 0, nPred)
-	all = append(all, sp.Pre...)
-	all = append(all, sp.Cons...)
-
-	h := predicate.NewValuation()
-	evalRow := func() ([]uint64, error) {
-		row := make([]uint64, words)
-		for bit, p := range all {
-			ok, err := p.Eval(env, h)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				ev.set(row, bit)
-			}
-		}
-		return row, nil
-	}
-
+	ev, add := newEvidence(env, sp, pair, frac, &predicate.Frame{Vars: vars, Rels: rels})
 	if !pair {
 		for _, t := range tuples {
-			h.Bind("t", sp.Rel, t)
-			row, err := evalRow()
-			if err != nil {
+			if err := add(t, nil); err != nil {
 				return nil, err
 			}
-			ev.rows = append(ev.rows, row)
 		}
 		return ev, nil
 	}
@@ -112,13 +77,9 @@ func BuildEvidence(env *predicate.Env, sp *Space, pair bool, opts BuildOptions) 
 			if opts.MaxPairs > 0 && len(ev.rows) >= opts.MaxPairs {
 				return ev, nil
 			}
-			h.Bind("t", sp.Rel, t)
-			h.Bind("s", sp.Rel, s)
-			row, err := evalRow()
-			if err != nil {
+			if err := add(t, s); err != nil {
 				return nil, err
 			}
-			ev.rows = append(ev.rows, row)
 		}
 	}
 	return ev, nil
@@ -135,52 +96,70 @@ func BuildCrossEvidence(env *predicate.Env, sp *Space, opts BuildOptions) (*Evid
 	if relS == nil {
 		return nil, errUnknownRel(sp.RelS)
 	}
-	sampleOf := func(tuples []*data.Tuple, seed int64) ([]*data.Tuple, float64) {
-		if opts.SampleRatio <= 0 || opts.SampleRatio >= 1 {
-			return tuples, 1.0
-		}
-		rng := rand.New(rand.NewSource(seed))
-		var out []*data.Tuple
-		for _, t := range tuples {
-			if rng.Float64() < opts.SampleRatio {
-				out = append(out, t)
-			}
-		}
-		if len(out) < 2 {
-			return tuples, 1.0
-		}
-		return out, float64(len(out)) / float64(len(tuples))
-	}
-	tuplesT, fracT := sampleOf(relT.Tuples, opts.Seed)
-	tuplesS, fracS := sampleOf(relS.Tuples, opts.Seed+1)
-	nPred := len(sp.Pre) + len(sp.Cons)
-	words := (nPred + 63) / 64
-	ev := &Evidence{Space: sp, Pair: true, words: words, SampledFraction: fracT * fracS}
-	all := make([]*predicate.Predicate, 0, nPred)
-	all = append(all, sp.Pre...)
-	all = append(all, sp.Cons...)
-	h := predicate.NewValuation()
+	tuplesT, fracT := sampleOf(relT.Tuples, opts, opts.Seed)
+	tuplesS, fracS := sampleOf(relS.Tuples, opts, opts.Seed+1)
+	ev, add := newEvidence(env, sp, true, fracT*fracS, &predicate.Frame{Vars: []string{"t", "s"}, Rels: []*data.Relation{relT, relS}})
 	for _, t := range tuplesT {
 		for _, s := range tuplesS {
 			if opts.MaxPairs > 0 && len(ev.rows) >= opts.MaxPairs {
 				return ev, nil
 			}
-			h.Bind("t", sp.RelT, t)
-			h.Bind("s", sp.RelS, s)
-			row := make([]uint64, words)
-			for bit, p := range all {
-				ok, err := p.Eval(env, h)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					ev.set(row, bit)
-				}
+			if err := add(t, s); err != nil {
+				return nil, err
 			}
-			ev.rows = append(ev.rows, row)
 		}
 	}
 	return ev, nil
+}
+
+// sampleOf draws the SampleRatio sample of tuples with the given seed and
+// returns it with its fraction; all of them (fraction 1) when the ratio
+// samples nothing or the sample has fewer than two tuples.
+func sampleOf(tuples []*data.Tuple, opts BuildOptions, seed int64) ([]*data.Tuple, float64) {
+	if opts.SampleRatio <= 0 || opts.SampleRatio >= 1 {
+		return tuples, 1.0
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var out []*data.Tuple
+	for _, t := range tuples {
+		if rng.Float64() < opts.SampleRatio {
+			out = append(out, t)
+		}
+	}
+	if len(out) < 2 {
+		return tuples, 1.0
+	}
+	return out, float64(len(out)) / float64(len(tuples))
+}
+
+// newEvidence starts an empty matrix whose rows are the space's
+// preconditions, then its consequences, compiled against fr and
+// evaluated on each (t, s) that add binds (s nil: a one-tuple row).
+func newEvidence(env *predicate.Env, sp *Space, pair bool, frac float64, fr *predicate.Frame) (*Evidence, func(t, s *data.Tuple) error) {
+	all := make([]*predicate.Compiled, 0, len(sp.Pre)+len(sp.Cons))
+	for _, p := range append(append([]*predicate.Predicate(nil), sp.Pre...), sp.Cons...) {
+		all = append(all, fr.Compile(p))
+	}
+	ev := &Evidence{Space: sp, Pair: pair, words: (len(all) + 63) / 64, SampledFraction: frac}
+	h := fr.NewValuation()
+	return ev, func(t, s *data.Tuple) error {
+		h.Tuples[0] = t
+		if s != nil {
+			h.Tuples[1] = s
+		}
+		row := make([]uint64, ev.words)
+		for bit, p := range all {
+			ok, err := p.Eval(env, h)
+			if err != nil {
+				return err
+			}
+			if ok {
+				ev.set(row, bit)
+			}
+		}
+		ev.rows = append(ev.rows, row)
+		return nil
+	}
 }
 
 // mask builds the word mask of an itemset so matching a row is a handful

@@ -223,7 +223,7 @@ func NoviceFeedback(env *predicate.Env, rules []*ree.Rule, perRule int,
 		}
 		asked, confirmed := 0, 0
 		_, err := ex.Run(r, exec.Options{UseBlocking: true, MaxResults: 0}, func(h *predicate.Valuation) bool {
-			ok, evalErr := r.P0.Eval(env, h)
+			ok, evalErr := h.Frame.P0.Eval(env, h)
 			if evalErr != nil || ok {
 				return true
 			}

@@ -60,12 +60,12 @@ func dirtyJoinEnv(rng *rand.Rand, n int) (*predicate.Env, map[string]map[int]boo
 		}
 	}
 	env := predicate.NewEnv(db)
-	env.ValueOf = func(rel string, t *data.Tuple, attr string) (data.Value, bool) {
+	env.ValueOf = byName(func(rel string, t *data.Tuple, attr string) data.Value {
 		if v, ok := view[rel][t.TID]; ok {
-			return v, true
+			return v
 		}
-		return t.Values[0], true
-	}
+		return t.Values[0]
+	})
 	return env, shadow
 }
 
@@ -92,7 +92,7 @@ func randomDirty(rng *rand.Rand, n int) map[string]map[int]bool {
 
 // TestDirtyPostingJoinMatchesFilteredFullJoin: under a dirty filter the
 // posting join visits only the t that can pair with a dirty tuple. Its
-// pairs, in order, must be the unfiltered join's pairs that dirtyOK keeps
+// pairs, in order, must be the unfiltered join's pairs with a dirty side
 // — over random dirty sets, shadowed t and s, null join values, view
 // values absent from the s-side dictionary, a cross-relation join through
 // a translation, and whole relations as well as blocks.
@@ -124,7 +124,7 @@ func TestDirtyPostingJoinMatchesFilteredFullJoin(t *testing.T) {
 							opts := Options{RestrictVar: restrict, Dirty: dirty}
 							var want [][2]int
 							for _, pr := range all {
-								if dirtyOK(opts, r, p.T, relT.Get(pr[0]), p.S, relS.Get(pr[1])) {
+								if dirty[relT.Schema.Name][pr[0]] || dirty[relS.Schema.Name][pr[1]] {
 									want = append(want, pr)
 								}
 							}
@@ -152,9 +152,12 @@ func TestDirtyPostingJoinMatchesFilteredFullJoin(t *testing.T) {
 // as TIDs, in emission order.
 func joinPairs(t *testing.T, e *Executor, r *ree.Rule, opts Options) [][2]int {
 	t.Helper()
-	p := r.X[0]
-	relT, relS := e.env.DB.Rel(r.RelOf(p.T)), e.env.DB.Rel(r.RelOf(p.S))
-	pairs, err := e.hashJoin(r, p, opts, e.partitionOf(relT, p.T, opts), e.partitionOf(relS, p.S, opts))
+	fr, err := r.Compile(e.env.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fr.X[0]
+	pairs, err := e.hashJoin(fr, p, opts, e.partitionOf(fr, p.TSlot, opts), e.partitionOf(fr, p.SSlot, opts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,6 +126,9 @@ func (e *Executor) SetObs(reg *obs.Registry) { e.reg = reg }
 
 // Run enumerates valuations h of rule r with h |= X, invoking fn for each.
 // fn returns false to stop early. The returned stats describe the run.
+// The rule is compiled to slots once per call (ree.Rule.Compile): h is
+// one slot array reused for every valuation, and fn reads h.Frame.P0
+// for the consequence. fn must not retain h past its return (Clone it).
 func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation) bool) (Stats, error) {
 	var st Stats
 	if len(r.Atoms) == 0 {
@@ -134,322 +137,366 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 	if e.env.ValueOf != nil && !e.in.tracking() {
 		return st, fmt.Errorf("exec: rule %s: the env has a ValueOf hook but no shadow set (SetShadowTracking)", r.ID)
 	}
-	spansOn := e.reg.SpansEnabled()
-	var execSpan *obs.Span
-	if spansOn {
-		execSpan = e.reg.StartSpan("exec", opts.Span)
-		execSpan.SetRule(r.ID)
+	fr, err := r.Compile(e.env.DB)
+	if err != nil {
+		return st, fmt.Errorf("exec: %w", err)
+	}
+	b := &binder{e: e, id: r.ID, fr: fr, opts: opts, fn: fn, st: &st, h: fr.NewValuation()}
+	if b.spans = e.reg.SpansEnabled(); b.spans {
+		b.execSpan = e.reg.StartSpan("exec", opts.Span)
+		b.execSpan.SetRule(r.ID)
 		defer func() {
-			execSpan.SetN(int64(st.Valuations))
-			execSpan.End()
+			b.execSpan.SetN(int64(st.Valuations))
+			b.execSpan.End()
 		}()
 	}
-	// Per-model ML attribution accumulates locally (the binder is hot)
-	// and flushes to the registry once per run.
-	var mlWall map[string]time.Duration
-	var mlCalls map[string]int64
+	// Per-predicate ML attribution accumulates locally (the binder is
+	// hot) and flushes to the registry, by model, once per run.
 	if e.reg != nil {
-		mlWall = make(map[string]time.Duration)
-		mlCalls = make(map[string]int64)
+		b.mlWall = make([]time.Duration, len(fr.X))
+		b.mlCalls = make([]int64, len(fr.X))
 		defer func() {
-			for m, n := range mlCalls {
-				e.reg.Add("exec.ml."+m+".calls", uint64(n))
-				e.reg.Add("exec.ml."+m+".wall_ns", uint64(mlWall[m]))
+			for i, p := range fr.X {
+				if b.mlCalls[i] > 0 {
+					m := modelName(p.Predicate)
+					e.reg.Add("exec.ml."+m+".calls", uint64(b.mlCalls[i]))
+					e.reg.Add("exec.ml."+m+".wall_ns", uint64(b.mlWall[i]))
+				}
 			}
 		}()
 	}
-	// Candidate tuples per variable after constant pushdown. Filtered
+	// Candidate tuples per slot after constant pushdown. Filtered
 	// candidate lists come from the scratch pool and are released when the
-	// run finishes; unfiltered variables alias the block itself (zero
-	// copies on the common no-constant-predicate rule).
-	cands := make(map[string]crystal.Block, len(r.Atoms))
+	// run finishes; unfiltered slots alias the block itself (zero copies
+	// on the common no-constant-predicate rule).
+	b.cands = make([]crystal.Block, len(fr.Vars))
 	var pooled []crystal.Block
 	defer func() {
-		for _, b := range pooled {
-			putTupleBuf(b.Tuples)
-			putIntBuf(b.TIDs)
+		for _, c := range pooled {
+			putTupleBuf(c.Tuples)
+			putIntBuf(c.TIDs)
 		}
 	}()
-	for _, a := range r.Atoms {
-		b, fromPool, err := e.candidates(r, a, opts)
+	for slot := range fr.Vars {
+		c, fromPool, err := e.candidates(fr, slot, opts)
 		if err != nil {
 			return st, err
 		}
-		cands[a.Var] = b
+		b.cands[slot] = c
 		if fromPool {
-			pooled = append(pooled, b)
+			pooled = append(pooled, c)
 		}
 	}
 
 	// Pick a driver pair: an equality join or a blocked ML predicate over
 	// the first two variables.
-	plan, err := e.plan(r, cands, opts)
+	plan, err := e.plan(fr, b.cands, opts)
 	if err != nil {
 		return st, err
 	}
 	if plan.pooledPairs {
 		defer putPairBuf(plan.pairs)
 	}
-	// Join-driven pairs are built from the candidate lists and need no
-	// re-check; LSH-driven pairs come from the raw partition and must be
+	b.layout(plan)
+	if opts.Dirty != nil {
+		b.dirty = make([]map[int]bool, len(fr.Vars))
+		for slot, rel := range fr.Rels {
+			b.dirty[slot] = opts.Dirty[rel.Schema.Name]
+		}
+	}
+	if plan.pairs == nil {
+		b.bindLevel(0)
+		return st, b.err
+	}
+	// Drive the first two slots from the plan's pair list. Join-driven
+	// pairs are built from the candidate lists and need no re-check;
+	// LSH-driven pairs come from the raw partition and must be
 	// intersected with the pushdown survivors.
 	var allow1, allow2 map[int]bool
-	if plan.pairs != nil && !plan.prefiltered {
-		allow1 = tidSet(cands[plan.var1].Tuples)
-		allow2 = tidSet(cands[plan.var2].Tuples)
+	if !plan.prefiltered {
+		allow1 = tidSet(b.cands[plan.slot1].Tuples)
+		allow2 = tidSet(b.cands[plan.slot2].Tuples)
 	}
-
-	// The recursive binder: bind variables in atom order, but the first
-	// two may be driven by the plan's pair generator. Each precondition
-	// predicate is evaluated exactly once per binding path, at the depth
-	// where its last variable becomes bound; evalDepth records that depth
-	// so the evaluation is undone when the binder backtracks past it.
-	h := predicate.NewValuation()
-	stop := false
-	var bindRest func(i int)
-	bound := map[string]bool{}
-	depth := 0
-	evalDepth := make(map[*predicate.Predicate]int, len(r.X))
-
-	// Errors stop enumeration through the same path as an early callback
-	// exit, so every binding level unwinds h/bound/depth/evalDepth on the
-	// way out — the executor stays clean and reusable after a failed run.
-	var finalErr error
-	fail := func(err error) {
-		if finalErr == nil {
-			finalErr = err
+	sameRel := fr.Rels[plan.slot1] == fr.Rels[plan.slot2]
+	for _, pr := range plan.pairs {
+		if b.stop {
+			break
 		}
-		stop = true
+		t1, t2 := pr[0], pr[1]
+		if !plan.prefiltered && (!allow1[t1.TID] || !allow2[t2.TID]) {
+			continue
+		}
+		if sameRel && t1.TID == t2.TID {
+			continue
+		}
+		st.Enumerated += 2
+		b.h.Tuples[plan.slot1], b.h.Tuples[plan.slot2] = t1, t2
+		if b.checkAt(0) {
+			b.bindLevel(1)
+		}
 	}
+	return st, b.err
+}
 
-	// needs[i] lists the tuple and vertex variables r.X[i] reads, resolved
-	// once: checkAt runs at every binding depth of every valuation.
-	needs := make([][]string, len(r.X))
-	for i, p := range r.X {
-		needs[i] = append(p.Vars(), p.VertexVars()...)
+// binder is one Run's enumeration state over the rule's frame. A binding
+// is an index write into h, and backtracking rewrites the slot on the
+// next binding, so nothing is ever unbound.
+type binder struct {
+	e     *Executor
+	id    string // the rule's
+	fr    *predicate.Frame
+	opts  Options
+	fn    func(h *predicate.Valuation) bool
+	st    *Stats
+	h     *predicate.Valuation
+	cands []crystal.Block
+	// levels is the binding order: a pair-driven plan binds its two slots
+	// at level 0, then each other tuple slot and each vertex slot has one.
+	levels []level
+	dirty  []map[int]bool // per slot, its relation's Options.Dirty set
+
+	stop      bool
+	err       error
+	emitCalls int
+
+	spans    bool // the registry records spans
+	execSpan *obs.Span
+	mlWall   []time.Duration // per fr.X predicate, nil without a registry
+	mlCalls  []int64
+}
+
+// level is one binding step: of a tuple slot, a vertex slot (-1: not
+// one), or the plan's pair (both -1).
+type level struct {
+	slot, vslot int
+	// ready lists, in X order, the predicates whose last variable this
+	// level binds: each is evaluated exactly once per binding path, here.
+	ready []int
+	// self lists the earlier slots over the same relation, whose tuples
+	// this one does not bind again (no self-pairs); probes are the
+	// equalities linking an earlier slot to this one, in X order.
+	self   []int
+	probes []probe
+}
+
+// probe is one equality t.A = s.B usable to probe a level's slot from an
+// earlier one: the bound side's slot and column, the free side's column.
+type probe struct {
+	boundSlot, boundCol int
+	freeAttr            string
+	freeCol             int
+}
+
+// layout fixes the binding order for the plan and precomputes each
+// level's ready predicates, self-pair slots and equality probes — O(|X|)
+// per run, so checkAt never rescans X.
+func (b *binder) layout(plan execPlan) {
+	fr := b.fr
+	levelOf := make([]int, len(fr.Vars))
+	bound := make([]bool, len(fr.Vars))
+	if plan.pairs != nil {
+		b.levels = append(b.levels, level{slot: -1, vslot: -1})
+		bound[plan.slot1], bound[plan.slot2] = true, true
 	}
-	checkAt := func() (bool, error) {
-		for i, p := range r.X {
-			if plan.covered[p] {
+	for slot := range fr.Vars {
+		if bound[slot] {
+			continue
+		}
+		lv := level{slot: slot, vslot: -1}
+		for prev, ok := range bound {
+			if ok && fr.Rels[prev] == fr.Rels[slot] {
+				lv.self = append(lv.self, prev)
+			}
+		}
+		for _, p := range fr.X {
+			if p.Kind != predicate.KAttr || p.Op != predicate.Eq {
 				continue
 			}
-			if _, done := evalDepth[p]; done {
-				continue
-			}
-			ready := true
-			for _, v := range needs[i] {
-				if !bound[v] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			var mname string
-			var msp *obs.Span
-			var t0 time.Time
-			if p.IsML() {
-				st.MLCalls++
-				if mlCalls != nil {
-					mname = modelName(p)
-					if spansOn {
-						msp = e.reg.StartSpan("ml."+mname, execSpan)
-					}
-					t0 = time.Now()
-				}
-			}
-			ok, err := p.Eval(e.env, h)
-			if mname != "" {
-				mlWall[mname] += time.Since(t0)
-				mlCalls[mname]++
-				msp.End()
-			}
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-			evalDepth[p] = depth
-		}
-		return true, nil
-	}
-	unwind := func() {
-		for p, d := range evalDepth {
-			if d >= depth {
-				delete(evalDepth, p)
+			switch {
+			case p.SSlot == slot && p.TSlot >= 0 && bound[p.TSlot] && p.BCol >= 0:
+				lv.probes = append(lv.probes, probe{p.TSlot, p.ACol, p.B, p.BCol})
+			case p.TSlot == slot && p.SSlot >= 0 && bound[p.SSlot] && p.ACol >= 0:
+				lv.probes = append(lv.probes, probe{p.SSlot, p.BCol, p.A, p.ACol})
 			}
 		}
+		levelOf[slot] = len(b.levels)
+		b.levels = append(b.levels, lv)
+		bound[slot] = true
 	}
+	vlevelOf := make([]int, len(fr.VertexVars))
+	for vs := range fr.VertexVars {
+		vlevelOf[vs] = len(b.levels)
+		b.levels = append(b.levels, level{slot: -1, vslot: vs})
+	}
+	for i, p := range fr.X {
+		// A predicate naming a variable the rule does not bind is never
+		// ready, so never evaluated.
+		if plan.covered == p || (p.T != "" && p.TSlot < 0) || (p.S != "" && p.SSlot < 0) || (p.X != "" && p.XSlot < 0) {
+			continue
+		}
+		at := 0
+		if p.TSlot >= 0 {
+			at = levelOf[p.TSlot]
+		}
+		if p.SSlot >= 0 {
+			at = max(at, levelOf[p.SSlot])
+		}
+		if p.XSlot >= 0 {
+			at = max(at, vlevelOf[p.XSlot])
+		}
+		b.levels[at].ready = append(b.levels[at].ready, i)
+	}
+}
 
-	emitCalls := 0
-	emit := func() bool {
-		// Cooperative cancellation: poll the context every few emit calls so
-		// a deadline cuts a long enumeration short between valuations. The
-		// counter counts calls, not emitted valuations — the dirty filter
-		// below returns before Valuations increments, so an all-clean
-		// incremental run polled on Valuations would never observe
-		// cancellation no matter how long it enumerates.
-		emitCalls++
-		if opts.Ctx != nil && emitCalls%64 == 0 {
-			if err := opts.Ctx.Err(); err != nil {
-				fail(err)
-				return false
-			}
-		}
-		// Incremental mode: every emitted valuation must bind at least one
-		// dirty tuple (the driver paths pre-filter; the generic nested-loop
-		// path is guarded here).
-		if opts.Dirty != nil {
-			touches := false
-			for _, b := range h.Tuples {
-				if d := opts.Dirty[b.Rel]; d != nil && d[b.Tuple.TID] {
-					touches = true
-					break
+// checkAt evaluates the predicates that become ready at level li, in X
+// order, stopping at the first false one. An error fails the run.
+func (b *binder) checkAt(li int) bool {
+	for _, i := range b.levels[li].ready {
+		p := b.fr.X[i]
+		var msp *obs.Span
+		var t0 time.Time
+		isML := p.IsML()
+		if isML {
+			b.st.MLCalls++
+			if b.mlCalls != nil {
+				if b.spans {
+					msp = b.e.reg.StartSpan("ml."+modelName(p.Predicate), b.execSpan)
 				}
-			}
-			if !touches {
-				return true
+				t0 = time.Now()
 			}
 		}
-		st.Valuations++
-		if !fn(h) {
-			stop = true
+		ok, err := p.Eval(b.e.env, b.h)
+		if isML && b.mlCalls != nil {
+			b.mlWall[i] += time.Since(t0)
+			b.mlCalls[i]++
+			msp.End()
+		}
+		if err != nil {
+			b.fail(err)
 			return false
 		}
-		if opts.MaxResults > 0 && st.Valuations >= opts.MaxResults {
-			stop = true
+		if !ok {
 			return false
 		}
-		return true
 	}
+	return true
+}
 
-	var bindVertexes func(vi int)
-	bindVertexes = func(vi int) {
-		if stop {
-			return
-		}
-		if vi == len(r.VertexAtoms) {
-			emit()
-			return
-		}
-		va := r.VertexAtoms[vi]
-		g := e.env.Graphs[va.Graph]
+// fail stops enumeration through the same path as an early callback
+// exit, keeping the first error.
+func (b *binder) fail(err error) {
+	if b.err == nil {
+		b.err = err
+	}
+	b.stop = true
+}
+
+// bindLevel binds level li and every level after it, emitting each
+// complete valuation.
+func (b *binder) bindLevel(li int) {
+	if b.stop {
+		return
+	}
+	if li == len(b.levels) {
+		b.emit()
+		return
+	}
+	lv := &b.levels[li]
+	if lv.vslot >= 0 {
+		graph := b.fr.Graphs[lv.vslot]
+		g := b.e.env.Graphs[graph]
 		if g == nil {
-			fail(fmt.Errorf("exec: rule %s references unknown graph %q", r.ID, va.Graph))
+			b.fail(fmt.Errorf("exec: rule %s references unknown graph %q", b.id, graph))
 			return
 		}
 		for _, v := range g.VertexIDs() {
-			h.BindVertex(va.Var, va.Graph, v)
-			bound[va.Var] = true
-			depth++
-			ok, err := checkAt()
-			if err != nil {
-				fail(err)
-			} else if ok {
-				bindVertexes(vi + 1)
+			b.h.Vertices[lv.vslot] = predicate.VertexBinding{Graph: graph, ID: v}
+			if b.checkAt(li) {
+				b.bindLevel(li + 1)
 			}
-			unwind()
-			depth--
-			delete(bound, va.Var)
-			delete(h.Vertices, va.Var)
-			if stop {
+			if b.stop {
 				return
 			}
 		}
+		return
 	}
+	list := b.cands[lv.slot].Tuples
+	// Hash-join shortcut: if an equality predicate links a bound slot to
+	// this one, probe the candidate list instead of scanning; probeJoin
+	// works over the constant-pushdown candidate set of the slot, so
+	// tuples eliminated by single-variable predicates never re-enumerate.
+	idxList, probed, err := b.e.probeJoin(b.fr, lv, b.h, b.cands[lv.slot])
+	if err != nil {
+		b.fail(err)
+		return
+	}
+	if probed {
+		list = idxList
+		defer putTupleBuf(idxList)
+	}
+	for _, t := range list {
+		if b.selfPair(lv, t) {
+			continue
+		}
+		b.st.Enumerated++
+		b.h.Tuples[lv.slot] = t
+		if b.checkAt(li) {
+			b.bindLevel(li + 1)
+		}
+		if b.stop {
+			break
+		}
+	}
+}
 
-	bindRest = func(i int) {
-		if stop {
+// selfPair reports that an earlier slot over the same relation holds t.
+func (b *binder) selfPair(lv *level, t *data.Tuple) bool {
+	for _, s := range lv.self {
+		if b.h.Tuples[s].TID == t.TID {
+			return true
+		}
+	}
+	return false
+}
+
+// emit hands one complete valuation to the callback.
+func (b *binder) emit() {
+	// Cooperative cancellation: poll the context every few emit calls so
+	// a deadline cuts a long enumeration short between valuations. The
+	// counter counts calls, not emitted valuations — the dirty filter
+	// below returns before Valuations increments, so an all-clean
+	// incremental run polled on Valuations would never observe
+	// cancellation no matter how long it enumerates.
+	b.emitCalls++
+	if b.opts.Ctx != nil && b.emitCalls%64 == 0 {
+		if err := b.opts.Ctx.Err(); err != nil {
+			b.fail(err)
 			return
 		}
-		if i == len(r.Atoms) {
-			bindVertexes(0)
-			return
-		}
-		a := r.Atoms[i]
-		if bound[a.Var] {
-			bindRest(i + 1)
-			return
-		}
-		list := cands[a.Var].Tuples
-		// Hash-join shortcut: if an equality predicate links a bound var to
-		// this one, probe the candidate list instead of scanning; probeJoin
-		// works over the constant-pushdown candidate set of the variable, so
-		// tuples eliminated by single-variable predicates never re-enumerate.
-		idxList, probed, err := e.probeJoin(r, a, bound, h, cands)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if probed {
-			list = idxList
-		}
-		for _, t := range list {
-			if selfPair(h, a, t) {
-				continue
-			}
-			st.Enumerated++
-			h.Bind(a.Var, a.Rel, t)
-			bound[a.Var] = true
-			depth++
-			ok, err := checkAt()
-			if err != nil {
-				fail(err)
-			} else if ok {
-				bindRest(i + 1)
-			}
-			unwind()
-			depth--
-			delete(bound, a.Var)
-			delete(h.Tuples, a.Var)
-			if stop {
+	}
+	// Incremental mode: every emitted valuation must bind at least one
+	// dirty tuple (the driver paths pre-filter; the generic nested-loop
+	// path is guarded here).
+	if b.dirty != nil {
+		touches := false
+		for slot, d := range b.dirty {
+			if d != nil && d[b.h.Tuples[slot].TID] {
+				touches = true
 				break
 			}
 		}
-		if probed {
-			putTupleBuf(idxList)
+		if !touches {
+			return
 		}
 	}
-
-	if plan.pairs != nil {
-		// Drive the first two variables from the plan's pair list.
-		v1, v2 := plan.var1, plan.var2
-		rel1, rel2 := r.RelOf(v1), r.RelOf(v2)
-		for _, pr := range plan.pairs {
-			if stop {
-				break
-			}
-			t1, t2 := pr[0], pr[1]
-			if !plan.prefiltered && (!allow1[t1.TID] || !allow2[t2.TID]) {
-				continue
-			}
-			if rel1 == rel2 && t1.TID == t2.TID {
-				continue
-			}
-			st.Enumerated += 2
-			h.Bind(v1, rel1, t1)
-			h.Bind(v2, rel2, t2)
-			bound[v1], bound[v2] = true, true
-			depth++
-			ok, err := checkAt()
-			if err != nil {
-				fail(err)
-			} else if ok {
-				bindRest(0)
-			}
-			unwind()
-			depth--
-			delete(bound, v1)
-			delete(bound, v2)
-			delete(h.Tuples, v1)
-			delete(h.Tuples, v2)
-		}
-	} else {
-		bindRest(0)
+	b.st.Valuations++
+	if !b.fn(b.h) {
+		b.stop = true
+		return
 	}
-	return st, finalErr
+	if b.opts.MaxResults > 0 && b.st.Valuations >= b.opts.MaxResults {
+		b.stop = true
+	}
 }
 
 // modelName names the model behind an ML predicate for cost attribution:
@@ -474,31 +521,18 @@ func modelName(p *predicate.Predicate) string {
 	return "ml"
 }
 
-func selfPair(h *predicate.Valuation, a ree.Atom, t *data.Tuple) bool {
-	for _, b := range h.Tuples {
-		if b.Rel == a.Rel && b.Tuple.TID == t.TID {
-			return true
-		}
-	}
-	return false
-}
-
-// candidates lists the tuples variable a.Var may bind to after constant
-// pushdown and partition restriction, with their TIDs. Under a dirty
-// filter, the one variable of a single-atom rule ranges over its dirty
-// tuples only: every valuation binds it and nothing else. fromPool
-// reports that the returned block came from the scratch pool (the caller
-// releases it); false means it aliases the partition itself and must not
-// be mutated or pooled.
-func (e *Executor) candidates(r *ree.Rule, a ree.Atom, opts Options) (out crystal.Block, fromPool bool, err error) {
-	rel := e.env.DB.Rel(a.Rel)
-	if rel == nil {
-		return out, false, fmt.Errorf("exec: rule %s references unknown relation %q", r.ID, a.Rel)
-	}
-	base := e.partitionOf(rel, a.Var, opts)
-	basePooled := opts.Dirty != nil && len(r.Atoms) == 1
+// candidates lists the tuples slot may bind to after constant pushdown
+// and partition restriction, with their TIDs. Under a dirty filter, the
+// one slot of a single-atom rule ranges over its dirty tuples only: every
+// valuation binds it and nothing else. fromPool reports that the returned
+// block came from the scratch pool (the caller releases it); false means
+// it aliases the partition itself and must not be mutated or pooled.
+func (e *Executor) candidates(fr *predicate.Frame, slot int, opts Options) (out crystal.Block, fromPool bool, err error) {
+	rel := fr.Rels[slot]
+	base := e.partitionOf(fr, slot, opts)
+	basePooled := opts.Dirty != nil && len(fr.Vars) == 1
 	if basePooled {
-		if base, err = dirtyOnly(base, opts.Dirty[a.Rel]); err != nil {
+		if base, err = dirtyOnly(base, opts.Dirty[rel.Schema.Name]); err != nil {
 			return out, false, err
 		}
 	}
@@ -508,14 +542,14 @@ func (e *Executor) candidates(r *ree.Rule, a ree.Atom, opts Options) (out crysta
 	// read through the value view, so shadowed tuples re-evaluate per tuple
 	// (keepFasts).
 	var fasts []idFilter
-	var slows []*predicate.Predicate
-	for _, p := range r.X {
-		if p.T != a.Var || (p.Kind != predicate.KConst && p.Kind != predicate.KNull && p.Kind != predicate.KNotNull) {
+	var slows []*predicate.Compiled
+	for _, p := range fr.X {
+		if p.TSlot != slot || (p.Kind != predicate.KConst && p.Kind != predicate.KNull && p.Kind != predicate.KNotNull) {
 			continue
 		}
 		var col *crystal.Column
 		if p.Kind != predicate.KConst || p.Op == predicate.Eq || p.Op == predicate.Neq {
-			col = e.internedCol(a.Rel, p.A)
+			col = e.internedCol(rel, p.A)
 		}
 		if col == nil {
 			slows = append(slows, p)
@@ -531,7 +565,7 @@ func (e *Executor) candidates(r *ree.Rule, a ree.Atom, opts Options) (out crysta
 	if len(fasts) == 0 && len(slows) == 0 {
 		return base, basePooled, nil
 	}
-	out, err = e.candidatesVec(a, base, fasts, slows, e.shadowOf(a.Rel))
+	out, err = e.candidatesVec(fr, slot, base, fasts, slows, e.shadowOf(rel.Schema.Name))
 	if basePooled {
 		putTupleBuf(base.Tuples)
 		putIntBuf(base.TIDs)
@@ -568,12 +602,13 @@ func tidSet(ts []*data.Tuple) map[int]bool {
 	return set
 }
 
-// execPlan is the chosen driver for the first two variables.
+// execPlan is the chosen driver for the first two slots.
 type execPlan struct {
-	var1, var2 string
-	pairs      [][2]*data.Tuple
-	// covered marks predicates certified by the driver (join equality).
-	covered map[*predicate.Predicate]bool
+	slot1, slot2 int
+	pairs        [][2]*data.Tuple
+	// covered is the predicate certified by the driver (a join equality),
+	// which the binder does not re-evaluate.
+	covered *predicate.Compiled
 	// prefiltered marks pair lists built from the pushdown candidate
 	// lists — the pairs loop skips its allowed-set intersection.
 	prefiltered bool
@@ -583,26 +618,21 @@ type execPlan struct {
 
 // plan inspects the rule and builds pair candidates via hash join or LSH
 // blocking when profitable.
-func (e *Executor) plan(r *ree.Rule, cands map[string]crystal.Block, opts Options) (execPlan, error) {
-	pl := execPlan{covered: map[*predicate.Predicate]bool{}}
-	if len(r.Atoms) < 2 {
+func (e *Executor) plan(fr *predicate.Frame, cands []crystal.Block, opts Options) (execPlan, error) {
+	var pl execPlan
+	if len(fr.Vars) < 2 {
 		return pl, nil
 	}
 	// Prefer an equality join between two distinct variables.
-	for _, p := range r.X {
-		if p.Kind == predicate.KAttr && p.Op == predicate.Eq && p.T != p.S {
-			tuplesT, okT := cands[p.T]
-			tuplesS, okS := cands[p.S]
-			if !okT || !okS {
-				continue
-			}
-			pairs, err := e.hashJoin(r, p, opts, tuplesT, tuplesS)
+	for _, p := range fr.X {
+		if p.Kind == predicate.KAttr && p.Op == predicate.Eq && p.T != p.S && p.TSlot >= 0 && p.SSlot >= 0 {
+			pairs, err := e.hashJoin(fr, p, opts, cands[p.TSlot], cands[p.SSlot])
 			if err != nil {
 				return pl, err
 			}
 			if pairs != nil {
-				pl.var1, pl.var2, pl.pairs = p.T, p.S, pairs
-				pl.covered[p] = true
+				pl.slot1, pl.slot2, pl.pairs = p.TSlot, p.SSlot, pairs
+				pl.covered = p
 				pl.prefiltered = true
 				pl.pooledPairs = true
 				return pl, nil
@@ -611,11 +641,11 @@ func (e *Executor) plan(r *ree.Rule, cands map[string]crystal.Block, opts Option
 	}
 	// Otherwise a blocked ML predicate.
 	if opts.UseBlocking {
-		for _, p := range r.X {
-			if p.Kind == predicate.KML && p.T != p.S {
-				pairs := e.blockPairs(r, p, opts)
+		for _, p := range fr.X {
+			if p.Kind == predicate.KML && p.T != p.S && p.TSlot >= 0 && p.SSlot >= 0 {
+				pairs := e.blockPairs(fr, p, opts)
 				if pairs != nil {
-					pl.var1, pl.var2, pl.pairs = p.T, p.S, pairs
+					pl.slot1, pl.slot2, pl.pairs = p.TSlot, p.SSlot, pairs
 					// Not covered: the model still verifies each candidate.
 					// Not prefiltered: LSH pairs come from the raw partition.
 					return pl, nil
@@ -626,26 +656,19 @@ func (e *Executor) plan(r *ree.Rule, cands map[string]crystal.Block, opts Option
 	return pl, nil
 }
 
-// hashJoin builds (t, s) pairs with t.A = s.B from the two variables'
+// hashJoin builds (t, s) pairs with t.A = s.B from the two slots'
 // pushdown candidate lists, t-major with s in candidate order, by
 // enumerating colB's posting lists (postingJoin, vector.go). The pairs
 // are pool scratch; nil means the schema does not resolve the join.
-func (e *Executor) hashJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
+func (e *Executor) hashJoin(fr *predicate.Frame, p *predicate.Compiled, opts Options,
 	tuplesT, tuplesS crystal.Block) ([][2]*data.Tuple, error) {
-	relTName, relSName := r.RelOf(p.T), r.RelOf(p.S)
-	relT := e.env.DB.Rel(relTName)
-	relS := e.env.DB.Rel(relSName)
-	if relT == nil || relS == nil {
+	if p.ACol < 0 || p.BCol < 0 {
 		return nil, nil
 	}
-	bi := relS.Schema.Index(p.B)
-	ai := relT.Schema.Index(p.A)
-	if ai < 0 || bi < 0 {
-		return nil, nil
-	}
-	colA := e.internedCol(relTName, p.A)
-	colB := e.internedCol(relSName, p.B)
-	return e.postingJoin(r, p, opts, tuplesT, tuplesS, colA, colB, ai, bi, relS)
+	relT, relS := fr.Rels[p.TSlot], fr.Rels[p.SSlot]
+	colA := e.internedCol(relT, p.A)
+	colB := e.internedCol(relS, p.B)
+	return e.postingJoin(p, opts, tuplesT, tuplesS, colA, colB, relT, relS)
 }
 
 // blockPairs builds candidate (t, s) pairs for an ML predicate by LSH
@@ -653,34 +676,28 @@ func (e *Executor) hashJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
 // it with each t of the t-side block, t-major. The index is built per
 // call from the current value view, so no index outlives the values it
 // embeds; a same-relation pair (t, t) is skipped by the pairs loop.
-func (e *Executor) blockPairs(r *ree.Rule, p *predicate.Predicate, opts Options) [][2]*data.Tuple {
-	relTName, relSName := r.RelOf(p.T), r.RelOf(p.S)
-	relT, relS := e.env.DB.Rel(relTName), e.env.DB.Rel(relSName)
-	if relT == nil || relS == nil {
-		return nil
-	}
+func (e *Executor) blockPairs(fr *predicate.Frame, p *predicate.Compiled, opts Options) [][2]*data.Tuple {
+	relT, relS := fr.Rels[p.TSlot], fr.Rels[p.SSlot]
 	// Reads go through the embedding store when installed: a value vector
 	// probed by many rules (or re-probed across rounds) embeds once
 	// instead of once per probe.
-	embed := func(rel *data.Relation, relName string, t *data.Tuple, attrs []string) ml.Vector {
-		vals := make([]data.Value, len(attrs))
-		for i, a := range attrs {
-			vals[i] = valueThrough(e.env, relName, t, a, rel.Schema.Index(a))
-		}
-		return e.embeds.Embed(vals)
+	embed := func(rel *data.Relation, t *data.Tuple, cols []int) ml.Vector {
+		return e.embeds.Embed(e.env.Values(rel, t, cols))
 	}
-	tuplesS := e.partitionOf(relS, p.S, opts).Tuples
+	dirtyT, dirtyS := opts.Dirty[relT.Schema.Name], opts.Dirty[relS.Schema.Name]
+	tuplesS := e.partitionOf(fr, p.SSlot, opts).Tuples
 	b := ml.NewBlocker(e.lsh)
 	byID := make(map[int]*data.Tuple, len(tuplesS))
 	for _, s := range tuplesS {
 		byID[s.TID] = s
-		b.Add(s.TID, embed(relS, relSName, s, p.Bs))
+		b.Add(s.TID, embed(relS, s, p.BsCols))
 	}
 	out := make([][2]*data.Tuple, 0)
-	for _, t := range e.partitionOf(relT, p.T, opts).Tuples {
-		for _, sid := range b.CandidatesOf(embed(relT, relTName, t, p.As), -1) {
+	for _, t := range e.partitionOf(fr, p.TSlot, opts).Tuples {
+		for _, sid := range b.CandidatesOf(embed(relT, t, p.AsCols), -1) {
 			s := byID[sid]
-			if dirtyOK(opts, r, p.T, t, p.S, s) {
+			// Under a dirty filter, at least one of the two must be dirty.
+			if opts.Dirty == nil || dirtyT[t.TID] || dirtyS[s.TID] {
 				out = append(out, [2]*data.Tuple{t, s})
 			}
 		}
@@ -688,88 +705,35 @@ func (e *Executor) blockPairs(r *ree.Rule, p *predicate.Predicate, opts Options)
 	return out
 }
 
-// partitionOf is the block varName ranges over: its RestrictVar block, or
-// the whole relation as the cache's one block of it.
-func (e *Executor) partitionOf(rel *data.Relation, varName string, opts Options) crystal.Block {
-	if part, ok := opts.RestrictVar[varName]; ok {
+// partitionOf is the block slot ranges over: its variable's RestrictVar
+// block, or the whole relation as the cache's one block of it.
+func (e *Executor) partitionOf(fr *predicate.Frame, slot int, opts Options) crystal.Block {
+	if part, ok := opts.RestrictVar[fr.Vars[slot]]; ok {
 		return part
 	}
-	return e.cols.Blocks(rel, 1)[0]
-}
-
-// dirtyOK applies the incremental-mode filter: at least one of the two
-// tuples must be dirty when a dirty set is supplied.
-func dirtyOK(opts Options, r *ree.Rule, v1 string, t1 *data.Tuple, v2 string, t2 *data.Tuple) bool {
-	if opts.Dirty == nil {
-		return true
-	}
-	if d := opts.Dirty[r.RelOf(v1)]; d != nil && d[t1.TID] {
-		return true
-	}
-	if d := opts.Dirty[r.RelOf(v2)]; d != nil && d[t2.TID] {
-		return true
-	}
-	return false
+	return e.cols.Blocks(fr.Rels[slot], 1)[0]
 }
 
 // probeJoin, during recursive binding, returns a filtered candidate list
-// for atom a when some already-bound variable is linked to it by an
-// equality predicate. It filters the variable's constant-pushdown
-// candidate list with one posting-list intersection (probeJoinVec), so
-// tuples already eliminated by single-variable predicates are never
-// re-enumerated. probed is false when no equality applies; otherwise
-// list is pool scratch the caller must release.
-func (e *Executor) probeJoin(r *ree.Rule, a ree.Atom, bound map[string]bool, h *predicate.Valuation,
-	cands map[string]crystal.Block) (list []*data.Tuple, probed bool, err error) {
-	rel := e.env.DB.Rel(a.Rel)
-	if rel == nil {
-		return nil, false, nil
-	}
-	for _, p := range r.X {
-		if p.Kind != predicate.KAttr || p.Op != predicate.Eq {
-			continue
-		}
-		var boundVar, boundAttr, freeAttr string
-		switch {
-		case p.S == a.Var && bound[p.T]:
-			boundVar, boundAttr, freeAttr = p.T, p.A, p.B
-		case p.T == a.Var && bound[p.S]:
-			boundVar, boundAttr, freeAttr = p.S, p.B, p.A
-		default:
-			continue
-		}
-		b := h.Tuples[boundVar]
-		brel := e.env.DB.Rel(b.Rel)
-		if brel == nil {
-			continue
-		}
-		v := valueThrough(e.env, b.Rel, b.Tuple, boundAttr, brel.Schema.Index(boundAttr))
+// for level lv's slot when an equality predicate links an already-bound
+// slot to it (lv.probes, in X order; one whose bound value is null is
+// skipped). It filters the slot's constant-pushdown candidate list with
+// one posting-list intersection (probeJoinVec), so tuples already
+// eliminated by single-variable predicates are never re-enumerated.
+// probed is false when no equality applies; otherwise list is pool
+// scratch the caller must release.
+func (e *Executor) probeJoin(fr *predicate.Frame, lv *level, h *predicate.Valuation,
+	cands crystal.Block) (list []*data.Tuple, probed bool, err error) {
+	for _, pr := range lv.probes {
+		v := e.env.Value(fr.Rels[pr.boundSlot], h.Tuples[pr.boundSlot], pr.boundCol)
 		if v.IsNull() {
 			continue
 		}
-		fi := rel.Schema.Index(freeAttr)
-		if fi < 0 {
-			continue
-		}
-		list, err = e.probeJoinVec(a.Rel, cands[a.Var], e.internedCol(a.Rel, freeAttr), v, freeAttr, fi)
+		rel := fr.Rels[lv.slot]
+		list, err = e.probeJoinVec(rel, cands, e.internedCol(rel, pr.freeAttr), v, pr.freeCol)
 		return list, err == nil, err
 	}
 	return nil, false, nil
-}
-
-// valueThrough reads t[attr] through the env's ValueOf hook when present.
-func valueThrough(env *predicate.Env, rel string, t *data.Tuple, attr string, idx int) data.Value {
-	if env.ValueOf != nil {
-		v, ok := env.ValueOf(rel, t, attr)
-		if !ok {
-			return data.Value{}
-		}
-		return v
-	}
-	if idx < 0 || idx >= len(t.Values) {
-		return data.Value{}
-	}
-	return t.Values[idx]
 }
 
 // PlanAtoms returns r's tuple atoms as the HyperCube planner

@@ -51,7 +51,7 @@ func countViolations(t *testing.T, env *predicate.Env, r *ree.Rule, opts Options
 	e := New(env)
 	n := 0
 	_, err := e.Run(r, opts, func(h *predicate.Valuation) bool {
-		ok, err := r.P0.Eval(env, h)
+		ok, err := h.Frame.P0.Eval(env, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,13 +215,12 @@ func TestExecutorErrors(t *testing.T) {
 // fixedMfg makes every mfg read as "Fixed" through a ValueOf hook and
 // returns the shadow set of the tuples it changes: all of them.
 func fixedMfg(env *predicate.Env, rel *data.Relation) map[string]map[int]bool {
-	env.ValueOf = func(relName string, tp *data.Tuple, attr string) (data.Value, bool) {
+	env.ValueOf = byName(func(relName string, tp *data.Tuple, attr string) data.Value {
 		if attr == "mfg" {
-			return data.S("Fixed"), true
+			return data.S("Fixed")
 		}
-		i := rel.Schema.Index(attr)
-		return tp.Values[i], true
-	}
+		return tp.Values[rel.Schema.Index(attr)]
+	})
 	shadow := map[int]bool{}
 	for _, tp := range rel.Tuples {
 		shadow[tp.TID] = true
@@ -238,7 +237,7 @@ func TestValueOfHookRespected(t *testing.T) {
 	r := must.Rule("Trans(t) ^ Trans(s) ^ t.com = s.com -> t.mfg = s.mfg", env.DB)
 	violations := 0
 	if _, err := e.Run(r, Options{}, func(h *predicate.Valuation) bool {
-		if ok, err := r.P0.Eval(env, h); err != nil || !ok {
+		if ok, err := h.Frame.P0.Eval(env, h); err != nil || !ok {
 			violations++
 		}
 		return true

@@ -26,7 +26,7 @@ import (
 // cells first). The chase therefore registers shadow tracking — the set
 // of TIDs whose view may differ from raw data (seeded from Γ, extended
 // after every merge step) — and the hot paths read exactly those tuples
-// through valueThrough. A ValueOf hook without shadow tracking is an
+// through the hook (predicate.Env.Value). A ValueOf hook without shadow tracking is an
 // error: Run cannot tell which tuples the hook changes.
 type internIndex struct {
 	mu sync.RWMutex
@@ -152,12 +152,8 @@ func (e *Executor) shadowOf(rel string) map[int]bool {
 // internedCol returns the column for (rel, attr), current at the
 // relation's mutation count: the cache encodes it on first use, and again
 // after a write it was not told about, counting the build here. Nil when
-// the relation or attribute is unknown.
-func (e *Executor) internedCol(relName, attr string) *crystal.Column {
-	rel := e.env.DB.Rel(relName)
-	if rel == nil {
-		return nil
-	}
+// the attribute is unknown.
+func (e *Executor) internedCol(rel *data.Relation, attr string) *crystal.Column {
 	col, built := e.cols.Column(rel, attr)
 	if built {
 		e.reg.Inc("exec.columns.built")

@@ -35,8 +35,8 @@ func TestExecutorVertexAtoms(t *testing.T) {
 	st, err := e.Run(r, Options{}, func(h *predicate.Valuation) bool {
 		matches++
 		// The only X-satisfying valuation binds s1 to the Huawei vertex.
-		if h.Tuples["t"].Tuple.EID != "s1" {
-			t.Errorf("wrong tuple bound: %s", h.Tuples["t"].Tuple.EID)
+		if h.Tuples[0].EID != "s1" {
+			t.Errorf("wrong tuple bound: %s", h.Tuples[0].EID)
 		}
 		return true
 	})

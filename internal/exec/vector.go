@@ -12,7 +12,7 @@ package exec
 // relation's current mutation count, so every live TID has an id and no
 // posting list holds a deleted TID; the tuples the kernels cannot decide
 // are the view-sensitive shadowed ones, which take the per-tuple
-// semantics (keepFasts, valueThrough), never silently dropped.
+// semantics (keepFasts, predicate.Env.Value), never silently dropped.
 
 import (
 	mathbits "math/bits"
@@ -22,7 +22,6 @@ import (
 	"github.com/rockclean/rock/internal/crystal"
 	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/predicate"
-	"github.com/rockclean/rock/internal/ree"
 )
 
 // heavyPostingLen is the posting-list length above which the posting
@@ -33,7 +32,7 @@ const heavyPostingLen = 64
 // idFilter is one interned single-variable filter: an id compare over
 // the dense column.
 type idFilter struct {
-	p       *predicate.Predicate
+	p       *predicate.Compiled
 	col     *crystal.Column
 	cid     crystal.ValueID // interned constant (KConst)
 	hasCID  bool
@@ -46,13 +45,13 @@ type idFilter struct {
 // kind of position the kernels cannot decide: view-sensitive filters (and
 // a TID without an id) evaluate the predicate itself; the rest compare
 // ids.
-func (e *Executor) keepFasts(a ree.Atom, t *data.Tuple, fasts []idFilter,
+func (e *Executor) keepFasts(slot int, t *data.Tuple, fasts []idFilter,
 	shadow map[int]bool, h *predicate.Valuation) (bool, error) {
 	for fi := range fasts {
 		f := &fasts[fi]
 		id, okID := f.col.IDAt(t.TID)
 		if !okID || (f.viewed && shadow != nil && shadow[t.TID]) {
-			h.Bind(a.Var, a.Rel, t)
+			h.Tuples[slot] = t
 			ok, err := f.p.Eval(e.env, h)
 			if err != nil {
 				return false, err
@@ -83,10 +82,10 @@ func (e *Executor) keepFasts(a ree.Atom, t *data.Tuple, fasts []idFilter,
 
 // evalAll evaluates the non-interned single-variable predicates on one
 // kernel survivor.
-func (e *Executor) evalAll(a ree.Atom, t *data.Tuple, preds []*predicate.Predicate,
+func (e *Executor) evalAll(slot int, t *data.Tuple, preds []*predicate.Compiled,
 	h *predicate.Valuation) (bool, error) {
+	h.Tuples[slot] = t
 	for _, p := range preds {
-		h.Bind(a.Var, a.Rel, t)
 		ok, err := p.Eval(e.env, h)
 		if err != nil {
 			return false, err
@@ -109,8 +108,8 @@ func (e *Executor) evalAll(a ree.Atom, t *data.Tuple, preds []*predicate.Predica
 //     and compose SelectEq/SelectNe word-at-a-time kernels. With no
 //     interned filter at all every bit stays set and the ordered
 //     compares in slows decide each tuple.
-func (e *Executor) candidatesVec(a ree.Atom, block crystal.Block,
-	fasts []idFilter, slows []*predicate.Predicate, shadow map[int]bool) (out crystal.Block, err error) {
+func (e *Executor) candidatesVec(fr *predicate.Frame, slot int, block crystal.Block,
+	fasts []idFilter, slows []*predicate.Compiled, shadow map[int]bool) (out crystal.Block, err error) {
 	tids, pooledTids, err := tidsOf(block)
 	if err != nil {
 		return out, err
@@ -120,7 +119,7 @@ func (e *Executor) candidatesVec(a ree.Atom, block crystal.Block,
 	}
 	base := block.Tuples
 	n := len(base)
-	h := predicate.NewValuation()
+	h := fr.NewValuation()
 
 	viewed := false
 	postingOK := len(fasts) > 0
@@ -139,7 +138,7 @@ func (e *Executor) candidatesVec(a ree.Atom, block crystal.Block,
 	var shadowPos []int32
 	var shadowBuf []int32
 	if viewed && shadow != nil {
-		shadowBuf = crystal.IntersectPositions(getPosBuf(), e.shadowSortedOf(a.Rel), tids)
+		shadowBuf = crystal.IntersectPositions(getPosBuf(), e.shadowSortedOf(fr.Rels[slot].Schema.Name), tids)
 		shadowPos = shadowBuf
 	}
 	defer func() {
@@ -149,7 +148,7 @@ func (e *Executor) candidatesVec(a ree.Atom, block crystal.Block,
 	}()
 
 	if postingOK {
-		out, err = e.postingSelect(a, base, tids, fasts, slows, shadowPos, shadow, h)
+		out, err = e.postingSelect(slot, base, tids, fasts, slows, shadowPos, shadow, h)
 		if err != nil {
 			return out, err
 		}
@@ -202,7 +201,7 @@ func (e *Executor) candidatesVec(a ree.Atom, block crystal.Block,
 	// Shadowed positions take the per-tuple semantics, whatever the
 	// kernels decided for their bit.
 	for _, pos := range shadowPos {
-		keep, kerr := e.keepFasts(a, base[pos], fasts, shadow, h)
+		keep, kerr := e.keepFasts(slot, base[pos], fasts, shadow, h)
 		if kerr != nil {
 			free()
 			return out, kerr
@@ -223,7 +222,7 @@ func (e *Executor) candidatesVec(a ree.Atom, block crystal.Block,
 			t := base[pos]
 			keep := true
 			if len(slows) > 0 {
-				keep, err = e.evalAll(a, t, slows, h)
+				keep, err = e.evalAll(slot, t, slows, h)
 				if err != nil {
 					free()
 					putTupleBuf(out.Tuples)
@@ -249,8 +248,8 @@ func (e *Executor) candidatesVec(a ree.Atom, block crystal.Block,
 // partition TID array and merges shadowed positions back in ascending
 // position order. Precondition (checked by candidatesVec): every filter
 // is KNull or KConst-Eq.
-func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
-	fasts []idFilter, slows []*predicate.Predicate, shadowPos []int32,
+func (e *Executor) postingSelect(slot int, base []*data.Tuple, tids []int,
+	fasts []idFilter, slows []*predicate.Compiled, shadowPos []int32,
 	shadow map[int]bool, h *predicate.Valuation) (crystal.Block, error) {
 	lists := make([][]int, 0, len(fasts))
 	empty := false
@@ -289,51 +288,51 @@ func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
 		}
 	}
 	out := crystal.Block{Tuples: getTupleBuf(), TIDs: getIntBuf()}
-	i, j := 0, 0
-	for i < len(matchPos) || j < len(shadowPos) {
-		var pos int32
-		fromShadow := false
-		switch {
-		case j >= len(shadowPos):
-			pos = matchPos[i]
-			i++
-		case i >= len(matchPos):
-			pos = shadowPos[j]
-			j++
-			fromShadow = true
-		case matchPos[i] < shadowPos[j]:
-			pos = matchPos[i]
-			i++
-		default:
-			pos = shadowPos[j]
-			j++
-			fromShadow = true
-			if i < len(matchPos) && matchPos[i] == pos {
-				i++ // shadowed position: the view value decides, not the posting
-			}
-		}
+	err := mergeShadowed(matchPos, shadowPos, func(pos int32, shadowed bool) (err error) {
 		t := base[pos]
 		keep := true
-		var err error
-		if fromShadow {
-			keep, err = e.keepFasts(a, t, fasts, shadow, h)
+		if shadowed {
+			keep, err = e.keepFasts(slot, t, fasts, shadow, h)
 		}
 		if err == nil && keep && len(slows) > 0 {
-			keep, err = e.evalAll(a, t, slows, h)
+			keep, err = e.evalAll(slot, t, slows, h)
 		}
-		if err != nil {
-			free()
-			putTupleBuf(out.Tuples)
-			putIntBuf(out.TIDs)
-			return crystal.Block{}, err
-		}
-		if keep {
+		if err == nil && keep {
 			out.Tuples = append(out.Tuples, t)
 			out.TIDs = append(out.TIDs, tids[pos])
 		}
-	}
+		return err
+	})
 	free()
+	if err != nil {
+		putTupleBuf(out.Tuples)
+		putIntBuf(out.TIDs)
+		return crystal.Block{}, err
+	}
 	return out, nil
+}
+
+// mergeShadowed calls fn once per position of matched or shadow (both
+// ascending), in ascending order; a position in both comes once, as
+// shadowed: its view value decides, not the raw posting.
+func mergeShadowed(matched, shadow []int32, fn func(pos int32, shadowed bool) error) error {
+	for i, j := 0, 0; i < len(matched) || j < len(shadow); {
+		var err error
+		if j < len(shadow) && (i >= len(matched) || shadow[j] <= matched[i]) {
+			if i < len(matched) && matched[i] == shadow[j] {
+				i++
+			}
+			err = fn(shadow[j], true)
+			j++
+		} else {
+			err = fn(matched[i], false)
+			i++
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // postingJoin enumerates the id-compare equijoin t.A = s.B from colB's
@@ -341,13 +340,13 @@ func (e *Executor) postingSelect(a ree.Atom, base []*data.Tuple, tids []int,
 // bucket's posting list intersected (galloping) with the s-candidates'
 // TID array — no per-unit hash index is ever built, and the partition
 // intersection of dense buckets is memoised across probes. Shadowed
-// tuples on either side read through the view (valueThrough, dictionary
+// tuples on either side read through the view (predicate.Env.Value, dictionary
 // probe, string-keyed overflow for values colB never interned). Under a
 // dirty filter the walk visits only the t that can pair (dirtyVisits).
 // The pairs are pool scratch.
-func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
-	blockT, blockS crystal.Block, colA, colB *crystal.Column, ai, bi int,
-	relS *data.Relation) ([][2]*data.Tuple, error) {
+func (e *Executor) postingJoin(p *predicate.Compiled, opts Options,
+	blockT, blockS crystal.Block, colA, colB *crystal.Column,
+	relT, relS *data.Relation) ([][2]*data.Tuple, error) {
 	tTIDs, tPooled, err := tidsOf(blockT)
 	if err != nil {
 		return nil, err
@@ -361,7 +360,8 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 	}
 	tuplesT, tuplesS := blockT.Tuples, blockS.Tuples
 
-	relTName, relSName := r.RelOf(p.T), r.RelOf(p.S)
+	ai, bi := p.ACol, p.BCol
+	relTName, relSName := relT.Schema.Name, relS.Schema.Name
 	shadowT := e.shadowOf(relTName)
 	shadowS := e.shadowOf(relSName)
 
@@ -382,7 +382,7 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 		for _, pos := range sShadowBuf {
 			sShadowBits[pos/64] |= 1 << (uint(pos) % 64)
 			s := tuplesS[pos]
-			v := valueThrough(e.env, relSName, s, p.B, bi)
+			v := e.env.Value(relS, s, bi)
 			if v.IsNull() {
 				continue
 			}
@@ -447,7 +447,7 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 		visit, sparse = e.dirtyVisits(tTIDs, tShadowPos, dirtyT, dirtyS, sTIDs, func(pos int32) data.Value {
 			s := tuplesS[pos]
 			if sShadowed(pos) {
-				return valueThrough(e.env, relSName, s, p.B, bi)
+				return e.env.Value(relS, s, bi)
 			}
 			return s.Values[bi]
 		}, colA)
@@ -557,7 +557,7 @@ func (e *Executor) postingJoin(r *ree.Rule, p *predicate.Predicate, opts Options
 			// in colA (a tuple not in the relation) on its raw value.
 			v := t.Values[ai]
 			if shadowed {
-				v = valueThrough(e.env, relTName, t, p.A, ai)
+				v = e.env.Value(relT, t, ai)
 			}
 			if v.IsNull() {
 				continue
@@ -670,8 +670,8 @@ func appendDirtyPositions(dst []int32, dirty map[int]bool, tids []int) []int32 {
 // tuples whose freeAttr equals v via one posting-list intersection
 // instead of a per-tuple scan; shadowed tuples compare their view value.
 // The result is pool scratch.
-func (e *Executor) probeJoinVec(aRel string, block crystal.Block,
-	col *crystal.Column, v data.Value, freeAttr string, fi int) ([]*data.Tuple, error) {
+func (e *Executor) probeJoinVec(rel *data.Relation, block crystal.Block,
+	col *crystal.Column, v data.Value, fi int) ([]*data.Tuple, error) {
 	base := block.Tuples
 	tids, pooled, err := tidsOf(block)
 	if err != nil {
@@ -694,40 +694,17 @@ func (e *Executor) probeJoinVec(aRel string, block crystal.Block,
 		matched = matchBuf
 	}
 	var shPos []int32
-	if sh := e.shadowSortedOf(aRel); len(sh) > 0 {
+	if sh := e.shadowSortedOf(rel.Schema.Name); len(sh) > 0 {
 		shBuf = crystal.IntersectPositions(getPosBuf(), sh, tids)
 		shPos = shBuf
 	}
 	out := getTupleBuf()
-	i, j := 0, 0
-	for i < len(matched) || j < len(shPos) {
-		var pos int32
-		fromShadow := false
-		switch {
-		case j >= len(shPos):
-			pos = matched[i]
-			i++
-		case i >= len(matched):
-			pos = shPos[j]
-			j++
-			fromShadow = true
-		case matched[i] < shPos[j]:
-			pos = matched[i]
-			i++
-		default:
-			pos = shPos[j]
-			j++
-			fromShadow = true
-			if i < len(matched) && matched[i] == pos {
-				i++ // shadowed: the view value decides, not the raw posting
-			}
+	_ = mergeShadowed(matched, shPos, func(pos int32, shadowed bool) error {
+		if t := base[pos]; !shadowed || e.env.Value(rel, t, fi).Equal(v) {
+			out = append(out, t)
 		}
-		t := base[pos]
-		if fromShadow && !valueThrough(e.env, aRel, t, freeAttr, fi).Equal(v) {
-			continue
-		}
-		out = append(out, t)
-	}
+		return nil
+	})
 	e.reg.Inc("exec.vec.probe_selects")
 	return out, nil
 }

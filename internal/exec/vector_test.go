@@ -23,6 +23,17 @@ import (
 // the executor used to have (128 and 4096).
 var equivSizes = []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 4097}
 
+// byName adapts a hook written over relation and attribute names to the
+// env's (relation, tuple, column) ValueOf.
+func byName(f func(rel string, tp *data.Tuple, attr string) data.Value) func(*data.Relation, *data.Tuple, int) data.Value {
+	return func(r *data.Relation, tp *data.Tuple, col int) data.Value {
+		if col < 0 {
+			return data.Value{}
+		}
+		return f(r.Schema.Name, tp, r.Schema.Attrs[col].Name)
+	}
+}
+
 func rawValue(env *predicate.Env, rel string, tp *data.Tuple, attr string) data.Value {
 	return tp.Values[env.DB.Rel(rel).Schema.Index(attr)]
 }
@@ -30,11 +41,8 @@ func rawValue(env *predicate.Env, rel string, tp *data.Tuple, attr string) data.
 // viewValue reads tp[attr] as the executor must see it: through the
 // env's ValueOf hook when it has one, raw otherwise.
 func viewValue(env *predicate.Env, rel string, tp *data.Tuple, attr string) data.Value {
-	if env.ValueOf != nil {
-		v, _ := env.ValueOf(rel, tp, attr)
-		return v
-	}
-	return rawValue(env, rel, tp, attr)
+	r := env.DB.Rel(rel)
+	return env.Value(r, tp, r.Schema.Index(attr))
 }
 
 // emissionTrace runs a rule and records the TIDs of every emitted
@@ -43,8 +51,8 @@ func emissionTrace(t testing.TB, e *Executor, r *ree.Rule, opts Options) []int {
 	t.Helper()
 	var trace []int
 	_, err := e.Run(r, opts, func(h *predicate.Valuation) bool {
-		for _, a := range r.Atoms {
-			trace = append(trace, h.Tuples[a.Var].Tuple.TID)
+		for _, tp := range h.Tuples {
+			trace = append(trace, tp.TID)
 		}
 		return true
 	})
@@ -104,15 +112,15 @@ func shadowRegions(env *predicate.Env) map[string]map[int]bool {
 			shadow[tp.TID] = true
 		}
 	}
-	env.ValueOf = func(rel string, tp *data.Tuple, attr string) (data.Value, bool) {
+	env.ValueOf = byName(func(rel string, tp *data.Tuple, attr string) data.Value {
 		switch {
 		case attr == "region" && tp.TID%5 == 0:
-			return data.S("R7"), true
+			return data.S("R7")
 		case attr == "region" && tp.TID%30 == 7:
-			return data.S("R1"), true
+			return data.S("R1")
 		}
-		return rawValue(env, rel, tp, attr), true
-	}
+		return rawValue(env, rel, tp, attr)
+	})
 	return map[string]map[int]bool{"Ev": shadow}
 }
 
@@ -183,17 +191,17 @@ func joinEnv(t *testing.T, nA, nB int) *predicate.Env {
 // only each other, through the overflow index), and B4 moves onto 3, a
 // value B's dictionary has (merged into that bucket by position).
 func shadowNumeric(env *predicate.Env) map[string]map[int]bool {
-	env.ValueOf = func(rel string, tp *data.Tuple, attr string) (data.Value, bool) {
+	env.ValueOf = byName(func(rel string, tp *data.Tuple, attr string) data.Value {
 		switch {
 		case rel == "A" && tp.TID == 0:
-			return data.I(1234567), true
+			return data.I(1234567)
 		case rel == "A" && tp.TID == 1, rel == "B" && tp.TID == 2:
-			return data.F(777777.25), true
+			return data.F(777777.25)
 		case rel == "B" && tp.TID == 4:
-			return data.F(3), true
+			return data.F(3)
 		}
-		return rawValue(env, rel, tp, attr), true
-	}
+		return rawValue(env, rel, tp, attr)
+	})
 	return map[string]map[int]bool{"A": {0: true, 1: true}, "B": {2: true, 4: true}}
 }
 

@@ -14,85 +14,136 @@ import (
 // same quantity from smoothed co-occurrence statistics (pointwise mutual
 // information mapped through a sigmoid), which exercises the identical
 // predicate contract Mc(t[A̅], t[B]=c) ≥ δ.
+//
+// Train interns every (attribute, value) cell it sees to a dense id, the
+// value taken by its canonical form (data.Value.Canon, which agrees with
+// data.Value.Key), so a lookup hashes no string it builds: counts are
+// indexed by id and pair counts keyed by two ids packed in a uint64. A
+// trained model is read-only, and safe for concurrent Strength calls.
 type CorrelationModel struct {
 	ModelName string
 	Schema    *data.Schema
 
-	// pairCount[aIdx][aVal|bIdx|bVal] counts co-occurrences of attribute
-	// values across trained tuples.
-	pairCount map[string]float64
-	valCount  map[string]float64
+	// ids interns cells; valCount[id] counts a cell, and
+	// pairCount[pairKey(a, b)] the co-occurrences of cells a and b, a's
+	// attribute the lower index.
+	ids       map[cell]uint32
+	valCount  []float64
+	pairCount map[uint64]float64
 	total     float64
+}
+
+// cell is an (attribute, value) cell, the value by its canonical form.
+type cell struct {
+	attr int
+	v    data.Canon
 }
 
 // NewCorrelationModel creates an untrained model for the schema.
 func NewCorrelationModel(name string, schema *data.Schema) *CorrelationModel {
-	return &CorrelationModel{
-		ModelName: name,
-		Schema:    schema,
-		pairCount: make(map[string]float64),
-		valCount:  make(map[string]float64),
-	}
+	return &CorrelationModel{ModelName: name, Schema: schema, ids: make(map[cell]uint32), pairCount: make(map[uint64]float64)}
 }
 
 // Name identifies the model inside rule text, e.g. "M_c".
 func (m *CorrelationModel) Name() string { return m.ModelName }
 
-func cellKey(attrIdx int, v data.Value) string {
-	return string(rune('A'+attrIdx)) + "\x1f" + v.Key()
+func pairKey(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
+
+// intern returns the id of cell (attr, v), assigning the next one on
+// first sight.
+func (m *CorrelationModel) intern(attr int, v data.Value) uint32 {
+	k := cell{attr, v.Canon()}
+	id, ok := m.ids[k]
+	if !ok {
+		id = uint32(len(m.valCount))
+		m.ids[k] = id
+		m.valCount = append(m.valCount, 0)
+	}
+	return id
+}
+
+// count returns the id and count of cell (attr, v); count 0 for a null or
+// never-trained value.
+func (m *CorrelationModel) count(attr int, v data.Value) (uint32, float64) {
+	if v.IsNull() {
+		return 0, 0
+	}
+	id, ok := m.ids[cell{attr, v.Canon()}]
+	if !ok {
+		return 0, 0
+	}
+	return id, m.valCount[id]
 }
 
 // Train ingests tuples (typically the validated portion of the data plus
 // accumulated ground truth) and tallies value co-occurrence.
 func (m *CorrelationModel) Train(tuples []*data.Tuple) {
+	var ids []uint32 // the tuple's non-null cells, in attribute order
 	for _, t := range tuples {
 		m.total++
+		ids = ids[:0]
 		for i, v := range t.Values {
-			if v.IsNull() {
-				continue
+			if !v.IsNull() {
+				id := m.intern(i, v)
+				m.valCount[id]++
+				ids = append(ids, id)
 			}
-			ki := cellKey(i, v)
-			m.valCount[ki]++
-			for j := i + 1; j < len(t.Values); j++ {
-				w := t.Values[j]
-				if w.IsNull() {
-					continue
-				}
-				m.pairCount[ki+"\x1e"+cellKey(j, w)]++
+		}
+		for i, ki := range ids {
+			for _, kj := range ids[i+1:] {
+				m.pairCount[pairKey(ki, kj)]++
 			}
 		}
 	}
 }
 
-// pairStrength returns the smoothed PMI-derived strength for one attribute
-// pair, mapped to [0, 1].
-func (m *CorrelationModel) pairStrength(ai int, av data.Value, bi int, bv data.Value) float64 {
-	if m.total == 0 || av.IsNull() || bv.IsNull() {
-		return 0
+// anchor is one anchor cell of a tuple: its attribute, id and count.
+type anchor struct {
+	attr  int
+	id    uint32
+	count float64
+}
+
+// Anchors are a tuple's anchor cells for one target attribute, resolved
+// to ids once: scoring several candidates against one tuple (Suggest, the
+// two sides of a conflict) looks each anchor up once.
+type Anchors struct {
+	b     int
+	cells []anchor
+}
+
+// Anchors resolves t's anchors for attribute bIdx: every non-null
+// attribute but bIdx, as Strength's nil anchors. A nil model has none.
+func (m *CorrelationModel) Anchors(t *data.Tuple, bIdx int) Anchors {
+	if m == nil {
+		return Anchors{}
 	}
-	ka, kb := cellKey(ai, av), cellKey(bi, bv)
-	var joint float64
-	if ai < bi {
-		joint = m.pairCount[ka+"\x1e"+kb]
+	return Anchors{b: bIdx, cells: m.appendAnchors(make([]anchor, 0, len(t.Values)), t, nil, bIdx)}
+}
+
+// appendAnchors appends the anchor cells of t for bIdx: the attributes in
+// attrs (nil: all), less bIdx, nulls and — since a near-unique key
+// "co-occurs" perfectly with whatever happens to sit in its row, drowning
+// the informative correlations — values seen fewer than twice.
+func (m *CorrelationModel) appendAnchors(dst []anchor, t *data.Tuple, attrs []int, bIdx int) []anchor {
+	add := func(ai int) {
+		if ai == bIdx || ai < 0 || ai >= len(t.Values) {
+			return
+		}
+		if id, n := m.count(ai, t.Values[ai]); n >= 2 {
+			dst = append(dst, anchor{ai, id, n})
+		}
+	}
+	if attrs == nil {
+		for ai := range t.Values {
+			add(ai)
+		}
 	} else {
-		joint = m.pairCount[kb+"\x1e"+ka]
+		for _, ai := range attrs {
+			add(ai)
+		}
 	}
-	ca, cb := m.valCount[ka], m.valCount[kb]
-	if ca == 0 || cb == 0 {
-		return 0
-	}
-	// A candidate value observed fewer than twice has no statistical
-	// support: raw PMI would reward exactly such one-off co-occurrences
-	// (a corrupted value trivially "co-occurs" with its own row), so the
-	// model abstains instead.
-	if cb < 2 {
-		return 0
-	}
-	// Smoothed PMI: log P(a,b)/(P(a)P(b)); sigmoid-squashed. Conditional
-	// support P(b|a) is blended in so deterministic associations score near 1.
-	pmi := math.Log(((joint + 0.1) / m.total) / (((ca / m.total) * (cb / m.total)) + 1e-12))
-	cond := joint / ca
-	return clamp01(0.5*sigmoid(pmi) + 0.5*cond)
+	return dst
 }
 
 // Strength returns Mc(t[A̅], B=c): the average pair strength between each
@@ -100,41 +151,44 @@ func (m *CorrelationModel) pairStrength(ai int, av data.Value, bi int, bv data.V
 // bIdx. anchors is a set of attribute indices; pass nil for "all non-null
 // attributes except bIdx".
 func (m *CorrelationModel) Strength(t *data.Tuple, anchors []int, bIdx int, c data.Value) float64 {
-	if c.IsNull() {
+	var buf [16]anchor
+	return m.score(m.appendAnchors(buf[:0], t, anchors, bIdx), bIdx, c)
+}
+
+// StrengthAt is Strength over anchors resolved by Anchors; 0 for a nil
+// model.
+func (m *CorrelationModel) StrengthAt(a Anchors, c data.Value) float64 {
+	if m == nil {
 		return 0
 	}
-	if anchors == nil {
-		for i, v := range t.Values {
-			if i != bIdx && !v.IsNull() {
-				anchors = append(anchors, i)
-			}
-		}
-	}
-	if len(anchors) == 0 {
+	return m.score(a.cells, a.b, c)
+}
+
+// score averages the smoothed PMI-derived pair strength, mapped to [0, 1],
+// of c for attribute bIdx with each anchor. A candidate value observed
+// fewer than twice has no statistical support: raw PMI would reward
+// exactly such one-off co-occurrences (a corrupted value trivially
+// "co-occurs" with its own row), so the model abstains instead.
+func (m *CorrelationModel) score(anchors []anchor, bIdx int, c data.Value) float64 {
+	cid, cb := m.count(bIdx, c)
+	if cb < 2 || len(anchors) == 0 {
 		return 0
 	}
-	sum, n := 0.0, 0
-	for _, ai := range anchors {
-		if ai == bIdx || ai >= len(t.Values) {
-			continue
+	sum := 0.0
+	for _, a := range anchors {
+		key := pairKey(a.id, cid)
+		if a.attr > bIdx {
+			key = pairKey(cid, a.id)
 		}
-		av := t.Values[ai]
-		if av.IsNull() {
-			continue
-		}
-		// Anchors whose value occurs once carry no statistical support —
-		// a near-unique key "co-occurs" perfectly with whatever happens to
-		// sit in its row, drowning the informative correlations.
-		if m.valCount[cellKey(ai, av)] < 2 {
-			continue
-		}
-		sum += m.pairStrength(ai, av, bIdx, c)
-		n++
+		joint := m.pairCount[key]
+		// Smoothed PMI: log P(a,b)/(P(a)P(b)); sigmoid-squashed. Conditional
+		// support P(b|a) is blended in so deterministic associations score
+		// near 1.
+		pmi := math.Log(((joint + 0.1) / m.total) / (((a.count / m.total) * (cb / m.total)) + 1e-12))
+		cond := joint / a.count
+		sum += clamp01(0.5*sigmoid(pmi) + 0.5*cond)
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return sum / float64(len(anchors))
 }
 
 func clamp01(x float64) float64 {
@@ -157,7 +211,8 @@ func clamp01(x float64) float64 {
 type ValuePredictor struct {
 	ModelName string
 	Corr      *CorrelationModel
-	// Candidates caches the distinct observed values per attribute index.
+	// candidates holds the distinct observed values per attribute index,
+	// sorted by key: the deterministic tie-break order.
 	candidates map[int][]data.Value
 }
 
@@ -181,7 +236,14 @@ func NewValuePredictor(name string, corr *CorrelationModel, trained []*data.Tupl
 			}
 		}
 	}
+	for _, cands := range vp.candidates {
+		sortByKey(cands)
+	}
 	return vp
+}
+
+func sortByKey(vs []data.Value) {
+	sort.Slice(vs, func(i, j int) bool { return vs[i].Key() < vs[j].Key() })
 }
 
 // Name identifies the model inside rule text, e.g. "M_d".
@@ -191,26 +253,24 @@ func (vp *ValuePredictor) Name() string { return vp.ModelName }
 // strength; ok is false when no candidate clears zero strength. extra
 // candidates (e.g. from KG extraction) compete with observed values.
 func (vp *ValuePredictor) Suggest(t *data.Tuple, bIdx int, extra ...data.Value) (data.Value, float64, bool) {
-	cands := append([]data.Value(nil), vp.candidates[bIdx]...)
-	cands = append(cands, extra...)
+	cands := vp.candidates[bIdx]
+	if len(extra) > 0 {
+		cands = append(append([]data.Value(nil), cands...), extra...)
+		sortByKey(cands)
+	}
 	if len(cands) == 0 {
 		return data.Value{}, 0, false
 	}
-	type scored struct {
-		v data.Value
-		s float64
-	}
-	best := scored{s: -1}
-	// Deterministic tie-break: sort candidates by key first.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Key() < cands[j].Key() })
+	// Deterministic tie-break: the first best candidate in key order.
+	anchors := vp.Corr.Anchors(t, bIdx)
+	best, bestS := data.Value{}, -1.0
 	for _, c := range cands {
-		s := vp.Corr.Strength(t, nil, bIdx, c)
-		if s > best.s {
-			best = scored{c, s}
+		if s := vp.Corr.StrengthAt(anchors, c); s > bestS {
+			best, bestS = c, s
 		}
 	}
-	if best.s <= 0 {
+	if bestS <= 0 {
 		return data.Value{}, 0, false
 	}
-	return best.v, best.s, true
+	return best, bestS, true
 }

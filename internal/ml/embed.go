@@ -20,10 +20,10 @@
 package ml
 
 import (
-	"hash/fnv"
 	"math"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/rockclean/rock/internal/data"
 )
@@ -39,28 +39,72 @@ type Vector [EmbedDim]float64
 // Embed maps a string to a vector by hashing its character trigrams (plus
 // whole tokens) into buckets — the classic "hashing trick". Similar strings
 // share many n-grams and therefore land close in cosine space.
-func Embed(s string) Vector {
+func Embed(s string) Vector { return embedNormalized(normalize(s)) }
+
+// embedNormalized is Embed of a normalised string. Every gram — each 2-
+// and 3-rune window of the space-padded string, and each token wrapped
+// in '#' — is hashed in place (FNV-32a over its UTF-8 bytes), so no gram
+// string is ever built.
+func embedNormalized(s string) Vector {
 	var v Vector
-	s = normalize(s)
 	if s == "" {
 		return v
 	}
-	grams := append(ngrams(s, 2), ngrams(s, 3)...)
-	for _, tok := range strings.Fields(s) {
-		grams = append(grams, "#"+tok+"#")
-	}
-	for _, g := range grams {
-		h := fnv.New32a()
-		h.Write([]byte(g))
-		sum := h.Sum32()
-		idx := int(sum % EmbedDim)
+	add := func(sum uint32) {
 		sign := 1.0
 		if (sum>>16)&1 == 1 {
 			sign = -1.0
 		}
-		v[idx] += sign
+		v[sum%EmbedDim] += sign
+	}
+	var buf [64]rune
+	runes := append(buf[:0], ' ')
+	for _, r := range s {
+		runes = append(runes, r)
+	}
+	runes = append(runes, ' ')
+	for _, n := range [2]int{2, 3} {
+		if len(runes) < n {
+			add(hashRunes(runes))
+			continue
+		}
+		for i := 0; i+n <= len(runes); i++ {
+			add(hashRunes(runes[i : i+n]))
+		}
+	}
+	// normalize leaves the tokens joined by single spaces.
+	for start, i := 0, 0; i <= len(s); i++ {
+		if i == len(s) || s[i] == ' ' {
+			h := fnvByte(fnvOffset, '#')
+			for j := start; j < i; j++ {
+				h = fnvByte(h, s[j])
+			}
+			add(fnvByte(h, '#'))
+			start = i + 1
+		}
 	}
 	return v.Normalize()
+}
+
+// FNV-32a, inline.
+const (
+	fnvOffset uint32 = 2166136261
+	fnvPrime  uint32 = 16777619
+)
+
+func fnvByte(h uint32, b byte) uint32 { return (h ^ uint32(b)) * fnvPrime }
+
+// hashRunes is the FNV-32a hash of the UTF-8 encoding of runes.
+func hashRunes(runes []rune) uint32 {
+	h := fnvOffset
+	var enc [utf8.UTFMax]byte
+	for _, r := range runes {
+		n := utf8.EncodeRune(enc[:], r)
+		for _, b := range enc[:n] {
+			h = fnvByte(h, b)
+		}
+	}
+	return h
 }
 
 // EmbedValues embeds a vector of attribute values by averaging their
@@ -85,18 +129,6 @@ func EmbedValues(vals []data.Value) Vector {
 
 func normalize(s string) string {
 	return strings.Join(strings.Fields(strings.ToLower(s)), " ")
-}
-
-func ngrams(s string, n int) []string {
-	runes := []rune(" " + s + " ")
-	if len(runes) < n {
-		return []string{string(runes)}
-	}
-	out := make([]string, 0, len(runes)-n+1)
-	for i := 0; i+n <= len(runes); i++ {
-		out = append(out, string(runes[i:i+n]))
-	}
-	return out
 }
 
 // Add returns v + w.
@@ -156,7 +188,7 @@ func StringSim(a, b string) float64 {
 	if na == nb {
 		return 1
 	}
-	c := Cosine(Embed(a), Embed(b))
+	c := Cosine(embedNormalized(na), embedNormalized(nb))
 	if c < 0 {
 		c = 0
 	}

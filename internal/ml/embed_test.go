@@ -1,7 +1,10 @@
 package ml
 
 import (
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -118,5 +121,60 @@ func TestCachedModel(t *testing.T) {
 	}
 	if h, m := c.hits.Load(), c.misses.Load(); h+m != 3 || h != 2 {
 		t.Errorf("stats=%d/%d", h, h+m)
+	}
+}
+
+// embedByGramStrings is Embed as first written: every gram built as a
+// string and hashed with hash/fnv. The in-place hashing must agree with it
+// bit for bit.
+func embedByGramStrings(s string) Vector {
+	var v Vector
+	s = normalize(s)
+	if s == "" {
+		return v
+	}
+	grams := func(n int) []string {
+		runes := []rune(" " + s + " ")
+		if len(runes) < n {
+			return []string{string(runes)}
+		}
+		var out []string
+		for i := 0; i+n <= len(runes); i++ {
+			out = append(out, string(runes[i:i+n]))
+		}
+		return out
+	}
+	all := append(grams(2), grams(3)...)
+	for _, tok := range strings.Fields(s) {
+		all = append(all, "#"+tok+"#")
+	}
+	for _, g := range all {
+		h := fnv.New32a()
+		h.Write([]byte(g))
+		sum := h.Sum32()
+		sign := 1.0
+		if (sum>>16)&1 == 1 {
+			sign = -1.0
+		}
+		v[sum%EmbedDim] += sign
+	}
+	return v.Normalize()
+}
+
+func TestEmbedMatchesGramStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	alphabet := []rune("abcXYZ 019.-\tÉé中  ")
+	inputs := []string{"", " ", "a", "ab", "Huawei Flagship", "  Mate  X2 (Limited)  ", "\xff\xfe bad utf8", "北京 上海"}
+	for i := 0; i < 500; i++ {
+		r := make([]rune, rng.Intn(90))
+		for j := range r {
+			r[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		inputs = append(inputs, string(r))
+	}
+	for _, s := range inputs {
+		if got, want := Embed(s), embedByGramStrings(s); got != want {
+			t.Fatalf("Embed(%q) differs from the gram-string reference", s)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package predicate
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/rockclean/rock/internal/crystal"
 	"github.com/rockclean/rock/internal/data"
@@ -9,40 +10,101 @@ import (
 	"github.com/rockclean/rock/internal/ml"
 )
 
-// Binding attaches a tuple variable to a concrete tuple of a relation.
-type Binding struct {
-	Rel   string
-	Tuple *data.Tuple
-}
-
-// VertexBinding attaches a vertex variable to a vertex of a graph.
+// VertexBinding attaches a vertex variable to a vertex of a graph; the
+// zero binding (Graph "") is unbound.
 type VertexBinding struct {
 	Graph string
 	ID    kg.VertexID
 }
 
+// Frame is a rule compiled to slots (the planned rule of paper §5.3):
+// every tuple variable has a slot bound to one relation, every vertex
+// variable a vertex slot bound to one graph, and every predicate reads
+// (slot, column) pairs resolved once against the relation schemas. A
+// frame is built once per rule evaluation, never per valuation, and is
+// read-only afterwards.
+type Frame struct {
+	Vars       []string         // the tuple variable of each slot
+	Rels       []*data.Relation // the relation each slot ranges over
+	VertexVars []string         // the vertex variable of each vertex slot
+	Graphs     []string         // the graph each vertex slot ranges over
+
+	// X and P0 are the rule's precondition and consequence compiled
+	// against the frame (ree.Rule.Compile); nil in a bare layout.
+	X  []*Compiled
+	P0 *Compiled
+}
+
+// Compiled is a predicate compiled against a frame: its variables are
+// slots (-1: not a variable of the frame, which evaluates as unbound) and
+// its attributes are column indexes into the slot's relation (-1: not in
+// the schema, which reads as a missing value).
+type Compiled struct {
+	*Predicate
+	TSlot, SSlot int // tuple slots of T and S
+	XSlot        int // vertex slot of X
+	// ACol is A's column in T's relation. BCol is B's column in S's
+	// relation, or in T's for the single-tuple correlation and prediction
+	// predicates. AsCols and BsCols are the ML vectors' columns.
+	ACol, BCol     int
+	AsCols, BsCols []int
+}
+
+// Compile resolves p's variables and attributes against the frame.
+func (f *Frame) Compile(p *Predicate) *Compiled {
+	c := &Compiled{Predicate: p, TSlot: slices.Index(f.Vars, p.T), SSlot: slices.Index(f.Vars, p.S),
+		XSlot: slices.Index(f.VertexVars, p.X)}
+	bSlot := c.SSlot
+	if p.Kind == KCorr || p.Kind == KPredict {
+		bSlot = c.TSlot
+	}
+	c.ACol, c.BCol = f.column(c.TSlot, p.A), f.column(bSlot, p.B)
+	for _, a := range p.As {
+		c.AsCols = append(c.AsCols, f.column(c.TSlot, a))
+	}
+	for _, b := range p.Bs {
+		c.BsCols = append(c.BsCols, f.column(c.SSlot, b))
+	}
+	return c
+}
+
+// column is attr's index in the schema of slot's relation, or -1.
+func (f *Frame) column(slot int, attr string) int {
+	if slot < 0 {
+		return -1
+	}
+	return f.Rels[slot].Schema.Index(attr)
+}
+
 // Valuation is a mapping h of tuple variables to tuples and vertex
-// variables to vertices (paper §2.1 and §2.3 semantics).
+// variables to vertices (paper §2.1 and §2.3 semantics), laid out by its
+// frame: Tuples[i] is the tuple bound to slot i (nil: unbound), and
+// binding a variable is one index write.
 type Valuation struct {
-	Tuples   map[string]Binding
-	Vertices map[string]VertexBinding
+	Frame    *Frame
+	Tuples   []*data.Tuple
+	Vertices []VertexBinding
 }
 
-// NewValuation creates an empty valuation.
-func NewValuation() *Valuation {
-	return &Valuation{Tuples: make(map[string]Binding), Vertices: make(map[string]VertexBinding)}
+// NewValuation creates an empty valuation over the frame.
+func (f *Frame) NewValuation() *Valuation {
+	return &Valuation{Frame: f, Tuples: make([]*data.Tuple, len(f.Vars)), Vertices: make([]VertexBinding, len(f.VertexVars))}
 }
 
-// Bind maps a tuple variable.
-func (v *Valuation) Bind(varName, rel string, t *data.Tuple) *Valuation {
-	v.Tuples[varName] = Binding{Rel: rel, Tuple: t}
-	return v
+// Tuple returns the tuple bound to slot, nil when slot is -1 or unbound.
+func (h *Valuation) Tuple(slot int) *data.Tuple {
+	if slot < 0 {
+		return nil
+	}
+	return h.Tuples[slot]
 }
 
-// BindVertex maps a vertex variable.
-func (v *Valuation) BindVertex(varName, graph string, id kg.VertexID) *Valuation {
-	v.Vertices[varName] = VertexBinding{Graph: graph, ID: id}
-	return v
+// Rel names the relation of a tuple slot.
+func (h *Valuation) Rel(slot int) string { return h.Frame.Rels[slot].Schema.Name }
+
+// Clone copies the bindings; the frame is shared.
+func (h *Valuation) Clone() *Valuation {
+	return &Valuation{Frame: h.Frame, Tuples: append([]*data.Tuple(nil), h.Tuples...), Vertices: append([]VertexBinding(nil), h.Vertices...)}
 }
 
 // Env carries everything predicate evaluation may need: the database, the
@@ -63,10 +125,12 @@ type Env struct {
 	// temporal information" and temporal predicates evaluate to false.
 	Orders func(rel, attr string) *data.TemporalOrder
 
-	// ValueOf returns the (possibly validated) value of t[attr]. ok=false
-	// means the value is not available/validated. When nil, the raw tuple
-	// value is used (detection semantics).
-	ValueOf func(rel string, t *data.Tuple, attr string) (data.Value, bool)
+	// ValueOf returns the (possibly validated) value of column col of
+	// tuple t of relation rel; a null value means the value is missing.
+	// col is a schema index, possibly out of range (-1 for an attribute
+	// the schema lacks). When nil, the raw tuple value is used (detection
+	// semantics).
+	ValueOf func(rel *data.Relation, t *data.Tuple, col int) data.Value
 
 	// Columns is the environment's dictionary-encoded column cache. Every
 	// executor over this env, or over a shallow copy of it, reads and
@@ -88,284 +152,194 @@ func NewEnv(db *data.Database) *Env {
 	}
 }
 
-// value reads t[attr] through the ValueOf hook or directly.
-func (e *Env) value(rel string, t *data.Tuple, attr string) (data.Value, bool) {
+// Value reads column col of t through the ValueOf hook, or raw when the
+// env has none; null when the value is missing.
+func (e *Env) Value(rel *data.Relation, t *data.Tuple, col int) data.Value {
 	if e.ValueOf != nil {
-		return e.ValueOf(rel, t, attr)
+		return e.ValueOf(rel, t, col)
 	}
-	return e.rawValue(rel, t, attr)
+	return RawValue(t, col)
 }
 
-// rawValue reads t[attr] from the tuple itself, bypassing any ValueOf hook.
-func (e *Env) rawValue(rel string, t *data.Tuple, attr string) (data.Value, bool) {
-	r := e.DB.Rel(rel)
-	if r == nil {
-		return data.Value{}, false
+// RawValue reads column col of t from the tuple itself; null when col is
+// out of range.
+func RawValue(t *data.Tuple, col int) data.Value {
+	if col < 0 || col >= len(t.Values) {
+		return data.Value{}
 	}
-	i := r.Schema.Index(attr)
-	if i < 0 || i >= len(t.Values) {
-		return data.Value{}, false
-	}
-	return t.Values[i], true
+	return t.Values[col]
 }
 
-// values reads a vector t[attrs].
-func (e *Env) values(rel string, t *data.Tuple, attrs []string) []data.Value {
-	out := make([]data.Value, len(attrs))
-	for i, a := range attrs {
-		v, ok := e.value(rel, t, a)
-		if !ok {
-			v = data.Value{}
-		}
-		out[i] = v
+// Values reads a vector t[cols] through Value.
+func (e *Env) Values(rel *data.Relation, t *data.Tuple, cols []int) []data.Value {
+	out := make([]data.Value, len(cols))
+	for i, c := range cols {
+		out[i] = e.Value(rel, t, c)
 	}
 	return out
 }
 
-// schemaIndex resolves attr's index in rel's schema.
-func (e *Env) schemaIndex(rel, attr string) int {
-	r := e.DB.Rel(rel)
-	if r == nil {
-		return -1
+// tuple returns the relation and tuple bound to slot; name is the
+// variable, for the error when it is unbound.
+func (h *Valuation) tuple(slot int, name string) (*data.Relation, *data.Tuple, error) {
+	if slot < 0 || h.Tuples[slot] == nil {
+		return nil, nil, unbound(name)
 	}
-	return r.Schema.Index(attr)
+	return h.Frame.Rels[slot], h.Tuples[slot], nil
 }
 
-// Eval evaluates h |= p. An error indicates a malformed predicate or a
-// missing model/graph — not a false predicate.
-func (p *Predicate) Eval(env *Env, h *Valuation) (bool, error) {
+// operands is what a predicate reads of a valuation: T's relation and
+// tuple, S's (the two-tuple kinds), X's vertex (the extraction kinds).
+type operands struct {
+	rt, rs *data.Relation
+	t, s   *data.Tuple
+	x      VertexBinding
+}
+
+// operands fetches p's operands from h, T first, erring on the first
+// unbound one.
+func (p *Compiled) operands(h *Valuation) (o operands, err error) {
+	if p.Kind != KVertex {
+		if o.rt, o.t, err = h.tuple(p.TSlot, p.T); err != nil {
+			return o, err
+		}
+	}
+	switch p.Kind {
+	case KAttr, KEID, KML, KTemporal, KRank:
+		o.rs, o.s, err = h.tuple(p.SSlot, p.S)
+	case KVertex, KHER, KMatch, KVal:
+		if p.XSlot < 0 || h.Vertices[p.XSlot].Graph == "" {
+			return o, unbound(p.X)
+		}
+		o.x = h.Vertices[p.XSlot]
+	}
+	return o, err
+}
+
+// Eval evaluates h |= p over the valuation's frame, reading attributes
+// by (relation, tuple, column). An error indicates a malformed predicate
+// or a missing model/graph — not a false predicate.
+func (p *Compiled) Eval(env *Env, h *Valuation) (bool, error) {
+	o, err := p.operands(h)
+	if err != nil {
+		return false, err
+	}
 	switch p.Kind {
 	case KConst:
-		b, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
-		v, ok := env.value(b.Rel, b.Tuple, p.A)
-		if !ok {
-			return false, nil
-		}
-		if v.IsNull() {
-			// Null compares unknown — only "= null"/"!= null" are decidable
-			// through the dedicated KNull predicate.
-			return false, nil
-		}
-		return p.Op.Apply(v, p.C), nil
+		// Null compares unknown — only "= null"/"!= null" are decidable
+		// through the dedicated KNull predicate.
+		v := env.Value(o.rt, o.t, p.ACol)
+		return !v.IsNull() && p.Op.Apply(v, p.C), nil
 
 	case KAttr:
-		bt, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
-		bs, ok := h.Tuples[p.S]
-		if !ok {
-			return false, unbound(p.S)
-		}
-		vt, ok1 := env.value(bt.Rel, bt.Tuple, p.A)
-		vs, ok2 := env.value(bs.Rel, bs.Tuple, p.B)
-		if !ok1 || !ok2 || vt.IsNull() || vs.IsNull() {
-			return false, nil
-		}
-		return p.Op.Apply(vt, vs), nil
+		vt, vs := env.Value(o.rt, o.t, p.ACol), env.Value(o.rs, o.s, p.BCol)
+		return !vt.IsNull() && !vs.IsNull() && p.Op.Apply(vt, vs), nil
 
 	case KEID:
-		bt, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
-		bs, ok := h.Tuples[p.S]
-		if !ok {
-			return false, unbound(p.S)
-		}
-		eq := bt.Tuple.EID == bs.Tuple.EID
-		if p.Op == Neq {
-			return !eq, nil
-		}
-		return eq, nil
+		return (o.t.EID == o.s.EID) != (p.Op == Neq), nil
 
 	case KML:
-		bt, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
-		bs, ok := h.Tuples[p.S]
-		if !ok {
-			return false, unbound(p.S)
-		}
 		m, err := env.Models.Get(p.Model)
 		if err != nil {
 			return false, err
 		}
-		left := env.values(bt.Rel, bt.Tuple, p.As)
-		right := env.values(bs.Rel, bs.Tuple, p.Bs)
-		return m.Predict(left, right), nil
+		return m.Predict(env.Values(o.rt, o.t, p.AsCols), env.Values(o.rs, o.s, p.BsCols)), nil
 
 	case KTemporal:
-		bt, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
-		bs, ok := h.Tuples[p.S]
-		if !ok {
-			return false, unbound(p.S)
-		}
 		if env.Orders == nil {
 			return false, nil
 		}
-		o := env.Orders(bt.Rel, p.A)
-		if o == nil {
+		ord := env.Orders(o.rt.Schema.Name, p.A)
+		if ord == nil {
 			return false, nil
 		}
 		if p.Strict {
-			return o.Less(bt.Tuple.TID, bs.Tuple.TID), nil
+			return ord.Less(o.t.TID, o.s.TID), nil
 		}
-		return o.Leq(bt.Tuple.TID, bs.Tuple.TID), nil
+		return ord.Leq(o.t.TID, o.s.TID), nil
 
 	case KRank:
-		bt, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
-		bs, ok := h.Tuples[p.S]
-		if !ok {
-			return false, unbound(p.S)
-		}
 		if env.Ranker == nil {
-			return false, fmt.Errorf("predicate %s: no ranker registered", p)
+			return false, fmt.Errorf("predicate %s: no ranker registered", p.Predicate)
 		}
-		leq := env.Ranker.RankLeq(bt.Rel, bt.Tuple, bs.Tuple, p.A)
+		leq := env.Ranker.RankLeq(o.rt.Schema.Name, o.t, o.s, p.A)
 		if p.Strict {
-			rev := env.Ranker.RankLeq(bt.Rel, bs.Tuple, bt.Tuple, p.A)
+			rev := env.Ranker.RankLeq(o.rt.Schema.Name, o.s, o.t, p.A)
 			return leq >= 0.5 && rev < 0.5, nil
 		}
 		return leq >= 0.5, nil
 
 	case KNull, KNotNull:
-		bt, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
 		// null(t.A) checks the raw data D, not the fix set: a deduced value
 		// does not make the cell non-missing in D, and competing imputation
 		// rules must still fire so their conflict can be resolved
 		// (paper §4.2, MI case).
-		v, ok := env.rawValue(bt.Rel, bt.Tuple, p.A)
-		isNull := !ok || v.IsNull()
-		if p.Kind == KNotNull {
-			return !isNull, nil
-		}
-		return isNull, nil
+		return RawValue(o.t, p.ACol).IsNull() == (p.Kind == KNull), nil
 
 	case KVertex:
-		bx, ok := h.Vertices[p.X]
-		if !ok {
-			return false, unbound(p.X)
-		}
-		return bx.Graph == p.Graph, nil
+		return o.x.Graph == p.Graph, nil
 
 	case KHER:
-		bt, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
-		bx, ok := h.Vertices[p.X]
-		if !ok {
-			return false, unbound(p.X)
-		}
 		// HER matchers are registry models over the tuple's raw values
 		// and the vertex: ml.HERName(rel) for the tuple's relation, else
 		// ml.HERName("") for any relation.
-		her, err := env.Models.Get(ml.HERName(bt.Rel))
+		her, err := env.Models.Get(ml.HERName(o.rt.Schema.Name))
 		if err != nil {
 			her, err = env.Models.Get(ml.HERName(""))
 		}
 		if err != nil {
-			return false, fmt.Errorf("predicate %s: no HER matcher registered", p)
+			return false, fmt.Errorf("predicate %s: no HER matcher registered", p.Predicate)
 		}
-		return her.Predict(bt.Tuple.Values, ml.HERVertex(bx.ID)), nil
+		return her.Predict(o.t.Values, ml.HERVertex(o.x.ID)), nil
 
 	case KMatch:
-		bt, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
-		_ = bt
-		bx, ok := h.Vertices[p.X]
-		if !ok {
-			return false, unbound(p.X)
-		}
 		if env.PathM == nil {
-			return false, fmt.Errorf("predicate %s: no path matcher registered", p)
+			return false, fmt.Errorf("predicate %s: no path matcher registered", p.Predicate)
 		}
-		return env.PathM.Match(p.A, bx.ID, p.Path), nil
+		return env.PathM.Match(p.A, o.x.ID, p.Path), nil
 
 	case KVal:
-		bt, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
-		bx, ok := h.Vertices[p.X]
-		if !ok {
-			return false, unbound(p.X)
-		}
-		g := env.Graphs[bx.Graph]
+		g := env.Graphs[o.x.Graph]
 		if g == nil {
-			return false, fmt.Errorf("predicate %s: graph %q not registered", p, bx.Graph)
+			return false, fmt.Errorf("predicate %s: graph %q not registered", p.Predicate, o.x.Graph)
 		}
-		want, okv := g.Val(bx.ID, p.Path)
-		if !okv {
+		want, ok := g.Val(o.x.ID, p.Path)
+		if !ok {
 			return false, nil
 		}
-		v, ok := env.value(bt.Rel, bt.Tuple, p.A)
-		if !ok || v.IsNull() {
-			return false, nil
-		}
-		return v.Equal(data.S(want)), nil
+		v := env.Value(o.rt, o.t, p.ACol)
+		return !v.IsNull() && v.Equal(data.S(want)), nil
 
 	case KCorr:
-		bt, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
 		mc := env.Corr[p.Model]
 		if mc == nil {
-			return false, fmt.Errorf("predicate %s: correlation model %q not registered", p, p.Model)
+			return false, fmt.Errorf("predicate %s: correlation model %q not registered", p.Predicate, p.Model)
 		}
-		bIdx := env.schemaIndex(bt.Rel, p.B)
-		if bIdx < 0 {
-			return false, fmt.Errorf("predicate %s: attribute %q not in %s", p, p.B, bt.Rel)
+		if p.BCol < 0 {
+			return false, fmt.Errorf("predicate %s: attribute %q not in %s", p.Predicate, p.B, o.rt.Schema.Name)
 		}
 		cand := p.C
 		if cand.IsNull() {
-			v, okv := env.value(bt.Rel, bt.Tuple, p.B)
-			if !okv || v.IsNull() {
+			if cand = env.Value(o.rt, o.t, p.BCol); cand.IsNull() {
 				return false, nil
 			}
-			cand = v
 		}
-		return mc.Strength(bt.Tuple, nil, bIdx, cand) >= p.Delta, nil
+		return mc.Strength(o.t, nil, p.BCol, cand) >= p.Delta, nil
 
 	case KPredict:
-		bt, ok := h.Tuples[p.T]
-		if !ok {
-			return false, unbound(p.T)
-		}
 		md := env.Pred[p.Model]
 		if md == nil {
-			return false, fmt.Errorf("predicate %s: value predictor %q not registered", p, p.Model)
+			return false, fmt.Errorf("predicate %s: value predictor %q not registered", p.Predicate, p.Model)
 		}
-		bIdx := env.schemaIndex(bt.Rel, p.B)
-		if bIdx < 0 {
-			return false, fmt.Errorf("predicate %s: attribute %q not in %s", p, p.B, bt.Rel)
+		if p.BCol < 0 {
+			return false, fmt.Errorf("predicate %s: attribute %q not in %s", p.Predicate, p.B, o.rt.Schema.Name)
 		}
-		suggested, _, okp := md.Suggest(bt.Tuple, bIdx)
-		if !okp {
+		suggested, _, ok := md.Suggest(o.t, p.BCol)
+		if !ok {
 			return false, nil
 		}
-		v, okv := env.value(bt.Rel, bt.Tuple, p.B)
-		if !okv || v.IsNull() {
-			return false, nil
-		}
-		return v.Equal(suggested), nil
+		v := env.Value(o.rt, o.t, p.BCol)
+		return !v.IsNull() && v.Equal(suggested), nil
 	}
 	return false, fmt.Errorf("predicate: unknown kind %d", p.Kind)
 }

@@ -26,27 +26,49 @@ func testEnv(t *testing.T) (*Env, *data.Relation, *kg.Graph) {
 	return env, rel, g
 }
 
+// valuation binds t (and s) to the given tuples of rel and, when vertex
+// is set, x to it, over a frame of just those variables.
+func valuation(rel *data.Relation, vertex *VertexBinding, ts ...*data.Tuple) *Valuation {
+	rels := make([]*data.Relation, len(ts))
+	for i := range rels {
+		rels[i] = rel
+	}
+	var vvars, graphs []string
+	if vertex != nil {
+		vvars, graphs = []string{"x"}, []string{vertex.Graph}
+	}
+	h := (&Frame{Vars: []string{"t", "s"}[:len(ts)], Rels: rels, VertexVars: vvars, Graphs: graphs}).NewValuation()
+	copy(h.Tuples, ts)
+	if vertex != nil {
+		h.Vertices[0] = *vertex
+	}
+	return h
+}
+
+// eval compiles p against h's frame and evaluates it.
+func eval(p *Predicate, env *Env, h *Valuation) (bool, error) { return h.Frame.Compile(p).Eval(env, h) }
+
 func TestEvalConstAndAttr(t *testing.T) {
 	env, rel, _ := testEnv(t)
 	t1 := rel.Insert("s1", data.S("Huawei"), data.S("Beijing"), data.F(11))
 	t2 := rel.Insert("s2", data.S("Huawei"), data.S("Shanghai"), data.F(10))
-	h := NewValuation().Bind("t", "Store", t1).Bind("s", "Store", t2)
+	h := valuation(rel, nil, t1, t2)
 
 	pConst := &Predicate{Kind: KConst, Op: Eq, T: "t", A: "location", C: data.S("Beijing")}
-	if ok, err := pConst.Eval(env, h); err != nil || !ok {
+	if ok, err := eval(pConst, env, h); err != nil || !ok {
 		t.Errorf("const eq: %v %v", ok, err)
 	}
 	pGt := &Predicate{Kind: KAttr, Op: Gt, T: "t", A: "accu_sales", S: "s", B: "accu_sales"}
-	if ok, err := pGt.Eval(env, h); err != nil || !ok {
+	if ok, err := eval(pGt, env, h); err != nil || !ok {
 		t.Errorf("attr gt: %v %v", ok, err)
 	}
 	pName := &Predicate{Kind: KAttr, Op: Eq, T: "t", A: "name", S: "s", B: "name"}
-	if ok, _ := pName.Eval(env, h); !ok {
+	if ok, _ := eval(pName, env, h); !ok {
 		t.Error("attr eq on same name")
 	}
 	// Unbound variable is an error, not false.
 	pBad := &Predicate{Kind: KConst, Op: Eq, T: "zz", A: "location", C: data.S("x")}
-	if _, err := pBad.Eval(env, h); err == nil {
+	if _, err := eval(pBad, env, h); err == nil {
 		t.Error("unbound var must error")
 	}
 }
@@ -54,17 +76,17 @@ func TestEvalConstAndAttr(t *testing.T) {
 func TestEvalNullSemantics(t *testing.T) {
 	env, rel, _ := testEnv(t)
 	t1 := rel.Insert("s1", data.S("Nike"), data.Null(data.TString), data.F(1))
-	h := NewValuation().Bind("t", "Store", t1)
+	h := valuation(rel, nil, t1)
 	pc := &Predicate{Kind: KConst, Op: Eq, T: "t", A: "location", C: data.S("Beijing")}
-	if ok, _ := pc.Eval(env, h); ok {
+	if ok, _ := eval(pc, env, h); ok {
 		t.Error("null never satisfies a comparison")
 	}
 	pn := &Predicate{Kind: KNull, T: "t", A: "location"}
-	if ok, _ := pn.Eval(env, h); !ok {
+	if ok, _ := eval(pn, env, h); !ok {
 		t.Error("null() must see the null")
 	}
 	pnn := &Predicate{Kind: KNotNull, T: "t", A: "name"}
-	if ok, _ := pnn.Eval(env, h); !ok {
+	if ok, _ := eval(pnn, env, h); !ok {
 		t.Error("!null() on present value")
 	}
 }
@@ -74,17 +96,17 @@ func TestEvalEID(t *testing.T) {
 	a := rel.Insert("e1", data.S("x"), data.S("y"), data.F(0))
 	b := rel.Insert("e1", data.S("x2"), data.S("y2"), data.F(0))
 	c := rel.Insert("e2", data.S("x3"), data.S("y3"), data.F(0))
-	h := NewValuation().Bind("t", "Store", a).Bind("s", "Store", b)
+	h := valuation(rel, nil, a, b)
 	p := &Predicate{Kind: KEID, Op: Eq, T: "t", S: "s"}
-	if ok, _ := p.Eval(env, h); !ok {
+	if ok, _ := eval(p, env, h); !ok {
 		t.Error("same EID must be equal")
 	}
-	h2 := NewValuation().Bind("t", "Store", a).Bind("s", "Store", c)
-	if ok, _ := p.Eval(env, h2); ok {
+	h2 := valuation(rel, nil, a, c)
+	if ok, _ := eval(p, env, h2); ok {
 		t.Error("different EID must not be equal")
 	}
 	pneq := &Predicate{Kind: KEID, Op: Neq, T: "t", S: "s"}
-	if ok, _ := pneq.Eval(env, h2); !ok {
+	if ok, _ := eval(pneq, env, h2); !ok {
 		t.Error("neq on different EIDs")
 	}
 }
@@ -93,13 +115,13 @@ func TestEvalML(t *testing.T) {
 	env, rel, _ := testEnv(t)
 	a := rel.Insert("s1", data.S("IPhone 14 (Discount ID 41)"), data.S("x"), data.F(0))
 	b := rel.Insert("s2", data.S("IPhone 14 (Discount Code 41)"), data.S("y"), data.F(0))
-	h := NewValuation().Bind("t", "Store", a).Bind("s", "Store", b)
+	h := valuation(rel, nil, a, b)
 	p := &Predicate{Kind: KML, Model: "M_ER", T: "t", S: "s", As: []string{"name"}, Bs: []string{"name"}}
-	if ok, err := p.Eval(env, h); err != nil || !ok {
+	if ok, err := eval(p, env, h); err != nil || !ok {
 		t.Errorf("ML match: %v %v", ok, err)
 	}
 	pBadModel := &Predicate{Kind: KML, Model: "M_missing", T: "t", S: "s", As: []string{"name"}, Bs: []string{"name"}}
-	if _, err := pBadModel.Eval(env, h); err == nil {
+	if _, err := eval(pBadModel, env, h); err == nil {
 		t.Error("missing model must error")
 	}
 }
@@ -116,18 +138,18 @@ func TestEvalTemporal(t *testing.T) {
 		}
 		return nil
 	}
-	h := NewValuation().Bind("t", "Store", a).Bind("s", "Store", b)
+	h := valuation(rel, nil, a, b)
 	weak := &Predicate{Kind: KTemporal, T: "t", S: "s", A: "location"}
 	strict := &Predicate{Kind: KTemporal, T: "t", S: "s", A: "location", Strict: true}
-	if ok, _ := weak.Eval(env, h); !ok {
+	if ok, _ := eval(weak, env, h); !ok {
 		t.Error("weak order must hold")
 	}
-	if ok, _ := strict.Eval(env, h); !ok {
+	if ok, _ := eval(strict, env, h); !ok {
 		t.Error("strict order must hold")
 	}
 	// Missing order => false, no error.
 	other := &Predicate{Kind: KTemporal, T: "t", S: "s", A: "name"}
-	if ok, err := other.Eval(env, h); ok || err != nil {
+	if ok, err := eval(other, env, h); ok || err != nil {
 		t.Error("missing order must be false")
 	}
 }
@@ -141,26 +163,26 @@ func TestEvalExtraction(t *testing.T) {
 	env.PathM = ml.NewPathMatcher(g, 0.3)
 
 	tp := rel.Insert("s3", data.S("Huawei Flagship"), data.S("Beijing"), data.F(11))
-	h := NewValuation().Bind("t", "Store", tp).BindVertex("x", "Wiki", store)
+	h := valuation(rel, &VertexBinding{"Wiki", store}, tp)
 
 	pv := &Predicate{Kind: KVertex, X: "x", Graph: "Wiki"}
-	if ok, _ := pv.Eval(env, h); !ok {
+	if ok, _ := eval(pv, env, h); !ok {
 		t.Error("vertex binding must satisfy vertex()")
 	}
 	pvWrong := &Predicate{Kind: KVertex, X: "x", Graph: "Other"}
-	if ok, _ := pvWrong.Eval(env, h); ok {
+	if ok, _ := eval(pvWrong, env, h); ok {
 		t.Error("wrong graph must fail vertex()")
 	}
 	pher := &Predicate{Kind: KHER, T: "t", X: "x"}
-	if ok, err := pher.Eval(env, h); err != nil || !ok {
+	if ok, err := eval(pher, env, h); err != nil || !ok {
 		t.Errorf("HER: %v %v", ok, err)
 	}
 	pmatch := &Predicate{Kind: KMatch, T: "t", A: "location", X: "x", Path: kg.Path{"LocationAt"}}
-	if ok, err := pmatch.Eval(env, h); err != nil || !ok {
+	if ok, err := eval(pmatch, env, h); err != nil || !ok {
 		t.Errorf("match: %v %v", ok, err)
 	}
 	pval := &Predicate{Kind: KVal, T: "t", A: "location", X: "x", Path: kg.Path{"LocationAt"}}
-	if ok, err := pval.Eval(env, h); err != nil || !ok {
+	if ok, err := eval(pval, env, h); err != nil || !ok {
 		t.Errorf("val check: %v %v", ok, err)
 	}
 }
@@ -176,18 +198,18 @@ func TestEvalCorrAndPredict(t *testing.T) {
 	env.Pred["M_d"] = ml.NewValuePredictor("M_d", mc, rel.Tuples)
 
 	probe := rel.Insert("e", data.S("Huawei"), data.S("Beijing"), data.F(5))
-	h := NewValuation().Bind("t", "Store", probe)
+	h := valuation(rel, nil, probe)
 
 	pc := &Predicate{Kind: KCorr, Model: "M_c", T: "t", B: "location", C: data.S("Beijing"), Delta: 0.5}
-	if ok, err := pc.Eval(env, h); err != nil || !ok {
+	if ok, err := eval(pc, env, h); err != nil || !ok {
 		t.Errorf("corr with candidate: %v %v", ok, err)
 	}
 	pcCur := &Predicate{Kind: KCorr, Model: "M_c", T: "t", B: "location", Delta: 0.5}
-	if ok, err := pcCur.Eval(env, h); err != nil || !ok {
+	if ok, err := eval(pcCur, env, h); err != nil || !ok {
 		t.Errorf("corr with current value: %v %v", ok, err)
 	}
 	pd := &Predicate{Kind: KPredict, Model: "M_d", T: "t", B: "location"}
-	if ok, err := pd.Eval(env, h); err != nil || !ok {
+	if ok, err := eval(pd, env, h); err != nil || !ok {
 		t.Errorf("predict check: %v %v", ok, err)
 	}
 }

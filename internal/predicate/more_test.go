@@ -52,23 +52,23 @@ func TestEvalRank(t *testing.T) {
 	env, rel, _ := testEnv(t)
 	a := rel.Insert("e1", data.S("x"), data.S("y"), data.F(1))
 	b := rel.Insert("e2", data.S("x"), data.S("y"), data.F(2))
-	h := NewValuation().Bind("t", "Store", a).Bind("s", "Store", b)
+	h := valuation(rel, nil, a, b)
 
 	weak := &Predicate{Kind: KRank, Model: "M_rank", T: "t", S: "s", A: "accu_sales"}
-	if _, err := weak.Eval(env, h); err == nil {
+	if _, err := eval(weak, env, h); err == nil {
 		t.Error("missing ranker must error")
 	}
 	env.Ranker = stubRanker{}
-	if ok, err := weak.Eval(env, h); err != nil || !ok {
+	if ok, err := eval(weak, env, h); err != nil || !ok {
 		t.Errorf("weak rank: %v %v", ok, err)
 	}
 	strict := &Predicate{Kind: KRank, Model: "M_rank", T: "t", S: "s", A: "accu_sales", Strict: true}
-	if ok, err := strict.Eval(env, h); err != nil || !ok {
+	if ok, err := eval(strict, env, h); err != nil || !ok {
 		t.Errorf("strict rank: %v %v", ok, err)
 	}
 	// Reversed strict must fail (ranker favours ascending TIDs).
-	h2 := NewValuation().Bind("t", "Store", b).Bind("s", "Store", a)
-	if ok, _ := strict.Eval(env, h2); ok {
+	h2 := valuation(rel, nil, b, a)
+	if ok, _ := eval(strict, env, h2); ok {
 		t.Error("reversed strict rank must be false")
 	}
 }
@@ -76,27 +76,27 @@ func TestEvalRank(t *testing.T) {
 func TestEvalMissingDependencies(t *testing.T) {
 	env, rel, _ := testEnv(t)
 	tp := rel.Insert("e1", data.S("x"), data.S("y"), data.F(1))
-	h := NewValuation().Bind("t", "Store", tp).BindVertex("x", "Wiki", 0)
+	h := valuation(rel, &VertexBinding{"Wiki", 0}, tp)
 
-	if _, err := (&Predicate{Kind: KHER, T: "t", X: "x"}).Eval(env, h); err == nil {
+	if _, err := eval(&Predicate{Kind: KHER, T: "t", X: "x"}, env, h); err == nil {
 		t.Error("missing HER matcher must error")
 	}
-	if _, err := (&Predicate{Kind: KMatch, T: "t", A: "location", X: "x"}).Eval(env, h); err == nil {
+	if _, err := eval(&Predicate{Kind: KMatch, T: "t", A: "location", X: "x"}, env, h); err == nil {
 		t.Error("missing path matcher must error")
 	}
-	if _, err := (&Predicate{Kind: KCorr, Model: "nope", T: "t", B: "location", Delta: 0.5}).Eval(env, h); err == nil {
+	if _, err := eval(&Predicate{Kind: KCorr, Model: "nope", T: "t", B: "location", Delta: 0.5}, env, h); err == nil {
 		t.Error("missing correlation model must error")
 	}
-	if _, err := (&Predicate{Kind: KPredict, Model: "nope", T: "t", B: "location"}).Eval(env, h); err == nil {
+	if _, err := eval(&Predicate{Kind: KPredict, Model: "nope", T: "t", B: "location"}, env, h); err == nil {
 		t.Error("missing predictor must error")
 	}
 	// Unknown kind errors.
-	if _, err := (&Predicate{Kind: Kind(99)}).Eval(env, h); err == nil {
+	if _, err := eval(&Predicate{Kind: Kind(99)}, env, h); err == nil {
 		t.Error("unknown kind must error")
 	}
 	// Unbound vertex variable errors.
-	h2 := NewValuation().Bind("t", "Store", tp)
-	if _, err := (&Predicate{Kind: KVertex, X: "zz", Graph: "Wiki"}).Eval(env, h2); err == nil {
+	h2 := valuation(rel, nil, tp)
+	if _, err := eval(&Predicate{Kind: KVertex, X: "zz", Graph: "Wiki"}, env, h2); err == nil {
 		t.Error("unbound vertex var must error")
 	}
 }
@@ -104,9 +104,9 @@ func TestEvalMissingDependencies(t *testing.T) {
 func TestEvalKValMissingGraph(t *testing.T) {
 	env, rel, _ := testEnv(t)
 	tp := rel.Insert("e1", data.S("x"), data.S("y"), data.F(1))
-	h := NewValuation().Bind("t", "Store", tp).BindVertex("x", "Ghost", 0)
+	h := valuation(rel, &VertexBinding{"Ghost", 0}, tp)
 	p := &Predicate{Kind: KVal, T: "t", A: "location", X: "x"}
-	if _, err := p.Eval(env, h); err == nil {
+	if _, err := eval(p, env, h); err == nil {
 		t.Error("unregistered graph must error")
 	}
 }

@@ -185,7 +185,7 @@ func (p *Predicate) String() string {
 	case KVal:
 		return fmt.Sprintf("%s.%s = val(%s.%s)", p.T, p.A, p.X, p.Path)
 	case KCorr:
-		if p.C.IsNull() && !hasConst(p) {
+		if p.C.IsNull() {
 			return fmt.Sprintf("%s(%s, %s) >= %g", p.Model, p.T, p.B, p.Delta)
 		}
 		return fmt.Sprintf("%s(%s, %s=%s) >= %g", p.Model, p.T, p.B, literal(p.C), p.Delta)
@@ -194,8 +194,6 @@ func (p *Predicate) String() string {
 	}
 	return "?"
 }
-
-func hasConst(p *Predicate) bool { return !p.C.IsNull() }
 
 func modelOr(m, def string) string {
 	if m == "" {

@@ -71,6 +71,34 @@ func (r *Rule) GraphOf(varName string) string {
 	return ""
 }
 
+// Compile lays the rule out in slots over db (paper §5.3's planned
+// rule): slot i is Atoms[i], vertex slot j is VertexAtoms[j], and X and
+// P0 read (slot, column) pairs. It is O(|X|) and meant to run once per
+// evaluation of the rule, never per valuation. A relation missing from
+// db is an error.
+func (r *Rule) Compile(db *data.Database) (*predicate.Frame, error) {
+	vars := make([]string, len(r.Atoms))
+	rels := make([]*data.Relation, len(r.Atoms))
+	for i, a := range r.Atoms {
+		if rels[i] = db.Rel(a.Rel); rels[i] == nil {
+			return nil, fmt.Errorf("rule %s references unknown relation %q", r.ID, a.Rel)
+		}
+		vars[i] = a.Var
+	}
+	vvars := make([]string, len(r.VertexAtoms))
+	graphs := make([]string, len(r.VertexAtoms))
+	for i, a := range r.VertexAtoms {
+		vvars[i], graphs[i] = a.Var, a.Graph
+	}
+	f := &predicate.Frame{Vars: vars, Rels: rels, VertexVars: vvars, Graphs: graphs}
+	f.X = make([]*predicate.Compiled, len(r.X))
+	for i, p := range r.X {
+		f.X[i] = f.Compile(p)
+	}
+	f.P0 = f.Compile(r.P0)
+	return f, nil
+}
+
 // Validate checks well-formedness: unique variables, every predicate
 // variable bound, attribute references resolvable when schemas are given
 // (db may be nil to skip schema checks).

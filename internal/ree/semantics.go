@@ -15,16 +15,14 @@ type Violation struct {
 	H    *predicate.Valuation
 }
 
-// String renders the violation compactly.
+// String renders the violation compactly, bindings in slot order.
 func (v *Violation) String() string {
 	s := "violation of " + v.Rule.ID + " {"
-	first := true
-	for name, b := range v.H.Tuples {
-		if !first {
+	for i, t := range v.H.Tuples {
+		if i > 0 {
 			s += ", "
 		}
-		first = false
-		s += fmt.Sprintf("%s->%s[%d]", name, b.Rel, b.Tuple.TID)
+		s += fmt.Sprintf("%s->%s[%d]", v.H.Frame.Vars[i], v.H.Rel(i), t.TID)
 	}
 	return s + "}"
 }
@@ -37,71 +35,71 @@ func (v *Violation) String() string {
 // standard REE semantics, identical bindings are allowed but trivial
 // self-pairs (t=s on every attribute) are skipped to avoid vacuous matches.
 func (r *Rule) enumerate(env *predicate.Env, fn func(h *predicate.Valuation) (bool, error)) error {
-	var rec func(i int, h *predicate.Valuation) (bool, error)
-	rec = func(i int, h *predicate.Valuation) (bool, error) {
-		if i == len(r.Atoms) {
+	f, err := r.Compile(env.DB)
+	if err != nil {
+		return err
+	}
+	h := f.NewValuation()
+	var rec func(i int) (bool, error)
+	rec = func(i int) (bool, error) {
+		if i == len(f.Rels) {
 			return r.enumerateVertices(env, 0, h, fn)
 		}
-		a := r.Atoms[i]
-		rel := env.DB.Rel(a.Rel)
-		if rel == nil {
-			return false, fmt.Errorf("rule %s: relation %q not in database", r.ID, a.Rel)
-		}
-		for _, t := range rel.Tuples {
-			if skipSelfPair(r, h, a, t) {
+		for _, t := range f.Rels[i].Tuples {
+			if skipSelfPair(h, i, t) {
 				continue
 			}
-			h.Bind(a.Var, a.Rel, t)
-			cont, err := rec(i+1, h)
+			h.Tuples[i] = t
+			cont, err := rec(i + 1)
 			if err != nil || !cont {
-				delete(h.Tuples, a.Var)
+				h.Tuples[i] = nil
 				return cont, err
 			}
 		}
-		delete(h.Tuples, a.Var)
+		h.Tuples[i] = nil
 		return true, nil
 	}
-	_, err := rec(0, predicate.NewValuation())
+	_, err = rec(0)
 	return err
 }
 
 func (r *Rule) enumerateVertices(env *predicate.Env, i int, h *predicate.Valuation, fn func(h *predicate.Valuation) (bool, error)) (bool, error) {
-	if i == len(r.VertexAtoms) {
+	if i == len(h.Vertices) {
 		return fn(h)
 	}
-	a := r.VertexAtoms[i]
-	g := env.Graphs[a.Graph]
+	graph := h.Frame.Graphs[i]
+	g := env.Graphs[graph]
 	if g == nil {
-		return false, fmt.Errorf("rule %s: graph %q not registered", r.ID, a.Graph)
+		return false, fmt.Errorf("rule %s: graph %q not registered", r.ID, graph)
 	}
 	for _, v := range g.VertexIDs() {
-		h.BindVertex(a.Var, a.Graph, v)
+		h.Vertices[i] = predicate.VertexBinding{Graph: graph, ID: v}
 		cont, err := r.enumerateVertices(env, i+1, h, fn)
 		if err != nil || !cont {
-			delete(h.Vertices, a.Var)
+			h.Vertices[i] = predicate.VertexBinding{}
 			return cont, err
 		}
 	}
-	delete(h.Vertices, a.Var)
+	h.Vertices[i] = predicate.VertexBinding{}
 	return true, nil
 }
 
-// skipSelfPair suppresses binding a second variable of the same relation to
-// the exact same tuple — the standard convention so that rules like
+// skipSelfPair suppresses binding slot i to a tuple an earlier slot of
+// the same relation holds — the standard convention so that rules like
 // R(t) ^ R(s) ^ t.A = s.A -> t.B = s.B don't match each tuple against
 // itself.
-func skipSelfPair(r *Rule, h *predicate.Valuation, a Atom, t *data.Tuple) bool {
-	for _, b := range h.Tuples {
-		if b.Rel == a.Rel && b.Tuple.TID == t.TID {
+func skipSelfPair(h *predicate.Valuation, i int, t *data.Tuple) bool {
+	for j := 0; j < i; j++ {
+		if h.Frame.Rels[j] == h.Frame.Rels[i] && h.Tuples[j].TID == t.TID {
 			return true
 		}
 	}
 	return false
 }
 
-// HoldsX evaluates h |= X.
+// HoldsX evaluates h |= X over h's frame.
 func (r *Rule) HoldsX(env *predicate.Env, h *predicate.Valuation) (bool, error) {
-	for _, p := range r.X {
+	for _, p := range h.Frame.X {
 		ok, err := p.Eval(env, h)
 		if err != nil {
 			return false, err
@@ -127,12 +125,12 @@ func (r *Rule) Violations(env *predicate.Env, limit int) ([]*Violation, error) {
 		if !okX {
 			return true, nil
 		}
-		okP0, err := r.P0.Eval(env, h)
+		okP0, err := h.Frame.P0.Eval(env, h)
 		if err != nil {
 			return false, err
 		}
 		if !okP0 {
-			out = append(out, &Violation{Rule: r, H: cloneValuation(h)})
+			out = append(out, &Violation{Rule: r, H: h.Clone()})
 			if limit > 0 && len(out) >= limit {
 				return false, nil
 			}
@@ -172,7 +170,7 @@ func (r *Rule) Measure(env *predicate.Env) (support, confidence float64, err err
 			return true, nil
 		}
 		matchX++
-		okP0, err := r.P0.Eval(env, h)
+		okP0, err := h.Frame.P0.Eval(env, h)
 		if err != nil {
 			return false, err
 		}
@@ -191,15 +189,4 @@ func (r *Rule) Measure(env *predicate.Env) (support, confidence float64, err err
 		confidence = float64(matchBoth) / float64(matchX)
 	}
 	return support, confidence, nil
-}
-
-func cloneValuation(h *predicate.Valuation) *predicate.Valuation {
-	c := predicate.NewValuation()
-	for k, v := range h.Tuples {
-		c.Tuples[k] = v
-	}
-	for k, v := range h.Vertices {
-		c.Vertices[k] = v
-	}
-	return c
 }
