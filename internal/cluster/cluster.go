@@ -471,28 +471,3 @@ func (c *Cluster) killNode(node string, d *drainRun) {
 		}
 	}
 }
-
-// ParallelMap partitions items into per-worker chunks and applies fn
-// concurrently; a convenience for data-parallel phases that don't go
-// through the scheduler. fn receives (workerIndex, item).
-func ParallelMap[T any](workers int, items []T, fn func(worker int, item T)) {
-	if workers < 1 {
-		workers = 1
-	}
-	ch := make(chan T, len(items))
-	for _, it := range items {
-		ch <- it
-	}
-	close(ch)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for it := range ch {
-				fn(w, it)
-			}
-		}(w)
-	}
-	wg.Wait()
-}

@@ -153,24 +153,6 @@ func TestDrainWithStats(t *testing.T) {
 	}
 }
 
-func TestParallelMap(t *testing.T) {
-	var sum int64
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
-	ParallelMap(8, items, func(w, it int) { atomic.AddInt64(&sum, int64(it)) })
-	if sum != 4950 {
-		t.Errorf("sum=%d", sum)
-	}
-	// Degenerate worker counts.
-	sum = 0
-	ParallelMap(0, items[:3], func(w, it int) { atomic.AddInt64(&sum, 1) })
-	if sum != 3 {
-		t.Error("workers<1 must still process")
-	}
-}
-
 func TestClusterMinimumSize(t *testing.T) {
 	c := New(0)
 	if len(c.nodes) != 1 {

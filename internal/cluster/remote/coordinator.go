@@ -25,31 +25,24 @@ type CoordOptions struct {
 	// Fingerprint digests this process's replica inputs; workers whose
 	// hello carries a different fingerprint are rejected.
 	Fingerprint string
-	// HeartbeatTimeout is how long a worker connection may stay silent
-	// (no heartbeat, ack or result) before the coordinator declares it
-	// dead and redistributes its queue. Default 5s.
-	HeartbeatTimeout time.Duration
 	// AcceptTimeout bounds WaitWorkers. Default 30s.
 	AcceptTimeout time.Duration
-	// MaxFrame bounds received frame payloads (DefaultMaxFrame when 0).
-	MaxFrame int
 	// Logf, when set, receives progress lines (worker joins, deaths,
 	// reassignments).
 	Logf func(format string, args ...any)
 }
 
+// heartbeatTimeout is how long a worker connection may stay silent (no
+// heartbeat, ack or result) before the coordinator declares it dead and
+// redistributes its queue: five worker heartbeat intervals.
+const heartbeatTimeout = 5 * heartbeatInterval
+
 func (o CoordOptions) withDefaults() CoordOptions {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 5 * time.Second
-	}
 	if o.AcceptTimeout <= 0 {
 		o.AcceptTimeout = 30 * time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -179,7 +172,7 @@ func (c *Coordinator) WaitWorkers(ctx context.Context) error {
 func (c *Coordinator) handshake(conn net.Conn, name string, deadline time.Time) (string, error) {
 	conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
-	env, err := readMsg(conn, c.opts.MaxFrame)
+	env, err := readMsg(conn, DefaultMaxFrame)
 	if err != nil {
 		return "", fmt.Errorf("remote: reading hello: %w", err)
 	}
@@ -211,12 +204,12 @@ func (c *Coordinator) WorkerMeta(name string) string {
 
 // reader pumps one worker's messages onto the event channel. The read
 // deadline doubles as the heartbeat monitor: workers heartbeat every
-// HeartbeatInterval, so a connection silent for HeartbeatTimeout is a
+// heartbeatInterval, so a connection silent for heartbeatTimeout is a
 // dead process (SIGKILL produces EOF/RST even sooner).
 func (c *Coordinator) reader(w *workerConn) {
 	for {
-		w.conn.SetReadDeadline(time.Now().Add(c.opts.HeartbeatTimeout))
-		env, err := readMsg(w.conn, c.opts.MaxFrame)
+		w.conn.SetReadDeadline(time.Now().Add(heartbeatTimeout))
+		env, err := readMsg(w.conn, DefaultMaxFrame)
 		if err != nil {
 			c.events <- event{node: w.name, err: err}
 			return

@@ -31,11 +31,6 @@ type WorkerOptions struct {
 	// are retried until it elapses — the coordinator may not be listening
 	// yet when the worker process launches). Default 30s.
 	DialTimeout time.Duration
-	// HeartbeatInterval is how often the worker signals liveness; must be
-	// well under the coordinator's HeartbeatTimeout. Default 1s.
-	HeartbeatInterval time.Duration
-	// MaxFrame bounds received frame payloads (DefaultMaxFrame when 0).
-	MaxFrame int
 	// Meta is an identity string sent in the hello and readable on the
 	// coordinator via WorkerMeta — cmd/rockworker sends its PID so
 	// fault-injection hooks can SIGKILL the real process.
@@ -44,15 +39,13 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
+// heartbeatInterval is how often a worker signals liveness, well under
+// the coordinator's heartbeatTimeout.
+const heartbeatInterval = time.Second
+
 func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 30 * time.Second
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -83,7 +76,7 @@ func RunWorker(ctx context.Context, eng Follower, opts WorkerOptions) error {
 		return fmt.Errorf("remote: sending hello: %w", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(opts.DialTimeout))
-	env, err := readMsg(conn, opts.MaxFrame)
+	env, err := readMsg(conn, DefaultMaxFrame)
 	if err != nil {
 		return fmt.Errorf("remote: reading hello ack: %w", err)
 	}
@@ -102,7 +95,7 @@ func RunWorker(ctx context.Context, eng Follower, opts WorkerOptions) error {
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
 	go func() {
-		t := time.NewTicker(opts.HeartbeatInterval)
+		t := time.NewTicker(heartbeatInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -123,7 +116,7 @@ func RunWorker(ctx context.Context, eng Follower, opts WorkerOptions) error {
 	}()
 
 	for {
-		env, err := readMsg(conn, opts.MaxFrame)
+		env, err := readMsg(conn, DefaultMaxFrame)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

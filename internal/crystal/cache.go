@@ -128,37 +128,6 @@ func (cs *ColumnStore) Refresh(tids map[int]bool) {
 	}
 }
 
-// TIDsWithValue returns the tuples carrying value v in attr, sorted. The
-// result is a defensive copy: callers may append, sort or mutate it
-// without corrupting the store's posting lists.
-func (cs *ColumnStore) TIDsWithValue(attr string, v data.Value) []int {
-	view := cs.TIDsView(attr, v)
-	if view == nil {
-		return nil
-	}
-	return append([]int(nil), view...)
-}
-
-// TIDsView is the allocation-free counterpart of TIDsWithValue: it returns
-// the posting list itself (sorted). The result is strictly read-only and
-// must not be retained across a Refresh; callers wanting an owned slice
-// use TIDsWithValue.
-func (cs *ColumnStore) TIDsView(attr string, v data.Value) []int {
-	col, _ := cs.Column(attr)
-	if col == nil {
-		return nil
-	}
-	id, ok := col.Dict.ID(v)
-	if !ok {
-		return nil
-	}
-	p := col.PostingList(id)
-	if len(p) == 0 {
-		return nil
-	}
-	return p
-}
-
 // Cache is the column cache of one evaluation environment: a ColumnStore
 // per relation, shared by every executor over the environment — detection,
 // the chase and every later delta — plus the cross-column id translations

@@ -29,23 +29,11 @@ type Dictionary struct {
 	nullID ValueID // id of the null entry; NoValue when the column has none
 }
 
-// NewDictionary creates an empty dictionary (values intern on demand).
-func NewDictionary() *Dictionary {
-	return &Dictionary{ids: make(map[string]ValueID), nullID: NoValue}
-}
-
-// BuildDictionary builds the dictionary of one column's distinct values.
-func BuildDictionary(rel *data.Relation, attr string) (*Dictionary, error) {
-	d, _, err := buildEncoded(rel, attr)
-	return d, err
-}
-
-// buildEncoded is the shared single-pass build behind BuildDictionary
-// and BuildColumn: each tuple's value keys exactly once, distinct values
-// collect in first-sight order, ids re-rank into sorted value order, and
-// the per-tuple id assignment (parallel to rel.Tuples) comes back with
-// the dictionary so callers never pay a second Key-and-probe pass over
-// the data.
+// buildEncoded is the single-pass build behind BuildColumn: each tuple's
+// value keys exactly once, distinct values collect in first-sight order,
+// ids re-rank into sorted value order, and the per-tuple id assignment
+// (parallel to rel.Tuples) comes back with the dictionary so callers
+// never pay a second Key-and-probe pass over the data.
 func buildEncoded(rel *data.Relation, attr string) (*Dictionary, []ValueID, error) {
 	ai := rel.Schema.Index(attr)
 	if ai < 0 {

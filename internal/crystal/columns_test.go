@@ -23,12 +23,33 @@ func sampleRel(t *testing.T) *data.Relation {
 	return rel
 }
 
+// dictOf is the dictionary the column cache builds for rel.attr.
+func dictOf(t *testing.T, rel *data.Relation, attr string) *Dictionary {
+	t.Helper()
+	col, _ := NewCache().Column(rel, attr)
+	if col == nil {
+		t.Fatalf("no column %s.%s", rel.Schema.Name, attr)
+	}
+	return col.Dict
+}
+
+// postingOf is rel.attr's posting list of v through the column store
+// (nil when the attribute or the value is unknown).
+func postingOf(cs *ColumnStore, attr string, v data.Value) []int {
+	col, _ := cs.Column(attr)
+	if col == nil {
+		return nil
+	}
+	id, ok := col.Dict.ID(v)
+	if !ok {
+		return nil
+	}
+	return col.PostingList(id)
+}
+
 func TestDictionarySortedIDs(t *testing.T) {
 	rel := sampleRel(t)
-	d, err := BuildDictionary(rel, "city")
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dictOf(t, rel, "city")
 	// 3 distinct: null, Beijing, Shanghai.
 	if d.Size() != 3 {
 		t.Fatalf("size=%d", d.Size())
@@ -47,7 +68,7 @@ func TestDictionarySortedIDs(t *testing.T) {
 	if _, ok := d.Value(99); ok {
 		t.Error("bad id must miss")
 	}
-	if _, err := BuildDictionary(rel, "ghost"); err == nil {
+	if _, err := BuildColumn(rel, "ghost"); err == nil {
 		t.Error("unknown attribute must error")
 	}
 }
@@ -58,38 +79,20 @@ func TestColumnStorePostings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beijing := cs.TIDsWithValue("city", data.S("Beijing"))
+	beijing := postingOf(cs, "city", data.S("Beijing"))
 	if len(beijing) != 2 || beijing[0] != 0 || beijing[1] != 2 {
 		t.Errorf("postings=%v", beijing)
 	}
-	if got := cs.TIDsWithValue("city", data.S("Nowhere")); got != nil {
+	if got := postingOf(cs, "city", data.S("Nowhere")); got != nil {
 		t.Error("unseen value yields nil")
 	}
-	if got := cs.TIDsWithValue("ghost", data.S("x")); got != nil {
+	if got := postingOf(cs, "ghost", data.S("x")); got != nil {
 		t.Error("unknown attr yields nil")
 	}
 	// Null values also group.
-	nulls := cs.TIDsWithValue("city", data.Null(data.TString))
+	nulls := postingOf(cs, "city", data.Null(data.TString))
 	if len(nulls) != 1 || nulls[0] != 3 {
 		t.Errorf("null postings=%v", nulls)
-	}
-}
-
-func TestColumnStoreDefensiveCopy(t *testing.T) {
-	rel := sampleRel(t)
-	cs, err := BuildColumnStore(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cs.TIDsWithValue("city", data.S("Beijing"))
-	if len(got) != 2 {
-		t.Fatalf("postings=%v", got)
-	}
-	// Mutating the returned slice must not corrupt the store.
-	got[0], got[1] = 999, 998
-	again := cs.TIDsWithValue("city", data.S("Beijing"))
-	if len(again) != 2 || again[0] != 0 || again[1] != 2 {
-		t.Errorf("postings corrupted by caller mutation: %v", again)
 	}
 }
 
@@ -158,10 +161,7 @@ func TestColumnRefreshAfterSetValue(t *testing.T) {
 
 func TestDictionaryInternAppends(t *testing.T) {
 	rel := sampleRel(t)
-	d, err := BuildDictionary(rel, "city")
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dictOf(t, rel, "city")
 	bid, _ := d.ID(data.S("Beijing"))
 	if got := d.Intern(data.S("Beijing")); got != bid {
 		t.Errorf("re-interning must return the existing id: got %d want %d", got, bid)
@@ -179,7 +179,7 @@ func TestDictionaryInternAppends(t *testing.T) {
 func TestDictionaryNumericCanonicalIDs(t *testing.T) {
 	// Cross-type numerics equal under Value.Equal share one interned id, so
 	// id equality agrees with value equality (the hot paths depend on it).
-	d := NewDictionary()
+	d := dictOf(t, data.NewRelation(schemaOf("E", data.Attribute{Name: "a", Type: data.TInt})), "a")
 	i5 := d.Intern(data.I(5))
 	if f5 := d.Intern(data.F(5)); f5 != i5 {
 		t.Errorf("I(5) and F(5) interned as %d and %d, want one id", i5, f5)
@@ -290,10 +290,10 @@ func TestRefreshEmptiesPostingBucket(t *testing.T) {
 	if p := col.PostingList(goneID); len(p) != 0 {
 		t.Fatalf("vacated bucket still holds %v", p)
 	}
-	if view := cs.TIDsView("a", data.S("gone")); view != nil {
-		t.Fatalf("TIDsView of the vacated value must be nil, got %v", view)
+	if view := postingOf(cs, "a", data.S("gone")); len(view) != 0 {
+		t.Fatalf("posting list of the vacated value must be empty, got %v", view)
 	}
-	keep := cs.TIDsView("a", data.S("keep"))
+	keep := postingOf(cs, "a", data.S("keep"))
 	if len(keep) != rel.Len() {
 		t.Fatalf("receiving bucket has %d TIDs, want every one of %d", len(keep), rel.Len())
 	}

@@ -24,8 +24,14 @@ func TestRingPlacementStable(t *testing.T) {
 			t.Fatal("owner must be deterministic")
 		}
 	}
-	if got := r.Nodes(); len(got) != 3 {
-		t.Errorf("nodes=%v", got)
+	// Keys in distinct clusters (the text before '/') spread over every
+	// node.
+	owners := map[string]bool{}
+	for i := 0; i < 100; i++ {
+		owners[r.Owner(fmt.Sprintf("c%d/obj", i))] = true
+	}
+	if len(owners) != 3 {
+		t.Errorf("100 keys landed on %d nodes, want all 3: %v", len(owners), owners)
 	}
 }
 
@@ -51,17 +57,11 @@ func TestRingMinimalRemapping(t *testing.T) {
 	if moved == 0 || moved > n/3 {
 		t.Errorf("moved %d of %d keys on node add", moved, n)
 	}
-	// Removing the new node restores every placement.
-	if !r.RemoveNode("node-new") {
-		t.Fatal("remove must succeed")
-	}
+	// Every key that moved, moved to the new node.
 	for k, old := range before {
-		if r.Owner(k) != old {
-			t.Fatal("placements must restore after symmetric churn")
+		if now := r.Owner(k); now != old && now != "node-new" {
+			t.Fatalf("key %s moved from %s to %s, not to the new node", k, old, now)
 		}
-	}
-	if r.RemoveNode("node-new") {
-		t.Error("double remove must report false")
 	}
 }
 

@@ -82,26 +82,6 @@ func (r *Ring) AddNode(addr string) bool {
 	return true
 }
 
-// RemoveNode unregisters a node; it reports whether the node existed.
-func (r *Ring) RemoveNode(addr string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[addr] {
-		return false
-	}
-	delete(r.nodes, addr)
-	keep := r.points[:0]
-	for _, p := range r.points {
-		if r.owner[p] == addr {
-			delete(r.owner, p)
-			continue
-		}
-		keep = append(keep, p)
-	}
-	r.points = keep
-	return true
-}
-
 // Owner returns the node owning the object key, or "" when the ring is
 // empty.
 func (r *Ring) Owner(key string) string {
@@ -120,16 +100,4 @@ func (r *Ring) OwnerOfHash(h uint32) string {
 		i = 0
 	}
 	return r.owner[r.points[i]]
-}
-
-// Nodes returns the registered node addresses, sorted.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,11 +1,11 @@
 package crystal
 
-// Vectorized selection and sorted-set kernels for the interned hot path
-// (paper §5.1 "crystal blocks"): the executor evaluates constant/null
-// predicates as tight loops over dense []ValueID vectors producing
-// selection bitmaps, and enumerates equality joins from the sorted
+// Sorted-set kernels for the interned hot path (paper §5.1 "crystal
+// blocks"): the executor selects by intersecting posting lists with a
+// partition's TID array and enumerates equality joins from the sorted
 // posting lists via galloping intersection — block-at-a-time work instead
-// of the branchy tuple-at-a-time loops the dense layout replaced.
+// of the branchy tuple-at-a-time loops the dense layout replaced. The
+// bitmap helpers size and clear the posting join's shadow bits.
 //
 // All intersection kernels assume strictly ascending inputs (posting
 // lists and partition TID arrays are sets ordered by TID). Positions are
@@ -15,62 +15,10 @@ package crystal
 // BitmapWords returns the number of uint64 words covering n positions.
 func BitmapWords(n int) int { return (n + 63) / 64 }
 
-// BitmapSetAll sets the first n bits and clears the tail of the last
-// word, so population counts over whole words stay exact.
-func BitmapSetAll(bits []uint64, n int) {
-	full := n / 64
-	for w := 0; w < full; w++ {
-		bits[w] = ^uint64(0)
-	}
-	if rest := n % 64; rest > 0 {
-		bits[full] = (uint64(1) << uint(rest)) - 1
-	}
-}
-
 // BitmapClearAll zeroes every word.
 func BitmapClearAll(bits []uint64) {
 	for w := range bits {
 		bits[w] = 0
-	}
-}
-
-// SelectEq narrows the selection to positions whose id equals target:
-// bits &= (ids == target), evaluated word-at-a-time. len(bits) must cover
-// len(ids).
-func SelectEq(bits []uint64, ids []ValueID, target ValueID) {
-	n := len(ids)
-	for base, w := 0, 0; base < n; base, w = base+64, w+1 {
-		end := base + 64
-		if end > n {
-			end = n
-		}
-		var m uint64
-		for i := base; i < end; i++ {
-			if ids[i] == target {
-				m |= 1 << uint(i-base)
-			}
-		}
-		bits[w] &= m
-	}
-}
-
-// SelectNe drops positions whose id equals target: bits &^= (ids ==
-// target). Composing SelectNe over several targets (the constant and the
-// null id) evaluates a ≠ predicate without branches per conjunct.
-func SelectNe(bits []uint64, ids []ValueID, target ValueID) {
-	n := len(ids)
-	for base, w := 0, 0; base < n; base, w = base+64, w+1 {
-		end := base + 64
-		if end > n {
-			end = n
-		}
-		var m uint64
-		for i := base; i < end; i++ {
-			if ids[i] == target {
-				m |= 1 << uint(i-base)
-			}
-		}
-		bits[w] &^= m
 	}
 }
 

@@ -6,25 +6,6 @@ import (
 	"testing"
 )
 
-// BenchmarkSelectBitmap times the equality-selection kernel over a 1M-id
-// vector at 1% selectivity — the inner loop of vectorized constant
-// pushdown.
-func BenchmarkSelectBitmap(b *testing.B) {
-	const n = 1 << 20
-	rng := rand.New(rand.NewSource(1))
-	ids := make([]ValueID, n)
-	for i := range ids {
-		ids[i] = ValueID(rng.Intn(100))
-	}
-	bits := make([]uint64, BitmapWords(n))
-	b.SetBytes(int64(n * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BitmapSetAll(bits, n)
-		SelectEq(bits, ids, 7)
-	}
-}
-
 // BenchmarkPostingIntersect times the galloping sorted intersection on
 // the imbalanced shape posting-probe joins hit: a short posting list
 // against a large partition TID array.

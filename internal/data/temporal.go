@@ -163,19 +163,6 @@ func (b *search) release() {
 	searchPool.Put(b)
 }
 
-// HasCycleOfStrict reports whether the order is invalid: some pair with both
-// t1 ≺ t2 and t2 ⪯ t1 in the closure (paper §4.1 validity condition (b)).
-func (o *TemporalOrder) HasCycleOfStrict() bool {
-	for from, tos := range o.strictSucc {
-		for to := range tos {
-			if to == from || o.reach(to, from, false) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Clone deep-copies the order including strict edges.
 func (o *TemporalOrder) Clone() *TemporalOrder {
 	c := NewTemporalOrder(o.Rel, o.Attr)
@@ -190,23 +177,6 @@ func (o *TemporalOrder) Clone() *TemporalOrder {
 		}
 	}
 	return c
-}
-
-// StrictPairs returns all stored strict pairs in deterministic order.
-func (o *TemporalOrder) StrictPairs() [][2]int {
-	var out [][2]int
-	for from, tos := range o.strictSucc {
-		for to := range tos {
-			out = append(out, [2]int{from, to})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }
 
 // Pairs returns all stored weak pairs (older, newer) in deterministic order;
@@ -224,26 +194,6 @@ func (o *TemporalOrder) Pairs() [][2]int {
 		}
 		return out[i][1] < out[j][1]
 	})
-	return out
-}
-
-// Latest returns the TIDs that are maximal under the order among the given
-// candidates: no other candidate is strictly more current.
-func (o *TemporalOrder) Latest(candidates []int) []int {
-	var out []int
-	for _, t := range candidates {
-		dominated := false
-		for _, u := range candidates {
-			if u != t && o.Less(t, u) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, t)
-		}
-	}
-	sort.Ints(out)
 	return out
 }
 

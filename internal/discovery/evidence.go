@@ -28,9 +28,6 @@ type Evidence struct {
 // NumRows returns the number of materialised valuations.
 func (e *Evidence) NumRows() int { return len(e.rows) }
 
-// NumPredicates returns the total bit width.
-func (e *Evidence) NumPredicates() int { return len(e.Space.Pre) + len(e.Space.Cons) }
-
 // consBit returns the bit index of consequence j.
 func (e *Evidence) consBit(j int) int { return len(e.Space.Pre) + j }
 
@@ -179,18 +176,6 @@ func rowMatches(row, mask []uint64) bool {
 		}
 	}
 	return true
-}
-
-// CountX returns the number of rows satisfying every predicate bit in X.
-func (e *Evidence) CountX(x []int) int {
-	m := e.mask(x)
-	n := 0
-	for _, row := range e.rows {
-		if rowMatches(row, m) {
-			n++
-		}
-	}
-	return n
 }
 
 // CountXAndCons returns (#rows satisfying X, #rows satisfying X and the

@@ -12,7 +12,6 @@
 package discovery
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/rockclean/rock/internal/data"
@@ -246,5 +245,3 @@ func ruleFromItems(sp *Space, pair bool, pre []*predicate.Predicate, cons *predi
 
 // spaceFingerprint renders a predicate canonically for dedup.
 func spaceFingerprint(p *predicate.Predicate) string { return p.String() }
-
-var _ = fmt.Sprintf // reserved for diagnostics

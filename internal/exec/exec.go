@@ -540,7 +540,7 @@ func (e *Executor) candidates(fr *predicate.Frame, slot int, opts Options) (out 
 	// runs over its interned column; the rest (ordered constant compares)
 	// evaluate per survivor. Null checks read raw data; constant compares
 	// read through the value view, so shadowed tuples re-evaluate per tuple
-	// (keepFasts).
+	// (keep).
 	var fasts []idFilter
 	var slows []*predicate.Compiled
 	for _, p := range fr.X {
@@ -565,7 +565,7 @@ func (e *Executor) candidates(fr *predicate.Frame, slot int, opts Options) (out 
 	if len(fasts) == 0 && len(slows) == 0 {
 		return base, basePooled, nil
 	}
-	out, err = e.candidatesVec(fr, slot, base, fasts, slows, e.shadowOf(rel.Schema.Name))
+	out, err = e.candidatesVec(fr, slot, base, fasts, slows)
 	if basePooled {
 		putTupleBuf(base.Tuples)
 		putIntBuf(base.TIDs)

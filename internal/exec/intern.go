@@ -211,33 +211,12 @@ func putPosBuf(b []int32) {
 	posBufPool.Put(&b)
 }
 
-var idBufPool = sync.Pool{
-	New: func() any { b := make([]crystal.ValueID, 0, 1024); return &b },
-}
-
-// getIDBuf returns an id gather buffer of length n.
-func getIDBuf(n int) []crystal.ValueID {
-	b := (*idBufPool.Get().(*[]crystal.ValueID))[:0]
-	if cap(b) < n {
-		b = make([]crystal.ValueID, n)
-	}
-	return b[:n]
-}
-
-func putIDBuf(b []crystal.ValueID) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	idBufPool.Put(&b)
-}
-
 var wordBufPool = sync.Pool{
 	New: func() any { b := make([]uint64, 0, 64); return &b },
 }
 
 // getWordBuf returns a bitmap buffer of length n words (contents
-// unspecified; callers BitmapSetAll/ClearAll first).
+// unspecified; callers BitmapClearAll first).
 func getWordBuf(n int) []uint64 {
 	b := (*wordBufPool.Get().(*[]uint64))[:0]
 	if cap(b) < n {

@@ -1,21 +1,21 @@
 package exec
 
 // Columnar evaluation over the interned columns, the executor's one body
-// per job: constant/null predicates run as batch kernels producing
-// selection bitmaps (or, when every filter maps to a posting list, as
-// sorted-set intersections), equijoins enumerate from the posting lists
-// instead of building per-unit hash indexes, and probes intersect one
-// posting list with the candidate TIDs. Each preserves the deterministic
-// merge invariant exactly: selections materialize survivors in ascending
-// partition-position order, and the posting join emits pairs t-major
-// with s ascending by position. Columns are served only at their
-// relation's current mutation count, so every live TID has an id and no
-// posting list holds a deleted TID; the tuples the kernels cannot decide
-// are the view-sensitive shadowed ones, which take the per-tuple
-// semantics (keepFasts, predicate.Env.Value), never silently dropped.
+// per job. A variable's constant/null predicates select its candidates
+// by intersecting posting lists when every filter is an equality, and
+// otherwise by one loop over the partition positions that compares ids;
+// equijoins enumerate from the posting lists instead of building per-unit
+// hash indexes, and probes intersect one posting list with the candidate
+// TIDs. Each preserves the deterministic merge invariant exactly:
+// selections materialize survivors in ascending partition-position order,
+// and the posting join emits pairs t-major with s ascending by position.
+// Columns are served only at their relation's current mutation count, so
+// every live TID has an id and no posting list holds a deleted TID; the
+// tuples an id compare cannot decide are the view-sensitive shadowed
+// ones, which take the per-tuple semantics (keep, predicate.Env.Value),
+// never silently dropped.
 
 import (
-	mathbits "math/bits"
 	"slices"
 	"sort"
 
@@ -41,75 +41,57 @@ type idFilter struct {
 	viewed  bool // reads through ValueOf: shadowed tuples evaluate per tuple
 }
 
-// keepFasts applies the interned filters to one shadowed tuple, the one
-// kind of position the kernels cannot decide: view-sensitive filters (and
-// a TID without an id) evaluate the predicate itself; the rest compare
-// ids.
-func (e *Executor) keepFasts(slot int, t *data.Tuple, fasts []idFilter,
-	shadow map[int]bool, h *predicate.Valuation) (bool, error) {
+// keep reports whether t passes a variable's filters: each interned
+// filter compares ids, except that a view-sensitive filter on a shadowed
+// tuple (and a TID without an id) evaluates the predicate itself; then
+// the ordered compares in slows evaluate.
+func (e *Executor) keep(slot int, t *data.Tuple, fasts []idFilter, slows []*predicate.Compiled,
+	shadowed bool, h *predicate.Valuation) (bool, error) {
+	h.Tuples[slot] = t
 	for fi := range fasts {
 		f := &fasts[fi]
 		id, okID := f.col.IDAt(t.TID)
-		if !okID || (f.viewed && shadow != nil && shadow[t.TID]) {
-			h.Tuples[slot] = t
+		if !okID || (f.viewed && shadowed) {
 			ok, err := f.p.Eval(e.env, h)
-			if err != nil {
+			if err != nil || !ok {
 				return false, err
-			}
-			if !ok {
-				return false, nil
 			}
 			continue
 		}
 		isNull := f.hasNull && id == f.nullID
-		keep := true
+		var ok bool
 		switch {
 		case f.p.Kind == predicate.KNull:
-			keep = isNull
+			ok = isNull
 		case f.p.Kind == predicate.KNotNull:
-			keep = !isNull
+			ok = !isNull
 		case f.p.Op == predicate.Eq:
-			keep = !isNull && f.hasCID && id == f.cid
+			ok = !isNull && f.hasCID && id == f.cid
 		default: // Neq: non-null and different id
-			keep = !isNull && !(f.hasCID && id == f.cid)
-		}
-		if !keep {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// evalAll evaluates the non-interned single-variable predicates on one
-// kernel survivor.
-func (e *Executor) evalAll(slot int, t *data.Tuple, preds []*predicate.Compiled,
-	h *predicate.Valuation) (bool, error) {
-	h.Tuples[slot] = t
-	for _, p := range preds {
-		ok, err := p.Eval(e.env, h)
-		if err != nil {
-			return false, err
+			ok = !isNull && !(f.hasCID && id == f.cid)
 		}
 		if !ok {
 			return false, nil
+		}
+	}
+	for _, p := range slows {
+		ok, err := p.Eval(e.env, h)
+		if err != nil || !ok {
+			return false, err
 		}
 	}
 	return true, nil
 }
 
 // candidatesVec filters the partition base by a variable's single-variable
-// predicates. It picks one of two kernels:
-//
-//   - posting path: every filter is an equality (= constant, or null
-//     check), so the survivors are exactly the intersection of the
-//     filters' posting lists with the partition's TID array — no
-//     per-tuple work at all;
-//   - bitmap path: gather each column's id vector over the partition
-//     and compose SelectEq/SelectNe word-at-a-time kernels. With no
-//     interned filter at all every bit stays set and the ordered
-//     compares in slows decide each tuple.
+// predicates. When every filter is an equality (= constant, or null
+// check), the survivors are the intersection of the filters' posting
+// lists with the partition's TID array (postingSelect). Otherwise one
+// loop visits the partition in position order and keeps what keep
+// keeps; the shadowed positions are found by stepping through the sorted
+// shadowPos list, not by a per-position probe.
 func (e *Executor) candidatesVec(fr *predicate.Frame, slot int, block crystal.Block,
-	fasts []idFilter, slows []*predicate.Compiled, shadow map[int]bool) (out crystal.Block, err error) {
+	fasts []idFilter, slows []*predicate.Compiled) (out crystal.Block, err error) {
 	tids, pooledTids, err := tidsOf(block)
 	if err != nil {
 		return out, err
@@ -136,19 +118,15 @@ func (e *Executor) candidatesVec(fr *predicate.Frame, slot int, block crystal.Bl
 	// Shadowed positions re-evaluate per tuple — but only view-sensitive
 	// filters care (null checks read raw data even for shadowed tuples).
 	var shadowPos []int32
-	var shadowBuf []int32
-	if viewed && shadow != nil {
-		shadowBuf = crystal.IntersectPositions(getPosBuf(), e.shadowSortedOf(fr.Rels[slot].Schema.Name), tids)
-		shadowPos = shadowBuf
-	}
-	defer func() {
-		if shadowBuf != nil {
-			putPosBuf(shadowBuf)
+	if viewed {
+		if sh := e.shadowSortedOf(fr.Rels[slot].Schema.Name); len(sh) > 0 {
+			shadowPos = crystal.IntersectPositions(getPosBuf(), sh, tids)
+			defer putPosBuf(shadowPos)
 		}
-	}()
+	}
 
 	if postingOK {
-		out, err = e.postingSelect(slot, base, tids, fasts, slows, shadowPos, shadow, h)
+		out, err = e.postingSelect(slot, base, tids, fasts, slows, shadowPos, h)
 		if err != nil {
 			return out, err
 		}
@@ -158,85 +136,24 @@ func (e *Executor) candidatesVec(fr *predicate.Frame, slot int, block crystal.Bl
 		return out, nil
 	}
 
-	words := crystal.BitmapWords(n)
-	bits := getWordBuf(words)
-	idbuf := getIDBuf(n)
-	free := func() {
-		putWordBuf(bits)
-		putIDBuf(idbuf)
-	}
-	crystal.BitmapSetAll(bits, n)
-	for fi := range fasts {
-		f := &fasts[fi]
-		vec := f.col.IDs
-		for k, tid := range tids {
-			if tid < len(vec) {
-				idbuf[k] = vec[tid]
-			} else {
-				idbuf[k] = crystal.NoValue
-			}
-		}
-		switch {
-		case f.p.Kind == predicate.KNull:
-			// nullID is NoValue when the column has no null entry, so this
-			// clears every seen position — exactly the per-tuple outcome.
-			crystal.SelectEq(bits, idbuf, f.nullID)
-		case f.p.Kind == predicate.KNotNull:
-			crystal.SelectNe(bits, idbuf, f.nullID)
-		case f.p.Op == predicate.Eq:
-			if f.hasCID && !(f.hasNull && f.cid == f.nullID) {
-				crystal.SelectEq(bits, idbuf, f.cid)
-			} else {
-				crystal.BitmapClearAll(bits)
-			}
-		default: // Neq: non-null and different id
-			if f.hasNull {
-				crystal.SelectNe(bits, idbuf, f.nullID)
-			}
-			if f.hasCID {
-				crystal.SelectNe(bits, idbuf, f.cid)
-			}
-		}
-	}
-	// Shadowed positions take the per-tuple semantics, whatever the
-	// kernels decided for their bit.
-	for _, pos := range shadowPos {
-		keep, kerr := e.keepFasts(slot, base[pos], fasts, shadow, h)
-		if kerr != nil {
-			free()
-			return out, kerr
-		}
-		wi, off := int(pos)/64, uint(pos)%64
-		if keep {
-			bits[wi] |= 1 << off
-		} else {
-			bits[wi] &^= 1 << off
-		}
-	}
 	out = crystal.Block{Tuples: getTupleBuf(), TIDs: getIntBuf()}
-	for w := 0; w < words; w++ {
-		word := bits[w]
-		for word != 0 {
-			pos := w*64 + mathbits.TrailingZeros64(word)
-			word &= word - 1
-			t := base[pos]
-			keep := true
-			if len(slows) > 0 {
-				keep, err = e.evalAll(slot, t, slows, h)
-				if err != nil {
-					free()
-					putTupleBuf(out.Tuples)
-					putIntBuf(out.TIDs)
-					return crystal.Block{}, err
-				}
-			}
-			if keep {
-				out.Tuples = append(out.Tuples, t)
-				out.TIDs = append(out.TIDs, tids[pos])
-			}
+	next := 0
+	for pos, t := range base {
+		shadowed := next < len(shadowPos) && int(shadowPos[next]) == pos
+		if shadowed {
+			next++
+		}
+		ok, kerr := e.keep(slot, t, fasts, slows, shadowed, h)
+		if kerr != nil {
+			putTupleBuf(out.Tuples)
+			putIntBuf(out.TIDs)
+			return crystal.Block{}, kerr
+		}
+		if ok {
+			out.Tuples = append(out.Tuples, t)
+			out.TIDs = append(out.TIDs, tids[pos])
 		}
 	}
-	free()
 	e.reg.Inc("exec.vec.select_batches")
 	e.reg.Add("exec.vec.select_input", uint64(n))
 	e.reg.Add("exec.vec.select_kept", uint64(len(out.Tuples)))
@@ -250,7 +167,7 @@ func (e *Executor) candidatesVec(fr *predicate.Frame, slot int, block crystal.Bl
 // is KNull or KConst-Eq.
 func (e *Executor) postingSelect(slot int, base []*data.Tuple, tids []int,
 	fasts []idFilter, slows []*predicate.Compiled, shadowPos []int32,
-	shadow map[int]bool, h *predicate.Valuation) (crystal.Block, error) {
+	h *predicate.Valuation) (crystal.Block, error) {
 	lists := make([][]int, 0, len(fasts))
 	empty := false
 	for i := range fasts {
@@ -291,11 +208,12 @@ func (e *Executor) postingSelect(slot int, base []*data.Tuple, tids []int,
 	err := mergeShadowed(matchPos, shadowPos, func(pos int32, shadowed bool) (err error) {
 		t := base[pos]
 		keep := true
-		if shadowed {
-			keep, err = e.keepFasts(slot, t, fasts, shadow, h)
-		}
-		if err == nil && keep && len(slows) > 0 {
-			keep, err = e.evalAll(slot, t, slows, h)
+		switch {
+		case shadowed:
+			keep, err = e.keep(slot, t, fasts, slows, true, h)
+		case len(slows) > 0:
+			// A raw posting match already passed every id filter.
+			keep, err = e.keep(slot, t, nil, slows, false, h)
 		}
 		if err == nil && keep {
 			out.Tuples = append(out.Tuples, t)

@@ -64,9 +64,9 @@ func emissionTrace(t testing.TB, e *Executor, r *ree.Rule, opts Options) []int {
 
 // columnar runs r on a fresh executor (shadow tracking registered when
 // env carries a hook), requires that it bumped every counter in took, and
-// returns its trace.
+// returns its trace and its registry.
 func columnar(t *testing.T, env *predicate.Env, shadow map[string]map[int]bool,
-	r *ree.Rule, opts Options, took ...string) []int {
+	r *ree.Rule, opts Options, took ...string) ([]int, *obs.Registry) {
 	t.Helper()
 	reg := obs.New()
 	e := New(env)
@@ -80,7 +80,7 @@ func columnar(t *testing.T, env *predicate.Env, shadow map[string]map[int]bool,
 			t.Fatalf("columnar executor never bumped %s", c)
 		}
 	}
-	return got
+	return got, reg
 }
 
 // pushdownEnv is the constant-filter fixture: region/code columns with a
@@ -124,10 +124,11 @@ func shadowRegions(env *predicate.Env) map[string]map[int]bool {
 	return map[string]map[int]bool{"Ev": shadow}
 }
 
-// selections lists every selection kernel shape — equality, inequality,
-// null, not-null, their conjunctions, and an ordered compare the kernels
-// leave to Eval — with the predicate it must agree with on a brute-force
-// scan (region through the view, code raw: the hook never touches code).
+// selections lists every selection shape — equality, inequality, null,
+// not-null, their conjunctions, and an ordered compare that evaluates per
+// tuple, beside id compares and alone — with the predicate it must agree
+// with on a brute-force scan (region through the view, code raw: the hook
+// never touches code).
 var selections = []struct {
 	name, src, took string
 	want            func(region, code data.Value) bool
@@ -152,6 +153,8 @@ var selections = []struct {
 		func(region, code data.Value) bool {
 			return !region.Equal(data.S("R0")) && !code.IsNull() && code.Compare(data.S("C5")) > 0
 		}},
+	{"gt", "Ev(t) ^ t.code > 'C5' -> t.code = 'C7'", "exec.vec.select_batches",
+		func(region, code data.Value) bool { return !code.IsNull() && code.Compare(data.S("C5")) > 0 }},
 }
 
 func checkSelections(t *testing.T, n int, shadowed bool) {
@@ -163,7 +166,7 @@ func checkSelections(t *testing.T, n int, shadowed bool) {
 	for _, tc := range selections {
 		r := must.Rule(tc.src, env.DB)
 		r.ID = tc.name
-		got := columnar(t, env, shadow, r, Options{}, tc.took)
+		got, reg := columnar(t, env, shadow, r, Options{}, tc.took)
 		var want []int
 		for _, tp := range env.DB.Rel("Ev").Tuples {
 			if tc.want(viewValue(env, "Ev", tp, "region"), tp.Values[1]) {
@@ -172,6 +175,11 @@ func checkSelections(t *testing.T, n int, shadowed bool) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: selected %d tuples, brute-force scan %d", tc.name, len(got), len(want))
+		}
+		// The selection itself keeps exactly the survivors, not a superset
+		// the valuation check trims later.
+		if kept := reg.CounterValue("exec.vec.select_kept"); kept != uint64(len(want)) {
+			t.Fatalf("%s: selection kept %d tuples, brute-force scan %d", tc.name, kept, len(want))
 		}
 	}
 }
@@ -229,7 +237,7 @@ func checkJoin(t *testing.T, n int, shadowed bool) {
 	}
 	r := must.Rule("A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid", env.DB)
 	r.ID = "join"
-	full := columnar(t, env, shadow, r, Options{}, "exec.vec.joins")
+	full, _ := columnar(t, env, shadow, r, Options{}, "exec.vec.joins")
 	var want []int
 	matches := matchesOf(env)
 	for _, ta := range env.DB.Rel("A").Tuples {
@@ -254,7 +262,7 @@ func checkJoin(t *testing.T, n int, shadowed bool) {
 		{"A": {n / 2: true, n - 1: true}, "B": {n / 3: true, 2: true}},
 		{"A": {n / 2: true, n - 1: true}},
 	} {
-		got := columnar(t, env, shadow, r, Options{Dirty: dirty}, "exec.vec.joins")
+		got, _ := columnar(t, env, shadow, r, Options{Dirty: dirty}, "exec.vec.joins")
 		var wantDirty []int
 		for i := 0; i < len(want); i += 2 {
 			if dirty["A"][want[i]] || dirty["B"][want[i+1]] {
@@ -285,7 +293,7 @@ func checkProbe(t *testing.T, n int, shadowed bool) {
 	if n >= 63 {
 		took = []string{"exec.vec.joins", "exec.vec.probe_selects"}
 	}
-	got := columnar(t, env, shadow, r, Options{}, took...)
+	got, _ := columnar(t, env, shadow, r, Options{}, took...)
 	var want []int
 	matches := matchesOf(env)
 	for _, ta := range env.DB.Rel("A").Tuples {

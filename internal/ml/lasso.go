@@ -93,22 +93,6 @@ func (l *Lasso) Predict(x []float64) float64 {
 	return y
 }
 
-// NonZero returns the indices of features with non-negligible weight,
-// sorted by descending |weight| — the terms of the learned polynomial
-// expression.
-func (l *Lasso) NonZero(eps float64) []int {
-	var idx []int
-	for j, w := range l.Weights {
-		if math.Abs(w) > eps {
-			idx = append(idx, j)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return math.Abs(l.Weights[idx[a]]) > math.Abs(l.Weights[idx[b]])
-	})
-	return idx
-}
-
 func softThreshold(x, t float64) float64 {
 	switch {
 	case x > t:

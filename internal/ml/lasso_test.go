@@ -22,9 +22,10 @@ func TestLassoRecoversSparseModel(t *testing.T) {
 	}
 	l := NewLasso(6, 0.05)
 	l.Fit(xs, ys)
-	nz := l.NonZero(0.1)
-	if len(nz) != 2 || nz[0] != 0 || nz[1] != 2 {
-		t.Fatalf("nonzero features=%v weights=%v", nz, l.Weights)
+	for j, w := range l.Weights {
+		if nonZero := math.Abs(w) > 0.1; nonZero != (j == 0 || j == 2) {
+			t.Fatalf("feature %d: |weight| > 0.1 is %v, want only features 0 and 2: %v", j, nonZero, l.Weights)
+		}
 	}
 	if math.Abs(l.Weights[0]-3) > 0.3 || math.Abs(l.Weights[2]+2) > 0.3 {
 		t.Errorf("weights off: %v", l.Weights)

@@ -135,10 +135,8 @@ type predShard struct {
 	hits, misses, evictions uint64
 }
 
-// NewPredCache creates a cache bounded to roughly capacity entries in
+// newPredCache creates a cache bounded to roughly capacity entries in
 // total; capacity <= 0 selects the default.
-func NewPredCache(capacity int) *PredCache { return newPredCache(newInterner(), capacity) }
-
 func newPredCache(in *interner, capacity int) *PredCache {
 	if capacity <= 0 {
 		capacity = defaultPredCap

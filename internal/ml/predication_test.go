@@ -66,7 +66,7 @@ func (o *opaqueModel) Confidence(l, r []data.Value) float64 { return 0.7 }
 func (o *opaqueModel) Predict(l, r []data.Value) bool       { o.predicts++; return false }
 
 func TestPredCacheEvictionBounded(t *testing.T) {
-	c := NewPredCache(256)
+	c := newPredCache(newInterner(), 256)
 	for i := 0; i < 10000; i++ {
 		c.putConf(predKey{model: 1, left: uint32(i), right: uint32(i)}, float64(i))
 	}

@@ -255,26 +255,3 @@ func TrainRanker(r *PairRanker, rel string, tuples []*data.Tuple, attrs []string
 		fit()
 	}
 }
-
-// FMeasure evaluates the ranker against gold pairs: precision/recall of the
-// Leq decision at confidence 0.5.
-func (r *PairRanker) FMeasure(rel string, gold []RankedPair) float64 {
-	var tp, fp, fn float64
-	for _, p := range gold {
-		pred := r.RankLeq(rel, p.Older, p.Newer, p.Attr) >= 0.5
-		switch {
-		case pred && p.Leq:
-			tp++
-		case pred && !p.Leq:
-			fp++
-		case !pred && p.Leq:
-			fn++
-		}
-	}
-	if tp == 0 {
-		return 0
-	}
-	prec := tp / (tp + fp)
-	rec := tp / (tp + fn)
-	return 2 * prec * rec / (prec + rec)
-}

@@ -52,7 +52,7 @@ func TestPairRankerCreatorCritic(t *testing.T) {
 			gold = append(gold, RankedPair{Older: tuples[j], Newer: tuples[i], Attr: "sales", Leq: false})
 		}
 	}
-	if f := ranker.FMeasure("Person", gold); f < 0.8 {
+	if f := fMeasure(ranker, "Person", gold); f < 0.8 {
 		t.Errorf("ranker F-measure=%f want >= 0.8 (paper reports ~0.80)", f)
 	}
 }
@@ -105,4 +105,27 @@ func TestRankerTimestampFeatureDominates(t *testing.T) {
 	if ranker.RankLeq("Person", older, newer, "home") <= ranker.RankLeq("Person", newer, older, "home") {
 		t.Error("timestamped order must be learned")
 	}
+}
+
+// fMeasure evaluates the ranker against gold pairs: precision/recall of the
+// Leq decision at confidence 0.5.
+func fMeasure(r *PairRanker, rel string, gold []RankedPair) float64 {
+	var tp, fp, fn float64
+	for _, p := range gold {
+		pred := r.RankLeq(rel, p.Older, p.Newer, p.Attr) >= 0.5
+		switch {
+		case pred && p.Leq:
+			tp++
+		case pred && !p.Leq:
+			fp++
+		case !pred && p.Leq:
+			fn++
+		}
+	}
+	if tp == 0 {
+		return 0
+	}
+	prec := tp / (tp + fp)
+	rec := tp / (tp + fn)
+	return 2 * prec * rec / (prec + rec)
 }

@@ -237,17 +237,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 // SetGauge stores v under the named gauge.
 func (r *Registry) SetGauge(name string, v int64) { r.Gauge(name).Set(v) }
 
-// GaugeValue reads the named gauge (0 when absent or nil registry).
-func (r *Registry) GaugeValue(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	return g.Value()
-}
-
 // Histogram returns the named histogram handle, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {

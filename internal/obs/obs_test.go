@@ -19,7 +19,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("missing counter = %d, want 0", got)
 	}
 	r.SetGauge("g", -7)
-	if got := r.GaugeValue("g"); got != -7 {
+	if got := r.Gauge("g").Value(); got != -7 {
 		t.Fatalf("gauge g = %d, want -7", got)
 	}
 	// Handles are stable: the same name yields the same counter.
@@ -84,7 +84,7 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("g").Set(2)
 	r.Histogram("h").Observe(time.Second)
-	if r.CounterValue("x") != 0 || r.GaugeValue("g") != 0 {
+	if r.CounterValue("x") != 0 || r.Gauge("g").Value() != 0 {
 		t.Fatal("nil registry should read zero")
 	}
 	snap := r.Snapshot()

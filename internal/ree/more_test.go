@@ -14,8 +14,8 @@ func TestRelOfGraphOf(t *testing.T) {
 	if r.RelOf("t") != "Store" || r.RelOf("nope") != "" {
 		t.Error("RelOf")
 	}
-	if r.GraphOf("x") != "Wiki" || r.GraphOf("t") != "" {
-		t.Error("GraphOf")
+	if va := r.VertexAtoms; len(va) != 1 || va[0].Var != "x" || va[0].Graph != "Wiki" {
+		t.Errorf("vertex variable x must bind graph Wiki: %v", va)
 	}
 	if got := r.VertexAtoms[0].String(); got != "vertex(x, Wiki)" {
 		t.Errorf("vertex atom string: %q", got)

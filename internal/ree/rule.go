@@ -61,16 +61,6 @@ func (r *Rule) RelOf(varName string) string {
 	return ""
 }
 
-// GraphOf returns the graph bound to the vertex variable, or "".
-func (r *Rule) GraphOf(varName string) string {
-	for _, a := range r.VertexAtoms {
-		if a.Var == varName {
-			return a.Graph
-		}
-	}
-	return ""
-}
-
 // Compile lays the rule out in slots over db (paper §5.3's planned
 // rule): slot i is Atoms[i], vertex slot j is VertexAtoms[j], and X and
 // P0 read (slot, column) pairs. It is O(|X|) and meant to run once per

@@ -121,16 +121,12 @@ type Options struct {
 	// Results are bit-identical with the layer on or off;
 	// Report.Predication carries the cache counters.
 	Predication bool
-	// Lazy enables lazy rule activation in the chase.
-	Lazy bool
 	// Steal enables work stealing between the in-process pool's workers
 	// in both the detection and chase phases. On in Rock proper; the
 	// work-stealing ablation turns it off. Results are identical either
 	// way — stealing only re-assigns work units. A remote coordinator
 	// (Cluster) ignores it: it splits units evenly over its workers.
 	Steal bool
-	// MaxRounds bounds the chase fixpoint loop.
-	MaxRounds int
 	// Oracle, when set, answers ER/CR conflicts the learned resolvers
 	// cannot decide — Rock presents such conflicts to the user.
 	Oracle func(rel, eid, attr string, candidates []Value) (Value, bool)
@@ -149,10 +145,6 @@ type Options struct {
 	// (reassigned to a different worker when one is alive) before the
 	// unit is given up and surfaced on Report.UnitErrors.
 	MaxRetries int
-	// RetryBackoff is the base backoff before a unit retry (attempt k
-	// waits k*RetryBackoff, cut short by cancellation); the same policy
-	// applies in process and on a remote Cluster.
-	RetryBackoff time.Duration
 	// Cluster, when set, replaces the in-process worker pool with an
 	// external drain/submit implementation — in particular a
 	// cluster/remote.Coordinator, which distributes chase rounds across
@@ -164,8 +156,8 @@ type Options struct {
 // DefaultOptions returns Rock's shipped configuration.
 func DefaultOptions() Options {
 	return Options{
-		Workers: 4, Parallel: true, UseBlocking: true, Predication: true, Lazy: true, Steal: true,
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
+		Workers: 4, Parallel: true, UseBlocking: true, Predication: true, Steal: true,
+		MaxRetries: 2,
 	}
 }
 
@@ -474,11 +466,10 @@ func (p *Pipeline) FollowerEngine() *chase.Engine {
 func (p *Pipeline) chaseOptions(pred *ml.Predication, reg *obs.Registry, span *obs.Span) chase.Options {
 	return chase.Options{
 		Span:        span,
-		Lazy:        p.opts.Lazy,
+		Lazy:        true,
 		UseBlocking: p.opts.UseBlocking,
 		Predication: p.opts.Predication,
 		Pred:        pred,
-		MaxRounds:   p.opts.MaxRounds,
 		Workers:     p.opts.Workers,
 		Parallel:    p.opts.Parallel,
 		Drain:       p.drain(),
@@ -500,9 +491,14 @@ func (p *Pipeline) detectOptions(pred *ml.Predication, reg *obs.Registry) detect
 	return o
 }
 
+// retryBackoff is the base backoff before a unit retry (attempt k waits
+// k*retryBackoff, cut short by cancellation), in process and on a remote
+// Cluster.
+const retryBackoff = time.Millisecond
+
 // drain is the one drain configuration detection and the chase share.
 func (p *Pipeline) drain() cluster.Options {
-	return cluster.Options{Steal: p.opts.Steal, MaxRetries: p.opts.MaxRetries, RetryBackoff: p.opts.RetryBackoff}
+	return cluster.Options{Steal: p.opts.Steal, MaxRetries: p.opts.MaxRetries, RetryBackoff: retryBackoff}
 }
 
 // detectWith runs detection, optionally filling a predication layer that
