@@ -226,7 +226,6 @@ func cmdClean(args []string, correct bool) error {
 	opts.Predication = *predication
 	opts.Steal = *steal
 	opts.Obs = reg
-	opts.Deadline = *timeout
 	opts.MaxRetries = *retries
 	p := rock.NewPipelineWith(db, opts)
 	p.RegisterMatcher("M_ER", 0.82)
@@ -288,7 +287,13 @@ func cmdClean(args []string, correct bool) error {
 		}
 		return writeTraceFile(reg, *traceOut)
 	}
-	rep, err := p.Clean()
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	rep, err := p.CleanCtx(ctx)
 	if err != nil {
 		return err
 	}

@@ -263,6 +263,7 @@ type Engine struct {
 	rules []*ree.Rule
 	u     *truth.FixSet
 	opts  Options
+	view  *view // env.View: U's validated cells first, raw data otherwise
 
 	// orderLog records accepted order fixes per rel.attr so a losing fix
 	// can be retracted by rebuilding the order.
@@ -274,7 +275,7 @@ type Engine struct {
 	dist DistRunner
 	// lastAccepted carries the previous round's accepted fixes into the
 	// next distributed round's preamble (workers derive their dirty set
-	// and shadow marking from it, mirroring the post-merge bookkeeping);
+	// and extend their view from it, mirroring the post-merge step);
 	// shipped is the fix-set journal mark the last preamble ended at.
 	lastAccepted []Fix
 	shipped      int
@@ -344,8 +345,8 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	// The engine owns a shallow copy of the environment: the ValueOf and
-	// Orders hooks wired below read this engine's fix set and must not
+	// The engine owns a shallow copy of the environment: the View and the
+	// Orders hook wired below read this engine's fix set and must not
 	// outlive it on the caller's env (detection reads raw values). Models,
 	// graphs, the database and the column cache stay shared; the cache
 	// also keeps the EID index and the TID % b blocks (TuplesOfEID,
@@ -388,58 +389,23 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	// Wire the chase semantics into the environment: values read through
 	// the fix set (validated first, raw otherwise) and temporal predicates
 	// read the validated orders.
-	e.env.ValueOf = func(rel *data.Relation, t *data.Tuple, col int) data.Value {
-		if col < 0 || col >= len(rel.Schema.Attrs) {
-			return data.Value{}
-		}
-		if v, ok := e.u.Cell(rel.Schema.Name, t.EID, rel.Schema.Attrs[col].Name); ok {
-			return v
-		}
-		return predicate.RawValue(t, col)
-	}
+	e.view = newView(e.u, e.tuplesOfEID)
+	e.env.View = e.view
 	e.corr = corrByRelation(env)
 	e.env.Orders = func(rel, attr string) *data.TemporalOrder {
 		return e.u.OrderIfAny(rel, attr)
 	}
 	e.exec = exec.New(e.env)
 	e.exec.SetObs(e.obs)
-	// Interned fast path: the executor compares dictionary ids of raw
-	// values, while ValueOf reads validated cells first — so it must know
-	// which tuples' view may differ from raw data. Seed that shadow set
-	// with every tuple whose entity class carries a validated cell in Γ;
-	// the merge step extends it as fixes land (same granularity as dirty
-	// propagation). With tracking registered, equality joins and constant
-	// predicates run interned for the (vast) unshadowed majority.
-	shadow := make(map[string]map[int]bool)
-	e.u.ForEachCell(func(rel, eidRoot, _ string, _ data.Value) {
-		for _, member := range e.u.ClassMembers(eidRoot) {
-			for _, t := range e.tuplesOfEID(rel, member) {
-				m := shadow[rel]
-				if m == nil {
-					m = make(map[int]bool)
-					shadow[rel] = m
-				}
-				m[t.TID] = true
-			}
-		}
-	})
-	e.exec.SetShadowTracking(shadow)
 	if opts.Predication {
 		if opts.Pred != nil {
 			e.pred = opts.Pred
 		} else {
 			e.pred = ml.NewPredication()
 		}
-		// Re-register every model read through the shared prediction
-		// cache. Unwrap first so a model's private memo (NewCachedModel)
-		// doesn't double-key the same pair; the wrapped models are pure
-		// memoisers, so engines sharing the env (with the layer on or off)
-		// see identical predictions.
-		for _, name := range env.Models.Names() {
-			if m, err := env.Models.Get(name); err == nil {
-				env.Models.Register(e.pred.Wrap(ml.Unwrap(m)))
-			}
-		}
+		// The wrapped models are pure memoisers, so engines sharing the
+		// env (with the layer on or off) see identical predictions.
+		e.pred.WrapAll(env.Models)
 		e.exec.SetEmbedStore(e.pred.Embeds)
 	}
 	return e
@@ -601,13 +567,13 @@ func (e *Engine) RunIncrementalCtx(ctx context.Context, dirty map[string]map[int
 		return &e.report, nil
 	}
 	e.phaseSpan = e.obs.StartSpan("chase.incremental", e.opts.Span)
-	// The caller mutated raw data: shadow the dirty tuples — an updated
-	// tuple may sit in an entity class with validated cells, so its view
-	// can differ from its new raw value. The env's cache keeps itself
+	// The caller mutated raw data: the view shadows the dirty tuples — an
+	// updated tuple may sit in an entity class with validated cells, so its
+	// view can differ from its new raw value. The env's cache keeps itself
 	// current: a pipeline delta refreshed the columns, a column stamped
 	// before a write it was not told about is rebuilt on its next read,
 	// and the EID index and the blocks extend by the inserts on theirs.
-	e.exec.MarkShadowed(dirty)
+	e.view.extend(dirty)
 	err := e.fixpoint(e.rules, dirty, e.opts.MaxRounds)
 	e.finish()
 	return &e.report, err
@@ -643,7 +609,7 @@ func (e *Engine) fixpoint(rules []*ree.Rule, initialDirty map[string]map[int]boo
 			break
 		}
 		e.obs.Inc("chase.rounds")
-		newFixes, err := e.runRound(active, dirty)
+		newFixes, newDirty, err := e.runRound(active, dirty)
 		if err != nil {
 			return err
 		}
@@ -656,7 +622,7 @@ func (e *Engine) fixpoint(rules []*ree.Rule, initialDirty map[string]map[int]boo
 		}
 		if e.opts.Lazy {
 			active = e.activate(rules, newFixes)
-			dirty = e.dirtySet(newFixes)
+			dirty = newDirty
 		} else {
 			active = rules
 			dirty = nil
@@ -682,8 +648,9 @@ func (e *Engine) fixpoint(rules []*ree.Rule, initialDirty map[string]map[int]boo
 // interleaving. Correctness rests on the round invariant: units only read
 // the fix set (truth.FixSet reads are compression-free), and all fixes
 // apply in the serial merge below. Unit costs are measured for
-// Report.RuleProfile.
-func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]Fix, error) {
+// Report.RuleProfile. It returns the accepted fixes and the tuples they
+// affect (absorb).
+func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]Fix, map[string]map[int]bool, error) {
 	roundStart := time.Now()
 	round := int(e.obs.CounterValue("chase.rounds")) // caller already counted this round
 	roundSpan := e.obs.StartSpan("round", e.phaseSpan)
@@ -719,7 +686,7 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 			}
 			e.shipped = e.u.Mark()
 			if err := e.dist.BeginRound(e.ctx, pre); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		for _, w := range work {
@@ -780,7 +747,7 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				e.cancelled = true
 			} else {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		e.report.Unresolved = append(e.report.Unresolved, out.Unresolved...)
@@ -819,7 +786,7 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	}
 	e.obs.Add("chase.fixes.applied", uint64(len(accepted)))
 	e.obs.Add("chase.fixes.rejected", uint64(rejected))
-	e.absorb(accepted)
+	affected := e.absorb(accepted)
 	e.lastAccepted = accepted
 	if e.pred != nil {
 		e.report.Predication = e.pred.Stats()
@@ -841,7 +808,7 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	})
 	roundSpan.SetN(int64(len(accepted)))
 	e.syncReport()
-	return accepted, nil
+	return accepted, affected, nil
 }
 
 // unitWork is one work unit T = (φ, D_T) of a round: a rule paired with a
@@ -916,16 +883,17 @@ func (e *Engine) runUnit(ctx context.Context, w unitWork, dirty map[string]map[i
 }
 
 // absorb is the bookkeeping that follows a merge, on the engine that
-// merged and on every replica following it: accepted fixes change the
-// values units read through env.ValueOf, so the affected tuples (same
-// granularity that re-activates rules) are no longer safe for interned
-// raw-id comparisons: shadow them so the executor reads those tuples
-// through the fix set.
-func (e *Engine) absorb(accepted []Fix) {
+// merged and on every replica following it: accepted fixes change what
+// the view reads, so the view shadows the tuples they affect — the
+// dirty set, at the granularity that re-activates rules. It returns that
+// set, which is also the next lazy round's filter.
+func (e *Engine) absorb(accepted []Fix) map[string]map[int]bool {
 	if len(accepted) == 0 {
-		return
+		return nil
 	}
-	e.exec.MarkShadowed(e.dirtySet(accepted))
+	dirty := e.dirtySet(accepted)
+	e.view.extend(dirty)
+	return dirty
 }
 
 // fixKey is a fix canonicalised for in-round deduplication: the rule id
@@ -1069,27 +1037,12 @@ func (e *Engine) deduce(d *deduction, h *predicate.Valuation) {
 			return
 		}
 		// Suggest over the tuple as seen through validated values.
-		v, _, ok := md.Suggest(e.viewTuple(rt, t), p.BCol)
+		v, _, ok := md.Suggest(e.view.tuple(rt, t), p.BCol)
 		if !ok {
 			return
 		}
 		d.add(Fix{Kind: FixCell, Rel: rt.Schema.Name, Attr: p.B, EID1: t.EID, TID: t.TID, Value: v, RuleID: ruleID})
 	}
-}
-
-// viewTuple is the tuple as seen through validated cells: t itself when
-// no validated cell differs from its raw value, else a copy.
-func (e *Engine) viewTuple(rel *data.Relation, t *data.Tuple) *data.Tuple {
-	vt := t
-	for i, a := range rel.Schema.Attrs {
-		if v, ok := e.u.Cell(rel.Schema.Name, t.EID, a.Name); ok && i < len(vt.Values) && v != vt.Values[i] {
-			if vt == t {
-				vt = t.Clone()
-			}
-			vt.Values[i] = v
-		}
-	}
-	return vt
 }
 
 // coerce parses a graph value into column col's type, falling back to a
@@ -1203,7 +1156,7 @@ func (e *Engine) resolveCellConflict(fx Fix, conflict *truth.Conflict) bool {
 	if probe == nil {
 		return toUser()
 	}
-	anchors := mc.Anchors(e.viewTuple(rel, probe), bIdx)
+	anchors := mc.Anchors(e.view.tuple(rel, probe), bIdx)
 	oldScore := mc.StrengthAt(anchors, conflict.Old)
 	newScore := mc.StrengthAt(anchors, fx.Value)
 	const margin = 0.05 // below this the model cannot distinguish the candidates
@@ -1370,7 +1323,7 @@ func (e *Engine) resolveValuePair(out *UnitOutcome, a, b side) (data.Value, bool
 	// each seen through the fix set and anchored once for both candidates
 	// (a relation without a model scores 0).
 	mcT, mcS := e.corr[relT], e.corr[relS]
-	anchT, anchS := mcT.Anchors(e.viewTuple(a.rel, a.t), a.col), mcS.Anchors(e.viewTuple(b.rel, b.t), b.col)
+	anchT, anchS := mcT.Anchors(e.view.tuple(a.rel, a.t), a.col), mcS.Anchors(e.view.tuple(b.rel, b.t), b.col)
 	score := func(v data.Value) float64 { return mcT.StrengthAt(anchT, v) + mcS.StrengthAt(anchS, v) }
 	st, ss := score(a.v), score(b.v)
 	// A wide margin: M_c only decides when the correlation evidence is

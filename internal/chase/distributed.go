@@ -20,8 +20,8 @@ import (
 // function of (rules, partition, FixSet), so unit index i names the
 // same work everywhere; and the coordinator's merge consumes buffers
 // in unit-index order, which is exactly the serial generation order.
-// Deduction reads only the replicated state (FixSet cells/orders via
-// env.ValueOf, deterministically trained models), so a distributed run
+// Deduction reads only the replicated state (FixSet cells/orders via the
+// engine's view, deterministically trained models), so a distributed run
 // is bit-identical to the serial in-process run. Conflict resolution
 // state that is NOT replicated (resolvedCells, the oracle memo) is
 // only written by the coordinator-side apply step, never during
@@ -31,8 +31,8 @@ import (
 
 // RoundPreamble is everything a worker replica needs to reconstruct a
 // round's inputs: the truth mutations since the previous preamble, the
-// fixes the coordinator accepted last round (source of the dirty set
-// and of shadow marking), and the active rule IDs.
+// fixes the coordinator accepted last round (which extend the replica's
+// view and give the dirty set), and the active rule IDs.
 type RoundPreamble struct {
 	Round   int
 	RuleIDs []string
@@ -88,18 +88,17 @@ type DistRunner interface {
 
 // FollowRound prepares a worker replica for one distributed round: it
 // replays the coordinator's truth journal, mirrors the coordinator's
-// post-merge executor bookkeeping (shadow marking for the tuples last
-// round's fixes affected), selects the active rules by ID, and derives
-// the round's work-unit list. It returns the unit count for the ack.
+// post-merge step (absorb: the view shadows the tuples last round's
+// fixes affected, and the same set is the round's dirty filter), selects
+// the active rules by ID, and derives the round's work-unit list. It returns the unit count for the ack.
 // Units are then executed on demand via RunFollowUnit.
 func (e *Engine) FollowRound(pre RoundPreamble) (int, error) {
 	if err := e.u.Replay(pre.Journal); err != nil {
 		return 0, err
 	}
-	e.absorb(pre.Accepted)
-	var dirty map[string]map[int]bool
-	if pre.UseDirty {
-		dirty = e.dirtySet(pre.Accepted)
+	dirty := e.absorb(pre.Accepted)
+	if !pre.UseDirty {
+		dirty = nil
 	}
 	byID := make(map[string]*ree.Rule, len(e.rules))
 	for _, r := range e.rules {

@@ -26,3 +26,6 @@ func TDConflictInputs(t *testing.T) []TDConflictInput {
 		{"td-resolution", resolveEnv, resolveRules},
 	}
 }
+
+// View hands the external test package the engine's view.
+func (e *Engine) View() predicate.View { return e.view }

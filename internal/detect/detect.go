@@ -124,13 +124,7 @@ func New(env *predicate.Env, rules []*ree.Rule, opts Options) *Detector {
 		return d
 	}
 	d.ex.SetEmbedStore(opts.Pred.Embeds)
-	// Route registry models through the shared prediction cache so
-	// scores computed during detection carry over to the chase.
-	for _, name := range env.Models.Names() {
-		if m, err := env.Models.Get(name); err == nil {
-			env.Models.Register(opts.Pred.Wrap(ml.Unwrap(m)))
-		}
-	}
+	opts.Pred.WrapAll(env.Models)
 	return d
 }
 

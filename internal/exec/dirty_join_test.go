@@ -16,11 +16,11 @@ import (
 
 // dirtyJoinEnv is the fixture of the dirty-side join oracle: R(k) joins
 // itself, A(x) joins B(y) through a translation (each holds values the
-// other's dictionary lacks), every column has nulls, and a ValueOf hook
+// other's dictionary lacks), every column has nulls, and the env's view
 // moves one tuple in ten onto another value of its own column, a value
 // only the other relation holds, a value no dictionary holds, null, or
-// its raw value. It returns the shadow set.
-func dirtyJoinEnv(rng *rand.Rand, n int) (*predicate.Env, map[string]map[int]bool) {
+// its raw value, and shadows those tuples.
+func dirtyJoinEnv(rng *rand.Rand, n int) *predicate.Env {
 	db := data.NewDatabase()
 	for _, spec := range []struct{ rel, attr, own string }{{"R", "k", "r"}, {"A", "x", "a"}, {"B", "y", "b"}} {
 		rel := data.NewRelation(must.Schema(spec.rel, data.Attribute{Name: spec.attr, Type: data.TString}))
@@ -60,13 +60,13 @@ func dirtyJoinEnv(rng *rand.Rand, n int) (*predicate.Env, map[string]map[int]boo
 		}
 	}
 	env := predicate.NewEnv(db)
-	env.ValueOf = byName(func(rel string, t *data.Tuple, attr string) data.Value {
+	env.View = newTestView(func(rel string, t *data.Tuple, attr string) data.Value {
 		if v, ok := view[rel][t.TID]; ok {
 			return v
 		}
 		return t.Values[0]
-	})
-	return env, shadow
+	}, shadow)
+	return env
 }
 
 // randomDirty marks a few random tuples of each relation dirty — or, now
@@ -101,11 +101,10 @@ func TestDirtyPostingJoinMatchesFilteredFullJoin(t *testing.T) {
 	sparse, runs := 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		env, shadow := dirtyJoinEnv(rng, n)
+		env := dirtyJoinEnv(rng, n)
 		reg := obs.New()
 		e := New(env)
 		e.SetObs(reg)
-		e.SetShadowTracking(shadow)
 		for _, src := range []string{"R(t) ^ R(s) ^ t.k = s.k -> t.k = s.k", "A(t) ^ B(s) ^ t.x = s.y -> t.x = s.y"} {
 			r := must.Rule(src, env.DB)
 			p := r.X[0]

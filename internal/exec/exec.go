@@ -12,16 +12,15 @@
 //
 // Joins, constant/null selections and probes each have one body, over
 // the environment's dictionary-encoded columns (vector.go, intern.go),
-// whatever the relation's size. Its preconditions are invariants, and Run
-// reports an error when one fails: a ValueOf hook must come with the
-// shadow set of the tuples it may change (SetShadowTracking), and every
-// partition a job walks must be TID-ascending. The third, an id for every
-// live TID, holds by construction: the column cache serves a column only
-// at its relation's current mutation count.
+// whatever the relation's size. Run reports an error when a partition a
+// job walks is not TID-ascending; an id for every live TID holds by
+// construction, since the column cache serves a column only at its
+// relation's current mutation count.
 //
-// The executor is shared by error detection and the chase; the caller's
-// Env decides whether values come from raw data (detection) or from the
-// fix set U (chasing).
+// The executor is shared by error detection and the chase, and only reads
+// the caller's Env: without a View values come from raw data (detection);
+// with one, from the chase's view over the fix set U, which also names
+// the tuples whose values may differ from raw (predicate.View.Shadowed).
 package exec
 
 import (
@@ -96,11 +95,6 @@ type Executor struct {
 	// cols is the env's column cache, or a private one when the env has
 	// none.
 	cols *crystal.Cache
-
-	// in is this executor's view over the dictionary-encoded columns
-	// (intern.go): the shadow-TID sets that keep interned comparisons
-	// sound under a ValueOf hook.
-	in internIndex
 }
 
 // New creates an executor over the environment.
@@ -133,9 +127,6 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 	var st Stats
 	if len(r.Atoms) == 0 {
 		return st, fmt.Errorf("exec: rule %s has no tuple atoms", r.ID)
-	}
-	if e.env.ValueOf != nil && !e.in.tracking() {
-		return st, fmt.Errorf("exec: rule %s: the env has a ValueOf hook but no shadow set (SetShadowTracking)", r.ID)
 	}
 	fr, err := r.Compile(e.env.DB)
 	if err != nil {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"github.com/rockclean/rock/internal/crystal"
@@ -212,27 +211,25 @@ func TestExecutorErrors(t *testing.T) {
 	}
 }
 
-// fixedMfg makes every mfg read as "Fixed" through a ValueOf hook and
-// returns the shadow set of the tuples it changes: all of them.
-func fixedMfg(env *predicate.Env, rel *data.Relation) map[string]map[int]bool {
-	env.ValueOf = byName(func(relName string, tp *data.Tuple, attr string) data.Value {
-		if attr == "mfg" {
-			return data.S("Fixed")
-		}
-		return tp.Values[rel.Schema.Index(attr)]
-	})
+// fixedMfg installs a view that makes every mfg read as "Fixed", and so
+// shadows every tuple.
+func fixedMfg(env *predicate.Env, rel *data.Relation) {
 	shadow := map[int]bool{}
 	for _, tp := range rel.Tuples {
 		shadow[tp.TID] = true
 	}
-	return map[string]map[int]bool{"Trans": shadow}
+	env.View = newTestView(func(relName string, tp *data.Tuple, attr string) data.Value {
+		if attr == "mfg" {
+			return data.S("Fixed")
+		}
+		return tp.Values[rel.Schema.Index(attr)]
+	}, map[string]map[int]bool{"Trans": shadow})
 }
 
-func TestValueOfHookRespected(t *testing.T) {
+func TestViewRespected(t *testing.T) {
 	env, rel := transEnv(t, 10)
-	shadow := fixedMfg(env, rel)
+	fixedMfg(env, rel)
 	e := New(env)
-	e.SetShadowTracking(shadow)
 	// With every mfg read as "Fixed" the CR rule has no violations...
 	r := must.Rule("Trans(t) ^ Trans(s) ^ t.com = s.com -> t.mfg = s.mfg", env.DB)
 	violations := 0
@@ -255,18 +252,5 @@ func TestValueOfHookRespected(t *testing.T) {
 	}
 	if st.Valuations != rel.Len() {
 		t.Errorf("selection on the hooked value kept %d of %d tuples", st.Valuations, rel.Len())
-	}
-}
-
-// A ValueOf hook without the shadow set of the tuples it changes is an
-// error: the columns encode raw values, and Run cannot tell which of them
-// the hook overrides.
-func TestColumnarHookWithoutShadowSetIsAnError(t *testing.T) {
-	env, rel := transEnv(t, 10)
-	fixedMfg(env, rel)
-	r := must.Rule("Trans(t) ^ Trans(s) ^ t.com = s.com -> t.mfg = s.mfg", env.DB)
-	_, err := New(env).Run(r, Options{}, func(*predicate.Valuation) bool { return true })
-	if err == nil || !strings.Contains(err.Error(), "shadow set") {
-		t.Fatalf("hook without a shadow set gave error %v", err)
 	}
 }

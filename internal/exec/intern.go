@@ -2,44 +2,25 @@ package exec
 
 import (
 	"errors"
-	"sort"
 	"sync"
 
 	"github.com/rockclean/rock/internal/crystal"
 	"github.com/rockclean/rock/internal/data"
 )
 
-// internIndex is the executor's own part of the dictionary-encoded hot
-// path (paper §5.1: Crystal "transforms attribute values to unique ids" so
-// the engine compares integers, not values). The columns themselves belong
-// to the environment (predicate.Env.Columns): each (relation, attribute)
-// is encoded on first use, shared by every executor over the env —
-// detection, the chase and every later delta — and served only at the
-// relation's current mutation count. Equality joins and constant
-// predicates compare uint32 ids over dense TID-indexed slices instead of
-// hashing data.Value keys. The blocks jobs walk, with their TID arrays,
-// belong to the environment's cache too (crystal.Cache.Blocks). What
-// stays here describes one engine's view: its shadow sets.
+// The executor's part of the dictionary-encoded hot path (paper §5.1:
+// Crystal "transforms attribute values to unique ids" so the engine
+// compares integers, not values). The columns belong to the environment
+// (predicate.Env.Columns): each (relation, attribute) is encoded on first
+// use, shared by every executor over the env — detection, the chase and
+// every later delta — and served only at the relation's current mutation
+// count, as are the blocks jobs walk (crystal.Cache.Blocks).
 //
-// Correctness with the chase's fix-set view: interned ids encode RAW
-// tuple values, but the chase reads values through env.ValueOf (validated
-// cells first). The chase therefore registers shadow tracking — the set
-// of TIDs whose view may differ from raw data (seeded from Γ, extended
-// after every merge step) — and the hot paths read exactly those tuples
-// through the hook (predicate.Env.Value). A ValueOf hook without shadow tracking is an
-// error: Run cannot tell which tuples the hook changes.
-type internIndex struct {
-	mu sync.RWMutex
-	// shadow[rel] is the TID set whose ValueOf view may differ from raw
-	// data; track is true once a caller claims to maintain it.
-	shadow map[string]map[int]bool
-	track  bool
-	// shadowSorted caches, per relation, the ascending TID list of the
-	// shadow set — the vectorized paths intersect it against partition
-	// TID arrays instead of probing the map per tuple. Entries drop when
-	// MarkShadowed touches the relation.
-	shadowSorted map[string][]int
-}
+// The columns encode raw values, while a chase reads through its view
+// (predicate.Env.View: validated cells first). The view names the tuples
+// it may change (View.Shadowed); the jobs read exactly those through
+// predicate.Env.Value and compare ids for the rest. The executor keeps
+// no state of its own about the view.
 
 // tidsOf returns the ascending TID array of a block — its own, or pooled
 // scratch extracted from its tuples when it carries none (pooled true:
@@ -65,88 +46,18 @@ func tidsOf(b crystal.Block) (tids []int, pooled bool, err error) {
 
 var errNotAscending = errors.New("exec: partition is not TID-ascending")
 
-// tracking reports whether a caller registered the shadow set.
-func (in *internIndex) tracking() bool {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.track
-}
-
-// SetShadowTracking installs the shadow TID sets; an env with a ValueOf
-// hook needs them before its first Run. The caller owns the contract: every
-// tuple whose ValueOf view may differ from the raw relation value must be
-// in shadow (MarkShadowed extends it). The maps are retained, not copied.
-func (e *Executor) SetShadowTracking(shadow map[string]map[int]bool) {
-	e.in.mu.Lock()
-	defer e.in.mu.Unlock()
-	if shadow == nil {
-		shadow = make(map[string]map[int]bool)
-	}
-	e.in.shadow = shadow
-	e.in.track = true
-	e.in.shadowSorted = nil
-}
-
-// MarkShadowed adds the given TIDs to the shadow sets. Call from the
-// serial merge step (or otherwise outside concurrent Runs) after fixes
-// change what ValueOf returns.
-func (e *Executor) MarkShadowed(dirty map[string]map[int]bool) {
-	e.in.mu.Lock()
-	defer e.in.mu.Unlock()
-	if e.in.shadow == nil {
-		e.in.shadow = make(map[string]map[int]bool)
-	}
-	for rel, tids := range dirty {
-		m := e.in.shadow[rel]
-		if m == nil {
-			m = make(map[int]bool, len(tids))
-			e.in.shadow[rel] = m
-		}
-		for tid := range tids {
-			m[tid] = true
-		}
-		delete(e.in.shadowSorted, rel)
-	}
-}
-
-// shadowSortedOf returns the ascending TID list of a relation's shadow
-// set (nil when empty), built lazily and cached until MarkShadowed next
-// touches the relation. Concurrent builders compute identical lists, so
-// the last writer winning is harmless.
-func (e *Executor) shadowSortedOf(rel string) []int {
-	e.in.mu.RLock()
-	s, ok := e.in.shadowSorted[rel]
-	m := e.in.shadow[rel]
-	e.in.mu.RUnlock()
-	if ok {
-		return s
-	}
-	if len(m) > 0 {
-		s = make([]int, 0, len(m))
-		for tid := range m {
-			s = append(s, tid)
-		}
-		sort.Ints(s)
-	}
-	e.in.mu.Lock()
-	if e.in.shadowSorted == nil {
-		e.in.shadowSorted = make(map[string][]int)
-	}
-	e.in.shadowSorted[rel] = s
-	e.in.mu.Unlock()
-	return s
-}
-
-// shadowOf returns the shadow TID set of a relation (nil when empty) —
-// fetched once per hot loop, checked per tuple.
-func (e *Executor) shadowOf(rel string) map[int]bool {
-	e.in.mu.RLock()
-	defer e.in.mu.RUnlock()
-	m := e.in.shadow[rel]
-	if len(m) == 0 {
+// shadowedPositions returns, ascending, the positions in tids (a block's
+// ascending TID array) of the tuples of rel the env's view shadows, as
+// pool scratch; nil when the env has no view or the block holds none.
+func (e *Executor) shadowedPositions(rel *data.Relation, tids []int) []int32 {
+	if e.env.View == nil {
 		return nil
 	}
-	return m
+	sh := e.env.View.Shadowed(rel)
+	if len(sh) == 0 {
+		return nil
+	}
+	return crystal.IntersectPositions(getPosBuf(), sh, tids)
 }
 
 // internedCol returns the column for (rel, attr), current at the

@@ -38,7 +38,7 @@ type idFilter struct {
 	hasCID  bool
 	nullID  crystal.ValueID
 	hasNull bool
-	viewed  bool // reads through ValueOf: shadowed tuples evaluate per tuple
+	viewed  bool // reads through the view: shadowed tuples evaluate per tuple
 }
 
 // keep reports whether t passes a variable's filters: each interned
@@ -119,10 +119,8 @@ func (e *Executor) candidatesVec(fr *predicate.Frame, slot int, block crystal.Bl
 	// filters care (null checks read raw data even for shadowed tuples).
 	var shadowPos []int32
 	if viewed {
-		if sh := e.shadowSortedOf(fr.Rels[slot].Schema.Name); len(sh) > 0 {
-			shadowPos = crystal.IntersectPositions(getPosBuf(), sh, tids)
-			defer putPosBuf(shadowPos)
-		}
+		shadowPos = e.shadowedPositions(fr.Rels[slot], tids)
+		defer putPosBuf(shadowPos)
 	}
 
 	if postingOK {
@@ -280,8 +278,7 @@ func (e *Executor) postingJoin(p *predicate.Compiled, opts Options,
 
 	ai, bi := p.ACol, p.BCol
 	relTName, relSName := relT.Schema.Name, relS.Schema.Name
-	shadowT := e.shadowOf(relTName)
-	shadowS := e.shadowOf(relSName)
+	tShadowPos := e.shadowedPositions(relT, tTIDs)
 
 	// s-side: shadowed tuples leave the probe targets (posting lists index
 	// raw values only) — sShadowBits marks their positions — and their view
@@ -289,36 +286,30 @@ func (e *Executor) postingJoin(p *predicate.Compiled, opts Options,
 	// for values colB never interned.
 	var shadowByID map[crystal.ValueID][]int32
 	var slow map[string][]*data.Tuple
-	var sShadowBuf, tShadowPos []int32
 	var sShadowBits []uint64
-	if shadowS != nil {
-		sShadowBuf = crystal.IntersectPositions(getPosBuf(), e.shadowSortedOf(relSName), sTIDs)
-		if len(sShadowBuf) > 0 {
-			sShadowBits = getWordBuf(crystal.BitmapWords(len(tuplesS)))
-			crystal.BitmapClearAll(sShadowBits)
-		}
-		for _, pos := range sShadowBuf {
-			sShadowBits[pos/64] |= 1 << (uint(pos) % 64)
-			s := tuplesS[pos]
-			v := e.env.Value(relS, s, bi)
-			if v.IsNull() {
-				continue
-			}
-			if id, ok := colB.Dict.ID(v); ok {
-				if shadowByID == nil {
-					shadowByID = make(map[crystal.ValueID][]int32)
-				}
-				shadowByID[id] = append(shadowByID[id], pos)
-			} else {
-				if slow == nil {
-					slow = make(map[string][]*data.Tuple)
-				}
-				slow[v.Key()] = append(slow[v.Key()], s)
-			}
-		}
+	sShadowBuf := e.shadowedPositions(relS, sTIDs)
+	if len(sShadowBuf) > 0 {
+		sShadowBits = getWordBuf(crystal.BitmapWords(len(tuplesS)))
+		crystal.BitmapClearAll(sShadowBits)
 	}
-	if shadowT != nil {
-		tShadowPos = crystal.IntersectPositions(getPosBuf(), e.shadowSortedOf(relTName), tTIDs)
+	for _, pos := range sShadowBuf {
+		sShadowBits[pos/64] |= 1 << (uint(pos) % 64)
+		s := tuplesS[pos]
+		v := e.env.Value(relS, s, bi)
+		if v.IsNull() {
+			continue
+		}
+		if id, ok := colB.Dict.ID(v); ok {
+			if shadowByID == nil {
+				shadowByID = make(map[crystal.ValueID][]int32)
+			}
+			shadowByID[id] = append(shadowByID[id], pos)
+		} else {
+			if slow == nil {
+				slow = make(map[string][]*data.Tuple)
+			}
+			slow[v.Key()] = append(slow[v.Key()], s)
+		}
 	}
 	matchBuf := getPosBuf()
 	defer func() {
@@ -598,24 +589,13 @@ func (e *Executor) probeJoinVec(rel *data.Relation, block crystal.Block,
 	if pooled {
 		defer putIntBuf(tids)
 	}
-	matchBuf := getPosBuf()
-	var shBuf []int32
-	defer func() {
-		putPosBuf(matchBuf)
-		if shBuf != nil {
-			putPosBuf(shBuf)
-		}
-	}()
 	var matched []int32
 	if target, ok := col.Dict.ID(v); ok {
-		matchBuf = crystal.IntersectPositions(matchBuf, col.PostingList(target), tids)
-		matched = matchBuf
+		matched = crystal.IntersectPositions(getPosBuf(), col.PostingList(target), tids)
+		defer putPosBuf(matched)
 	}
-	var shPos []int32
-	if sh := e.shadowSortedOf(rel.Schema.Name); len(sh) > 0 {
-		shBuf = crystal.IntersectPositions(getPosBuf(), sh, tids)
-		shPos = shBuf
-	}
+	shPos := e.shadowedPositions(rel, tids)
+	defer putPosBuf(shPos)
 	out := getTupleBuf()
 	_ = mergeShadowed(matched, shPos, func(pos int32, shadowed bool) error {
 		if t := base[pos]; !shadowed || e.env.Value(rel, t, fi).Equal(v) {

@@ -23,23 +23,40 @@ import (
 // the executor used to have (128 and 4096).
 var equivSizes = []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 4097}
 
-// byName adapts a hook written over relation and attribute names to the
-// env's (relation, tuple, column) ValueOf.
-func byName(f func(rel string, tp *data.Tuple, attr string) data.Value) func(*data.Relation, *data.Tuple, int) data.Value {
-	return func(r *data.Relation, tp *data.Tuple, col int) data.Value {
-		if col < 0 {
-			return data.Value{}
-		}
-		return f(r.Schema.Name, tp, r.Schema.Attrs[col].Name)
-	}
+// testView is a predicate.View over a hook written over relation and
+// attribute names, shadowing the TIDs it was built with.
+type testView struct {
+	value  func(rel string, tp *data.Tuple, attr string) data.Value
+	shadow map[string][]int
 }
+
+// newTestView builds the view of value that shadows the given TIDs.
+func newTestView(value func(rel string, tp *data.Tuple, attr string) data.Value, shadow map[string]map[int]bool) *testView {
+	v := &testView{value: value, shadow: map[string][]int{}}
+	for rel, tids := range shadow {
+		for tid := range tids {
+			v.shadow[rel] = append(v.shadow[rel], tid)
+		}
+		slices.Sort(v.shadow[rel])
+	}
+	return v
+}
+
+func (v *testView) Value(r *data.Relation, tp *data.Tuple, col int) data.Value {
+	if col < 0 {
+		return data.Value{}
+	}
+	return v.value(r.Schema.Name, tp, r.Schema.Attrs[col].Name)
+}
+
+func (v *testView) Shadowed(r *data.Relation) []int { return v.shadow[r.Schema.Name] }
 
 func rawValue(env *predicate.Env, rel string, tp *data.Tuple, attr string) data.Value {
 	return tp.Values[env.DB.Rel(rel).Schema.Index(attr)]
 }
 
 // viewValue reads tp[attr] as the executor must see it: through the
-// env's ValueOf hook when it has one, raw otherwise.
+// env's view when it has one, raw otherwise.
 func viewValue(env *predicate.Env, rel string, tp *data.Tuple, attr string) data.Value {
 	r := env.DB.Rel(rel)
 	return env.Value(r, tp, r.Schema.Index(attr))
@@ -62,18 +79,13 @@ func emissionTrace(t testing.TB, e *Executor, r *ree.Rule, opts Options) []int {
 	return trace
 }
 
-// columnar runs r on a fresh executor (shadow tracking registered when
-// env carries a hook), requires that it bumped every counter in took, and
-// returns its trace and its registry.
-func columnar(t *testing.T, env *predicate.Env, shadow map[string]map[int]bool,
-	r *ree.Rule, opts Options, took ...string) ([]int, *obs.Registry) {
+// columnar runs r on a fresh executor, requires that it bumped every
+// counter in took, and returns its trace and its registry.
+func columnar(t *testing.T, env *predicate.Env, r *ree.Rule, opts Options, took ...string) ([]int, *obs.Registry) {
 	t.Helper()
 	reg := obs.New()
 	e := New(env)
 	e.SetObs(reg)
-	if env.ValueOf != nil {
-		e.SetShadowTracking(shadow)
-	}
 	got := emissionTrace(t, e, r, opts)
 	for _, c := range took {
 		if reg.CounterValue(c) == 0 {
@@ -103,16 +115,16 @@ func pushdownEnv(t *testing.T, n int) *predicate.Env {
 	return predicate.NewEnv(db)
 }
 
-// shadowRegions installs a hook that moves every 5th tuple into region R7
-// and every 30th-plus-7 tuple out of it, and returns the shadow set.
-func shadowRegions(env *predicate.Env) map[string]map[int]bool {
+// shadowRegions installs a view that moves every 5th tuple into region R7
+// and every 30th-plus-7 tuple out of it, shadowing exactly those.
+func shadowRegions(env *predicate.Env) {
 	shadow := map[int]bool{}
 	for _, tp := range env.DB.Rel("Ev").Tuples {
 		if tp.TID%5 == 0 || tp.TID%30 == 7 {
 			shadow[tp.TID] = true
 		}
 	}
-	env.ValueOf = byName(func(rel string, tp *data.Tuple, attr string) data.Value {
+	env.View = newTestView(func(rel string, tp *data.Tuple, attr string) data.Value {
 		switch {
 		case attr == "region" && tp.TID%5 == 0:
 			return data.S("R7")
@@ -120,8 +132,7 @@ func shadowRegions(env *predicate.Env) map[string]map[int]bool {
 			return data.S("R1")
 		}
 		return rawValue(env, rel, tp, attr)
-	})
-	return map[string]map[int]bool{"Ev": shadow}
+	}, map[string]map[int]bool{"Ev": shadow})
 }
 
 // selections lists every selection shape — equality, inequality, null,
@@ -159,14 +170,13 @@ var selections = []struct {
 
 func checkSelections(t *testing.T, n int, shadowed bool) {
 	env := pushdownEnv(t, n)
-	var shadow map[string]map[int]bool
 	if shadowed {
-		shadow = shadowRegions(env)
+		shadowRegions(env)
 	}
 	for _, tc := range selections {
 		r := must.Rule(tc.src, env.DB)
 		r.ID = tc.name
-		got, reg := columnar(t, env, shadow, r, Options{}, tc.took)
+		got, reg := columnar(t, env, r, Options{}, tc.took)
 		var want []int
 		for _, tp := range env.DB.Rel("Ev").Tuples {
 			if tc.want(viewValue(env, "Ev", tp, "region"), tp.Values[1]) {
@@ -194,12 +204,12 @@ func joinEnv(t *testing.T, nA, nB int) *predicate.Env {
 	return mixedNumericEnv(t, nA, nB, mod)
 }
 
-// shadowNumeric installs a hook over the A/B fixture: A0's view kills its
+// shadowNumeric installs a view over the A/B fixture: A0's view kills its
 // raw match, A1 and B2 move onto a value in neither dictionary (they match
 // only each other, through the overflow index), and B4 moves onto 3, a
 // value B's dictionary has (merged into that bucket by position).
-func shadowNumeric(env *predicate.Env) map[string]map[int]bool {
-	env.ValueOf = byName(func(rel string, tp *data.Tuple, attr string) data.Value {
+func shadowNumeric(env *predicate.Env) {
+	env.View = newTestView(func(rel string, tp *data.Tuple, attr string) data.Value {
 		switch {
 		case rel == "A" && tp.TID == 0:
 			return data.I(1234567)
@@ -209,8 +219,7 @@ func shadowNumeric(env *predicate.Env) map[string]map[int]bool {
 			return data.F(3)
 		}
 		return rawValue(env, rel, tp, attr)
-	})
-	return map[string]map[int]bool{"A": {0: true, 1: true}, "B": {2: true, 4: true}}
+	}, map[string]map[int]bool{"A": {0: true, 1: true}, "B": {2: true, 4: true}})
 }
 
 // matchesOf is the brute-force join oracle: per A tuple, the B tuples
@@ -231,13 +240,12 @@ func matchesOf(env *predicate.Env) map[int][]int {
 
 func checkJoin(t *testing.T, n int, shadowed bool) {
 	env := joinEnv(t, n, n)
-	var shadow map[string]map[int]bool
 	if shadowed {
-		shadow = shadowNumeric(env)
+		shadowNumeric(env)
 	}
 	r := must.Rule("A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid", env.DB)
 	r.ID = "join"
-	full, _ := columnar(t, env, shadow, r, Options{}, "exec.vec.joins")
+	full, _ := columnar(t, env, r, Options{}, "exec.vec.joins")
 	var want []int
 	matches := matchesOf(env)
 	for _, ta := range env.DB.Rel("A").Tuples {
@@ -262,7 +270,7 @@ func checkJoin(t *testing.T, n int, shadowed bool) {
 		{"A": {n / 2: true, n - 1: true}, "B": {n / 3: true, 2: true}},
 		{"A": {n / 2: true, n - 1: true}},
 	} {
-		got, _ := columnar(t, env, shadow, r, Options{Dirty: dirty}, "exec.vec.joins")
+		got, _ := columnar(t, env, r, Options{Dirty: dirty}, "exec.vec.joins")
 		var wantDirty []int
 		for i := 0; i < len(want); i += 2 {
 			if dirty["A"][want[i]] || dirty["B"][want[i+1]] {
@@ -283,9 +291,8 @@ func checkJoin(t *testing.T, n int, shadowed bool) {
 // two matches must see all of them on both sides (s ≠ u hides a lone one).
 func checkProbe(t *testing.T, n int, shadowed bool) {
 	env := mixedNumericEnv(t, min(n, 50), n, max(10, n/4))
-	var shadow map[string]map[int]bool
 	if shadowed {
-		shadow = shadowNumeric(env)
+		shadowNumeric(env)
 	}
 	r := must.Rule("A(t) ^ B(s) ^ B(u) ^ t.x = s.y ^ t.x = u.y -> t.eid = s.eid", env.DB)
 	r.ID = "probe"
@@ -293,7 +300,7 @@ func checkProbe(t *testing.T, n int, shadowed bool) {
 	if n >= 63 {
 		took = []string{"exec.vec.joins", "exec.vec.probe_selects"}
 	}
-	got, _ := columnar(t, env, shadow, r, Options{}, took...)
+	got, _ := columnar(t, env, r, Options{}, took...)
 	var want []int
 	matches := matchesOf(env)
 	for _, ta := range env.DB.Rel("A").Tuples {

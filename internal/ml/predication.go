@@ -429,6 +429,18 @@ func (p *Predication) Wrap(m Model) *PredicatedModel {
 	return pm
 }
 
+// WrapAll re-registers every model of r read through the layer's
+// prediction cache, unwrapped first so a model's private memo does not
+// double-key the same pair. Detection and the chase both call it, so the
+// scores one computes carry over to the other.
+func (p *Predication) WrapAll(r *Registry) {
+	for _, name := range r.Names() {
+		if m, err := r.Get(name); err == nil {
+			r.Register(p.Wrap(Unwrap(m)))
+		}
+	}
+}
+
 // PredicatedModel serves Predict/Confidence from a shared PredCache.
 // For Thresholder models Predict is derived from the cached confidence;
 // a model without a threshold answers Predict itself, uncached (every

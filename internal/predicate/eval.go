@@ -107,11 +107,21 @@ func (h *Valuation) Clone() *Valuation {
 	return &Valuation{Frame: h.Frame, Tuples: append([]*data.Tuple(nil), h.Tuples...), Vertices: append([]VertexBinding(nil), h.Vertices...)}
 }
 
+// View is the value view a chase evaluates through (paper §4.1, condition
+// (1)): validated values first, raw data otherwise. Value reads column col
+// of tuple t of relation rel; a null value means the value is missing, and
+// col is a schema index, possibly out of range (-1 for an attribute the
+// schema lacks). Shadowed lists, ascending, the TIDs of rel whose Value
+// may differ from their raw values: every other tuple reads raw, so the
+// executor compares its dictionary ids. A View changes only between
+// evaluations, so readers take no lock.
+type View interface {
+	Value(rel *data.Relation, t *data.Tuple, col int) data.Value
+	Shadowed(rel *data.Relation) []int
+}
+
 // Env carries everything predicate evaluation may need: the database, the
 // registered ML models, the temporal orders, and the knowledge graphs.
-// ValueOf, when non-nil, overrides attribute access — the chase supplies a
-// hook that reads validated values from the fix set U instead of raw data
-// (paper §4.1 condition (1)).
 type Env struct {
 	DB     *data.Database
 	Models *ml.Registry
@@ -125,12 +135,10 @@ type Env struct {
 	// temporal information" and temporal predicates evaluate to false.
 	Orders func(rel, attr string) *data.TemporalOrder
 
-	// ValueOf returns the (possibly validated) value of column col of
-	// tuple t of relation rel; a null value means the value is missing.
-	// col is a schema index, possibly out of range (-1 for an attribute
-	// the schema lacks). When nil, the raw tuple value is used (detection
-	// semantics).
-	ValueOf func(rel *data.Relation, t *data.Tuple, col int) data.Value
+	// View, when non-nil, is what attribute access reads: the chase
+	// installs its fix-set view on its own copy of the env. Nil reads raw
+	// data (detection semantics).
+	View View
 
 	// Columns is the environment's dictionary-encoded column cache. Every
 	// executor over this env, or over a shallow copy of it, reads and
@@ -152,11 +160,11 @@ func NewEnv(db *data.Database) *Env {
 	}
 }
 
-// Value reads column col of t through the ValueOf hook, or raw when the
-// env has none; null when the value is missing.
+// Value reads column col of t through the env's view, or raw when it has
+// none; null when the value is missing.
 func (e *Env) Value(rel *data.Relation, t *data.Tuple, col int) data.Value {
-	if e.ValueOf != nil {
-		return e.ValueOf(rel, t, col)
+	if e.View != nil {
+		return e.View.Value(rel, t, col)
 	}
 	return RawValue(t, col)
 }

@@ -289,7 +289,7 @@ func (f *FixSet) Cell(rel, eid, attr string) (data.Value, bool) {
 // ForEachCell visits every validated cell [EID.A]= of the fix set, in
 // unspecified order; eidRoot is the entity-class representative (use
 // ClassMembers to expand it). Read-only: safe while no fix is being
-// applied. The chase seeds its shadow-tuple tracking from it and diffs
+// applied. The chase seeds its view's shadowed tuples from it and diffs
 // the database against it — a tuple's view can differ from raw data only
 // at a validated cell.
 func (f *FixSet) ForEachCell(fn func(rel, eidRoot, attr string, v data.Value)) {

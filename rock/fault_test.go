@@ -6,17 +6,17 @@ import (
 	"time"
 )
 
-// TestDeadlineExpiredCleanIsPartial: an Options.Deadline that has no
-// chance to fit the run makes Clean return a partial report with a nil
+// TestDeadlineExpiredCleanIsPartial: a context deadline that has no
+// chance to fit the run makes CleanCtx return a partial report with a nil
 // error — graceful degradation, not failure.
 func TestDeadlineExpiredCleanIsPartial(t *testing.T) {
 	db := testDB(t)
-	opts := DefaultOptions()
-	opts.Deadline = time.Nanosecond
-	p := NewPipelineWith(db, opts)
+	p := NewPipeline(db)
 	p.TrainCorrelationModels()
 	p.MustAddRule("Trans(t) ^ Trans(s) ^ t.com = s.com -> t.mfg = s.mfg")
-	rep, err := p.Clean()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	rep, err := p.CleanCtx(ctx)
 	if err != nil {
 		t.Fatalf("expired deadline must degrade, not fail: %v", err)
 	}
@@ -26,7 +26,7 @@ func TestDeadlineExpiredCleanIsPartial(t *testing.T) {
 }
 
 // TestCleanCtxCancelledIsPartial: same degradation through an explicit
-// caller context instead of Options.Deadline.
+// cancel instead of a deadline.
 func TestCleanCtxCancelledIsPartial(t *testing.T) {
 	db := testDB(t)
 	p := NewPipeline(db)

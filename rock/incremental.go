@@ -72,15 +72,13 @@ func (d *Delta) DetectIncremental() ([]DetectedError, error) {
 	return errs, err
 }
 
-// DetectIncrementalCtx is DetectIncremental under a cancellation context
-// (plus Options.Deadline): on cancel it returns the errors found so far
-// with partial=true and a nil error. Like the batch path it runs under a
-// root span ("detect.incremental") and fills the pipeline's warm
-// predication layer, so a following CleanIncremental serves
-// detection-scored pairs as cache hits.
+// DetectIncrementalCtx is DetectIncremental under a cancellation context:
+// on cancel it returns the errors found so far with partial=true and a
+// nil error. Like the batch path it runs under a root span
+// ("detect.incremental") and fills the pipeline's warm predication layer,
+// so a following CleanIncremental serves detection-scored pairs as cache
+// hits.
 func (d *Delta) DetectIncrementalCtx(ctx context.Context) ([]DetectedError, bool, error) {
-	ctx, cancel := d.p.withDeadline(ctx)
-	defer cancel()
 	reg := d.p.opts.Obs
 	if reg == nil {
 		reg = obs.New()
@@ -106,10 +104,9 @@ func (d *Delta) CleanIncremental() ([]Correction, error) {
 	return out, err
 }
 
-// CleanIncrementalCtx is CleanIncremental under a cancellation context
-// (plus Options.Deadline). On cancel the chase degrades gracefully: the
-// certain fixes established so far are materialised and returned with
-// partial=true and a nil error.
+// CleanIncrementalCtx is CleanIncremental under a cancellation context.
+// On cancel the chase degrades gracefully: the certain fixes established
+// so far are materialised and returned with partial=true and a nil error.
 func (d *Delta) CleanIncrementalCtx(ctx context.Context) ([]Correction, bool, error) {
 	rep, err := d.CleanIncrementalReport(ctx)
 	if err != nil {
@@ -129,8 +126,6 @@ func (d *Delta) CleanIncrementalCtx(ctx context.Context) ([]Correction, bool, er
 // the stored values — so a cell validated since the last clean counts
 // even when the delta never reaches it.
 func (d *Delta) CleanIncrementalReport(ctx context.Context) (*Report, error) {
-	ctx, cancel := d.p.withDeadline(ctx)
-	defer cancel()
 	reg := d.p.opts.Obs
 	if reg == nil {
 		reg = obs.New()

@@ -76,7 +76,7 @@ func TestDeltaUpdate(t *testing.T) {
 	}
 }
 
-// Regression: chase.New used to install its ValueOf/Orders hooks on the
+// Regression: chase.New used to install its value/Orders hooks on the
 // pipeline's env and never restore them, so every detection after the
 // first clean read through the dead engine's fix set — a cell the clean
 // had repaired still read as repaired after an update broke it again.
@@ -100,8 +100,8 @@ func TestDetectAfterCleanReadsRawValues(t *testing.T) {
 	if v, _ := trans.Value(t3.TID, "mfg"); v.Str() != "Huawei" {
 		t.Fatalf("clean should repair t3.mfg, got %q", v.Str())
 	}
-	if p.env.ValueOf != nil {
-		t.Fatal("the chase left its ValueOf hook on the pipeline's env")
+	if p.env.View != nil {
+		t.Fatal("the chase left its view on the pipeline's env")
 	}
 
 	d := p.NewDelta()

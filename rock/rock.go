@@ -135,12 +135,6 @@ type Options struct {
 	// executor "exec.*"). Nil makes Clean create a run-private registry;
 	// either way Report.Metrics carries the final snapshot.
 	Obs *obs.Registry
-	// Deadline bounds a Clean/CleanIncremental run (0 = none): when it
-	// expires, the run degrades gracefully — the certain fixes
-	// accumulated so far are kept and the report comes back with
-	// Partial=true instead of an error. Equivalent to passing CleanCtx a
-	// context.WithTimeout.
-	Deadline time.Duration
 	// MaxRetries bounds how many times a panicking work unit is retried
 	// (reassigned to a different worker when one is alive) before the
 	// unit is given up and surfaced on Report.UnitErrors.
@@ -620,31 +614,17 @@ type PredicationStats = ml.PredStats
 
 // Clean detects and corrects: it chases the database with the registered
 // rules and ground truth, materialises the validated fixes back into the
-// relations, and returns the report. Options.Deadline, when set, bounds
-// the run (see CleanCtx).
+// relations, and returns the report. CleanCtx bounds or cancels it.
 func (p *Pipeline) Clean() (*Report, error) {
 	return p.CleanCtx(context.Background())
 }
 
-// withDeadline layers Options.Deadline (when set) onto ctx.
-func (p *Pipeline) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if p.opts.Deadline > 0 {
-		return context.WithTimeout(ctx, p.opts.Deadline)
-	}
-	return context.WithCancel(ctx)
-}
-
 // CleanCtx is Clean under a cancellation context. Cancelling ctx (or
-// exceeding Options.Deadline) does not discard the run: detection and
+// passing its deadline) does not discard the run: detection and
 // the chase stop at their next cooperative checkpoint, every certain fix
 // established so far is materialised, and the report comes back with
 // Partial=true and a nil error.
 func (p *Pipeline) CleanCtx(ctx context.Context) (*Report, error) {
-	ctx, cancel := p.withDeadline(ctx)
-	defer cancel()
 	// One observability registry spans the whole run: detection records
 	// "detect.*", the chase "chase.*", and Report.Metrics snapshots both.
 	reg := p.opts.Obs
