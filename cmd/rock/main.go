@@ -60,7 +60,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   rock gen    -app bank|logistics|sales -n N -out DIR   generate a demo dataset (+ curated rules)
-  rock clean  -in DIR -rules FILE [-workers N] [-parallel=bool] [-steal=bool]
+  rock clean  -in DIR -rules FILE [-workers N] [-parallel=bool]
               [-timeout D] [-retries N]
               [-distributed N] [-workers-addr ADDR]
               [-v] [-metrics-out FILE]
@@ -179,7 +179,6 @@ func cmdClean(args []string, correct bool) error {
 	workers := fs.Int("workers", 4, "cluster size (HyperCube blocks and worker goroutines)")
 	parallel := fs.Bool("parallel", true, "run chase work units on a pool of -workers goroutines (false: a pool of one worker, the serial reference)")
 	predication := fs.Bool("predication", true, "serve ML predications from caches detection fills and the chase reuses (value-keyed embedding store + sharded prediction cache, paper §5.4)")
-	steal := fs.Bool("steal", true, "enable work stealing between workers (off: the §5.2 load-balancing ablation)")
 	timeout := fs.Duration("timeout", 0, "deadline for the whole run (e.g. 30s); on expiry the fixes established so far are kept and the report is marked partial")
 	retries := fs.Int("retries", 2, "max retries for a panicking work unit before it is reported as failed")
 	verbose := fs.Bool("v", false, "print the per-round chase trace table")
@@ -224,7 +223,6 @@ func cmdClean(args []string, correct bool) error {
 	opts.Workers = *workers
 	opts.Parallel = *parallel
 	opts.Predication = *predication
-	opts.Steal = *steal
 	opts.Obs = reg
 	opts.MaxRetries = *retries
 	p := rock.NewPipelineWith(db, opts)
@@ -449,8 +447,8 @@ func printTrace(trace []rock.ChaseRoundTrace) {
 		return
 	}
 	fmt.Println("chase rounds:")
-	fmt.Printf("  %5s %6s %6s %10s %8s %8s %8s %7s %12s  %s\n",
-		"round", "rules", "units", "valuations", "ml_calls", "applied", "rejected", "steals", "duration", "node units")
+	fmt.Printf("  %5s %6s %6s %10s %8s %8s %8s %12s  %s\n",
+		"round", "rules", "units", "valuations", "ml_calls", "applied", "rejected", "duration", "node units")
 	for _, r := range trace {
 		nodes := make([]string, 0, len(r.NodeUnits))
 		for n := range r.NodeUnits {
@@ -464,8 +462,8 @@ func printTrace(trace []rock.ChaseRoundTrace) {
 			}
 			fmt.Fprintf(&nu, "%s:%d", n, r.NodeUnits[n])
 		}
-		fmt.Printf("  %5d %6d %6d %10d %8d %8d %8d %7d %12s  %s\n",
-			r.Round, r.Rules, r.Units, r.Valuations, r.MLCalls, r.Applied, r.Rejected, r.Steals,
+		fmt.Printf("  %5d %6d %6d %10d %8d %8d %8d %12s  %s\n",
+			r.Round, r.Rules, r.Units, r.Valuations, r.MLCalls, r.Applied, r.Rejected,
 			r.Duration.Round(time.Microsecond), nu.String())
 	}
 }

@@ -162,15 +162,17 @@ func TestCleanMetricsOut(t *testing.T) {
 			t.Errorf("chase.node.%s.units = %d, want %d", n, got, want)
 		}
 	}
-	// Serial mode never steals.
-	if got := snap.Counters["chase.steals"]; got != 0 {
-		t.Errorf("chase.steals = %d, want 0 in serial mode", got)
+	// Serial mode runs every chase unit on its one worker, node-0.
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "chase.node.") && name != "chase.node.node-0.units" {
+			t.Errorf("%s recorded in serial mode", name)
+		}
 	}
 	// The reference Report's own Metrics were recorded the same way; the
 	// deterministic chase counters must be identical across the two runs.
-	// (detect.* node/steal counters vary run to run: the detect pool
-	// steals regardless of -parallel, so work distribution is scheduling-
-	// dependent there.)
+	// (detect.* node counters vary run to run: detection runs on the full
+	// pool regardless of -parallel, so which worker ran what is
+	// scheduling-dependent there.)
 	for name, want := range rep.Metrics.Counters {
 		if !strings.HasPrefix(name, "chase.") || strings.HasSuffix(name, "_ns") {
 			continue // wall-clock counters legitimately differ

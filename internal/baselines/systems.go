@@ -24,7 +24,6 @@ import (
 	"context"
 
 	"github.com/rockclean/rock/internal/chase"
-	"github.com/rockclean/rock/internal/cluster"
 	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/detect"
 	"github.com/rockclean/rock/internal/discovery"
@@ -261,7 +260,7 @@ func (v *RockVariant) Correct(b *Bench) (*quality.Corrections, error) {
 		gamma = truth.NewFixSet()
 	}
 	opts := chase.Options{Lazy: v.Lazy, UseBlocking: v.Blocking, Predication: v.Blocking, MaxRounds: maxRounds,
-		Drain: cluster.Options{Steal: true}, Oracle: b.GoldOracle(), EIDRefs: b.DS.EIDRefs}
+		Oracle: b.GoldOracle(), EIDRefs: b.DS.EIDRefs}
 	rules := v.rules(b)
 	eng := chase.New(b.Env, rules, gamma, opts)
 	if err := v.chase(eng, rules); err != nil {

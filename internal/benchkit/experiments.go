@@ -355,7 +355,7 @@ func RuleCounts(cfg Config) (*Table, error) {
 
 // Ablations reproduces the §6 ablation summary plus the design-choice
 // ablations called out in DESIGN.md: ML predicates, task interaction,
-// blocking, lazy chase, sampling and stealing.
+// blocking, the lazy chase and manual effort.
 func Ablations(cfg Config) (*Table, error) {
 	t := NewTable("ablation", "ablation summary (Bank)", "", []string{"value"})
 	ds, err := appDataset("Bank", cfg)

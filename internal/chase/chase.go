@@ -43,11 +43,9 @@ type Options struct {
 	// merge in deterministic (rule ID, unit part) order before the serial
 	// apply step.
 	Parallel bool
-	// Drain is handed unchanged to every round's drain: work stealing (on
-	// in Rock proper, off in the §5.2/§6 work-stealing ablation — the fix
-	// set is identical either way), the retry policy for panicking units
-	// (cluster.Retry; failures land on Report.UnitErrors) and, in tests,
-	// fault injection.
+	// Drain is handed unchanged to every round's drain: the retry policy
+	// for panicking units (cluster.Retry; failures land on
+	// Report.UnitErrors) and, in tests, fault injection.
 	Drain cluster.Options
 	// Lazy enables the lazy-activation machinery (rule activation by fix
 	// kind + dirty-tuple filtering). Off, every round re-enumerates every
@@ -111,7 +109,7 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Lazy: true, UseBlocking: true, Workers: 4, Parallel: true, Predication: true,
-		Drain: cluster.Options{Steal: true, MaxRetries: 2, RetryBackoff: time.Millisecond},
+		Drain: cluster.Options{MaxRetries: 2, RetryBackoff: time.Millisecond},
 	}
 }
 
@@ -200,7 +198,7 @@ type Report struct {
 	// entirely from them.
 	PredicationByRound []ml.PredStats
 	// Trace is the per-round trace table: one row per chase round with
-	// the round's work-unit, valuation, fix, steal and timing detail
+	// the round's work-unit, valuation, fix and timing detail
 	// (rock clean -v renders it).
 	Trace []RoundTrace
 	// RuleProfile attributes the chase's cost to individual rules: one
@@ -251,7 +249,7 @@ type RoundTrace struct {
 	MLCalls    int            `json:"ml_calls"`
 	Applied    int            `json:"applied"`  // fixes accepted into U
 	Rejected   int            `json:"rejected"` // deduped candidates not accepted
-	Steals     int            `json:"steals"`   // work steals during the round's drain
+	Steals     int            `json:"steals"`   // always 0: the pool no longer steals; kept only because bench/batch.go reads it
 	NodeUnits  map[string]int `json:"node_units"`
 	Duration   time.Duration  `json:"duration_ns"`
 }
@@ -371,9 +369,8 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	if e.obs == nil {
 		e.obs = obs.New()
 	}
-	// One worker pool for the whole run: the consistent-hash ring and
-	// scheduler are built once here and drained by every round (a drain
-	// leaves the scheduler empty, so rounds can reuse it). The serial
+	// One worker pool for the whole run, drained by every round (a drain
+	// empties its pending list, so rounds can reuse it). The serial
 	// reference is a pool of one; a caller-supplied Runner (the remote
 	// coordinator) takes the pool's place.
 	switch {
@@ -640,9 +637,9 @@ func (e *Engine) fixpoint(rules []*ree.Rule, initialDirty map[string]map[int]boo
 //
 // A unit returns its outcome (runUnit) and the round keeps one slot per
 // unit, so executors differ only in who calls runUnit: the in-process pool
-// (cluster.DrainWithStats: affinity queues plus work stealing; one worker
-// for the serial reference) or — behind a DistRunner — worker replicas in
-// other processes. The merge folds the slots in unit-index order, which is
+// (cluster.DrainWithStats: one pending list, costliest unit first; one
+// worker for the serial reference) or — behind a DistRunner — worker
+// replicas in other processes. The merge folds the slots in unit-index order, which is
 // the serial generation order (rule ID, unit part), so fixes and report
 // state are bit-identical across executors regardless of worker
 // interleaving. Correctness rests on the round invariant: units only read
@@ -656,39 +653,45 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	roundSpan := e.obs.StartSpan("round", e.phaseSpan)
 	roundSpan.SetRound(round)
 	defer roundSpan.End()
+	// The round's four steps are child spans, one after the other:
+	// round.prepare, round.drain (the unit spans nest under it),
+	// round.merge and round.absorb.
+	prepSpan := e.obs.StartSpan("round.prepare", roundSpan)
 	work := e.prepareRound(rules)
+	// A zero-unit round skips the drain: a coordinator's unit table is
+	// reset only by BeginRound, so draining would re-run the last round's.
+	if len(work) > 0 && e.dist != nil {
+		// Replicate this round's inputs to the worker processes (truth
+		// journal + last round's accepted fixes + active rule IDs); the
+		// units submitted below are then metadata only — a coordinator
+		// never calls Run — and replicas run them by index.
+		ids := make([]string, len(rules))
+		for i, r := range rules {
+			ids[i] = r.ID
+		}
+		sort.Strings(ids)
+		pre := RoundPreamble{
+			Round:    round,
+			RuleIDs:  ids,
+			Journal:  e.u.OpsSince(e.shipped),
+			Accepted: e.lastAccepted,
+			UseDirty: dirty != nil,
+			Units:    len(work),
+		}
+		e.shipped = e.u.Mark()
+		if err := e.dist.BeginRound(e.ctx, pre); err != nil {
+			return nil, nil, err
+		}
+	}
+	prepSpan.End()
 
 	// A slot is assigned whole, once per completed attempt: a unit that
 	// panics mid-enumeration leaves nothing behind, so its retry cannot
 	// double-report what the failed attempt had already found.
+	drainSpan := e.obs.StartSpan("round.drain", roundSpan)
 	slots := make([]unitSlot, len(work))
 	drain := cluster.DrainStats{PerNode: make(map[string]int)}
-	// A zero-unit round skips the drain: a coordinator's unit table is
-	// reset only by BeginRound, so draining would re-run the last round's.
 	if len(work) > 0 {
-		if e.dist != nil {
-			// Replicate this round's inputs to the worker processes (truth
-			// journal + last round's accepted fixes + active rule IDs); the
-			// units submitted below are then metadata only — a coordinator
-			// never calls Run — and replicas run them by index.
-			ids := make([]string, len(rules))
-			for i, r := range rules {
-				ids[i] = r.ID
-			}
-			sort.Strings(ids)
-			pre := RoundPreamble{
-				Round:    round,
-				RuleIDs:  ids,
-				Journal:  e.u.OpsSince(e.shipped),
-				Accepted: e.lastAccepted,
-				UseDirty: dirty != nil,
-				Units:    len(work),
-			}
-			e.shipped = e.u.Mark()
-			if err := e.dist.BeginRound(e.ctx, pre); err != nil {
-				return nil, nil, err
-			}
-		}
 		for _, w := range work {
 			e.cl.Submit(&crystal.WorkUnit{
 				ID:      w.index,
@@ -696,7 +699,7 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 				Part:    w.Part,
 				EstCost: w.EstCost,
 				Run: func(node string) {
-					out, err := e.runUnit(e.ctx, w, dirty, node, roundSpan)
+					out, err := e.runUnit(e.ctx, w, dirty, node, drainSpan)
 					slots[w.index] = unitSlot{out: out, err: err, done: true}
 				},
 			})
@@ -718,10 +721,12 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 		e.report.Partial = true
 	}
 	e.obs.Add("chase.units", uint64(len(work)))
+	drainSpan.End()
 
 	// Merge the slots back in generation order. Units a cancelled drain
 	// never ran (or that failed permanently) are skipped: the fixes of
 	// completed units are still certain and still apply.
+	mergeSpan := e.obs.StartSpan("round.merge", roundSpan)
 	var roundVal, roundML int
 	unitHist := e.obs.Histogram("chase.unit")
 	for i, w := range work {
@@ -786,6 +791,9 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	}
 	e.obs.Add("chase.fixes.applied", uint64(len(accepted)))
 	e.obs.Add("chase.fixes.rejected", uint64(rejected))
+	mergeSpan.End()
+
+	absorbSpan := e.obs.StartSpan("round.absorb", roundSpan)
 	affected := e.absorb(accepted)
 	e.lastAccepted = accepted
 	if e.pred != nil {
@@ -802,12 +810,12 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 		MLCalls:    roundML,
 		Applied:    len(accepted),
 		Rejected:   rejected,
-		Steals:     drain.Steals,
 		NodeUnits:  drain.PerNode,
 		Duration:   time.Since(roundStart),
 	})
 	roundSpan.SetN(int64(len(accepted)))
 	e.syncReport()
+	absorbSpan.End()
 	return accepted, affected, nil
 }
 

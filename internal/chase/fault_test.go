@@ -5,6 +5,7 @@ package chase_test
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"github.com/rockclean/rock/internal/baselines"
 	"github.com/rockclean/rock/internal/chase"
 	"github.com/rockclean/rock/internal/cluster"
+	"github.com/rockclean/rock/internal/crystal"
 	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/obs"
 	"github.com/rockclean/rock/internal/workload"
@@ -136,6 +138,54 @@ func TestDeadlineCancelParallelIsPartialNotError(t *testing.T) {
 	}
 }
 
+// meetingPool is the in-process pool of n workers, except that in its
+// first drain no unit body starts until each of the n workers has taken
+// one: a worker whose unit panics before running takes another, so the
+// workers meet as long as the drain has n units more than panics. A
+// meeting that has not happened in ten seconds gives up and is recorded.
+type meetingPool struct {
+	*cluster.Cluster
+	n       int
+	drained bool
+
+	mu       sync.Mutex
+	at       map[string]bool
+	open     chan struct{}
+	timedOut atomic.Bool
+}
+
+func (p *meetingPool) Submit(u *crystal.WorkUnit) {
+	if !p.drained {
+		run := u.Run
+		u.Run = func(node string) {
+			p.meet(node)
+			run(node)
+		}
+	}
+	p.Cluster.Submit(u)
+}
+
+func (p *meetingPool) DrainWithStats(ctx context.Context, opts cluster.Options) cluster.DrainStats {
+	defer func() { p.drained = true }()
+	return p.Cluster.DrainWithStats(ctx, opts)
+}
+
+func (p *meetingPool) meet(node string) {
+	p.mu.Lock()
+	if !p.at[node] && len(p.at) < p.n {
+		p.at[node] = true
+		if len(p.at) == p.n {
+			close(p.open)
+		}
+	}
+	p.mu.Unlock()
+	select {
+	case <-p.open:
+	case <-time.After(10 * time.Second):
+		p.timedOut.Store(true)
+	}
+}
+
 // TestFaultyChaseMatchesCleanChase holds fault recovery to the result:
 // with unit panics injected on first attempt (and, on the parallel pool, a
 // node killed mid-drain), bounded retry plus reassignment must land on the
@@ -163,14 +213,12 @@ func TestFaultyChaseMatchesCleanChase(t *testing.T) {
 		inj.PanicUnit(9, 1)
 		kills := uint64(0)
 		if parallel {
-			// Deterministic kill: without stealing every worker drains exactly
-			// its own queue, so the ring owner of a block-combination part that
-			// every two-atom rule emits is guaranteed to execute at least two
-			// units. The chase builds its ring exactly like cluster.New(4), so
-			// the owner can be computed here. The serial pool of one has no
-			// survivor to kill a node for.
-			opts.Drain.Steal = false
-			inj.KillNode(cluster.New(4).Ring.Owner("Order-Order/b0-0"), 2)
+			// Deterministic kill: in the first drain every worker holds a
+			// unit before any finishes, so node-2 completes one and dies
+			// there. The serial pool of one has no survivor to kill a
+			// node for.
+			opts.Cluster = &meetingPool{Cluster: cluster.New(4), n: 4, at: map[string]bool{}, open: make(chan struct{})}
+			inj.KillNode("node-2", 1)
 			kills = 1
 		}
 		opts.Drain.Faults = inj
@@ -193,6 +241,9 @@ func TestFaultyChaseMatchesCleanChase(t *testing.T) {
 		}
 		if reg.CounterValue("chase.retries") == 0 {
 			t.Fatalf("parallel=%t: no retries recorded despite injected panics", parallel)
+		}
+		if mp, ok := opts.Cluster.(*meetingPool); ok && mp.timedOut.Load() {
+			t.Fatal("the four workers never met in the first drain")
 		}
 		if got := reg.CounterValue("chase.node_killed"); got != kills {
 			t.Fatalf("parallel=%t: expected %d node kill(s), got %d", parallel, kills, got)

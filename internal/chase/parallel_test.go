@@ -137,7 +137,7 @@ func firstDiff(a, b []string) int {
 
 // TestIncrementalMatchesBatchMatrix pins the incremental mode's dirty-set
 // propagation across rounds: for every combination of Parallel ×
-// Predication × Steal, chasing the base data and then RunIncrementalCtx over
+// Predication, chasing the base data and then RunIncrementalCtx over
 // ΔD must land on exactly the fix set a batch chase over base+ΔD
 // produces. ΔD is built so fixes cascade (imputation in round 1 enables
 // an ER merge in round 2), exercising activation across rounds.
@@ -185,55 +185,52 @@ func TestIncrementalMatchesBatchMatrix(t *testing.T) {
 	}
 	for _, parallel := range []bool{false, true} {
 		for _, predication := range []bool{false, true} {
-			for _, steal := range []bool{false, true} {
-				name := fmt.Sprintf("parallel=%t/predication=%t/steal=%t", parallel, predication, steal)
-				t.Run(name, func(t *testing.T) {
-					opts := chase.DefaultOptions()
-					opts.Workers = 4
-					opts.Parallel = parallel
-					opts.Predication = predication
-					opts.Drain.Steal = steal
+			name := fmt.Sprintf("parallel=%t/predication=%t", parallel, predication)
+			t.Run(name, func(t *testing.T) {
+				opts := chase.DefaultOptions()
+				opts.Workers = 4
+				opts.Parallel = parallel
+				opts.Predication = predication
 
-					// Batch reference over base + ΔD.
-					envB, relB := mkEnv()
-					for _, r := range append(append([]row(nil), base...), delta...) {
-						relB.Insert(r.eid, r.values...)
-					}
-					engB := chase.New(envB, mkRules(envB.DB), truth.NewFixSet(), opts)
-					if _, err := engB.Run(); err != nil {
-						t.Fatal(err)
-					}
+				// Batch reference over base + ΔD.
+				envB, relB := mkEnv()
+				for _, r := range append(append([]row(nil), base...), delta...) {
+					relB.Insert(r.eid, r.values...)
+				}
+				engB := chase.New(envB, mkRules(envB.DB), truth.NewFixSet(), opts)
+				if _, err := engB.Run(); err != nil {
+					t.Fatal(err)
+				}
 
-					// Base chase, then incremental over ΔD.
-					envI, relI := mkEnv()
-					for _, r := range base {
-						relI.Insert(r.eid, r.values...)
-					}
-					engI := chase.New(envI, mkRules(envI.DB), truth.NewFixSet(), opts)
-					if _, err := engI.Run(); err != nil {
-						t.Fatal(err)
-					}
-					dirty := map[string]map[int]bool{"Person": {}}
-					for _, r := range delta {
-						nt := relI.Insert(r.eid, r.values...)
-						dirty["Person"][nt.TID] = true
-					}
-					if _, err := engI.RunIncrementalCtx(context.Background(), dirty); err != nil {
-						t.Fatal(err)
-					}
+				// Base chase, then incremental over ΔD.
+				envI, relI := mkEnv()
+				for _, r := range base {
+					relI.Insert(r.eid, r.values...)
+				}
+				engI := chase.New(envI, mkRules(envI.DB), truth.NewFixSet(), opts)
+				if _, err := engI.Run(); err != nil {
+					t.Fatal(err)
+				}
+				dirty := map[string]map[int]bool{"Person": {}}
+				for _, r := range delta {
+					nt := relI.Insert(r.eid, r.values...)
+					dirty["Person"][nt.TID] = true
+				}
+				if _, err := engI.RunIncrementalCtx(context.Background(), dirty); err != nil {
+					t.Fatal(err)
+				}
 
-					if got, want := engI.Truth().Snapshot(), engB.Truth().Snapshot(); got != want {
-						t.Errorf("incremental fix set differs from batch:\nbatch=%s\nincremental=%s", want, got)
-					}
-					// The cascade actually happened: p9 imputed, Smiths merged.
-					if v, ok := engI.Truth().Cell("Person", "p9", "home"); !ok || v.Str() != "addr one" {
-						t.Errorf("incremental imputation missing: %v %v", v, ok)
-					}
-					if !engI.Truth().SameEntity("p10", "p11") {
-						t.Error("incremental run must merge p10/p11 after imputing p11.home")
-					}
-				})
-			}
+				if got, want := engI.Truth().Snapshot(), engB.Truth().Snapshot(); got != want {
+					t.Errorf("incremental fix set differs from batch:\nbatch=%s\nincremental=%s", want, got)
+				}
+				// The cascade actually happened: p9 imputed, Smiths merged.
+				if v, ok := engI.Truth().Cell("Person", "p9", "home"); !ok || v.Str() != "addr one" {
+					t.Errorf("incremental imputation missing: %v %v", v, ok)
+				}
+				if !engI.Truth().SameEntity("p10", "p11") {
+					t.Error("incremental run must merge p10/p11 after imputing p11.home")
+				}
+			})
 		}
 	}
 }
@@ -318,36 +315,5 @@ func TestObsMetricsAgreeWithReport(t *testing.T) {
 		if got := m["chase.node."+n+".units"]; got != c {
 			t.Errorf("chase.node.%s.units = %d, trace says %d", n, got, c)
 		}
-	}
-}
-
-// TestChaseStealAblation is the steal-plumbing regression: the chase used
-// to hardcode Steal=true into its drains, so the work-stealing ablation
-// silently measured nothing. With Steal=false the chase-phase steal
-// counter must be exactly zero, and the fix set must not change.
-func TestChaseStealAblation(t *testing.T) {
-	ds := func() *workload.Dataset { return workload.Logistics(workload.Config{N: 120, Seed: 7}) }
-	run := func(steal bool) (string, *obs.Registry) {
-		bench := baselines.NewBench(ds(), 8)
-		reg := obs.New()
-		opts := chase.DefaultOptions()
-		opts.Workers = 8
-		opts.Drain.Steal = steal
-		opts.Obs = reg
-		opts.Oracle = bench.GoldOracle()
-		opts.EIDRefs = bench.DS.EIDRefs
-		eng := chase.New(bench.Env, bench.Rules, bench.DS.Gamma, opts)
-		if _, err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return eng.Truth().Snapshot(), reg
-	}
-	onSnap, _ := run(true)
-	offSnap, offReg := run(false)
-	if got := offReg.CounterValue("chase.steals"); got != 0 {
-		t.Errorf("Steal=false chase recorded %d steals, want 0", got)
-	}
-	if onSnap != offSnap {
-		t.Errorf("fix set depends on stealing:\non=%s\noff=%s", onSnap, offSnap)
 	}
 }

@@ -1,14 +1,18 @@
 // Package cluster is the in-process worker pool Rock's chase and
 // detection run on (paper §6 uses 21 Kubernetes nodes; here a worker is
-// a goroutine): each worker has its own work manager that drains the
-// crystal scheduler, stealing from peers when idle. Runner is the surface
-// it shares with the cross-process coordinator in internal/cluster/remote.
+// a goroutine). Each drain sorts its units into one pending list,
+// costliest first, and every idle worker takes the next unit from it:
+// greedy longest-first list scheduling, §5.2's "an idle node fetches more
+// work" within one process, where every worker reads the same columns.
+// Runner is the surface it shares with the cross-process coordinator in
+// internal/cluster/remote.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -21,7 +25,8 @@ import (
 // remote coordinator (internal/cluster/remote) implements it over TCP
 // worker processes. Everything the engine needs — submission, the
 // barrier drain, and observability routing — goes through this interface
-// so the two are interchangeable.
+// so the two are interchangeable. Submit and DrainWithStats are called
+// from one goroutine.
 type Runner interface {
 	Submit(u *crystal.WorkUnit)
 	DrainWithStats(ctx context.Context, opts Options) DrainStats
@@ -30,11 +35,10 @@ type Runner interface {
 
 var _ Runner = (*Cluster)(nil)
 
-// Cluster is a set of named workers sharing a ring and scheduler.
+// Cluster is a pool of named workers draining one pending list.
 type Cluster struct {
-	Ring  *crystal.Ring
-	Sched *crystal.Scheduler
-	nodes []string
+	nodes   []string
+	pending []*crystal.WorkUnit // submitted since the last drain
 
 	// reg/prefix route the cluster's observability into the owning
 	// phase's registry ("detect" or "chase"); nil records nothing.
@@ -47,47 +51,26 @@ func New(n int) *Cluster {
 	if n < 1 {
 		n = 1
 	}
-	// Scale virtual nodes with cluster size: at a fixed replica count the
-	// consistent-hash imbalance grows with n (max/mean deviation is roughly
-	// sqrt(log n / replicas)), so bigger clusters get more ring positions
-	// per node. Capped to bound ring memory and Owner() lookup cost.
-	replicas := 64 * n
-	if replicas > 1024 {
-		replicas = 1024
-	}
-	ring := crystal.NewRing(replicas)
 	nodes := make([]string, n)
 	for i := range nodes {
 		nodes[i] = fmt.Sprintf("node-%d", i)
-		ring.AddNode(nodes[i])
 	}
-	return &Cluster{Ring: ring, Sched: crystal.NewScheduler(nodes), nodes: nodes}
+	return &Cluster{nodes: nodes}
 }
 
 // SetObs routes the cluster's metrics into reg under the given name
-// prefix (e.g. "chase" yields "chase.steals", "chase.node.node-0.units",
+// prefix (e.g. "chase" yields "chase.node.node-0.units",
 // "chase.queue_depth"). A nil registry (the default) records nothing.
-// Steals are counted as they happen via the scheduler's OnSteal hook.
 func (c *Cluster) SetObs(reg *obs.Registry, prefix string) {
 	c.reg = reg
 	c.prefix = prefix
-	if reg == nil {
-		c.Sched.OnSteal = nil
-		return
-	}
-	steals := reg.Counter(prefix + ".steals")
-	c.Sched.OnSteal = func(string, string, *crystal.WorkUnit) { steals.Inc() }
 }
 
-// Submit assigns a work unit by partition affinity.
-func (c *Cluster) Submit(u *crystal.WorkUnit) { c.Sched.Assign(c.Ring, u) }
+// Submit adds a unit to the next drain's pending list.
+func (c *Cluster) Submit(u *crystal.WorkUnit) { c.pending = append(c.pending, u) }
 
 // Options tunes a drain run.
 type Options struct {
-	// Steal enables work stealing in the in-process pool (on by default
-	// in Rock; the ablation benchmark turns it off). The remote
-	// coordinator ignores it: it splits units evenly over its workers.
-	Steal bool
 	// MaxRetries bounds how many times a panicking unit is retried —
 	// on a different node when one is alive — before it is given up and
 	// reported as a UnitError. 0 means the first panic fails the unit.
@@ -153,101 +136,132 @@ func Retry(ctx context.Context, opts Options, u *crystal.WorkUnit, node string, 
 var errNoSurvivor = errors.New("no surviving node to run unit")
 
 // DrainStats describes one drain: per-node unit counts for THIS drain
-// only, the number of steals it performed, the queue depth when it
-// started, and the fault-tolerance outcomes.
+// only, the number of units it started with, and the fault-tolerance
+// outcomes.
 type DrainStats struct {
 	PerNode map[string]int
-	Steals  int
 	Queued  int
 
 	Panics     int         // recovered unit panics (including retried ones)
 	Retries    int         // retry attempts scheduled after a panic
-	Reassigned int         // units re-homed to a different node (retries + reclaimed)
+	Reassigned int         // retries that must run on a node other than the one that failed
 	Cancelled  bool        // drain stopped early on context cancellation
 	Skipped    int         // units left unexecuted by a cancelled drain
 	Killed     []string    // nodes killed by fault injection during this drain
 	Failed     []UnitError // units that exhausted retries or lost their node
 }
 
-// drainRun is the shared state of one DrainWithStats call. Workers wait
-// on cond when their queues are empty but units are still outstanding
-// (in flight, in retry backoff, or queued on a peer with stealing off);
-// version guards against missed wakeups: it is bumped, with a
-// broadcast, on every state change a waiter cares about.
-type drainRun struct {
-	ctx  context.Context
-	mu   sync.Mutex
-	cond *sync.Cond
+// pendingUnit is one entry of a drain's pending list: a unit, and for a
+// retry the node it must avoid while another node lives.
+type pendingUnit struct {
+	u     *crystal.WorkUnit
+	avoid string
+}
 
-	version     int
-	outstanding int            // units not yet completed or permanently failed
-	perNode     map[string]int // units each node completed in this drain
-	cancelled   bool
+// drainRun is the shared state of one DrainWithStats call, all of it
+// under mu, including the statistics it returns. Workers wait on cond
+// when no pending unit is theirs to take but units are still outstanding
+// (in flight or in retry backoff); every change a waiter cares about — a
+// retry queued, a node killed, the last unit settled, cancellation —
+// broadcasts.
+type drainRun struct {
+	ctx   context.Context
+	nodes int
+	mu    sync.Mutex
+	cond  *sync.Cond
+
+	queue       []pendingUnit // costliest first; retries are appended
+	outstanding int           // units not yet completed or permanently failed
 	dead        map[string]bool
 	attempts    map[*crystal.WorkUnit]int // panics per unit so far
-
-	panics     int
-	retries    int
-	reassigned int
-	killed     []string
-	failed     []UnitError
+	st          DrainStats
 }
 
-func (d *drainRun) bumpLocked() {
-	d.version++
-	d.cond.Broadcast()
+// othersAliveLocked reports whether a node besides a live one survives.
+func (d *drainRun) othersAliveLocked() bool { return len(d.dead) < d.nodes-1 }
+
+// takeLocked removes and returns the first pending unit node may run:
+// the costliest one, passing over retries that avoid node while another
+// node lives. It returns nil when there is none.
+func (d *drainRun) takeLocked(node string) *crystal.WorkUnit {
+	others := d.othersAliveLocked()
+	for i, p := range d.queue {
+		if p.avoid == node && others {
+			continue
+		}
+		if i == 0 {
+			d.queue = d.queue[1:]
+		} else {
+			d.queue = append(d.queue[:i], d.queue[i+1:]...)
+		}
+		return p.u
+	}
+	return nil
 }
 
-// DrainWithStats runs every queued unit to completion across all
-// workers and returns this drain's statistics. Each worker loops: pop
-// (or steal) a unit, run it, repeat until no units remain outstanding,
-// the context is cancelled, or fault injection kills the node.
+// settleLocked retires one outstanding unit, waking the waiters when it
+// was the last.
+func (d *drainRun) settleLocked() {
+	d.outstanding--
+	if d.outstanding == 0 {
+		d.cond.Broadcast()
+	}
+}
+
+// DrainWithStats runs every submitted unit to completion across all
+// workers and returns this drain's statistics. The units form one
+// pending list, sorted by EstCost descending with ties in ID order; each
+// worker loops: take the next unit it may run, run it, repeat until no
+// units remain outstanding, the context is cancelled, or fault injection
+// kills the node — survivors then drain what is left.
 //
 // PerNode counts this drain only: the chase drains the same shared
 // cluster once per round, and utilization stats derived from cumulative
 // counts would inflate every round after the first.
 //
 // A panicking unit is recovered and settled by Retry: retried with
-// backoff up to opts.MaxRetries times (reassigned to a different live
-// node when one exists), then surfaced as a UnitError — other units keep
-// running either way. Cancelling ctx stops the drain
-// between units: in-flight units finish, the rest are reclaimed from
-// the scheduler and counted in Skipped, and Cancelled is set.
+// backoff up to opts.MaxRetries times (on a different live node when one
+// exists), then surfaced as a UnitError — other units keep running
+// either way. Cancelling ctx stops the drain between units: in-flight
+// units finish, the rest are counted in Skipped, and Cancelled is set.
+// When every node is killed, the units left are errNoSurvivor failures.
 func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	st := DrainStats{Queued: c.Sched.Pending()}
-	stealsBefore := c.Sched.Steals()
+	queue := make([]pendingUnit, len(c.pending))
+	for i, u := range c.pending {
+		queue[i] = pendingUnit{u: u}
+	}
+	c.pending = nil
+	sort.Slice(queue, func(i, j int) bool {
+		a, b := queue[i].u, queue[j].u
+		if a.EstCost != b.EstCost {
+			return a.EstCost > b.EstCost
+		}
+		return a.ID < b.ID
+	})
 	if c.reg != nil {
-		c.reg.SetGauge(c.prefix+".queue_depth", int64(st.Queued))
+		c.reg.SetGauge(c.prefix+".queue_depth", int64(len(queue)))
 	}
 	d := &drainRun{
 		ctx:         ctx,
-		outstanding: st.Queued,
-		perNode:     make(map[string]int, len(c.nodes)),
+		nodes:       len(c.nodes),
+		queue:       queue,
+		outstanding: len(queue),
 		dead:        make(map[string]bool, len(c.nodes)),
 		attempts:    make(map[*crystal.WorkUnit]int),
+		st:          DrainStats{PerNode: make(map[string]int, len(c.nodes)), Queued: len(queue)},
 	}
 	d.cond = sync.NewCond(&d.mu)
-
-	// Watchdog: wake every waiting worker when the context is cancelled,
-	// so none sleeps on the cond past the deadline.
-	stop := make(chan struct{})
-	var watch sync.WaitGroup
-	watch.Add(1)
-	go func() {
-		defer watch.Done()
-		select {
-		case <-ctx.Done():
-			d.mu.Lock()
-			d.cancelled = true
-			d.bumpLocked()
-			d.mu.Unlock()
-		case <-stop:
-		}
-	}()
-
+	// Wake every waiting worker when the context is cancelled, so none
+	// sleeps on the cond past the deadline.
+	stop := context.AfterFunc(ctx, func() {
+		d.mu.Lock()
+		d.st.Cancelled = true
+		d.cond.Broadcast()
+		d.mu.Unlock()
+	})
 	var wg sync.WaitGroup
 	for _, node := range c.nodes {
 		wg.Add(1)
@@ -257,83 +271,58 @@ func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
 		}(node)
 	}
 	wg.Wait()
-	close(stop)
-	watch.Wait()
+	stop()
 
 	d.mu.Lock()
-	st.PerNode = d.perNode
-	st.Cancelled = d.cancelled
-	st.Panics = d.panics
-	st.Retries = d.retries
-	st.Reassigned = d.reassigned
-	st.Killed = append([]string(nil), d.killed...)
-	st.Failed = append([]UnitError(nil), d.failed...)
-	d.mu.Unlock()
-
-	// A drain must leave the scheduler empty so the next round starts
-	// clean: reclaim whatever a cancelled (or fully killed) run left
-	// behind. Cancelled leftovers are merely skipped; leftovers with no
-	// surviving node are failures.
-	for _, node := range c.nodes {
-		leftover := c.Sched.Reclaim(node)
-		if len(leftover) == 0 {
-			continue
+	defer d.mu.Unlock()
+	st := d.st
+	// Workers leave units behind only when the drain was cancelled or
+	// every node was killed. Cancelled leftovers are merely skipped;
+	// leftovers with no surviving node are failures.
+	if st.Cancelled {
+		st.Skipped = len(d.queue)
+		if c.reg != nil {
+			c.reg.Inc(c.prefix + ".cancelled")
 		}
-		if st.Cancelled {
-			st.Skipped += len(leftover)
-			continue
-		}
-		for _, u := range leftover {
+	} else {
+		for _, p := range d.queue {
 			st.Failed = append(st.Failed, UnitError{
-				UnitID: u.ID, RuleID: u.RuleID, Part: u.Part,
-				Node: node, Attempts: 0, Err: errNoSurvivor,
+				UnitID: p.u.ID, RuleID: p.u.RuleID, Part: p.u.Part,
+				Node: st.Killed[len(st.Killed)-1], Attempts: d.attempts[p.u], Err: errNoSurvivor,
 			})
 		}
 	}
-	if st.Cancelled && c.reg != nil {
-		c.reg.Inc(c.prefix + ".cancelled")
-	}
-
-	st.Steals = c.Sched.Steals() - stealsBefore
 	return st
 }
 
 // workerLoop is one node's work manager for the duration of a drain.
 func (c *Cluster) workerLoop(node string, d *drainRun, opts Options) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	for {
-		if d.cancelled || d.outstanding == 0 || d.dead[node] {
-			d.mu.Unlock()
-			return
-		}
 		// Poll the context before taking each unit: a context that is
 		// only polled, never closing Done, still stops the drain between
 		// units.
-		if d.ctx.Err() != nil {
-			d.cancelled = true
-			d.bumpLocked()
-			d.mu.Unlock()
+		if !d.st.Cancelled && d.ctx.Err() != nil {
+			d.st.Cancelled = true
+			d.cond.Broadcast()
+		}
+		if d.st.Cancelled || d.outstanding == 0 || d.dead[node] {
 			return
 		}
-		v := d.version
-		d.mu.Unlock()
-		u := c.Sched.Next(node, opts.Steal)
+		u := d.takeLocked(node)
 		if u == nil {
-			d.mu.Lock()
-			// Sleep only if nothing changed since the queues looked
-			// empty; a version bump in between may have re-queued work.
-			if d.version == v && !d.cancelled && d.outstanding > 0 && !d.dead[node] {
-				d.cond.Wait()
-			}
+			d.cond.Wait()
 			continue
 		}
+		d.mu.Unlock()
 		c.runOne(node, u, d, opts)
 		d.mu.Lock()
 	}
 }
 
 // runOne executes a single unit with panic isolation and drives the
-// retry/reassignment policy on failure.
+// retry policy on failure.
 func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Options) {
 	if opts.Faults != nil {
 		if delay := opts.Faults.delayFor(u.ID); delay > 0 {
@@ -353,9 +342,8 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 			c.reg.Inc(c.prefix + ".node." + node + ".units")
 		}
 		d.mu.Lock()
-		d.perNode[node]++
-		d.outstanding--
-		d.bumpLocked()
+		d.st.PerNode[node]++
+		d.settleLocked()
 		d.mu.Unlock()
 		if opts.Faults != nil && opts.Faults.shouldDie(node) {
 			c.killNode(node, d)
@@ -369,7 +357,7 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 		c.reg.Inc(c.prefix + ".unit_panics")
 	}
 	d.mu.Lock()
-	d.panics++
+	d.st.Panics++
 	d.attempts[u]++
 	attempt := d.attempts[u]
 	d.mu.Unlock()
@@ -377,41 +365,32 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 	avoid, failed := Retry(d.ctx, opts, u, node, attempt, err, func() bool {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		return len(d.dead) < len(c.nodes)-1
+		return d.othersAliveLocked()
 	})
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if failed != nil {
-		d.mu.Lock()
-		d.failed = append(d.failed, *failed)
-		d.outstanding--
-		d.bumpLocked()
-		d.mu.Unlock()
+		d.st.Failed = append(d.st.Failed, *failed)
+		d.settleLocked()
 		if c.reg != nil {
 			c.reg.Inc(c.prefix + ".unit_failures")
 		}
 		return
 	}
+	// A cancelled wait still queues the retry: the drain counts it as
+	// Skipped.
+	d.st.Retries++
 	if c.reg != nil {
 		c.reg.Inc(c.prefix + ".retries")
 	}
-	// A cancelled wait still requeues the unit: the drain's leftover
-	// reclaim counts it as Skipped.
-	d.mu.Lock()
-	d.retries++
-	exclude := d.deadSetLocked()
-	d.mu.Unlock()
 	if avoid != "" {
-		exclude[avoid] = true
+		d.st.Reassigned++
+		if c.reg != nil {
+			c.reg.Inc(c.prefix + ".reassigned")
+		}
 	}
-	target := c.Sched.AssignExcluding(u, exclude)
-	d.mu.Lock()
-	if target != node {
-		d.reassigned++
-	}
-	d.bumpLocked()
-	d.mu.Unlock()
-	if c.reg != nil && target != node {
-		c.reg.Inc(c.prefix + ".reassigned")
-	}
+	d.queue = append(d.queue, pendingUnit{u: u, avoid: avoid})
+	d.cond.Broadcast()
 }
 
 // runShielded runs the unit under recover(), converting a panic into an
@@ -429,45 +408,15 @@ func runShielded(f *FaultInjector, u *crystal.WorkUnit, node string) (err error)
 	return nil
 }
 
-// deadSetLocked copies the dead-node set (d.mu held) for AssignExcluding.
-func (d *drainRun) deadSetLocked() map[string]bool {
-	ex := make(map[string]bool, len(d.dead)+1)
-	for n := range d.dead {
-		ex[n] = true
-	}
-	return ex
-}
-
-// killNode marks a node dead mid-drain (fault injection), reclaims its
-// pending queue, and re-homes the orphaned units on the survivors.
+// killNode marks a node dead mid-drain (fault injection): its worker
+// exits at its next turn and the survivors drain the pending list.
 func (c *Cluster) killNode(node string, d *drainRun) {
 	d.mu.Lock()
-	if d.dead[node] {
-		d.mu.Unlock()
-		return
-	}
 	d.dead[node] = true
-	d.killed = append(d.killed, node)
-	exclude := d.deadSetLocked()
-	d.bumpLocked()
+	d.st.Killed = append(d.st.Killed, node)
+	d.cond.Broadcast()
 	d.mu.Unlock()
 	if c.reg != nil {
 		c.reg.Inc(c.prefix + ".node_killed")
-	}
-	orphans := c.Sched.Reclaim(node)
-	moved := 0
-	for _, o := range orphans {
-		if target := c.Sched.AssignExcluding(o, exclude); target != node {
-			moved++
-		}
-	}
-	if moved > 0 {
-		d.mu.Lock()
-		d.reassigned += moved
-		d.bumpLocked()
-		d.mu.Unlock()
-		if c.reg != nil {
-			c.reg.Add(c.prefix+".reassigned", uint64(moved))
-		}
 	}
 }

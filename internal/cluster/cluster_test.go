@@ -23,7 +23,7 @@ func TestClusterDrainsAllUnits(t *testing.T) {
 			Run:     func(string) { atomic.AddInt64(&ran, 1) },
 		})
 	}
-	per := c.DrainWithStats(context.Background(), Options{Steal: true}).PerNode
+	per := c.DrainWithStats(context.Background(), Options{}).PerNode
 	if ran != 100 {
 		t.Fatalf("ran %d of 100", ran)
 	}
@@ -36,49 +36,83 @@ func TestClusterDrainsAllUnits(t *testing.T) {
 	}
 }
 
-func TestStealingBalancesSkew(t *testing.T) {
-	// All units hash-assigned to the same partition prefix land on one
-	// node; stealing must spread execution.
-	c := New(4)
-	var mu sync.Mutex
-	perWorker := map[string]int{}
+// rendezvous is a unit body that returns only once n bodies are running
+// at the same time — n distinct workers each holding one — or after a
+// timeout, which it records. It makes tests that need "every worker has
+// taken a unit" deterministic.
+type rendezvous struct {
+	mu       sync.Mutex
+	waiting  int
+	all      chan struct{}
+	timedOut atomic.Bool
+}
+
+func newRendezvous(n int) *rendezvous { return &rendezvous{waiting: n, all: make(chan struct{})} }
+
+func (r *rendezvous) arrive() {
+	r.mu.Lock()
+	r.waiting--
+	if r.waiting == 0 {
+		close(r.all)
+	}
+	r.mu.Unlock()
+	select {
+	case <-r.all:
+	case <-time.After(10 * time.Second):
+		r.timedOut.Store(true)
+	}
+}
+
+// TestPoolOfOneRunsCostliestFirst pins the pending list's order: a pool
+// of one runs the units by EstCost descending, ties in ID order,
+// whatever order they were submitted in.
+func TestPoolOfOneRunsCostliestFirst(t *testing.T) {
+	c := New(1)
+	costs := map[int]float64{0: 1, 1: 5, 2: 3, 3: 5, 4: 0, 5: 3, 6: 9, 7: 1}
+	var order []int
+	for _, id := range []int{5, 0, 7, 3, 6, 1, 4, 2} {
+		c.Submit(&crystal.WorkUnit{ID: id, Part: "p/b", EstCost: costs[id],
+			Run: func(string) { order = append(order, id) }})
+	}
+	c.DrainWithStats(context.Background(), Options{})
+	want := []int{6, 1, 3, 2, 5, 0, 7, 4}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("pool of one ran %v, want %v (EstCost descending, ties by ID)", order, want)
+	}
+}
+
+// TestSkewedBatchRunsOnEveryWorker: units sharing one partition key are
+// not tied to any worker. The first four (costliest) units meet at a
+// rendezvous, which only four different workers can reach together.
+func TestSkewedBatchRunsOnEveryWorker(t *testing.T) {
+	const n = 4
+	c := New(n)
+	meet := newRendezvous(n)
+	var ran int64
 	for i := 0; i < 64; i++ {
-		c.Submit(&crystal.WorkUnit{
-			ID:      i,
-			Part:    "hot/block", // same partition => same owner
-			EstCost: 1,
+		cost := 1.0
+		if i < n {
+			cost = 2
+		}
+		c.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: cost,
 			Run: func(string) {
-				time.Sleep(200 * time.Microsecond)
-			},
-		})
+				atomic.AddInt64(&ran, 1)
+				if cost == 2 {
+					meet.arrive()
+				}
+			}})
 	}
-	counts := c.DrainWithStats(context.Background(), Options{Steal: true}).PerNode
-	busy := 0
-	for _, n := range counts {
-		if n > 0 {
-			busy++
+	st := c.DrainWithStats(context.Background(), Options{})
+	if meet.timedOut.Load() {
+		t.Fatalf("the %d costliest units never ran at once: %v", n, st.PerNode)
+	}
+	if ran != 64 || sumCounts(st.PerNode) != 64 {
+		t.Fatalf("ran %d of 64 (PerNode %v)", ran, st.PerNode)
+	}
+	for i := 0; i < n; i++ {
+		if node := fmt.Sprintf("node-%d", i); st.PerNode[node] == 0 {
+			t.Errorf("%s ran nothing of a one-partition batch: %v", node, st.PerNode)
 		}
-	}
-	mu.Lock()
-	_ = perWorker
-	mu.Unlock()
-	if busy < 2 {
-		t.Errorf("stealing failed to spread hot partition: %v", counts)
-	}
-	// Without stealing, only the owner runs them.
-	c2 := New(4)
-	for i := 0; i < 16; i++ {
-		c2.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1, Run: func(string) {}})
-	}
-	counts2 := c2.DrainWithStats(context.Background(), Options{Steal: false}).PerNode
-	busy2 := 0
-	for _, n := range counts2 {
-		if n > 0 {
-			busy2++
-		}
-	}
-	if busy2 != 1 {
-		t.Errorf("without stealing exactly one node must run the hot partition: %v", counts2)
 	}
 }
 
@@ -101,12 +135,12 @@ func TestDrainPerDrainCounts(t *testing.T) {
 		return s
 	}
 	submit(12)
-	first := c.DrainWithStats(context.Background(), Options{Steal: true}).PerNode
+	first := c.DrainWithStats(context.Background(), Options{}).PerNode
 	if got := sum(first); got != 12 {
 		t.Fatalf("first drain counted %d units, want 12: %v", got, first)
 	}
 	submit(5)
-	second := c.DrainWithStats(context.Background(), Options{Steal: true}).PerNode
+	second := c.DrainWithStats(context.Background(), Options{}).PerNode
 	if got := sum(second); got != 5 {
 		t.Fatalf("second drain counted %d units, want 5 (per-drain, not cumulative): %v", got, second)
 	}
@@ -120,7 +154,7 @@ func TestDrainWithStats(t *testing.T) {
 		c.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1,
 			Run: func(string) { time.Sleep(100 * time.Microsecond) }})
 	}
-	st := c.DrainWithStats(context.Background(), Options{Steal: true})
+	st := c.DrainWithStats(context.Background(), Options{})
 	if st.Queued != 32 {
 		t.Errorf("Queued = %d, want 32", st.Queued)
 	}
@@ -133,23 +167,6 @@ func TestDrainWithStats(t *testing.T) {
 	}
 	if total != 32 {
 		t.Errorf("PerNode sums to %d, want 32: %v", total, st.PerNode)
-	}
-	if st.Steals == 0 {
-		t.Error("hot partition with stealing should record steals")
-	}
-	if got := reg.CounterValue("chase.steals"); got != uint64(st.Steals) {
-		t.Errorf("obs steal counter = %d, want %d", got, st.Steals)
-	}
-	// Without stealing the counter must stay put.
-	c2 := New(4)
-	reg2 := obs.New()
-	c2.SetObs(reg2, "chase")
-	for i := 0; i < 16; i++ {
-		c2.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1, Run: func(string) {}})
-	}
-	st2 := c2.DrainWithStats(context.Background(), Options{Steal: false})
-	if st2.Steals != 0 || reg2.CounterValue("chase.steals") != 0 {
-		t.Errorf("Steal=false must record zero steals: %d / %d", st2.Steals, reg2.CounterValue("chase.steals"))
 	}
 }
 

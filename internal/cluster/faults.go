@@ -56,9 +56,8 @@ func (f *FaultInjector) SlowUnit(id int, d time.Duration) {
 }
 
 // KillNode schedules the node to die after it has executed afterUnits
-// units in the next drain; its pending queue is then reclaimed and
-// reassigned to the surviving nodes. afterUnits < 1 kills the node
-// after its first unit.
+// units in the next drain; its worker then stops and the surviving nodes
+// drain what is left. afterUnits < 1 kills the node after its first unit.
 func (f *FaultInjector) KillNode(node string, afterUnits int) {
 	if afterUnits < 1 {
 		afterUnits = 1

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,7 +35,7 @@ func TestPanicIsolationAndRetry(t *testing.T) {
 	f.PanicUnit(7, 1)  // first attempt panics, retry succeeds
 	f.PanicUnit(23, 2) // two panics, third attempt succeeds
 	st := c.DrainWithStats(context.Background(), Options{
-		Steal: true, MaxRetries: 2, RetryBackoff: 100 * time.Microsecond, Faults: f,
+		MaxRetries: 2, RetryBackoff: 100 * time.Microsecond, Faults: f,
 	})
 	if ran != 40 {
 		t.Fatalf("ran %d of 40 despite retries", ran)
@@ -70,7 +72,7 @@ func TestRetriesExhaustedYieldTypedUnitError(t *testing.T) {
 	}
 	f := NewFaultInjector()
 	f.PanicUnit(4, 100) // panics forever
-	st := c.DrainWithStats(context.Background(), Options{Steal: true, MaxRetries: 2, Faults: f})
+	st := c.DrainWithStats(context.Background(), Options{MaxRetries: 2, Faults: f})
 	if ran != 9 {
 		t.Errorf("the 9 healthy units must still run: ran %d", ran)
 	}
@@ -107,38 +109,106 @@ func TestSingleNodeRetriesLocally(t *testing.T) {
 	}
 }
 
+// TestRetryAvoidsFailedNode: a unit that panics is retried on another
+// node while one lives. Units 0 and 1 meet at a rendezvous, so two
+// workers hold them; unit 0 then panics, and its node is free at once
+// while the other still sleeps in unit 1 — yet the retry waits for the
+// other node.
+func TestRetryAvoidsFailedNode(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		c := New(2)
+		meet := newRendezvous(2)
+		var mu sync.Mutex
+		var nodes []string
+		c.Submit(&crystal.WorkUnit{ID: 0, Part: "p/b", EstCost: 1, Run: func(node string) {
+			mu.Lock()
+			nodes = append(nodes, node)
+			first := len(nodes) == 1
+			mu.Unlock()
+			if first {
+				meet.arrive()
+				panic("first attempt fails")
+			}
+		}})
+		c.Submit(&crystal.WorkUnit{ID: 1, Part: "p/b", EstCost: 1, Run: func(string) {
+			meet.arrive()
+			time.Sleep(20 * time.Millisecond)
+		}})
+		st := c.DrainWithStats(context.Background(), Options{MaxRetries: 1})
+		if meet.timedOut.Load() {
+			t.Fatal("units 0 and 1 never ran at once")
+		}
+		if len(nodes) != 2 || len(st.Failed) != 0 {
+			t.Fatalf("want one panic and one good retry, got attempts on %v, failures %v", nodes, st.Failed)
+		}
+		if nodes[0] == nodes[1] {
+			t.Fatalf("retry ran on %s, the node it panicked on", nodes[1])
+		}
+		if st.Retries != 1 || st.Reassigned != 1 {
+			t.Errorf("Retries/Reassigned = %d/%d, want 1/1", st.Retries, st.Reassigned)
+		}
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// at most before+2 (slack for runtime helpers) within two seconds.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestKillNodeMidDrainReassignsQueue: a node killed mid-drain stops,
+// and the survivors run every unit it left on the pending list. The four
+// costliest units meet at a rendezvous, so each worker holds one of them
+// and node-2 dies after exactly that one.
 func TestKillNodeMidDrainReassignsQueue(t *testing.T) {
+	before := runtime.NumGoroutine()
 	c := New(4)
 	reg := obs.New()
 	c.SetObs(reg, "chase")
-	owner := c.Ring.Owner("hot/block")
+	meet := newRendezvous(4)
 	var ran int64
 	for i := 0; i < 50; i++ {
-		c.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1,
-			Run: func(string) { atomic.AddInt64(&ran, 1) }})
+		cost := 1.0
+		if i < 4 {
+			cost = 2
+		}
+		c.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: cost,
+			Run: func(string) {
+				atomic.AddInt64(&ran, 1)
+				if cost == 2 {
+					meet.arrive()
+				}
+			}})
 	}
 	f := NewFaultInjector()
-	f.KillNode(owner, 3) // owner dies after 3 units; 47 orphans re-homed
-	// Steal off: without reassignment the orphans would strand forever.
-	st := c.DrainWithStats(context.Background(), Options{Steal: false, MaxRetries: 1, Faults: f})
-	if ran != 50 {
-		t.Fatalf("ran %d of 50 after node kill", ran)
+	f.KillNode("node-2", 1)
+	st := c.DrainWithStats(context.Background(), Options{MaxRetries: 1, Faults: f})
+	if meet.timedOut.Load() {
+		t.Fatal("the four costliest units never ran at once")
 	}
-	if len(st.Killed) != 1 || st.Killed[0] != owner {
-		t.Errorf("Killed = %v, want [%s]", st.Killed, owner)
+	if ran != 50 || sumCounts(st.PerNode) != 50 {
+		t.Fatalf("ran %d of 50 after node kill (PerNode %v)", ran, st.PerNode)
 	}
-	if st.Reassigned != 47 {
-		t.Errorf("Reassigned = %d, want 47", st.Reassigned)
+	if len(st.Killed) != 1 || st.Killed[0] != "node-2" {
+		t.Errorf("Killed = %v, want [node-2]", st.Killed)
 	}
-	if st.PerNode[owner] != 3 {
-		t.Errorf("dead node executed %d units, want 3", st.PerNode[owner])
+	if st.PerNode["node-2"] != 1 {
+		t.Errorf("dead node executed %d units, want 1", st.PerNode["node-2"])
 	}
-	if len(st.Failed) != 0 {
-		t.Errorf("survivors must absorb the orphans: %v", st.Failed)
+	if len(st.Failed) != 0 || st.Reassigned != 0 {
+		t.Errorf("survivors must run the rest with no failure or retry: %v, reassigned %d", st.Failed, st.Reassigned)
 	}
 	if got := reg.CounterValue("chase.node_killed"); got != 1 {
 		t.Errorf("obs chase.node_killed = %d, want 1", got)
 	}
+	waitGoroutines(t, before)
 }
 
 func TestAllNodesDeadStrandsRemainder(t *testing.T) {
@@ -157,8 +227,13 @@ func TestAllNodesDeadStrandsRemainder(t *testing.T) {
 	if len(st.Failed) != 3 {
 		t.Fatalf("3 stranded units must surface as UnitErrors: %v", st.Failed)
 	}
-	if c.Sched.Pending() != 0 {
-		t.Error("drain must leave the scheduler empty even after total node loss")
+	for _, fe := range st.Failed {
+		if !errors.Is(&fe, errNoSurvivor) || fe.Node != "node-0" {
+			t.Errorf("stranded unit: %+v", fe)
+		}
+	}
+	if st := c.DrainWithStats(context.Background(), Options{}); st.Queued != 0 {
+		t.Errorf("the next drain inherited %d units after total node loss", st.Queued)
 	}
 }
 
@@ -172,7 +247,7 @@ func TestStragglerStillCompletes(t *testing.T) {
 	f := NewFaultInjector()
 	f.SlowUnit(11, 20*time.Millisecond)
 	start := time.Now()
-	st := c.DrainWithStats(context.Background(), Options{Steal: true, Faults: f})
+	st := c.DrainWithStats(context.Background(), Options{Faults: f})
 	if ran != 20 || st.Cancelled {
 		t.Fatalf("straggler run: ran=%d cancelled=%v", ran, st.Cancelled)
 	}
@@ -192,7 +267,7 @@ func TestCancelledDrainStopsEarlyAndSkips(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
 	defer cancel()
-	st := c.DrainWithStats(ctx, Options{Steal: true})
+	st := c.DrainWithStats(ctx, Options{})
 	if !st.Cancelled {
 		t.Fatal("drain must report Cancelled on context timeout")
 	}
@@ -205,9 +280,6 @@ func TestCancelledDrainStopsEarlyAndSkips(t *testing.T) {
 	if int64(sumCounts(st.PerNode)) != ran {
 		t.Errorf("PerNode (%d) disagrees with ran (%d)", sumCounts(st.PerNode), ran)
 	}
-	if c.Sched.Pending() != 0 {
-		t.Error("cancelled drain must leave the scheduler empty")
-	}
 	if reg.CounterValue("chase.cancelled") != 1 {
 		t.Errorf("obs chase.cancelled = %d, want 1", reg.CounterValue("chase.cancelled"))
 	}
@@ -218,8 +290,8 @@ func TestCancelledDrainStopsEarlyAndSkips(t *testing.T) {
 		c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("q%d/b", i), EstCost: 1,
 			Run: func(string) { atomic.AddInt64(&again, 1) }})
 	}
-	st2 := c.DrainWithStats(context.Background(), Options{Steal: true})
-	if again != 8 || st2.Cancelled {
+	st2 := c.DrainWithStats(context.Background(), Options{})
+	if again != 8 || st2.Queued != 8 || st2.Cancelled {
 		t.Errorf("post-cancel drain: ran=%d cancelled=%v", again, st2.Cancelled)
 	}
 }
@@ -236,45 +308,10 @@ func TestCancelledDrainsLeakNoGoroutines(t *testing.T) {
 				Run: func(string) { time.Sleep(200 * time.Microsecond) }})
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 1*time.Millisecond)
-		c.DrainWithStats(ctx, Options{Steal: true})
+		c.DrainWithStats(ctx, Options{})
 		cancel()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d after cancelled drains",
-				before, runtime.NumGoroutine())
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestVnodeScalingBalancesPlacement is the regression test for the
-// hardcoded crystal.NewRing(64): virtual nodes now scale with cluster
-// size, keeping consistent-hash key placement balanced as n grows.
-func TestVnodeScalingBalancesPlacement(t *testing.T) {
-	for _, n := range []int{4, 8, 16} {
-		c := New(n)
-		counts := make(map[string]int, n)
-		const keys = 20000
-		for i := 0; i < keys; i++ {
-			counts[c.Ring.Owner(fmt.Sprintf("part-%d/block-%d", i, i%7))]++
-		}
-		if len(counts) != n {
-			t.Fatalf("n=%d: only %d nodes own keys", n, len(counts))
-		}
-		mean := float64(keys) / float64(n)
-		for node, got := range counts {
-			if f := float64(got) / mean; f < 0.55 || f > 1.45 {
-				t.Errorf("n=%d: node %s owns %d keys (%.2fx mean) — placement imbalanced",
-					n, node, got, f)
-			}
-		}
-	}
+	waitGoroutines(t, before)
 }
 
 func TestRetryBackoffYieldsToCancellation(t *testing.T) {
@@ -294,7 +331,7 @@ func TestRetryBackoffYieldsToCancellation(t *testing.T) {
 	}()
 	start := time.Now()
 	st := c.DrainWithStats(ctx, Options{
-		Steal: true, MaxRetries: 5, RetryBackoff: 30 * time.Second, Faults: f,
+		MaxRetries: 5, RetryBackoff: 30 * time.Second, Faults: f,
 	})
 	elapsed := time.Since(start)
 	if !st.Cancelled {

@@ -1,3 +1,14 @@
+// Package crystal holds the parts of Crystal, Rock's distributed file
+// system (paper §5.1), that the engine runs on, in-process: the
+// dictionary-encoded columns with their posting lists and kernels, the
+// per-environment column cache with its block partition, and the
+// HyperCube planner of §5.2 that pairs each rule with block-granular work
+// units carrying a cost estimate.
+//
+// Substitution note (DESIGN.md): the real Crystal spans a Kubernetes
+// cluster and places data on a consistent-hash ring; in one process every
+// worker reads the same columns, so placement is dropped and the worker
+// pool (internal/cluster) takes the costliest pending unit next.
 package crystal
 
 import (

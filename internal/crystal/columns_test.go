@@ -199,33 +199,6 @@ func TestDictionaryNumericCanonicalIDs(t *testing.T) {
 	}
 }
 
-func TestSchedulerStealZeroCostUnits(t *testing.T) {
-	// Regression: the steal scan used to start at maxLoad = 0 with a strict
-	// >, so a victim whose queued units all carry EstCost == 0 was never
-	// selected — an idle node starved next to a full queue. Victim choice
-	// keys on a non-empty queue; load is only the preference order.
-	s := NewScheduler([]string{"a", "b"})
-	for i := 0; i < 4; i++ {
-		s.AssignExcluding(&WorkUnit{ID: i, RuleID: "r", Part: "p", EstCost: 0}, nil)
-	}
-	if got := s.Next("b", false); got != nil {
-		t.Fatalf("no-steal Next must respect queue ownership, got unit %d", got.ID)
-	}
-	stolen := 0
-	for u := s.Next("b", true); u != nil; u = s.Next("b", true) {
-		stolen++
-	}
-	if stolen == 0 {
-		t.Fatal("idle node could not steal zero-cost units")
-	}
-	if s.Pending() != 0 {
-		t.Errorf("%d units stranded", s.Pending())
-	}
-	if s.Steals() != stolen {
-		t.Errorf("steal counter %d != %d observed", s.Steals(), stolen)
-	}
-}
-
 // skuFixture builds n tuples over 97 distinct skus with a null every 41st.
 func skuFixture(t *testing.T, n int) *data.Relation {
 	t.Helper()

@@ -3,9 +3,9 @@
 // D as violations of the rules. For data-partitioned parallelism it
 // extends the HyperCube partitioning of [41]: the data is divided into
 // virtual blocks and each rule gets one work unit per block combination,
-// distributed over the worker pool (internal/cluster) with consistent
-// hashing and work stealing. A batch mode scans all of D; an incremental
-// mode restricts to valuations touching changed tuples (ΔD).
+// run on the worker pool (internal/cluster), costliest first. A batch
+// mode scans all of D; an incremental mode restricts to valuations
+// touching changed tuples (ΔD).
 package detect
 
 import (
@@ -74,12 +74,12 @@ type Options struct {
 	// env.Models wrapped in the layer.
 	Pred *ml.Predication
 	// Obs receives the detection phase's metrics and events under the
-	// "detect.*" prefix (units, wall clock, per-node counts, steals) and
+	// "detect.*" prefix (units, wall clock, per-node counts) and
 	// the executor's "exec.*" counters. Nil records nothing.
 	Obs *obs.Registry
-	// Drain is handed unchanged to the detection drain: work stealing
-	// between workers, the retry policy for panicking units
-	// (cluster.Retry) and, in tests, fault injection.
+	// Drain is handed unchanged to the detection drain: the retry policy
+	// for panicking units (cluster.Retry; failures land on UnitErrors)
+	// and, in tests, fault injection.
 	Drain cluster.Options
 	// Span, when non-nil, parents the detection phase span (rock threads
 	// its root "clean" span here). Observed only while the registry has
@@ -89,12 +89,12 @@ type Options struct {
 
 // minBlocks is the floor of the HyperCube block count per dimension
 // (otherwise Workers): small clusters still get block-granular units to
-// balance and steal.
+// balance.
 const minBlocks = 4
 
 // DefaultOptions is Rock's shipped configuration.
 func DefaultOptions() Options {
-	return Options{Workers: 4, UseBlocking: true, Drain: cluster.Options{Steal: true}}
+	return Options{Workers: 4, UseBlocking: true}
 }
 
 // Detector detects violations of a rule set over a database.
@@ -106,6 +106,9 @@ type Detector struct {
 	// for concurrent use), and with it the column cache and the embedding
 	// store.
 	ex *exec.Executor
+	// failed holds the last run's units that exhausted their retries or
+	// lost their node.
+	failed []cluster.UnitError
 }
 
 // New creates a detector.
@@ -127,6 +130,10 @@ func New(env *predicate.Env, rules []*ree.Rule, opts Options) *Detector {
 	opts.Pred.WrapAll(env.Models)
 	return d
 }
+
+// UnitErrors lists the work units of the last run that exhausted their
+// retries or lost their node; a run with any is partial.
+func (d *Detector) UnitErrors() []cluster.UnitError { return d.failed }
 
 // Detect runs batch detection over the whole database and returns the
 // deduplicated errors.
@@ -226,6 +233,7 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 	st := cl.DrainWithStats(ctx, d.opts.Drain)
 	// A cancelled drain (or permanently failed units) leaves detection
 	// incomplete but sound: every error found so far stands.
+	d.failed = st.Failed
 	partial := st.Cancelled || len(st.Failed) > 0
 	// Merge in plan order: the first rule (and block) to find an error
 	// reports it, so RuleID is as reproducible as the key set.

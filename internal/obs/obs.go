@@ -4,7 +4,7 @@
 // chase, exec, ml predication, cluster/crystal). The paper's evaluation
 // (§6, Figures 4(h)/4(l)) is driven by per-phase, per-round measurements
 // — detection vs. chase wall clock, rounds to fixpoint, ML-call counts,
-// worker utilization and steal rates — and this package is the single
+// worker utilization — and this package is the single
 // source of truth those measurements are read from: chase.Report and
 // rock.Report fields are views over a Registry, the -metrics-out flag
 // dumps its Snapshot, and the bench/ ledger reads the same counters.

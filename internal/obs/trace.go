@@ -11,7 +11,7 @@ import (
 // or chrome://tracing. Each span becomes one complete ("X") event;
 // spans are laid out on one lane (tid) per worker node — the span's
 // Node tag names the worker that actually executed it, so a parallel
-// chase's interleaving and steals are visually inspectable — with
+// chase's interleaving is visually inspectable — with
 // untagged spans (clean/phase/round scaffolding) on lane 0. Thread
 // metadata events name the lanes.
 

@@ -4,7 +4,37 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"github.com/rockclean/rock/internal/cluster"
 )
+
+// TestFailedDetectionUnitIsReported: a detection unit that panics past
+// MaxRetries is not dropped — CleanCtx reports it on Report.UnitErrors,
+// with the RuleID of the rule it was planned for, and marks the run
+// partial. Unit 0 of detection is the first rule's first block
+// combination; its three panics are spent before the chase starts, so
+// the chase adds no failure of its own.
+func TestFailedDetectionUnitIsReported(t *testing.T) {
+	opts := DefaultOptions()
+	opts.MaxRetries = 2
+	p := ecommercePipeline(t, opts)
+	p.faults = cluster.NewFaultInjector()
+	p.faults.PanicUnit(0, 3)
+	rep, err := p.Clean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.UnitErrors) != 1 {
+		t.Fatalf("want exactly one UnitError, got %v", rep.UnitErrors)
+	}
+	ue := rep.UnitErrors[0]
+	if ue.UnitID != 0 || ue.RuleID != p.Rules()[0].ID || ue.Attempts != 3 {
+		t.Errorf("UnitError = %+v, want unit 0 of rule %s after 3 attempts", ue, p.Rules()[0].ID)
+	}
+	if !rep.Partial {
+		t.Error("a run with a failed detection unit must be partial")
+	}
+}
 
 // TestDeadlineExpiredCleanIsPartial: a context deadline that has no
 // chance to fit the run makes CleanCtx return a partial report with a nil

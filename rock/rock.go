@@ -121,12 +121,6 @@ type Options struct {
 	// Results are bit-identical with the layer on or off;
 	// Report.Predication carries the cache counters.
 	Predication bool
-	// Steal enables work stealing between the in-process pool's workers
-	// in both the detection and chase phases. On in Rock proper; the
-	// work-stealing ablation turns it off. Results are identical either
-	// way — stealing only re-assigns work units. A remote coordinator
-	// (Cluster) ignores it: it splits units evenly over its workers.
-	Steal bool
 	// Oracle, when set, answers ER/CR conflicts the learned resolvers
 	// cannot decide — Rock presents such conflicts to the user.
 	Oracle func(rel, eid, attr string, candidates []Value) (Value, bool)
@@ -150,7 +144,7 @@ type Options struct {
 // DefaultOptions returns Rock's shipped configuration.
 func DefaultOptions() Options {
 	return Options{
-		Workers: 4, Parallel: true, UseBlocking: true, Predication: true, Steal: true,
+		Workers: 4, Parallel: true, UseBlocking: true, Predication: true,
 		MaxRetries: 2,
 	}
 }
@@ -174,6 +168,10 @@ type Pipeline struct {
 	// tuple that changes keys fresh entries and results stay bit-identical
 	// to a cold layer.
 	pred *ml.Predication
+
+	// faults, set only by tests, injects failures into every drain of
+	// the pipeline, detection's and the chase's.
+	faults *cluster.FaultInjector
 
 	ruleSeq int
 }
@@ -405,7 +403,7 @@ type DetectedError struct {
 
 // Detect runs batch error detection with the registered rules.
 func (p *Pipeline) Detect() ([]DetectedError, error) {
-	errs, _, err := p.detectWith(context.Background(), nil, p.opts.Obs, nil)
+	errs, _, _, err := p.detectWith(context.Background(), nil, p.opts.Obs, nil)
 	return errs, err
 }
 
@@ -492,23 +490,24 @@ const retryBackoff = time.Millisecond
 
 // drain is the one drain configuration detection and the chase share.
 func (p *Pipeline) drain() cluster.Options {
-	return cluster.Options{Steal: p.opts.Steal, MaxRetries: p.opts.MaxRetries, RetryBackoff: retryBackoff}
+	return cluster.Options{MaxRetries: p.opts.MaxRetries, RetryBackoff: retryBackoff, Faults: p.faults}
 }
 
 // detectWith runs detection, optionally filling a predication layer that
 // a subsequent chase will serve from and recording into reg. span, when
 // non-nil, parents the detection phase span (CleanCtx passes its root
-// "clean" span). partial is true when ctx was cancelled and only part of
-// the data was scanned.
-func (p *Pipeline) detectWith(ctx context.Context, pred *ml.Predication, reg *obs.Registry, span *obs.Span) ([]DetectedError, bool, error) {
+// "clean" span). failed lists the detection units that exhausted their
+// retries or lost their node; partial is true when there are any, or when
+// ctx was cancelled and only part of the data was scanned.
+func (p *Pipeline) detectWith(ctx context.Context, pred *ml.Predication, reg *obs.Registry, span *obs.Span) (errs []DetectedError, failed []UnitError, partial bool, err error) {
 	dOpts := p.detectOptions(pred, reg)
 	dOpts.Span = span
 	d := detect.New(p.env, p.rules, dOpts)
-	errs, partial, err := d.DetectCtx(ctx)
+	found, partial, err := d.DetectCtx(ctx)
 	if err != nil {
-		return nil, partial, err
+		return nil, nil, partial, err
 	}
-	return detectedErrors(errs), partial, nil
+	return detectedErrors(found), d.UnitErrors(), partial, nil
 }
 
 // detectedErrors converts the detector's errors to the public type.
@@ -550,7 +549,8 @@ type Report struct {
 	// failed permanently. Errors/Corrections carry everything established
 	// up to that point — sound, but possibly incomplete.
 	Partial bool
-	// UnitErrors lists work units that exhausted their retries.
+	// UnitErrors lists the detection and chase work units that exhausted
+	// their retries or lost their node.
 	UnitErrors []UnitError
 	// Errors are the detected errors (pre-correction).
 	Errors []DetectedError
@@ -580,7 +580,7 @@ type Report struct {
 	// Assessment reports post-cleaning data quality.
 	Assessment quality.Assessment
 	// RoundTrace is the chase's per-round trace table (rounds, units,
-	// valuations, ML calls, fixes, steals, per-node counts, duration).
+	// valuations, ML calls, fixes, per-node counts, duration).
 	RoundTrace []ChaseRoundTrace
 	// RuleProfile attributes the chase's cost to individual rules (wall
 	// clock, work units, valuations, ML calls, fixes applied/rejected);
@@ -637,11 +637,12 @@ func (p *Pipeline) CleanCtx(ctx context.Context) (*Report, error) {
 	// them during deduction.
 	pred := p.predication()
 	// Root span of the hierarchical trace (recorded only when the
-	// registry has spans enabled): clean → detect/chase → round → unit →
-	// exec → ml.<model>.
+	// registry has spans enabled): clean → detect/chase → round →
+	// round.drain → unit → exec → ml.<model> (detection's units hang
+	// directly under its phase span).
 	root := reg.StartSpan("clean", nil)
 	defer root.End()
-	errs, detPartial, err := p.detectWith(ctx, pred, reg, root)
+	errs, detFailed, detPartial, err := p.detectWith(ctx, pred, reg, root)
 	if err != nil {
 		return nil, err
 	}
@@ -652,6 +653,7 @@ func (p *Pipeline) CleanCtx(ctx context.Context) (*Report, error) {
 	}
 	rep := reportOf(chaseRep)
 	rep.Errors = errs
+	rep.UnitErrors = append(detFailed, rep.UnitErrors...)
 	rep.Partial = rep.Partial || detPartial
 	u := eng.Truth()
 	rep.MergedEntities = u.Classes()

@@ -73,9 +73,9 @@ func TestTracedMatchesUntraced(t *testing.T) {
 
 // TestSpanTreeDepthAndAttribution pins the tentpole's structural
 // acceptance criteria on one traced run: the span tree is acyclic and at
-// least four levels deep (clean → phase → round → unit → exec → ml), and
-// the per-rule attribution rows sum exactly to the phase totals the same
-// registry counted.
+// least four levels deep (clean → phase → round → round.drain → unit →
+// exec → ml), and the per-rule attribution rows sum exactly to the phase
+// totals the same registry counted.
 func TestSpanTreeDepthAndAttribution(t *testing.T) {
 	rep, _ := cleanWith(t, true, 4)
 	spans := rep.Metrics.Spans

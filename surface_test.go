@@ -27,11 +27,12 @@ var surfaceAllow = map[string]string{
 	"cluster.NewFaultInjector":              "fault-test harness: the drain's kill/panic/slow tests build it",
 	"cluster.FaultInjector.KillNode":        "fault-test harness: kills a worker mid-drain",
 	"cluster.FaultInjector.PanicUnit":       "fault-test harness: panics one unit to drive retries",
-	"cluster.FaultInjector.SlowUnit":        "fault-test harness: stalls one unit to drive stealing and deadlines",
+	"cluster.FaultInjector.SlowUnit":        "fault-test harness: stalls one unit to drive stragglers and deadlines",
 	"cluster/remote.Coordinator.WorkerMeta": "fault-test harness: reads a worker's PID to SIGKILL the real process",
 	"data.Relation.Delete":                  "the column cache's delete handling is tested through it",
 	"discovery.NewAnytime":                  "paper workflow (anytime discovery), ROADMAP item 14",
 	"discovery.Anytime.Feedback":            "paper workflow (user feedback), ROADMAP item 14",
+	"discovery.Anytime.Next":                "paper workflow (anytime discovery), ROADMAP item 14",
 	"discovery.NoviceFeedback":              "paper workflow (novice user model), ROADMAP item 14",
 	"discovery.PolyModel":                   "paper workflow (M_poly predicate), ROADMAP item 14",
 	"ree.Rule.Satisfied":                    "reference semantics the executor is compared against, ROADMAP item 8",
