@@ -44,7 +44,7 @@ type Options struct {
 	// apply step.
 	Parallel bool
 	// Drain is handed unchanged to every round's drain: the retry policy
-	// for panicking units (cluster.Retry; failures land on
+	// for panicking units (the drain's one retry policy; failures land on
 	// Report.UnitErrors) and, in tests, fault injection.
 	Drain cluster.Options
 	// Lazy enables the lazy-activation machinery (rule activation by fix
@@ -636,10 +636,11 @@ func (e *Engine) fixpoint(rules []*ree.Rule, initialDirty map[string]map[int]boo
 // (conflict resolution included).
 //
 // A unit returns its outcome (runUnit) and the round keeps one slot per
-// unit, so executors differ only in who calls runUnit: the in-process pool
-// (cluster.DrainWithStats: one pending list, costliest unit first; one
-// worker for the serial reference) or — behind a DistRunner — worker
-// replicas in other processes. The merge folds the slots in unit-index order, which is
+// unit, so executors differ only in who calls runUnit: a goroutine of the
+// in-process pool (one worker for the serial reference) or — behind a
+// DistRunner — a worker replica in another process. Both drain one
+// pending list, costliest unit first (cluster.DrainOn). The merge folds
+// the slots in unit-index order, which is
 // the serial generation order (rule ID, unit part), so fixes and report
 // state are bit-identical across executors regardless of worker
 // interleaving. Correctness rests on the round invariant: units only read
@@ -658,8 +659,7 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	// round.merge and round.absorb.
 	prepSpan := e.obs.StartSpan("round.prepare", roundSpan)
 	work := e.prepareRound(rules)
-	// A zero-unit round skips the drain: a coordinator's unit table is
-	// reset only by BeginRound, so draining would re-run the last round's.
+	// A zero-unit round skips the preamble and the drain.
 	if len(work) > 0 && e.dist != nil {
 		// Replicate this round's inputs to the worker processes (truth
 		// journal + last round's accepted fixes + active rule IDs); the

@@ -14,12 +14,13 @@ import (
 // (same data, same rules and rule IDs, same trained models, same
 // Workers partition count), so only three things ever cross the wire —
 // the round preamble (the truth journal since the last preamble + last
-// round's accepted fixes + active rule IDs), unit index assignments,
-// and per-unit deduction buffers. Replaying the journal makes every replica's FixSet
-// bit-identical to the coordinator's; the unit list is a deterministic
-// function of (rules, partition, FixSet), so unit index i names the
-// same work everywhere; and the coordinator's merge consumes buffers
-// in unit-index order, which is exactly the serial generation order.
+// round's accepted fixes + active rule IDs), one unit index at a time to
+// each idle worker, and per-unit deduction buffers. Replaying the journal
+// makes every replica's FixSet bit-identical to the coordinator's; the
+// unit list is a deterministic function of (rules, partition, FixSet), so
+// unit index i names the same work everywhere; and the coordinator's
+// merge consumes buffers in unit-index order, which is exactly the serial
+// generation order.
 // Deduction reads only the replicated state (FixSet cells/orders via the
 // engine's view, deterministically trained models), so a distributed run
 // is bit-identical to the serial in-process run. Conflict resolution

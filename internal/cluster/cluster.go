@@ -3,9 +3,9 @@
 // a goroutine). Each drain sorts its units into one pending list,
 // costliest first, and every idle worker takes the next unit from it:
 // greedy longest-first list scheduling, §5.2's "an idle node fetches more
-// work" within one process, where every worker reads the same columns.
-// Runner is the surface it shares with the cross-process coordinator in
-// internal/cluster/remote.
+// work", where every worker reads the same columns. The cross-process
+// coordinator in internal/cluster/remote drains the same list over its
+// worker connections (DrainOn); Runner is the surface the two share.
 package cluster
 
 import (
@@ -77,8 +77,9 @@ type Options struct {
 	MaxRetries int
 	// RetryBackoff is the base backoff before a retry; attempt k waits
 	// k*RetryBackoff, cut short when the drain's context is cancelled.
-	// Zero retries immediately. The in-process pool and the remote
-	// coordinator apply the same policy (see Retry).
+	// Zero retries immediately. Both transports drain through DrainOn,
+	// so the in-process pool and the remote coordinator apply the same
+	// policy.
 	RetryBackoff time.Duration
 	// Faults, when non-nil, injects failures (panicking units,
 	// stragglers, node kills) into this drain. Production runs leave it
@@ -105,35 +106,14 @@ func (e *UnitError) Error() string {
 
 func (e *UnitError) Unwrap() error { return e.Err }
 
-// Retry is the one retry policy of every executor (the in-process pool
-// and the remote coordinator): it decides the fate of unit u after its
-// attempt-th attempt failed with err on node. Past opts.MaxRetries
-// attempts the unit is given up and the UnitError is returned. Otherwise
-// Retry waits attempt × opts.RetryBackoff — cut short when ctx is
-// cancelled — and returns the node the retry must avoid: node itself
-// when others, asked after the wait, reports a live node besides it; ""
-// when node is the only survivor and the retry may run where it failed.
-// The caller only chooses where the retry runs.
-func Retry(ctx context.Context, opts Options, u *crystal.WorkUnit, node string, attempt int, err error, others func() bool) (avoid string, failed *UnitError) {
-	if attempt > opts.MaxRetries {
-		return "", &UnitError{UnitID: u.ID, RuleID: u.RuleID, Part: u.Part, Node: node, Attempts: attempt, Err: err}
-	}
-	if opts.RetryBackoff > 0 {
-		t := time.NewTimer(time.Duration(attempt) * opts.RetryBackoff)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-		}
-	}
-	if others() {
-		return node, nil
-	}
-	return "", nil
-}
-
 // errNoSurvivor marks units stranded when every node has been killed.
 var errNoSurvivor = errors.New("no surviving node to run unit")
+
+// ErrNodeLost is what a drain's run function returns when the node died
+// with the unit in flight (a worker process whose connection broke): the
+// drain marks the node dead and puts the unit back on the pending list
+// without counting an attempt.
+var ErrNodeLost = errors.New("cluster: node lost with the unit in flight")
 
 // DrainStats describes one drain: per-node unit counts for THIS drain
 // only, the number of units it started with, and the fault-tolerance
@@ -147,7 +127,7 @@ type DrainStats struct {
 	Reassigned int         // retries that must run on a node other than the one that failed
 	Cancelled  bool        // drain stopped early on context cancellation
 	Skipped    int         // units left unexecuted by a cancelled drain
-	Killed     []string    // nodes killed by fault injection during this drain
+	Killed     []string    // nodes killed (fault injection) or lost during this drain
 	Failed     []UnitError // units that exhausted retries or lost their node
 }
 
@@ -158,22 +138,24 @@ type pendingUnit struct {
 	avoid string
 }
 
-// drainRun is the shared state of one DrainWithStats call, all of it
-// under mu, including the statistics it returns. Workers wait on cond
-// when no pending unit is theirs to take but units are still outstanding
-// (in flight or in retry backoff); every change a waiter cares about — a
-// retry queued, a node killed, the last unit settled, cancellation —
+// drainRun is the shared state of one drain, all of it under mu,
+// including the statistics it returns. Workers wait on cond when no
+// pending unit is theirs to take but units are still outstanding (in
+// flight or in retry backoff); every change a waiter cares about — a
+// unit queued, a node killed, the last unit settled, cancellation —
 // broadcasts.
 type drainRun struct {
 	ctx   context.Context
+	run   func(ctx context.Context, node string, u *crystal.WorkUnit) error
+	opts  Options
 	nodes int
 	mu    sync.Mutex
 	cond  *sync.Cond
 
-	queue       []pendingUnit // costliest first; retries are appended
+	queue       []pendingUnit // costliest first; retries and lost units are appended
 	outstanding int           // units not yet completed or permanently failed
 	dead        map[string]bool
-	attempts    map[*crystal.WorkUnit]int // panics per unit so far
+	attempts    map[*crystal.WorkUnit]int // failed attempts per unit so far
 	st          DrainStats
 }
 
@@ -208,24 +190,43 @@ func (d *drainRun) settleLocked() {
 	}
 }
 
-// DrainWithStats runs every submitted unit to completion across all
-// workers and returns this drain's statistics. The units form one
-// pending list, sorted by EstCost descending with ties in ID order; each
-// worker loops: take the next unit it may run, run it, repeat until no
-// units remain outstanding, the context is cancelled, or fault injection
-// kills the node — survivors then drain what is left.
+// DrainWithStats runs every submitted unit to completion on the pool's
+// goroutine workers and returns this drain's statistics (see DrainOn).
+func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
+	return c.DrainOn(ctx, c.nodes, func(_ context.Context, node string, u *crystal.WorkUnit) error {
+		u.Run(node)
+		return nil
+	}, opts)
+}
+
+// DrainOn runs every unit submitted since the last drain on the given
+// nodes and returns this drain's statistics. It is the one scheduler of
+// both transports: the pool passes its goroutine workers and u.Run; the
+// remote coordinator passes its live worker connections and a run that
+// ships the unit and waits for its outcome. The units form one pending
+// list, sorted by EstCost descending with ties in ID order; each node
+// loops: take the next unit it may run, run it, repeat until no units
+// remain outstanding, the context is cancelled, or the node dies —
+// survivors then drain what is left.
+//
+// run returns nil when the unit completed, ErrNodeLost when the node died
+// with the unit in flight, and ctx's error when the drain was cancelled
+// before the unit's outcome arrived; those two put the unit back on the
+// list without counting an attempt. A panic inside run, or any other
+// error, fails the attempt.
 //
 // PerNode counts this drain only: the chase drains the same shared
 // cluster once per round, and utilization stats derived from cumulative
 // counts would inflate every round after the first.
 //
-// A panicking unit is recovered and settled by Retry: retried with
-// backoff up to opts.MaxRetries times (on a different live node when one
-// exists), then surfaced as a UnitError — other units keep running
-// either way. Cancelling ctx stops the drain between units: in-flight
-// units finish, the rest are counted in Skipped, and Cancelled is set.
-// When every node is killed, the units left are errNoSurvivor failures.
-func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
+// A failed attempt is settled by retry: retried with backoff up to
+// opts.MaxRetries times (on a different live node when one exists), then
+// surfaced as a UnitError — other units keep running either way.
+// Cancelling ctx stops the drain between units: in-flight units finish
+// or are abandoned, the rest are counted in Skipped, and Cancelled is
+// set. When every node is dead, the units left are errNoSurvivor
+// failures.
+func (c *Cluster) DrainOn(ctx context.Context, nodes []string, run func(ctx context.Context, node string, u *crystal.WorkUnit) error, opts Options) DrainStats {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -246,12 +247,14 @@ func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
 	}
 	d := &drainRun{
 		ctx:         ctx,
-		nodes:       len(c.nodes),
+		run:         run,
+		opts:        opts,
+		nodes:       len(nodes),
 		queue:       queue,
 		outstanding: len(queue),
-		dead:        make(map[string]bool, len(c.nodes)),
+		dead:        make(map[string]bool, len(nodes)),
 		attempts:    make(map[*crystal.WorkUnit]int),
-		st:          DrainStats{PerNode: make(map[string]int, len(c.nodes)), Queued: len(queue)},
+		st:          DrainStats{PerNode: make(map[string]int, len(nodes)), Queued: len(queue)},
 	}
 	d.cond = sync.NewCond(&d.mu)
 	// Wake every waiting worker when the context is cancelled, so none
@@ -263,11 +266,11 @@ func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
 		d.mu.Unlock()
 	})
 	var wg sync.WaitGroup
-	for _, node := range c.nodes {
+	for _, node := range nodes {
 		wg.Add(1)
 		go func(node string) {
 			defer wg.Done()
-			c.workerLoop(node, d, opts)
+			c.workerLoop(node, d)
 		}(node)
 	}
 	wg.Wait()
@@ -277,18 +280,22 @@ func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
 	defer d.mu.Unlock()
 	st := d.st
 	// Workers leave units behind only when the drain was cancelled or
-	// every node was killed. Cancelled leftovers are merely skipped;
-	// leftovers with no surviving node are failures.
+	// every node died. Cancelled leftovers are merely skipped; leftovers
+	// with no surviving node are failures.
 	if st.Cancelled {
 		st.Skipped = len(d.queue)
 		if c.reg != nil {
 			c.reg.Inc(c.prefix + ".cancelled")
 		}
 	} else {
+		last := ""
+		if len(st.Killed) > 0 {
+			last = st.Killed[len(st.Killed)-1]
+		}
 		for _, p := range d.queue {
 			st.Failed = append(st.Failed, UnitError{
 				UnitID: p.u.ID, RuleID: p.u.RuleID, Part: p.u.Part,
-				Node: st.Killed[len(st.Killed)-1], Attempts: d.attempts[p.u], Err: errNoSurvivor,
+				Node: last, Attempts: d.attempts[p.u], Err: errNoSurvivor,
 			})
 		}
 	}
@@ -296,7 +303,7 @@ func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
 }
 
 // workerLoop is one node's work manager for the duration of a drain.
-func (c *Cluster) workerLoop(node string, d *drainRun, opts Options) {
+func (c *Cluster) workerLoop(node string, d *drainRun) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
@@ -316,16 +323,17 @@ func (c *Cluster) workerLoop(node string, d *drainRun, opts Options) {
 			continue
 		}
 		d.mu.Unlock()
-		c.runOne(node, u, d, opts)
+		c.runOne(node, u, d)
 		d.mu.Lock()
 	}
 }
 
-// runOne executes a single unit with panic isolation and drives the
-// retry policy on failure.
-func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Options) {
-	if opts.Faults != nil {
-		if delay := opts.Faults.delayFor(u.ID); delay > 0 {
+// runOne executes a single unit on node with panic isolation and settles
+// its outcome: completed, back on the list, retried or failed.
+func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun) {
+	faults := d.opts.Faults
+	if faults != nil {
+		if delay := faults.delayFor(u.ID); delay > 0 {
 			// Stragglers stay interruptible: cancellation cuts the
 			// injected slowness short (the unit itself still runs).
 			t := time.NewTimer(delay)
@@ -336,23 +344,38 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 			}
 		}
 	}
-	err := runShielded(opts.Faults, u, node)
+	err := d.runShielded(node, u)
 	if err == nil {
 		if c.reg != nil {
 			c.reg.Inc(c.prefix + ".node." + node + ".units")
 		}
+		die := faults != nil && faults.shouldDie(node)
 		d.mu.Lock()
 		d.st.PerNode[node]++
 		d.settleLocked()
-		d.mu.Unlock()
-		if opts.Faults != nil && opts.Faults.shouldDie(node) {
-			c.killNode(node, d)
+		if die {
+			c.killLocked(node, d)
 		}
+		d.mu.Unlock()
+		return
+	}
+	lost := errors.Is(err, ErrNodeLost)
+	if lost || (d.ctx.Err() != nil && errors.Is(err, d.ctx.Err())) {
+		// The unit never reached an outcome. It goes back on the list
+		// without an attempt counted: a survivor runs it, or a cancelled
+		// drain counts it Skipped.
+		d.mu.Lock()
+		if lost {
+			c.killLocked(node, d)
+		}
+		d.queue = append(d.queue, pendingUnit{u: u})
+		d.cond.Broadcast()
+		d.mu.Unlock()
 		return
 	}
 
-	// The unit panicked (recovered into err): Retry gives it up or
-	// decides which node the retry avoids.
+	// The attempt failed (a recovered panic): retry gives the unit up or
+	// waits out its backoff.
 	if c.reg != nil {
 		c.reg.Inc(c.prefix + ".unit_panics")
 	}
@@ -361,12 +384,7 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 	d.attempts[u]++
 	attempt := d.attempts[u]
 	d.mu.Unlock()
-	// node is alive: a node is only killed after a unit it completed.
-	avoid, failed := Retry(d.ctx, opts, u, node, attempt, err, func() bool {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.othersAliveLocked()
-	})
+	failed := retry(d.ctx, d.opts, u, node, attempt, err)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if failed != nil {
@@ -383,7 +401,11 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 	if c.reg != nil {
 		c.reg.Inc(c.prefix + ".retries")
 	}
-	if avoid != "" {
+	// The retry avoids node while another node lives (node itself is
+	// alive: only its own worker marks it dead).
+	avoid := ""
+	if d.othersAliveLocked() {
+		avoid = node
 		d.st.Reassigned++
 		if c.reg != nil {
 			c.reg.Inc(c.prefix + ".reassigned")
@@ -393,29 +415,47 @@ func (c *Cluster) runOne(node string, u *crystal.WorkUnit, d *drainRun, opts Opt
 	d.cond.Broadcast()
 }
 
+// retry is the drain's one retry policy, whichever transport ran the
+// unit: it decides the fate of unit u after its attempt-th attempt failed
+// with err on node. Past opts.MaxRetries attempts the unit is given up
+// and the UnitError is returned; otherwise retry waits attempt ×
+// opts.RetryBackoff, cut short when ctx is cancelled, and returns nil.
+func retry(ctx context.Context, opts Options, u *crystal.WorkUnit, node string, attempt int, err error) *UnitError {
+	if attempt > opts.MaxRetries {
+		return &UnitError{UnitID: u.ID, RuleID: u.RuleID, Part: u.Part, Node: node, Attempts: attempt, Err: err}
+	}
+	if opts.RetryBackoff > 0 {
+		t := time.NewTimer(time.Duration(attempt) * opts.RetryBackoff)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+		}
+	}
+	return nil
+}
+
 // runShielded runs the unit under recover(), converting a panic into an
 // error so one bad unit cannot take down the process.
-func runShielded(f *FaultInjector, u *crystal.WorkUnit, node string) (err error) {
+func (d *drainRun) runShielded(node string, u *crystal.WorkUnit) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("unit panic: %v", r)
 		}
 	}()
-	if f != nil {
-		f.maybePanic(u.ID)
+	if d.opts.Faults != nil {
+		d.opts.Faults.maybePanic(u.ID)
 	}
-	u.Run(node)
-	return nil
+	return d.run(d.ctx, node, u)
 }
 
-// killNode marks a node dead mid-drain (fault injection): its worker
-// exits at its next turn and the survivors drain the pending list.
-func (c *Cluster) killNode(node string, d *drainRun) {
-	d.mu.Lock()
+// killLocked marks a node dead mid-drain (a fault-injected kill or a lost
+// node): its worker exits at its next turn and the survivors drain the
+// pending list.
+func (c *Cluster) killLocked(node string, d *drainRun) {
 	d.dead[node] = true
 	d.st.Killed = append(d.st.Killed, node)
 	d.cond.Broadcast()
-	d.mu.Unlock()
 	if c.reg != nil {
 		c.reg.Inc(c.prefix + ".node_killed")
 	}

@@ -15,11 +15,11 @@ import (
 // one-shot state machines: a scheduled panic is consumed per attempt,
 // a node kill triggers once.
 type FaultInjector struct {
-	// ProcessKill, when set, is the injector's "real mode": instead of
-	// simulating a node death inside the process, a triggered KillNode
-	// schedule invokes this hook, which is expected to SIGKILL the actual
-	// worker process behind the node (internal/cluster/remote wires it to
-	// os.Process.Kill). Set it before the drain starts; it is called at
+	// ProcessKill, when set, is the injector's "real mode": a triggered
+	// KillNode schedule also invokes this hook, which is expected to
+	// SIGKILL the actual worker process behind the node (the remote
+	// tests wire it to the PID a worker sent in its hello). The in-process
+	// pool leaves it nil. Set it before the drain starts; it is called at
 	// most once per scheduled kill, outside the injector's lock.
 	ProcessKill func(node string)
 
@@ -87,35 +87,26 @@ func (f *FaultInjector) maybePanic(id int) {
 	}
 }
 
-// ShouldDie records one executed unit on node and reports whether the
-// node's scheduled kill has now triggered; when it has and ProcessKill
-// is set, the hook fires (real mode — the caller's worker process is
-// killed for real rather than simulated dead). The remote coordinator
-// consults this after every received result.
-func (f *FaultInjector) ShouldDie(node string) bool {
-	if !f.shouldDie(node) {
-		return false
-	}
-	if f.ProcessKill != nil {
-		f.ProcessKill(node)
-	}
-	return true
-}
-
 // shouldDie records one executed unit on node and reports whether the
-// node's scheduled kill has now triggered.
+// node's scheduled kill has now triggered. When it has and ProcessKill is
+// set, the hook fires first (real mode: the worker process behind the
+// node is killed for real, and its connection breaks as a real crash
+// would).
 func (f *FaultInjector) shouldDie(node string) bool {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	n, ok := f.kills[node]
-	if !ok {
-		return false
+	if ok {
+		n--
+		if n <= 0 {
+			delete(f.kills, node)
+		} else {
+			f.kills[node] = n
+		}
 	}
-	n--
-	if n <= 0 {
-		delete(f.kills, node)
-		return true
+	f.mu.Unlock()
+	die := ok && n <= 0
+	if die && f.ProcessKill != nil {
+		f.ProcessKill(node)
 	}
-	f.kills[node] = n
-	return false
+	return die
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -339,5 +340,57 @@ func TestRetryBackoffYieldsToCancellation(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancelled drain took %v; backoff ignored cancellation", elapsed)
+	}
+}
+
+// TestLostNodeRequeuesItsUnit: a run that reports its node lost marks the
+// node dead and puts the unit back without counting an attempt — a
+// survivor runs it, and with none left the unit fails as stranded.
+func TestLostNodeRequeuesItsUnit(t *testing.T) {
+	for _, lostNodes := range [][]string{{"a"}, {"a", "b"}} {
+		c := New(1)
+		for i := 0; i < 6; i++ {
+			c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1})
+		}
+		var mu sync.Mutex
+		ran := map[int]string{}
+		// b runs nothing before a has taken a unit and lost it.
+		aLost := make(chan struct{})
+		var once sync.Once
+		st := c.DrainOn(context.Background(), []string{"a", "b"}, func(_ context.Context, node string, u *crystal.WorkUnit) error {
+			for _, n := range lostNodes {
+				if n == node {
+					once.Do(func() { close(aLost) })
+					return ErrNodeLost
+				}
+			}
+			select {
+			case <-aLost:
+			case <-time.After(5 * time.Second):
+			}
+			mu.Lock()
+			ran[u.ID] = node
+			mu.Unlock()
+			return nil
+		}, Options{MaxRetries: 1})
+		killed := append([]string(nil), st.Killed...)
+		sort.Strings(killed)
+		if fmt.Sprint(killed) != fmt.Sprint(lostNodes) || st.Panics != 0 || st.Retries != 0 {
+			t.Fatalf("lost %v: Killed/Panics/Retries = %v/%d/%d, want %v/0/0", lostNodes, st.Killed, st.Panics, st.Retries, lostNodes)
+		}
+		if len(lostNodes) == 1 {
+			if len(ran) != 6 || st.PerNode["b"] != 6 || len(st.Failed) != 0 {
+				t.Errorf("the survivor ran %d of 6 (PerNode %v, failed %v)", len(ran), st.PerNode, st.Failed)
+			}
+			continue
+		}
+		if len(st.Failed) != 6 {
+			t.Fatalf("with every node lost, want 6 stranded units, got %v", st.Failed)
+		}
+		for _, fe := range st.Failed {
+			if !errors.Is(&fe, errNoSurvivor) || fe.Attempts != 0 {
+				t.Errorf("stranded unit: %+v", fe)
+			}
+		}
 	}
 }

@@ -28,13 +28,13 @@ type CoordOptions struct {
 	// AcceptTimeout bounds WaitWorkers. Default 30s.
 	AcceptTimeout time.Duration
 	// Logf, when set, receives progress lines (worker joins, deaths,
-	// reassignments).
+	// drained rounds).
 	Logf func(format string, args ...any)
 }
 
 // heartbeatTimeout is how long a worker connection may stay silent (no
-// heartbeat, ack or result) before the coordinator declares it dead and
-// redistributes its queue: five worker heartbeat intervals.
+// heartbeat, ack or result) before the coordinator declares it dead:
+// five worker heartbeat intervals.
 const heartbeatTimeout = 5 * heartbeatInterval
 
 func (o CoordOptions) withDefaults() CoordOptions {
@@ -50,50 +50,93 @@ func (o CoordOptions) withDefaults() CoordOptions {
 	return o
 }
 
-// event is one message (or death notice) from a worker's reader
-// goroutine, serialized onto the coordinator's event channel.
-type event struct {
-	node string
-	env  envelope
-	err  error // non-nil: the connection died (EOF, reset, heartbeat timeout)
+// replyKey names the one reply a worker connection awaits: a round's ack
+// (unit 0), or one unit's result in a round.
+type replyKey struct {
+	typ         msgType
+	round, unit int
 }
 
-// workerConn is one connected worker process.
+// workerConn is one connected worker process. It has at most one request
+// in flight: the round preamble, or one unit.
 type workerConn struct {
 	name    string
 	meta    string // worker-supplied identity from the hello (e.g. its PID)
 	conn    net.Conn
-	writeMu sync.Mutex // WriteFrame is a single Write, but serialize anyway
-	alive   bool
+	writeMu sync.Mutex    // WriteFrame is a single Write, but serialize anyway
+	lost    chan struct{} // closed by the reader when the connection dies
+	alive   bool          // under the coordinator's mu
+
+	mu    sync.Mutex
+	key   replyKey
+	reply chan envelope // nil when no reply is awaited
 }
 
-// send writes one encoded envelope as a frame.
-func (w *workerConn) send(payload []byte) error {
+// send writes one encoded envelope as a frame. A failed write closes the
+// connection, so the reader reports the worker lost.
+func (w *workerConn) send(payload []byte) {
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
-	return WriteFrame(w.conn, payload)
+	if WriteFrame(w.conn, payload) != nil {
+		w.conn.Close()
+	}
+}
+
+// expect registers key as the reply this connection awaits and returns
+// the channel the reader delivers it on.
+func (w *workerConn) expect(key replyKey) chan envelope {
+	ch := make(chan envelope, 1)
+	w.mu.Lock()
+	w.key, w.reply = key, ch
+	w.mu.Unlock()
+	return ch
+}
+
+// deliver hands env to the awaited reply if key is the one awaited, once;
+// anything else — an unknown unit, a stale round, a duplicate — is
+// dropped.
+func (w *workerConn) deliver(key replyKey, env envelope) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.reply != nil && key == w.key {
+		w.reply <- env
+		w.reply = nil
+	}
+}
+
+// wait returns the reply, cluster.ErrNodeLost when the worker dies
+// first, or ctx's error when it is cancelled first.
+func (w *workerConn) wait(ctx context.Context, reply chan envelope) (envelope, error) {
+	select {
+	case env := <-reply:
+		return env, nil
+	case <-w.lost:
+		return envelope{}, cluster.ErrNodeLost
+	case <-ctx.Done():
+		return envelope{}, ctx.Err()
+	}
 }
 
 // Coordinator owns the truth ledger side of a distributed chase: it
-// accepts worker connections, runs the round barrier (BeginRound),
-// splits each round's work units evenly over the workers, collects
-// deduction buffers, and survives worker deaths by redistributing
-// their queues. It implements both cluster.Runner and chase.DistRunner
-// — hand it to rock.Options.Cluster (or Pipeline.SetCluster) and the
-// engine schedules rounds on it instead of the in-process pool.
+// accepts worker connections, runs the round barrier (BeginRound), drains
+// each round's work units over the live workers through cluster's one
+// scheduler — one unit in flight per worker, costliest first — and
+// collects the deduction buffers. A worker that dies with a unit in
+// flight is dropped and its unit runs on a survivor. It implements both
+// cluster.Runner and chase.DistRunner — hand it to rock.Options.Cluster
+// (or Pipeline.SetCluster) and the engine schedules rounds on it instead
+// of the in-process pool.
 type Coordinator struct {
 	opts CoordOptions
 	ln   net.Listener
+	pool cluster.Cluster // the submitted units and the drain
 
-	mu      sync.Mutex
-	workers map[string]*workerConn
-	order   []string // names in connection order ("worker-0".."worker-N-1")
+	mu       sync.Mutex
+	workers  map[string]*workerConn
+	order    []string            // names in connection order ("worker-0".."worker-N-1")
+	outcomes []chase.UnitOutcome // this round's, appended by the drain's nodes
 
-	events chan event
-
-	round    int
-	units    map[int]*crystal.WorkUnit // Submit buffer for the current round
-	outcomes []chase.UnitOutcome
+	round int
 
 	reg    *obs.Registry
 	prefix string
@@ -102,12 +145,7 @@ type Coordinator struct {
 // NewCoordinator creates an unstarted coordinator.
 func NewCoordinator(opts CoordOptions) *Coordinator {
 	opts = opts.withDefaults()
-	return &Coordinator{
-		opts:    opts,
-		workers: make(map[string]*workerConn),
-		events:  make(chan event, 256),
-		units:   make(map[int]*crystal.WorkUnit),
-	}
+	return &Coordinator{opts: opts, workers: make(map[string]*workerConn)}
 }
 
 // Start binds the listener and returns the bound address — call it
@@ -158,7 +196,7 @@ func (c *Coordinator) WaitWorkers(ctx context.Context) error {
 			conn.Close()
 			return err
 		}
-		w := &workerConn{name: name, meta: meta, conn: conn, alive: true}
+		w := &workerConn{name: name, meta: meta, conn: conn, lost: make(chan struct{}), alive: true}
 		c.mu.Lock()
 		c.workers[name] = w
 		c.order = append(c.order, name)
@@ -202,8 +240,8 @@ func (c *Coordinator) WorkerMeta(name string) string {
 	return ""
 }
 
-// reader pumps one worker's messages onto the event channel. The read
-// deadline doubles as the heartbeat monitor: workers heartbeat every
+// reader routes one worker's replies to the request awaiting them. The
+// read deadline doubles as the heartbeat monitor: workers heartbeat every
 // heartbeatInterval, so a connection silent for heartbeatTimeout is a
 // dead process (SIGKILL produces EOF/RST even sooner).
 func (c *Coordinator) reader(w *workerConn) {
@@ -211,13 +249,15 @@ func (c *Coordinator) reader(w *workerConn) {
 		w.conn.SetReadDeadline(time.Now().Add(heartbeatTimeout))
 		env, err := readMsg(w.conn, DefaultMaxFrame)
 		if err != nil {
-			c.events <- event{node: w.name, err: err}
+			c.markDead(w)
 			return
 		}
-		if env.Type == mtHeartbeat {
-			continue
+		switch {
+		case env.Type == mtResult && env.Result != nil:
+			w.deliver(replyKey{mtResult, env.Result.Round, env.Result.Outcome.Unit}, env)
+		case env.Type == mtRoundAck && env.RAck != nil:
+			w.deliver(replyKey{mtRoundAck, env.RAck.Round, 0}, env)
 		}
-		c.events <- event{node: w.name, env: env}
 	}
 }
 
@@ -234,47 +274,38 @@ func (c *Coordinator) liveWorkers() []*workerConn {
 	return out
 }
 
-func (c *Coordinator) worker(name string) *workerConn {
+// markDead retires a worker whose connection failed: it is no longer
+// live, and whatever awaits its reply sees it lost. Only the worker's
+// reader calls it, once.
+func (c *Coordinator) markDead(w *workerConn) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.workers[name]
-}
-
-// markDead transitions a worker to dead (idempotent) and reports
-// whether this call made the transition.
-func (c *Coordinator) markDead(name string) bool {
-	c.mu.Lock()
-	w := c.workers[name]
-	dead := w != nil && w.alive
-	if dead {
-		w.alive = false
-	}
+	died := w.alive // false after Close: a shutdown, not a death
+	w.alive = false
 	c.mu.Unlock()
-	if dead {
-		w.conn.Close()
+	w.conn.Close()
+	close(w.lost)
+	if died {
 		if c.reg != nil {
 			c.reg.Counter(c.prefix + ".remote.worker_deaths").Inc()
 		}
-		c.opts.Logf("remote: %s declared dead", name)
+		c.opts.Logf("remote: %s declared dead", w.name)
 	}
-	return dead
 }
 
 // --- cluster.Runner ---
 
 var _ cluster.Runner = (*Coordinator)(nil)
 
-// Submit buffers one work unit's metadata for the current round. The
-// unit's Run closure is never invoked — execution happens on
-// the worker replica, addressed by the unit's ID (its index in the
-// round's deterministic work list).
-func (c *Coordinator) Submit(u *crystal.WorkUnit) {
-	c.units[u.ID] = u
-}
+// Submit buffers one work unit for the next drain. The unit's Run
+// closure is never invoked — execution happens on a worker replica,
+// addressed by the unit's ID (its index in the round's deterministic work
+// list).
+func (c *Coordinator) Submit(u *crystal.WorkUnit) { c.pool.Submit(u) }
 
 // SetObs wires drain counters into the registry.
 func (c *Coordinator) SetObs(reg *obs.Registry, prefix string) {
 	c.reg, c.prefix = reg, prefix
+	c.pool.SetObs(reg, prefix)
 }
 
 // --- chase.DistRunner ---
@@ -285,55 +316,37 @@ func (c *Coordinator) SetObs(reg *obs.Registry, prefix string) {
 // barrier is tolerated while survivors remain.
 func (c *Coordinator) BeginRound(ctx context.Context, pre chase.RoundPreamble) error {
 	c.round = pre.Round
-	c.units = make(map[int]*crystal.WorkUnit)
 	c.outcomes = nil
 
 	payload, err := encodeMsg(envelope{Type: mtRound, Round: &pre})
 	if err != nil {
 		return err
 	}
-	waiting := map[string]bool{}
-	for _, w := range c.liveWorkers() {
-		if err := w.send(payload); err != nil {
-			c.markDead(w.name)
+	live := c.liveWorkers()
+	replies := make([]chan envelope, len(live))
+	for i, w := range live {
+		replies[i] = w.expect(replyKey{mtRoundAck, pre.Round, 0})
+		w.send(payload)
+	}
+	acked := 0
+	for i, w := range live {
+		env, err := w.wait(ctx, replies[i])
+		if errors.Is(err, cluster.ErrNodeLost) {
 			continue
 		}
-		waiting[w.name] = true
-	}
-	if len(waiting) == 0 {
-		return fmt.Errorf("remote: round %d: no live workers", pre.Round)
-	}
-	for len(waiting) > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case ev := <-c.events:
-			if ev.err != nil {
-				if c.markDead(ev.node) {
-					delete(waiting, ev.node)
-				}
-				if len(c.liveWorkers()) == 0 {
-					return fmt.Errorf("remote: round %d: all workers died during barrier (last: %s: %v)",
-						pre.Round, ev.node, ev.err)
-				}
-				continue
-			}
-			if ev.env.Type != mtRoundAck || ev.env.RAck == nil {
-				continue // stale result from a reassigned unit of the previous round
-			}
-			ack := ev.env.RAck
-			if ack.Round != pre.Round {
-				continue
-			}
-			if ack.Err != "" {
-				return fmt.Errorf("remote: round %d: %s rejected preamble: %s", pre.Round, ev.node, ack.Err)
-			}
-			if ack.Units != pre.Units {
-				return fmt.Errorf("remote: round %d: %s derived %d units, coordinator has %d (replica diverged)",
-					pre.Round, ev.node, ack.Units, pre.Units)
-			}
-			delete(waiting, ev.node)
+		if err != nil {
+			return err
 		}
+		if ack := env.RAck; ack.Err != "" {
+			return fmt.Errorf("remote: round %d: %s rejected preamble: %s", pre.Round, w.name, ack.Err)
+		} else if ack.Units != pre.Units {
+			return fmt.Errorf("remote: round %d: %s derived %d units, coordinator has %d (replica diverged)",
+				pre.Round, w.name, ack.Units, pre.Units)
+		}
+		acked++
+	}
+	if acked == 0 {
+		return fmt.Errorf("remote: round %d: no live workers", pre.Round)
 	}
 	return nil
 }
@@ -347,227 +360,53 @@ func (c *Coordinator) TakeResults() []chase.UnitOutcome {
 	return out
 }
 
-// DrainWithStats splits the submitted units over the live workers and
-// consumes results until every unit is resolved, the context is
-// cancelled, or no workers survive. Worker deaths — heartbeat timeouts,
-// connection errors, or fault-injected kills — redistribute the dead
-// worker's incomplete queue across survivors; a unit that panicked on
-// its worker is retried or given up by cluster.Retry, as in the
-// in-process pool.
+// DrainWithStats drains the submitted units over the live workers through
+// cluster's scheduler (Cluster.DrainOn): each worker runs one unit at a
+// time, taking the costliest one left, so kill, retry, cancel and Skipped
+// accounting are the in-process pool's. A unit whose worker died in
+// flight goes back on the list; one that panicked on its worker is
+// retried or given up by the pool's retry policy.
 func (c *Coordinator) DrainWithStats(ctx context.Context, opts cluster.Options) cluster.DrainStats {
-	stats := cluster.DrainStats{PerNode: map[string]int{}, Queued: len(c.units)}
-
-	ids := make([]int, 0, len(c.units))
-	for id := range c.units {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-
-	unitHome := map[int]string{} // unit ID -> current worker
-	done := map[int]bool{}
-	attempts := map[int]int{}
 	live := c.liveWorkers()
-	if len(live) == 0 {
-		for _, id := range ids {
-			u := c.units[id]
-			stats.Failed = append(stats.Failed, cluster.UnitError{
-				UnitID: id, RuleID: u.RuleID, Part: u.Part,
-				Attempts: 0, Err: fmt.Errorf("no surviving worker"),
-			})
-		}
-		return stats
+	nodes := make([]string, len(live))
+	byName := make(map[string]*workerConn, len(live))
+	for i, w := range live {
+		nodes[i] = w.name
+		byName[w.name] = w
 	}
-	// Live worker k (in connection order) gets the k-th contiguous chunk
-	// of the sorted unit IDs. Every replica holds all the data, so
-	// placement only decides which replica computes a buffer, never what
-	// the buffer holds.
-	chunk := (len(ids) + len(live) - 1) / len(live)
-	for i, id := range ids {
-		unitHome[id] = live[i/chunk].name
-	}
-	for k, w := range live {
-		if us := ids[min(k*chunk, len(ids)):min((k+1)*chunk, len(ids))]; len(us) > 0 {
-			if err := c.assign(w, us); err != nil {
-				c.deadAndReassign(w.name, unitHome, done, &stats)
-			}
-		}
-	}
-
-	// Failed units are marked done when they are given up, so pending
-	// counts exactly the units still awaiting a result.
-	pending := func() int {
-		n := 0
-		for _, id := range ids {
-			if !done[id] {
-				n++
-			}
-		}
-		return n
-	}
-
-	for pending() > 0 {
-		// Cancellation wins over results already queued, so a drain that
-		// was cancelled during a retry backoff stops at once.
-		if ctx.Err() != nil {
-			stats.Cancelled = true
-			stats.Skipped = pending()
-			return stats
-		}
-		select {
-		case <-ctx.Done():
-		case ev := <-c.events:
-			if ev.err != nil {
-				if c.markDead(ev.node) {
-					stats.Killed = append(stats.Killed, ev.node)
-					c.reassignFrom(ev.node, unitHome, done, &stats)
-				}
-				continue
-			}
-			if ev.env.Type != mtResult || ev.env.Result == nil {
-				continue
-			}
-			res := ev.env.Result
-			out := res.Outcome
-			if _, ok := c.units[out.Unit]; !ok || res.Round != c.round || done[out.Unit] {
-				continue // unknown unit, stale round, or duplicate after a reassignment race
-			}
-			if res.Err != "" {
-				attempts[out.Unit]++
-				stats.Panics++
-				c.retry(ctx, opts, out.Unit, ev.node, attempts[out.Unit], errors.New(res.Err), unitHome, done, &stats)
-				continue
-			}
-			done[out.Unit] = true
-			stats.PerNode[ev.node]++
-			out.Node = ev.node
-			c.outcomes = append(c.outcomes, out)
-			if c.reg != nil {
-				c.reg.Counter(c.prefix + ".remote.results").Inc()
-			}
-			// Fault injection: a scheduled kill on this node fires after the
-			// unit count it was configured with. Real mode (ProcessKill set)
-			// SIGKILLs the actual process inside ShouldDie and detection
-			// happens the honest way — EOF/RST or heartbeat timeout on the
-			// reader; simulated mode closes the connection here, which the
-			// reader reports as a death through the same path.
-			if opts.Faults != nil && opts.Faults.ShouldDie(ev.node) {
-				if opts.Faults.ProcessKill == nil {
-					if w := c.worker(ev.node); w != nil {
-						w.conn.Close()
-					}
-				}
-			}
-		}
-	}
-	c.opts.Logf("remote: round %d drained: per-node %v, reassigned %d, killed %v",
-		c.round, stats.PerNode, stats.Reassigned, stats.Killed)
-	return stats
+	st := c.pool.DrainOn(ctx, nodes, func(ctx context.Context, node string, u *crystal.WorkUnit) error {
+		return c.runOn(ctx, byName[node], u)
+	}, opts)
+	c.opts.Logf("remote: round %d drained: per-node %v, retries %d, killed %v",
+		c.round, st.PerNode, st.Retries, st.Killed)
+	return st
 }
 
-// assign sends w units of the current round to execute.
-func (c *Coordinator) assign(w *workerConn, units []int) error {
-	payload, err := encodeMsg(envelope{Type: mtAssign, Assign: &assignMsg{Round: c.round, Units: units}})
+// runOn sends unit u to worker w and waits for its result, w's death or
+// cancellation. A completed unit's outcome joins the round's results.
+func (c *Coordinator) runOn(ctx context.Context, w *workerConn, u *crystal.WorkUnit) error {
+	payload, err := encodeMsg(envelope{Type: mtAssign, Assign: &assignMsg{Round: c.round, Units: []int{u.ID}}})
 	if err != nil {
 		return err
 	}
-	return w.send(payload)
-}
-
-// deadAndReassign marks a worker dead and moves its incomplete units.
-func (c *Coordinator) deadAndReassign(name string, unitHome map[int]string, done map[int]bool, stats *cluster.DrainStats) {
-	if c.markDead(name) {
-		stats.Killed = append(stats.Killed, name)
-		c.reassignFrom(name, unitHome, done, stats)
+	reply := w.expect(replyKey{mtResult, c.round, u.ID})
+	w.send(payload)
+	env, err := w.wait(ctx, reply)
+	if err != nil {
+		return err
 	}
-}
-
-// reassignFrom redistributes a dead worker's incomplete units across
-// the survivors (round-robin in connection order); with no survivors
-// the units are reported failed.
-func (c *Coordinator) reassignFrom(deadNode string, unitHome map[int]string, done map[int]bool, stats *cluster.DrainStats) {
-	var orphans []int
-	for id, home := range unitHome {
-		if home == deadNode && !done[id] {
-			orphans = append(orphans, id)
-		}
+	if env.Result.Err != "" {
+		return errors.New(env.Result.Err)
 	}
-	sort.Ints(orphans)
-	if len(orphans) == 0 {
-		return
-	}
-	live := c.liveWorkers()
-	if len(live) == 0 {
-		for _, id := range orphans {
-			u := c.units[id]
-			stats.Failed = append(stats.Failed, cluster.UnitError{
-				UnitID: id, RuleID: u.RuleID, Part: u.Part, Node: deadNode,
-				Err: fmt.Errorf("no surviving worker"),
-			})
-			done[id] = true
-		}
-		return
-	}
-	moved := map[string][]int{}
-	for i, id := range orphans {
-		w := live[i%len(live)]
-		moved[w.name] = append(moved[w.name], id)
-		unitHome[id] = w.name
-	}
-	for name, us := range moved {
-		if err := c.assign(c.worker(name), us); err != nil {
-			c.deadAndReassign(name, unitHome, done, stats)
-			continue
-		}
-		stats.Reassigned += len(us)
-		c.opts.Logf("remote: reassigned %d unit(s) from %s to %s", len(us), deadNode, name)
-	}
+	out := env.Result.Outcome
+	out.Node = w.name
+	c.mu.Lock()
+	c.outcomes = append(c.outcomes, out)
+	c.mu.Unlock()
 	if c.reg != nil {
-		c.reg.Counter(c.prefix + ".remote.reassigned").Add(uint64(len(orphans)))
+		c.reg.Counter(c.prefix + ".remote.results").Inc()
 	}
-}
-
-// retry settles a unit whose attempt-th attempt failed on failedOn by
-// cluster.Retry, the policy the in-process pool applies too: the unit is
-// given up, or re-sent to the first live worker (in connection order) the
-// decision does not rule out. A worker the send fails on is dead, and its
-// queue — the retried unit included — moves to the survivors.
-func (c *Coordinator) retry(ctx context.Context, opts cluster.Options, unit int, failedOn string, attempt int, err error,
-	unitHome map[int]string, done map[int]bool, stats *cluster.DrainStats) {
-	u := c.units[unit]
-	avoid, failed := cluster.Retry(ctx, opts, u, failedOn, attempt, err, func() bool {
-		for _, w := range c.liveWorkers() {
-			if w.name != failedOn {
-				return true
-			}
-		}
-		return false
-	})
-	var target *workerConn
-	if failed == nil {
-		for _, w := range c.liveWorkers() {
-			if w.name != avoid {
-				target = w
-				break
-			}
-		}
-	}
-	if target == nil {
-		if failed == nil {
-			failed = &cluster.UnitError{UnitID: unit, RuleID: u.RuleID, Part: u.Part, Node: failedOn,
-				Attempts: attempt, Err: fmt.Errorf("no surviving worker to retry on: %w", err)}
-		}
-		stats.Failed = append(stats.Failed, *failed)
-		done[unit] = true
-		return
-	}
-	stats.Retries++
-	unitHome[unit] = target.name
-	if target.name != failedOn {
-		stats.Reassigned++
-	}
-	if err := c.assign(target, []int{unit}); err != nil {
-		c.deadAndReassign(target.name, unitHome, done, stats)
-	}
+	return nil
 }
 
 // Close tears down every worker connection and the listener; workers

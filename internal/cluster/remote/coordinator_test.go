@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,9 +17,11 @@ import (
 )
 
 // panicFollower is a replica whose unit 0 panics on its first `panics`
-// attempts (every attempt when panics < 0); other units succeed at once.
+// attempts (every attempt when panics < 0); other units succeed, after
+// delay when it is set.
 type panicFollower struct {
 	panics   int64
+	delay    time.Duration
 	attempts atomic.Int64
 	mu       sync.Mutex
 	failedOn []string // nodes unit 0 panicked on
@@ -34,14 +38,17 @@ func (f *panicFollower) RunFollowUnit(_ context.Context, i int, node string) (ch
 			panic("unit 0 fails")
 		}
 	}
+	time.Sleep(f.delay)
 	return chase.UnitOutcome{Unit: i, Valuations: 1}, nil
 }
 
 // drainOnLoopback runs one round of units over two in-process workers
-// serving f through a real loopback coordinator, and returns the drain's
-// stats, the outcomes and how long the drain took. cancelAfter, when
-// positive, cancels the drain's context that long after the drain starts.
-func drainOnLoopback(t *testing.T, f *panicFollower, units int, opts cluster.Options, cancelAfter time.Duration) (cluster.DrainStats, []chase.UnitOutcome, time.Duration) {
+// through a real loopback coordinator, and returns the drain's stats, the
+// outcomes and how long the drain took. Each fake, given the address and
+// the fingerprint, speaks the protocol in place of one worker; the other
+// workers serve f. cancelAfter, when positive, cancels the drain's
+// context that long after the drain starts.
+func drainOnLoopback(t *testing.T, f *panicFollower, units int, opts cluster.Options, cancelAfter time.Duration, fakes ...func(addr, fp string)) (cluster.DrainStats, []chase.UnitOutcome, time.Duration) {
 	t.Helper()
 	const fp = "retry-test"
 	coord := NewCoordinator(CoordOptions{Addr: "127.0.0.1:0", Workers: 2, Fingerprint: fp})
@@ -54,6 +61,10 @@ func drainOnLoopback(t *testing.T, f *panicFollower, units int, opts cluster.Opt
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
+			if i < len(fakes) {
+				fakes[i](addr, fp)
+				return
+			}
 			if err := RunWorker(context.Background(), f, WorkerOptions{Coord: addr, Fingerprint: fp}); err != nil {
 				t.Errorf("worker: %v", err)
 			}
@@ -82,10 +93,10 @@ func drainOnLoopback(t *testing.T, f *panicFollower, units int, opts cluster.Opt
 	return st, coord.TakeResults(), time.Since(start)
 }
 
-// TestCoordinatorRetryPolicy pins the coordinator to cluster.Retry, the
-// policy the in-process pool applies: a panicked unit retries on another
-// worker, a unit that always panics is given up after MaxRetries+1
-// attempts, and the retry backoff yields to cancellation.
+// TestCoordinatorRetryPolicy pins the coordinator to the retry policy of
+// the in-process pool, whose drain it shares: a panicked unit retries on
+// another worker, a unit that always panics is given up after
+// MaxRetries+1 attempts, and the retry backoff yields to cancellation.
 func TestCoordinatorRetryPolicy(t *testing.T) {
 	t.Run("retries on the other worker", func(t *testing.T) {
 		f := &panicFollower{panics: 1}
@@ -132,8 +143,9 @@ func TestCoordinatorRetryPolicy(t *testing.T) {
 }
 
 // TestCoordinatorIgnoresUnknownUnit has a worker report a failed result
-// for a unit the round never had: the coordinator must drop it rather
-// than look the unit up to retry it.
+// for a unit the round never had, and every real result twice: the
+// coordinator must drop the bogus one rather than look the unit up to
+// retry it, and keep one outcome per unit.
 func TestCoordinatorIgnoresUnknownUnit(t *testing.T) {
 	const fp = "unknown-unit"
 	coord := NewCoordinator(CoordOptions{Addr: "127.0.0.1:0", Workers: 1, Fingerprint: fp})
@@ -142,7 +154,7 @@ func TestCoordinatorIgnoresUnknownUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	go func() { // a worker that answers every assignment with one bogus result first
+	go func() { // a worker that answers every assignment with one bogus result first, then each result twice
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			return
@@ -161,7 +173,9 @@ func TestCoordinatorIgnoresUnknownUnit(t *testing.T) {
 				r := env.Assign.Round
 				writeMsg(conn, envelope{Type: mtResult, Result: &resultMsg{Round: r, Err: "bogus", Outcome: chase.UnitOutcome{Unit: 999}}})
 				for _, u := range env.Assign.Units {
-					writeMsg(conn, envelope{Type: mtResult, Result: &resultMsg{Round: r, Outcome: chase.UnitOutcome{Unit: u}}})
+					for range 2 {
+						writeMsg(conn, envelope{Type: mtResult, Result: &resultMsg{Round: r, Outcome: chase.UnitOutcome{Unit: u}}})
+					}
 				}
 			}
 		}
@@ -180,5 +194,88 @@ func TestCoordinatorIgnoresUnknownUnit(t *testing.T) {
 	st := coord.DrainWithStats(ctx, cluster.Options{MaxRetries: 1})
 	if outs := coord.TakeResults(); st.Cancelled || st.Panics != 0 || len(st.Failed) != 0 || len(outs) != 2 {
 		t.Fatalf("drain = %+v with %d outcomes; want the 2 real units and the bogus one dropped", st, len(outs))
+	}
+}
+
+// TestCoordinatorReRunsUnitOfLostWorker: a worker that takes one unit and
+// closes its connection with the unit in flight is dropped, and the unit
+// runs on the survivor — no attempt counted, no UnitError, one outcome
+// per unit.
+func TestCoordinatorReRunsUnitOfLostWorker(t *testing.T) {
+	const units = 6
+	lost := make(chan string, 1)
+	fake := func(addr, fp string) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		writeMsg(conn, envelope{Type: mtHello, Hello: &helloMsg{Fingerprint: fp}})
+		ack, err := readMsg(conn, 0)
+		if err != nil || ack.Ack == nil {
+			return
+		}
+		for {
+			env, err := readMsg(conn, 0)
+			if err != nil {
+				return
+			}
+			switch {
+			case env.Round != nil:
+				writeMsg(conn, envelope{Type: mtRoundAck, RAck: &roundAckMsg{Round: env.Round.Round, Units: env.Round.Units}})
+			case env.Assign != nil:
+				lost <- ack.Ack.Name
+				return
+			}
+		}
+	}
+	// The survivor's units take 10 ms, so the fake is sure to take one.
+	st, outs, _ := drainOnLoopback(t, &panicFollower{delay: 10 * time.Millisecond}, units, cluster.Options{MaxRetries: 1}, 0, fake)
+	var name string
+	select {
+	case name = <-lost:
+	default:
+		t.Fatal("the fake worker never took a unit; the test proved nothing")
+	}
+	if st.Panics != 0 || len(st.Failed) != 0 || !slices.Equal(st.Killed, []string{name}) {
+		t.Fatalf("Panics/Failed/Killed = %d/%v/%v, want 0/[]/[%s]", st.Panics, st.Failed, st.Killed, name)
+	}
+	if len(outs) != units {
+		t.Fatalf("%d outcomes, want one per unit (%d)", len(outs), units)
+	}
+	for i, out := range outs {
+		if out.Unit != i || out.Node == name {
+			t.Errorf("outcome %d: unit %d on %s, want unit %d on the survivor", i, out.Unit, out.Node, i)
+		}
+	}
+}
+
+// TestCancelledRemoteDrainReturnsPromptly: cancelling a drain whose units
+// are in flight on the workers returns at once rather than waiting for
+// their results, accounts for every unit, and leaves no goroutine behind
+// once the coordinator is closed.
+func TestCancelledRemoteDrainReturnsPromptly(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const units = 8
+	// The coordinator closes while the workers are mid-unit, so their
+	// result sends fail: run them as fakes that ignore RunWorker's error.
+	f := &panicFollower{delay: time.Second}
+	worker := func(addr, fp string) { RunWorker(context.Background(), f, WorkerOptions{Coord: addr, Fingerprint: fp}) }
+	st, outs, took := drainOnLoopback(t, f, units, cluster.Options{}, 50*time.Millisecond, worker, worker)
+	if !st.Cancelled || st.Skipped == 0 {
+		t.Errorf("Cancelled/Skipped = %v/%d, want a cancelled drain that skipped units", st.Cancelled, st.Skipped)
+	}
+	if took > 500*time.Millisecond {
+		t.Errorf("cancelled drain took %v; it waited for the units in flight", took)
+	}
+	if len(outs)+st.Skipped != units {
+		t.Errorf("outcomes (%d) + skipped (%d) != %d units", len(outs), st.Skipped, units)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -62,8 +62,9 @@ type assignMsg struct {
 }
 
 type resultMsg struct {
-	// Round lets the coordinator drop stale results arriving after a
-	// reassignment has already moved the barrier on.
+	// Round, with the outcome's unit, names the request a result answers,
+	// so the coordinator drops one no request awaits (an earlier round's,
+	// or a duplicate).
 	Round   int
 	Err     string
 	Outcome chase.UnitOutcome

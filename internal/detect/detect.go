@@ -78,8 +78,8 @@ type Options struct {
 	// the executor's "exec.*" counters. Nil records nothing.
 	Obs *obs.Registry
 	// Drain is handed unchanged to the detection drain: the retry policy
-	// for panicking units (cluster.Retry; failures land on UnitErrors)
-	// and, in tests, fault injection.
+	// for panicking units (the drain's one retry policy; failures land on
+	// UnitErrors) and, in tests, fault injection.
 	Drain cluster.Options
 	// Span, when non-nil, parents the detection phase span (rock threads
 	// its root "clean" span here). Observed only while the registry has

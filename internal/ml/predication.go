@@ -129,10 +129,19 @@ type PredCache struct {
 }
 
 type predShard struct {
-	mu   sync.Mutex
-	conf map[predKey]float64
+	mu      sync.Mutex
+	conf    map[predKey]float64
+	flights map[predKey]*flight // keys whose model runs now
 
 	hits, misses, evictions uint64
+}
+
+// flight is one model run under way: askers of its key wait on done.
+// ok is false when the run panicked, and the waiters ask again.
+type flight struct {
+	done chan struct{}
+	v    float64
+	ok   bool
 }
 
 // newPredCache creates a cache bounded to roughly capacity entries in
@@ -148,21 +157,55 @@ func newPredCache(in *interner, capacity int) *PredCache {
 	c := &PredCache{intern: in, capPerShard: per}
 	for i := range c.shards {
 		c.shards[i].conf = make(map[predKey]float64)
+		c.shards[i].flights = make(map[predKey]*flight)
 	}
 	return c
 }
 
-func (c *PredCache) getConf(k predKey) (float64, bool) {
+// conf returns inner's memoised confidence for k, the key of (left,
+// right), and whether it was a hit. The first asker of a missing key
+// runs the model; askers that come while it runs wait for its score and
+// count as hits, so a key is scored once however many workers ask.
+func (c *PredCache) conf(k predKey, inner Model, left, right []data.Value) (float64, bool) {
 	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	v, ok := sh.conf[k]
-	if ok {
-		sh.hits++
-	} else {
-		sh.misses++
+	for {
+		sh.mu.Lock()
+		if v, ok := sh.conf[k]; ok {
+			sh.hits++
+			sh.mu.Unlock()
+			return v, true
+		}
+		f := sh.flights[k]
+		if f == nil {
+			break
+		}
+		sh.hits++ // taken back below if the run it waits on panics
+		sh.mu.Unlock()
+		<-f.done
+		if f.ok {
+			return f.v, true
+		}
+		sh.mu.Lock()
+		sh.hits--
+		sh.mu.Unlock()
 	}
+	sh.misses++
+	f := &flight{done: make(chan struct{})}
+	sh.flights[k] = f
 	sh.mu.Unlock()
-	return v, ok
+	defer func() {
+		// Store before retiring the flight, so no asker finds neither.
+		if f.ok {
+			c.putConf(k, f.v)
+		}
+		sh.mu.Lock()
+		delete(sh.flights, k)
+		sh.mu.Unlock()
+		close(f.done)
+	}()
+	f.v = inner.Confidence(left, right)
+	f.ok = true
+	return f.v, false
 }
 
 func (c *PredCache) putConf(k predKey, v float64) {
@@ -474,14 +517,12 @@ func (m *PredicatedModel) key(left, right []data.Value) predKey {
 
 // Confidence implements Model, memoised in the shared cache.
 func (m *PredicatedModel) Confidence(left, right []data.Value) float64 {
-	k := m.key(left, right)
-	if v, ok := m.cache.getConf(k); ok {
+	v, hit := m.cache.conf(m.key(left, right), m.Inner, left, right)
+	if hit {
 		m.hits.Add(1)
-		return v
+	} else {
+		m.misses.Add(1)
 	}
-	m.misses.Add(1)
-	v := m.Inner.Confidence(left, right)
-	m.cache.putConf(k, v)
 	return v
 }
 

@@ -3,7 +3,9 @@ package ml
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/rockclean/rock/internal/data"
 )
@@ -64,6 +66,45 @@ type opaqueModel struct {
 func (o *opaqueModel) Name() string                         { return "opaque" }
 func (o *opaqueModel) Confidence(l, r []data.Value) float64 { return 0.7 }
 func (o *opaqueModel) Predict(l, r []data.Value) bool       { o.predicts++; return false }
+
+// TestPredCacheSingleFlight: goroutines asking one (model, pair) at once
+// run the model once; the others wait for its score and count as hits.
+func TestPredCacheSingleFlight(t *testing.T) {
+	const n = 8
+	var calls atomic.Int64
+	release := make(chan struct{})
+	inner := &FuncModel{ModelName: "slow", Threshold: 0.5, Score: func(l, r []data.Value) float64 {
+		calls.Add(1)
+		<-release
+		return 0.9
+	}}
+	p := NewPredication()
+	m := p.Wrap(inner)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v := m.Confidence(vals("a"), vals("b")); v != 0.9 {
+				t.Errorf("confidence %v, want 0.9", v)
+			}
+		}()
+	}
+	// Release the model once every asker has looked the key up.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st := p.Stats(); st.Hits+st.Misses == n || time.Now().After(deadline) {
+			break
+		}
+	}
+	close(release)
+	wg.Wait()
+	if c := calls.Load(); c != 1 {
+		t.Errorf("inner model ran %d times, want 1", c)
+	}
+	if st := p.Stats(); st.Hits != n-1 || st.Misses != 1 {
+		t.Errorf("hits=%d misses=%d, want %d/1", st.Hits, st.Misses, n-1)
+	}
+}
 
 func TestPredCacheEvictionBounded(t *testing.T) {
 	c := newPredCache(newInterner(), 256)
