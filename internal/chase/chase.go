@@ -386,7 +386,7 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	// Wire the chase semantics into the environment: values read through
 	// the fix set (validated first, raw otherwise) and temporal predicates
 	// read the validated orders.
-	e.view = newView(e.u, e.tuplesOfEID)
+	e.view = newView(e.u, e.env.DB, e.tuplesOfEID)
 	e.env.View = e.view
 	e.corr = corrByRelation(env)
 	e.env.Orders = func(rel, attr string) *data.TemporalOrder {

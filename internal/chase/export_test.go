@@ -3,6 +3,7 @@ package chase
 import (
 	"testing"
 
+	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/predicate"
 	"github.com/rockclean/rock/internal/ree"
 )
@@ -27,5 +28,22 @@ func TDConflictInputs(t *testing.T) []TDConflictInput {
 	}
 }
 
-// View hands the external test package the engine's view.
-func (e *Engine) View() predicate.View { return e.view }
+// View hands the external test package the engine's view as the fix set
+// defines it: every read goes through U, so a check that an unshadowed
+// tuple reads its raw data tests the shadow lists, not the bitmap
+// shortcut that would answer raw for it by construction.
+func (e *Engine) View() predicate.View { return fixSetView{e.view} }
+
+// FastView hands the external test package the engine's view itself,
+// bitmap shortcut included.
+func (e *Engine) FastView() predicate.View { return e.view }
+
+// fixSetView is a view whose every read goes through the fix set.
+type fixSetView struct{ *view }
+
+func (f fixSetView) Value(rel *data.Relation, t *data.Tuple, col int) data.Value {
+	if col < 0 || col >= len(rel.Schema.Attrs) {
+		return data.Value{}
+	}
+	return f.cell(rel, t, col)
+}

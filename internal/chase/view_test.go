@@ -116,3 +116,74 @@ func TestViewShadowsEveryChangedTuple(t *testing.T) {
 		t.Fatal("no application merged an entity: the merge-step extension went unchecked")
 	}
 }
+
+// TestViewBitmapMatchesFixSet runs the chase one round at a time on the
+// three applications and requires that the view, bitmap shortcut
+// included, reads every cell of every tuple as the fix set defines it:
+// after New, after every round's merge step, after a delta inserts a
+// tuple past the bitmaps' bound into a class with a validated cell, and
+// after the delta's chase.
+func TestViewBitmapMatchesFixSet(t *testing.T) {
+	cfg := workload.Config{N: 300, Seed: 7}
+	for _, app := range []struct {
+		name string
+		mk   func(workload.Config) *workload.Dataset
+	}{{"bank", workload.Bank}, {"logistics", workload.Logistics}, {"sales", workload.Sales}} {
+		t.Run(app.name, func(t *testing.T) {
+			bench := baselines.NewBench(app.mk(cfg), 2)
+			db := bench.Env.DB
+			opts := chase.DefaultOptions()
+			opts.Workers = 2
+			opts.EIDRefs = bench.DS.EIDRefs
+			eng := chase.New(bench.Env, bench.Rules, bench.DS.Gamma, opts)
+			same := func(when string) {
+				t.Helper()
+				fast, fixed := eng.FastView(), eng.View()
+				for name, rel := range db.Relations {
+					for _, tp := range rel.Tuples {
+						for col := -1; col <= len(rel.Schema.Attrs); col++ {
+							if got, want := fast.Value(rel, tp, col), fixed.Value(rel, tp, col); got != want {
+								t.Fatalf("%s: %s TID %d column %d reads %v, the fix set %v", when, name, tp.TID, col, got, want)
+							}
+						}
+					}
+				}
+			}
+			same("after New")
+			ctx := context.Background()
+			for round := 1; ; round++ {
+				if round > 100 {
+					t.Fatal("no fixpoint after 100 rounds")
+				}
+				rep, err := eng.RunRules(ctx, bench.Rules, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("after a round")
+				if rep.Trace[len(rep.Trace)-1].Applied == 0 {
+					break
+				}
+			}
+			var rel *data.Relation
+			var eid string
+			eng.Truth().ForEachCell(func(relName, root, _ string, _ data.Value) {
+				if rel == nil || relName < rel.Schema.Name || (relName == rel.Schema.Name && root < eid) {
+					rel, eid = db.Rel(relName), root
+				}
+			})
+			if rel == nil {
+				t.Fatal("the chase validated no cell")
+			}
+			vals := make([]data.Value, len(rel.Schema.Attrs))
+			for i, a := range rel.Schema.Attrs {
+				vals[i] = data.Null(a.Type)
+			}
+			nt := rel.Insert(eid, vals...)
+			same("after the insert")
+			if _, err := eng.RunIncrementalCtx(ctx, map[string]map[int]bool{rel.Schema.Name: {nt.TID: true}}); err != nil {
+				t.Fatal(err)
+			}
+			same("after the delta's chase")
+		})
+	}
+}

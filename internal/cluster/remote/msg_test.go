@@ -5,6 +5,7 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -144,5 +145,62 @@ func TestWorkerRejectsMissingPayload(t *testing.T) {
 				t.Fatalf("RunWorker still running after a %s frame without its payload", typ)
 			}
 		})
+	}
+}
+
+// closingFollower is a replica that closes started when its first unit
+// begins; every unit waits for release before it finishes.
+type closingFollower struct {
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (f *closingFollower) FollowRound(pre chase.RoundPreamble) (int, error) { return pre.Units, nil }
+
+func (f *closingFollower) RunFollowUnit(_ context.Context, i int, _ string) (chase.UnitOutcome, error) {
+	f.once.Do(func() { close(f.started) })
+	<-f.release
+	return chase.UnitOutcome{Unit: i}, nil
+}
+
+// TestWorkerReturnsNilWhenCoordinatorClosesMidUnit has a fake coordinator
+// assign units and close the connection while the first is in flight:
+// the worker's result sends then fail on the closed peer, which is a
+// normal shutdown, so RunWorker returns nil.
+func TestWorkerReturnsNilWhenCoordinatorClosesMidUnit(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	f := &closingFollower{started: make(chan struct{}), release: make(chan struct{})}
+	go func() {
+		defer close(f.release)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := readMsg(conn, 0); err != nil {
+			return
+		}
+		writeMsg(conn, envelope{Type: mtHelloAck, Ack: &helloAckMsg{Name: "worker-0"}})
+		writeMsg(conn, envelope{Type: mtAssign, Assign: &assignMsg{Round: 1, Units: []int{0, 1, 2, 3}}})
+		select { // close with the first unit in flight
+		case <-f.started:
+		case <-time.After(10 * time.Second):
+		}
+	}()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- RunWorker(context.Background(), f, WorkerOptions{Coord: ln.Addr().String()})
+	}()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("RunWorker after the coordinator closed: %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunWorker still running after the coordinator closed")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/rockclean/rock/internal/chase"
@@ -121,7 +122,7 @@ func RunWorker(ctx context.Context, eng Follower, opts WorkerOptions) error {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+			if peerClosed(err) {
 				return nil // coordinator closed the run: normal shutdown
 			}
 			return fmt.Errorf("remote: %s read: %w", name, err)
@@ -138,6 +139,9 @@ func RunWorker(ctx context.Context, eng Follower, opts WorkerOptions) error {
 				ack.Err = ferr.Error()
 			}
 			if err := send(envelope{Type: mtRoundAck, RAck: &ack}); err != nil {
+				if peerClosed(err) {
+					return nil
+				}
 				return fmt.Errorf("remote: %s sending round ack: %w", name, err)
 			}
 			opts.Logf("remote: %s round %d: %d units", name, pre.Round, units)
@@ -149,6 +153,9 @@ func RunWorker(ctx context.Context, eng Follower, opts WorkerOptions) error {
 				res := runShielded(ctx, eng, i, name)
 				res.Round = env.Assign.Round
 				if err := send(envelope{Type: mtResult, Result: &res}); err != nil {
+					if peerClosed(err) {
+						return nil
+					}
 					return fmt.Errorf("remote: %s sending result: %w", name, err)
 				}
 			}
@@ -156,6 +163,15 @@ func RunWorker(ctx context.Context, eng Follower, opts WorkerOptions) error {
 			// Unknown types are ignored for forward compatibility.
 		}
 	}
+}
+
+// peerClosed reports that a read or write failed because the coordinator
+// closed the connection: end of stream, a closed socket, or a write the
+// peer's close refused (EPIPE) or reset (ECONNRESET). The coordinator
+// closes deliberately once a run ends, even with a unit in flight.
+func peerClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET)
 }
 
 // runShielded executes one unit under a recover() shield so a

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // CellRef identifies the A-attribute of a tuple: the unit that timestamps
@@ -55,13 +56,21 @@ func (tr *TemporalRelation) Timestamp(tid int, attr string) (int64, bool) {
 // TemporalOrder is a partial order ⪯_A on one attribute of one relation,
 // represented as a set of ranked tuple pairs (t2, t1) meaning t2 ⪯_A t1:
 // t1[A] is at least as current as t2[A]. Strict pairs t2 ≺_A t1 are tracked
-// separately. Reachability queries close the stored pairs transitively.
+// separately. Reachability queries close the stored pairs transitively,
+// answering from a reachability index (reachIndex) that the first query
+// builds and every later insert keeps current.
 type TemporalOrder struct {
 	Rel  string
 	Attr string
 
 	succ       map[int]map[int]bool // weak edges: older -> newer
 	strictSucc map[int]map[int]bool // strict edges: older -> newer
+
+	// idx is the closure of the edges, nil until the first Leq or Less;
+	// mu serialises its build, since readers query concurrently. Inserts
+	// update it in place: they run only while no reader does.
+	idx atomic.Pointer[reachIndex]
+	mu  sync.Mutex
 }
 
 // NewTemporalOrder creates an empty order for Rel.Attr.
@@ -77,12 +86,18 @@ func NewTemporalOrder(rel, attr string) *TemporalOrder {
 // AddWeak records older ⪯_A newer.
 func (o *TemporalOrder) AddWeak(older, newer int) {
 	addEdge(o.succ, older, newer)
+	if ix := o.idx.Load(); ix != nil {
+		ix.add(older, newer, false)
+	}
 }
 
 // AddStrict records older ≺_A newer (which implies older ⪯_A newer).
 func (o *TemporalOrder) AddStrict(older, newer int) {
 	addEdge(o.succ, older, newer)
 	addEdge(o.strictSucc, older, newer)
+	if ix := o.idx.Load(); ix != nil {
+		ix.add(older, newer, true)
+	}
 }
 
 func addEdge(m map[int]map[int]bool, from, to int) {
@@ -97,70 +112,146 @@ func addEdge(m map[int]map[int]bool, from, to int) {
 // Leq reports whether older ⪯_A newer holds in the transitive closure.
 // Reflexivity: Leq(t, t) is always true.
 func (o *TemporalOrder) Leq(older, newer int) bool {
-	return older == newer || o.reach(older, newer, false)
+	return older == newer || o.index().reaches(older, newer, false)
 }
 
 // Less reports whether older ≺_A newer holds: a weak path from older to
 // newer that uses at least one strict edge.
 func (o *TemporalOrder) Less(older, newer int) bool {
-	return older != newer && o.reach(older, newer, true)
+	return older != newer && o.index().reaches(older, newer, true)
 }
 
-// reach reports a path of one or more weak edges from one node to
-// another — with a strict edge on it, when strict is set. The BFS tracks
-// whether a strict edge has been used, so a node is visited at most once
-// per strictness. A node without successors answers before taking the
-// pooled scratch, and a warm query allocates nothing.
-func (o *TemporalOrder) reach(from, to int, strict bool) bool {
-	if len(o.succ[from]) == 0 {
-		return false
+// index returns the reachability index, building it on first use.
+func (o *TemporalOrder) index() *reachIndex {
+	if ix := o.idx.Load(); ix != nil {
+		return ix
 	}
-	b := searchPool.Get().(*search)
-	defer b.release()
-	b.queue = append(b.queue, step{from, false})
-	for i := 0; i < len(b.queue); i++ {
-		cur := b.queue[i]
-		strictFrom := o.strictSucc[cur.node]
-		for next := range o.succ[cur.node] {
-			st := step{next, strict && (cur.strict || strictFrom[next])}
-			if next == to && st.strict == strict {
-				return true
-			}
-			if !b.seen[st] {
-				b.seen[st] = true
-				b.queue = append(b.queue, st)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if ix := o.idx.Load(); ix != nil {
+		return ix
+	}
+	ix := &reachIndex{row: make(map[int]int)}
+	for from, tos := range o.succ {
+		i := ix.node(from)
+		for to := range tos {
+			j := ix.node(to)
+			setBit(&ix.weak[i], j)
+			if o.strictSucc[from][to] {
+				setBit(&ix.strict[i], j)
 			}
 		}
 	}
-	return false
+	ix.close()
+	o.idx.Store(ix)
+	return ix
 }
 
-// search is the pooled scratch of one reach: the visited states and the
-// BFS queue.
-type search struct {
-	seen  map[step]bool
-	queue []step
+// reachIndex is the transitive closure of an order's edges as one bitset
+// row per node: weak[i] holds the nodes reachable from node i by one or
+// more edges, strict[i] those reachable by a path with a strict edge on
+// it. Rows grow independently; a bit past a row's end is clear.
+type reachIndex struct {
+	row          map[int]int // TID -> node
+	weak, strict [][]uint64
 }
 
-type step struct {
-	node   int
-	strict bool // the path to node used a strict edge
-}
-
-// maxPooledSearch bounds the visited set a pooled scratch keeps: clearing
-// a map costs its capacity, so one wide query must not tax every later
-// one.
-const maxPooledSearch = 1024
-
-var searchPool = sync.Pool{New: func() any { return &search{seen: make(map[step]bool)} }}
-
-func (b *search) release() {
-	if len(b.seen) > maxPooledSearch {
-		return
+// node returns the node of tid, adding an empty one on first sight.
+func (ix *reachIndex) node(tid int) int {
+	if i, ok := ix.row[tid]; ok {
+		return i
 	}
-	clear(b.seen)
-	b.queue = b.queue[:0]
-	searchPool.Put(b)
+	i := len(ix.weak)
+	ix.row[tid] = i
+	ix.weak = append(ix.weak, nil)
+	ix.strict = append(ix.strict, nil)
+	return i
+}
+
+// reaches reports a path of one or more edges from one TID to another
+// (with a strict edge on it, when strict is set).
+func (ix *reachIndex) reaches(from, to int, strict bool) bool {
+	i, ok := ix.row[from]
+	if !ok {
+		return false
+	}
+	j, ok := ix.row[to]
+	if !ok {
+		return false
+	}
+	if strict {
+		return hasBit(ix.strict[i], j)
+	}
+	return hasBit(ix.weak[i], j)
+}
+
+// close turns the direct edges into their closure, Warshall style: after
+// step k every path whose inner nodes are at most k is in the rows.
+func (ix *reachIndex) close() {
+	for k := range ix.weak {
+		for i := range ix.weak {
+			ix.through(i, k)
+		}
+	}
+}
+
+// through extends row i by the paths that pass node k. The strict test
+// comes second, so a strict cycle through k, just folded in from
+// strict[k], makes every path on through k strict.
+func (ix *reachIndex) through(i, k int) {
+	if hasBit(ix.weak[i], k) {
+		orBits(&ix.weak[i], ix.weak[k])
+		orBits(&ix.strict[i], ix.strict[k])
+	}
+	if hasBit(ix.strict[i], k) {
+		orBits(&ix.strict[i], ix.weak[k])
+	}
+}
+
+// add records the edge from -> to in the closure. The new paths run
+// i ⇝ from -> to ⇝ j for every i that is from or reaches it, and every j
+// that is to or is reached from it; one is strict when the edge is, when
+// i ⇝ from is, or when the edge closes a strict cycle (to ⇝ from strict),
+// around which any such path can detour.
+func (ix *reachIndex) add(from, to int, strict bool) {
+	a, b := ix.node(from), ix.node(to)
+	past := append([]uint64(nil), ix.weak[b]...) // {to} ∪ weak[to]
+	setBit(&past, b)
+	pastStrict := append([]uint64(nil), ix.strict[b]...)
+	strict = strict || hasBit(ix.strict[b], a)
+	for i := range ix.weak {
+		if i != a && !hasBit(ix.weak[i], a) {
+			continue
+		}
+		orBits(&ix.weak[i], past)
+		if strict || hasBit(ix.strict[i], a) {
+			orBits(&ix.strict[i], past)
+		} else {
+			orBits(&ix.strict[i], pastStrict)
+		}
+	}
+}
+
+func hasBit(row []uint64, j int) bool {
+	return j/64 < len(row) && row[j/64]&(1<<(uint(j)%64)) != 0
+}
+
+func setBit(row *[]uint64, j int) {
+	for len(*row) <= j/64 {
+		*row = append(*row, 0)
+	}
+	(*row)[j/64] |= 1 << (uint(j) % 64)
+}
+
+// orBits ORs src into *dst, growing *dst to src's length.
+func orBits(dst *[]uint64, src []uint64) {
+	for len(*dst) < len(src) {
+		*dst = append(*dst, 0)
+	}
+	d := *dst
+	for w, x := range src {
+		d[w] |= x
+	}
 }
 
 // Clone deep-copies the order including strict edges.

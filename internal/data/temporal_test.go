@@ -2,6 +2,7 @@ package data
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -211,12 +212,9 @@ func TestTemporalOrderMatchesClosure(t *testing.T) {
 }
 
 // TestTemporalOrderQueriesDoNotAllocate pins that a warm Leq or Less
-// query, hit or miss, allocates nothing: the search scratch is pooled,
-// and a node without successors answers before taking any.
+// query, hit or miss, allocates nothing: it reads two bits of the
+// reachability index the first query built.
 func TestTemporalOrderQueriesDoNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items")
-	}
 	o := NewTemporalOrder("R", "A")
 	for i := 0; i < 50; i++ {
 		o.AddWeak(i, i+1)
@@ -242,10 +240,157 @@ func TestTemporalOrderQueriesDoNotAllocate(t *testing.T) {
 func hasStrictCycle(o *TemporalOrder) bool {
 	for from, tos := range o.strictSucc {
 		for to := range tos {
-			if to == from || o.reach(to, from, false) {
+			if o.Leq(to, from) {
 				return true
 			}
 		}
 	}
 	return false
 }
+
+// bfsReach is the reference reachability: a breadth-first search over
+// (node, strict edge used) states for a path of one or more edges from
+// one node to another, with a strict edge on it when strict is set.
+func bfsReach(o *TemporalOrder, from, to int, strict bool) bool {
+	type state struct {
+		node   int
+		strict bool
+	}
+	seen := map[state]bool{}
+	queue := []state{{from, false}}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for next := range o.succ[cur.node] {
+			st := state{next, cur.strict || o.strictSucc[cur.node][next]}
+			if next == to && (st.strict || !strict) {
+				return true
+			}
+			if !seen[st] {
+				seen[st] = true
+				queue = append(queue, st)
+			}
+		}
+	}
+	return false
+}
+
+// checkAgainstBFS fails unless Leq and Less agree with the reference
+// search on every ordered pair of nodes.
+func checkAgainstBFS(t *testing.T, when string, o *TemporalOrder, nodes []int) {
+	t.Helper()
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if got, want := o.Leq(a, b), a == b || bfsReach(o, a, b, false); got != want {
+				t.Fatalf("%s: Leq(%d, %d) = %v, BFS says %v", when, a, b, got, want)
+			}
+			if got, want := o.Less(a, b), a != b && bfsReach(o, a, b, true); got != want {
+				t.Fatalf("%s: Less(%d, %d) = %v, BFS says %v", when, a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestTemporalIndexMatchesBFS checks the reachability index against a
+// breadth-first search on random graphs of weak and strict edges in
+// both directions, so cycles (strict ones included) occur: once when
+// the first query builds the index from the edges, and again after each
+// insert made after the build, which updates the index in place. Nodes
+// are scattered TIDs, and some appear only in later inserts.
+func TestTemporalIndexMatchesBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 150; trial++ {
+		n := 2 + rng.Intn(14)
+		nodes := rng.Perm(20 * n)[:n]
+		o := NewTemporalOrder("R", "A")
+		addRandom := func(k int) {
+			for ; k > 0; k-- {
+				a, b := nodes[rng.Intn(n)], nodes[rng.Intn(n)]
+				if rng.Intn(3) == 0 {
+					o.AddStrict(a, b)
+				} else {
+					o.AddWeak(a, b)
+				}
+			}
+		}
+		addRandom(rng.Intn(2 * n))
+		checkAgainstBFS(t, "after the build", o, nodes)
+		for step := 0; step < n; step++ {
+			addRandom(1)
+			checkAgainstBFS(t, "after an insert", o, nodes)
+		}
+	}
+}
+
+// TestTemporalIndexConcurrentReaders has readers race to build and query
+// one index (run under -race), then inserts between reader waves, as the
+// fix set's contract allows, and checks every wave against the BFS.
+func TestTemporalIndexConcurrentReaders(t *testing.T) {
+	o := NewTemporalOrder("R", "A")
+	for i := 0; i < 40; i++ {
+		o.AddWeak(i, i+1)
+		if i%7 == 0 {
+			o.AddStrict(i, i+2)
+		}
+	}
+	nodes := make([]int, 45)
+	for i := range nodes {
+		nodes[i] = i
+	}
+	for wave := 0; wave < 3; wave++ {
+		want := make([][2]bool, 0, len(nodes)*len(nodes))
+		for _, a := range nodes {
+			for _, b := range nodes {
+				want = append(want, [2]bool{a == b || bfsReach(o, a, b, false), a != b && bfsReach(o, a, b, true)})
+			}
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				k := 0
+				for _, a := range nodes {
+					for _, b := range nodes {
+						if got := [2]bool{o.Leq(a, b), o.Less(a, b)}; got != want[k] {
+							t.Errorf("wave %d: (Leq, Less)(%d, %d) = %v, BFS says %v", wave, a, b, got, want[k])
+							return
+						}
+						k++
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		o.AddStrict(41+wave, 3*wave)
+		o.AddWeak(10*wave+5, 42+wave)
+	}
+}
+
+// BenchmarkTemporalLeq queries a complete DAG of 186 nodes (every pair
+// of distinct timestamps ordered, strictly), the shape timestamp seeding
+// gives an order whose every cell carries a distinct timestamp.
+func BenchmarkTemporalLeq(b *testing.B) {
+	const n = 186
+	o := NewTemporalOrder("R", "A")
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			o.AddStrict(i, j)
+		}
+	}
+	o.Leq(0, 1) // builds the index
+	b.ResetTimer()
+	hits := 0
+	for k := 0; k < b.N; k++ {
+		i, j := k%n, (k*7+3)%n
+		if o.Leq(i, j) {
+			hits++
+		}
+		if o.Less(j, i) {
+			hits++
+		}
+	}
+	benchSink = hits
+}
+
+var benchSink int

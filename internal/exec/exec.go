@@ -649,8 +649,9 @@ func (e *Executor) plan(fr *predicate.Frame, cands []crystal.Block, opts Options
 
 // hashJoin builds (t, s) pairs with t.A = s.B from the two slots'
 // pushdown candidate lists, t-major with s in candidate order, by
-// enumerating colB's posting lists (postingJoin, vector.go). The pairs
-// are pool scratch; nil means the schema does not resolve the join.
+// enumerating colB's posting lists (postingJoin, vector.go), keyed also
+// on the rule's other equalities between the two slots (joinKeys). The
+// pairs are pool scratch; nil means the schema does not resolve the join.
 func (e *Executor) hashJoin(fr *predicate.Frame, p *predicate.Compiled, opts Options,
 	tuplesT, tuplesS crystal.Block) ([][2]*data.Tuple, error) {
 	if p.ACol < 0 || p.BCol < 0 {
@@ -659,7 +660,49 @@ func (e *Executor) hashJoin(fr *predicate.Frame, p *predicate.Compiled, opts Opt
 	relT, relS := fr.Rels[p.TSlot], fr.Rels[p.SSlot]
 	colA := e.internedCol(relT, p.A)
 	colB := e.internedCol(relS, p.B)
-	return e.postingJoin(p, opts, tuplesT, tuplesS, colA, colB, relT, relS)
+	return e.postingJoin(p, e.joinKeys(fr, p), opts, tuplesT, tuplesS, colA, colB, relT, relS)
+}
+
+// joinKey is an equality of X other than the driver join's between its
+// two slots, oriented from the t slot to the s slot: a raw t pairs with a
+// raw s only if colT's id of t, translated, is colS's id of s.
+type joinKey struct {
+	colT, colS *crystal.Column
+	trans      []crystal.ValueID // colT id -> colS id; nil when they are one column
+}
+
+// joinKeys collects the equalities t.A' = s.B' of X, in either
+// orientation, beside the driver p. They stay un-covered, so the binder
+// still evaluates each on every pair the join emits: the keys only drop
+// pairs it would reject. Collection stops at the first ML predicate of X,
+// so no pair the keys drop would have had an ML call evaluated on it
+// first.
+func (e *Executor) joinKeys(fr *predicate.Frame, p *predicate.Compiled) []joinKey {
+	relT, relS := fr.Rels[p.TSlot], fr.Rels[p.SSlot]
+	var keys []joinKey
+	for _, q := range fr.X {
+		if q.IsML() {
+			break
+		}
+		if q == p || q.Kind != predicate.KAttr || q.Op != predicate.Eq || q.ACol < 0 || q.BCol < 0 {
+			continue
+		}
+		var attrT, attrS string
+		switch {
+		case q.TSlot == p.TSlot && q.SSlot == p.SSlot:
+			attrT, attrS = q.A, q.B
+		case q.TSlot == p.SSlot && q.SSlot == p.TSlot:
+			attrT, attrS = q.B, q.A
+		default:
+			continue
+		}
+		k := joinKey{colT: e.internedCol(relT, attrT), colS: e.internedCol(relS, attrS)}
+		if relT.Schema.Name != relS.Schema.Name || attrT != attrS {
+			k.trans = e.cols.Translation(relT.Schema.Name, attrT, k.colT, relS.Schema.Name, attrS, k.colS)
+		}
+		keys = append(keys, k)
+	}
+	return keys
 }
 
 // blockPairs builds candidate (t, s) pairs for an ML predicate by LSH

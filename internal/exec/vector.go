@@ -257,10 +257,11 @@ func mergeShadowed(matched, shadow []int32, fn func(pos int32, shadowed bool) er
 // TID array — no per-unit hash index is ever built, and the partition
 // intersection of dense buckets is memoised across probes. Shadowed
 // tuples on either side read through the view (predicate.Env.Value, dictionary
-// probe, string-keyed overflow for values colB never interned). Under a
-// dirty filter the walk visits only the t that can pair (dirtyVisits).
-// The pairs are pool scratch.
-func (e *Executor) postingJoin(p *predicate.Compiled, opts Options,
+// probe, string-keyed overflow for values colB never interned). A raw t
+// pairs with a raw-matched s only if their ids agree on every extra key
+// too (joinKey). Under a dirty filter the walk visits only the t that
+// can pair (dirtyVisits). The pairs are pool scratch.
+func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Options,
 	blockT, blockS crystal.Block, colA, colB *crystal.Column,
 	relT, relS *data.Relation) ([][2]*data.Tuple, error) {
 	tTIDs, tPooled, err := tidsOf(blockT)
@@ -335,6 +336,43 @@ func (e *Executor) postingJoin(p *predicate.Compiled, opts Options,
 	}
 	nullA, hasNullA := colA.Dict.NullID()
 
+	// The extra keys of the t being walked: want[k] is its id in key k's
+	// s column. keyed marks a raw t, whose raw-matched s must match every
+	// want; rawPairs is false when none can (a key of t is null, or absent
+	// from the s column's dictionary). A shadowed t, and shadowed or
+	// overflow s, read through the view and pair as without keys.
+	want := make([]crystal.ValueID, len(keys))
+	keyed, rawPairs := false, true
+	keysOf := func(tid int) {
+		keyed, rawPairs = len(keys) > 0, true
+		for k := range keys {
+			id, ok := keys[k].colT.IDAt(tid)
+			if !ok {
+				keyed = false
+				return
+			}
+			if null, has := keys[k].colT.Dict.NullID(); has && id == null {
+				rawPairs = false
+				return
+			}
+			if keys[k].trans != nil {
+				if id = keys[k].trans[id]; id == crystal.NoValue {
+					rawPairs = false
+					return
+				}
+			}
+			want[k] = id
+		}
+	}
+	keysMatch := func(tid int) bool {
+		for k, w := range want {
+			if ids := keys[k].colS.IDs; tid >= len(ids) || ids[tid] != w {
+				return false
+			}
+		}
+		return true
+	}
+
 	// Dense identity: when tuplesS is the whole relation in TID order with
 	// no shadowed tuple and no deletions (ascending distinct TIDs from 0 to
 	// n-1 covering NextTID), every posting TID is live and equals its own
@@ -383,14 +421,18 @@ func (e *Executor) postingJoin(p *predicate.Compiled, opts Options,
 			// No s tuple is shadowed, so shadowByID and slow are empty: the
 			// posting list alone is the match set, already in emission
 			// (position) order.
-			if !filtered || curTDirty {
+			switch {
+			case !rawPairs: // no raw s can pair
+			case !filtered || curTDirty:
 				for _, tid := range colB.PostingList(idB) {
-					out = append(out, [2]*data.Tuple{t, tuplesS[tid]})
+					if !keyed || keysMatch(tid) {
+						out = append(out, [2]*data.Tuple{t, tuplesS[tid]})
+					}
 				}
-			} else {
+			default:
 				for _, tid := range colB.PostingList(idB) {
 					s := tuplesS[tid]
-					if dirtyS != nil && dirtyS[s.TID] {
+					if dirtyS != nil && dirtyS[s.TID] && (!keyed || keysMatch(tid)) {
 						out = append(out, [2]*data.Tuple{t, s})
 					}
 				}
@@ -399,7 +441,7 @@ func (e *Executor) postingJoin(p *predicate.Compiled, opts Options,
 			return
 		}
 		var matched []int32
-		if posting := colB.PostingList(idB); len(posting) > 0 {
+		if posting := colB.PostingList(idB); rawPairs && len(posting) > 0 {
 			if len(posting) > heavyPostingLen {
 				m, ok := memo[idB]
 				if !ok {
@@ -425,7 +467,7 @@ func (e *Executor) postingJoin(p *predicate.Compiled, opts Options,
 			if j >= len(shadowList) || (i < len(matched) && matched[i] < shadowList[j]) {
 				pos = matched[i]
 				i++
-				if sShadowed(pos) {
+				if sShadowed(pos) || (keyed && !keysMatch(sTIDs[pos])) {
 					continue
 				}
 			} else {
@@ -464,6 +506,7 @@ func (e *Executor) postingJoin(p *predicate.Compiled, opts Options,
 		if idA == crystal.NoValue {
 			// A shadowed tuple joins on its view value; a TID without an id
 			// in colA (a tuple not in the relation) on its raw value.
+			keyed, rawPairs = false, true
 			v := t.Values[ai]
 			if shadowed {
 				v = e.env.Value(relT, t, ai)
@@ -485,6 +528,7 @@ func (e *Executor) postingJoin(p *predicate.Compiled, opts Options,
 		if hasNullA && idA == nullA {
 			continue
 		}
+		keysOf(t.TID)
 		idB := idA
 		if !sameCol {
 			idB = trans[idA]

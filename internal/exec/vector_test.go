@@ -326,6 +326,9 @@ func TestColumnarMatchesReference(t *testing.T) {
 			t.Run(fmt.Sprintf("n=%d/shadowed=%v", n, shadowed), func(t *testing.T) {
 				checkSelections(t, n, shadowed)
 				checkJoin(t, n, shadowed)
+				if n < 4096 { // the composite oracle scans n² pairs per shape; TestHashJoinKeys* cover dense buckets
+					checkCompositeJoin(t, n, shadowed)
+				}
 				checkProbe(t, n, shadowed)
 			})
 		}
