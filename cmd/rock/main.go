@@ -145,33 +145,6 @@ func usesRanker(r *ree.Rule) bool {
 	return r.P0.Kind == predicate.KRank
 }
 
-func loadDB(dir string) (*data.Database, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	db := data.NewDatabase()
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".csv") {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		rel, err := data.ReadCSV(f, strings.TrimSuffix(e.Name(), ".csv"))
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.Name(), err)
-		}
-		db.Add(rel)
-	}
-	if len(db.Relations) == 0 {
-		return nil, fmt.Errorf("no .csv relations in %s", dir)
-	}
-	return db, nil
-}
-
 func cmdClean(args []string, correct bool) error {
 	fs := flag.NewFlagSet("clean", flag.ExitOnError)
 	in := fs.String("in", "./rockdata", "dataset directory")
@@ -194,7 +167,7 @@ func cmdClean(args []string, correct bool) error {
 	if *rulesFile == "" {
 		*rulesFile = filepath.Join(*in, "rules.ree")
 	}
-	db, err := loadDB(*in)
+	db, err := data.ReadCSVDir(*in)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/obs"
 	"github.com/rockclean/rock/rock"
 )
@@ -60,7 +61,7 @@ func TestGenCleanRoundTrip(t *testing.T) {
 				t.Fatal("clean must write corrections back")
 			}
 			// The corrected files still load.
-			db, err := loadDB(dir)
+			db, err := data.ReadCSVDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +89,7 @@ func TestCleanMetricsOut(t *testing.T) {
 	}
 
 	// Reference run through the library API on the same dataset.
-	db, err := loadDB(dir)
+	db, err := data.ReadCSVDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,15 +199,15 @@ func TestGenUnknownApp(t *testing.T) {
 }
 
 func TestLoadDBErrors(t *testing.T) {
-	if _, err := loadDB(t.TempDir()); err == nil {
+	if _, err := data.ReadCSVDir(t.TempDir()); err == nil {
 		t.Error("empty dir must fail")
 	}
-	if _, err := loadDB("/nonexistent-rock-dir"); err == nil {
+	if _, err := data.ReadCSVDir("/nonexistent-rock-dir"); err == nil {
 		t.Error("missing dir must fail")
 	}
 	dir := t.TempDir()
 	os.WriteFile(filepath.Join(dir, "Bad.csv"), []byte("not,a,valid\nrock,csv,file\n"), 0o644)
-	if _, err := loadDB(dir); err == nil {
+	if _, err := data.ReadCSVDir(dir); err == nil {
 		t.Error("malformed csv must fail")
 	}
 }

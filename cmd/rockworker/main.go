@@ -20,7 +20,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -54,7 +53,7 @@ func run(args []string) error {
 	if *rulesFile == "" {
 		*rulesFile = filepath.Join(*in, "rules.ree")
 	}
-	db, err := loadDB(*in)
+	db, err := data.ReadCSVDir(*in)
 	if err != nil {
 		return err
 	}
@@ -103,32 +102,4 @@ func run(args []string) error {
 	}
 	fmt.Println("rockworker: run complete, coordinator closed the session")
 	return nil
-}
-
-// loadDB mirrors cmd/rock's loader: a directory of <Relation>.csv files.
-func loadDB(dir string) (*data.Database, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	db := data.NewDatabase()
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".csv") {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		rel, err := data.ReadCSV(f, strings.TrimSuffix(e.Name(), ".csv"))
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.Name(), err)
-		}
-		db.Add(rel)
-	}
-	if len(db.Relations) == 0 {
-		return nil, fmt.Errorf("no .csv relations in %s", dir)
-	}
-	return db, nil
 }

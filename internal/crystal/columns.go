@@ -27,99 +27,47 @@ type ValueID = uint32
 // never seen — deleted, out of range, or inserted after the last refresh).
 const NoValue ValueID = ^ValueID(0)
 
-// Dictionary maps attribute values to unique ids. Ids are assigned in
-// sorted value order at build time, so similar values receive nearby ids
-// and the column-oriented copy gathers them together; values interned
-// later (incremental inserts) append in arrival order — id stability wins
-// over sortedness once the dictionary is live. Lookups key on
-// data.Value.Key(), which canonicalises numerics, so interning agrees
-// with Value.Equal (I(5), F(5) and TS(5) share one id).
+// Dictionary maps attribute values to unique ids, assigned in arrival
+// order: first sight at build time, then each later Intern appends. The
+// map keys on data.Canon, which canonicalises numerics, so interning
+// agrees with Value.Equal (I(5), F(5) and TS(5) share one id). Ids are
+// compared for equality and used as indexes, never ordered.
 type Dictionary struct {
-	ids    map[string]ValueID
+	ids    map[data.Canon]ValueID
 	values []data.Value
 	nullID ValueID // id of the null entry; NoValue when the column has none
 }
 
 // buildEncoded is the single-pass build behind BuildColumn: each tuple's
-// value keys exactly once, distinct values collect in first-sight order,
-// ids re-rank into sorted value order, and the per-tuple id assignment
-// (parallel to rel.Tuples) comes back with the dictionary so callers
-// never pay a second Key-and-probe pass over the data.
+// value interns once, so ids come in first-sight order, and the per-tuple
+// id assignment (parallel to rel.Tuples) comes back with the dictionary.
 func buildEncoded(rel *data.Relation, attr string) (*Dictionary, []ValueID, error) {
 	ai := rel.Schema.Index(attr)
 	if ai < 0 {
 		return nil, nil, fmt.Errorf("crystal: %s has no attribute %q", rel.Schema.Name, attr)
 	}
 	sizeHint := 16 + len(rel.Tuples)/8
-	firstSight := make(map[string]ValueID, sizeHint)
-	keys := make([]string, 0, sizeHint)
-	vals := make([]data.Value, 0, sizeHint)
+	d := &Dictionary{
+		ids:    make(map[data.Canon]ValueID, sizeHint),
+		values: make([]data.Value, 0, sizeHint),
+		nullID: NoValue,
+	}
 	tup := make([]ValueID, len(rel.Tuples))
-	// Run cache: grouped or sorted data repeats values back to back
-	// (Equal implies Key-equal), so a run costs one Equal instead of a
-	// Key allocation plus a map probe per tuple.
-	var prev data.Value
-	prevID := NoValue
 	for i, t := range rel.Tuples {
-		v := t.Values[ai]
-		if prevID != NoValue && v.Equal(prev) {
-			tup[i] = prevID
-			continue
-		}
-		k := v.Key()
-		id, ok := firstSight[k]
-		if !ok {
-			id = ValueID(len(vals))
-			firstSight[k] = id
-			keys = append(keys, k)
-			vals = append(vals, v)
-		}
-		tup[i] = id
-		prev, prevID = v, id
-	}
-	// Sorted-order id assignment: true value order (Compare), key text as
-	// the deterministic tie-break for incomparable kinds. Sorting a
-	// permutation of first-sight ids keeps the comparator map-free.
-	perm := make([]ValueID, len(vals))
-	for i := range perm {
-		perm[i] = ValueID(i)
-	}
-	sort.Slice(perm, func(i, j int) bool {
-		a, b := perm[i], perm[j]
-		c := vals[a].Compare(vals[b])
-		if c != 0 {
-			return c < 0
-		}
-		return keys[a] < keys[b]
-	})
-	// The first-sight map becomes the dictionary's map: re-ranking its
-	// ids in place skips a whole second build (hash, rehash, key copies)
-	// over every distinct value.
-	rank := make([]ValueID, len(vals))
-	sortedVals := make([]data.Value, len(vals))
-	d := &Dictionary{ids: firstSight, values: sortedVals, nullID: NoValue}
-	for newID, old := range perm {
-		rank[old] = ValueID(newID)
-		sortedVals[newID] = vals[old]
-		if vals[old].IsNull() {
-			d.nullID = ValueID(newID)
-		}
-	}
-	for k, id := range firstSight {
-		firstSight[k] = rank[id]
-	}
-	for i, id := range tup {
-		tup[i] = rank[id]
+		tup[i] = d.Intern(t.Values[ai])
 	}
 	return d, tup, nil
 }
 
-func (d *Dictionary) intern(key string, v data.Value) ValueID {
-	if id, ok := d.ids[key]; ok {
+// Intern returns v's id, assigning the next free id on first sight. Not
+// safe for concurrent use.
+func (d *Dictionary) Intern(v data.Value) ValueID {
+	c := v.Canon()
+	if id, ok := d.ids[c]; ok {
 		return id
 	}
 	id := ValueID(len(d.values))
-	d.ids[key] = id
+	d.ids[c] = id
 	d.values = append(d.values, v)
 	if v.IsNull() {
 		d.nullID = id
@@ -127,15 +75,9 @@ func (d *Dictionary) intern(key string, v data.Value) ValueID {
 	return id
 }
 
-// Intern returns v's id, assigning the next free id on first sight.
-// Appended ids break the sorted-order property but never invalidate
-// existing ids — equality comparisons stay exact, range pruning must not
-// rely on id order after the first Intern. Not safe for concurrent use.
-func (d *Dictionary) Intern(v data.Value) ValueID { return d.intern(v.Key(), v) }
-
 // ID returns the id of a value; ok is false for unseen values.
 func (d *Dictionary) ID(v data.Value) (ValueID, bool) {
-	id, ok := d.ids[v.Key()]
+	id, ok := d.ids[v.Canon()]
 	return id, ok
 }
 

@@ -47,17 +47,20 @@ func postingOf(cs *ColumnStore, attr string, v data.Value) []int {
 	return col.PostingList(id)
 }
 
-func TestDictionarySortedIDs(t *testing.T) {
+// TestDictionaryArrivalOrderIDs: ids are assigned in first-sight order,
+// not value order — the sample's null arrives last and sorts first.
+func TestDictionaryArrivalOrderIDs(t *testing.T) {
 	rel := sampleRel(t)
 	d := dictOf(t, rel, "city")
-	// 3 distinct: null, Beijing, Shanghai.
+	// 3 distinct: Beijing, Shanghai, null.
 	if d.Size() != 3 {
 		t.Fatalf("size=%d", d.Size())
 	}
 	bid, ok1 := d.ID(data.S("Beijing"))
 	sid, ok2 := d.ID(data.S("Shanghai"))
-	if !ok1 || !ok2 || bid >= sid {
-		t.Error("ids must follow sorted value order (Beijing < Shanghai)")
+	nid, ok3 := d.NullID()
+	if !ok1 || !ok2 || !ok3 || bid != 0 || sid != 1 || nid != 2 {
+		t.Errorf("ids Beijing=%d Shanghai=%d null=%d, want first-sight order 0, 1, 2", bid, sid, nid)
 	}
 	if _, ok := d.ID(data.S("Chengdu")); ok {
 		t.Error("unseen value must miss")

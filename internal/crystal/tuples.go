@@ -172,9 +172,8 @@ func (c *Cache) Blocks(rel *data.Relation, b int) []Block {
 // Partition splits every relation of db into b virtual blocks by TID —
 // the HyperCube partitioning of paper §5.3 — keyed by relation name. The
 // result depends on db and b alone, so every replica of a distributed
-// chase plans over the same blocks. Detection and the chase share this
-// planner but not b: the chase asks for Workers blocks, detection for
-// max(Workers, 4).
+// chase plans over the same blocks. Detection and the chase both ask for
+// Workers blocks, so the two plan over one cached partition.
 func (c *Cache) Partition(db *data.Database, b int) map[string][]Block {
 	out := make(map[string][]Block, len(db.Relations))
 	for name, rel := range db.Relations {

@@ -4,6 +4,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -103,4 +105,36 @@ func parseType(s string) (Type, error) {
 	default:
 		return TString, fmt.Errorf("unknown attribute type %q", s)
 	}
+}
+
+// ReadCSVDir loads a database from a directory of <Relation>.csv files in
+// the format of WriteCSV; other files and subdirectories are skipped. A
+// directory without a .csv file is an error. The rock CLI and its worker
+// processes both load through it, so a replica reads what its
+// coordinator reads.
+func ReadCSVDir(dir string) (*Database, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	db := NewDatabase()
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".csv") {
+			continue
+		}
+		f, err := os.Open(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return nil, err
+		}
+		rel, err := ReadCSV(f, strings.TrimSuffix(e.Name(), ".csv"))
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.Name(), err)
+		}
+		db.Add(rel)
+	}
+	if len(db.Relations) == 0 {
+		return nil, fmt.Errorf("no .csv relations in %s", dir)
+	}
+	return db, nil
 }

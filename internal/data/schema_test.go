@@ -2,6 +2,8 @@ package data
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -135,6 +137,38 @@ func TestCSVRoundTrip(t *testing.T) {
 				t.Errorf("row %d col %d: %v != %v", i, j, back.Values[j], orig.Values[j])
 			}
 		}
+	}
+}
+
+// TestReadCSVDir: every .csv file of a directory loads as the relation
+// its name gives; other files are skipped, and a directory without a
+// .csv file is an error.
+func TestReadCSVDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"A", "B"} {
+		r := NewRelation(MustSchema(name, Attribute{"x", TInt}))
+		r.Insert(name+"1", I(1))
+		r.Insert(name+"2", I(2))
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name+".csv"), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "rules.ree"), []byte("not a relation\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := ReadCSVDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(db.Relations) != 2 || db.Rel("A").Len() != 2 || db.Rel("B").Len() != 2 {
+		t.Fatalf("loaded %d relations, %d tuples; want A and B with 2 tuples each", len(db.Relations), db.TupleCount())
+	}
+	if _, err := ReadCSVDir(t.TempDir()); err == nil {
+		t.Error("a directory without .csv files must fail")
 	}
 }
 

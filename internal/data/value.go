@@ -262,12 +262,13 @@ func Parse(t Type, text string) (Value, error) {
 	return Value{}, fmt.Errorf("unknown type %v", t)
 }
 
-// Key returns a canonical string usable as a map key. Keys agree with
-// Equal: all nulls share one key, and the numeric kinds (int, float, time)
-// collapse onto one canonical encoding of their float64 value — Equal and
-// Compare treat I(5), F(5) and TS(5) as the same value, so indexes keyed
-// by Key (hash joins, dictionaries, fix dedup) must too. Non-numeric kinds
-// stay kind-prefixed so values of different kinds never collide.
+// Key returns a canonical string for a value. Keys agree with Equal: all
+// nulls share one key, and the numeric kinds (int, float, time) collapse
+// onto one canonical encoding of their float64 value, as Equal and
+// Compare treat I(5), F(5) and TS(5) as the same value. Non-numeric kinds
+// stay kind-prefixed so values of different kinds never collide. Key is
+// for text and order (snapshots, signatures, sorted ties); hash maps key
+// on Canon, the same identity without an allocation.
 func (v Value) Key() string {
 	if v.IsNull() {
 		return "\x00null"

@@ -11,6 +11,7 @@ package detect
 import (
 	"container/heap"
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -61,7 +62,8 @@ func (e *Error) Key() string {
 // Options tunes a detection run.
 type Options struct {
 	// Workers is the worker-pool size n (paper Figure 4(h)): that many
-	// goroutines drain the detection units.
+	// goroutines drain the detection units, and the data is partitioned
+	// into that many blocks, the partition the chase plans over too.
 	Workers int
 	// UseBlocking enables LSH blocking for ML predicates.
 	UseBlocking bool
@@ -86,11 +88,6 @@ type Options struct {
 	// spans enabled; tracing never changes detection results.
 	Span *obs.Span
 }
-
-// minBlocks is the floor of the HyperCube block count per dimension
-// (otherwise Workers): small clusters still get block-granular units to
-// balance.
-const minBlocks = 4
 
 // DefaultOptions is Rock's shipped configuration.
 func DefaultOptions() Options {
@@ -200,7 +197,7 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 	// unit completes — workers share nothing, and the merge below reads
 	// the slots back in plan order, so the result does not depend on
 	// which worker ran what, or when.
-	blocks := d.env.Columns.Partition(d.env.DB, max(d.opts.Workers, minBlocks))
+	blocks := d.env.Columns.Partition(d.env.DB, d.opts.Workers)
 	type result struct {
 		errs []*Error
 		err  error
@@ -222,7 +219,7 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 				RuleID:  r.ID,
 				Part:    b.Part,
 				EstCost: b.EstCost,
-				Run:     func(node string) { res.errs, res.err = d.runUnit(r, b, dirty, node, phase) },
+				Run:     func(node string) { res.errs, res.err = d.runUnit(ctx, r, b, dirty, node, phase) },
 			})
 		}
 	}
@@ -239,10 +236,13 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 	// reports it, so RuleID is as reproducible as the key set.
 	merged := &errorSet{}
 	for _, res := range results {
-		if res.err != nil {
+		// A unit cut short by cancellation keeps what it found.
+		cut := errors.Is(res.err, context.Canceled) || errors.Is(res.err, context.DeadlineExceeded)
+		if res.err != nil && !cut {
 			d.opts.Obs.Inc("detect.errors.run")
 			return nil, partial, res.err
 		}
+		partial = partial || cut
 		for _, e := range res.errs {
 			merged.add(e, e.Key())
 		}
@@ -251,9 +251,9 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 }
 
 // runUnit is the body of one detection work unit: run the local executor
-// for rule r over the unit's blocks and return the errors its violations
-// implicate, or the first evaluation error.
-func (d *Detector) runUnit(r *ree.Rule, b crystal.BlockUnit, dirty map[string]map[int]bool, node string, phase *obs.Span) ([]*Error, error) {
+// for rule r over the unit's blocks until done or ctx is cancelled, and
+// return the errors its violations implicate with the first error.
+func (d *Detector) runUnit(ctx context.Context, r *ree.Rule, b crystal.BlockUnit, dirty map[string]map[int]bool, node string, phase *obs.Span) ([]*Error, error) {
 	reg := d.opts.Obs
 	unitSpan := reg.StartSpan("unit", phase)
 	unitSpan.SetRule(r.ID)
@@ -264,6 +264,7 @@ func (d *Detector) runUnit(r *ree.Rule, b crystal.BlockUnit, dirty map[string]ma
 	var local []*Error
 	var evalErr error
 	st, err := d.ex.Run(r, exec.Options{
+		Ctx:         ctx,
 		UseBlocking: d.opts.UseBlocking,
 		Dirty:       dirty,
 		RestrictVar: b.Restrict,
@@ -283,7 +284,7 @@ func (d *Detector) runUnit(r *ree.Rule, b crystal.BlockUnit, dirty map[string]ma
 	reg.Add("detect.rule."+r.ID+".wall_ns", uint64(time.Since(unitStart)))
 	if err != nil {
 		reg.Inc("detect.rule." + r.ID + ".errors")
-		return nil, err
+		return local, err
 	}
 	return local, evalErr
 }
@@ -298,30 +299,23 @@ func (d *Detector) runUnit(r *ree.Rule, b crystal.BlockUnit, dirty map[string]ma
 func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 	type colKey struct{ rel, attr string }
 	type colStats struct {
-		freq      map[string]int
+		freq      map[data.Canon]int
 		bigrams   map[string]int
 		total     int
 		maxBigram int
 	}
 	cache := map[colKey]*colStats{}
-	stats := func(c data.CellRef) *colStats {
+	// stats is asked only of a cell rel holds, so c.Attr is in its schema.
+	stats := func(rel *data.Relation, c data.CellRef) *colStats {
 		k := colKey{c.Rel, c.Attr}
-		st := cache[k]
-		if st != nil {
+		if st := cache[k]; st != nil {
 			return st
 		}
-		rel := db.Rel(c.Rel)
-		if rel == nil {
-			return &colStats{}
-		}
 		ai := rel.Schema.Index(c.Attr)
-		if ai < 0 {
-			return &colStats{}
-		}
-		st = &colStats{freq: map[string]int{}, bigrams: map[string]int{}}
+		st := &colStats{freq: map[data.Canon]int{}, bigrams: map[string]int{}}
 		for _, t := range rel.Tuples {
 			v := t.Values[ai]
-			st.freq[v.Key()]++
+			st.freq[v.Canon()]++
 			s := v.String()
 			for i := 0; i+2 <= len(s); i++ {
 				st.bigrams[s[i:i+2]]++
@@ -348,8 +342,8 @@ func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 			// definition (the MI case): absolute culprit priority.
 			return -1
 		}
-		st := stats(c)
-		score := float64(st.freq[v.Key()])
+		st := stats(rel, c)
+		score := float64(st.freq[v.Canon()])
 		// Bigram plausibility in [0, 1): the mean relative frequency of the
 		// value's bigrams within its column.
 		s := v.String()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
@@ -124,6 +125,47 @@ func TestDetectDeterministicAcrossWorkerCounts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// countdownCtx reports the context cancelled once its Err method has
+// been consulted a fixed number of times, so a test can cut a run short
+// at a reproducible point without timing.
+type countdownCtx struct {
+	context.Context
+	remaining atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.remaining.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestDetectCancelStopsInsideUnit: a cancelled DetectCtx stops the unit
+// it is running, not only the units still pending. At Workers = 1 the
+// rule is one unit of about 20 000 valuations; the countdown outlasts every
+// poll the drain makes between units, so only the executor's own polls
+// (one per 64 valuations) can end the run early. The run is partial,
+// without an error, and keeps the errors found before the cut.
+func TestDetectCancelStopsInsideUnit(t *testing.T) {
+	env, _, _ := dirtyTransEnv(t, 400)
+	rules := []*ree.Rule{crRule(t, env)}
+	o := DefaultOptions()
+	o.Workers = 1
+	full, err := New(env, rules, o).Detect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.remaining.Store(40)
+	errs, partial, err := New(env, rules, o).DetectCtx(ctx)
+	if err != nil || !partial {
+		t.Fatalf("cancelled detection: partial=%v err=%v, want partial and no error", partial, err)
+	}
+	if len(errs) == 0 || len(errs) >= len(full) {
+		t.Fatalf("cancelled detection found %d errors, want some but fewer than the full run's %d", len(errs), len(full))
 	}
 }
 

@@ -222,7 +222,7 @@ func NoviceFeedback(env *predicate.Env, rules []*ree.Rule, perRule int,
 			return nil, err
 		}
 		asked, confirmed := 0, 0
-		_, err := ex.Run(r, exec.Options{UseBlocking: true, MaxResults: 0}, func(h *predicate.Valuation) bool {
+		_, err := ex.Run(r, exec.Options{UseBlocking: true}, func(h *predicate.Valuation) bool {
 			ok, evalErr := h.Frame.P0.Eval(env, h)
 			if evalErr != nil || ok {
 				return true

@@ -56,8 +56,6 @@ type Options struct {
 	// virtual block (paper §5.3). A variable it does not name ranges over
 	// its whole relation.
 	RestrictVar map[string]crystal.Block
-	// MaxResults stops enumeration after this many callbacks (<=0: all).
-	MaxResults int
 	// Span, when non-nil, is the parent span this run is traced under
 	// (the work unit's span). Run opens an "exec" child span and, per ML
 	// predicate evaluation, an "ml.<model>" grandchild — only while the
@@ -482,10 +480,6 @@ func (b *binder) emit() {
 	}
 	b.st.Valuations++
 	if !b.fn(b.h) {
-		b.stop = true
-		return
-	}
-	if b.opts.MaxResults > 0 && b.st.Valuations >= b.opts.MaxResults {
 		b.stop = true
 	}
 }

@@ -168,19 +168,6 @@ func TestExecutorRestrictPartition(t *testing.T) {
 	}
 }
 
-func TestExecutorMaxResults(t *testing.T) {
-	env, _ := transEnv(t, 50)
-	r := must.Rule("Trans(t) ^ Trans(s) ^ t.com = s.com -> t.mfg = s.mfg", env.DB)
-	e := New(env)
-	st, err := e.Run(r, Options{MaxResults: 3}, func(h *predicate.Valuation) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Valuations != 3 {
-		t.Errorf("MaxResults ignored: %d", st.Valuations)
-	}
-}
-
 func TestExecutorEarlyStop(t *testing.T) {
 	env, _ := transEnv(t, 50)
 	r := must.Rule("Trans(t) ^ Trans(s) ^ t.com = s.com -> t.mfg = s.mfg", env.DB)

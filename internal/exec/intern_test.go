@@ -83,19 +83,20 @@ func TestInternCancellationAllCleanDirtySet(t *testing.T) {
 }
 
 // TestInternPoolsReusableAcrossRuns guards the scratch pools: an early
-// MaxResults exit followed by two full runs must not corrupt each other's
-// candidate or pair buffers.
+// exit (the callback stops after 7 valuations) followed by two full runs
+// must not corrupt each other's candidate or pair buffers.
 func TestInternPoolsReusableAcrossRuns(t *testing.T) {
 	env := mixedNumericEnv(t, 5000, 5000, 1000)
 	r := must.Rule("A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid", env.DB)
 	r.ID = "reuse"
 	e := New(env)
-	first, err := e.Run(r, Options{MaxResults: 7}, func(h *predicate.Valuation) bool { return true })
+	seen := 0
+	first, err := e.Run(r, Options{}, func(h *predicate.Valuation) bool { seen++; return seen < 7 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Valuations != 7 {
-		t.Fatalf("MaxResults run emitted %d valuations, want 7", first.Valuations)
+		t.Fatalf("early-exit run emitted %d valuations, want 7", first.Valuations)
 	}
 	var a, b Stats
 	if a, err = e.Run(r, Options{}, func(h *predicate.Valuation) bool { return true }); err != nil {

@@ -257,7 +257,7 @@ func mergeShadowed(matched, shadow []int32, fn func(pos int32, shadowed bool) er
 // TID array — no per-unit hash index is ever built, and the partition
 // intersection of dense buckets is memoised across probes. Shadowed
 // tuples on either side read through the view (predicate.Env.Value, dictionary
-// probe, string-keyed overflow for values colB never interned). A raw t
+// probe, Canon-keyed overflow for values colB never interned). A raw t
 // pairs with a raw-matched s only if their ids agree on every extra key
 // too (joinKey). Under a dirty filter the walk visits only the t that
 // can pair (dirtyVisits). The pairs are pool scratch.
@@ -283,10 +283,10 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 
 	// s-side: shadowed tuples leave the probe targets (posting lists index
 	// raw values only) — sShadowBits marks their positions — and their view
-	// values are classified by dictionary id, with a string-keyed overflow
+	// values are classified by dictionary id, with a Canon-keyed overflow
 	// for values colB never interned.
 	var shadowByID map[crystal.ValueID][]int32
-	var slow map[string][]*data.Tuple
+	var slow map[data.Canon][]*data.Tuple
 	var sShadowBits []uint64
 	sShadowBuf := e.shadowedPositions(relS, sTIDs)
 	if len(sShadowBuf) > 0 {
@@ -307,9 +307,10 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 			shadowByID[id] = append(shadowByID[id], pos)
 		} else {
 			if slow == nil {
-				slow = make(map[string][]*data.Tuple)
+				slow = make(map[data.Canon][]*data.Tuple)
 			}
-			slow[v.Key()] = append(slow[v.Key()], s)
+			c := v.Canon()
+			slow[c] = append(slow[c], s)
 		}
 	}
 	matchBuf := getPosBuf()
@@ -373,14 +374,6 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 		return true
 	}
 
-	// Dense identity: when tuplesS is the whole relation in TID order with
-	// no shadowed tuple and no deletions (ascending distinct TIDs from 0 to
-	// n-1 covering NextTID), every posting TID is live and equals its own
-	// position — the per-probe posting ∩ partition intersection is the
-	// identity and the galloping kernel can be skipped entirely.
-	denseS := sShadowBits == nil && len(sTIDs) == relS.NextTID() &&
-		len(sTIDs) > 0 && sTIDs[0] == 0 && sTIDs[len(sTIDs)-1] == len(sTIDs)-1
-
 	// Dirty-filter hoist: the relations are fixed for the whole join, so
 	// resolve the two dirty sets once and test pairs with at most two
 	// int-keyed probes (none at all in a full, non-incremental run)
@@ -417,29 +410,6 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 	}
 	emitID := func(t *data.Tuple, idB crystal.ValueID, overflow []*data.Tuple) {
 		probes++
-		if denseS {
-			// No s tuple is shadowed, so shadowByID and slow are empty: the
-			// posting list alone is the match set, already in emission
-			// (position) order.
-			switch {
-			case !rawPairs: // no raw s can pair
-			case !filtered || curTDirty:
-				for _, tid := range colB.PostingList(idB) {
-					if !keyed || keysMatch(tid) {
-						out = append(out, [2]*data.Tuple{t, tuplesS[tid]})
-					}
-				}
-			default:
-				for _, tid := range colB.PostingList(idB) {
-					s := tuplesS[tid]
-					if dirtyS != nil && dirtyS[s.TID] && (!keyed || keysMatch(tid)) {
-						out = append(out, [2]*data.Tuple{t, s})
-					}
-				}
-			}
-			emitOverflow(t, overflow)
-			return
-		}
 		var matched []int32
 		if posting := colB.PostingList(idB); rawPairs && len(posting) > 0 {
 			if len(posting) > heavyPostingLen {
@@ -516,7 +486,7 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 			}
 			var overflow []*data.Tuple
 			if slow != nil {
-				overflow = slow[v.Key()]
+				overflow = slow[v.Canon()]
 			}
 			if id, ok := colB.Dict.ID(v); ok {
 				emitID(t, id, overflow)
@@ -536,7 +506,7 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 		var overflow []*data.Tuple
 		if slow != nil {
 			if v, ok := colA.Dict.Value(idA); ok {
-				overflow = slow[v.Key()]
+				overflow = slow[v.Canon()]
 			}
 		}
 		if idB != crystal.NoValue {
