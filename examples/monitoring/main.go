@@ -32,9 +32,11 @@ func main() {
 	p.MustAddRule("Order(t) ^ Order(s) ^ t.sku = s.sku -> t.warehouse = s.warehouse")
 	p.MustAddRule("Order(t) ^ Order(s) ^ t.sku = s.sku ^ null(t.weight) -> t.weight = s.weight")
 
-	// Quality templates (§4.1): watch nulls and out-of-range weights.
+	// Quality templates (§4.1): watch nulls, out-of-range weights and
+	// malformed SKUs.
 	p.CheckNulls("Order", "weight")
 	p.CheckRange("Order", "weight", 0.01, 100)
+	p.CheckPattern("Order", "sku", `^SKU-\d+$`)
 
 	if _, err := p.Clean(); err != nil {
 		log.Fatal(err)

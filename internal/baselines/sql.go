@@ -29,9 +29,10 @@ type SQLEngine struct {
 	// SinglePass applies consequences once instead of iterating to
 	// fixpoint.
 	SinglePass bool
-	// MaxRounds bounds the EC fixpoint loop.
-	MaxRounds int
 }
+
+// sqlMaxRounds bounds the EC fixpoint loop.
+const sqlMaxRounds = 12
 
 // NewSparkSQL returns the SparkSQL configuration.
 func NewSparkSQL() *SQLEngine { return &SQLEngine{EngineName: "SparkSQL"} }
@@ -121,10 +122,7 @@ func (s *SQLEngine) Correct(b *Bench) (*quality.Corrections, error) {
 	env := s.uncachedEnv(b)
 	ex := exec.New(env)
 	out := quality.NewCorrections()
-	maxRounds := s.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 12
-	}
+	maxRounds := sqlMaxRounds
 	if s.SinglePass {
 		maxRounds = 1
 	}

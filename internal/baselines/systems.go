@@ -171,8 +171,8 @@ type RockVariant struct {
 	cycle      bool
 }
 
-// maxRounds bounds every fixpoint of a variant's chase, and Rock_seq's
-// cycles too: chase.New's default.
+// maxRounds bounds Rock_seq's per-task fixpoints and its cycles, as the
+// chase bounds its own Run.
 const maxRounds = 100
 
 // Rock returns the full system.
@@ -259,7 +259,7 @@ func (v *RockVariant) Correct(b *Bench) (*quality.Corrections, error) {
 	if gamma == nil {
 		gamma = truth.NewFixSet()
 	}
-	opts := chase.Options{Lazy: v.Lazy, UseBlocking: v.Blocking, Predication: v.Blocking, MaxRounds: maxRounds,
+	opts := chase.Options{Lazy: v.Lazy, UseBlocking: v.Blocking, Predication: v.Blocking,
 		Oracle: b.GoldOracle(), EIDRefs: b.DS.EIDRefs}
 	rules := v.rules(b)
 	eng := chase.New(b.Env, rules, gamma, opts)

@@ -30,8 +30,6 @@ import (
 
 // Options tunes a chase run.
 type Options struct {
-	// MaxRounds bounds the fixpoint loop (safety valve; 0 = default 100).
-	MaxRounds int
 	// Workers is the cluster size: it sets the HyperCube block count and
 	// — with Parallel — the size of the goroutine worker pool.
 	Workers int
@@ -92,12 +90,13 @@ type Options struct {
 	// says. When it additionally implements
 	// DistRunner (the remote coordinator does), rounds run distributed:
 	// each round ships a preamble (the fix-set journal since the last one)
-	// to the worker replicas, submits metadata-only units, and reads the
-	// deduced fixes back from TakeResults — the merge/apply step stays
-	// local and serial, so the result is bit-identical to the in-process
-	// run. Distributed runs require replicas built from the same
-	// deterministic pipeline (same data, rules, models, Workers) and a nil
-	// (or replica-identical deterministic) Oracle.
+	// to the worker replicas and drains metadata-only units, and each
+	// deduced buffer lands in its unit's slot through the sink BeginRound
+	// was handed — the merge/apply step stays local and serial, so the
+	// result is bit-identical to the in-process run. Distributed runs
+	// require replicas built from the same deterministic pipeline (same
+	// data, rules, models, Workers) and a nil (or replica-identical
+	// deterministic) Oracle.
 	Cluster cluster.Runner
 	// Span, when non-nil, parents the engine's phase span (rock threads
 	// its root "clean" span here). Observed only while the registry has
@@ -263,8 +262,10 @@ type Engine struct {
 	opts  Options
 	view  *view // env.View: U's validated cells first, raw data otherwise
 
-	// orderLog records accepted order fixes per rel.attr so a losing fix
-	// can be retracted by rebuilding the order.
+	// gamma is Γ as given to New (never mutated), and orderLog records
+	// accepted order fixes per rel.attr: a losing fix is retracted by
+	// rebuilding the order from Γ's and the log's edges.
+	gamma    *truth.FixSet
 	orderLog map[string][]Fix
 	// cl is the run-wide worker pool (in-process by default, the remote
 	// coordinator when Options.Cluster supplies one); dist is cl when it
@@ -337,9 +338,6 @@ type Engine struct {
 // model in env.Models wrapped in the predication layer, as detect.New
 // does.
 func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Options) *Engine {
-	if opts.MaxRounds == 0 {
-		opts.MaxRounds = 100
-	}
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
@@ -358,6 +356,7 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 		env:           &own,
 		rules:         rules,
 		u:             gamma.Clone(),
+		gamma:         gamma,
 		opts:          opts,
 		orderLog:      make(map[string][]Fix),
 		oracleMemo:    make(map[string]data.Value),
@@ -369,10 +368,9 @@ func New(env *predicate.Env, rules []*ree.Rule, gamma *truth.FixSet, opts Option
 	if e.obs == nil {
 		e.obs = obs.New()
 	}
-	// One worker pool for the whole run, drained by every round (a drain
-	// empties its pending list, so rounds can reuse it). The serial
-	// reference is a pool of one; a caller-supplied Runner (the remote
-	// coordinator) takes the pool's place.
+	// One worker pool for the whole run, drained by every round. The
+	// serial reference is a pool of one; a caller-supplied Runner (the
+	// remote coordinator) takes the pool's place.
 	switch {
 	case opts.Cluster != nil:
 		e.cl = opts.Cluster
@@ -518,6 +516,10 @@ func (e *Engine) finish() {
 	e.report.MLProfile = mlProfileFrom(e.report.Metrics)
 }
 
+// maxRounds bounds Run's and an incremental run's fixpoint loop, a
+// safety valve: a chase reaches its fixpoint in far fewer rounds.
+const maxRounds = 100
+
 // Run executes the chase to its Church-Rosser fixpoint and returns the
 // report. The result is independent of rule order (verified by tests).
 func (e *Engine) Run() (*Report, error) { return e.RunCtx(context.Background()) }
@@ -528,7 +530,7 @@ func (e *Engine) Run() (*Report, error) { return e.RunCtx(context.Background()) 
 // an enumeration — and returns the certain fixes accumulated so far with
 // Report.Partial=true and a nil error.
 func (e *Engine) RunCtx(ctx context.Context) (*Report, error) {
-	return e.RunRules(ctx, e.rules, e.opts.MaxRounds)
+	return e.RunRules(ctx, e.rules, maxRounds)
 }
 
 // RunRules chases with a subset of Σ for at most maxRounds rounds, on the
@@ -571,7 +573,7 @@ func (e *Engine) RunIncrementalCtx(ctx context.Context, dirty map[string]map[int
 	// before a write it was not told about is rebuilt on its next read,
 	// and the EID index and the blocks extend by the inserts on theirs.
 	e.view.extend(dirty)
-	err := e.fixpoint(e.rules, dirty, e.opts.MaxRounds)
+	err := e.fixpoint(e.rules, dirty, maxRounds)
 	e.finish()
 	return &e.report, err
 }
@@ -639,7 +641,8 @@ func (e *Engine) fixpoint(rules []*ree.Rule, initialDirty map[string]map[int]boo
 // unit, so executors differ only in who calls runUnit: a goroutine of the
 // in-process pool (one worker for the serial reference) or — behind a
 // DistRunner — a worker replica in another process. Both drain one
-// pending list, costliest unit first (cluster.DrainOn). The merge folds
+// pending list, costliest unit first (cluster.DrainOn), and on both the
+// outcome reaches its slot through one function (fill). The merge folds
 // the slots in unit-index order, which is
 // the serial generation order (rule ID, unit part), so fixes and report
 // state are bit-identical across executors regardless of worker
@@ -659,11 +662,23 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 	// round.merge and round.absorb.
 	prepSpan := e.obs.StartSpan("round.prepare", roundSpan)
 	work := e.prepareRound(rules)
+	// A slot is assigned whole, once per completed attempt: a unit that
+	// panics mid-enumeration leaves nothing behind, so its retry cannot
+	// double-report what the failed attempt had already found. Each
+	// drain goroutine fills the slot of the unit it ran, and the drain
+	// returns after all of them, before the merge reads the slots. A
+	// remote outcome's index comes off the wire, hence the range check.
+	slots := make([]unitSlot, len(work))
+	fill := func(out UnitOutcome, err error) {
+		if out.Unit >= 0 && out.Unit < len(slots) {
+			slots[out.Unit] = unitSlot{out: out, err: err, done: true}
+		}
+	}
 	// A zero-unit round skips the preamble and the drain.
 	if len(work) > 0 && e.dist != nil {
 		// Replicate this round's inputs to the worker processes (truth
 		// journal + last round's accepted fixes + active rule IDs); the
-		// units submitted below are then metadata only — a coordinator
+		// units drained below are then metadata only — a coordinator
 		// never calls Run — and replicas run them by index.
 		ids := make([]string, len(rules))
 		for i, r := range rules {
@@ -679,39 +694,26 @@ func (e *Engine) runRound(rules []*ree.Rule, dirty map[string]map[int]bool) ([]F
 			Units:    len(work),
 		}
 		e.shipped = e.u.Mark()
-		if err := e.dist.BeginRound(e.ctx, pre); err != nil {
+		if err := e.dist.BeginRound(e.ctx, pre, fill); err != nil {
 			return nil, nil, err
 		}
 	}
 	prepSpan.End()
 
-	// A slot is assigned whole, once per completed attempt: a unit that
-	// panics mid-enumeration leaves nothing behind, so its retry cannot
-	// double-report what the failed attempt had already found.
 	drainSpan := e.obs.StartSpan("round.drain", roundSpan)
-	slots := make([]unitSlot, len(work))
 	drain := cluster.DrainStats{PerNode: make(map[string]int)}
 	if len(work) > 0 {
-		for _, w := range work {
-			e.cl.Submit(&crystal.WorkUnit{
+		units := make([]*crystal.WorkUnit, len(work))
+		for i, w := range work {
+			units[i] = &crystal.WorkUnit{
 				ID:      w.index,
 				RuleID:  w.rule.ID,
 				Part:    w.Part,
 				EstCost: w.EstCost,
-				Run: func(node string) {
-					out, err := e.runUnit(e.ctx, w, dirty, node, drainSpan)
-					slots[w.index] = unitSlot{out: out, err: err, done: true}
-				},
-			})
-		}
-		drain = e.cl.DrainWithStats(e.ctx, e.opts.Drain)
-		if e.dist != nil {
-			for _, out := range e.dist.TakeResults() {
-				if out.Unit >= 0 && out.Unit < len(slots) {
-					slots[out.Unit] = unitSlot{out: out, done: true}
-				}
+				Run:     func(node string) { fill(e.runUnit(e.ctx, w, dirty, node, drainSpan)) },
 			}
 		}
+		drain = e.cl.DrainWithStats(e.ctx, units, e.opts.Drain)
 	}
 	if drain.Cancelled {
 		e.cancelled = true
@@ -1186,8 +1188,9 @@ func (e *Engine) resolveCellConflict(fx Fix, conflict *truth.Conflict) bool {
 // resolveOrderConflict implements the TD resolution: extend M_rank to
 // confidence scores for both directions and retain the higher one
 // (paper §4.2 case (2)). If the new direction wins, the losing direct
-// edges are retracted by rebuilding the attribute's order from the
-// surviving log.
+// edges are retracted by rebuilding the attribute's order from Γ's order
+// and the surviving log: Γ's edges are never retracted, so a fix that
+// contradicts them loses as entailed.
 func (e *Engine) resolveOrderConflict(fx Fix) bool {
 	if e.env.Ranker == nil {
 		e.report.Unresolved = append(e.report.Unresolved,
@@ -1220,6 +1223,9 @@ func (e *Engine) resolveOrderConflict(fx Fix) bool {
 		kept = append(kept, old)
 	}
 	rebuilt := data.NewTemporalOrder(fx.Rel, fx.Attr)
+	if o := e.gamma.OrderIfAny(fx.Rel, fx.Attr); o != nil {
+		rebuilt = o.Clone()
+	}
 	valid := true
 	for _, old := range kept {
 		if old.Strict {

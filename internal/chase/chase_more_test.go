@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/rockclean/rock/internal/data"
@@ -139,6 +140,54 @@ func TestTDConflictRetractsLosingEdge(t *testing.T) {
 	if rep.RetractedTD == 0 {
 		t.Error("a retraction must be recorded")
 	}
+}
+
+// TestTDRetractionKeepsGammaOrders: a ranker-won order conflict with an
+// edge of Γ must not rebuild the order from the engine's own fixes alone.
+// Γ orders R.a as 0 ≺ 1 and 2 ≺ 3; the rule deduces 1 ⪯ 0, which the
+// ranker prefers, but Γ's 0 ≺ 1 entails the opposite, so the fix loses
+// and both Γ edges stay.
+func TestTDRetractionKeepsGammaOrders(t *testing.T) {
+	schema := must.Schema("R", data.Attribute{Name: "k", Type: data.TString},
+		data.Attribute{Name: "a", Type: data.TFloat})
+	rel := data.NewRelation(schema)
+	var tids []int
+	for i, k := range []string{"old", "new", "x", "x"} {
+		tids = append(tids, rel.Insert(fmt.Sprintf("e%d", i), data.S(k), data.F(float64(i))).TID)
+	}
+	db := data.NewDatabase()
+	db.Add(rel)
+	env := predicate.NewEnv(db)
+	env.Ranker = prefersRanker{older: tids[1], newer: tids[0]}
+	gamma := truth.NewFixSet()
+	gamma.AddOrder("R", "a", tids[0], tids[1], true)
+	gamma.AddOrder("R", "a", tids[2], tids[3], true)
+	r := must.Rule("R(t) ^ R(s) ^ t.k = 'new' ^ s.k = 'old' -> t <=[a] s", db)
+	r.ID = "td"
+	eng := New(env, []*ree.Rule{r}, gamma, DefaultOptions())
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	o := eng.Truth().OrderIfAny("R", "a")
+	if o == nil || !o.Less(tids[0], tids[1]) || !o.Less(tids[2], tids[3]) || o.Leq(tids[1], tids[0]) {
+		var pairs [][2]int
+		if o != nil {
+			pairs = o.Pairs()
+		}
+		t.Fatalf("order pairs %v: Γ's 0 ≺ 1 and 2 ≺ 3 must survive and 1 ⪯ 0 lose", pairs)
+	}
+}
+
+// prefersRanker is confident that older precedes newer, and in nothing
+// else.
+type prefersRanker struct{ older, newer int }
+
+func (prefersRanker) Name() string { return "M_rank" }
+func (r prefersRanker) RankLeq(rel string, older, newer *data.Tuple, attr string) float64 {
+	if older.TID == r.older && newer.TID == r.newer {
+		return 0.9
+	}
+	return 0.1
 }
 
 // funcRanker prefers ascending v.

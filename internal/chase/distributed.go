@@ -18,9 +18,11 @@ import (
 // each idle worker, and per-unit deduction buffers. Replaying the journal
 // makes every replica's FixSet bit-identical to the coordinator's; the
 // unit list is a deterministic function of (rules, partition, FixSet), so
-// unit index i names the same work everywhere; and the coordinator's
-// merge consumes buffers in unit-index order, which is exactly the serial
-// generation order.
+// unit index i names the same work everywhere; each buffer lands in its
+// unit's slot through the function an in-process unit fills its slot
+// with (the sink BeginRound is handed); and the coordinator's merge reads
+// the slots in unit-index order, which is exactly the serial generation
+// order.
 // Deduction reads only the replicated state (FixSet cells/orders via the
 // engine's view, deterministically trained models), so a distributed run
 // is bit-identical to the serial in-process run. Conflict resolution
@@ -72,19 +74,18 @@ type UnitOutcome struct {
 }
 
 // DistRunner is the cluster surface of a distributed round: the plain
-// Runner drain/submit contract plus the round barrier (BeginRound) and
-// result collection (TakeResults). internal/cluster/remote.Coordinator
-// implements it; New asserts it once on Options.Cluster, and every round
-// of an engine holding one broadcasts the preamble before its drain and
-// picks the results up after.
+// Runner drain plus the round barrier (BeginRound).
+// internal/cluster/remote.Coordinator implements it; New asserts it once
+// on Options.Cluster, and every round of an engine holding one
+// broadcasts the preamble before its drain.
 type DistRunner interface {
 	cluster.Runner
 	// BeginRound ships the preamble to every live worker and waits for
-	// their acks (each ack echoes the worker's derived unit count).
-	BeginRound(ctx context.Context, pre RoundPreamble) error
-	// TakeResults returns the outcomes received during the last drain and
-	// resets the collection buffer.
-	TakeResults() []UnitOutcome
+	// their acks (each ack echoes the worker's derived unit count). sink
+	// is the round's slot filler, the one an in-process unit calls: the
+	// next drain calls it with each outcome a worker returns, from the
+	// drain's goroutine for that unit, before DrainWithStats returns.
+	BeginRound(ctx context.Context, pre RoundPreamble, sink func(UnitOutcome, error)) error
 }
 
 // FollowRound prepares a worker replica for one distributed round: it

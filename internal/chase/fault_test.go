@@ -154,20 +154,18 @@ type meetingPool struct {
 	timedOut atomic.Bool
 }
 
-func (p *meetingPool) Submit(u *crystal.WorkUnit) {
+func (p *meetingPool) DrainWithStats(ctx context.Context, units []*crystal.WorkUnit, opts cluster.Options) cluster.DrainStats {
 	if !p.drained {
-		run := u.Run
-		u.Run = func(node string) {
-			p.meet(node)
-			run(node)
+		for _, u := range units {
+			run := u.Run
+			u.Run = func(node string) {
+				p.meet(node)
+				run(node)
+			}
 		}
 	}
-	p.Cluster.Submit(u)
-}
-
-func (p *meetingPool) DrainWithStats(ctx context.Context, opts cluster.Options) cluster.DrainStats {
 	defer func() { p.drained = true }()
-	return p.Cluster.DrainWithStats(ctx, opts)
+	return p.Cluster.DrainWithStats(ctx, units, opts)
 }
 
 func (p *meetingPool) meet(node string) {

@@ -20,25 +20,23 @@ import (
 	"github.com/rockclean/rock/internal/obs"
 )
 
-// Runner is the drain/submit surface the chase engine schedules on.
-// The in-process Cluster implements it with goroutine workers; the
-// remote coordinator (internal/cluster/remote) implements it over TCP
-// worker processes. Everything the engine needs — submission, the
-// barrier drain, and observability routing — goes through this interface
-// so the two are interchangeable. Submit and DrainWithStats are called
-// from one goroutine.
+// Runner is the drain surface the chase engine schedules on. The
+// in-process Cluster implements it with goroutine workers; the remote
+// coordinator (internal/cluster/remote) implements it over TCP worker
+// processes. Everything the engine needs — the barrier drain of a
+// round's units, and observability routing — goes through this interface
+// so the two are interchangeable. DrainWithStats is called from one
+// goroutine at a time.
 type Runner interface {
-	Submit(u *crystal.WorkUnit)
-	DrainWithStats(ctx context.Context, opts Options) DrainStats
+	DrainWithStats(ctx context.Context, units []*crystal.WorkUnit, opts Options) DrainStats
 	SetObs(reg *obs.Registry, prefix string)
 }
 
 var _ Runner = (*Cluster)(nil)
 
-// Cluster is a pool of named workers draining one pending list.
+// Cluster is a pool of named workers; it keeps nothing between drains.
 type Cluster struct {
-	nodes   []string
-	pending []*crystal.WorkUnit // submitted since the last drain
+	nodes []string
 
 	// reg/prefix route the cluster's observability into the owning
 	// phase's registry ("detect" or "chase"); nil records nothing.
@@ -65,9 +63,6 @@ func (c *Cluster) SetObs(reg *obs.Registry, prefix string) {
 	c.reg = reg
 	c.prefix = prefix
 }
-
-// Submit adds a unit to the next drain's pending list.
-func (c *Cluster) Submit(u *crystal.WorkUnit) { c.pending = append(c.pending, u) }
 
 // Options tunes a drain run.
 type Options struct {
@@ -190,20 +185,20 @@ func (d *drainRun) settleLocked() {
 	}
 }
 
-// DrainWithStats runs every submitted unit to completion on the pool's
-// goroutine workers and returns this drain's statistics (see DrainOn).
-func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
-	return c.DrainOn(ctx, c.nodes, func(_ context.Context, node string, u *crystal.WorkUnit) error {
+// DrainWithStats runs units to completion on the pool's goroutine
+// workers and returns this drain's statistics (see DrainOn).
+func (c *Cluster) DrainWithStats(ctx context.Context, units []*crystal.WorkUnit, opts Options) DrainStats {
+	return c.DrainOn(ctx, c.nodes, units, func(_ context.Context, node string, u *crystal.WorkUnit) error {
 		u.Run(node)
 		return nil
 	}, opts)
 }
 
-// DrainOn runs every unit submitted since the last drain on the given
-// nodes and returns this drain's statistics. It is the one scheduler of
-// both transports: the pool passes its goroutine workers and u.Run; the
-// remote coordinator passes its live worker connections and a run that
-// ships the unit and waits for its outcome. The units form one pending
+// DrainOn runs units on the given nodes and returns this drain's
+// statistics. It is the one scheduler of both transports: the pool
+// passes its goroutine workers and u.Run; the remote coordinator passes
+// its live worker connections and a run that ships the unit and waits
+// for its outcome. The units form one pending
 // list, sorted by EstCost descending with ties in ID order; each node
 // loops: take the next unit it may run, run it, repeat until no units
 // remain outstanding, the context is cancelled, or the node dies —
@@ -226,15 +221,14 @@ func (c *Cluster) DrainWithStats(ctx context.Context, opts Options) DrainStats {
 // or are abandoned, the rest are counted in Skipped, and Cancelled is
 // set. When every node is dead, the units left are errNoSurvivor
 // failures.
-func (c *Cluster) DrainOn(ctx context.Context, nodes []string, run func(ctx context.Context, node string, u *crystal.WorkUnit) error, opts Options) DrainStats {
+func (c *Cluster) DrainOn(ctx context.Context, nodes []string, units []*crystal.WorkUnit, run func(ctx context.Context, node string, u *crystal.WorkUnit) error, opts Options) DrainStats {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	queue := make([]pendingUnit, len(c.pending))
-	for i, u := range c.pending {
+	queue := make([]pendingUnit, len(units))
+	for i, u := range units {
 		queue[i] = pendingUnit{u: u}
 	}
-	c.pending = nil
 	sort.Slice(queue, func(i, j int) bool {
 		a, b := queue[i].u, queue[j].u
 		if a.EstCost != b.EstCost {

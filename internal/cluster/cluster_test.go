@@ -14,16 +14,17 @@ import (
 
 func TestClusterDrainsAllUnits(t *testing.T) {
 	c := New(4)
+	var units []*crystal.WorkUnit
 	var ran int64
 	for i := 0; i < 100; i++ {
-		c.Submit(&crystal.WorkUnit{
+		units = append(units, &crystal.WorkUnit{
 			ID:      i,
 			Part:    fmt.Sprintf("p%d/b", i),
 			EstCost: 1,
 			Run:     func(string) { atomic.AddInt64(&ran, 1) },
 		})
 	}
-	per := c.DrainWithStats(context.Background(), Options{}).PerNode
+	per := c.DrainWithStats(context.Background(), units, Options{}).PerNode
 	if ran != 100 {
 		t.Fatalf("ran %d of 100", ran)
 	}
@@ -65,16 +66,17 @@ func (r *rendezvous) arrive() {
 
 // TestPoolOfOneRunsCostliestFirst pins the pending list's order: a pool
 // of one runs the units by EstCost descending, ties in ID order,
-// whatever order they were submitted in.
+// whatever order they are listed in.
 func TestPoolOfOneRunsCostliestFirst(t *testing.T) {
 	c := New(1)
+	var units []*crystal.WorkUnit
 	costs := map[int]float64{0: 1, 1: 5, 2: 3, 3: 5, 4: 0, 5: 3, 6: 9, 7: 1}
 	var order []int
 	for _, id := range []int{5, 0, 7, 3, 6, 1, 4, 2} {
-		c.Submit(&crystal.WorkUnit{ID: id, Part: "p/b", EstCost: costs[id],
+		units = append(units, &crystal.WorkUnit{ID: id, Part: "p/b", EstCost: costs[id],
 			Run: func(string) { order = append(order, id) }})
 	}
-	c.DrainWithStats(context.Background(), Options{})
+	c.DrainWithStats(context.Background(), units, Options{})
 	want := []int{6, 1, 3, 2, 5, 0, 7, 4}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Errorf("pool of one ran %v, want %v (EstCost descending, ties by ID)", order, want)
@@ -87,6 +89,7 @@ func TestPoolOfOneRunsCostliestFirst(t *testing.T) {
 func TestSkewedBatchRunsOnEveryWorker(t *testing.T) {
 	const n = 4
 	c := New(n)
+	var units []*crystal.WorkUnit
 	meet := newRendezvous(n)
 	var ran int64
 	for i := 0; i < 64; i++ {
@@ -94,7 +97,7 @@ func TestSkewedBatchRunsOnEveryWorker(t *testing.T) {
 		if i < n {
 			cost = 2
 		}
-		c.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: cost,
+		units = append(units, &crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: cost,
 			Run: func(string) {
 				atomic.AddInt64(&ran, 1)
 				if cost == 2 {
@@ -102,7 +105,7 @@ func TestSkewedBatchRunsOnEveryWorker(t *testing.T) {
 				}
 			}})
 	}
-	st := c.DrainWithStats(context.Background(), Options{})
+	st := c.DrainWithStats(context.Background(), units, Options{})
 	if meet.timedOut.Load() {
 		t.Fatalf("the %d costliest units never ran at once: %v", n, st.PerNode)
 	}
@@ -122,10 +125,12 @@ func TestSkewedBatchRunsOnEveryWorker(t *testing.T) {
 // stats silently included round 1.
 func TestDrainPerDrainCounts(t *testing.T) {
 	c := New(3)
-	submit := func(n int) {
+	batch := func(n int) []*crystal.WorkUnit {
+		var units []*crystal.WorkUnit
 		for i := 0; i < n; i++ {
-			c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1, Run: func(string) {}})
+			units = append(units, &crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1, Run: func(string) {}})
 		}
+		return units
 	}
 	sum := func(m map[string]int) int {
 		s := 0
@@ -134,27 +139,60 @@ func TestDrainPerDrainCounts(t *testing.T) {
 		}
 		return s
 	}
-	submit(12)
-	first := c.DrainWithStats(context.Background(), Options{}).PerNode
+	first := c.DrainWithStats(context.Background(), batch(12), Options{}).PerNode
 	if got := sum(first); got != 12 {
 		t.Fatalf("first drain counted %d units, want 12: %v", got, first)
 	}
-	submit(5)
-	second := c.DrainWithStats(context.Background(), Options{}).PerNode
+	second := c.DrainWithStats(context.Background(), batch(5), Options{}).PerNode
 	if got := sum(second); got != 5 {
 		t.Fatalf("second drain counted %d units, want 5 (per-drain, not cumulative): %v", got, second)
 	}
 }
 
+// TestDrainRunsItsOwnList: a pool drained twice runs each drain's list
+// exactly once, and nothing of the first list in the second drain; an
+// empty list queues nothing.
+func TestDrainRunsItsOwnList(t *testing.T) {
+	c := New(3)
+	var ran [2][]atomic.Int64
+	list := func(k, n int) []*crystal.WorkUnit {
+		ran[k] = make([]atomic.Int64, n)
+		units := make([]*crystal.WorkUnit, n)
+		for i := range units {
+			units[i] = &crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: float64(i % 3),
+				Run: func(string) { ran[k][i].Add(1) }}
+		}
+		return units
+	}
+	first, second := list(0, 12), list(1, 5)
+	if st := c.DrainWithStats(context.Background(), first, Options{}); st.Queued != 12 {
+		t.Fatalf("first drain queued %d, want 12", st.Queued)
+	}
+	if st := c.DrainWithStats(context.Background(), second, Options{}); st.Queued != 5 {
+		t.Fatalf("second drain queued %d, want 5", st.Queued)
+	}
+	for k := range ran {
+		for i := range ran[k] {
+			if n := ran[k][i].Load(); n != 1 {
+				t.Errorf("list %d unit %d ran %d times, want 1", k, i, n)
+			}
+		}
+	}
+	if st := c.DrainWithStats(context.Background(), nil, Options{}); st.Queued != 0 || sumCounts(st.PerNode) != 0 {
+		t.Errorf("empty drain: Queued %d, PerNode %v; want nothing", st.Queued, st.PerNode)
+	}
+}
+
 func TestDrainWithStats(t *testing.T) {
 	c := New(4)
+	var units []*crystal.WorkUnit
 	reg := obs.New()
 	c.SetObs(reg, "chase")
 	for i := 0; i < 32; i++ {
-		c.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1,
+		units = append(units, &crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: 1,
 			Run: func(string) { time.Sleep(100 * time.Microsecond) }})
 	}
-	st := c.DrainWithStats(context.Background(), Options{})
+	st := c.DrainWithStats(context.Background(), units, Options{})
 	if st.Queued != 32 {
 		t.Errorf("Queued = %d, want 32", st.Queued)
 	}

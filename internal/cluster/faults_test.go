@@ -25,17 +25,18 @@ func sumCounts(m map[string]int) int {
 
 func TestPanicIsolationAndRetry(t *testing.T) {
 	c := New(4)
+	var units []*crystal.WorkUnit
 	reg := obs.New()
 	c.SetObs(reg, "chase")
 	var ran int64
 	for i := 0; i < 40; i++ {
-		c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
+		units = append(units, &crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
 			Run: func(string) { atomic.AddInt64(&ran, 1) }})
 	}
 	f := NewFaultInjector()
 	f.PanicUnit(7, 1)  // first attempt panics, retry succeeds
 	f.PanicUnit(23, 2) // two panics, third attempt succeeds
-	st := c.DrainWithStats(context.Background(), Options{
+	st := c.DrainWithStats(context.Background(), units, Options{
 		MaxRetries: 2, RetryBackoff: 100 * time.Microsecond, Faults: f,
 	})
 	if ran != 40 {
@@ -66,14 +67,15 @@ func TestPanicIsolationAndRetry(t *testing.T) {
 
 func TestRetriesExhaustedYieldTypedUnitError(t *testing.T) {
 	c := New(3)
+	var units []*crystal.WorkUnit
 	var ran int64
 	for i := 0; i < 10; i++ {
-		c.Submit(&crystal.WorkUnit{ID: i, RuleID: fmt.Sprintf("r%d", i), Part: fmt.Sprintf("p%d/b", i),
+		units = append(units, &crystal.WorkUnit{ID: i, RuleID: fmt.Sprintf("r%d", i), Part: fmt.Sprintf("p%d/b", i),
 			EstCost: 1, Run: func(string) { atomic.AddInt64(&ran, 1) }})
 	}
 	f := NewFaultInjector()
 	f.PanicUnit(4, 100) // panics forever
-	st := c.DrainWithStats(context.Background(), Options{MaxRetries: 2, Faults: f})
+	st := c.DrainWithStats(context.Background(), units, Options{MaxRetries: 2, Faults: f})
 	if ran != 9 {
 		t.Errorf("the 9 healthy units must still run: ran %d", ran)
 	}
@@ -96,12 +98,13 @@ func TestSingleNodeRetriesLocally(t *testing.T) {
 	// With one worker there is no other node; the retry must fall back
 	// to the same node instead of deadlocking.
 	c := New(1)
+	var units []*crystal.WorkUnit
 	var ran int64
-	c.Submit(&crystal.WorkUnit{ID: 0, Part: "p/b", EstCost: 1,
+	units = append(units, &crystal.WorkUnit{ID: 0, Part: "p/b", EstCost: 1,
 		Run: func(string) { atomic.AddInt64(&ran, 1) }})
 	f := NewFaultInjector()
 	f.PanicUnit(0, 1)
-	st := c.DrainWithStats(context.Background(), Options{MaxRetries: 1, Faults: f})
+	st := c.DrainWithStats(context.Background(), units, Options{MaxRetries: 1, Faults: f})
 	if ran != 1 {
 		t.Fatalf("unit did not run after local retry")
 	}
@@ -118,10 +121,11 @@ func TestSingleNodeRetriesLocally(t *testing.T) {
 func TestRetryAvoidsFailedNode(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		c := New(2)
+		var units []*crystal.WorkUnit
 		meet := newRendezvous(2)
 		var mu sync.Mutex
 		var nodes []string
-		c.Submit(&crystal.WorkUnit{ID: 0, Part: "p/b", EstCost: 1, Run: func(node string) {
+		units = append(units, &crystal.WorkUnit{ID: 0, Part: "p/b", EstCost: 1, Run: func(node string) {
 			mu.Lock()
 			nodes = append(nodes, node)
 			first := len(nodes) == 1
@@ -131,11 +135,11 @@ func TestRetryAvoidsFailedNode(t *testing.T) {
 				panic("first attempt fails")
 			}
 		}})
-		c.Submit(&crystal.WorkUnit{ID: 1, Part: "p/b", EstCost: 1, Run: func(string) {
+		units = append(units, &crystal.WorkUnit{ID: 1, Part: "p/b", EstCost: 1, Run: func(string) {
 			meet.arrive()
 			time.Sleep(20 * time.Millisecond)
 		}})
-		st := c.DrainWithStats(context.Background(), Options{MaxRetries: 1})
+		st := c.DrainWithStats(context.Background(), units, Options{MaxRetries: 1})
 		if meet.timedOut.Load() {
 			t.Fatal("units 0 and 1 never ran at once")
 		}
@@ -171,6 +175,7 @@ func waitGoroutines(t *testing.T, before int) {
 func TestKillNodeMidDrainReassignsQueue(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := New(4)
+	var units []*crystal.WorkUnit
 	reg := obs.New()
 	c.SetObs(reg, "chase")
 	meet := newRendezvous(4)
@@ -180,7 +185,7 @@ func TestKillNodeMidDrainReassignsQueue(t *testing.T) {
 		if i < 4 {
 			cost = 2
 		}
-		c.Submit(&crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: cost,
+		units = append(units, &crystal.WorkUnit{ID: i, Part: "hot/block", EstCost: cost,
 			Run: func(string) {
 				atomic.AddInt64(&ran, 1)
 				if cost == 2 {
@@ -190,7 +195,7 @@ func TestKillNodeMidDrainReassignsQueue(t *testing.T) {
 	}
 	f := NewFaultInjector()
 	f.KillNode("node-2", 1)
-	st := c.DrainWithStats(context.Background(), Options{MaxRetries: 1, Faults: f})
+	st := c.DrainWithStats(context.Background(), units, Options{MaxRetries: 1, Faults: f})
 	if meet.timedOut.Load() {
 		t.Fatal("the four costliest units never ran at once")
 	}
@@ -214,14 +219,15 @@ func TestKillNodeMidDrainReassignsQueue(t *testing.T) {
 
 func TestAllNodesDeadStrandsRemainder(t *testing.T) {
 	c := New(1)
+	var units []*crystal.WorkUnit
 	var ran int64
 	for i := 0; i < 5; i++ {
-		c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
+		units = append(units, &crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
 			Run: func(string) { atomic.AddInt64(&ran, 1) }})
 	}
 	f := NewFaultInjector()
 	f.KillNode("node-0", 2)
-	st := c.DrainWithStats(context.Background(), Options{Faults: f})
+	st := c.DrainWithStats(context.Background(), units, Options{Faults: f})
 	if ran != 2 {
 		t.Fatalf("ran %d, want 2 before the only node died", ran)
 	}
@@ -233,22 +239,23 @@ func TestAllNodesDeadStrandsRemainder(t *testing.T) {
 			t.Errorf("stranded unit: %+v", fe)
 		}
 	}
-	if st := c.DrainWithStats(context.Background(), Options{}); st.Queued != 0 {
+	if st := c.DrainWithStats(context.Background(), nil, Options{}); st.Queued != 0 {
 		t.Errorf("the next drain inherited %d units after total node loss", st.Queued)
 	}
 }
 
 func TestStragglerStillCompletes(t *testing.T) {
 	c := New(4)
+	var units []*crystal.WorkUnit
 	var ran int64
 	for i := 0; i < 20; i++ {
-		c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
+		units = append(units, &crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
 			Run: func(string) { atomic.AddInt64(&ran, 1) }})
 	}
 	f := NewFaultInjector()
 	f.SlowUnit(11, 20*time.Millisecond)
 	start := time.Now()
-	st := c.DrainWithStats(context.Background(), Options{Faults: f})
+	st := c.DrainWithStats(context.Background(), units, Options{Faults: f})
 	if ran != 20 || st.Cancelled {
 		t.Fatalf("straggler run: ran=%d cancelled=%v", ran, st.Cancelled)
 	}
@@ -259,16 +266,17 @@ func TestStragglerStillCompletes(t *testing.T) {
 
 func TestCancelledDrainStopsEarlyAndSkips(t *testing.T) {
 	c := New(2)
+	var units []*crystal.WorkUnit
 	reg := obs.New()
 	c.SetObs(reg, "chase")
 	var ran int64
 	for i := 0; i < 400; i++ {
-		c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
+		units = append(units, &crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
 			Run: func(string) { atomic.AddInt64(&ran, 1); time.Sleep(300 * time.Microsecond) }})
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
 	defer cancel()
-	st := c.DrainWithStats(ctx, Options{})
+	st := c.DrainWithStats(ctx, units, Options{})
 	if !st.Cancelled {
 		t.Fatal("drain must report Cancelled on context timeout")
 	}
@@ -285,13 +293,14 @@ func TestCancelledDrainStopsEarlyAndSkips(t *testing.T) {
 		t.Errorf("obs chase.cancelled = %d, want 1", reg.CounterValue("chase.cancelled"))
 	}
 	// The cluster stays usable: a fresh drain with a live context runs
-	// newly submitted units only.
+	// its own units only.
 	var again int64
+	units = nil
 	for i := 0; i < 8; i++ {
-		c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("q%d/b", i), EstCost: 1,
+		units = append(units, &crystal.WorkUnit{ID: i, Part: fmt.Sprintf("q%d/b", i), EstCost: 1,
 			Run: func(string) { atomic.AddInt64(&again, 1) }})
 	}
-	st2 := c.DrainWithStats(context.Background(), Options{})
+	st2 := c.DrainWithStats(context.Background(), units, Options{})
 	if again != 8 || st2.Queued != 8 || st2.Cancelled {
 		t.Errorf("post-cancel drain: ran=%d cancelled=%v", again, st2.Cancelled)
 	}
@@ -304,12 +313,13 @@ func TestCancelledDrainsLeakNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
 		c := New(4)
+		var units []*crystal.WorkUnit
 		for i := 0; i < 100; i++ {
-			c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
+			units = append(units, &crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1,
 				Run: func(string) { time.Sleep(200 * time.Microsecond) }})
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 1*time.Millisecond)
-		c.DrainWithStats(ctx, Options{})
+		c.DrainWithStats(ctx, units, Options{})
 		cancel()
 	}
 	waitGoroutines(t, before)
@@ -321,9 +331,10 @@ func TestRetryBackoffYieldsToCancellation(t *testing.T) {
 	// whole k*RetryBackoff out. With a seconds-scale backoff the drain
 	// must nevertheless return promptly after cancel.
 	c := New(2)
+	var units []*crystal.WorkUnit
 	f := NewFaultInjector()
 	f.PanicUnit(0, 100) // panics on every attempt, forcing backoffs
-	c.Submit(&crystal.WorkUnit{ID: 0, Part: "p/b", EstCost: 1, Run: func(string) {}})
+	units = append(units, &crystal.WorkUnit{ID: 0, Part: "p/b", EstCost: 1, Run: func(string) {}})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -331,7 +342,7 @@ func TestRetryBackoffYieldsToCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	st := c.DrainWithStats(ctx, Options{
+	st := c.DrainWithStats(ctx, units, Options{
 		MaxRetries: 5, RetryBackoff: 30 * time.Second, Faults: f,
 	})
 	elapsed := time.Since(start)
@@ -349,15 +360,16 @@ func TestRetryBackoffYieldsToCancellation(t *testing.T) {
 func TestLostNodeRequeuesItsUnit(t *testing.T) {
 	for _, lostNodes := range [][]string{{"a"}, {"a", "b"}} {
 		c := New(1)
+		var units []*crystal.WorkUnit
 		for i := 0; i < 6; i++ {
-			c.Submit(&crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1})
+			units = append(units, &crystal.WorkUnit{ID: i, Part: fmt.Sprintf("p%d/b", i), EstCost: 1})
 		}
 		var mu sync.Mutex
 		ran := map[int]string{}
 		// b runs nothing before a has taken a unit and lost it.
 		aLost := make(chan struct{})
 		var once sync.Once
-		st := c.DrainOn(context.Background(), []string{"a", "b"}, func(_ context.Context, node string, u *crystal.WorkUnit) error {
+		st := c.DrainOn(context.Background(), []string{"a", "b"}, units, func(_ context.Context, node string, u *crystal.WorkUnit) error {
 			for _, n := range lostNodes {
 				if n == node {
 					once.Do(func() { close(aLost) })

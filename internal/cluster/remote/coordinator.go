@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -120,23 +119,25 @@ func (w *workerConn) wait(ctx context.Context, reply chan envelope) (envelope, e
 // Coordinator owns the truth ledger side of a distributed chase: it
 // accepts worker connections, runs the round barrier (BeginRound), drains
 // each round's work units over the live workers through cluster's one
-// scheduler — one unit in flight per worker, costliest first — and
-// collects the deduction buffers. A worker that dies with a unit in
-// flight is dropped and its unit runs on a survivor. It implements both
-// cluster.Runner and chase.DistRunner — hand it to rock.Options.Cluster
-// (or Pipeline.SetCluster) and the engine schedules rounds on it instead
-// of the in-process pool.
+// scheduler — one unit in flight per worker, costliest first — and hands
+// each deduction buffer to the round's sink as it arrives. A worker that
+// dies with a unit in flight is dropped and its unit runs on a survivor.
+// It implements both cluster.Runner and chase.DistRunner — hand it to
+// rock.Options.Cluster (or Pipeline.SetCluster) and the engine schedules
+// rounds on it instead of the in-process pool.
 type Coordinator struct {
 	opts CoordOptions
 	ln   net.Listener
-	pool cluster.Cluster // the submitted units and the drain
+	pool cluster.Cluster // the drain
 
-	mu       sync.Mutex
-	workers  map[string]*workerConn
-	order    []string            // names in connection order ("worker-0".."worker-N-1")
-	outcomes []chase.UnitOutcome // this round's, appended by the drain's nodes
+	mu      sync.Mutex
+	workers map[string]*workerConn
+	order   []string // names in connection order ("worker-0".."worker-N-1")
 
+	// round and sink are the current round's, set by BeginRound before
+	// its drain starts the goroutines that read them.
 	round int
+	sink  func(chase.UnitOutcome, error)
 
 	reg    *obs.Registry
 	prefix string
@@ -296,12 +297,6 @@ func (c *Coordinator) markDead(w *workerConn) {
 
 var _ cluster.Runner = (*Coordinator)(nil)
 
-// Submit buffers one work unit for the next drain. The unit's Run
-// closure is never invoked — execution happens on a worker replica,
-// addressed by the unit's ID (its index in the round's deterministic work
-// list).
-func (c *Coordinator) Submit(u *crystal.WorkUnit) { c.pool.Submit(u) }
-
 // SetObs wires drain counters into the registry.
 func (c *Coordinator) SetObs(reg *obs.Registry, prefix string) {
 	c.reg, c.prefix = reg, prefix
@@ -311,12 +306,12 @@ func (c *Coordinator) SetObs(reg *obs.Registry, prefix string) {
 // --- chase.DistRunner ---
 
 // BeginRound ships the round preamble to every live worker and
-// collects their acks. An ack error or unit-count mismatch means a
-// replica diverged and aborts the run; a worker death during the
+// collects their acks, and makes sink the round's: the drain hands it
+// every outcome a worker returns. An ack error or unit-count mismatch
+// means a replica diverged and aborts the run; a worker death during the
 // barrier is tolerated while survivors remain.
-func (c *Coordinator) BeginRound(ctx context.Context, pre chase.RoundPreamble) error {
-	c.round = pre.Round
-	c.outcomes = nil
+func (c *Coordinator) BeginRound(ctx context.Context, pre chase.RoundPreamble, sink func(chase.UnitOutcome, error)) error {
+	c.round, c.sink = pre.Round, sink
 
 	payload, err := encodeMsg(envelope{Type: mtRound, Round: &pre})
 	if err != nil {
@@ -351,22 +346,15 @@ func (c *Coordinator) BeginRound(ctx context.Context, pre chase.RoundPreamble) e
 	return nil
 }
 
-// TakeResults returns the outcomes collected by the last drain, sorted
-// by unit index (the serial generation order), and resets the buffer.
-func (c *Coordinator) TakeResults() []chase.UnitOutcome {
-	out := c.outcomes
-	c.outcomes = nil
-	sort.Slice(out, func(i, j int) bool { return out[i].Unit < out[j].Unit })
-	return out
-}
-
-// DrainWithStats drains the submitted units over the live workers through
-// cluster's scheduler (Cluster.DrainOn): each worker runs one unit at a
-// time, taking the costliest one left, so kill, retry, cancel and Skipped
-// accounting are the in-process pool's. A unit whose worker died in
-// flight goes back on the list; one that panicked on its worker is
-// retried or given up by the pool's retry policy.
-func (c *Coordinator) DrainWithStats(ctx context.Context, opts cluster.Options) cluster.DrainStats {
+// DrainWithStats drains units over the live workers through cluster's
+// scheduler (Cluster.DrainOn): each worker runs one unit at a time,
+// taking the costliest one left, so kill, retry, cancel and Skipped
+// accounting are the in-process pool's. A unit's Run closure is never
+// invoked: a worker replica runs it, addressed by the unit's ID (its
+// index in the round's deterministic work list). A unit whose worker
+// died in flight goes back on the list; one that panicked on its worker
+// is retried or given up by the pool's retry policy.
+func (c *Coordinator) DrainWithStats(ctx context.Context, units []*crystal.WorkUnit, opts cluster.Options) cluster.DrainStats {
 	live := c.liveWorkers()
 	nodes := make([]string, len(live))
 	byName := make(map[string]*workerConn, len(live))
@@ -374,7 +362,7 @@ func (c *Coordinator) DrainWithStats(ctx context.Context, opts cluster.Options) 
 		nodes[i] = w.name
 		byName[w.name] = w
 	}
-	st := c.pool.DrainOn(ctx, nodes, func(ctx context.Context, node string, u *crystal.WorkUnit) error {
+	st := c.pool.DrainOn(ctx, nodes, units, func(ctx context.Context, node string, u *crystal.WorkUnit) error {
 		return c.runOn(ctx, byName[node], u)
 	}, opts)
 	c.opts.Logf("remote: round %d drained: per-node %v, retries %d, killed %v",
@@ -383,7 +371,7 @@ func (c *Coordinator) DrainWithStats(ctx context.Context, opts cluster.Options) 
 }
 
 // runOn sends unit u to worker w and waits for its result, w's death or
-// cancellation. A completed unit's outcome joins the round's results.
+// cancellation. A completed unit's outcome goes to the round's sink.
 func (c *Coordinator) runOn(ctx context.Context, w *workerConn, u *crystal.WorkUnit) error {
 	payload, err := encodeMsg(envelope{Type: mtAssign, Assign: &assignMsg{Round: c.round, Units: []int{u.ID}}})
 	if err != nil {
@@ -400,9 +388,7 @@ func (c *Coordinator) runOn(ctx context.Context, w *workerConn, u *crystal.WorkU
 	}
 	out := env.Result.Outcome
 	out.Node = w.name
-	c.mu.Lock()
-	c.outcomes = append(c.outcomes, out)
-	c.mu.Unlock()
+	c.sink(out, nil)
 	if c.reg != nil {
 		c.reg.Counter(c.prefix + ".remote.results").Inc()
 	}

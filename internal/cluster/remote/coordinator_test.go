@@ -44,7 +44,8 @@ func (f *panicFollower) RunFollowUnit(_ context.Context, i int, node string) (ch
 
 // drainOnLoopback runs one round of units over two in-process workers
 // through a real loopback coordinator, and returns the drain's stats, the
-// outcomes and how long the drain took. Each fake, given the address and
+// outcomes its sink received (in unit order) and how long the drain
+// took. Each fake, given the address and
 // the fingerprint, speaks the protocol in place of one worker; the other
 // workers serve f. cancelAfter, when positive, cancels the drain's
 // context that long after the drain starts.
@@ -77,11 +78,13 @@ func drainOnLoopback(t *testing.T, f *panicFollower, units int, opts cluster.Opt
 	if err := coord.WaitWorkers(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.BeginRound(context.Background(), chase.RoundPreamble{Round: 1, Units: units}); err != nil {
+	var got outcomes
+	if err := coord.BeginRound(context.Background(), chase.RoundPreamble{Round: 1, Units: units}, got.sink); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < units; i++ {
-		coord.Submit(&crystal.WorkUnit{ID: i, RuleID: "r", Part: fmt.Sprintf("p%d/b", i), EstCost: 1})
+	list := make([]*crystal.WorkUnit, units)
+	for i := range list {
+		list[i] = &crystal.WorkUnit{ID: i, RuleID: "r", Part: fmt.Sprintf("p%d/b", i), EstCost: 1}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -89,8 +92,29 @@ func drainOnLoopback(t *testing.T, f *panicFollower, units int, opts cluster.Opt
 		time.AfterFunc(cancelAfter, cancel)
 	}
 	start := time.Now()
-	st := coord.DrainWithStats(ctx, opts)
-	return st, coord.TakeResults(), time.Since(start)
+	st := coord.DrainWithStats(ctx, list, opts)
+	return st, got.sorted(), time.Since(start)
+}
+
+// outcomes records every outcome a round's sink is handed.
+type outcomes struct {
+	mu   sync.Mutex
+	list []chase.UnitOutcome
+}
+
+func (o *outcomes) sink(out chase.UnitOutcome, _ error) {
+	o.mu.Lock()
+	o.list = append(o.list, out)
+	o.mu.Unlock()
+}
+
+// sorted returns the outcomes in unit order.
+func (o *outcomes) sorted() []chase.UnitOutcome {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := slices.Clone(o.list)
+	slices.SortFunc(out, func(a, b chase.UnitOutcome) int { return a.Unit - b.Unit })
+	return out
 }
 
 // TestCoordinatorRetryPolicy pins the coordinator to the retry policy of
@@ -143,9 +167,10 @@ func TestCoordinatorRetryPolicy(t *testing.T) {
 }
 
 // TestCoordinatorIgnoresUnknownUnit has a worker report a failed result
-// for a unit the round never had, and every real result twice: the
-// coordinator must drop the bogus one rather than look the unit up to
-// retry it, and keep one outcome per unit.
+// for a unit the round never had, a completed one for an index past the
+// round's units, and every real result twice: the coordinator must drop
+// the bogus ones rather than look the unit up to retry it or hand it to
+// the sink, and keep one outcome per unit.
 func TestCoordinatorIgnoresUnknownUnit(t *testing.T) {
 	const fp = "unknown-unit"
 	coord := NewCoordinator(CoordOptions{Addr: "127.0.0.1:0", Workers: 1, Fingerprint: fp})
@@ -172,6 +197,7 @@ func TestCoordinatorIgnoresUnknownUnit(t *testing.T) {
 			case env.Assign != nil:
 				r := env.Assign.Round
 				writeMsg(conn, envelope{Type: mtResult, Result: &resultMsg{Round: r, Err: "bogus", Outcome: chase.UnitOutcome{Unit: 999}}})
+				writeMsg(conn, envelope{Type: mtResult, Result: &resultMsg{Round: r, Outcome: chase.UnitOutcome{Unit: 2}}})
 				for _, u := range env.Assign.Units {
 					for range 2 {
 						writeMsg(conn, envelope{Type: mtResult, Result: &resultMsg{Round: r, Outcome: chase.UnitOutcome{Unit: u}}})
@@ -183,17 +209,24 @@ func TestCoordinatorIgnoresUnknownUnit(t *testing.T) {
 	if err := coord.WaitWorkers(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.BeginRound(context.Background(), chase.RoundPreamble{Round: 1, Units: 2}); err != nil {
+	var got outcomes
+	if err := coord.BeginRound(context.Background(), chase.RoundPreamble{Round: 1, Units: 2}, got.sink); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		coord.Submit(&crystal.WorkUnit{ID: i, RuleID: "r", Part: fmt.Sprintf("p%d/b", i)})
+	list := make([]*crystal.WorkUnit, 2)
+	for i := range list {
+		list[i] = &crystal.WorkUnit{ID: i, RuleID: "r", Part: fmt.Sprintf("p%d/b", i)}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	st := coord.DrainWithStats(ctx, cluster.Options{MaxRetries: 1})
-	if outs := coord.TakeResults(); st.Cancelled || st.Panics != 0 || len(st.Failed) != 0 || len(outs) != 2 {
+	st := coord.DrainWithStats(ctx, list, cluster.Options{MaxRetries: 1})
+	if outs := got.sorted(); st.Cancelled || st.Panics != 0 || len(st.Failed) != 0 || len(outs) != 2 {
 		t.Fatalf("drain = %+v with %d outcomes; want the 2 real units and the bogus one dropped", st, len(outs))
+	}
+	for i, out := range got.sorted() {
+		if out.Unit != i {
+			t.Errorf("outcome %d is unit %d: an index outside the round reached the sink", i, out.Unit)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func replica(n int, seed int64) (*predicate.Env, []*ree.Rule, *truth.FixSet, map
 
 func replicaOpts(refs map[string]bool) chase.Options {
 	return chase.Options{
-		Lazy: true, UseBlocking: true, Workers: 4, MaxRounds: 30,
+		Lazy: true, UseBlocking: true, Workers: 4,
 		Drain:   cluster.Options{MaxRetries: 2},
 		EIDRefs: refs,
 	}

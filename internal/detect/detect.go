@@ -224,10 +224,7 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 		}
 	}
 	d.opts.Obs.Add("detect.units", uint64(len(all)))
-	for _, u := range all {
-		cl.Submit(u)
-	}
-	st := cl.DrainWithStats(ctx, d.opts.Drain)
+	st := cl.DrainWithStats(ctx, all, d.opts.Drain)
 	// A cancelled drain (or permanently failed units) leaves detection
 	// incomplete but sound: every error found so far stands.
 	d.failed = st.Failed

@@ -10,12 +10,12 @@
 //   - remaining predicates evaluate as soon as their variables are bound
 //     (predicate pushdown), so dead branches prune early.
 //
-// Joins, constant/null selections and probes each have one body, over
-// the environment's dictionary-encoded columns (vector.go, intern.go),
-// whatever the relation's size. Run reports an error when a partition a
-// job walks is not TID-ascending; an id for every live TID holds by
-// construction, since the column cache serves a column only at its
-// relation's current mutation count.
+// Joins and constant/null selections each have one body, over the
+// environment's dictionary-encoded columns (vector.go, intern.go),
+// whatever the relation's size; a probe is a selection. Run reports an
+// error when a partition a job walks is not TID-ascending; an id for
+// every live TID holds by construction, since the column cache serves a
+// column only at its relation's current mutation count.
 //
 // The executor is shared by error detection and the chase, and only reads
 // the caller's Env: without a View values come from raw data (detection);
@@ -183,7 +183,7 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 	if err != nil {
 		return st, err
 	}
-	if plan.pooledPairs {
+	if plan.pairs != nil {
 		defer putPairBuf(plan.pairs)
 	}
 	b.layout(plan)
@@ -197,24 +197,14 @@ func (e *Executor) Run(r *ree.Rule, opts Options, fn func(h *predicate.Valuation
 		b.bindLevel(0)
 		return st, b.err
 	}
-	// Drive the first two slots from the plan's pair list. Join-driven
-	// pairs are built from the candidate lists and need no re-check;
-	// LSH-driven pairs come from the raw partition and must be
-	// intersected with the pushdown survivors.
-	var allow1, allow2 map[int]bool
-	if !plan.prefiltered {
-		allow1 = tidSet(b.cands[plan.slot1].Tuples)
-		allow2 = tidSet(b.cands[plan.slot2].Tuples)
-	}
+	// Drive the first two slots from the plan's pair list, built from
+	// the two slots' pushdown candidate lists.
 	sameRel := fr.Rels[plan.slot1] == fr.Rels[plan.slot2]
 	for _, pr := range plan.pairs {
 		if b.stop {
 			break
 		}
 		t1, t2 := pr[0], pr[1]
-		if !plan.prefiltered && (!allow1[t1.TID] || !allow2[t2.TID]) {
-			continue
-		}
 		if sameRel && t1.TID == t2.TID {
 			continue
 		}
@@ -269,11 +259,12 @@ type level struct {
 }
 
 // probe is one equality t.A = s.B usable to probe a level's slot from an
-// earlier one: the bound side's slot and column, the free side's column.
+// earlier one: the equality itself, the bound side's slot and column, and
+// the free side's attribute.
 type probe struct {
+	p                   *predicate.Compiled
 	boundSlot, boundCol int
 	freeAttr            string
-	freeCol             int
 }
 
 // layout fixes the binding order for the plan and precomputes each
@@ -303,9 +294,9 @@ func (b *binder) layout(plan execPlan) {
 			}
 			switch {
 			case p.SSlot == slot && p.TSlot >= 0 && bound[p.TSlot] && p.BCol >= 0:
-				lv.probes = append(lv.probes, probe{p.TSlot, p.ACol, p.B, p.BCol})
+				lv.probes = append(lv.probes, probe{p, p.TSlot, p.ACol, p.B})
 			case p.TSlot == slot && p.SSlot >= 0 && bound[p.SSlot] && p.ACol >= 0:
-				lv.probes = append(lv.probes, probe{p.SSlot, p.BCol, p.A, p.ACol})
+				lv.probes = append(lv.probes, probe{p, p.SSlot, p.BCol, p.A})
 			}
 		}
 		levelOf[slot] = len(b.levels)
@@ -578,27 +569,16 @@ func dirtyOnly(base crystal.Block, dirty map[int]bool) (crystal.Block, error) {
 	return out, nil
 }
 
-// tidSet builds the membership set of a candidate list.
-func tidSet(ts []*data.Tuple) map[int]bool {
-	set := make(map[int]bool, len(ts))
-	for _, t := range ts {
-		set[t.TID] = true
-	}
-	return set
-}
-
-// execPlan is the chosen driver for the first two slots.
+// execPlan is the chosen driver for the first two slots: the (t, s)
+// pairs of their pushdown candidate lists that a hash join or LSH
+// blocking yields, as pool scratch released after the run. Nil pairs
+// means no driver: the binder nests over every slot.
 type execPlan struct {
 	slot1, slot2 int
 	pairs        [][2]*data.Tuple
 	// covered is the predicate certified by the driver (a join equality),
 	// which the binder does not re-evaluate.
 	covered *predicate.Compiled
-	// prefiltered marks pair lists built from the pushdown candidate
-	// lists — the pairs loop skips its allowed-set intersection.
-	prefiltered bool
-	// pooledPairs marks pairs as pool scratch, released after the run.
-	pooledPairs bool
 }
 
 // plan inspects the rule and builds pair candidates via hash join or LSH
@@ -618,8 +598,6 @@ func (e *Executor) plan(fr *predicate.Frame, cands []crystal.Block, opts Options
 			if pairs != nil {
 				pl.slot1, pl.slot2, pl.pairs = p.TSlot, p.SSlot, pairs
 				pl.covered = p
-				pl.prefiltered = true
-				pl.pooledPairs = true
 				return pl, nil
 			}
 		}
@@ -628,13 +606,10 @@ func (e *Executor) plan(fr *predicate.Frame, cands []crystal.Block, opts Options
 	if opts.UseBlocking {
 		for _, p := range fr.X {
 			if p.Kind == predicate.KML && p.T != p.S && p.TSlot >= 0 && p.SSlot >= 0 {
-				pairs := e.blockPairs(fr, p, opts)
-				if pairs != nil {
-					pl.slot1, pl.slot2, pl.pairs = p.TSlot, p.SSlot, pairs
-					// Not covered: the model still verifies each candidate.
-					// Not prefiltered: LSH pairs come from the raw partition.
-					return pl, nil
-				}
+				pl.slot1, pl.slot2 = p.TSlot, p.SSlot
+				// Not covered: the model still verifies each candidate.
+				pl.pairs = e.blockPairs(fr, p, opts, cands[p.TSlot], cands[p.SSlot])
+				return pl, nil
 			}
 		}
 	}
@@ -700,11 +675,14 @@ func (e *Executor) joinKeys(fr *predicate.Frame, p *predicate.Compiled) []joinKe
 }
 
 // blockPairs builds candidate (t, s) pairs for an ML predicate by LSH
-// (filter-and-verify, paper §5.4): it indexes the s-side block and probes
-// it with each t of the t-side block, t-major. The index is built per
-// call from the current value view, so no index outlives the values it
-// embeds; a same-relation pair (t, t) is skipped by the pairs loop.
-func (e *Executor) blockPairs(fr *predicate.Frame, p *predicate.Compiled, opts Options) [][2]*data.Tuple {
+// (filter-and-verify, paper §5.4) from the two slots' pushdown candidate
+// lists: it indexes the s candidates by position and probes the index
+// with each t candidate, t-major, s in band order (ml.Blocker). The
+// index is built per call from the current value view, so no index
+// outlives the values it embeds; a same-relation pair (t, t) is skipped
+// by the pairs loop. The pairs are pool scratch.
+func (e *Executor) blockPairs(fr *predicate.Frame, p *predicate.Compiled, opts Options,
+	tuplesT, tuplesS crystal.Block) [][2]*data.Tuple {
 	relT, relS := fr.Rels[p.TSlot], fr.Rels[p.SSlot]
 	// Reads go through the embedding store when installed: a value vector
 	// probed by many rules (or re-probed across rounds) embeds once
@@ -713,17 +691,14 @@ func (e *Executor) blockPairs(fr *predicate.Frame, p *predicate.Compiled, opts O
 		return e.embeds.Embed(e.env.Values(rel, t, cols))
 	}
 	dirtyT, dirtyS := opts.Dirty[relT.Schema.Name], opts.Dirty[relS.Schema.Name]
-	tuplesS := e.partitionOf(fr, p.SSlot, opts).Tuples
 	b := ml.NewBlocker(e.lsh)
-	byID := make(map[int]*data.Tuple, len(tuplesS))
-	for _, s := range tuplesS {
-		byID[s.TID] = s
-		b.Add(s.TID, embed(relS, s, p.BsCols))
+	for pos, s := range tuplesS.Tuples {
+		b.Add(pos, embed(relS, s, p.BsCols))
 	}
-	out := make([][2]*data.Tuple, 0)
-	for _, t := range e.partitionOf(fr, p.TSlot, opts).Tuples {
-		for _, sid := range b.CandidatesOf(embed(relT, t, p.AsCols), -1) {
-			s := byID[sid]
+	out := getPairBuf()
+	for _, t := range tuplesT.Tuples {
+		for _, pos := range b.CandidatesOf(embed(relT, t, p.AsCols), -1) {
+			s := tuplesS.Tuples[pos]
 			// Under a dirty filter, at least one of the two must be dirty.
 			if opts.Dirty == nil || dirtyT[t.TID] || dirtyS[s.TID] {
 				out = append(out, [2]*data.Tuple{t, s})
@@ -745,11 +720,14 @@ func (e *Executor) partitionOf(fr *predicate.Frame, slot int, opts Options) crys
 // probeJoin, during recursive binding, returns a filtered candidate list
 // for level lv's slot when an equality predicate links an already-bound
 // slot to it (lv.probes, in X order; one whose bound value is null is
-// skipped). It filters the slot's constant-pushdown candidate list with
-// one posting-list intersection (probeJoinVec), so tuples already
-// eliminated by single-variable predicates are never re-enumerated.
-// probed is false when no equality applies; otherwise list is pool
-// scratch the caller must release.
+// skipped). It selects from the slot's constant-pushdown candidate list
+// the way a constant equality does (postingSelect), with the bound value
+// as the constant: the free column's posting list of its id intersected
+// with the candidate TIDs, and the shadowed candidates evaluating the
+// equality itself through h. So tuples already eliminated by
+// single-variable predicates are never re-enumerated. probed is false
+// when no equality applies; otherwise list is pool scratch the caller
+// must release.
 func (e *Executor) probeJoin(fr *predicate.Frame, lv *level, h *predicate.Valuation,
 	cands crystal.Block) (list []*data.Tuple, probed bool, err error) {
 	for _, pr := range lv.probes {
@@ -758,8 +736,26 @@ func (e *Executor) probeJoin(fr *predicate.Frame, lv *level, h *predicate.Valuat
 			continue
 		}
 		rel := fr.Rels[lv.slot]
-		list, err = e.probeJoinVec(rel, cands, e.internedCol(rel, pr.freeAttr), v, pr.freeCol)
-		return list, err == nil, err
+		col := e.internedCol(rel, pr.freeAttr)
+		f := idFilter{p: pr.p, col: col, viewed: true}
+		f.nullID, f.hasNull = col.Dict.NullID()
+		f.cid, f.hasCID = col.Dict.ID(v)
+		tids, pooled, err := tidsOf(cands)
+		if err != nil {
+			return nil, false, err
+		}
+		shadowPos := e.shadowedPositions(rel, tids)
+		sel, err := e.postingSelect(lv.slot, cands.Tuples, tids, []idFilter{f}, nil, shadowPos, h)
+		putPosBuf(shadowPos)
+		if pooled {
+			putIntBuf(tids)
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		putIntBuf(sel.TIDs)
+		e.reg.Inc("exec.vec.probe_selects")
+		return sel.Tuples, true, nil
 	}
 	return nil, false, nil
 }

@@ -5,8 +5,8 @@ package exec
 // by intersecting posting lists when every filter is an equality, and
 // otherwise by one loop over the partition positions that compares ids;
 // equijoins enumerate from the posting lists instead of building per-unit
-// hash indexes, and probes intersect one posting list with the candidate
-// TIDs. Each preserves the deterministic merge invariant exactly:
+// hash indexes, and a probe is a posting selection with one equality
+// filter, the bound value as its constant. Each preserves the deterministic merge invariant exactly:
 // selections materialize survivors in ascending partition-position order,
 // and the posting join emits pairs t-major with s ascending by position.
 // Columns are served only at their relation's current mutation count, so
@@ -161,8 +161,9 @@ func (e *Executor) candidatesVec(fr *predicate.Frame, slot int, block crystal.Bl
 
 // postingSelect intersects the filters' posting lists with the
 // partition TID array and merges shadowed positions back in ascending
-// position order. Precondition (checked by candidatesVec): every filter
-// is KNull or KConst-Eq.
+// position order. Precondition (checked by candidatesVec, and by
+// construction in probeJoin): every filter is an id equality — a
+// constant or a probe's bound value — or a null check.
 func (e *Executor) postingSelect(slot int, base []*data.Tuple, tids []int,
 	fasts []idFilter, slows []*predicate.Compiled, shadowPos []int32,
 	h *predicate.Valuation) (crystal.Block, error) {
@@ -587,36 +588,4 @@ func appendDirtyPositions(dst []int32, dirty map[int]bool, tids []int) []int32 {
 	dst = crystal.IntersectPositions(dst, want, tids)
 	putIntBuf(want)
 	return dst
-}
-
-// probeJoinVec filters base (the free variable's candidate list) to the
-// tuples whose freeAttr equals v via one posting-list intersection
-// instead of a per-tuple scan; shadowed tuples compare their view value.
-// The result is pool scratch.
-func (e *Executor) probeJoinVec(rel *data.Relation, block crystal.Block,
-	col *crystal.Column, v data.Value, fi int) ([]*data.Tuple, error) {
-	base := block.Tuples
-	tids, pooled, err := tidsOf(block)
-	if err != nil {
-		return nil, err
-	}
-	if pooled {
-		defer putIntBuf(tids)
-	}
-	var matched []int32
-	if target, ok := col.Dict.ID(v); ok {
-		matched = crystal.IntersectPositions(getPosBuf(), col.PostingList(target), tids)
-		defer putPosBuf(matched)
-	}
-	shPos := e.shadowedPositions(rel, tids)
-	defer putPosBuf(shPos)
-	out := getTupleBuf()
-	_ = mergeShadowed(matched, shPos, func(pos int32, shadowed bool) error {
-		if t := base[pos]; !shadowed || e.env.Value(rel, t, fi).Equal(v) {
-			out = append(out, t)
-		}
-		return nil
-	})
-	e.reg.Inc("exec.vec.probe_selects")
-	return out, nil
 }
