@@ -22,6 +22,7 @@ package baselines
 
 import (
 	"context"
+	"slices"
 
 	"github.com/rockclean/rock/internal/chase"
 	"github.com/rockclean/rock/internal/data"
@@ -322,14 +323,28 @@ func collectDetection(errs []*detect.Error) (map[string]bool, map[[2]string]bool
 // argument, Γ itself, is not consulted.
 func ExtractCorrections(u *truth.FixSet, db *data.Database, _ *truth.FixSet) *quality.Corrections {
 	c := quality.NewCorrections()
-	for relName, rel := range db.Relations {
-		for _, t := range rel.Tuples {
-			for i, a := range rel.Schema.Attrs {
-				v, ok := u.Cell(relName, t.EID, a.Name)
-				if !ok || v.Equal(t.Values[i]) {
-					continue
+	// Only a column U validates a cell of can differ from the data, so
+	// only those columns are visited, tuple by tuple.
+	cols := map[string][]string{}
+	u.ForEachCell(func(rel, _, attr string, _ data.Value) {
+		if !slices.Contains(cols[rel], attr) {
+			cols[rel] = append(cols[rel], attr)
+		}
+	})
+	for relName, attrs := range cols {
+		rel := db.Rel(relName)
+		if rel == nil {
+			continue
+		}
+		for _, a := range attrs {
+			i := rel.Schema.Index(a)
+			if i < 0 {
+				continue
+			}
+			for _, t := range rel.Tuples {
+				if v, ok := u.Cell(relName, t.EID, a); ok && !v.Equal(t.Values[i]) {
+					c.AddCell(relName, t.TID, a, v)
 				}
-				c.AddCell(relName, t.TID, a.Name, v)
 			}
 		}
 	}

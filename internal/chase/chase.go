@@ -922,14 +922,38 @@ func keyOfFix(fx Fix) fixKey {
 }
 
 // deduction is one unit's deduction state: its outcome, its rule's id and
-// eidRef (the consequence equates two Options.EIDRefs), and the fixes
-// deduced so far. A unit keeps each fix once, in first-deduced order —
-// the order the merge step would keep it in.
+// eidRef (the consequence equates two Options.EIDRefs), the fixes deduced
+// so far and the anchors resolveValuePair resolved. A unit keeps each fix
+// once, in first-deduced order — the order the merge step would keep it
+// in.
 type deduction struct {
 	out    *UnitOutcome
 	ruleID string
 	eidRef bool
 	seen   map[fixKey]bool
+	// anchors holds a tuple's correlation anchors for a column, seen
+	// through the view. The view moves only between rounds, so a tuple
+	// that conflicts with many partners in one unit is anchored once.
+	anchors map[anchorKey]ml.Anchors
+}
+
+type anchorKey struct {
+	t   *data.Tuple
+	col int
+}
+
+// anchorsOf returns s's anchors under m, resolved on the unit's first ask.
+func (e *Engine) anchorsOf(d *deduction, m *ml.CorrelationModel, s side) ml.Anchors {
+	k := anchorKey{s.t, s.col}
+	a, ok := d.anchors[k]
+	if !ok {
+		if d.anchors == nil {
+			d.anchors = make(map[anchorKey]ml.Anchors)
+		}
+		a = m.Anchors(e.view.tuple(s.rel, s.t), s.col)
+		d.anchors[k] = a
+	}
+	return a
 }
 
 // add appends fx to the outcome unless the unit already deduced it.
@@ -1006,7 +1030,7 @@ func (e *Engine) deduce(d *deduction, h *predicate.Valuation) {
 			// value rarity → user), then assert the winner on both sides —
 			// never contaminate the clean side with an arbitrary choice
 			// (paper §4.1: fixes must be justified, not guessed).
-			winner, ok := e.resolveValuePair(d.out, side{rt, t, p.ACol, vt}, side{rs, s, p.BCol, vs})
+			winner, ok := e.resolveValuePair(d, side{rt, t, p.ACol, vt}, side{rs, s, p.BCol, vs})
 			if !ok {
 				return
 			}
@@ -1321,7 +1345,8 @@ type side struct {
 //
 // It runs during deduction, possibly on many workers at once, so what it
 // has to report (steps 2 and 5) goes into the calling unit's outcome.
-func (e *Engine) resolveValuePair(out *UnitOutcome, a, b side) (data.Value, bool) {
+func (e *Engine) resolveValuePair(d *deduction, a, b side) (data.Value, bool) {
+	out := d.out
 	relT, attrT := a.rel.Schema.Name, a.rel.Schema.Attrs[a.col].Name
 	relS, attrS := b.rel.Schema.Name, b.rel.Schema.Attrs[b.col].Name
 	_, validT := e.u.Cell(relT, a.t.EID, attrT)
@@ -1334,10 +1359,10 @@ func (e *Engine) resolveValuePair(out *UnitOutcome, a, b side) (data.Value, bool
 	}
 
 	// Correlation model: sum each candidate's strength over both tuples,
-	// each seen through the fix set and anchored once for both candidates
-	// (a relation without a model scores 0).
+	// each seen through the fix set and anchored once per unit (a
+	// relation without a model scores 0).
 	mcT, mcS := e.corr[relT], e.corr[relS]
-	anchT, anchS := mcT.Anchors(e.view.tuple(a.rel, a.t), a.col), mcS.Anchors(e.view.tuple(b.rel, b.t), b.col)
+	anchT, anchS := e.anchorsOf(d, mcT, a), e.anchorsOf(d, mcS, b)
 	score := func(v data.Value) float64 { return mcT.StrengthAt(anchT, v) + mcS.StrengthAt(anchS, v) }
 	st, ss := score(a.v), score(b.v)
 	// A wide margin: M_c only decides when the correlation evidence is

@@ -91,3 +91,35 @@ func TestColumnarPartitionsAreTIDAscending(t *testing.T) {
 	rel.Delete(rel.Tuples[17].TID)
 	check("after a delete")
 }
+
+// TestPartitionBuildIsPresized: a partition build sizes each block for
+// its TID % b share, so its allocations do not grow with the relation (a
+// relation twenty times larger costs the same count, give or take one
+// the runtime may add; growing blocks would cost dozens), and its blocks hold
+// exactly what a TID % b filter of the relation gives, in order, deletes
+// included.
+func TestPartitionBuildIsPresized(t *testing.T) {
+	for _, b := range []int{1, 2, 3, 7} {
+		allocs := func(n int) float64 {
+			rel := skuFixture(t, n)
+			return testing.AllocsPerRun(20, func() { (*Cache)(nil).Blocks(rel, b) })
+		}
+		if small, big := allocs(500), allocs(10000); big > small+1 {
+			t.Errorf("b=%d: a partition of 10000 tuples allocates %v times, of 500 %v", b, big, small)
+		}
+		rel := skuFixture(t, 300)
+		for tid := 0; tid < 300; tid += 11 {
+			rel.Delete(tid)
+		}
+		want := make([]Block, b)
+		for _, tu := range rel.Tuples {
+			want[tu.TID%b].Tuples = append(want[tu.TID%b].Tuples, tu)
+			want[tu.TID%b].TIDs = append(want[tu.TID%b].TIDs, tu.TID)
+		}
+		for i, bl := range NewCache().Blocks(rel, b) {
+			if !reflect.DeepEqual(bl.Tuples, want[i].Tuples) || !reflect.DeepEqual(bl.TIDs, want[i].TIDs) {
+				t.Fatalf("b=%d: block %d holds %v, a TID %% %d filter %v", b, i, bl.TIDs, b, want[i].TIDs)
+			}
+		}
+	}
+}

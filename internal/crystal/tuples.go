@@ -127,7 +127,13 @@ func (cs *ColumnStore) blocks(b int) []Block {
 		pt.add(cs.rel.Tuples[pt.at.n:])
 		pt.at = now
 	default:
+		// Each block is sized for its TID % b share, so the build copies
+		// no block while it grows.
 		pt = &partition{at: now, blocks: make([]Block, b)}
+		per := len(cs.rel.Tuples)/b + 1
+		for i := range pt.blocks {
+			pt.blocks[i] = Block{Tuples: make([]*data.Tuple, 0, per), TIDs: make([]int, 0, per)}
+		}
 		pt.add(cs.rel.Tuples)
 		if cs.parts == nil {
 			cs.parts = make(map[int]*partition)

@@ -9,10 +9,10 @@
 package detect
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -167,43 +167,40 @@ func (d *Detector) runCtx(ctx context.Context, dirty map[string]map[int]bool) ([
 	}
 	phase := d.opts.Obs.StartSpan(phaseName, d.opts.Span)
 	defer phase.End()
-	found, partial, err := d.violations(ctx, dirty, phase)
+	results, partial, err := d.violations(ctx, dirty, phase)
 	if err != nil {
 		return nil, partial, err
 	}
-	// The tail costs what the enumeration produced: O(E log E) for E
-	// violations, each keyed once.
-	attributed := attributeCulprits(found.errs, found.keys, CulpritScoreFn(d.env.DB))
-	sort.Sort(attributed)
-	out := attributed.errs
+	out, cut, err := tail(results, d.env.DB)
+	if err != nil {
+		d.opts.Obs.Inc("detect.errors.run")
+		return nil, partial || cut, err
+	}
 	phase.SetN(int64(len(out)))
 	d.opts.Obs.Add("detect.errors.found", uint64(len(out)))
 	d.opts.Obs.Add("detect.wall_ns", uint64(time.Since(start)))
 	if d.opts.Pred != nil {
 		d.opts.Pred.PublishTo(d.opts.Obs)
 	}
-	return out, partial, nil
+	return out, partial || cut, nil
 }
 
 // violations enumerates the rule violations (over the dirty tuples only,
 // when dirty is non-nil) as HyperCube work units on the cluster and
-// returns them in plan order, each Key once.
-func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool, phase *obs.Span) (*errorSet, bool, error) {
+// returns the units' result slots in plan order.
+func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool, phase *obs.Span) ([]*unitResult, bool, error) {
 	cl := cluster.New(d.opts.Workers)
 	cl.SetObs(d.opts.Obs, "detect")
 
 	// Plan: one unit per (rule, block combination), in (rule, block)
 	// order, each with a result slot of its own, assigned whole when the
-	// unit completes — workers share nothing, and the merge below reads
-	// the slots back in plan order, so the result does not depend on
-	// which worker ran what, or when.
+	// unit completes — workers share nothing, and the merge reads the
+	// slots back in plan order, so the result does not depend on which
+	// worker ran what, or when.
 	blocks := d.env.Columns.Partition(d.env.DB, d.opts.Workers)
-	type result struct {
-		errs []*Error
-		err  error
-	}
+	ids := newCellIDs(d.env.DB)
 	var all []*crystal.WorkUnit
-	var results []*result
+	var results []*unitResult
 	for _, r := range d.rules {
 		if err := r.Validate(d.env.DB); err != nil {
 			return nil, false, err
@@ -212,14 +209,14 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 			return nil, false, fmt.Errorf("detect: rule %s has no tuple atoms", r.ID)
 		}
 		for _, b := range crystal.UnitsFor(exec.PlanAtoms(r), blocks) {
-			res := &result{}
+			res := &unitResult{}
 			results = append(results, res)
 			all = append(all, &crystal.WorkUnit{
 				ID:      len(all),
 				RuleID:  r.ID,
 				Part:    b.Part,
 				EstCost: b.EstCost,
-				Run:     func(node string) { res.errs, res.err = d.runUnit(ctx, r, b, dirty, node, phase) },
+				Run:     func(node string) { *res = d.runUnit(ctx, r, b, dirty, node, phase, ids) },
 			})
 		}
 	}
@@ -228,29 +225,55 @@ func (d *Detector) violations(ctx context.Context, dirty map[string]map[int]bool
 	// A cancelled drain (or permanently failed units) leaves detection
 	// incomplete but sound: every error found so far stands.
 	d.failed = st.Failed
-	partial := st.Cancelled || len(st.Failed) > 0
-	// Merge in plan order: the first rule (and block) to find an error
-	// reports it, so RuleID is as reproducible as the key set.
-	merged := &errorSet{}
+	return results, st.Cancelled || len(st.Failed) > 0, nil
+}
+
+// unitResult is one detection unit's slot: its violations and their keys,
+// index for index, and the error that stopped it.
+type unitResult struct {
+	errs []*Error
+	keys []vkey
+	err  error
+}
+
+// tail is detection's serial tail over the units' slots: the merge, in
+// plan order — the first rule (and block) to find an error reports it, so
+// RuleID is as reproducible as the key set — on pointer-free keys; the
+// culprit cover; and the key order of what it returns. Strings are built
+// for ER and wider errors, for the cells a tie-break compares and for the
+// errors returned, never per violation. A unit cut short by cancellation
+// keeps what it found and makes the result partial; any other unit error
+// is returned.
+func tail(results []*unitResult, db *data.Database) ([]*Error, bool, error) {
+	n := 0
 	for _, res := range results {
-		// A unit cut short by cancellation keeps what it found.
+		n += len(res.errs)
+	}
+	merged := newErrorSet(n)
+	partial := false
+	for _, res := range results {
 		cut := errors.Is(res.err, context.Canceled) || errors.Is(res.err, context.DeadlineExceeded)
 		if res.err != nil && !cut {
-			d.opts.Obs.Inc("detect.errors.run")
 			return nil, partial, res.err
 		}
 		partial = partial || cut
-		for _, e := range res.errs {
-			merged.add(e, e.Key())
+		for i, e := range res.errs {
+			merged.add(e, res.keys[i])
 		}
 	}
-	return merged, partial, nil
+	null := func(c data.CellRef) bool {
+		v, ok := db.Rel(c.Rel).Value(c.TID, c.Attr) // c has an id, so its relation exists
+		return ok && v.IsNull()
+	}
+	out := attributeCulprits(merged.errs, merged.keys, null, CulpritScoreFn(db)).errs
+	sortByKey(out)
+	return out, partial, nil
 }
 
 // runUnit is the body of one detection work unit: run the local executor
 // for rule r over the unit's blocks until done or ctx is cancelled, and
-// return the errors its violations implicate with the first error.
-func (d *Detector) runUnit(ctx context.Context, r *ree.Rule, b crystal.BlockUnit, dirty map[string]map[int]bool, node string, phase *obs.Span) ([]*Error, error) {
+// return the errors its violations implicate, keyed, with the first error.
+func (d *Detector) runUnit(ctx context.Context, r *ree.Rule, b crystal.BlockUnit, dirty map[string]map[int]bool, node string, phase *obs.Span, ids cellIDs) unitResult {
 	reg := d.opts.Obs
 	unitSpan := reg.StartSpan("unit", phase)
 	unitSpan.SetRule(r.ID)
@@ -258,7 +281,7 @@ func (d *Detector) runUnit(ctx context.Context, r *ree.Rule, b crystal.BlockUnit
 	unitSpan.SetDetail(b.Part)
 	defer unitSpan.End()
 	unitStart := time.Now()
-	var local []*Error
+	var local unitResult
 	var evalErr error
 	st, err := d.ex.Run(r, exec.Options{
 		Ctx:         ctx,
@@ -272,18 +295,20 @@ func (d *Detector) runUnit(ctx context.Context, r *ree.Rule, b crystal.BlockUnit
 			return false
 		}
 		if !ok {
-			local = append(local, Implicate(r, h))
+			e := Implicate(r, h)
+			local.errs = append(local.errs, e)
+			local.keys = append(local.keys, keyOf(e, ids.id))
 		}
 		return true
 	})
 	unitSpan.SetN(int64(st.Valuations))
 	reg.Inc("detect.rule." + r.ID + ".units")
 	reg.Add("detect.rule."+r.ID+".wall_ns", uint64(time.Since(unitStart)))
-	if err != nil {
+	if local.err = evalErr; err != nil {
 		reg.Inc("detect.rule." + r.ID + ".errors")
-		return local, err
+		local.err = err
 	}
-	return local, evalErr
+	return local
 }
 
 // CulpritScoreFn builds the culprit tie-break score over one database
@@ -292,12 +317,13 @@ func (d *Detector) runUnit(ctx context.Context, r *ree.Rule, b crystal.BlockUnit
 // in [0, 1). Typos and corrupted numbers are rare in their columns and
 // contain bigrams the column has never seen elsewhere, so lower scores
 // mark the likelier culprit. A column's statistics are built on the first
-// score asked of it.
+// score asked of it, each distinct value's string once, the bigrams
+// counted in a table paged by their first byte.
 func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 	type colKey struct{ rel, attr string }
 	type colStats struct {
 		freq      map[data.Canon]int
-		bigrams   map[string]int
+		bigrams   [256]*[256]int
 		total     int
 		maxBigram int
 	}
@@ -309,18 +335,22 @@ func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 			return st
 		}
 		ai := rel.Schema.Index(c.Attr)
-		st := &colStats{freq: map[data.Canon]int{}, bigrams: map[string]int{}}
+		counts := map[data.Value]int{}
 		for _, t := range rel.Tuples {
-			v := t.Values[ai]
-			st.freq[v.Canon()]++
+			counts[t.Values[ai]]++
+		}
+		st := &colStats{freq: make(map[data.Canon]int, len(counts))}
+		for v, n := range counts {
+			st.freq[v.Canon()] += n
 			s := v.String()
 			for i := 0; i+2 <= len(s); i++ {
-				st.bigrams[s[i:i+2]]++
-				st.total++
+				if st.bigrams[s[i]] == nil {
+					st.bigrams[s[i]] = new([256]int)
+				}
+				st.bigrams[s[i]][s[i+1]] += n
+				st.maxBigram = max(st.maxBigram, st.bigrams[s[i]][s[i+1]])
+				st.total += n
 			}
-		}
-		for _, cnt := range st.bigrams {
-			st.maxBigram = max(st.maxBigram, cnt)
 		}
 		cache[k] = st
 		return st
@@ -347,15 +377,68 @@ func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 		if st.total > 0 && len(s) >= 2 {
 			sum, n := 0.0, 0.0
 			for i := 0; i+2 <= len(s); i++ {
-				sum += float64(st.bigrams[s[i:i+2]]) / float64(st.maxBigram)
+				if page := st.bigrams[s[i]]; page != nil {
+					sum += float64(page[s[i+1]]) / float64(st.maxBigram)
+				}
 				n++
 			}
-			if n > 0 {
-				score += 0.99 * (sum / n)
-			}
+			score += 0.99 * (sum / n)
 		}
 		return score
 	}
+}
+
+// cellIDs packs a database's cells pointer-free for one detection run:
+// numbered from 1 relation by relation in name order, attribute by
+// attribute, TID by TID. Safe for concurrent use.
+type cellIDs map[string]relCells
+
+// relCells is where a relation's cells start and its NextTID then.
+type relCells struct {
+	rel  *data.Relation
+	next int
+	base uint64
+}
+
+func newCellIDs(db *data.Database) cellIDs {
+	ids, base := cellIDs{}, uint64(1)
+	for _, name := range db.Names() {
+		rel := db.Rel(name)
+		ids[name] = relCells{rel, rel.NextTID(), base}
+		base += uint64(len(rel.Schema.Attrs) * rel.NextTID())
+	}
+	return ids
+}
+
+// id numbers c; false for a cell outside the database.
+func (ids cellIDs) id(c data.CellRef) (uint64, bool) {
+	r, ok := ids[c.Rel]
+	if !ok || c.TID < 0 || c.TID >= r.next {
+		return 0, false
+	}
+	a := r.rel.Schema.Index(c.Attr)
+	return r.base + uint64(a*r.next+c.TID), a >= 0
+}
+
+// vkey is a violation's deduplication key: the ids of its one or two
+// cells, in cell order, 0 for a missing second. An ER error, one of no
+// cells or of more than two, or one whose cell has no id, has the zero
+// vkey and is keyed by Key instead.
+type vkey [2]uint64
+
+// keyOf keys e by the cell numbering id.
+func keyOf(e *Error, id func(data.CellRef) (uint64, bool)) vkey {
+	var k vkey
+	if e.Task == ree.TaskER || len(e.Cells) == 0 || len(e.Cells) > 2 {
+		return k
+	}
+	for i, c := range e.Cells {
+		var ok bool
+		if k[i], ok = id(c); !ok {
+			return vkey{}
+		}
+	}
+	return k
 }
 
 // AttributeCulpritsFreq refines two-cell violations into single-cell errors
@@ -377,75 +460,83 @@ func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 // over maintained degrees: O(E log E + K log K) for E violations over K
 // cells.
 func AttributeCulpritsFreq(errs []*Error, freq func(data.CellRef) float64) []*Error {
-	return attributeCulprits(errs, nil, freq).errs
+	ids := map[data.CellRef]uint64{}
+	id := func(c data.CellRef) (uint64, bool) {
+		if _, ok := ids[c]; !ok {
+			ids[c] = uint64(len(ids) + 1)
+		}
+		return ids[c], true
+	}
+	keys := make([]vkey, len(errs))
+	for i, e := range errs {
+		keys[i] = keyOf(e, id)
+	}
+	scores := map[data.CellRef]float64{}
+	null := func(c data.CellRef) bool {
+		if freq != nil {
+			scores[c] = freq(c)
+		}
+		return scores[c] < 0
+	}
+	return attributeCulprits(errs, keys, null, func(c data.CellRef) float64 { return scores[c] }).errs
 }
 
-// attributeCulprits is AttributeCulpritsFreq returning the errors together
-// with their keys. keys, when non-nil, holds errs[i].Key() at i, so the
-// errors passed through are not keyed a second time.
-func attributeCulprits(errs []*Error, keys []string, freq func(data.CellRef) float64) *errorSet {
-	out := &errorSet{}
+// attributeCulprits is AttributeCulpritsFreq over errors keyed by keys
+// (keys[i] is errs[i]'s), with the score split in two: null marks a
+// culprit outright and is asked of every cell; score breaks degree ties
+// and is asked, once, only of the cells still uncovered once the nulls
+// are blamed — a cell left at degree 0 never comes off the heap while a
+// violation is uncovered.
+func attributeCulprits(errs []*Error, keys []vkey, null func(data.CellRef) bool, score func(data.CellRef) float64) *errorSet {
+	out := newErrorSet(0)
 	// The violation graph: its vertices are the cells of the two-cell
-	// violations, ranked in key order so that index order is key order.
-	type cell struct {
-		ref data.CellRef
-		key string
-		src *Error // the first violation to implicate the cell: its rule takes the blame
-	}
+	// violations, numbered in order of appearance.
 	var cells []cell
-	var graph []*Error
-	rank := map[data.CellRef]int{}
+	ends := make([][2]int, 0, len(errs))
+	rank := map[uint64]int{}
+	vertex := func(id uint64, ref data.CellRef, src *Error) int {
+		c, ok := rank[id]
+		if !ok {
+			c = len(cells)
+			rank[id] = c
+			cells = append(cells, cell{id: id, ref: ref, src: src})
+		}
+		return c
+	}
 	for i, e := range errs {
-		if e.Task == ree.TaskER || len(e.Cells) != 2 {
-			if keys != nil {
-				out.add(e, keys[i])
-			} else {
-				out.add(e, e.Key())
-			}
-			continue
-		}
-		graph = append(graph, e)
-		for _, c := range e.Cells {
-			if _, ok := rank[c]; !ok {
-				rank[c] = len(cells)
-				cells = append(cells, cell{ref: c, key: c.String(), src: e})
-			}
+		if k := keys[i]; k[1] == 0 {
+			out.add(e, k)
+		} else {
+			ends = append(ends, [2]int{vertex(k[0], e.Cells[0], e), vertex(k[1], e.Cells[1], e)})
 		}
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].key < cells[j].key })
-	for i, c := range cells {
-		rank[c.ref] = i
-	}
-	// Per cell: the edges at it (a self-edge twice), how many of them are
-	// uncovered, and its score.
-	ends := make([][2]int, len(graph))
-	adj := make([][]int, len(cells))
+	// Per cell: the edges at it (a self-edge twice), adj[at[c]:at[c+1]],
+	// and how many of them are uncovered.
 	deg := make([]int, len(cells))
-	for i, e := range graph {
-		ends[i] = [2]int{rank[e.Cells[0]], rank[e.Cells[1]]}
-		for _, c := range ends[i] {
-			adj[c] = append(adj[c], i)
-			deg[c]++
-		}
+	for _, en := range ends {
+		deg[en[0]]++
+		deg[en[1]]++
 	}
-	score := make([]float64, len(cells))
-	if freq != nil {
-		for i, c := range cells {
-			score[i] = freq(c.ref)
+	at := make([]int, len(cells)+1)
+	for c, d := range deg {
+		at[c+1] = at[c] + d
+	}
+	adj, next := make([]int, at[len(cells)]), slices.Clone(at)
+	for i, en := range ends {
+		for _, c := range en {
+			adj[next[c]] = i
+			next[c]++
 		}
 	}
 	// An entry is live while its degree is the cell's current one; a cell
 	// whose degree drops gets a new entry and the old one is skipped when
 	// it surfaces.
-	h := make(culpritHeap, 0, len(cells))
-	for c, d := range deg {
-		h = append(h, culpritEntry{deg: d, score: score[c], cell: c})
-	}
-	heap.Init(&h)
+	h := &culpritHeap{cells: cells, names: make([]string, len(cells))}
+	scores := make([]float64, len(cells))
 	covered := make([]bool, len(ends))
 	remaining := len(ends)
 	blame := func(c int) {
-		for _, i := range adj[c] {
+		for _, i := range adj[at[c]:at[c+1]] {
 			if covered[i] {
 				continue
 			}
@@ -453,87 +544,166 @@ func attributeCulprits(errs []*Error, keys []string, freq func(data.CellRef) flo
 			remaining--
 			for _, n := range ends[i] {
 				deg[n]--
-				if n != c && deg[n] > 0 {
-					heap.Push(&h, culpritEntry{deg: deg[n], score: score[n], cell: n})
+				if h.entries != nil && n != c && deg[n] > 0 {
+					h.push(culpritEntry{deg: deg[n], score: scores[n], cell: n})
 				}
 			}
 		}
 		src := cells[c].src
-		culprit := &Error{RuleID: src.RuleID, Task: src.Task, Cells: []data.CellRef{cells[c].ref}}
-		out.add(culprit, culprit.Key())
+		out.add(&Error{RuleID: src.RuleID, Task: src.Task, Cells: []data.CellRef{cells[c].ref}}, vkey{cells[c].id})
 	}
-	// Null cells are culprits outright, whether or not an earlier one
-	// already covered their violations.
+	// Null cells are culprits outright, in key order, whether or not an
+	// earlier one already covered their violations.
+	var nulls []int
 	for c := range cells {
-		if score[c] < 0 {
-			blame(c)
+		if null(cells[c].ref) {
+			nulls = append(nulls, c)
 		}
 	}
+	sort.Slice(nulls, func(i, j int) bool { return h.before(nulls[i], nulls[j]) })
+	for _, c := range nulls {
+		blame(c)
+	}
+	h.entries = make([]culpritEntry, 0, len(cells))
+	for c, d := range deg {
+		if d > 0 {
+			scores[c] = score(cells[c].ref)
+			h.entries = append(h.entries, culpritEntry{deg: d, score: scores[c], cell: c})
+		}
+	}
+	for i := len(h.entries)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 	for remaining > 0 {
-		if top := heap.Pop(&h).(culpritEntry); top.deg == deg[top.cell] {
+		if top := h.pop(); top.deg == deg[top.cell] {
 			blame(top.cell)
 		}
 	}
 	return out
 }
 
+// cell is a vertex of the violation graph: a cell, its id and the first
+// violation to implicate it, whose rule takes the blame.
+type cell struct {
+	id  uint64
+	ref data.CellRef
+	src *Error
+}
+
 // culpritEntry is a cell as the cover saw it when the entry was pushed.
 type culpritEntry struct {
 	deg   int // uncovered violations at the cell
 	score float64
-	cell  int // rank in key order
+	cell  int
 }
 
 // culpritHeap yields the next culprit: the most uncovered violations, then
-// the lower score, then the smaller key.
-type culpritHeap []culpritEntry
+// the lower score, then the smaller key. A cell's key (its String) is
+// built the first time a tie compares it.
+type culpritHeap struct {
+	entries []culpritEntry
+	cells   []cell
+	names   []string
+}
 
-func (h culpritHeap) Len() int { return len(h) }
-func (h culpritHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+func (h *culpritHeap) less(i, j int) bool {
+	a, b := h.entries[i], h.entries[j]
 	if a.deg != b.deg {
 		return a.deg > b.deg
 	}
 	if a.score != b.score {
 		return a.score < b.score
 	}
-	return a.cell < b.cell
+	return h.before(a.cell, b.cell)
 }
-func (h culpritHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *culpritHeap) Push(x any)   { *h = append(*h, x.(culpritEntry)) }
-func (h *culpritHeap) Pop() any {
-	old := *h
-	top := old[len(old)-1]
-	*h = old[:len(old)-1]
+
+// before orders cells by key, and equal keys by number.
+func (h *culpritHeap) before(a, b int) bool {
+	for _, c := range [2]int{a, b} {
+		if h.names[c] == "" {
+			h.names[c] = h.cells[c].ref.String()
+		}
+	}
+	if h.names[a] != h.names[b] {
+		return h.names[a] < h.names[b]
+	}
+	return a < b
+}
+
+func (h *culpritHeap) push(e culpritEntry) {
+	h.entries = append(h.entries, e)
+	for i := len(h.entries) - 1; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
+		h.entries[i], h.entries[(i-1)/2] = h.entries[(i-1)/2], h.entries[i]
+	}
+}
+
+func (h *culpritHeap) pop() culpritEntry {
+	top, n := h.entries[0], len(h.entries)-1
+	h.entries[0] = h.entries[n]
+	h.entries = h.entries[:n]
+	h.down(0)
 	return top
 }
 
-// errorSet holds the first error of every Key, in arrival order, in step
-// with the keys: a key is built once, however often it is compared.
-// Sorting orders the set by key.
+func (h *culpritHeap) down(i int) {
+	for n := len(h.entries); 2*i+1 < n; {
+		m := 2*i + 1
+		if m+1 < n && h.less(m+1, m) {
+			m++
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h.entries[i], h.entries[m] = h.entries[m], h.entries[i]
+		i = m
+	}
+}
+
+// errorSet holds the first error of every key, in arrival order, in step
+// with the keys: an error of one or two cells is looked up by its vkey,
+// any other by its Key.
 type errorSet struct {
-	errs []*Error
-	keys []string
-	seen map[string]bool
+	errs  []*Error
+	keys  []vkey
+	cells map[vkey]struct{}
+	other map[string]struct{}
 }
 
-// add appends e, whose Key is key, unless the set holds that key already.
-func (s *errorSet) add(e *Error, key string) {
-	if s.seen == nil {
-		s.seen = map[string]bool{}
+func newErrorSet(n int) *errorSet {
+	return &errorSet{errs: make([]*Error, 0, n), keys: make([]vkey, 0, n), cells: make(map[vkey]struct{}, n), other: map[string]struct{}{}}
+}
+
+// add appends e, whose vkey is k, unless the set holds its key already.
+func (s *errorSet) add(e *Error, k vkey) {
+	had := len(s.cells) + len(s.other)
+	switch {
+	case k == (vkey{}):
+		s.other[e.Key()] = struct{}{}
+	case k[1] != 0 && k[1] < k[0]:
+		s.cells[vkey{k[1], k[0]}] = struct{}{}
+	default:
+		s.cells[k] = struct{}{}
 	}
-	if !s.seen[key] {
-		s.seen[key] = true
+	if len(s.cells)+len(s.other) > had {
 		s.errs = append(s.errs, e)
-		s.keys = append(s.keys, key)
+		s.keys = append(s.keys, k)
 	}
 }
 
-func (s *errorSet) Len() int           { return len(s.errs) }
-func (s *errorSet) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *errorSet) Swap(i, j int) {
-	s.errs[i], s.errs[j] = s.errs[j], s.errs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+// sortByKey orders errs by Key, building each key once.
+func sortByKey(errs []*Error) {
+	type keyed struct {
+		key string
+		e   *Error
+	}
+	ks := make([]keyed, len(errs))
+	for i, e := range errs {
+		ks[i] = keyed{e.Key(), e}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	for i := range ks {
+		errs[i] = ks[i].e
+	}
 }
 
 // Implicate derives the error evidence from a violation of r under h

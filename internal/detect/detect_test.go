@@ -525,11 +525,15 @@ func TestDetectMatchesReferenceAttribution(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				violations, _, err := d.violations(context.Background(), nil, nil)
+				results, _, err := d.violations(context.Background(), nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := refAttributeCulpritsFreq(violations.errs, CulpritScoreFn(env.DB))
+				violations, _, err := strMerge(results)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := refAttributeCulpritsFreq(violations.errs, strCulpritScoreFn(env.DB))
 				sort.Slice(want, func(i, j int) bool { return want[i].Key() < want[j].Key() })
 				if len(got) == 0 {
 					t.Fatal("nothing detected")
@@ -562,20 +566,23 @@ func TestDetectSingleVariableRule(t *testing.T) {
 	}
 }
 
-// BenchmarkAttributeCulprits: attribution alone, on the violation graph
-// detection hands it for Logistics at N = 1000 (about 14k edges over 1.6k
-// cells), column statistics included.
+// BenchmarkAttributeCulprits: detection's whole serial tail — merge,
+// cover (column statistics included) and key order — over the unit slots
+// detection fills for Logistics at N = 1000 (about 15k raw violations,
+// a 14k-edge graph over 1.6k cells).
 func BenchmarkAttributeCulprits(b *testing.B) {
 	ds := workload.Logistics(workload.Config{N: 1000, Seed: 2024})
 	env := ds.BuildEnv()
-	violations, _, err := New(env, ds.Rules, DefaultOptions()).violations(context.Background(), nil, nil)
+	results, _, err := New(env, ds.Rules, DefaultOptions()).violations(context.Background(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		attributedSink = AttributeCulpritsFreq(violations.errs, CulpritScoreFn(env.DB))
+		if attributedSink, _, err = tail(results, env.DB); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
