@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/rockclean/rock/internal/chase"
@@ -247,5 +248,63 @@ func TestSQLCorrectSeesItsOwnWrites(t *testing.T) {
 	_, c1 := out.Cells[quality.CellKey("R", 1, "c")]
 	if !c0 && !c1 {
 		t.Fatalf("the join on b never saw R[0].b = B2: corrections %v", out.Cells)
+	}
+}
+
+// TestExtractCorrectionsMatchesCellScan: the EID-keyed diff finds exactly
+// the cells a scan of every tuple and attribute against U finds, on fix
+// sets with merged entity classes.
+func TestExtractCorrectionsMatchesCellScan(t *testing.T) {
+	for _, ds := range workload.All(workload.Config{N: 250, Seed: 9}) {
+		eng := chase.New(ds.BuildEnv(), ds.Rules, ds.Gamma.Clone(), chase.DefaultOptions())
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		u := eng.Truth()
+		want := map[string]data.Value{}
+		for name, rel := range ds.DB.Relations {
+			for _, tp := range rel.Tuples {
+				for i, a := range rel.Schema.Attrs {
+					if v, ok := u.Cell(name, tp.EID, a.Name); ok && !v.Equal(tp.Values[i]) {
+						want[quality.CellKey(name, tp.TID, a.Name)] = v
+					}
+				}
+			}
+		}
+		got := ExtractCorrections(u, ds.DB, ds.Gamma).Cells
+		if len(want) == 0 || len(got) != len(want) {
+			t.Fatalf("%s: %d corrected cells, the scan %d", ds.Name, len(got), len(want))
+		}
+		for k, v := range want {
+			if w, ok := got[k]; !ok || !w.Equal(v) || w.Kind() != v.Kind() {
+				t.Fatalf("%s: cell %s is %v, the scan %v", ds.Name, k, w, v)
+			}
+		}
+	}
+}
+
+// TestMLBaselinesReproducible: T5s and RB draw their training split from
+// one seeded generator, so five runs over the same Bank data score the
+// same — detection and correction alike. Walking the relations in map
+// order once made the split, and the scores, change from run to run.
+func TestMLBaselinesReproducible(t *testing.T) {
+	ds := workload.Bank(workload.Config{N: 60, Seed: 2024})
+	for _, mk := range []func() System{func() System { return NewT5s() }, func() System { return NewRB() }} {
+		var first string
+		for run := 0; run < 5; run++ {
+			sys := mk()
+			det := detectF1(t, sys, NewBench(ds, 4))
+			b := NewBench(ds, 4)
+			corr, err := sys.Correct(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("detect %.6f, correct %.6f", det, quality.ScoreCorrection(b.DS.Gold, corr, b.RawValue).Overall().F1())
+			if run == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s run %d: %s, run 0: %s", sys.Name(), run, got, first)
+			}
+		}
 	}
 }

@@ -121,7 +121,10 @@ func (rb *RB) Discover(b *Bench) ([]*ree.Rule, error) {
 	rb.models = make(map[string]*ml.StumpEnsemble)
 	rb.context = make(map[string]map[string]map[string]valCount)
 	goldCells := b.DS.Gold.ErrorCells()
-	for relName, rel := range b.Env.DB.Relations {
+	// Relations in name order: rng draws the training split, so the
+	// split must not follow map iteration order.
+	for _, relName := range b.Env.DB.Names() {
+		rel := b.Env.DB.Rel(relName)
 		for ai, attr := range rel.Schema.Attrs {
 			key := relName + "." + attr.Name
 			ctx := make(map[string]map[string]valCount)

@@ -22,7 +22,6 @@ package baselines
 
 import (
 	"context"
-	"slices"
 
 	"github.com/rockclean/rock/internal/chase"
 	"github.com/rockclean/rock/internal/data"
@@ -323,27 +322,33 @@ func collectDetection(errs []*detect.Error) (map[string]bool, map[[2]string]bool
 // argument, Γ itself, is not consulted.
 func ExtractCorrections(u *truth.FixSet, db *data.Database, _ *truth.FixSet) *quality.Corrections {
 	c := quality.NewCorrections()
-	// Only a column U validates a cell of can differ from the data, so
-	// only those columns are visited, tuple by tuple.
-	cols := map[string][]string{}
-	u.ForEachCell(func(rel, _, attr string, _ data.Value) {
-		if !slices.Contains(cols[rel], attr) {
-			cols[rel] = append(cols[rel], attr)
+	// Only a tuple whose EID is in the entity class of a validated cell
+	// can differ from U, so each relation U validates a cell of is walked
+	// once, keyed by EID, and only those tuples are compared.
+	type cell struct {
+		attr string
+		v    data.Value
+	}
+	byEID := map[string]map[string][]cell{}
+	u.ForEachCell(func(rel, root, attr string, v data.Value) {
+		m := byEID[rel]
+		if m == nil {
+			m = map[string][]cell{}
+			byEID[rel] = m
+		}
+		for _, eid := range u.ClassMembers(root) {
+			m[eid] = append(m[eid], cell{attr, v})
 		}
 	})
-	for relName, attrs := range cols {
+	for relName, cells := range byEID {
 		rel := db.Rel(relName)
 		if rel == nil {
 			continue
 		}
-		for _, a := range attrs {
-			i := rel.Schema.Index(a)
-			if i < 0 {
-				continue
-			}
-			for _, t := range rel.Tuples {
-				if v, ok := u.Cell(relName, t.EID, a); ok && !v.Equal(t.Values[i]) {
-					c.AddCell(relName, t.TID, a, v)
+		for _, t := range rel.Tuples {
+			for _, cl := range cells[t.EID] {
+				if i := rel.Schema.Index(cl.attr); i >= 0 && !cl.v.Equal(t.Values[i]) {
+					c.AddCell(relName, t.TID, cl.attr, cl.v)
 				}
 			}
 		}

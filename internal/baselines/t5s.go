@@ -122,7 +122,10 @@ func (t *T5s) Discover(b *Bench) ([]*ree.Rule, error) {
 		}
 	}
 	const fineTuneEpochs = 20
-	for relName, rel := range b.Env.DB.Relations {
+	// Relations in name order: rng draws the training split, so the
+	// split must not follow map iteration order.
+	for _, relName := range b.Env.DB.Names() {
+		rel := b.Env.DB.Rel(relName)
 		for ai, attr := range rel.Schema.Attrs {
 			key := relName + "." + attr.Name
 			var cells []data.Value

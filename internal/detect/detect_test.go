@@ -145,10 +145,12 @@ func (c *countdownCtx) Err() error {
 
 // TestDetectCancelStopsInsideUnit: a cancelled DetectCtx stops the unit
 // it is running, not only the units still pending. At Workers = 1 the
-// rule is one unit of about 20 000 valuations; the countdown outlasts every
-// poll the drain makes between units, so only the executor's own polls
-// (one per 64 valuations) can end the run early. The run is partial,
-// without an error, and keeps the errors found before the cut.
+// rule is one unit whose 3 200 violating pairs are its only bindings
+// (the other 16 000 or so satisfy P0 and never bind); the countdown
+// outlasts every poll the drain makes between units, so only the
+// executor's own polls (one per 64 bindings) can end the run early. The
+// run is partial, without an error, and keeps the errors found before
+// the cut.
 func TestDetectCancelStopsInsideUnit(t *testing.T) {
 	env, _, _ := dirtyTransEnv(t, 400)
 	rules := []*ree.Rule{crRule(t, env)}
@@ -159,7 +161,7 @@ func TestDetectCancelStopsInsideUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &countdownCtx{Context: context.Background()}
-	ctx.remaining.Store(40)
+	ctx.remaining.Store(4)
 	errs, partial, err := New(env, rules, o).DetectCtx(ctx)
 	if err != nil || !partial {
 		t.Fatalf("cancelled detection: partial=%v err=%v, want partial and no error", partial, err)

@@ -105,7 +105,7 @@ func TestDirtyPostingJoinMatchesFilteredFullJoin(t *testing.T) {
 		reg := obs.New()
 		e := New(env)
 		e.SetObs(reg)
-		for _, src := range []string{"R(t) ^ R(s) ^ t.k = s.k -> t.k = s.k", "A(t) ^ B(s) ^ t.x = s.y -> t.x = s.y"} {
+		for _, src := range []string{"R(t) ^ R(s) ^ t.k = s.k -> t.eid = s.eid", "A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid"} {
 			r := must.Rule(src, env.DB)
 			p := r.X[0]
 			relT, relS := env.DB.Rel(r.RelOf(p.T)), env.DB.Rel(r.RelOf(p.S))

@@ -1,5 +1,11 @@
 // Package exec is the local executor of paper §5.3: it evaluates one REE++
 // against (a partition of) the data, enumerating only promising valuations.
+// When the consequence p0 is an attribute equality t.A = s.B, Run emits
+// only the valuations h |= X on which p0 does not hold (a null on either
+// side never holds): a valuation that satisfies p0 detects nothing and
+// deduces nothing, so no caller receives one. Every other consequence
+// gets every h |= X.
+//
 // A small query optimizer picks the evaluation strategy per rule:
 //
 //   - constant predicates are pushed down to pre-filter each variable's
@@ -8,7 +14,11 @@
 //   - ML predicates M(t[A̅], s[B̅]) drive LSH blocking (filter-and-verify,
 //     paper §5.4) instead of the quadratic all-pairs sweep;
 //   - remaining predicates evaluate as soon as their variables are bound
-//     (predicate pushdown), so dead branches prune early.
+//     (predicate pushdown), so dead branches prune early;
+//   - an attribute-equality p0 is checked first at the level that binds
+//     its last variable, and the equality join drops a raw pair whose p0
+//     values are Equal before it is bound, and a whole join group whose
+//     raw tuples all hold t's p0 value before it is intersected.
 //
 // Joins and constant/null selections each have one body, over the
 // environment's dictionary-encoded columns (vector.go, intern.go),
@@ -67,7 +77,7 @@ type Options struct {
 // ablation.
 type Stats struct {
 	Valuations int // valuations reaching the callback
-	Enumerated int // candidate bindings generated before pruning
+	Enumerated int // candidate bindings generated before pruning (a pair the join drops is none)
 	MLCalls    int // ML predicate evaluations (post-blocking)
 }
 
@@ -116,8 +126,12 @@ func (e *Executor) SetEmbedStore(s *ml.EmbedStore) { e.embeds = s }
 // the first Run; nil (the default) records nothing.
 func (e *Executor) SetObs(reg *obs.Registry) { e.reg = reg }
 
-// Run enumerates valuations h of rule r with h |= X, invoking fn for each.
-// fn returns false to stop early. The returned stats describe the run.
+// Run enumerates valuations h of rule r with h |= X, invoking fn for each
+// — except, when r's consequence is an attribute equality t.A = s.B, the
+// valuations on which it already holds (both values non-null and Equal,
+// as the env reads them): those are never bound, counted or emitted, so
+// fn sees exactly the violations. fn returns false to stop early. The
+// returned stats describe the run.
 // The rule is compiled to slots once per call (ree.Rule.Compile): h is
 // one slot array reused for every valuation, and fn reads h.Frame.P0
 // for the consequence. fn must not retain h past its return (Clone it).
@@ -234,9 +248,9 @@ type binder struct {
 	levels []level
 	dirty  []map[int]bool // per slot, its relation's Options.Dirty set
 
-	stop      bool
-	err       error
-	emitCalls int
+	stop  bool
+	err   error
+	polls int // checkAt calls, for cancellation
 
 	spans    bool // the registry records spans
 	execSpan *obs.Span
@@ -251,6 +265,10 @@ type level struct {
 	// ready lists, in X order, the predicates whose last variable this
 	// level binds: each is evaluated exactly once per binding path, here.
 	ready []int
+	// violates marks the level that binds the last slot of an attribute
+	// equality P0: a binding on which P0 already holds is rejected here,
+	// before any predicate of ready.
+	violates bool
 	// self lists the earlier slots over the same relation, whose tuples
 	// this one does not bind again (no self-pairs); probes are the
 	// equalities linking an earlier slot to this one, in X order.
@@ -326,11 +344,41 @@ func (b *binder) layout(plan execPlan) {
 		}
 		b.levels[at].ready = append(b.levels[at].ready, i)
 	}
+	if p := fr.P0; equates(p) && p.TSlot >= 0 && p.SSlot >= 0 {
+		b.levels[max(levelOf[p.TSlot], levelOf[p.SSlot])].violates = true
+	}
 }
 
-// checkAt evaluates the predicates that become ready at level li, in X
-// order, stopping at the first false one. An error fails the run.
+// equates reports that p is an attribute equality t.A = s.B over two
+// resolved columns: the consequence Run drops a valuation for satisfying.
+func equates(p *predicate.Compiled) bool {
+	return p != nil && p.Kind == predicate.KAttr && p.Op == predicate.Eq && p.ACol >= 0 && p.BCol >= 0
+}
+
+// checkAt rejects a binding on which level li's P0 already holds, then
+// evaluates the predicates that become ready at li, in X order, stopping
+// at the first false one. An error fails the run.
 func (b *binder) checkAt(li int) bool {
+	// Cooperative cancellation: poll the context every few bindings, so a
+	// deadline cuts a long enumeration short even when P0 or the dirty
+	// filter rejects everything it binds.
+	b.polls++
+	if b.opts.Ctx != nil && b.polls%64 == 0 {
+		if err := b.opts.Ctx.Err(); err != nil {
+			b.fail(err)
+			return false
+		}
+	}
+	if b.levels[li].violates {
+		holds, err := b.fr.P0.Eval(b.e.env, b.h)
+		if err != nil {
+			b.fail(err)
+			return false
+		}
+		if holds {
+			return false
+		}
+	}
 	for _, i := range b.levels[li].ready {
 		p := b.fr.X[i]
 		var msp *obs.Span
@@ -441,19 +489,6 @@ func (b *binder) selfPair(lv *level, t *data.Tuple) bool {
 
 // emit hands one complete valuation to the callback.
 func (b *binder) emit() {
-	// Cooperative cancellation: poll the context every few emit calls so
-	// a deadline cuts a long enumeration short between valuations. The
-	// counter counts calls, not emitted valuations — the dirty filter
-	// below returns before Valuations increments, so an all-clean
-	// incremental run polled on Valuations would never observe
-	// cancellation no matter how long it enumerates.
-	b.emitCalls++
-	if b.opts.Ctx != nil && b.emitCalls%64 == 0 {
-		if err := b.opts.Ctx.Err(); err != nil {
-			b.fail(err)
-			return
-		}
-	}
 	// Incremental mode: every emitted valuation must bind at least one
 	// dirty tuple (the driver paths pre-filter; the generic nested-loop
 	// path is guarded here).
@@ -619,8 +654,10 @@ func (e *Executor) plan(fr *predicate.Frame, cands []crystal.Block, opts Options
 // hashJoin builds (t, s) pairs with t.A = s.B from the two slots'
 // pushdown candidate lists, t-major with s in candidate order, by
 // enumerating colB's posting lists (postingJoin, vector.go), keyed also
-// on the rule's other equalities between the two slots (joinKeys). The
-// pairs are pool scratch; nil means the schema does not resolve the join.
+// on the rule's other equalities between the two slots (joinKeys), and
+// dropping the pairs on which an equality P0 between them holds
+// (consCols). The pairs are pool scratch; nil means the schema does not
+// resolve the join.
 func (e *Executor) hashJoin(fr *predicate.Frame, p *predicate.Compiled, opts Options,
 	tuplesT, tuplesS crystal.Block) ([][2]*data.Tuple, error) {
 	if p.ACol < 0 || p.BCol < 0 {
@@ -629,7 +666,20 @@ func (e *Executor) hashJoin(fr *predicate.Frame, p *predicate.Compiled, opts Opt
 	relT, relS := fr.Rels[p.TSlot], fr.Rels[p.SSlot]
 	colA := e.internedCol(relT, p.A)
 	colB := e.internedCol(relS, p.B)
-	return e.postingJoin(p, e.joinKeys(fr, p), opts, tuplesT, tuplesS, colA, colB, relT, relS)
+	return e.postingJoin(p, e.joinKeys(fr, p), consCols(fr, p), opts, tuplesT, tuplesS, colA, colB, relT, relS)
+}
+
+// consCols returns P0's columns oriented from p's t slot to its s slot
+// when P0 is an attribute equality between p's two slots, else -1s.
+func consCols(fr *predicate.Frame, p *predicate.Compiled) [2]int {
+	switch q := fr.P0; {
+	case !equates(q):
+	case q.TSlot == p.TSlot && q.SSlot == p.SSlot:
+		return [2]int{q.ACol, q.BCol}
+	case q.TSlot == p.SSlot && q.SSlot == p.TSlot:
+		return [2]int{q.BCol, q.ACol}
+	}
+	return [2]int{-1, -1}
 }
 
 // joinKey is an equality of X other than the driver join's between its

@@ -115,7 +115,7 @@ func TestExecutorConstantPushdown(t *testing.T) {
 
 func TestExecutorBlockingReducesMLCalls(t *testing.T) {
 	env, rel := transEnv(t, 80)
-	r := must.Rule("Trans(t) ^ Trans(s) ^ M_ER(t[com], s[com]) -> t.mfg = s.mfg", env.DB)
+	r := must.Rule("Trans(t) ^ Trans(s) ^ M_ER(t[com], s[com]) -> t.eid = s.eid", env.DB)
 	e := New(env)
 	blocked, err := e.Run(r, Options{UseBlocking: true}, func(h *predicate.Valuation) bool { return true })
 	if err != nil {

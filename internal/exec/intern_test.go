@@ -58,7 +58,8 @@ func (c *countdownCtx) Err() error {
 // count, but the incremental dirty filter returns before that count
 // increments — an enumeration whose valuations are all clean (dirty set
 // present but empty) never advanced the counter and so never observed
-// cancellation. Polling on emit calls makes the countdown context fire.
+// cancellation. Polling on bindings (checkAt calls) makes the countdown
+// context fire, also now that P0 rejects most bindings before emit.
 // The rule is ML-only (no equality predicate, blocking off), so no pair
 // driver pre-filters by dirtiness: the generic nested-loop path runs and
 // every valuation reaches emit, where the dirty filter rejects it.

@@ -92,7 +92,7 @@ func shadowKeys(env *predicate.Env) {
 var keyRules = []struct{ rule, driver string }{
 	{"A(t) ^ B(s) ^ t.x = s.y ^ t.p = s.r -> t.eid = s.eid", "A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid"},
 	{"A(t) ^ B(s) ^ t.x = s.y ^ s.r = t.p ^ t.q = s.q -> t.eid = s.eid", "A(t) ^ B(s) ^ t.x = s.y -> t.eid = s.eid"},
-	{"A(t) ^ A(s) ^ t.x = s.x ^ t.p = s.p -> t.q = s.q", "A(t) ^ A(s) ^ t.x = s.x -> t.q = s.q"},
+	{"A(t) ^ A(s) ^ t.x = s.x ^ t.p = s.p -> t.eid = s.eid", "A(t) ^ A(s) ^ t.x = s.x -> t.eid = s.eid"},
 	{"A(t) ^ A(s) ^ t.x = s.x ^ s.q = t.q ^ t.p = s.p -> t.eid = s.eid", "A(t) ^ A(s) ^ t.x = s.x -> t.eid = s.eid"},
 }
 

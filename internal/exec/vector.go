@@ -16,6 +16,7 @@ package exec
 // never silently dropped.
 
 import (
+	"math"
 	"slices"
 	"sort"
 
@@ -260,9 +261,13 @@ func mergeShadowed(matched, shadow []int32, fn func(pos int32, shadowed bool) er
 // tuples on either side read through the view (predicate.Env.Value, dictionary
 // probe, Canon-keyed overflow for values colB never interned). A raw t
 // pairs with a raw-matched s only if their ids agree on every extra key
-// too (joinKey). Under a dirty filter the walk visits only the t that
-// can pair (dirtyVisits). The pairs are pool scratch.
-func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Options,
+// too (joinKey), and only if P0 does not hold on them: cons holds P0's
+// columns in t's and s's relation (-1s: P0 is no equality between the
+// two slots), and a raw pair whose two values are Equal is dropped. A
+// bucket whose raw tuples all hold the raw t's P0 value is not
+// intersected at all. Under a dirty filter the walk visits only the t
+// that can pair (dirtyVisits). The pairs are pool scratch.
+func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, cons [2]int, opts Options,
 	blockT, blockS crystal.Block, colA, colB *crystal.Column,
 	relT, relS *data.Relation) ([][2]*data.Tuple, error) {
 	tTIDs, tPooled, err := tidsOf(blockT)
@@ -375,6 +380,51 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 		return true
 	}
 
+	// The consequence of the t being walked: consV is a raw t's P0 value,
+	// and a raw s satisfies P0 with t by holding a value Equal to it.
+	// hasCons is false for a shadowed t, for a null value (P0 never holds
+	// on one), and when P0 is no equality between the two slots.
+	var consV data.Value
+	hasCons := false
+	holds := func(s *data.Tuple) bool {
+		return hasCons && s.Values[cons[1]].Equal(consV)
+	}
+	// uniform reports that every raw tuple of bucket idB holds consV, so
+	// none pairs with t. A heavy bucket is summarised once per join by
+	// the value all its tuples hold (null: none), kept only when Equal is
+	// transitive through it.
+	var commons map[crystal.ValueID]data.Value
+	uniform := func(idB crystal.ValueID, posting []int) bool {
+		if !hasCons {
+			return false
+		}
+		if len(posting) <= heavyPostingLen {
+			for _, tid := range posting {
+				if !holds(relS.Get(tid)) {
+					return false
+				}
+			}
+			return true
+		}
+		c, ok := commons[idB]
+		if !ok {
+			if c = relS.Get(posting[0]).Values[cons[1]]; !transitive(c) {
+				c = data.Value{}
+			}
+			for _, tid := range posting[1:] {
+				if c.IsNull() || !relS.Get(tid).Values[cons[1]].Equal(c) {
+					c = data.Value{}
+					break
+				}
+			}
+			if commons == nil {
+				commons = make(map[crystal.ValueID]data.Value)
+			}
+			commons[idB] = c
+		}
+		return !c.IsNull() && c.Equal(consV)
+	}
+
 	// Dirty-filter hoist: the relations are fixed for the whole join, so
 	// resolve the two dirty sets once and test pairs with at most two
 	// int-keyed probes (none at all in a full, non-incremental run)
@@ -401,7 +451,7 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 
 	out := getPairBuf()
 	var memo map[crystal.ValueID][]int32
-	probes := 0
+	probes, skips := 0, 0
 	emitOverflow := func(t *data.Tuple, overflow []*data.Tuple) {
 		for _, s := range overflow {
 			if pairOK(s) {
@@ -413,7 +463,9 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 		probes++
 		var matched []int32
 		if posting := colB.PostingList(idB); rawPairs && len(posting) > 0 {
-			if len(posting) > heavyPostingLen {
+			if uniform(idB, posting) {
+				skips++
+			} else if len(posting) > heavyPostingLen {
 				m, ok := memo[idB]
 				if !ok {
 					m = crystal.IntersectPositions(nil, posting, sTIDs)
@@ -438,7 +490,7 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 			if j >= len(shadowList) || (i < len(matched) && matched[i] < shadowList[j]) {
 				pos = matched[i]
 				i++
-				if sShadowed(pos) || (keyed && !keysMatch(sTIDs[pos])) {
+				if sShadowed(pos) || (keyed && !keysMatch(sTIDs[pos])) || holds(tuplesS[pos]) {
 					continue
 				}
 			} else {
@@ -477,7 +529,7 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 		if idA == crystal.NoValue {
 			// A shadowed tuple joins on its view value; a TID without an id
 			// in colA (a tuple not in the relation) on its raw value.
-			keyed, rawPairs = false, true
+			keyed, rawPairs, hasCons = false, true, false
 			v := t.Values[ai]
 			if shadowed {
 				v = e.env.Value(relT, t, ai)
@@ -500,6 +552,11 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 			continue
 		}
 		keysOf(t.TID)
+		hasCons = false
+		if cons[0] >= 0 {
+			consV = t.Values[cons[0]]
+			hasCons = !consV.IsNull()
+		}
 		idB := idA
 		if !sameCol {
 			idB = trans[idA]
@@ -521,8 +578,22 @@ func (e *Executor) postingJoin(p *predicate.Compiled, keys []joinKey, opts Optio
 		e.reg.Inc("exec.vec.dirty_side_joins")
 	}
 	e.reg.Add("exec.vec.join_probes", uint64(probes))
+	e.reg.Add("exec.vec.join_uniform_skips", uint64(skips))
 	e.reg.Add("exec.vec.join_pairs", uint64(len(out)))
 	return out, nil
+}
+
+// transitive reports that the values Equal to v are Equal to each other:
+// v is neither null nor NaN, and a number is below 2⁵³ in magnitude,
+// where an int and a float Equal to it stand for the same number (past
+// it, I(2⁵³) and I(2⁵³+1) are both Equal to F(2⁵³) but not to each
+// other).
+func transitive(v data.Value) bool {
+	switch v.Kind() {
+	case data.TInt, data.TFloat, data.TTime:
+		return !v.IsNull() && math.Abs(v.Float()) < 1<<53 // false for NaN too
+	}
+	return !v.IsNull()
 }
 
 // dirtyVisits lists, ascending, the positions of the t block a posting

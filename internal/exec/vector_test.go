@@ -337,7 +337,7 @@ func TestColumnarMatchesReference(t *testing.T) {
 
 // threeJobRule has a selection on u, a join driving (t, s) and a probe
 // binding u, so one run exercises all three jobs.
-const threeJobRule = "R(t) ^ R(s) ^ R(u) ^ t.k = s.k ^ s.k = u.k ^ u.flag = 'x' -> t.val = s.val"
+const threeJobRule = "R(t) ^ R(s) ^ R(u) ^ t.k = s.k ^ s.k = u.k ^ u.flag = 'x' -> t.eid = s.eid"
 
 // threeJobTrace is threeJobRule's brute-force oracle: every (t, s, u) of
 // pairwise distinct tuples with t.k = s.k = u.k and u.flag = 'x', in the
